@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test verify bench bench-quick bench-scale bench-trajectory bench-figs bench-paper examples report clean
+.PHONY: install test verify bench bench-quick bench-scale bench-trajectory ledger ledger-smoke bench-figs bench-paper examples report clean
 
 install:
 	$(PYTHON) -m pip install -e '.[test]'
@@ -107,6 +107,16 @@ bench-scale:
 # flagged (latest < 0.9x previous).  Informational — always exits 0.
 bench-trajectory:
 	PYTHONPATH=src $(PYTHON) benchmarks/trajectory.py
+
+# The performance ledger (BENCHMARK.json): five seeded workloads, eight
+# end-to-end and 111 per-layer metrics, about 3 min.  ledger-smoke runs
+# it at a tenth of the size in-process (~10 s) and checks that the
+# metric catalog still equals BENCHMARK.json; CI runs it after verify.
+ledger:
+	python3 benchmarks/ledger/run.py
+
+ledger-smoke:
+	$(PYTHON) -m pytest benchmarks/ledger/test_ledger.py
 
 # Regenerate the paper's figures (the simulated-outcome benchmarks).
 bench-figs:

@@ -313,11 +313,12 @@ class PubSubSystem:
             ttl=self._config.default_ttl if ttl is None else ttl,
             groups=groups,
         )
-        request_id = self._send_to_keys(
-            node_id, keys, payload, MessageKind.SUBSCRIPTION
-        )
+        request_id = next_request_id()
         if self._auditor is not None:
             self._auditor.on_subscribe(subscription, node_id, payload.ttl, self.now)
+        self._send_to_keys(
+            node_id, keys, payload, MessageKind.SUBSCRIPTION, request_id
+        )
         return request_id
 
     def unsubscribe(self, node_id: int, subscription: Subscription) -> int:
@@ -326,11 +327,12 @@ class PubSubSystem:
         payload = UnsubscribePayload(
             subscription_id=subscription.subscription_id, subscriber=node_id
         )
-        request_id = self._send_to_keys(
-            node_id, keys, payload, MessageKind.UNSUBSCRIPTION
-        )
+        request_id = next_request_id()
         if self._auditor is not None:
             self._auditor.on_unsubscribe(subscription.subscription_id, self.now)
+        self._send_to_keys(
+            node_id, keys, payload, MessageKind.UNSUBSCRIPTION, request_id
+        )
         return request_id
 
     def publish(self, node_id: int, event: Event) -> int:
@@ -339,11 +341,12 @@ class PubSubSystem:
         payload = PublishPayload(
             event=event, publisher=node_id, published_at=self.now
         )
-        request_id = self._send_to_keys(
-            node_id, keys, payload, MessageKind.PUBLICATION
-        )
+        request_id = next_request_id()
         if self._auditor is not None:
             self._auditor.on_publish(event, node_id, keys, request_id, self.now)
+        self._send_to_keys(
+            node_id, keys, payload, MessageKind.PUBLICATION, request_id
+        )
         return request_id
 
     # -- propagation -------------------------------------------------------------
@@ -354,8 +357,15 @@ class PubSubSystem:
         keys: frozenset[int],
         payload: object,
         kind: MessageKind,
-    ) -> int:
-        request_id = next_request_id()
+        request_id: int,
+    ) -> None:
+        """Propagate one request to its keys.
+
+        Callers tell the auditor about the request *before* calling
+        this: a key this node covers itself is delivered (and may
+        notify) synchronously inside the send, and the oracle must
+        already hold the request when that arrival reaches it.
+        """
         self.recorder.messages.begin_request(kind, request_id, self.now)
         message = OverlayMessage(
             kind=kind, payload=payload, request_id=request_id, origin=node_id
@@ -375,7 +385,6 @@ class PubSubSystem:
             self._overlay.mcast(node_id, keys, message)
         else:
             self._overlay.sequential_cast(node_id, keys, message)
-        return request_id
 
     def send_notification(
         self,

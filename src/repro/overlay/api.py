@@ -42,6 +42,12 @@ class MessageKind(enum.Enum):
     COLLECT = "collect"
     CONTROL = "control"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is exact, and it runs in C.  ``Enum.__hash__`` is a Python method
+    # around ``hash(name)``: the recorder's ``counts[kind] += 1`` paid
+    # for it twice on every one-hop send.
+    __hash__ = object.__hash__
+
 
 class CastMode(enum.Enum):
     """How a message is being propagated to its target key(s).

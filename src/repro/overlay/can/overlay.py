@@ -523,7 +523,6 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
         # CanNode state for its own ids (`_local_filter` is set for the
         # duration of build_ring).
         self._members: set[int] = set()
-        self._ever_removed = False
         self._local_filter: set[int] | None = None
         self.zone_version = 0
         # Grid geometry tables, fixed for the life of the overlay: the
@@ -612,11 +611,6 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
 
     def is_alive(self, node_id: int) -> bool:
         return node_id in self._members
-
-    @property
-    def membership_stable(self) -> bool:
-        """True while no node has ever left the overlay (see RingOverlay)."""
-        return not self._ever_removed
 
     def app_node_ids(self) -> list[int]:
         """Zone-ordered ids with materialized node state (see base)."""
@@ -864,7 +858,6 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
 
     def _unregister(self, node_id: int) -> None:
         self._members.discard(node_id)
-        self._ever_removed = True
         node = self._nodes.pop(node_id, None)
         if node is None:
             return

@@ -8,19 +8,29 @@ quiesced), which matches the paper's measurement setup where all joins
 complete before the workload starts.
 
 Routing is the per-message hot path, so next-hop selection does not
-scan the pointer set.  Fingers and cache entries are kept merged in a
-single array sorted by clockwise distance from this node, and
-``_next_hop`` binary-searches it: the best hop for a key at distance
-``t`` is the rightmost table entry with distance ``<= t``.  The m-cast
+scan the pointer set.  Fingers and cache entries are merged in a single
+array sorted by clockwise distance from this node, and ``_next_hop``
+binary-searches it: the best hop for a key at distance ``t`` is the
+rightmost table entry with distance ``<= t``.  The m-cast
 key-partitioning loop binary-searches the distance-sorted finger list
 the same way (strict ``< t``).
 
-Under churn the table is maintained *incrementally*.  The overlay logs
+The merged array is a *derived view* with one invariant,
+``table == (finger members | cache) - {self}``, and only unicast hops
+read it — m-cast routes on fingers alone, and at steady state a node
+takes some twenty m-cast receives per unicast hop.  So nothing that
+writes the fingers or the cache touches the array: writers append the
+ids they touched to a journal, and the cached ``_next_hop`` brings the
+array current before it searches (:meth:`ChordNode._materialize`).  A
+short journal is replayed by splice; one that outgrew a quarter of the
+table has been dropped, and the read re-sorts once.  A node that never
+routes by cache never holds a table.
+
+Under churn the fingers are maintained *incrementally*.  The overlay logs
 every membership change (:meth:`~repro.overlay.ring.RingOverlay.deltas_since`)
 and a stale node replays the entries it missed against its raw finger
 slots: a join captures the slots whose start falls in ``(pred, joiner]``,
-a departure redirects the departed node's slots to its heir.  The
-resulting finger-set diff is then spliced into the sorted table.  Only
+a departure redirects the departed node's slots to its heir.  Only
 when the log no longer reaches back to the node's version — or has more
 entries than the node has finger slots — does the node fall back to the
 rebuild path, which re-resolves every slot from the ring and splices
@@ -90,14 +100,18 @@ class ChordNode:
         # the deduplicated finger arrays per changed slot, and a finger
         # only appears/disappears when its slot count crosses zero.
         self._finger_counts: dict[int, int] = {}
-        # Merged routing table: fingers + cache, sorted by clockwise
-        # distance.  Distances are unique per node id, so two parallel
-        # arrays suffice for bisect.  Valid only for _table_version;
-        # fingers share the same version stamp.
+        # Ring version the finger state above is current for.
+        self._table_version = -1
+        # Merged routing table, a derived view: always meant to equal
+        # (finger members | cache) - {self}, sorted by clockwise
+        # distance (unique per id, so two parallel arrays suffice for
+        # bisect).  Writers never touch the arrays; they append the ids
+        # whose membership may have changed to the journal, and
+        # _materialize replays it on the next cached read.  None means
+        # the arrays are void and the next read re-sorts from scratch.
         self._table_dists: list[int] = []
         self._table_ids: list[int] = []
-        self._table_members: set[int] = set()
-        self._table_version = -1
+        self._table_journal: list[int] | None = None
         # Maintenance counters, exposed for tests and benchmarks as
         # thin property views over per-node registry instruments.
         # Created together with the geometry: a cold node has counted
@@ -170,13 +184,14 @@ class ChordNode:
     # -- routing table ----------------------------------------------------
 
     def _sync(self) -> None:
-        """Catch fingers + merged table up to the current ring version.
+        """Catch the finger state up to the current ring version.
 
         Cheap no-op when already current.  Otherwise replays the
-        overlay's membership delta log against the raw finger slots and
-        splices the finger diff into the sorted table; falls back to a
-        slot re-resolve when the log does not reach back to our version
-        or has more entries than we have finger slots.
+        overlay's membership delta log against the raw finger slots;
+        falls back to a slot re-resolve when the log does not reach
+        back to our version or has more entries than we have finger
+        slots.  Fingers that came or went are journaled for the merged
+        table, which only :meth:`_materialize` brings current.
         """
         overlay = self._overlay
         version = overlay.ring_version
@@ -195,6 +210,9 @@ class ChordNode:
             self._rebuild(version)
         else:
             self._patch(log, start, version)
+        journal = self._table_journal
+        if journal is not None:
+            self._cap_journal(journal)
 
     def _ensure_geometry(self) -> None:
         """Build the lazy finger-start geometry (no-op when present)."""
@@ -223,20 +241,16 @@ class ChordNode:
             "chord.table_seeds", node=node_id
         )
 
-    def _ensure_table(self) -> None:
-        """(Re)build or patch the merged distance-sorted table if stale."""
-        self._sync()
-
     def _rebuild(self, version: int) -> None:
         """Recompute the finger slots from the ring and splice the diff.
 
         The slots are re-resolved wholesale (``owners_of`` over every
         start), but a node that already holds derived state only pays
         for the slots that actually moved: each is spliced into the
-        finger arrays and the merged table in place via the slot-count
-        map, which lands in exactly the state a from-scratch derivation
-        would (same argument as :meth:`_patch`).  Only a cold node —
-        no slots yet — derives everything from scratch.
+        finger arrays in place via the slot-count map, which lands in
+        exactly the state a from-scratch derivation would (same
+        argument as :meth:`_patch`).  Only a cold node — no slots yet —
+        derives the fingers from scratch.
         """
         self._ensure_geometry()
         overlay = self._overlay
@@ -257,16 +271,6 @@ class ChordNode:
         else:
             self._finger_slots = overlay.owners_of(self._finger_starts)
             self._refresh_fingers()
-            members = set(self._finger_members)
-            members.update(self._cache)
-            members.discard(self.id)
-            size = self._size
-            me = self.id
-            by_distance = {(nid - me) % size: nid for nid in members}
-            dists = sorted(by_distance)
-            self._table_dists = dists
-            self._table_ids = [by_distance[d] for d in dists]
-            self._table_members = members
         self._table_version = version
         self._rebuilds_counter.inc()
 
@@ -278,10 +282,9 @@ class ChordNode:
         A join ``(J, pred)`` owns every finger start in ``(pred, J]``;
         a departure ``(L, heir)`` hands L's slots to its heir.  The
         slot replay reproduces ``owner_of(start)`` exactly, so the
-        derived finger list — and therefore the merged table — is
-        identical to what a full rebuild would produce.  Departed
-        nodes that live in the location cache stay in the table (same
-        as after a rebuild) until ``_next_hop`` discovers them dead.
+        derived finger list is identical to what a full rebuild would
+        produce.  Departed nodes that live in the location cache stay
+        in the merged table until ``_next_hop`` discovers them dead.
         """
         slots = self._finger_slots
         sorted_starts = self._sorted_starts
@@ -294,8 +297,8 @@ class ChordNode:
         # with two C-level bisects over the sorted starts, and a
         # departure pre-screens with a C-level list containment before
         # scanning.  The common case touches no slot at all; each slot
-        # that does move updates the finger arrays and the merged table
-        # in place via the slot-count map.
+        # that does move updates the finger arrays in place via the
+        # slot-count map.
         for index in range(start, len(log)):
             op, node_id, other = log[index]
             if op == "join":
@@ -322,12 +325,13 @@ class ChordNode:
 
     def _apply_slot(self, index: int, new_owner: int) -> None:
         """Point slot ``index`` at ``new_owner``, keeping the derived
-        finger arrays and the merged table exact.
+        finger arrays exact.
 
         The finger arrays gain/lose a node only when its slot count
         crosses zero, so the result is identical to re-deriving them
-        from the slots; table membership follows the same rules the
-        deferred diff applied (a dropped finger stays while cached).
+        from the slots.  A node crossing zero either way is journaled:
+        whether it belongs in the merged table (a dropped finger stays
+        while cached) is settled when the table is next read.
         """
         slots = self._finger_slots
         old = slots[index]
@@ -335,6 +339,7 @@ class ChordNode:
         counts = self._finger_counts
         me = self.id
         size = self._size
+        journal = self._table_journal
         remaining = counts[old] - 1
         if remaining:
             counts[old] = remaining
@@ -346,8 +351,8 @@ class ChordNode:
                 at = bisect_left(self._finger_dists, distance)
                 del self._finger_dists[at]
                 del self._fingers[at]
-                if old not in self._cache:
-                    self._raw_discard(old)
+                if journal is not None:
+                    journal.append(old)
         held = counts.get(new_owner)
         if held:
             counts[new_owner] = held + 1
@@ -359,23 +364,27 @@ class ChordNode:
                 at = bisect_left(self._finger_dists, distance)
                 self._finger_dists.insert(at, distance)
                 self._fingers.insert(at, new_owner)
-                self._raw_insert(new_owner)
+                if journal is not None:
+                    journal.append(new_owner)
 
     def _refresh_fingers(self) -> None:
         """Derive the deduplicated distance-sorted fingers from the slots."""
-        me = self.id
-        size = self._size
         counts: dict[int, int] = {}
         for nid in self._finger_slots:
             counts[nid] = counts.get(nid, 0) + 1
         self._finger_counts = counts
         members = set(counts)
-        members.discard(me)
+        members.discard(self.id)
+        self._finger_dists, self._fingers = self._by_distance(members)
+        self._finger_members = members
+
+    def _by_distance(self, members: Iterable[int]) -> tuple[list[int], list[int]]:
+        """``(distances, ids)`` of ``members``, nearest clockwise first."""
+        me = self.id
+        size = self._size
         by_distance = {(nid - me) % size: nid for nid in members}
         dists = sorted(by_distance)
-        self._finger_dists = dists
-        self._fingers = [by_distance[d] for d in dists]
-        self._finger_members = members
+        return dists, [by_distance[d] for d in dists]
 
     def seed_tables(self) -> None:
         """Seed finger slots at join time from the successor's table.
@@ -436,32 +445,68 @@ class ChordNode:
                     slots[i] = owner
         self._finger_slots = slots  # type: ignore[assignment]
         self._refresh_fingers()
-        # Fresh node: the cache is empty, so the merged table is the
-        # finger view verbatim — no dict/sort pass needed.
-        self._table_dists = list(self._finger_dists)
-        self._table_ids = list(self._fingers)
-        self._table_members = set(self._finger_members)
         self._table_version = version
         self._seeds_counter.inc()
 
-    def _raw_insert(self, node_id: int) -> None:
-        if node_id in self._table_members:
-            return
-        distance = (node_id - self.id) % self._size
-        index = bisect_left(self._table_dists, distance)
-        self._table_dists.insert(index, distance)
-        self._table_ids.insert(index, node_id)
-        self._table_members.add(node_id)
+    def _materialize(self) -> None:
+        """Bring the merged table current with the fingers and the cache.
 
-    def _raw_discard(self, node_id: int) -> None:
-        if node_id not in self._table_members:
+        Establishes ``table == (finger members | cache) - {self}`` in
+        clockwise-distance order.  Callers :meth:`_sync` first, so the
+        finger side is current.  A live journal names every id whose
+        membership may have changed since the last call; each is
+        re-decided against the two sources and spliced in or out (a
+        repeated or already-settled id is a no-op, so the journal needs
+        no dedup).  A dropped journal means too much changed to replay:
+        the table is re-sorted once instead.
+        """
+        me = self.id
+        size = self._size
+        fingers = self._finger_members
+        cache = self._cache
+        journal = self._table_journal
+        if journal is None:
+            self._table_dists, self._table_ids = self._by_distance(
+                fingers.union(cache)
+            )
+            self._table_journal = []
             return
-        distance = (node_id - self.id) % self._size
-        index = bisect_left(self._table_dists, distance)
-        if index < len(self._table_dists) and self._table_dists[index] == distance:
-            del self._table_dists[index]
-            del self._table_ids[index]
-        self._table_members.discard(node_id)
+        dists = self._table_dists
+        ids = self._table_ids
+        count = len(ids)
+        for node_id in journal:
+            distance = (node_id - me) % size
+            at = bisect_left(dists, distance)
+            present = at < count and ids[at] == node_id
+            if node_id in cache or node_id in fingers:
+                if not present:
+                    dists.insert(at, distance)
+                    ids.insert(at, node_id)
+                    count += 1
+            elif present:
+                del dists[at]
+                del ids[at]
+                count -= 1
+        del journal[:]
+
+    def _cap_journal(self, journal: list[int]) -> None:
+        """Void the merged table once ``journal`` outgrows a quarter of it.
+
+        The next cached read then re-sorts instead of replaying:
+        replaying one id costs what re-sorting ~2.5 rows does
+        (break-even near T/2.5), and cutting off earlier also bounds
+        the appends a node spends on a table it may never read again.
+        """
+        if len(journal) > len(self._table_ids) >> 2:
+            self._table_journal = None
+            self._table_dists = []
+            self._table_ids = []
+
+    def routing_table(self) -> list[int]:
+        """Ids the cached next-hop search sees, nearest clockwise first."""
+        self._sync()
+        self._materialize()
+        return list(self._table_ids)
 
     # -- location cache ---------------------------------------------------
 
@@ -469,83 +514,47 @@ class ChordNode:
         """Insert recently seen node ids into the LRU location cache.
 
         At steady state most learned ids are already cached and only
-        their LRU position moves — which never touches the merged
-        table — so the table catch-up is deferred until the first id
-        that actually needs inserting.  A receive that learns nothing
-        new therefore skips the sync entirely; the table content any
-        later reader sees is the same either way (patching is exact
-        from whatever version the node last synced at).
+        their LRU position moves, which the merged table never sees.
+        Ids that enter or leave the cache are journaled for the next
+        cached read (see :meth:`_cap_journal` for when the journal is
+        dropped).  A node that m-casts and delivers but never routes by
+        cache holds no table at all.
         """
-        if self._cache_capacity <= 0:
+        capacity = self._cache_capacity
+        if capacity <= 0:
             return
         cache = self._cache
         me = self.id
-        synced = False
+        journal = self._table_journal
+        inserted = False
         for node_id in node_ids:
             if node_id == me:
                 continue
             if node_id in cache:
                 cache.move_to_end(node_id)
             else:
-                if not synced:
-                    self._sync()  # table current, so the insert lands
-                    synced = True
+                inserted = True
                 cache[node_id] = None
-                self._raw_insert(node_id)
-        if not synced:
+                if journal is not None:
+                    journal.append(node_id)
+        if not inserted:
             return  # nothing inserted: the cache cannot have overflowed
-        while len(cache) > self._cache_capacity:
+        excess = len(cache) - capacity
+        while excess > 0:
+            excess -= 1
             evicted, _ = cache.popitem(last=False)
-            if evicted not in self._finger_members:
-                self._raw_discard(evicted)
-
-    def learn_batch(self, sequences: Iterable[Iterable[int]]) -> None:
-        """Order-exact batched learn: one call per ``(dst, tick)`` bucket.
-
-        Bit-for-bit equivalent to ``for s in sequences: self.learn(s)``
-        **within one bucket drain**: ids are visited in the same order,
-        the LRU eviction loop runs after each sequence exactly as the
-        per-call version does (so the eviction order is identical), and
-        the table catch-up is deferred to the first id that actually
-        inserts.  The single deferred ``_sync`` is exact because no
-        events fire between the sequences of one bucket — the ring
-        version cannot change mid-batch, so syncing once at the first
-        insert lands the same table state as syncing per sequence.
-        Closes the ROADMAP watch item on folding bucket learns.
-        """
-        if self._cache_capacity <= 0:
-            return
-        cache = self._cache
-        capacity = self._cache_capacity
-        me = self.id
-        synced = False
-        for node_ids in sequences:
-            inserted = False
-            for node_id in node_ids:
-                if node_id == me:
-                    continue
-                if node_id in cache:
-                    cache.move_to_end(node_id)
-                else:
-                    if not synced:
-                        self._sync()  # table current, so the insert lands
-                        synced = True
-                    inserted = True
-                    cache[node_id] = None
-                    self._raw_insert(node_id)
-            if not inserted:
-                continue  # this sequence cannot have overflowed the cache
-            while len(cache) > capacity:
-                evicted, _ = cache.popitem(last=False)
-                if evicted not in self._finger_members:
-                    self._raw_discard(evicted)
+            if journal is not None:
+                journal.append(evicted)
+        if journal is not None:
+            self._cap_journal(journal)
 
     def forget(self, node_id: int) -> None:
         """Evict a (discovered-dead) node from the location cache."""
-        self._sync()
-        if self._cache.pop(node_id, None) is not None or node_id in self._table_members:
-            if node_id not in self._finger_members:
-                self._raw_discard(node_id)
+        if node_id in self._cache:
+            del self._cache[node_id]
+            journal = self._table_journal
+            if journal is not None:
+                journal.append(node_id)
 
     def cached_ids(self) -> list[int]:
         """Current location-cache contents (least recent first)."""
@@ -634,78 +643,21 @@ class ChordNode:
     def receive_batch(self, messages: list[OverlayMessage]) -> None:
         """Bucket entry point: one ``(dst, tick)`` inbox in send order.
 
-        The first message's learn syncs the routing table once; the
-        rest of the batch hits the version-equal fast path, so a bucket
-        pays one catch-up regardless of its size.
-
-        While membership is stable (no node has ever departed), the
-        maximal *hit-only* prefix of the bucket — messages whose entire
-        learn sequence is already cached — is hoisted into one
-        :meth:`learn_batch` call followed by plain dispatches.  This is
-        exact: hit-only learns touch nothing but LRU recency order,
-        which routing never reads; dispatches cannot ``forget`` (a
-        cached peer cannot be dead while nothing ever departed) or
-        unregister this node; and the cache key set is frozen across
-        hit-only learns, so a precheck against the keys *before* the
-        prefix equals checking each message right before its learn.
-        The first message that would insert ends the prefix and takes
-        the interleaved path, as does everything after it — a general
-        fold of inserting learns is *not* behavior-preserving (an
-        eviction between two messages reorders the cache against the
-        union-learned equivalent, and the location cache feeds
-        routing).  Under churn every message takes the per-message
-        loop, which re-checks liveness so a self-removal mid-tick
-        drops the remainder with the drain loop's accounting.
+        Re-checks liveness before every message, so a self-removal
+        mid-tick drops the remainder with the drain loop's accounting.
         """
         if len(messages) == 1:  # the common bucket is a singleton
             self.receive(messages[0])
             return
-        overlay = self._overlay
-        start = 0
-        if overlay.membership_stable and self._cache_capacity > 0:
-            cache = self._cache
-            me = self.id
-            sequences: list[tuple[int, ...]] = []
-            for message in messages:
-                sequence = message.path + (message.origin,)
-                if all(nid == me or nid in cache for nid in sequence):
-                    sequences.append(sequence)
-                else:
-                    break
-            prefix = len(sequences)
-            if prefix >= 2:
-                self.learn_batch(sequences)  # pure LRU refreshes
-                dispatch = self._dispatch
-                for index in range(prefix):
-                    dispatch(messages[index])
-                if prefix == len(messages):
-                    return
-                start = prefix
-        network = overlay.network
+        network = self._overlay.network
         is_alive = network.is_alive
         me = self.id
         receive = self.receive
-        for index in range(start, len(messages)):
+        for index, message in enumerate(messages):
             if not is_alive(me):
                 network.drop_undeliverable(messages[index:])
                 return
-            receive(messages[index])
-
-    def _dispatch(self, message: OverlayMessage) -> None:
-        """Route or deliver one message whose learn already happened.
-
-        Exactly :meth:`receive` minus the learn — kept as a separate
-        duplicate of the mode branch so the hot per-message ``receive``
-        path stays monomorphic.
-        """
-        if message.mode is CastMode.MCAST:
-            self.continue_mcast(message)
-        elif message.mode is CastMode.SEQUENTIAL:
-            self.continue_sequential(message)
-        elif message.key is None:
-            self._overlay.do_deliver(self, message)
-        else:
-            self.route_unicast(message)
+            receive(message)
 
     def route_unicast(self, message: OverlayMessage) -> None:
         """Greedy Chord routing of a unicast message toward its key.
@@ -740,6 +692,9 @@ class ChordNode:
         target_distance = (key - self.id) % self._size
         self._sync()
         if use_cache:
+            journal = self._table_journal
+            if journal is None or journal:
+                self._materialize()
             dists, ids = self._table_dists, self._table_ids
         else:
             dists, ids = self._finger_dists, self._fingers

@@ -163,7 +163,6 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
         # serial overlay the two sets are updated in lockstep and
         # always equal.
         self._members: set[int] = set()
-        self._ever_removed = False
         self.ring_version = 0
         # Maintenance counts of nodes that already departed: without
         # this, harness totals summed over live nodes silently truncate
@@ -234,16 +233,6 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
     def is_alive(self, node_id: int) -> bool:
         """True if the node is currently part of the ring."""
         return node_id in self._members
-
-    @property
-    def membership_stable(self) -> bool:
-        """True while no node has ever left the ring.
-
-        Joins keep this True: a join can invalidate routing tables but
-        can never make a cached peer dead, which is the property the
-        batch receive fast path (:meth:`ChordNode.receive_batch`) needs.
-        """
-        return not self._ever_removed
 
     def app_node_ids(self) -> list[int]:
         """Ring-ordered ids with materialized node state (see base)."""
@@ -342,7 +331,6 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
         index = bisect.bisect_left(self._ring, node_id)
         del self._ring[index]
         self._members.discard(node_id)
-        self._ever_removed = True
         node = self._nodes.pop(node_id)
         totals = self._departed_maintenance
         for key in totals:

@@ -42,10 +42,9 @@ def assert_table_matches_rebuild(overlay, node):
     # duplicates — order is by clockwise distance.
     expected_members = set(node.fingers()) | set(node.cached_ids())
     expected_members.discard(node.id)
-    assert node._table_members == expected_members
     distance = overlay.keyspace.distance
     expected_order = sorted(expected_members, key=lambda n: distance(node.id, n))
-    assert node._table_ids == expected_order
+    assert node.routing_table() == expected_order
 
 
 # -- joins and departures patch, not rebuild -------------------------------

@@ -96,12 +96,35 @@ def test_forget_keeps_finger_entries_in_routing_table():
     ids = (100, 2000, 4000, 6000)
     sim, overlay = build(ids)
     node = overlay.node(100)
-    node._ensure_table()
-    fingers = set(node.fingers())
-    target = next(iter(fingers))
+    target = node.fingers()[0]
     # Learning a finger then forgetting it must not remove the finger
     # from the merged routing table.
     node.learn([target])
+    assert target in node.routing_table()
     node.forget(target)
     assert target not in node.cached_ids()
-    assert target in node._table_ids
+    assert target in node.routing_table()
+
+
+def test_forget_drops_cached_non_finger_from_routing_table():
+    ids = tuple(range(100, 8100, 500))
+    sim, overlay = build(ids)
+    node = overlay.node(100)
+    stranger = next(nid for nid in ids[1:] if nid not in node.fingers())
+    node.learn([stranger])
+    assert stranger in node.routing_table()
+    node.forget(stranger)
+    assert stranger not in node.cached_ids()
+    assert stranger not in node.routing_table()
+
+
+def test_forget_of_unknown_id_is_a_no_op():
+    ids = tuple(range(100, 8100, 500))
+    sim, overlay = build(ids)
+    node = overlay.node(100)
+    node.learn([3100])
+    table, cached = node.routing_table(), node.cached_ids()
+    node.forget(3600)  # live, but neither cached nor a finger
+    node.forget(12345 % KS.size)  # not even a node
+    assert node.routing_table() == table
+    assert node.cached_ids() == cached

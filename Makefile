@@ -84,15 +84,22 @@ verify:
 	PYTHONPATH=src $(PYTHON) benchmarks/trajectory.py
 
 # Wall-clock throughput of the hot paths (routing, kernel, matching) on
-# the fixed seeded workload; writes BENCH_PR1.json.  Pass
-# BENCH_BASELINE=<old.json> to record a before/after delta.
+# the fixed seeded workload; writes $(BENCH_OUT), under the ignored
+# artifacts/ by default so the committed BENCH_PR*.json snapshots that
+# bench-trajectory reads stay as recorded (to commit a new snapshot:
+# make bench BENCH_OUT=BENCH_PR<N>.json).  Pass BENCH_BASELINE=<old.json>
+# to record a before/after delta.
+BENCH_OUT ?= artifacts/BENCH.json
+
 bench:
+	mkdir -p $(dir $(BENCH_OUT))
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_throughput.py \
-		$(if $(BENCH_BASELINE),--baseline $(BENCH_BASELINE)) --out BENCH_PR1.json
+		$(if $(BENCH_BASELINE),--baseline $(BENCH_BASELINE)) --out $(BENCH_OUT)
 
 bench-quick:
+	mkdir -p $(dir $(BENCH_OUT))
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_throughput.py --quick \
-		$(if $(BENCH_BASELINE),--baseline $(BENCH_BASELINE)) --out BENCH_PR1.json
+		$(if $(BENCH_BASELINE),--baseline $(BENCH_BASELINE)) --out $(BENCH_OUT)
 
 # The sharded kernel at scale: 4k / 20k / 100k-node Chord rings, serial
 # vs forked shard workers, with per-worker peak-RSS and bytes/node

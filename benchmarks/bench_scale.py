@@ -32,10 +32,27 @@ against a committed baseline therefore gates:
 - on the smoke scenario, sharded throughput must stay above an
   availability-aware floor of the same run's serial leg: 0.4x on a
   single-CPU runner (the fork + barrier overhead bound — no parallel
-  win is possible there), 0.8x with two or more CPUs;
+  win is possible there), 0.55x with two or more CPUs (measured, see
+  below);
 - with ``--require-speedup X`` (multi-core hardware), at least one
   scenario that ran both legs must reach an X-fold events/s speedup
   over serial.
+
+The multi-CPU floor is a ratio of two legs of one run, so it tightens
+whenever the serial kernel gets faster at an unchanged pipe cost (about
+0.8 s of a 3.1-4.5 s two-shard smoke run).  It was 0.8x through PR 12,
+by when the 2-vCPU host read 0.61-0.82 and failed one run in three.
+Re-measured at PR 13 (compiled subscription rows: the smoke leg runs
+the covering path, so serial compute shrank again), ten
+``--scenario smoke --repeat 2`` runs, two-shard events/s over the same
+run's serial leg, Linux 6.18 x86_64, 2 vCPUs, Python 3.11.7:
+
+    0.667 0.837 0.807 0.875 0.723 0.932 0.731 1.044 0.642 0.861
+
+(serial 37.9-46.6k events/s, two shards 27.3-39.6k).  The floor is the
+lowest reading less 15%, rounded: 0.55x.  It still sits above the
+single-CPU bound, so it still tells "two workers ran side by side" from
+"two workers took turns".
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_scale.py --out BENCH_PR7.json
@@ -72,6 +89,11 @@ SEED = 20260808
 #: Few storage snapshots: each one walks every node's store, which at
 #: 100k nodes would otherwise dominate the measured run.
 STORAGE_SAMPLES = 4
+
+#: ``--check`` floors on the smoke scenario: sharded events/s over the
+#: same run's serial leg (the module docstring has the measurements).
+SINGLE_CPU_FLOOR = 0.4
+MULTI_CPU_FLOOR = 0.55
 
 DISCRETIZATION_WIDTH = 256
 CACHE_CAPACITY = 1024
@@ -280,7 +302,7 @@ def check(report: dict, baseline: dict, require_speedup: float | None) -> int:
         return 1
     # Availability-aware perf floor: a single CPU cannot show a
     # parallel win, but fork + barrier overhead must stay bounded.
-    floor = 0.4 if cpus <= 1 else 0.8
+    floor = SINGLE_CPU_FLOOR if cpus <= 1 else MULTI_CPU_FLOOR
     for key, result in scenarios.items():
         serial = result["legs"].get("shards1")
         if serial is None or not serial["sim_events_per_s"]:

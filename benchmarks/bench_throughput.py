@@ -41,10 +41,10 @@ fingerprint comparison doubles as the observatory's zero-overhead
 gate.
 
 Usage:
-    PYTHONPATH=src python benchmarks/bench_throughput.py --out BENCH_PR1.json
+    PYTHONPATH=src python benchmarks/bench_throughput.py --out artifacts/BENCH.json
     PYTHONPATH=src python benchmarks/bench_throughput.py --quick
     PYTHONPATH=src python benchmarks/bench_throughput.py \
-        --baseline /tmp/bench_seed.json --out BENCH_PR1.json
+        --baseline /tmp/bench_seed.json --out artifacts/BENCH.json
     PYTHONPATH=src python benchmarks/bench_throughput.py --quick --profile
     PYTHONPATH=src python benchmarks/bench_throughput.py --quick \
         --baseline benchmarks/baselines/bench_quick_baseline.json --check

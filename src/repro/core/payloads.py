@@ -8,9 +8,7 @@ traffic (Section 4.1).
 
 All payload classes are frozen *slotted* dataclasses: at scale-bench
 populations (10^5 nodes, 10^6 publications) the per-instance ``__dict__``
-of the notification/publication hot classes dominated heap growth, and
-none of them memoizes through ``__dict__`` (unlike ``Subscription``,
-which must stay unslotted for its ``most_selective_attribute`` cache).
+of the notification/publication hot classes dominated heap growth.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from repro.core.events import Event, EventSpace
 _subscription_ids = itertools.count(1)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Constraint:
     """An inclusive range constraint σ.cᵢ on one attribute.
 
@@ -58,7 +58,12 @@ class Constraint:
         return self.span / domain_size
 
 
-@dataclasses.dataclass(frozen=True)
+def _compiled() -> dataclasses.Field:
+    """A derived :class:`Subscription` attribute, set in ``__post_init__``."""
+    return dataclasses.field(init=False, repr=False, compare=False)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
 class Subscription:
     """A conjunction of constraints over an event space.
 
@@ -68,6 +73,25 @@ class Subscription:
             one per attribute (a conjunction of two ranges on the same
             attribute collapses to their intersection — callers do that).
         subscription_id: Unique id; rendezvous stores are keyed by it.
+
+    The remaining attributes are the *compiled* predicate: flat bound
+    rows derived once from the three fields above, which every matching
+    engine and the covering forest loop over in place (they are no part
+    of ``==``, ``hash``, ``repr`` or the pickled state).
+
+    Attributes:
+        rows: ``(attribute, low, high)`` per constraint, in constraint
+            order — the match view: e ∈ σ iff every row admits
+            ``e.values[attribute]``.
+        proper_rows: The rows narrower than their attribute's domain —
+            the cover view.  A full-domain constraint admits every
+            value, so for covering it equals no constraint and is
+            dropped; the same tuple as ``rows`` when nothing is dropped.
+        proper_mask: Bit ``i`` set iff attribute ``i`` has a proper row.
+        lows: Effective lower bound of every attribute of the space
+            (``0`` where unconstrained).
+        highs: Effective upper bound (``size - 1`` where unconstrained).
+        anchor: The most selective attribute, ``-1`` without constraints.
     """
 
     space: EventSpace
@@ -75,23 +99,82 @@ class Subscription:
     subscription_id: int = dataclasses.field(
         default_factory=lambda: next(_subscription_ids)
     )
+    rows: tuple[tuple[int, int, int], ...] = _compiled()
+    proper_rows: tuple[tuple[int, int, int], ...] = _compiled()
+    proper_mask: int = _compiled()
+    lows: tuple[int, ...] = _compiled()
+    highs: tuple[int, ...] = _compiled()
+    anchor: int = _compiled()
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
+        """Validate the constraints and compile them, in one pass."""
+        attributes = self.space.attributes
+        dimensions = len(attributes)
+        lows = [0] * dimensions
+        highs = [attribute.size - 1 for attribute in attributes]
+        rows = []
+        proper_rows = []
+        seen = proper_mask = 0
+        # Most selective = minimal rᵢ/|Ωᵢ|; ties break toward the
+        # lowest attribute index (see most_selective_attribute).
+        anchor = -1
+        best_selectivity = 0.0
         for constraint in self.constraints:
-            if not 0 <= constraint.attribute < self.space.dimensions:
+            index = constraint.attribute
+            if not 0 <= index < dimensions:
                 raise DataModelError(
-                    f"constraint on attribute {constraint.attribute} outside "
-                    f"{self.space.dimensions}-dimensional space"
+                    f"constraint on attribute {index} outside "
+                    f"{dimensions}-dimensional space"
                 )
-            if constraint.attribute in seen:
+            bit = 1 << index
+            if seen & bit:
                 raise DataModelError(
-                    f"multiple constraints on attribute {constraint.attribute}"
+                    f"multiple constraints on attribute {index}"
                 )
-            seen.add(constraint.attribute)
-            attribute = self.space.attributes[constraint.attribute]
-            attribute.validate_value(constraint.low)
-            attribute.validate_value(constraint.high)
+            seen |= bit
+            attribute = attributes[index]
+            low = attribute.validate_value(constraint.low)
+            high = attribute.validate_value(constraint.high)
+            row = (index, low, high)
+            rows.append(row)
+            if low > 0 or high < attribute.size - 1:
+                proper_mask |= bit
+                proper_rows.append(row)
+            lows[index] = low
+            highs[index] = high
+            selectivity = (high - low + 1) / attribute.size
+            if anchor < 0 or selectivity < best_selectivity or (
+                selectivity == best_selectivity and index < anchor
+            ):
+                best_selectivity = selectivity
+                anchor = index
+        compiled = tuple(rows)
+        # Frozen: the derived attributes go in through object.__setattr__.
+        put = object.__setattr__
+        put(self, "rows", compiled)
+        put(
+            self,
+            "proper_rows",
+            compiled if len(proper_rows) == len(rows) else tuple(proper_rows),
+        )
+        put(self, "proper_mask", proper_mask)
+        put(self, "lows", tuple(lows))
+        put(self, "highs", tuple(highs))
+        put(self, "anchor", anchor)
+
+    def __getstate__(self) -> tuple[EventSpace, tuple[Constraint, ...], int]:
+        # Shard workers ship subscriptions over pipes: send the three
+        # defining fields, recompile on arrival.
+        return self.space, self.constraints, self.subscription_id
+
+    def __setstate__(
+        self, state: tuple[EventSpace, tuple[Constraint, ...], int]
+    ) -> None:
+        put = object.__setattr__
+        put(self, "space", state[0])
+        put(self, "constraints", state[1])
+        put(self, "subscription_id", state[2])
+        self.__post_init__()
 
     @classmethod
     def build(
@@ -166,69 +249,23 @@ class Subscription:
         across all nodes (the mapping must be computed identically
         system-wide, Section 4.2's "Discussion").
         """
-        cached = self.__dict__.get("_most_selective")
-        if cached is not None:
-            return cached
-        if not self.constraints:
+        if self.anchor < 0:
             raise DataModelError("subscription with no constraints")
-        # Explicit loop instead of min(key=lambda ...): this runs on
-        # every index registration, including churn-driven re-adds.
-        attributes = self.space.attributes
-        best_attribute = -1
-        best_selectivity: float | None = None
-        for constraint in self.constraints:
-            selectivity = constraint.selectivity(
-                attributes[constraint.attribute].size
-            )
-            if best_selectivity is None or selectivity < best_selectivity or (
-                selectivity == best_selectivity
-                and constraint.attribute < best_attribute
-            ):
-                best_selectivity = selectivity
-                best_attribute = constraint.attribute
-        # Frozen dataclass without slots: memoize through __dict__ (the
-        # choice is a pure function of the immutable fields).
-        object.__setattr__(self, "_most_selective", best_attribute)
-        return best_attribute
+        return self.anchor
 
     def matches(self, event: Event) -> bool:
-        """True iff the event satisfies every constraint (e ∈ σ)."""
+        """True iff the event satisfies every constraint (e ∈ σ).
+
+        The single-call form of the row loop the matching engines run
+        over a whole candidate set (:mod:`repro.matching`).
+        """
         if event.space is not self.space and event.space != self.space:
             raise DataModelError("event and subscription spaces differ")
-        return all(
-            constraint.satisfies(event.values[constraint.attribute])
-            for constraint in self.constraints
-        )
-
-    def _covering_profile(self) -> tuple[int, dict[int, tuple[int, int]]]:
-        """Memoized ``(proper_mask, proper_bounds)`` for :meth:`covers`.
-
-        ``proper_mask`` has bit ``i`` set iff attribute ``i`` carries a
-        *proper* constraint — one narrower than the full domain.  A
-        full-domain constraint admits every value, so for covering it is
-        equivalent to no constraint at all and is dropped here; that is
-        what makes the mask comparison below sound.  ``proper_bounds``
-        maps each proper attribute to its ``(low, high)`` range.
-        """
-        cached = self.__dict__.get("_cover_profile")
-        if cached is not None:
-            return cached
-        mask = 0
-        bounds: dict[int, tuple[int, int]] = {}
-        attributes = self.space.attributes
-        for constraint in self.constraints:
-            attribute = constraint.attribute
-            if (
-                constraint.low > 0
-                or constraint.high < attributes[attribute].size - 1
-            ):
-                mask |= 1 << attribute
-                bounds[attribute] = (constraint.low, constraint.high)
-        profile = (mask, bounds)
-        # Frozen dataclass without slots: memoize through __dict__ (a
-        # pure function of the immutable fields, like _most_selective).
-        object.__setattr__(self, "_cover_profile", profile)
-        return profile
+        values = event.values
+        for attribute, low, high in self.rows:
+            if not low <= values[attribute] <= high:
+                return False
+        return True
 
     def covers(self, other: "Subscription") -> bool:
         """True iff every event matching ``other`` also matches ``self``.
@@ -243,17 +280,18 @@ class Subscription:
         ``self`` properly constrains an attribute on which ``other`` is
         effectively unconstrained — ``other`` then admits values outside
         any proper range, so no per-attribute interval check is needed.
+        The covering forest runs the same mask-then-rows test in place
+        (:meth:`repro.matching.covering.CoveringIndex.add`).
         """
         if other is self:
             return True
         if other.space is not self.space and other.space != self.space:
             raise DataModelError("subscription spaces differ")
-        mask, bounds = self._covering_profile()
-        other_mask, other_bounds = other._covering_profile()
-        if mask & ~other_mask:
+        if self.proper_mask & ~other.proper_mask:
             return False
-        for attribute, (low, high) in bounds.items():
-            other_low, other_high = other_bounds[attribute]
-            if other_low < low or other_high > high:
+        lows = other.lows
+        highs = other.highs
+        for attribute, low, high in self.proper_rows:
+            if lows[attribute] < low or highs[attribute] > high:
                 return False
         return True

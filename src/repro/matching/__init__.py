@@ -1,7 +1,7 @@
 """Subscription-matching engines.
 
 Rendezvous nodes match each incoming event against their stored
-subscriptions (Section 3.2).  Two interchangeable engines are provided:
+subscriptions (Section 3.2).  Four interchangeable engines are provided:
 
 - :class:`~repro.matching.brute.BruteForceMatcher` -- the obvious
   reference implementation (test oracle);
@@ -21,12 +21,21 @@ subscriptions (Section 3.2).  Two interchangeable engines are provided:
   :func:`~repro.matching.vector.make_vector_matcher` without numpy).
 
 All expose add/remove/match over :class:`repro.core.Subscription`;
-brute force remains the oracle the others are tested against.
+brute force remains the oracle the others are tested against.  The
+engines differ in how they find *candidates*; the predicate itself is
+one loop over the subscription's compiled bound rows
+(``Subscription.rows``, built once at construction), run inside each
+engine's verification of a candidate set
+(:meth:`~repro.matching.base.IndexedMatcher._verify` for grid and
+radix) with the event-space check done once per ``match`` rather than
+once per candidate.
 
 Orthogonal to the engines, :class:`~repro.matching.covering.
 CoveringIndex` maintains the covering partial order over a store's
 subscriptions so the engine only ever sees the least-covered roots;
-covered subscriptions are reached by a pruned DFS on a root hit.
+covered subscriptions are reached by a pruned DFS on a root hit.  Its
+scans compare the same compiled rows (``proper_rows`` against
+``lows`` / ``highs``) in place.
 """
 
 from repro.matching.base import Matcher

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.core.events import Event
 from repro.core.subscriptions import Subscription
+from repro.errors import DataModelError
 from repro.matching.base import Matcher
 
 
@@ -20,7 +21,19 @@ class BruteForceMatcher(Matcher):
         return self._subscriptions.pop(subscription_id, None) is not None
 
     def match(self, event: Event) -> list[Subscription]:
-        matched = [s for s in self._subscriptions.values() if s.matches(event)]
+        space = event.space
+        values = event.values
+        matched = []
+        for subscription in self._subscriptions.values():
+            # No index space to check the event against once: brute
+            # accepts any subscription, so each names its own space.
+            if subscription.space is not space and subscription.space != space:
+                raise DataModelError("event and subscription spaces differ")
+            for attribute, low, high in subscription.rows:
+                if not low <= values[attribute] <= high:
+                    break
+            else:
+                matched.append(subscription)
         work = self.work
         if work is not None:
             # Every stored subscription is both candidate and verify.

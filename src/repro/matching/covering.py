@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from repro.core.events import Event
 from repro.core.subscriptions import Subscription
+from repro.errors import DataModelError
 
 
 class CoveringIndex:
@@ -106,48 +107,73 @@ class CoveringIndex:
         the engine is untouched.
         """
         sid = subscription.subscription_id
-        if sid in self._subs:
+        subs = self._subs
+        if sid in subs:
             raise ValueError(f"subscription {sid} already indexed")
-        self._subs[sid] = subscription
+        roots = self._roots
+        space = subscription.space
+        for resident in roots.values():
+            # One space per forest (any resident speaks for it): the
+            # scans below compare bounds attribute by attribute.
+            if resident.space is not space and resident.space != space:
+                raise DataModelError("subscription spaces differ")
+            break
+        subs[sid] = subscription
+        # ``a`` covers ``b`` (Subscription.covers) iff a's proper mask
+        # is within b's and each of a's proper rows contains b's
+        # effective bounds; both scans below run that test in place.
+        mask = subscription.proper_mask
+        lows = subscription.lows
+        highs = subscription.highs
         # First covering root wins (deterministic insertion-order scan),
         # then descend greedily to the deepest coverer on that branch so
         # chains like [0,9] ⊒ [2,7] ⊒ [3,5] nest instead of fanning out.
+        children = self._children
         parent = -1
-        for root_id, root_sub in self._roots.items():
-            if root_sub.covers(subscription):
-                parent = root_id
-                break
-        if parent >= 0:
-            subs = self._subs
-            children = self._children
-            while True:
-                deeper = -1
-                for child_id in children.get(parent, ()):
-                    if subs[child_id].covers(subscription):
-                        deeper = child_id
+        level = roots  # ids of the candidates one level below ``parent``
+        while True:
+            deeper = -1
+            for node_id in level:
+                node = subs[node_id]
+                if node.proper_mask & ~mask:
+                    continue
+                for attribute, low, high in node.proper_rows:
+                    if lows[attribute] < low or highs[attribute] > high:
                         break
-                if deeper < 0:
+                else:
+                    deeper = node_id
                     break
-                parent = deeper
+            if deeper < 0:
+                break
+            parent = deeper
+            level = children.get(parent, ())
+        if parent >= 0:
             self._parent[sid] = parent
-            self._children.setdefault(parent, []).append(sid)
+            children.setdefault(parent, []).append(sid)
             self.collapsed_total += 1
             return False, []
         # New root: any existing roots it covers collapse beneath it
         # (their own subtrees ride along untouched).
-        demoted = [
-            root_id
-            for root_id, root_sub in self._roots.items()
-            if subscription.covers(root_sub)
-        ]
+        rows = subscription.proper_rows
+        demoted = []
+        for root_id, root in roots.items():
+            if mask & ~root.proper_mask:
+                continue
+            root_lows = root.lows
+            root_highs = root.highs
+            for attribute, low, high in rows:
+                if root_lows[attribute] < low or root_highs[attribute] > high:
+                    break
+            else:
+                demoted.append(root_id)
         if demoted:
             kids = self._children.setdefault(sid, [])
             for root_id in demoted:
-                del self._roots[root_id]
+                del roots[root_id]
                 self._parent[root_id] = sid
                 kids.append(root_id)
             self.collapsed_total += len(demoted)
-        self._roots[sid] = subscription
+        roots[sid] = subscription
         return True, demoted
 
     def remove(self, subscription_id: int) -> tuple[bool, list[Subscription]]:
@@ -211,10 +237,20 @@ class CoveringIndex:
             kids = children.get(root_id)
             if kids:
                 stack.extend(kids)
+        if stack:
+            # The forest holds one space (see add): check the event's
+            # once for the whole descent.
+            space = subs[stack[-1]].space
+            if event.space is not space and event.space != space:
+                raise DataModelError("event and subscription spaces differ")
+        values = event.values
         while stack:
             sid = stack.pop()
             tested += 1
-            if subs[sid].matches(event):
+            for attribute, low, high in subs[sid].rows:
+                if not low <= values[attribute] <= high:
+                    break
+            else:
                 hit += 1
                 matched.append(sid)
                 kids = children.get(sid)

@@ -19,10 +19,10 @@ from __future__ import annotations
 from repro.core.events import Event, EventSpace
 from repro.core.subscriptions import Subscription
 from repro.errors import DataModelError
-from repro.matching.base import Matcher
+from repro.matching.base import IndexedMatcher
 
 
-class GridIndexMatcher(Matcher):
+class GridIndexMatcher(IndexedMatcher):
     """Anchor-attribute bucket grid over one event space.
 
     Args:
@@ -34,7 +34,7 @@ class GridIndexMatcher(Matcher):
     def __init__(self, space: EventSpace, buckets_per_attribute: int = 256) -> None:
         if buckets_per_attribute < 1:
             raise DataModelError("need at least one bucket per attribute")
-        self._space = space
+        super().__init__(space)
         self._bucket_count = buckets_per_attribute
         self._widths = [
             max(1, -(-attribute.size // buckets_per_attribute))  # ceil division
@@ -42,47 +42,38 @@ class GridIndexMatcher(Matcher):
         ]
         # _grid[attribute][bucket] -> {subscription_id}
         self._grid: list[dict[int, set[int]]] = [{} for _ in space.attributes]
-        self._catch_all: set[int] = set()
-        self._subscriptions: dict[int, Subscription] = {}
-        self._anchor: dict[int, int] = {}
 
-    def _bucket_of(self, attribute: int, value: int) -> int:
-        return value // self._widths[attribute]
+    def _anchor_buckets(
+        self, subscription: Subscription
+    ) -> tuple[dict[int, set[int]], range]:
+        """The anchor attribute's bucket table and the buckets its range spans."""
+        anchor = subscription.anchor
+        width = self._widths[anchor]
+        return self._grid[anchor], range(
+            subscription.lows[anchor] // width,
+            subscription.highs[anchor] // width + 1,
+        )
 
     def add(self, subscription: Subscription) -> None:
-        sid = subscription.subscription_id
-        if sid in self._subscriptions:
+        if not self._store(subscription):
             return
-        if subscription.space != self._space:
-            raise DataModelError("subscription space differs from index space")
-        self._subscriptions[sid] = subscription
-        if not subscription.constraints:
+        sid = subscription.subscription_id
+        if not subscription.rows:
             self._catch_all.add(sid)
             return
-        anchor = subscription.most_selective_attribute()
-        self._anchor[sid] = anchor
-        constraint = subscription.constraint_on(anchor)
-        assert constraint is not None
-        buckets = self._grid[anchor]
-        first = self._bucket_of(anchor, constraint.low)
-        last = self._bucket_of(anchor, constraint.high)
-        for bucket in range(first, last + 1):
+        buckets, span = self._anchor_buckets(subscription)
+        for bucket in span:
             buckets.setdefault(bucket, set()).add(sid)
 
     def remove(self, subscription_id: int) -> bool:
         subscription = self._subscriptions.pop(subscription_id, None)
         if subscription is None:
             return False
-        if subscription_id in self._catch_all:
+        if not subscription.rows:
             self._catch_all.discard(subscription_id)
             return True
-        anchor = self._anchor.pop(subscription_id)
-        constraint = subscription.constraint_on(anchor)
-        assert constraint is not None
-        buckets = self._grid[anchor]
-        first = self._bucket_of(anchor, constraint.low)
-        last = self._bucket_of(anchor, constraint.high)
-        for bucket in range(first, last + 1):
+        buckets, span = self._anchor_buckets(subscription)
+        for bucket in span:
             members = buckets.get(bucket)
             if members is not None:
                 members.discard(subscription_id)
@@ -103,22 +94,4 @@ class GridIndexMatcher(Matcher):
             members = buckets.get(value // widths[attribute])
             if members:
                 candidates.update(members)
-        subscriptions = self._subscriptions
-        matched = [
-            subscription
-            for sid in candidates
-            if (subscription := subscriptions[sid]).matches(event)
-        ]
-        matched.sort(key=lambda s: s.subscription_id)
-        work = self.work
-        if work is not None:
-            work.candidates += len(candidates)
-            work.verified += len(candidates)
-            work.matched += len(matched)
-        return matched
-
-    def __len__(self) -> int:
-        return len(self._subscriptions)
-
-    def __contains__(self, subscription_id: int) -> bool:
-        return subscription_id in self._subscriptions
+        return self._verify(candidates, event)

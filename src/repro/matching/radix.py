@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from repro.core.events import Event, EventSpace
 from repro.core.subscriptions import Subscription
-from repro.errors import DataModelError
-from repro.matching.base import Matcher
+from repro.matching.base import IndexedMatcher
 
 
 def radix_blocks(low: int, high: int) -> list[tuple[int, int]]:
@@ -55,7 +54,7 @@ def radix_blocks(low: int, high: int) -> list[tuple[int, int]]:
     return blocks
 
 
-class RadixBitmapMatcher(Matcher):
+class RadixBitmapMatcher(IndexedMatcher):
     """Per-attribute radix-block index with an occupied-level bitmap.
 
     Args:
@@ -63,7 +62,7 @@ class RadixBitmapMatcher(Matcher):
     """
 
     def __init__(self, space: EventSpace) -> None:
-        self._space = space
+        super().__init__(space)
         bits = [
             max(1, (attribute.size - 1).bit_length())
             for attribute in space.attributes
@@ -80,28 +79,21 @@ class RadixBitmapMatcher(Matcher):
         self._level_counts: list[dict[int, int]] = [
             {} for _ in range(space.dimensions)
         ]
-        self._catch_all: set[int] = set()
-        self._subscriptions: dict[int, Subscription] = {}
-        self._anchor: dict[int, int] = {}
 
     def _anchor_blocks(self, subscription: Subscription) -> tuple[int, list]:
-        anchor = subscription.most_selective_attribute()
-        constraint = subscription.constraint_on(anchor)
-        assert constraint is not None
-        return anchor, radix_blocks(constraint.low, constraint.high)
+        anchor = subscription.anchor
+        return anchor, radix_blocks(
+            subscription.lows[anchor], subscription.highs[anchor]
+        )
 
     def add(self, subscription: Subscription) -> None:
-        sid = subscription.subscription_id
-        if sid in self._subscriptions:
+        if not self._store(subscription):
             return
-        if subscription.space != self._space:
-            raise DataModelError("subscription space differs from index space")
-        self._subscriptions[sid] = subscription
-        if not subscription.constraints:
+        sid = subscription.subscription_id
+        if not subscription.rows:
             self._catch_all.add(sid)
             return
         anchor, blocks = self._anchor_blocks(subscription)
-        self._anchor[sid] = anchor
         tables = self._tables[anchor]
         counts = self._level_counts[anchor]
         for prefix, level in blocks:
@@ -113,13 +105,12 @@ class RadixBitmapMatcher(Matcher):
         subscription = self._subscriptions.pop(subscription_id, None)
         if subscription is None:
             return False
-        if subscription_id in self._catch_all:
+        if not subscription.rows:
             self._catch_all.discard(subscription_id)
             return True
-        anchor = self._anchor.pop(subscription_id)
+        anchor, blocks = self._anchor_blocks(subscription)
         tables = self._tables[anchor]
         counts = self._level_counts[anchor]
-        _, blocks = self._anchor_blocks(subscription)
         for prefix, level in blocks:
             table = tables[level]
             members = table.get(prefix)
@@ -150,22 +141,4 @@ class RadixBitmapMatcher(Matcher):
                 members = attr_tables[level].get(value >> level)
                 if members:
                     candidates.update(members)
-        subscriptions = self._subscriptions
-        matched = [
-            subscription
-            for sid in candidates
-            if (subscription := subscriptions[sid]).matches(event)
-        ]
-        matched.sort(key=lambda s: s.subscription_id)
-        work = self.work
-        if work is not None:
-            work.candidates += len(candidates)
-            work.verified += len(candidates)
-            work.matched += len(matched)
-        return matched
-
-    def __len__(self) -> int:
-        return len(self._subscriptions)
-
-    def __contains__(self, subscription_id: int) -> bool:
-        return subscription_id in self._subscriptions
+        return self._verify(candidates, event)

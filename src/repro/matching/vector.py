@@ -8,8 +8,8 @@ array-of-struct-to-struct-of-arrays move the sharded kernel applies to
 overlay state — and verifies a whole candidate set with two vectorized
 comparisons instead of one Python ``matches`` call per candidate.  An
 unconstrained attribute is stored as the full domain ``[0, size - 1]``
-(its ``effective_constraint``), so the inclusive interval test is the
-whole matching semantics.
+(a row is the subscription's compiled ``lows`` / ``highs``), so the
+inclusive interval test is the whole matching semantics.
 
 Candidate generation, candidate sets and the sorted-by-subscription-id
 result order are inherited unchanged, so this engine is behaviorally
@@ -81,10 +81,8 @@ class VectorizedGridMatcher(GridIndexMatcher):
             self._free = list(range(rows * 2 - 1, rows - 1, -1))
         row = self._free.pop()
         self._row_of[sid] = row
-        for attribute in range(self._dims):
-            constraint = subscription.effective_constraint(attribute)
-            self._lows[row, attribute] = constraint.low
-            self._highs[row, attribute] = constraint.high
+        self._lows[row] = subscription.lows
+        self._highs[row] = subscription.highs
 
     def remove(self, subscription_id: int) -> bool:
         removed = super().remove(subscription_id)

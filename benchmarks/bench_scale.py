@@ -54,6 +54,17 @@ lowest reading less 15%, rounded: 0.55x.  It still sits above the
 single-CPU bound, so it still tells "two workers ran side by side" from
 "two workers took turns".
 
+Re-measured at PR 14 (touch-log location cache and one-pass cold finger
+build: the smoke leg's n=4000 / cache 1024 / width 256 is the path that
+change speeds up), same protocol, same host:
+
+    0.705 0.729 0.643 0.689 0.808 0.765 0.717 0.862 0.652 0.768
+
+(serial 52.1-65.8k events/s, two shards 36.4-47.2k).  Both legs sped
+up by about a third, so the ratio kept its low end — 0.643 less 15% is
+0.547 — and the floor stays 0.55x; the high end came down because the
+pipe cost is now a larger share of the shorter two-shard run.
+
 Usage:
     PYTHONPATH=src python benchmarks/bench_scale.py --out BENCH_PR7.json
     PYTHONPATH=src python benchmarks/bench_scale.py \

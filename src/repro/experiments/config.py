@@ -115,6 +115,10 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"{self.nodes} nodes do not fit a {self.key_bits}-bit key space"
             )
+        if self.cache_capacity < 0:
+            raise ConfigurationError(
+                f"cache_capacity must be >= 0 (0 = off), got {self.cache_capacity}"
+            )
         if self.discretization_width < 1:
             raise ConfigurationError("discretization_width must be >= 1")
         # Section 4.3.3's sizing rule: the total number of possible

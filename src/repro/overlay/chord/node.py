@@ -18,13 +18,35 @@ the same way (strict ``< t``).
 The merged array is a *derived view* with one invariant,
 ``table == (finger members | cache) - {self}``, and only unicast hops
 read it — m-cast routes on fingers alone, and at steady state a node
-takes some twenty m-cast receives per unicast hop.  So nothing that
-writes the fingers or the cache touches the array: writers append the
-ids they touched to a journal, and the cached ``_next_hop`` brings the
-array current before it searches (:meth:`ChordNode._materialize`).  A
-short journal is replayed by splice; one that outgrew a quarter of the
-table has been dropped, and the read re-sorts once.  A node that never
-routes by cache never holds a table.
+takes some twenty m-cast receives per unicast hop.  So a node pays for
+routing state when it routes, not when a message passes through it,
+and each layer under the array is deferred the same way:
+
+- **Touch log.**  ``receive`` (and ``learn``) append the ids a message
+  carried to a per-node log (one call and a length check).  The location
+  cache — a plain insertion-ordered ``dict``, least recently touched
+  first — is brought current by :meth:`ChordNode._fold`, which replays
+  the log in order and cuts the cache to capacity.  That is exact
+  because an LRU after any touch sequence holds the ``capacity`` most
+  recently touched distinct ids in last-touch order: a fold may span
+  any touches that have no cached read between them.  Every cached
+  reader folds first (``_next_hop(use_cache=True)``, ``forget``,
+  ``cached_ids``, ``routing_table``), and the log folds itself past
+  ``_FOLD_AT`` ids, so it stays bounded on a node that never reads.
+- **Journal.**  Nothing that writes the fingers or the cache touches
+  the array: writers append the ids whose membership changed to a
+  journal, and the cached ``_next_hop`` brings the array current
+  before it searches (:meth:`ChordNode._materialize`).  A short journal
+  is replayed by splice; one that outgrew a quarter of the table has
+  been dropped, and the read re-sorts once.  A node that never routes
+  by cache never holds a table.
+- **Cold build.**  A node holds no finger state until its first sync,
+  which resolves the ``m`` starts ``(id + 2**i) mod size`` at one
+  bisect each and derives the fingers in one run-length pass — the
+  owners come out nearest first with equal owners adjacent and self
+  last, so nothing is sorted.  The sorted starts that delta replay
+  needs are built on the first patch, and each per-node registry
+  counter on its first increment.
 
 Under churn the fingers are maintained *incrementally*.  The overlay logs
 every membership change (:meth:`~repro.overlay.ring.RingOverlay.deltas_since`)
@@ -48,13 +70,22 @@ reuse path entirely — the application (or a test) may retain them.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable
 
 from repro.overlay.api import CastMode, OverlayMessage
 
 if TYPE_CHECKING:
     from repro.overlay.chord.overlay import ChordOverlay
+
+
+#: Touch-log length (ids) past which a node folds without waiting for a
+#: read, so the log of a node that never routes by cache stays bounded.
+#: A fold costs the same per id whenever it runs; the bound only spreads
+#: the fixed cost of a fold over more receives.  At 64 the ledger's call
+#: counts are within 0.3% of an unbounded log and bytes/node on
+#: steady-chord has not yet begun to climb (it does from 128).
+_FOLD_AT = 64
 
 
 class ChordNode:
@@ -75,31 +106,31 @@ class ChordNode:
         self.id = node_id
         self._overlay = overlay
         self._cache_capacity = cache_capacity
-        self._cache: OrderedDict[int, None] = OrderedDict()
-        # Raw finger slots: owner of finger_start(id, i) for each
-        # 1-based index i, *including* self-pointing entries.  This is
-        # the state the delta-log replay patches; the deduplicated
-        # finger list below is derived from it.
+        # Location cache, least recently touched first, current up to
+        # the last _fold; the ids seen since then wait in the touch log.
+        self._cache: dict[int, None] = {}
+        self._touches: list[int] = []
         keyspace = overlay.keyspace
         self._size = keyspace.size  # ring size never changes; skip the property
         self._bits = keyspace.bits
-        # Finger-start geometry (the m start keys, their sorted order
-        # and the permutation back to slot indexes) is built lazily on
-        # the first table materialization: at scale-bench populations
-        # most nodes never route, and the O(m log m) per-node setup —
-        # plus the three labeled registry counters — dominated ring
-        # construction time.
-        self._finger_starts: list[int] | None = None
+        # Raw finger slots: owner of finger_start(id, i) for each
+        # 1-based index i, *including* self-pointing entries.  This is
+        # the state the delta-log replay patches; empty on a cold node.
+        self._finger_slots: list[int] = []
+        # Derived from the slots by _refresh_fingers and kept exact per
+        # changed slot by _apply_slot (None while the node is cold):
+        # the distinct fingers nearest clockwise first, their distances,
+        # the same ids as a set, and how many slots point at each node
+        # (a finger only appears/disappears when its count crosses zero).
+        self._fingers: list[int] | None = None
+        self._finger_dists: list[int] | None = None
+        self._finger_members: set[int] | None = None
+        self._finger_counts: dict[int, int] | None = None
+        # The finger starts in ascending order and the permutation back
+        # to slot indexes; only delta replay reads them, so they are
+        # built on the first _patch.
         self._sorted_starts: list[int] | None = None
         self._start_perm: list[int] | None = None
-        self._finger_slots: list[int] = []
-        self._fingers: list[int] = []
-        self._finger_dists: list[int] = []
-        self._finger_members: set[int] = set()
-        # How many slots point at each finger node: patching maintains
-        # the deduplicated finger arrays per changed slot, and a finger
-        # only appears/disappears when its slot count crosses zero.
-        self._finger_counts: dict[int, int] = {}
         # Ring version the finger state above is current for.
         self._table_version = -1
         # Merged routing table, a derived view: always meant to equal
@@ -114,8 +145,8 @@ class ChordNode:
         self._table_journal: list[int] | None = None
         # Maintenance counters, exposed for tests and benchmarks as
         # thin property views over per-node registry instruments.
-        # Created together with the geometry: a cold node has counted
-        # nothing, and its properties read 0 without an instrument.
+        # Each is made on its first increment (_instrument); until then
+        # the property reads 0 without one.
         self._rebuilds_counter = None
         self._patches_counter = None
         self._seeds_counter = None
@@ -214,65 +245,51 @@ class ChordNode:
         if journal is not None:
             self._cap_journal(journal)
 
-    def _ensure_geometry(self) -> None:
-        """Build the lazy finger-start geometry (no-op when present)."""
-        if self._finger_starts is not None:
-            return
-        keyspace = self._overlay.keyspace
-        node_id = self.id
-        starts = [
-            keyspace.finger_start(node_id, i) for i in range(1, self._bits + 1)
-        ]
-        self._finger_starts = starts
-        # The same starts in ascending order plus the permutation back
-        # to slot indexes: delta replay locates the starts captured by
-        # a join with two bisects instead of testing every slot.
-        order = sorted(range(len(starts)), key=starts.__getitem__)
-        self._sorted_starts = [starts[i] for i in order]
-        self._start_perm = order
-        registry = self._overlay.telemetry.registry
-        self._rebuilds_counter = registry.counter(
-            "chord.table_rebuilds", node=node_id
-        )
-        self._patches_counter = registry.counter(
-            "chord.table_patches", node=node_id
-        )
-        self._seeds_counter = registry.counter(
-            "chord.table_seeds", node=node_id
-        )
-
     def _rebuild(self, version: int) -> None:
         """Recompute the finger slots from the ring and splice the diff.
 
-        The slots are re-resolved wholesale (``owners_of`` over every
-        start), but a node that already holds derived state only pays
-        for the slots that actually moved: each is spliced into the
-        finger arrays in place via the slot-count map, which lands in
-        exactly the state a from-scratch derivation would (same
-        argument as :meth:`_patch`).  Only a cold node — no slots yet —
-        derives the fingers from scratch.
+        Every start ``(id + 2**i) mod size`` is re-resolved against the
+        ring at one bisect each, but a node that already holds derived
+        state only pays for the slots that actually moved: each is
+        spliced into the finger arrays in place via the slot-count map,
+        which lands in exactly the state a from-scratch derivation
+        would (same argument as :meth:`_patch`).  Only a cold node — no
+        slots yet — derives the fingers from scratch, in one pass.
         """
-        self._ensure_geometry()
-        overlay = self._overlay
+        ring = self._overlay._ring
+        count = len(ring)
+        me = self.id
+        size = self._size
+        search = bisect_left
         old_slots = self._finger_slots
+        # ``% count``: a start past the last node wraps to the first.
         if old_slots:
-            # Inline owners_of: resolve each start against the ring and
-            # splice in place, skipping the intermediate owners list.
-            ring = overlay._ring
-            count = len(ring)
-            first = ring[0]
-            search = bisect_left
             apply_slot = self._apply_slot
-            for index, start_key in enumerate(self._finger_starts):
-                at = search(ring, start_key)
-                owner = ring[at] if at < count else first
+            for index in range(self._bits):
+                owner = ring[search(ring, (me + (1 << index)) % size) % count]
                 if old_slots[index] != owner:
                     apply_slot(index, owner)
         else:
-            self._finger_slots = overlay.owners_of(self._finger_starts)
+            self._finger_slots = [
+                ring[search(ring, (me + (1 << index)) % size) % count]
+                for index in range(self._bits)
+            ]
             self._refresh_fingers()
         self._table_version = version
-        self._rebuilds_counter.inc()
+        counter = self._rebuilds_counter
+        if counter is None:
+            counter = self._rebuilds_counter = self._instrument(
+                "chord.table_rebuilds"
+            )
+        counter.inc()
+
+    def _instrument(self, name: str):
+        """This node's registry counter ``name``, made on first increment.
+
+        A node that never rebuilt, patched or seeded has no instrument
+        for it, and the ``table_*`` properties read 0 without one.
+        """
+        return self._overlay.telemetry.registry.counter(name, node=self.id)
 
     def _patch(
         self, log: list[tuple[str, int, int]], start: int, version: int
@@ -287,6 +304,8 @@ class ChordNode:
         in the merged table until ``_next_hop`` discovers them dead.
         """
         slots = self._finger_slots
+        if self._sorted_starts is None:
+            self._sort_starts()
         sorted_starts = self._sorted_starts
         perm = self._start_perm
         nslots = len(slots)
@@ -321,7 +340,23 @@ class ChordNode:
                     if slots[i] == node_id:
                         apply_slot(i, other)
         self._table_version = version
-        self._patches_counter.inc()
+        counter = self._patches_counter
+        if counter is None:
+            counter = self._patches_counter = self._instrument(
+                "chord.table_patches"
+            )
+        counter.inc()
+
+    def _sort_starts(self) -> None:
+        """Build the ascending finger starts and the permutation back to
+        slot indexes, which let a replayed join find the starts it
+        captures with two bisects instead of testing every slot."""
+        me = self.id
+        size = self._size
+        starts = [(me + (1 << i)) % size for i in range(self._bits)]
+        perm = sorted(range(len(starts)), key=starts.__getitem__)
+        self._sorted_starts = [starts[i] for i in perm]
+        self._start_perm = perm
 
     def _apply_slot(self, index: int, new_owner: int) -> None:
         """Point slot ``index`` at ``new_owner``, keeping the derived
@@ -368,23 +403,34 @@ class ChordNode:
                     journal.append(new_owner)
 
     def _refresh_fingers(self) -> None:
-        """Derive the deduplicated distance-sorted fingers from the slots."""
-        counts: dict[int, int] = {}
-        for nid in self._finger_slots:
-            counts[nid] = counts.get(nid, 0) + 1
-        self._finger_counts = counts
-        members = set(counts)
-        members.discard(self.id)
-        self._finger_dists, self._fingers = self._by_distance(members)
-        self._finger_members = members
+        """Derive the deduplicated distance-sorted fingers from the slots.
 
-    def _by_distance(self, members: Iterable[int]) -> tuple[list[int], list[int]]:
-        """``(distances, ids)`` of ``members``, nearest clockwise first."""
+        Slot ``i`` owns the start at clockwise distance ``2**i``, so the
+        owners come out nearest first with equal owners adjacent, and
+        this node — the owner of every start no other node follows —
+        last.  One run-length pass therefore yields the slot counts in
+        finger order, with no sort.
+        """
         me = self.id
         size = self._size
-        by_distance = {(nid - me) % size: nid for nid in members}
-        dists = sorted(by_distance)
-        return dists, [by_distance[d] for d in dists]
+        slots = self._finger_slots
+        counts: dict[int, int] = {}
+        owner = slots[0]
+        run = 0
+        for slot in slots:
+            if slot != owner:
+                counts[owner] = run
+                owner = slot
+                run = 0
+            run += 1
+        counts[owner] = run
+        fingers = list(counts)
+        if owner == me:
+            del fingers[-1]
+        self._finger_counts = counts
+        self._fingers = fingers
+        self._finger_dists = [(nid - me) % size for nid in fingers]
+        self._finger_members = set(fingers)
 
     def seed_tables(self) -> None:
         """Seed finger slots at join time from the successor's table.
@@ -407,13 +453,11 @@ class ChordNode:
         ring version (which already includes this join); syncing early
         only moves work it would do on its next use anyway.
         """
-        self._ensure_geometry()
         overlay = self._overlay
         version = overlay.ring_version
         me = self.id
         size = self._size
-        starts = self._finger_starts
-        nslots = len(starts)
+        nslots = self._bits
         succ_id = overlay.successor_of(me)
         if succ_id == me:  # alone on the ring: every slot is self
             slots: list[int | None] = [me] * nslots
@@ -440,13 +484,18 @@ class ChordNode:
                         continue
                 unresolved.append(i)
             if unresolved:
-                resolved = overlay.owners_of(starts[i] for i in unresolved)
+                resolved = overlay.owners_of(
+                    (me + (1 << i)) % size for i in unresolved
+                )
                 for i, owner in zip(unresolved, resolved):
                     slots[i] = owner
         self._finger_slots = slots  # type: ignore[assignment]
         self._refresh_fingers()
         self._table_version = version
-        self._seeds_counter.inc()
+        counter = self._seeds_counter
+        if counter is None:
+            counter = self._seeds_counter = self._instrument("chord.table_seeds")
+        counter.inc()
 
     def _materialize(self) -> None:
         """Bring the merged table current with the fingers and the cache.
@@ -466,9 +515,10 @@ class ChordNode:
         cache = self._cache
         journal = self._table_journal
         if journal is None:
-            self._table_dists, self._table_ids = self._by_distance(
-                fingers.union(cache)
-            )
+            by_distance = {(nid - me) % size: nid for nid in fingers.union(cache)}
+            dists = sorted(by_distance)
+            self._table_dists = dists
+            self._table_ids = [by_distance[d] for d in dists]
             self._table_journal = []
             return
         dists = self._table_dists
@@ -505,51 +555,71 @@ class ChordNode:
     def routing_table(self) -> list[int]:
         """Ids the cached next-hop search sees, nearest clockwise first."""
         self._sync()
+        if self._touches:
+            self._fold()
         self._materialize()
         return list(self._table_ids)
 
     # -- location cache ---------------------------------------------------
 
     def learn(self, node_ids: Iterable[int]) -> None:
-        """Insert recently seen node ids into the LRU location cache.
+        """Note recently seen node ids for the LRU location cache.
 
-        At steady state most learned ids are already cached and only
-        their LRU position moves, which the merged table never sees.
-        Ids that enter or leave the cache are journaled for the next
-        cached read (see :meth:`_cap_journal` for when the journal is
-        dropped).  A node that m-casts and delivers but never routes by
-        cache holds no table at all.
+        The ids only join the touch log; :meth:`_fold` applies them when
+        the cache is next read, or when the log reaches ``_FOLD_AT``.
         """
-        capacity = self._cache_capacity
-        if capacity <= 0:
-            return
+        if self._cache_capacity:
+            log = self._touches
+            log.extend(node_ids)
+            if len(log) > _FOLD_AT:
+                self._fold()
+
+    def _fold(self) -> None:
+        """Apply the touch log to the location cache and empty it.
+
+        An LRU after any touch sequence holds the ``capacity`` most
+        recently touched distinct ids in last-touch order, whether it
+        evicted after every sequence or evicts once now — so a fold may
+        span any touches with no cached read between them.  The log is
+        replayed in order: a cached id moves to the recent end (deleted
+        and re-inserted; untouched entries keep their order ahead of
+        it), a new id joins there, self is skipped.  Then the cache is
+        cut to capacity from its old end, and the ids that entered or
+        left are journaled for the merged table.  The work is in the
+        touches, never in the capacity, and no id costs a call.
+        """
         cache = self._cache
         me = self.id
-        journal = self._table_journal
-        inserted = False
-        for node_id in node_ids:
-            if node_id == me:
-                continue
+        fresh: dict[int, None] = {}
+        for node_id in self._touches:
             if node_id in cache:
-                cache.move_to_end(node_id)
+                del cache[node_id]
+            elif node_id == me:
+                continue
             else:
-                inserted = True
-                cache[node_id] = None
-                if journal is not None:
-                    journal.append(node_id)
-        if not inserted:
-            return  # nothing inserted: the cache cannot have overflowed
-        excess = len(cache) - capacity
-        while excess > 0:
-            excess -= 1
-            evicted, _ = cache.popitem(last=False)
-            if journal is not None:
-                journal.append(evicted)
+                fresh[node_id] = None
+            cache[node_id] = None
+        del self._touches[:]
+        if not fresh:
+            return  # only LRU positions moved: nothing to evict or journal
+        evicted: list[int] = []
+        excess = len(cache) - self._cache_capacity
+        if excess > 0:
+            evicted = list(islice(cache, excess))
+            for node_id in evicted:
+                del cache[node_id]
+        journal = self._table_journal
         if journal is not None:
+            # An id that came and went in one fold is journaled twice;
+            # _materialize re-decides each id, so that is a no-op.
+            journal += fresh
+            journal += evicted
             self._cap_journal(journal)
 
     def forget(self, node_id: int) -> None:
         """Evict a (discovered-dead) node from the location cache."""
+        if self._touches:
+            self._fold()
         if node_id in self._cache:
             del self._cache[node_id]
             journal = self._table_journal
@@ -558,6 +628,8 @@ class ChordNode:
 
     def cached_ids(self) -> list[int]:
         """Current location-cache contents (least recent first)."""
+        if self._touches:
+            self._fold()
         return list(self._cache)
 
     # -- outbound envelope reuse ------------------------------------------
@@ -624,11 +696,13 @@ class ChordNode:
 
     def receive(self, message: OverlayMessage) -> None:
         """Network upcall: continue routing or deliver ``message``."""
-        # One merged learn: LRU eviction removes the globally oldest
-        # entries whenever it runs, so folding origin into the same
-        # pass leaves the final cache (and table) identical to the
-        # two-call sequence while halving the per-receive overhead.
-        self.learn(message.path + (message.origin,))
+        # learn(), inline: every receive logs the ids it saw, and the
+        # cache pays for them when it is next read (see _fold).
+        if self._cache_capacity:
+            log = self._touches
+            log.extend(message.path + (message.origin,))
+            if len(log) > _FOLD_AT:
+                self._fold()
         if message.mode is CastMode.MCAST:
             self.continue_mcast(message)
         elif message.mode is CastMode.SEQUENTIAL:
@@ -692,6 +766,8 @@ class ChordNode:
         target_distance = (key - self.id) % self._size
         self._sync()
         if use_cache:
+            if self._touches:
+                self._fold()
             journal = self._table_journal
             if journal is None or journal:
                 self._materialize()

@@ -10,6 +10,7 @@ algorithm of Fig. 4.
 
 from __future__ import annotations
 
+from repro.errors import ConfigurationError
 from repro.overlay.api import StateTransferHook
 from repro.overlay.chord.node import ChordNode
 from repro.overlay.ids import KeySpace
@@ -43,6 +44,10 @@ class ChordOverlay(RingOverlay):
         state_transfer: StateTransferHook | None = None,
     ) -> None:
         super().__init__(sim, keyspace, network, state_transfer)
+        if cache_capacity < 0:
+            raise ConfigurationError(
+                f"cache_capacity must be >= 0 (0 = off), got {cache_capacity}"
+            )
         self._cache_capacity = cache_capacity
 
     def _make_node(self, node_id: int) -> ChordNode:

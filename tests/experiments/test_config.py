@@ -50,6 +50,12 @@ def test_discretization_sizing_rule():
     ExperimentConfig(discretization_width=3000, nodes=500)
 
 
+def test_negative_cache_capacity_rejected():
+    with pytest.raises(ConfigurationError, match="cache_capacity"):
+        ExperimentConfig(cache_capacity=-1)
+    assert ExperimentConfig(cache_capacity=0).cache_capacity == 0
+
+
 def test_invalid_widths_rejected():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(discretization_width=0)

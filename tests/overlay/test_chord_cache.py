@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from repro.errors import ConfigurationError
 from repro.overlay.api import MessageKind, OverlayMessage, next_request_id
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
@@ -46,6 +49,11 @@ def test_capacity_zero_disables_learning():
     node = overlay.node(100)
     node.learn([2000, 4000])
     assert node.cached_ids() == []
+
+
+def test_negative_capacity_is_rejected():
+    with pytest.raises(ConfigurationError, match="cache_capacity"):
+        ChordOverlay(Simulator(), KS, cache_capacity=-5)
 
 
 def test_forget():

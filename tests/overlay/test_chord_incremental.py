@@ -9,9 +9,18 @@ joins and departures are absorbed as patches (counted by
 when the log no longer reaches back to the node's version or has more
 entries than the node has finger slots, and a patched table is always
 identical to what a fresh rebuild would produce.
+
+A cold node's first sync derives everything in one pass — starts
+inline, one bisect per slot, a run-length pass over the owners — and
+builds the sorted starts only when a delta is first replayed; the last
+section pins that against the written-out derivation on rings from one
+node to a full key space.
 """
 
 import random
+from collections import Counter
+
+import pytest
 
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
@@ -187,7 +196,7 @@ def test_log_longer_than_slots_falls_back_to_rebuild():
     # must trigger the rebuild path.
     _, overlay = build([100, 2000, 4000, 6000], cache_capacity=0)
     node = synced_node(overlay, 100)
-    slot_count = len(node._finger_starts)
+    slot_count = len(node._finger_slots)
     rebuilds = node.table_rebuilds
     joiner_rng = random.Random(9)
     added = 0
@@ -219,6 +228,85 @@ def test_truncated_log_falls_back_to_rebuild():
     node.fingers()
     assert node.table_rebuilds == rebuilds + 1
     assert_table_matches_rebuild(overlay, node)
+
+
+# -- the one-pass cold build -----------------------------------------------
+
+
+def assert_derived_state(overlay, node):
+    """Slots and everything derived from them, against the definitions."""
+    keyspace = overlay.keyspace
+    slots = overlay.compute_finger_slots(node.id)
+    assert node._finger_slots == slots
+    assert node.fingers() == overlay.compute_fingers(node.id)
+    members = set(slots) - {node.id}
+    by_distance = sorted(members, key=lambda n: keyspace.distance(node.id, n))
+    assert node._fingers == by_distance
+    assert node._finger_dists == [
+        keyspace.distance(node.id, n) for n in by_distance
+    ]
+    assert node._finger_counts == dict(Counter(slots))
+    assert node._finger_members == members
+
+
+COLD_RINGS = {
+    "one-node": (13, [4000]),
+    "two-nodes-wrapping": (13, [100, 8000]),
+    "three-nodes-both-ends": (13, [0, 4096, 8191]),
+    "fifty-nodes": (13, random.Random(50).sample(range(8192), 50)),
+    "full-6-bit-space": (6, list(range(64))),
+    "full-1-bit-space": (1, [0, 1]),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(COLD_RINGS))
+def test_cold_build_matches_the_definitions_on_every_node(ring):
+    bits, ids = COLD_RINGS[ring]
+    overlay = ChordOverlay(Simulator(), KeySpace(bits))
+    overlay.build_ring(ids)
+    for node_id in ids:
+        node = overlay.node(node_id)
+        assert node.audit_state() == (-1, [])  # cold: no slots yet
+        node._sync()
+        assert node.table_rebuilds == 1
+        assert_derived_state(overlay, node)
+
+
+@pytest.mark.parametrize("ring", ["three-nodes-both-ends", "fifty-nodes"])
+def test_cold_built_nodes_patch_exactly_with_lazy_sorted_starts(ring):
+    bits, ids = COLD_RINGS[ring]
+    overlay = ChordOverlay(Simulator(), KeySpace(bits))
+    overlay.build_ring(ids)
+    watched = [overlay.node(node_id) for node_id in ids[:3]]
+    for node in watched:
+        node._sync()
+        assert node._sorted_starts is None  # nothing replayed yet
+    rng = random.Random(ring)
+    live = set(ids)
+    protected = {node.id for node in watched}
+    for step in range(24):
+        # Fewer deltas between syncs than finger slots: always a patch.
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5 or len(live) <= 4:
+                joiner = rng.randrange(1 << bits)
+                if joiner not in live:
+                    overlay.join(joiner)
+                    live.add(joiner)
+            else:
+                victim = rng.choice(sorted(live - protected))
+                (overlay.leave if rng.random() < 0.5 else overlay.crash)(victim)
+                live.discard(victim)
+        for node in watched:
+            node._sync()
+            assert node.table_rebuilds == 1
+            assert_derived_state(overlay, node)
+    for node in watched:
+        assert node.table_patches > 0
+        starts = [
+            overlay.keyspace.finger_start(node.id, i) for i in range(1, bits + 1)
+        ]
+        assert node._sorted_starts == sorted(starts)
+        assert [starts[i] for i in node._start_perm] == node._sorted_starts
 
 
 # -- the delta log itself --------------------------------------------------

@@ -9,10 +9,18 @@ read lands on — ``routing_table()`` must equal the from-scratch
 derivation ``(fingers | cache) - {self}`` and ``_next_hop`` must equal
 a brute-force scan of it, dead-entry eviction included.
 
+The cache under the table is itself deferred — ``learn`` appends to a
+touch log that ``_fold`` applies on the next cached read or past its
+length bound — so each watched node is shadowed by the reference LRU of
+``test_learn_batch``: after every read the cache must hold the same ids
+in the same LRU order, whichever reader folded and however many learns,
+forgets and dead-entry evictions the fold spanned.
+
 Seeded, 3 cache capacities x 100 seeds.  The op mix has both single
 writes followed by a read (journal replay) and long write bursts
-between reads (journal dropped), at table lengths from a handful of
-fingers (capacity 0 and 2) up to the whole ring (capacity 128).
+between reads (journal dropped; the longest also outruns the fold
+bound), at table lengths from a handful of fingers (capacity 0 and 2)
+up to the whole ring (capacity 128).
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import pytest
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
+from tests.overlay.test_learn_batch import ReferenceLRU
 
 KS = KeySpace(13)
 SIZE = KS.size
@@ -33,16 +42,17 @@ def distance(node, other: int) -> int:
     return (other - node.id) % SIZE
 
 
-def derived_table(overlay, node) -> list[int]:
-    members = set(overlay.compute_fingers(node.id)) | set(node.cached_ids())
+def derived_table(overlay, node, cached) -> list[int]:
+    members = set(overlay.compute_fingers(node.id)) | set(cached)
     members.discard(node.id)
     return sorted(members, key=lambda nid: distance(node, nid))
 
 
-def brute_force_next_hop(overlay, node, key: int) -> tuple[int, set[int]]:
+def brute_force_next_hop(overlay, node, key: int, cached) -> tuple[int, set[int]]:
     """The expected hop and the dead entries the scan must evict."""
     target = distance(node, key)
-    reachable = [n for n in derived_table(overlay, node) if distance(node, n) <= target]
+    table = derived_table(overlay, node, cached)
+    reachable = [n for n in table if distance(node, n) <= target]
     live = [n for n in reachable if overlay.is_alive(n)]
     if not live:
         return overlay.successor_of(node.id), set(reachable)
@@ -57,22 +67,30 @@ def run_example(cache: int, seed: int) -> None:
     overlay = ChordOverlay(Simulator(), KS, cache_capacity=cache)
     overlay.build_ring(ids)
     watched = [overlay.node(nid) for nid in ids[:3]]
+    lru = {node.id: ReferenceLRU(node.id, cache) for node in watched}
     protected = {node.id for node in watched}
     live = set(ids)
     known = list(ids)  # live and departed ids: learns may name the dead
 
     def check(node) -> None:
-        assert node.routing_table() == derived_table(overlay, node)
+        reference = lru[node.id].order
+        assert node.routing_table() == derived_table(overlay, node, reference)
+        assert node.cached_ids() == reference
 
     for _ in range(rng.randint(40, 120)):
         node = rng.choice(watched)
         roll = rng.random()
         if roll < 0.40:
-            # One sequence, or a burst long enough to outgrow any journal.
-            for _ in range(rng.choice((1, 1, 1, 12))):
-                node.learn(rng.choices(known, k=rng.randint(1, 5)))
+            # One sequence, a burst long enough to outgrow any journal,
+            # or one that also outruns the fold bound.
+            for _ in range(rng.choice((1, 1, 1, 12, 40))):
+                sequence = rng.choices(known, k=rng.randint(1, 5))
+                node.learn(sequence)
+                lru[node.id].learn(sequence)
         elif roll < 0.48:
-            node.forget(rng.choice(known))
+            victim = rng.choice(known)
+            node.forget(victim)
+            lru[node.id].forget(victim)
         elif roll < 0.56:
             candidate = rng.randrange(SIZE)
             if candidate not in live:
@@ -88,11 +106,15 @@ def run_example(cache: int, seed: int) -> None:
         elif roll < 0.72:
             node.fingers()  # the m-cast side: syncs fingers, reads no table
         elif roll < 0.90:
+            # The expectation is computed from the reference LRU alone,
+            # so _next_hop is the reader that folds here.
             key = rng.randrange(SIZE)
-            cached = node.cached_ids()
-            expected, evicted = brute_force_next_hop(overlay, node, key)
+            expected, evicted = brute_force_next_hop(
+                overlay, node, key, lru[node.id].order
+            )
             assert node._next_hop(key, use_cache=True) == expected
-            assert node.cached_ids() == [c for c in cached if c not in evicted]
+            for dead in evicted:
+                lru[node.id].forget(dead)
             check(node)
         else:
             check(node)

@@ -1,13 +1,22 @@
-"""Order-exact cache learning over a bucket's worth of sequences.
+"""Order-exact cache learning: the touch-log fold against a reference LRU.
 
-A ``(dst, tick)`` bucket hands a node several learn sequences back to
-back (one per message: its path plus its origin).  ``learn_batch`` used
-to fold them into one call and is retired — the ledger showed no gain
-once ``learn`` stopped syncing — so the contract it had to preserve is
-pinned on ``learn`` itself, against an independent reference LRU: same
-final cache contents *and same LRU order*, same eviction victims in the
-same order (eviction runs once per sequence, after all of its ids), and
-a merged routing table equal to the from-scratch derivation.
+``learn`` (and ``receive``) only append the ids they saw to a per-node
+touch log; ``_fold`` applies the log when the cache is next read, or on
+its own once the log passes ``_FOLD_AT`` ids.  The rule that makes this
+exact: **a fold may span any touches that have no cached read between
+them** — an LRU after any touch sequence holds the ``capacity`` most
+recently touched distinct ids in last-touch order, whether it evicted
+after every sequence or evicts once at the end.  A cached read
+(``_next_hop(use_cache=True)``, ``cached_ids()``, ``routing_table()``,
+``forget``) must see every earlier touch, so each folds first.
+
+Pinned here against an independent reference LRU that evicts after
+every sequence: same contents *and same LRU order* (hence the same
+eviction victims) through every reader, across runs longer than the
+fold bound, ``forget`` between learns, capacity 1, sequences longer
+than the capacity and self-only sequences; and a merged routing table
+equal to the from-scratch derivation.  (The ``test_learn_batch_*``
+names are historical: ``learn_batch`` itself was retired in PR 12.)
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ import random
 import pytest
 
 from repro.overlay.chord import ChordOverlay
+from repro.overlay.chord.node import _FOLD_AT
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
 
@@ -46,6 +56,10 @@ class ReferenceLRU:
                 self.order.remove(node_id)
             self.order.append(node_id)
         del self.order[: max(0, len(self.order) - self.capacity)]
+
+    def forget(self, node_id: int) -> None:
+        if node_id in self.order:
+            self.order.remove(node_id)
 
 
 def test_learn_batch_matches_sequential_learns_exactly():
@@ -102,3 +116,106 @@ def test_learn_batch_randomized_equivalence(cache, seed):
         assert node.cached_ids() == oracle.order
         if rng.random() < 0.5:  # read on some rounds, let others pile up
             assert node.routing_table() == sorted(fingers | set(oracle.order))
+
+
+# -- the fold: reads, bound, forget, small capacities ------------------------
+
+
+def expected_hop(node, oracle: ReferenceLRU, key: int) -> int:
+    """Closest known node at or before ``key`` (every node is alive)."""
+    target = (key - node.id) % KS.size
+    known = set(node.fingers()) | set(oracle.order)
+    reachable = [n for n in known if (n - node.id) % KS.size <= target]
+    if not reachable:
+        return node.successor
+    return max(reachable, key=lambda n: (n - node.id) % KS.size)
+
+
+@pytest.mark.parametrize("reader", ["cached_ids", "next_hop", "routing_table"])
+@pytest.mark.parametrize("cache", [1, 3, 16, 200])
+def test_fold_matches_reference_through_every_reader(cache, reader):
+    rng = random.Random(f"{cache}:{reader}")
+    node = build(cache).node(0)
+    oracle = ReferenceLRU(0, cache)
+    fingers = set(node.fingers())
+    for _ in range(60):
+        # Anything from one short sequence to a run several times the
+        # fold bound, with no read in between.
+        for _ in range(rng.choice((1, 2, 5, 40))):
+            sequence = [rng.choice(RING) for _ in range(rng.randint(1, 7))]
+            node.learn(sequence)
+            oracle.learn(sequence)
+        if rng.random() < 0.3:
+            victim = rng.choice(RING)
+            node.forget(victim)
+            oracle.forget(victim)
+        if reader == "next_hop":
+            key = rng.randrange(KS.size)
+            assert node._next_hop(key, use_cache=True) == expected_hop(
+                node, oracle, key
+            )
+        elif reader == "routing_table":
+            assert node.routing_table() == sorted(fingers | set(oracle.order))
+        assert node.cached_ids() == oracle.order
+
+
+def test_fold_bound_is_crossed_without_a_read():
+    node = build(cache=8).node(0)
+    oracle = ReferenceLRU(0, 8)
+    rng = random.Random(3)
+    touched = 0
+    while touched <= 3 * _FOLD_AT:
+        sequence = [rng.choice(RING) for _ in range(5)]
+        node.learn(sequence)
+        oracle.learn(sequence)
+        touched += len(sequence)
+        assert len(node._touches) <= _FOLD_AT  # the log folds itself
+    assert node.cached_ids() == oracle.order
+
+
+def test_fold_keeps_untouched_entries_in_order_ahead_of_touched_ones():
+    node = build(cache=6).node(0)
+    node.learn([64, 128, 192, 256, 320])
+    assert node.cached_ids() == [64, 128, 192, 256, 320]
+    node.learn([192, 64])
+    node.learn([384, 192])
+    # 128, 256, 320 untouched, in their old order; then 64, 384, 192 by
+    # last touch.
+    assert node.cached_ids() == [128, 256, 320, 64, 384, 192]
+    node.learn([448])  # over capacity: the oldest untouched entry goes
+    assert node.cached_ids() == [256, 320, 64, 384, 192, 448]
+
+
+def test_fold_with_forget_between_learns():
+    node = build(cache=3).node(0)
+    node.learn([64, 128, 192])
+    node.forget(128)  # folds first: 128 is there to be forgotten
+    node.learn([256])
+    assert node.cached_ids() == [64, 192, 256]
+    node.learn([128, 320])
+    node.forget(320)  # an id that was only in the log until this fold
+    assert node.cached_ids() == [256, 128]
+
+
+def test_fold_capacity_one_and_sequence_longer_than_capacity():
+    node = build(cache=1).node(0)
+    node.learn([64, 128, 64, 192])
+    assert node.cached_ids() == [192]
+    node.learn([192, 256, 192])
+    assert node.cached_ids() == [192]
+    small = build(cache=2).node(0)
+    small.learn([64, 128, 192, 256, 128])
+    assert small.cached_ids() == [256, 128]
+    assert small.routing_table() == sorted(set(small.fingers()) | {256, 128})
+
+
+def test_fold_self_only_sequences_change_nothing():
+    node = build(cache=4).node(0)
+    node.learn([0])
+    node.learn([0, 0])
+    assert node.cached_ids() == []
+    node.learn([64, 128])
+    table = node.routing_table()
+    node.learn([0])
+    assert node.cached_ids() == [64, 128]
+    assert node.routing_table() == table

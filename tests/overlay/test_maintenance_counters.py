@@ -120,6 +120,44 @@ def test_counters_aggregate_in_an_enabled_registry():
     assert registry.snapshot()["chord.table_rebuilds"] == total
 
 
+def test_chord_instruments_are_made_on_first_increment():
+    telemetry = Telemetry()
+    sim = Simulator()
+    overlay = ChordOverlay(sim, KS, network=Network(sim, telemetry=telemetry))
+    overlay.build_ring(_ids(12))
+    registry = telemetry.registry
+
+    def instruments(name):
+        return [c for c in registry.counters() if c.name == name]
+
+    node = overlay.node(overlay.node_ids()[0])
+    assert (node.table_rebuilds, node.table_patches, node.table_seeds) == (0, 0, 0)
+    for name in ("chord.table_rebuilds", "chord.table_patches", "chord.table_seeds"):
+        assert instruments(name) == []  # a cold ring has counted nothing
+    node.fingers()
+    assert (node.table_rebuilds, node.table_patches, node.table_seeds) == (1, 0, 0)
+    assert len(instruments("chord.table_rebuilds")) == 1
+    assert instruments("chord.table_patches") == []
+    assert instruments("chord.table_seeds") == []
+    joiner = next(
+        i for i in range(KS.size)
+        if not overlay.is_alive(i) and overlay.owner_of(i) != node.id
+    )
+    overlay.join(joiner)  # seeds the joiner; its successor is not `node`
+    assert overlay.node(joiner).table_seeds == 1
+    assert [c.labels for c in instruments("chord.table_seeds")] == [
+        (("node", joiner),)
+    ]
+    node.fingers()  # one delta behind: the first patch makes the instrument
+    assert (node.table_rebuilds, node.table_patches) == (1, 1)
+    assert (("node", node.id),) in [
+        c.labels for c in instruments("chord.table_patches")
+    ]
+    assert registry.total("chord.table_patches") == sum(
+        overlay.node(i).table_patches for i in overlay.node_ids()
+    )
+
+
 def test_network_drop_counters_are_registry_views():
     telemetry = Telemetry()
     sim = Simulator()

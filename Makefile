@@ -119,8 +119,9 @@ bench-trajectory:
 # end-to-end and 111 per-layer metrics, about 3 min.  ledger-smoke runs
 # it at a tenth of the size in-process (~10 s) and checks that the
 # metric catalog still equals BENCHMARK.json; CI runs it after verify.
+# One workload: make ledger LEDGER_ARGS="--workload steady-can".
 ledger:
-	python3 benchmarks/ledger/run.py
+	python3 benchmarks/ledger/run.py $(LEDGER_ARGS)
 
 ledger-smoke:
 	$(PYTHON) -m pytest benchmarks/ledger/test_ledger.py

@@ -16,6 +16,8 @@ statistics, and never mutates node state (it reads the raw fields via
 
 from __future__ import annotations
 
+import bisect
+
 from repro.audit.records import (
     CAN_EXPRESS_MISMATCH,
     CAN_TESSELLATION,
@@ -191,9 +193,10 @@ def _probe_can(overlay: CanOverlay, now: float):
 
     The zone table itself (``zone_table``) must tile the key space —
     strictly sorted unique starts, live owners, each covering its own
-    id.  On top of that, every current node's materialized Morton cells
-    must equal the decomposition of its ground-truth zone, and no two
-    current nodes' cells may intersect.
+    id — and the flat key→owner table routing reads must be its
+    run-length expansion.  On top of that, every current node's
+    materialized Morton cells must equal the decomposition of its
+    ground-truth zone, and no two current nodes' cells may intersect.
     """
     checked = stale = cold = 0
     lags: list[int] = []
@@ -209,6 +212,9 @@ def _probe_can(overlay: CanOverlay, now: float):
                 detail=f"zone starts not strictly increasing: {starts}",
             )
         )
+    # Self-coverage is read off the zone table itself (index -1 is the
+    # last zone, which wraps over the keys before the first start), not
+    # from owner_of: that reads the key→owner table checked below.
     for start, owner in table:
         if not overlay.is_alive(owner):
             violations.append(
@@ -219,13 +225,42 @@ def _probe_can(overlay: CanOverlay, now: float):
                     detail=f"zone at {start} owned by dead node {owner}",
                 )
             )
-        elif overlay.owner_of(owner) != owner:
+        elif table[bisect.bisect_right(starts, owner) - 1][1] != owner:
             violations.append(
                 Violation(
                     CAN_TESSELLATION,
                     now,
                     node=owner,
                     detail=f"node {owner} does not cover its own id",
+                )
+            )
+    # The key→owner table that routing reads must be the run-length
+    # expansion of the zone table.
+    if table:
+        expected = [table[-1][1]] * starts[0]
+        for (start, owner), end in zip(
+            table, starts[1:] + [overlay.keyspace.size]
+        ):
+            expected.extend([owner] * (end - start))
+        key_owners = overlay.key_owner_table()
+        if key_owners != expected:
+            bad = next(
+                (
+                    key
+                    for key, (have, want) in enumerate(zip(key_owners, expected))
+                    if have != want
+                ),
+                min(len(key_owners), len(expected)),
+            )
+            violations.append(
+                Violation(
+                    CAN_TESSELLATION,
+                    now,
+                    detail=(
+                        f"key→owner table diverges from the zone table at "
+                        f"key {bad}: have {key_owners[bad:bad + 1]}, "
+                        f"want {expected[bad:bad + 1]}"
+                    ),
                 )
             )
     intervals: list[tuple[int, int, int]] = []

@@ -15,12 +15,7 @@ from repro.overlay.api import (
     OverlayNetwork,
     StateTransferHook,
 )
-from repro.overlay.can.morton import (
-    axis_sizes,
-    decompose,
-    morton_decode,
-    torus_delta,
-)
+from repro.overlay.can.morton import axis_sizes, decompose, morton_decode
 from repro.overlay.ids import KeySpace
 from repro.overlay.network import Network
 from repro.overlay.ring import MembershipDeltaLog, _flatten_audit_states
@@ -36,7 +31,7 @@ class CanNode:
     target point.  In this simulation the equivalent local knowledge is
     expressed as "the owner of the grid point one step outside my own
     boundary toward the target" — exactly what the neighbor table
-    answers — resolved through the overlay's zone index.
+    answers — resolved through the overlay's key→owner table.
     """
 
     def __init__(self, node_id: int, overlay: "CanOverlay") -> None:
@@ -48,49 +43,48 @@ class CanNode:
         self._rects: list[tuple[int, int, int, int]] = []
         self._version = -1
         # Express links: owner of the key at Morton distance 2^k for
-        # each k, fixed target points decoded once here.
+        # each k.  The fixed target keys and their decoded points are
+        # made by the first express scan (_express_table's cold build),
+        # so a node that only delivers holds neither.
         self._express: list[int] = []
         self._express_version = -1
-        size = overlay.keyspace.size
-        points = overlay._points
-        self._express_keys = [
-            (node_id + (1 << k)) % size for k in range(overlay.keyspace.bits)
-        ]
-        self._express_points = [points[k] for k in self._express_keys]
-        # Maintenance counters, mirroring ChordNode's read surface.
-        registry = overlay.telemetry.registry
-        self._rebuilds_counter = registry.counter(
-            "can.table_rebuilds", node=node_id
-        )
-        self._patches_counter = registry.counter(
-            "can.table_patches", node=node_id
-        )
-        self._express_patches_counter = registry.counter(
-            "can.express_patches", node=node_id
-        )
-        self._express_rebuilds_counter = registry.counter(
-            "can.express_rebuilds", node=node_id
-        )
+        self._express_keys: list[int] | None = None
+        self._express_points: list[tuple[int, int]] | None = None
+        # Maintenance counters, mirroring ChordNode's read surface:
+        # each is made on its first increment (_instrument); until then
+        # its property reads 0 without one.
+        self._rebuilds_counter = None
+        self._patches_counter = None
+        self._express_patches_counter = None
+        self._express_rebuilds_counter = None
 
     @property
     def table_rebuilds(self) -> int:
         """Full zone-decomposition recomputations."""
-        return self._rebuilds_counter.value
+        counter = self._rebuilds_counter
+        return 0 if counter is None else counter.value
 
     @property
     def table_patches(self) -> int:
         """Delta-log scans that confirmed the zone was untouched."""
-        return self._patches_counter.value
+        counter = self._patches_counter
+        return 0 if counter is None else counter.value
 
     @property
     def express_patches(self) -> int:
         """Express-link tables repaired by delta-log replay."""
-        return self._express_patches_counter.value
+        counter = self._express_patches_counter
+        return 0 if counter is None else counter.value
 
     @property
     def express_rebuilds(self) -> int:
         """Express-link tables rebuilt wholesale (cold start / overrun)."""
-        return self._express_rebuilds_counter.value
+        counter = self._express_rebuilds_counter
+        return 0 if counter is None else counter.value
+
+    def _instrument(self, name: str):
+        """This node's registry counter ``name``, made on first increment."""
+        return self._overlay.telemetry.registry.counter(name, node=self.id)
 
     def cells(self) -> list[tuple[int, int]]:
         """My zone's maximal aligned cells ((start, size) pairs).
@@ -116,14 +110,24 @@ class CanNode:
                     break
             else:
                 self._version = version
-                self._patches_counter.inc()
+                counter = self._patches_counter
+                if counter is None:
+                    counter = self._patches_counter = self._instrument(
+                        "can.table_patches"
+                    )
+                counter.inc()
                 return self._cells
         cells = overlay.compute_cells(self.id)
         rect_of_cell = overlay.rect_of_cell
         self._cells = cells
         self._rects = [rect_of_cell(s, z) for s, z in cells]
         self._version = version
-        self._rebuilds_counter.inc()
+        counter = self._rebuilds_counter
+        if counter is None:
+            counter = self._rebuilds_counter = self._instrument(
+                "can.table_rebuilds"
+            )
+        counter.inc()
         return self._cells
 
     def audit_state(self) -> tuple[int, list[tuple[int, int]]]:
@@ -147,9 +151,10 @@ class CanNode:
         """My express links, caught up to the current zone version.
 
         ``links[k]`` is the owner of the key at Morton distance ``2^k``
-        ahead of my id.  Same contract as :meth:`cells`: version-
-        memoized, repaired by delta-log replay when the missed churn is
-        small, rebuilt wholesale otherwise.  The replay is exact — a
+        ahead of my id; the cold build also makes the fixed target keys
+        and their decoded points.  Same contract as :meth:`cells`:
+        version-memoized, repaired by delta-log replay when the missed
+        churn is small, rebuilt wholesale otherwise.  The replay is exact — a
         link changes only when a delta names its current target: a
         departure redirects it to the heir, a join moves it to the
         joiner iff the link's key landed in the joiner's half (the
@@ -187,11 +192,28 @@ class CanNode:
                             if target == node_id:
                                 links[k] = other
                 self._express_version = version
-                self._express_patches_counter.inc()
+                counter = self._express_patches_counter
+                if counter is None:
+                    counter = self._express_patches_counter = self._instrument(
+                        "can.express_patches"
+                    )
+                counter.inc()
                 return links
+        if self._express_keys is None:
+            size = overlay.keyspace.size
+            points = overlay._points
+            me = self.id
+            keys = [(me + (1 << k)) % size for k in range(overlay.keyspace.bits)]
+            self._express_keys = keys
+            self._express_points = [points[k] for k in keys]
         self._express = overlay.compute_express_links(self.id)
         self._express_version = version
-        self._express_rebuilds_counter.inc()
+        counter = self._express_rebuilds_counter
+        if counter is None:
+            counter = self._express_rebuilds_counter = self._instrument(
+                "can.express_rebuilds"
+            )
+        counter.inc()
         return self._express
 
     def covers(self, key: int) -> bool:
@@ -201,34 +223,33 @@ class CanNode:
     # -- message handling --------------------------------------------------
 
     def receive(self, message: OverlayMessage) -> None:
-        if message.mode is CastMode.MCAST:
-            self.continue_mcast(message)
-        elif message.mode is CastMode.SEQUENTIAL:
-            self.continue_sequential(message)
-        elif message.key is None:
-            self._overlay.do_deliver(self, message)
-        else:
-            self.route_unicast(message)
+        self.receive_batch([message])
 
     def receive_batch(self, messages: list[OverlayMessage]) -> None:
         """Bucket entry point: dispatch one ``(dst, tick)`` inbox.
 
         The zone decomposition is version-memoized, so a bucket pays at
-        most one catch-up.  Mid-batch self-unregistration drops the
-        remainder with the drain loop's accounting.
+        most one catch-up.  The network only hands a bucket to a live
+        node, so liveness is re-checked from the second message on:
+        mid-batch self-unregistration drops the remainder with the
+        drain loop's accounting.
         """
-        if len(messages) == 1:
-            self.receive(messages[0])
-            return
-        network = self._overlay.network
-        is_alive = network.is_alive
-        me = self.id
-        receive = self.receive
+        overlay = self._overlay
         for index, message in enumerate(messages):
-            if not is_alive(me):
-                network.drop_undeliverable(messages[index:])
-                return
-            receive(message)
+            if index:
+                network = overlay._network
+                if not network.is_alive(self.id):
+                    network.drop_undeliverable(messages[index:])
+                    return
+            mode = message.mode
+            if mode is CastMode.MCAST:
+                self.continue_mcast(message)
+            elif mode is CastMode.SEQUENTIAL:
+                self.continue_sequential(message)
+            elif message.key is None:
+                overlay.do_deliver(self, message)
+            else:
+                self.route_unicast(message)
 
     def _next_hop(self, key: int) -> int | None:
         """Greedy geometric step toward ``key`` (None = deliver here).
@@ -246,17 +267,24 @@ class CanNode:
           clamped to the remaining delta — the probe point is
           ``advance ≥ 1`` units closer than Φ;
         - **unit step**: the classic one-grid-unit probe (Φ' ≤ Φ - 1).
+
+        Runs once per target key of every m-cast, so the step leaves
+        this frame only for a stale table and the jump's one bisect:
+        ownership is an index into the overlay's key→owner table and
+        the torus arithmetic is inline (``morton.py`` keeps the helper
+        forms; ``tests/overlay/test_can_next_hop_reference.py`` holds
+        this method to them).
         """
         overlay = self._overlay
-        starts = overlay._starts
-        owners = overlay._owners
+        key_owner = overlay._key_owner
         me = self.id
-        if owners[bisect.bisect_right(starts, key) - 1] == me:
+        if key_owner[key] == me:
             return None
         x_size = overlay._x_size
         y_size = overlay._y_size
         tx, ty = overlay._points[key]
-        if self._version != overlay.zone_version:
+        version = overlay.zone_version
+        if self._version != version:
             self.cells()
         # Closest point of my zone (inlined rect_closest_point + torus
         # distance over the memoized rectangles; same cell order and
@@ -304,12 +332,14 @@ class CanNode:
                 best_px = px
                 best_py = py
         if best_distance > 1 and overlay._express_links:
-            links = self._express_table()
-            points = self._express_points
+            if self._express_version == version:
+                links = self._express
+            else:
+                links = self._express_table()
             best_k = -1
             best_d = best_distance
-            for k in range(len(points)):
-                ex, ey = points[k]
+            k = 0
+            for ex, ey in self._express_points:
                 dxo = (tx - ex) % x_size
                 if dxo + dxo > x_size:
                     dxo = x_size - dxo
@@ -320,68 +350,88 @@ class CanNode:
                 if d < best_d and links[k] != me:
                     best_d = d
                     best_k = k
+                k += 1
             # Only shortcut when the link at least halves the distance;
             # small wins are left to the zone jump, which advances
             # without spending a hop on a marginal improvement.
             if best_k >= 0 and best_d + best_d <= best_distance:
                 return links[best_k]
-        dx = torus_delta(best_px, tx, x_size)
-        dy = torus_delta(best_py, ty, y_size)
-        if abs(dx) >= abs(dy) and dx != 0:
-            step = 1 if dx > 0 else -1
+        # Signed shortest torus deltas from the closest point to the
+        # target, as (magnitude, direction); a tie goes forward.
+        forward = (tx - best_px) % x_size
+        backward = x_size - forward
+        if forward <= backward:
+            x_remaining = forward
+            x_step = 1
+        else:
+            x_remaining = backward
+            x_step = -1
+        forward = (ty - best_py) % y_size
+        backward = y_size - forward
+        if forward <= backward:
+            y_remaining = forward
+            y_step = 1 if forward else -1
+        else:
+            y_remaining = backward
+            y_step = -1
+        if x_remaining >= y_remaining and x_remaining != 0:
+            step = x_step
             nx = (best_px + step) % x_size
             ny = best_py
             axis_x = True
-            remaining = dx if dx > 0 else -dx
+            remaining = x_remaining
         else:
-            step = 1 if dy > 0 else -1
+            step = y_step
             nx = best_px
             ny = (best_py + step) % y_size
             axis_x = False
-            remaining = dy if dy > 0 else -dy
+            remaining = y_remaining
         point_keys = overlay._point_keys
         probe_key = point_keys[nx * y_size + ny]
-        j = bisect.bisect_right(starts, probe_key) - 1
-        next_owner = owners[j]
-        if remaining > 1 and overlay._zone_jumps and next_owner != me:
+        next_owner = key_owner[probe_key]
+        if (
+            remaining > 1
+            and overlay._zone_jumps
+            and next_owner != me
+            and key_owner[probe_key ^ 1] == next_owner
+        ):
             # Probe one unit past the far edge of the adjacent zone's
             # maximal aligned cell around the probe point, clamped so
             # the probe never overshoots the target's axis coordinate.
-            n_zones = len(starts)
-            if j < 0:
-                lo, hi = 0, starts[0]
-            elif j == n_zones - 1:
-                lo, hi = starts[j], overlay.keyspace.size
-            else:
-                lo, hi = starts[j], starts[j + 1]
-            csize = 1
-            cstart = probe_key
+            # The cell may cross neither a zone boundary nor the origin.
+            # It is wider than the probe key only when the key's sibling
+            # is in the same zone (tested above; the two are adjacent
+            # and on one side of the origin, so one owner means one
+            # piece of its zone), and only then is the bisect for the
+            # zone starts either side of the probe key paid.
+            starts = overlay._starts
+            j = bisect.bisect_right(starts, probe_key)
+            lo = starts[j - 1] if j else 0
+            hi = starts[j] if probe_key < starts[-1] else len(key_owner)
+            csize = 2
+            free = 1
             while True:
                 nsize = csize << 1
                 nstart = probe_key & -nsize
                 if nstart < lo or nstart + nsize > hi:
                     break
                 csize = nsize
-                cstart = nstart
-            if csize > 1:
-                x0, y0 = overlay._points[cstart]
-                cw, ch = overlay._cell_dims[csize.bit_length() - 1]
-                if axis_x:
-                    extra = (x0 + cw - 1 - nx) if step > 0 else (nx - x0)
-                else:
-                    extra = (y0 + ch - 1 - ny) if step > 0 else (ny - y0)
-                advance = extra + 2
-                if advance > remaining:
-                    advance = remaining
-                if advance > 1:
-                    if axis_x:
-                        nx = (best_px + step * advance) % x_size
-                    else:
-                        ny = (best_py + step * advance) % y_size
-                    probe_key = point_keys[nx * y_size + ny]
-                    next_owner = owners[
-                        bisect.bisect_right(starts, probe_key) - 1
-                    ]
+                free += 1
+            x0, y0 = overlay._points[probe_key & -csize]
+            cw, ch = overlay._cell_dims[free]
+            if axis_x:
+                extra = (x0 + cw - 1 - nx) if step > 0 else (nx - x0)
+            else:
+                extra = (y0 + ch - 1 - ny) if step > 0 else (ny - y0)
+            # At least two units: one into the cell, one past its edge.
+            advance = extra + 2
+            if advance > remaining:
+                advance = remaining
+            if axis_x:
+                nx = (best_px + step * advance) % x_size
+            else:
+                ny = (best_py + step * advance) % y_size
+            next_owner = key_owner[point_keys[nx * y_size + ny]]
         if next_owner != me:
             return next_owner
         # Defensive: only reachable with corrupted/stale geometry (a
@@ -415,33 +465,43 @@ class CanNode:
         if next_hop is None:
             self._overlay.do_deliver(self, message)
             return
-        self._overlay.transmit(self.id, next_hop, message.forwarded_copy(self.id))
+        self._overlay._network_transmit(
+            self.id, next_hop, message.forwarded_copy(self.id)
+        )
 
     def start_mcast(self, message: OverlayMessage) -> None:
         self.continue_mcast(message)
 
     def continue_mcast(self, message: OverlayMessage) -> None:
         """Partition targets by greedy next hop (coverage-complete;
-        at-most-once per node per branch, like the Pastry variant)."""
+        at-most-once per node per branch, like the Pastry variant).
+
+        Branches leave in the order their first key came up, each key
+        set built by ``add`` in that same order: downstream nodes
+        iterate the set, so its insertion history is part of the
+        behaviour the fingerprints pin.
+        """
         overlay = self._overlay
-        starts = overlay._starts
-        owners = overlay._owners
+        key_owner = overlay._key_owner
         me = self.id
-        bisect_right = bisect.bisect_right
         targets = message.target_keys or frozenset()
-        mine = {
-            k for k in targets if owners[bisect_right(starts, k) - 1] == me
-        }
+        mine = {k for k in targets if key_owner[k] == me}
         if mine:
             overlay.do_deliver(self, message)
+        next_hop_of = self._next_hop
         groups: dict[int, set[int]] = {}
         for key in targets - mine:
-            next_hop = self._next_hop(key)
-            if next_hop is not None:
-                groups.setdefault(next_hop, set()).add(key)
-        for next_hop, keys in groups.items():
-            branch = message.forwarded_copy(self.id, target_keys=frozenset(keys))
-            overlay.transmit(self.id, next_hop, branch)
+            next_hop = next_hop_of(key)
+            if next_hop in groups:
+                groups[next_hop].add(key)
+            elif next_hop is not None:
+                groups[next_hop] = {key}
+        transmit = overlay._network_transmit
+        for next_hop in groups:
+            branch = message.forwarded_copy(
+                me, target_keys=frozenset(groups[next_hop])
+            )
+            transmit(me, next_hop, branch)
 
     def continue_sequential(self, message: OverlayMessage) -> None:
         """Conservative walk, CAN version.
@@ -456,14 +516,10 @@ class CanNode:
         """
         overlay = self._overlay
         keyspace = overlay.keyspace
-        starts = overlay._starts
-        owners = overlay._owners
+        key_owner = overlay._key_owner
         me = self.id
-        bisect_right = bisect.bisect_right
         targets = message.target_keys or frozenset()
-        mine = {
-            k for k in targets if owners[bisect_right(starts, k) - 1] == me
-        }
+        mine = {k for k in targets if key_owner[k] == me}
         if mine:
             overlay.do_deliver(self, message)
         rest = frozenset(targets - mine)
@@ -471,14 +527,14 @@ class CanNode:
             return
         chase = message.key
         if chase is None or chase not in rest or chase in mine:
-            chase = min(rest, key=lambda k: keyspace.distance(self.id, k))
+            chase = min(rest, key=lambda k: keyspace.distance(me, k))
         next_hop = self._next_hop(chase)
         if next_hop is None:
             return
         onward = dataclasses.replace(
-            message.forwarded_copy(self.id, target_keys=rest), key=chase
+            message.forwarded_copy(me, target_keys=rest), key=chase
         )
-        self._overlay.transmit(self.id, next_hop, onward)
+        overlay._network_transmit(me, next_hop, onward)
 
 
 class CanOverlay(MembershipDeltaLog, OverlayNetwork):
@@ -508,6 +564,14 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
         super().__init__(keyspace)
         self._sim = sim
         self._network = network or Network(sim)
+        # Per-message bindings, resolved once as Network does for
+        # record_send: transmit and do_deliver run for every one-hop
+        # message and every delivery.  The tracer and load meter are
+        # None unless telemetry is enabled (the network's own guards).
+        self._network_transmit = self._network.transmit
+        self._record_delivery = self._network.recorder.messages.record_delivery
+        self._tracer = self._network.active_tracer
+        self._load = self._network.active_load
         self.set_state_transfer(state_transfer)
         self._express_links = express_links
         self._zone_jumps = zone_jumps
@@ -540,6 +604,13 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
         for key, (x, y) in enumerate(points):
             point_keys[x * y_size + y] = key
         self._point_keys = point_keys
+        # The routing-time KN-mapping, flat: slot k holds the owner of
+        # key k.  _assign_keys is its only writer (build_ring, join,
+        # _absorb); every routing step reads ownership from here.  The
+        # zone arrays above stay the ground truth that membership code,
+        # compute_cells/compute_express_links and the auditor use, and
+        # the auditor checks this table against them.
+        self._key_owner: list[int] = [0] * keyspace.size
         self._cell_dims = []
         for free in range(bits + 1):
             width_bits = sum(
@@ -689,6 +760,14 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
         """
         return list(zip(self._starts, self._owners))
 
+    def key_owner_table(self) -> list[int]:
+        """A copy of the flat key→owner table routing reads.
+
+        Introspection for the auditor, which holds it to the run-length
+        expansion of :meth:`zone_table`.
+        """
+        return list(self._key_owner)
+
     def _owner_index(self, node_id: int) -> int:
         # Every live node covers its own id (the join cut guarantees
         # it), so its zone index is a bisect away.  The linear scan
@@ -737,6 +816,7 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
             # its own id (so it trivially covers itself).
             self._starts = [first]
             self._owners = [first]
+            self._assign_keys(0, self._keyspace.size, first)
             self._register(first)
             self.zone_version += 1
             for node_id in rest:
@@ -780,7 +860,10 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
         self._starts.insert(position, cut)
         self._owners.insert(position, cut_owner)
         if cut_owner is owner:
-            self._owners[self._starts.index(start)] = node_id
+            # `start` kept its slot through the insert: one left of the
+            # cut, or the last slot when the cut wrapped to the front.
+            self._owners[position - 1] = node_id
+        self._assign_keys(joiner_start, joiner_length, node_id)
         self._register(node_id)
         self.zone_version += 1
         self._log_can_delta("join", node_id, owner, (joiner_start, joiner_length))
@@ -822,11 +905,25 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
     def _absorb(self, node_id: int) -> None:
         index = self._owner_index(node_id)
         heir = self._owners[(index - 1) % len(self._owners)]
+        start, length = self.zone_of(node_id)
         del self._starts[index]
         del self._owners[index]
+        self._assign_keys(start, length, heir)
         self._unregister(node_id)
         self.zone_version += 1
         self._log_can_delta("depart", node_id, heir, None)
+
+    def _assign_keys(self, start: int, length: int, owner: int) -> None:
+        """Write ``owner`` over ``[start, start + length)`` of the
+        key→owner table; a zone wrapping the origin is two slices."""
+        table = self._key_owner
+        size = len(table)
+        end = start + length
+        if end <= size:
+            table[start:end] = [owner] * length
+        else:
+            table[start:] = [owner] * (size - start)
+            table[: end - size] = [owner] * (end - size)
 
     def _log_can_delta(
         self,
@@ -884,8 +981,7 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
     def owner_of(self, key: int) -> int:
         if not self._owners:
             raise OverlayError("empty overlay")
-        self._keyspace.validate(key)
-        return self._owners[self._zone_index_for_key(key)]
+        return self._key_owner[self._keyspace.validate(key)]
 
     def covers(self, node_id: int, key: int) -> bool:
         return self.owner_of(key) == node_id
@@ -953,18 +1049,19 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
         self.transmit(source_id, neighbor, message.forwarded_copy(source_id))
 
     def transmit(self, src: int, dst: int, message: OverlayMessage) -> None:
-        self._network.transmit(src, dst, message)
+        self._network_transmit(src, dst, message)
 
     def do_deliver(self, node: CanNode, message: OverlayMessage) -> None:
-        self.recorder.messages.record_delivery(
-            message.request_id, node.id, self._sim.now, message.hops
-        )
-        tracer = self._network.active_tracer
+        node_id = node.id
+        now = self._sim.now
+        self._record_delivery(message.request_id, node_id, now, message.hops)
+        tracer = self._tracer
         if tracer is not None:
-            tracer.delivery(
-                message.trace, message.request_id, node.id, self._sim.now
-            )
-        load = self._network.active_load
+            tracer.delivery(message.trace, message.request_id, node_id, now)
+        load = self._load
         if load is not None:
-            load.on_deliver(node.id)
-        self._deliver_upcall(node.id, message)
+            load.on_deliver(node_id)
+        # _deliver_upcall, inline: one frame per delivery.
+        deliver = self._deliver
+        if deliver is not None:
+            deliver(node_id, message)

@@ -13,6 +13,7 @@ from tests.audit.conftest import build_audited_system
 from repro.audit import AuditConfig
 from repro.audit.records import (
     CAN_EXPRESS_MISMATCH,
+    CAN_TESSELLATION,
     CAN_ZONE_OVERLAP,
     CHORD_FINGER_MISMATCH,
     MAPPING_INTERSECTION,
@@ -98,6 +99,28 @@ def test_corrupt_can_express_link_detected():
     record = auditor.run_probe()
     assert record.violations >= 1
     assert CAN_EXPRESS_MISMATCH in vtypes(auditor)
+
+
+def test_corrupt_can_key_owner_slot_detected():
+    """One wrong slot of the key→owner table routing reads is reported
+    with its key, against the zone arrays the auditor trusts."""
+    sim, system, auditor, _ = build_audited_system(CanOverlay)
+    overlay = system.overlay
+    clean = auditor.run_probe()
+    assert clean.violations == 0
+
+    key = 1234
+    truth = overlay.owner_of(key)
+    overlay._key_owner[key] = next(
+        n for n in sorted(overlay.node_ids()) if n != truth
+    )
+    record = auditor.run_probe()
+    assert record.violations == 1
+    (violation,) = [
+        v for v in auditor.violations if v.vtype == CAN_TESSELLATION
+    ]
+    assert f"at key {key}:" in violation.detail
+    assert f"want [{truth}]" in violation.detail
 
 
 def test_suppressed_notification_detected():

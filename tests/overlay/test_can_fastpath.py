@@ -12,6 +12,7 @@ Three properties pin the fast path to the slow one:
   zone table.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -85,7 +86,7 @@ def churn(overlay, rng, rounds):
     for _ in range(rounds):
         roll = rng.random()
         if roll < 0.5 or len(overlay.node_ids()) <= 4:
-            candidate = rng.randrange(KS.size)
+            candidate = rng.randrange(overlay.keyspace.size)
             if not overlay.is_alive(candidate):
                 try:
                     overlay.join(candidate)
@@ -108,6 +109,55 @@ def test_rect_of_cell_matches_zone_rectangle():
             assert overlay.rect_of_cell(aligned, size) == zone_rectangle(
                 aligned, size, KS.bits
             )
+
+
+# -- the key→owner table -----------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(6))
+def test_key_owner_table_equals_brute_owner_under_churn(seed):
+    """After every join, leave and crash — with the last zone wrapping
+    the origin, and down to a single node — the flat table routing
+    reads names the brute-force owner of every key."""
+    keyspace = KeySpace(8)
+    rng = random.Random(seed)
+    overlay = CanOverlay(Simulator(), keyspace)
+    overlay.build_ring(rng.sample(range(keyspace.size), 12))
+
+    def check():
+        assert overlay.key_owner_table() == [
+            brute_owner(overlay, key) for key in range(keyspace.size)
+        ]
+
+    check()
+    wrapped = False
+    for _ in range(60):
+        churn(overlay, rng, 1)
+        wrapped = wrapped or overlay.zone_table()[0][0] != 0
+        check()
+    assert wrapped
+    while len(overlay) > 1:
+        victim = rng.choice(overlay.node_ids())
+        if rng.random() < 0.5:
+            overlay.leave(victim)
+        else:
+            overlay.crash(victim)
+        check()
+    assert set(overlay.key_owner_table()) == set(overlay.node_ids())
+
+
+def test_zone_table_of_a_seeded_400_join_build_is_pinned():
+    """join() finds the split zone's slot from the cut position, not by
+    scanning the starts; the tessellation of 400 seeded joins is the
+    one the linear scan built (digest taken at PR 14)."""
+    overlay = CanOverlay(Simulator(), KS)
+    overlay.build_ring(random.Random(400).sample(range(KS.size), 401))
+    table = overlay.zone_table()
+    assert len(table) == 401
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == (
+        "c704214797e950b6cf83a63091884be47f2df5bef1b041892b2609d45b0e46a4"
+    )
+    for node_id in overlay.node_ids():
+        assert overlay.owner_of(node_id) == node_id
 
 
 # -- fast-path delivery vs oracle --------------------------------------------
@@ -200,6 +250,14 @@ def test_express_log_overrun_falls_back_to_rebuild():
 
 # -- the defensive fallback (regression) --------------------------------------
 
+def set_zones(overlay, starts, owners):
+    """Overwrite the tessellation (first zone at key 0), table included."""
+    overlay._starts = starts
+    overlay._owners = owners
+    for start, end, owner in zip(starts, starts[1:] + [KS.size], owners):
+        overlay._assign_keys(start, end - start, owner)
+
+
 def test_fallback_steps_toward_key_not_successor():
     """A node with corrupted (stale) geometry must still forward toward
     the key's zone, not blindly to its zone-ring successor — on a torus
@@ -209,8 +267,7 @@ def test_fallback_steps_toward_key_not_successor():
     sim = Simulator()
     overlay = CanOverlay(sim, KS, express_links=False, zone_jumps=False)
     overlay.build_ring([0x100, 0x900, 0x1400])
-    overlay._starts = [0, 0x800, 0x1000]
-    overlay._owners = [0x100, 0x900, 0x1400]
+    set_zones(overlay, [0, 0x800, 0x1000], [0x100, 0x900, 0x1400])
     node_a = overlay.node(0x100)
     # Corrupt A's memoized geometry so its "closest point" probe lands
     # back inside its own true zone: pretend its zone is a single far
@@ -232,8 +289,9 @@ def test_fallback_direction_is_shorter_cyclic_way():
     sim = Simulator()
     overlay = CanOverlay(sim, KS)
     overlay.build_ring([0x100, 0x900, 0x1400, 0x1C00])
-    overlay._starts = [0, 0x800, 0x1000, 0x1800]
-    overlay._owners = [0x100, 0x900, 0x1400, 0x1C00]
+    set_zones(
+        overlay, [0, 0x800, 0x1000, 0x1800], [0x100, 0x900, 0x1400, 0x1C00]
+    )
     node_a = overlay.node(0x100)
     # Key in the next zone forward: step forward to B.
     assert node_a._fallback_toward(0x900) == 0x900

@@ -9,6 +9,7 @@ telemetry-enabled network.
 
 import random
 
+from repro.overlay.api import MessageKind, OverlayMessage, next_request_id
 from repro.overlay.can import CanOverlay
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
@@ -165,8 +166,6 @@ def test_network_drop_counters_are_registry_views():
     overlay = ChordOverlay(sim, KS, network=network)
     overlay.build_ring(_ids(8))
     ids = overlay.node_ids()
-    from repro.overlay.api import MessageKind, OverlayMessage, next_request_id
-
     message = OverlayMessage(
         kind=MessageKind.CONTROL,
         payload=None,
@@ -178,3 +177,51 @@ def test_network_drop_counters_are_registry_views():
     sim.run()
     assert network.dropped == 1
     assert telemetry.registry.total("network.dropped") == 1
+
+
+def test_can_node_state_is_made_on_demand():
+    """A CAN node that only delivers holds no counter and no express
+    keys; the first route makes exactly what it used."""
+    telemetry = Telemetry()
+    sim = Simulator()
+    overlay = CanOverlay(sim, KS, network=Network(sim, telemetry=telemetry))
+    overlay.build_ring(_ids(12))
+    registry = telemetry.registry
+    names = (
+        "can.table_rebuilds",
+        "can.table_patches",
+        "can.express_patches",
+        "can.express_rebuilds",
+    )
+
+    def made():
+        return sorted(c.name for c in registry.counters() if c.name in names)
+
+    def send(source, key):
+        message = OverlayMessage(
+            kind=MessageKind.PUBLICATION, payload=None,
+            request_id=next_request_id(), origin=source,
+        )
+        overlay.send(source, key, message)
+        sim.run()
+
+    delivered = []
+    overlay.set_deliver(lambda node_id, message: delivered.append(node_id))
+    node = overlay.node(overlay.node_ids()[0])
+    send(node.id, node.id)  # own key: delivered where it was sent
+    assert delivered == [node.id]
+    assert made() == []
+    assert node._express_keys is None and node._express_points is None
+    assert (
+        node.table_rebuilds, node.table_patches,
+        node.express_rebuilds, node.express_patches,
+    ) == (0, 0, 0, 0)
+
+    far = (node.id + KS.size // 2) % KS.size
+    send(node.id, far)
+    assert delivered[-1] == overlay.owner_of(far)
+    assert (node.table_rebuilds, node.express_rebuilds) == (1, 1)
+    assert (node.table_patches, node.express_patches) == (0, 0)
+    assert len(node._express_points) == KS.bits
+    assert "can.table_patches" not in made()
+    assert "can.express_patches" not in made()

@@ -86,7 +86,11 @@ class OverlayMessage:
         target_keys: The piggybacked target-key set ``M.K`` used by the
             ``m-cast`` algorithm of Fig. 4; None for unicast.
         hops: One-hop transmissions this copy of the message has made.
-        path: Node ids this copy traversed (used for location caching).
+        path: The hops this copy traversed, one entry appended per hop:
+            the node id (:meth:`forwarded_copy`), or, from an overlay
+            that caches owned arcs (Chord's routed messages), the flat
+            pair ``node id, predecessor`` — the arc the hop owned when
+            it forwarded this copy, so ``path[::2]`` are the ids.
         trace: Telemetry span id of the hop that produced this copy
             (the request's root span before the first transmission);
             0 when tracing is disabled.  The network overwrites it on
@@ -182,6 +186,29 @@ class OverlayNetwork(abc.ABC):
     def _deliver_upcall(self, node_id: int, message: OverlayMessage) -> None:
         if self._deliver is not None:
             self._deliver(node_id, message)
+
+    def _prepared(
+        self,
+        message: OverlayMessage,
+        key: int | None = None,
+        target_keys: frozenset[int] | None = None,
+        mode: CastMode = CastMode.UNICAST,
+    ) -> OverlayMessage:
+        """The application's ``message`` as a fresh request envelope."""
+        # Direct construction instead of dataclasses.replace: this runs
+        # once per request, and replace() walks every field.
+        return OverlayMessage(
+            kind=message.kind,
+            payload=message.payload,
+            request_id=message.request_id,
+            origin=message.origin,
+            key=key,
+            target_keys=target_keys,
+            mode=mode,
+            hops=0,
+            path=(),
+            trace=message.trace,
+        )
 
     # -- membership ---------------------------------------------------
 

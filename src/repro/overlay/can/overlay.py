@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-import dataclasses
 from typing import Iterable
 
 from repro.errors import OverlayError
@@ -531,9 +530,8 @@ class CanNode:
         next_hop = self._next_hop(chase)
         if next_hop is None:
             return
-        onward = dataclasses.replace(
-            message.forwarded_copy(me, target_keys=rest), key=chase
-        )
+        onward = message.forwarded_copy(me, target_keys=rest)
+        onward.key = chase
         overlay._network_transmit(me, next_hop, onward)
 
 
@@ -1004,10 +1002,7 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
     def send(self, source_id: int, key: int, message: OverlayMessage) -> None:
         self._keyspace.validate(key)
         node = self.node(source_id)
-        unicast = dataclasses.replace(
-            message, key=key, mode=CastMode.UNICAST, hops=0, path=()
-        )
-        node.route_unicast(unicast)
+        node.route_unicast(self._prepared(message, key=key))
 
     def mcast(
         self, source_id: int, keys: Iterable[int], message: OverlayMessage
@@ -1017,9 +1012,7 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
             return
         node = self.node(source_id)
         node.start_mcast(
-            dataclasses.replace(
-                message, target_keys=targets, mode=CastMode.MCAST, hops=0, path=()
-            )
+            self._prepared(message, target_keys=targets, mode=CastMode.MCAST)
         )
 
     def sequential_cast(
@@ -1030,13 +1023,7 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
             return
         node = self.node(source_id)
         node.continue_sequential(
-            dataclasses.replace(
-                message,
-                target_keys=targets,
-                mode=CastMode.SEQUENTIAL,
-                hops=0,
-                path=(),
-            )
+            self._prepared(message, target_keys=targets, mode=CastMode.SEQUENTIAL)
         )
 
     def send_to_neighbor(

@@ -7,13 +7,38 @@ current membership — this models a converged Chord (stabilization has
 quiesced), which matches the paper's measurement setup where all joins
 complete before the workload starts.
 
-Routing is the per-message hot path, so next-hop selection does not
-scan the pointer set.  Fingers and cache entries are merged in a single
-array sorted by clockwise distance from this node, and ``_next_hop``
-binary-searches it: the best hop for a key at distance ``t`` is the
-rightmost table entry with distance ``<= t``.  The m-cast
-key-partitioning loop binary-searches the distance-sorted finger list
-the same way (strict ``< t``).
+Every pointer is an *owned arc*, and a key goes straight to the pointer
+known to own it.  Greedy routing may never pass the key, so without
+this every key ends with a walk through its owner's predecessor even
+when the sender holds the owner.  Two certificates, no state of their
+own:
+
+- **Finger slot.**  Slot ``j`` is ``owner(id + 2**j)`` by definition,
+  so it owns every key from its start up to itself.  For a key at
+  clockwise distance ``t``, ``slots[t.bit_length() - 1]`` owns the key
+  whenever its own distance is ``>= t`` — exact at every ring version,
+  because ``_sync`` precedes the read.
+- **Stamped arc.**  Each hop of a routed message stamps its
+  predecessor beside its id in the message's ``path``, receivers learn
+  the pairs, and the cache's value slot holds the predecessor a node's
+  last touch carried.  The first merged-table entry past the key is the owner if
+  it is live and its arc ``(pred, id]`` covers the key.  An arc can be
+  stale; the receiver's ``covers`` test alone decides delivery, and the
+  message it routes on carries its fresh stamp.
+
+Unicast and the sequential walk (``_next_hop``) try both; m-cast uses
+the slot certificate only, on whole groups of keys (the keys between
+two consecutive fingers go to the finger past them iff it is certified
+for the group's nearest key — see ``continue_mcast`` for why per key is
+wrong), and reads fingers only.
+
+When no certificate holds, routing is closest-preceding, and it does
+not scan the pointer set either.  Fingers and cache entries are merged
+in a single array sorted by clockwise distance from this node, and
+``_next_hop`` binary-searches it: the best hop for a key at distance
+``t`` is the rightmost table entry with distance ``<= t``.  An m-cast
+group falls back to the finger strictly preceding it, by binary search
+over the distance-sorted finger list.
 
 The merged array is a *derived view* with one invariant,
 ``table == (finger members | cache) - {self}``, and only unicast hops
@@ -22,17 +47,18 @@ takes some twenty m-cast receives per unicast hop.  So a node pays for
 routing state when it routes, not when a message passes through it,
 and each layer under the array is deferred the same way:
 
-- **Touch log.**  ``receive`` (and ``learn``) append the ids a message
-  carried to a per-node log (one call and a length check).  The location
-  cache — a plain insertion-ordered ``dict``, least recently touched
-  first — is brought current by :meth:`ChordNode._fold`, which replays
+- **Touch log.**  ``receive`` (and ``learn``) append the ``(id,
+  predecessor)`` pairs a message carried to a per-node log, flat (the
+  path as it is, and a length check).  The location cache — a plain
+  insertion-ordered ``dict``, least recently touched first, id ->
+  predecessor — is brought current by :meth:`ChordNode._fold`, which replays
   the log in order and cuts the cache to capacity.  That is exact
   because an LRU after any touch sequence holds the ``capacity`` most
   recently touched distinct ids in last-touch order: a fold may span
   any touches that have no cached read between them.  Every cached
   reader folds first (``_next_hop(use_cache=True)``, ``forget``,
   ``cached_ids``, ``routing_table``), and the log folds itself past
-  ``_FOLD_AT`` ids, so it stays bounded on a node that never reads.
+  ``_FOLD_AT`` slots, so it stays bounded on a node that never reads.
 - **Journal.**  Nothing that writes the fingers or the cache touches
   the array: writers append the ids whose membership changed to a
   journal, and the cached ``_next_hop`` brings the array current
@@ -79,12 +105,13 @@ if TYPE_CHECKING:
     from repro.overlay.chord.overlay import ChordOverlay
 
 
-#: Touch-log length (ids) past which a node folds without waiting for a
-#: read, so the log of a node that never routes by cache stays bounded.
-#: A fold costs the same per id whenever it runs; the bound only spreads
-#: the fixed cost of a fold over more receives.  At 64 the ledger's call
-#: counts are within 0.3% of an unbounded log and bytes/node on
-#: steady-chord has not yet begun to climb (it does from 128).
+#: Touch-log length (slots: two per touch, id and predecessor) past which
+#: a node folds without waiting for a read, so the log of a node that
+#: never routes by cache stays bounded.  A fold costs the same per touch
+#: whenever it runs; the bound only spreads the fixed cost of a fold over
+#: more receives.  64 was set when a touch was one slot (call counts
+#: within 0.3% of an unbounded log, bytes/node on steady-chord climbing
+#: from 128); it stays 64 slots so the log's bound in bytes is unchanged.
 _FOLD_AT = 64
 
 
@@ -107,9 +134,12 @@ class ChordNode:
         self._overlay = overlay
         self._cache_capacity = cache_capacity
         # Location cache, least recently touched first, current up to
-        # the last _fold; the ids seen since then wait in the touch log.
-        self._cache: dict[int, None] = {}
-        self._touches: list[int] = []
+        # the last _fold: node id -> the predecessor its last touch
+        # carried (the node's owned arc is ``(pred, id]``), None when
+        # that touch named it without one.  What was seen since the
+        # fold waits in the touch log as flat (id, pred) pairs.
+        self._cache: dict[int, int | None] = {}
+        self._touches: list[int | None] = []
         keyspace = overlay.keyspace
         self._size = keyspace.size  # ring size never changes; skip the property
         self._bits = keyspace.bits
@@ -565,12 +595,15 @@ class ChordNode:
     def learn(self, node_ids: Iterable[int]) -> None:
         """Note recently seen node ids for the LRU location cache.
 
-        The ids only join the touch log; :meth:`_fold` applies them when
-        the cache is next read, or when the log reaches ``_FOLD_AT``.
+        The ids are bare pointers (an owned arc comes only from the
+        stamp its owner put on a message: see :meth:`receive`).  They
+        only join the touch log; :meth:`_fold` applies them when the
+        cache is next read, or when the log passes ``_FOLD_AT``.
         """
         if self._cache_capacity:
             log = self._touches
-            log.extend(node_ids)
+            for node_id in node_ids:
+                log += (node_id, None)
             if len(log) > _FOLD_AT:
                 self._fold()
 
@@ -581,24 +614,27 @@ class ChordNode:
         recently touched distinct ids in last-touch order, whether it
         evicted after every sequence or evicts once now — so a fold may
         span any touches with no cached read between them.  The log is
-        replayed in order: a cached id moves to the recent end (deleted
-        and re-inserted; untouched entries keep their order ahead of
-        it), a new id joins there, self is skipped.  Then the cache is
-        cut to capacity from its old end, and the ids that entered or
-        left are journaled for the merged table.  The work is in the
-        touches, never in the capacity, and no id costs a call.
+        replayed in order, a pair at a time: a cached id moves to the
+        recent end (deleted and re-inserted; untouched entries keep
+        their order ahead of it), a new id joins there, either way with
+        the pair's predecessor (last touch wins), self is skipped.
+        Then the cache is cut to capacity from its old end, and the ids
+        that entered or left are journaled for the merged table.  The
+        work is in the touches, never in the capacity, and no id costs
+        a call.
         """
         cache = self._cache
         me = self.id
         fresh: dict[int, None] = {}
-        for node_id in self._touches:
+        touches = iter(self._touches)
+        for node_id, predecessor in zip(touches, touches):
             if node_id in cache:
                 del cache[node_id]
             elif node_id == me:
                 continue
             else:
                 fresh[node_id] = None
-            cache[node_id] = None
+            cache[node_id] = predecessor
         del self._touches[:]
         if not fresh:
             return  # only LRU positions moved: nothing to evict or journal
@@ -696,18 +732,29 @@ class ChordNode:
 
     def receive(self, message: OverlayMessage) -> None:
         """Network upcall: continue routing or deliver ``message``."""
-        # learn(), inline: every receive logs the ids it saw, and the
-        # cache pays for them when it is next read (see _fold).
+        mode = message.mode
+        direct = mode is CastMode.UNICAST and message.key is None
+        # learn(), inline: every receive logs what the message names,
+        # and the cache pays for it when it is next read (see _fold).
+        # A routed message was started with an empty path and every hop
+        # stamped its arc, the origin first, so the path is the pairs.
+        # A direct one is a forwarded_copy: it names the sender bare,
+        # last in the path, and the origin.
         if self._cache_capacity:
             log = self._touches
-            log.extend(message.path + (message.origin,))
+            if direct:
+                if message.path:
+                    log += (message.path[-1], None)
+                log += (message.origin, None)
+            else:
+                log += message.path
             if len(log) > _FOLD_AT:
                 self._fold()
-        if message.mode is CastMode.MCAST:
+        if mode is CastMode.MCAST:
             self.continue_mcast(message)
-        elif message.mode is CastMode.SEQUENTIAL:
+        elif mode is CastMode.SEQUENTIAL:
             self.continue_sequential(message)
-        elif message.key is None:
+        elif direct:
             # Direct one-hop message (neighbor sends: state transfer,
             # replication, COLLECT aggregation) — no further routing.
             self._overlay.do_deliver(self, message)
@@ -739,32 +786,53 @@ class ChordNode:
         Forwarded envelopes are reused in place: the overlay hands this
         node exclusive ownership of an in-flight message, so advancing
         ``hops``/``path`` on the same object replaces one allocation
-        per hop.
+        per hop.  Each hop stamps the arc it owns beside its id.
         """
         key = message.key
         assert key is not None, "unicast message without a destination key"
-        if self.covers(key):
+        me = self.id
+        predecessor = self.predecessor
+        # covers(key), inline: the predecessor is needed for the stamp.
+        if (
+            predecessor == me
+            or 0 < (key - predecessor) % self._size <= (me - predecessor) % self._size
+        ):
             self._overlay.do_deliver(self, message)
             return
         next_hop = self._next_hop(key, use_cache=True)
         message.hops += 1
-        message.path += (self.id,)
-        self._overlay.transmit(self.id, next_hop, message)
+        message.path += (me, predecessor)
+        self._overlay.transmit(me, next_hop, message)
 
     def _next_hop(self, key: int, use_cache: bool) -> int:
-        """Closest live node preceding-or-equal to ``key`` that we know.
+        """The owner of ``key`` when a pointer certifies it, else the
+        closest live node preceding-or-equal to ``key`` that we know.
 
-        Binary-searches the distance-sorted pointer table (fingers,
-        plus the location cache when ``use_cache`` is set) for the
+        Every pointer is an owned arc.  A finger slot is
+        ``owner(start_j)`` by definition, so the slot whose start is the
+        largest power of two not past the key owns the key whenever it
+        lies at or past it — exact, because the slots were just synced.
+        Failing that, the first entry past the key in the merged table
+        (fingers, plus the location cache when ``use_cache`` is set) is
+        the owner if it is live and the arc ``(pred, id]`` it last
+        stamped covers the key; a stale arc costs a forward, and the
+        receiver's own ``covers`` test routes the message on.
+
+        Otherwise binary-searches the distance-sorted table for the
         rightmost entry at clockwise distance ``<= distance(self, key)``
-        and walks left past dead entries.  Dead cache entries found this
-        way are evicted *after* the scan (never while the table is being
-        read).  Falls back to the successor when nothing useful is
-        known, which always makes progress on the ring.
+        and walks left past dead entries.  Dead cache entries met on
+        the way are evicted *after* the scan (never while the table is
+        being read).  Falls back to the successor when nothing useful
+        is known, which always makes progress on the ring.
         """
         overlay = self._overlay
-        target_distance = (key - self.id) % self._size
+        me = self.id
+        size = self._size
+        target_distance = (key - me) % size
         self._sync()
+        owner = self._finger_slots[target_distance.bit_length() - 1]
+        if 0 < target_distance <= (owner - me) % size:
+            return owner
         if use_cache:
             if self._touches:
                 self._fold()
@@ -775,9 +843,20 @@ class ChordNode:
         else:
             dists, ids = self._finger_dists, self._fingers
         is_alive = overlay.is_alive
-        best: int | None = None
         dead: list[int] | None = None
         index = bisect_right(dists, target_distance) - 1
+        if use_cache and index + 1 < len(ids):
+            candidate = ids[index + 1]
+            cache = self._cache
+            predecessor = cache[candidate] if candidate in cache else None
+            if (
+                predecessor is not None
+                and 0 < (key - predecessor) % size <= (candidate - predecessor) % size
+            ):
+                if is_alive(candidate):
+                    return candidate
+                dead = [candidate]
+        best: int | None = None
         while index >= 0:
             candidate = ids[index]
             if is_alive(candidate):
@@ -806,19 +885,27 @@ class ChordNode:
 
         Deliver locally if any target key falls in ``(pred, self]``
         (at most one delivery per node, per the paper's guarantee),
-        then partition the remaining keys among known pointers: each
-        key goes to the closest pointer **strictly preceding** it, or
-        to the successor when no pointer precedes it.  Strict
-        precedence matters: a key equal to (or covered by) a finger
-        node must travel with the chain branch of the preceding
-        pointer, otherwise that finger could receive the message both
-        directly and through the chain and deliver twice.  Every
-        transmission lands directly on a finger, so each is one hop.
+        then partition the remaining keys among the fingers.  The keys
+        between two consecutive fingers form one group, and a group
+        travels whole: to the finger past it when that finger's slot
+        certifies the group's *nearest* key (see :meth:`_next_hop`) —
+        it then owns every key of the group — and otherwise to the
+        finger **strictly preceding** it.  Deciding per key would be
+        wrong: of two keys owned by the same finger, the one before the
+        slot's start is not certified, so the finger would receive one
+        key directly and the other through the preceding finger's
+        chain, and deliver twice.  For the same reason a key equal to
+        (or covered by) a finger must travel with the branch of the
+        preceding pointer unless its whole group jumps.  Every
+        transmission lands directly on a finger, so each is one hop,
+        and only fingers are read: a node the message merely passes
+        through neither folds its touch log nor builds a merged table.
 
-        The per-key pointer choice is a binary search over the
-        distance-sorted finger list: the closest strictly-preceding
-        pointer for a key at distance ``t`` is the last finger with
-        distance ``< t``.
+        The keys are sorted by clockwise distance once, so the groups
+        are runs of that order, each decided at its first key with one
+        slot read (and one binary search over the finger distances when
+        the slot does not certify it); consecutive groups bound for the
+        same finger merge into one branch.
 
         Fan-out reuse: all branches share one path tuple; if this
         envelope was not delivered locally it becomes one of the
@@ -847,15 +934,17 @@ class ChordNode:
                 self._release(message)
             return
         dists = self._finger_dists
-        successor = pointers[0]  # fallback that always progresses
+        slots = self._finger_slots
         hops = message.hops + 1
-        path = message.path + (me,)
+        path = message.path + (me, predecessor)
         transmit = self._overlay.transmit
         if len(rest) == 1:
             # Single remaining key: one branch, no grouping machinery.
             (key,) = rest
-            index = bisect_left(dists, (key - me) % size) - 1
-            pointer = pointers[index] if index >= 0 else successor
+            distance = (key - me) % size
+            pointer = slots[distance.bit_length() - 1]
+            if (pointer - me) % size < distance:
+                pointer = pointers[bisect_left(dists, distance) - 1]
             if mine:
                 branch = self._branch(message, hops, path, rest)
             else:
@@ -865,23 +954,41 @@ class ChordNode:
                 branch.target_keys = rest
             transmit(me, pointer, branch)
             return
-        groups: dict[int, set[int]] = {}
-        for key in rest:
-            index = bisect_left(dists, (key - me) % size) - 1
-            best = pointers[index] if index >= 0 else successor
-            group = groups.get(best)
-            if group is None:
-                groups[best] = {key}
-            else:
-                group.add(key)
-        # One group means its key set is exactly ``rest`` — reuse that
-        # frozenset instead of building an identical one.
-        whole = rest if len(groups) == 1 else None
+        distances = sorted([(key - me) % size for key in rest])
+        count = len(distances)
+        nfingers = len(dists)
+        # Pointer -> index of its branch's first key in ``distances``.
+        # Pointers only move clockwise as the keys do, so each branch
+        # is one run of the sorted order.
+        branches: dict[int, int] = {}
+        reach = 0  # the current group ends at this distance
+        pointer = -1
+        for position, distance in enumerate(distances):
+            if distance > reach:  # nearest key of the next group
+                owner = slots[distance.bit_length() - 1]
+                reach = (owner - me) % size
+                if reach < distance:
+                    at = bisect_left(dists, distance)
+                    owner = pointers[at - 1]
+                    reach = dists[at] if at < nfingers else size
+                if owner != pointer:
+                    pointer = owner
+                    branches[owner] = position
         # The undelivered envelope carries one branch itself; the rest
         # are fresh (or pooled) copies sharing the same path tuple.
         reusable = None if mine else message
-        for pointer, keys in groups.items():
-            branch_keys = whole if whole is not None else frozenset(keys)
+        end = count
+        for pointer in reversed(branches):  # each run ends where the next began
+            first = branches[pointer]
+            if end - first == count:
+                # One branch means its key set is exactly ``rest`` —
+                # reuse that frozenset instead of building its equal.
+                branch_keys = rest
+            else:
+                branch_keys = frozenset(
+                    [(me + distance) % size for distance in distances[first:end]]
+                )
+            end = first
             if reusable is not None:
                 branch = reusable
                 branch.hops = hops
@@ -939,13 +1046,13 @@ class ChordNode:
                 target_keys=rest,
                 mode=message.mode,
                 hops=message.hops + 1,
-                path=message.path + (me,),
+                path=message.path + (me, predecessor),
                 trace=message.trace,
             )
         else:
             onward = message
             onward.hops += 1
-            onward.path += (me,)
+            onward.path += (me, predecessor)
             onward.target_keys = rest
             onward.key = next_key
         next_hop = self._next_hop(next_key, use_cache=True)

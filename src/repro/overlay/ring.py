@@ -461,28 +461,6 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
 
     # -- internals shared with node implementations ---------------------------
 
-    def _prepared(
-        self,
-        message: OverlayMessage,
-        key: int | None = None,
-        target_keys: frozenset[int] | None = None,
-        mode: CastMode = CastMode.UNICAST,
-    ) -> OverlayMessage:
-        # Direct construction instead of dataclasses.replace: this runs
-        # once per request, and replace() pays dict-merge overhead.
-        return OverlayMessage(
-            kind=message.kind,
-            payload=message.payload,
-            request_id=message.request_id,
-            origin=message.origin,
-            key=key,
-            target_keys=target_keys,
-            mode=mode,
-            hops=0,
-            path=(),
-            trace=message.trace,
-        )
-
     def transmit(self, src: int, dst: int, message: OverlayMessage) -> None:
         """One-hop transmission between nodes (charged to the request)."""
         self._network.transmit(src, dst, message)

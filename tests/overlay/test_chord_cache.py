@@ -5,7 +5,12 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.overlay.api import MessageKind, OverlayMessage, next_request_id
+from repro.overlay.api import (
+    MessageKind,
+    NeighborSide,
+    OverlayMessage,
+    next_request_id,
+)
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
@@ -66,29 +71,31 @@ def test_forget():
 
 
 def test_dead_cache_entry_skipped_and_forgotten():
-    sim, overlay = build(cache=8, ids=(100, 2000, 4000, 6000))
+    # 4300 owns the finger start nearest below the key, so no slot
+    # certifies the key's owner and the fallback scan runs.
+    sim, overlay = build(cache=8, ids=(100, 2000, 4000, 4300, 4600, 6000))
     node = overlay.node(100)
-    node.learn([4000])
-    overlay.crash(4000)
-    # Routing past 4000's position examines (and evicts) the dead entry.
+    node.learn([4600])
+    overlay.crash(4600)
+    # Routing past 4600's position examines (and evicts) the dead entry.
     delivered = []
     overlay.set_deliver(lambda nid, m: delivered.append(nid))
     message = OverlayMessage(
         kind=MessageKind.PUBLICATION, payload=None,
         request_id=next_request_id(), origin=100,
     )
-    overlay.send(100, 5000, message)  # beyond 4000; owner is 6000
+    overlay.send(100, 5000, message)  # beyond 4600; owner is 6000
     sim.run()
     assert delivered == [overlay.owner_of(5000)] == [6000]
-    assert 4000 not in node.cached_ids()
+    assert 4600 not in node.cached_ids()
 
 
 def test_cache_enables_one_hop_shortcut():
     """A cached node preceding-or-equal to the key is reached directly.
 
-    (The cache cannot shortcut to an owner *past* the key — nodes do not
-    know each other's coverage — which is why it saturates above the
-    paper's 2.5-hop figure; see EXPERIMENTS.md.)"""
+    (An owner *past* the key is reached directly only when the cache
+    holds the arc it stamped: see ``test_cached_arc_*`` in
+    ``test_chord_owned_arcs.py``.)"""
     sim, overlay = build(cache=8)
     source = overlay.node(100)
     source.learn([6000])
@@ -115,3 +122,18 @@ def test_receiving_messages_populates_cache():
     sim.run()
     receiver = overlay.node(delivered[0])
     assert 100 in receiver.cached_ids()  # learned the origin
+
+
+def test_neighbor_send_teaches_the_sender_and_the_origin():
+    """A one-hop send is a ``forwarded_copy``: its path names the sender
+    bare (no arc stamped), and the receiver learns it and the origin."""
+    sim, overlay = build(cache=8)
+    message = OverlayMessage(
+        kind=MessageKind.CONTROL, payload=None,
+        request_id=next_request_id(), origin=6000,
+    )
+    overlay.send_to_neighbor(2000, NeighborSide.SUCCESSOR, message)
+    sim.run()
+    receiver = overlay.node(4000)
+    assert receiver.cached_ids() == [2000, 6000]
+    assert receiver._cache == {2000: None, 6000: None}  # pointers, not arcs

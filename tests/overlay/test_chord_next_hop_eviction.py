@@ -38,12 +38,14 @@ def msg(src):
 
 
 def test_single_crashed_cached_node_is_skipped_and_evicted():
-    sim, overlay = build((100, 2000, 4000, 6000))
+    # 4300 owns the finger start nearest below the key (100 + 4096), so
+    # no slot certifies the key's owner and the fallback scan runs.
+    sim, overlay = build((100, 2000, 4000, 4300, 4600, 6000))
     node = overlay.node(100)
-    node.learn([4000])
-    overlay.crash(4000)
-    assert node._next_hop(5000, use_cache=True) == 2000
-    assert 4000 not in node.cached_ids()
+    node.learn([4600])
+    overlay.crash(4600)
+    assert node._next_hop(5000, use_cache=True) == 4300
+    assert 4600 not in node.cached_ids()
 
 
 def test_stack_of_crashed_cached_nodes_walked_and_evicted():
@@ -52,17 +54,19 @@ def test_stack_of_crashed_cached_nodes_walked_and_evicted():
     node = overlay.node(100)
     # Cache several nodes that all precede the key, then crash the
     # closest three: the scan must walk left over every dead entry.
-    node.learn([3100, 3600, 4100, 4600])
-    for dead in (3600, 4100, 4600):
+    # (The farthest finger, 4600, lies before all of them, so no slot
+    # certifies the key's owner.)
+    node.learn([5100, 5600, 6100, 6600])
+    for dead in (5600, 6100, 6600):
         overlay.crash(dead)
-    hop = node._next_hop(4700, use_cache=True)
-    assert hop == 3100
-    for dead in (3600, 4100, 4600):
+    hop = node._next_hop(6700, use_cache=True)
+    assert hop == 5100
+    for dead in (5600, 6100, 6600):
         assert dead not in node.cached_ids()
-    assert 3100 in node.cached_ids()
+    assert 5100 in node.cached_ids()
     # The table stays consistent: a second lookup gets the same answer
     # without re-examining dead entries.
-    assert node._next_hop(4700, use_cache=True) == 3100
+    assert node._next_hop(6700, use_cache=True) == 5100
 
 
 def test_route_through_crashed_cache_still_delivers_at_owner():

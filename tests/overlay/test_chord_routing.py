@@ -81,11 +81,14 @@ def test_location_cache_reduces_hops():
     warm = mean_hops(128)
     assert warm < cold
     # Section 5.1 reports ~2.5 average hops at n=500 thanks to finger
-    # caching (vs ~0.5*log2(500) = 4.5 without).  Our location cache
-    # saturates around 3.5 for uniformly random pairs; the shape
-    # (caching beats plain fingers by a wide margin) is what we assert.
-    assert warm < 4.0
-    assert cold > 4.5
+    # caching.  Plain fingers cost ~0.5*log2(500) = 4.5 hops when a key
+    # must end with a walk through its owner's predecessor; the finger
+    # slot that certifies the owner saves part of that last hop (~4.4),
+    # and cached owned arcs bring uniformly random pairs to ~3.1.  The
+    # shape (caching beats plain fingers by a wide margin) is what we
+    # assert.
+    assert warm < 3.5
+    assert 4.0 < cold < 4.5
 
 
 def test_cache_learns_from_message_paths():

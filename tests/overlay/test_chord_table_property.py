@@ -7,14 +7,21 @@ for a single re-sort.  Whatever the interleaving of cache writes,
 membership changes and reads — and whichever side of that cutover a
 read lands on — ``routing_table()`` must equal the from-scratch
 derivation ``(fingers | cache) - {self}`` and ``_next_hop`` must equal
-a brute-force scan of it, dead-entry eviction included.
+a reference decision over it: the key's owner when a pointer certifies
+it — the finger whose slot start is the nearest power of two below the
+key, when that finger *is* the key's owner, else the first table entry
+past the key when it is live and the arc it last stamped covers the key
+— and otherwise a brute-force scan for the closest live entry at or
+before the key, dead-entry eviction included.
 
 The cache under the table is itself deferred — ``learn`` appends to a
 touch log that ``_fold`` applies on the next cached read or past its
 length bound — so each watched node is shadowed by the reference LRU of
 ``test_learn_batch``: after every read the cache must hold the same ids
-in the same LRU order, whichever reader folded and however many learns,
-forgets and dead-entry evictions the fold spanned.
+in the same LRU order with the same stamped arcs, whichever reader
+folded and however many learns, forgets and dead-entry evictions the
+fold spanned.  Touches are bare ids (``learn``) or the stamped path of
+a received message, its arcs true or stale at random.
 
 Seeded, 3 cache capacities x 100 seeds.  The op mix has both single
 writes followed by a read (journal replay) and long write bursts
@@ -32,7 +39,7 @@ import pytest
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
-from tests.overlay.test_learn_batch import ReferenceLRU
+from tests.overlay.test_learn_batch import ReferenceLRU, receive_stamped
 
 KS = KeySpace(13)
 SIZE = KS.size
@@ -48,16 +55,36 @@ def derived_table(overlay, node, cached) -> list[int]:
     return sorted(members, key=lambda nid: distance(node, nid))
 
 
-def brute_force_next_hop(overlay, node, key: int, cached) -> tuple[int, set[int]]:
-    """The expected hop and the dead entries the scan must evict."""
+def reference_next_hop(overlay, node, key: int, lru) -> tuple[int, set[int]]:
+    """The expected hop and the dead entries the decision must evict."""
     target = distance(node, key)
-    table = derived_table(overlay, node, cached)
+    if target:
+        # Certificate (a): the finger owning the slot start nearest
+        # below the key is the key's owner (ground truth, both sides).
+        start = (node.id + (1 << (target.bit_length() - 1))) % SIZE
+        finger = overlay.owner_of(start)
+        if finger != node.id and finger == overlay.owner_of(key):
+            return finger, set()
+    table = derived_table(overlay, node, lru.order)
+    examined = set()
+    # Certificate (b): the first entry past the key, by its stamped arc.
+    past = [n for n in table if distance(node, n) > target]
+    if past:
+        stamped = lru.arcs.get(past[0])
+        if (
+            stamped is not None
+            and stamped != past[0]
+            and KS.in_open_closed(key, stamped, past[0])
+        ):
+            if overlay.is_alive(past[0]):
+                return past[0], set()
+            examined.add(past[0])
     reachable = [n for n in table if distance(node, n) <= target]
     live = [n for n in reachable if overlay.is_alive(n)]
     if not live:
-        return overlay.successor_of(node.id), set(reachable)
+        return overlay.successor_of(node.id), examined | set(reachable)
     best = live[-1]
-    examined = {n for n in reachable if distance(node, n) > distance(node, best)}
+    examined |= {n for n in reachable if distance(node, n) > distance(node, best)}
     return best, examined
 
 
@@ -73,9 +100,16 @@ def run_example(cache: int, seed: int) -> None:
     known = list(ids)  # live and departed ids: learns may name the dead
 
     def check(node) -> None:
-        reference = lru[node.id].order
-        assert node.routing_table() == derived_table(overlay, node, reference)
-        assert node.cached_ids() == reference
+        reference = lru[node.id]
+        assert node.routing_table() == derived_table(overlay, node, reference.order)
+        assert node.cached_ids() == reference.order
+        assert node._cache == reference.arcs
+
+    def stamp(node_id: int) -> int:
+        """The arc a path hop ``node_id`` stamped: true or stale."""
+        if node_id in live and rng.random() < 0.67:
+            return overlay.predecessor_of(node_id)
+        return rng.choice([other for other in known if other != node_id])
 
     for _ in range(rng.randint(40, 120)):
         node = rng.choice(watched)
@@ -85,8 +119,13 @@ def run_example(cache: int, seed: int) -> None:
             # or one that also outruns the fold bound.
             for _ in range(rng.choice((1, 1, 1, 12, 40))):
                 sequence = rng.choices(known, k=rng.randint(1, 5))
-                node.learn(sequence)
-                lru[node.id].learn(sequence)
+                if rng.random() < 0.25:  # bare ids
+                    node.learn(sequence)
+                    lru[node.id].learn(sequence)
+                else:  # a routed message's path
+                    arcs = [(node_id, stamp(node_id)) for node_id in sequence]
+                    receive_stamped(node, arcs)
+                    lru[node.id].touch(arcs)
         elif roll < 0.48:
             victim = rng.choice(known)
             node.forget(victim)
@@ -109,9 +148,7 @@ def run_example(cache: int, seed: int) -> None:
             # The expectation is computed from the reference LRU alone,
             # so _next_hop is the reader that folds here.
             key = rng.randrange(SIZE)
-            expected, evicted = brute_force_next_hop(
-                overlay, node, key, lru[node.id].order
-            )
+            expected, evicted = reference_next_hop(overlay, node, key, lru[node.id])
             assert node._next_hop(key, use_cache=True) == expected
             for dead in evicted:
                 lru[node.id].forget(dead)

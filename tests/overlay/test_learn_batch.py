@@ -1,8 +1,11 @@
 """Order-exact cache learning: the touch-log fold against a reference LRU.
 
-``learn`` (and ``receive``) only append the ids they saw to a per-node
-touch log; ``_fold`` applies the log when the cache is next read, or on
-its own once the log passes ``_FOLD_AT`` ids.  The rule that makes this
+``learn`` (and ``receive``) only append what they saw to a per-node
+touch log, as flat ``(id, predecessor)`` pairs — the predecessor is the
+arc the node stamped on a message's path, None when it was named
+without one (``learn``, and the sender of a one-hop message); ``_fold``
+applies the log when the cache is next read, or on its own once the log
+passes ``_FOLD_AT`` slots.  The rule that makes this
 exact: **a fold may span any touches that have no cached read between
 them** — an LRU after any touch sequence holds the ``capacity`` most
 recently touched distinct ids in last-touch order, whether it evicted
@@ -15,8 +18,11 @@ every sequence: same contents *and same LRU order* (hence the same
 eviction victims) through every reader, across runs longer than the
 fold bound, ``forget`` between learns, capacity 1, sequences longer
 than the capacity and self-only sequences; and a merged routing table
-equal to the from-scratch derivation.  (The ``test_learn_batch_*``
-names are historical: ``learn_batch`` itself was retired in PR 12.)
+equal to the from-scratch derivation.  The arc an id carries rides the
+same fold and the last touch wins, bare or stamped — so the value, like
+the order, does not depend on when the fold ran.  (The module and
+``test_learn_batch_*`` names are historical: ``learn_batch`` itself was
+retired in PR 12.)
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import random
 
 import pytest
 
+from repro.overlay.api import MessageKind, OverlayMessage, next_request_id
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.chord.node import _FOLD_AT
 from repro.overlay.ids import KeySpace
@@ -41,25 +48,54 @@ def build(cache: int) -> ChordOverlay:
 
 
 class ReferenceLRU:
-    """The location cache as its definition reads: least recent first."""
+    """The location cache as its definition reads: least recent first,
+    each id with the predecessor its last touch carried (None: bare)."""
 
     def __init__(self, owner: int, capacity: int) -> None:
         self.owner = owner
         self.capacity = capacity
         self.order: list[int] = []
+        self.arcs: dict[int, int | None] = {}
 
     def learn(self, node_ids) -> None:
-        for node_id in node_ids:
+        self.touch([(node_id, None) for node_id in node_ids])
+
+    def touch(self, arcs) -> None:
+        """One sequence of ``(id, predecessor)`` touches, then evict."""
+        for node_id, stamped in arcs:
             if node_id == self.owner:
                 continue
             if node_id in self.order:
                 self.order.remove(node_id)
+            self.arcs[node_id] = stamped
             self.order.append(node_id)
-        del self.order[: max(0, len(self.order) - self.capacity)]
+        for evicted in self.order[: max(0, len(self.order) - self.capacity)]:
+            self.forget(evicted)
 
     def forget(self, node_id: int) -> None:
         if node_id in self.order:
             self.order.remove(node_id)
+            del self.arcs[node_id]
+
+
+def receive_stamped(node, arcs) -> None:
+    """Hand ``node`` a routed message whose hops stamped ``arcs``.
+
+    The message is addressed to the node's own id, so it is delivered
+    there and goes no further; ``learn`` itself takes bare ids only.
+    """
+    path = tuple(slot for arc in arcs for slot in arc)
+    node.receive(
+        OverlayMessage(
+            kind=MessageKind.CONTROL,
+            payload=None,
+            request_id=next_request_id(),
+            origin=path[0],
+            key=node.id,
+            hops=len(arcs),
+            path=path,
+        )
+    )
 
 
 def test_learn_batch_matches_sequential_learns_exactly():
@@ -168,9 +204,32 @@ def test_fold_bound_is_crossed_without_a_read():
         sequence = [rng.choice(RING) for _ in range(5)]
         node.learn(sequence)
         oracle.learn(sequence)
-        touched += len(sequence)
-        assert len(node._touches) <= _FOLD_AT  # the log folds itself
+        touched += 2 * len(sequence)  # a touch is an (id, predecessor) pair
+        # The log folds itself, at the same bound in slots (hence in
+        # bytes) as when a touch was a bare id.
+        assert len(node._touches) <= _FOLD_AT
     assert node.cached_ids() == oracle.order
+
+
+def test_fold_keeps_the_arc_of_the_last_touch_per_id():
+    node = build(cache=3).node(0)
+    oracle = ReferenceLRU(0, 3)
+    steps = [
+        [(64, 0), (128, 64), (320, 256)],  # a path: every hop stamped
+        [(64, None)],  # a bare touch is a bare pointer again
+        [(128, 100), (192, 128)],  # restamped: the last touch wins
+        [(192, None)],
+        [(256, 192)],  # evicts the oldest entry, arc and all
+        [(0, 8128)],  # self is never cached
+    ]
+    for arcs in steps:
+        if arcs[0][1] is None:
+            node.learn([node_id for node_id, _ in arcs])
+        else:
+            receive_stamped(node, arcs)
+        oracle.touch(arcs)
+    assert node.cached_ids() == oracle.order == [128, 192, 256]
+    assert node._cache == oracle.arcs == {128: 100, 192: None, 256: 192}
 
 
 def test_fold_keeps_untouched_entries_in_order_ahead_of_touched_ones():

@@ -11,7 +11,8 @@ probe results export through the telemetry JSONL (format version 2)
 and render via ``repro audit``.
 
 Disabled runs pay nothing: the system's hook sites guard on a cached
-``auditor is None`` check, pinned by the quick-bench fingerprint gate.
+``auditor is None`` check, pinned by the fingerprints of
+``tests/integration/test_behavior_pins.py``.
 """
 
 from __future__ import annotations

@@ -264,6 +264,11 @@ def _command_run(args: argparse.Namespace) -> int:
             routing=RoutingMode(args.routing),
             overlay=args.overlay,
             nodes=args.nodes,
+            # The paper's 2^13 keys while the ring fits in them; a larger
+            # ring gets at least four keys per node (17 bits at n=20 000).
+            key_bits=(
+                13 if args.nodes <= 1 << 13 else args.nodes.bit_length() + 2
+            ),
             cache_capacity=args.cache,
             seed=args.seed,
             subscriptions=args.subscriptions,

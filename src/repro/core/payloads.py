@@ -6,7 +6,7 @@ notifications back to subscribers, neighbor-to-neighbor COLLECT
 aggregation (Section 4.3.2), and replication/state-transfer control
 traffic (Section 4.1).
 
-All payload classes are frozen *slotted* dataclasses: at scale-bench
+All payload classes are frozen *slotted* dataclasses: at sharded-run
 populations (10^5 nodes, 10^6 publications) the per-instance ``__dict__``
 of the notification/publication hot classes dominated heap growth.
 """

@@ -9,8 +9,16 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.core.mappings import AKMapping, Discretization, make_mapping
 from repro.core.system import PubSubConfig, RoutingMode
 from repro.errors import ConfigurationError
+from repro.overlay.api import OverlayNetwork
+from repro.overlay.can import CanOverlay
+from repro.overlay.chord import ChordOverlay
+from repro.overlay.ids import KeySpace
+from repro.overlay.network import Network
+from repro.overlay.pastry import PastryOverlay
+from repro.sim.kernel import Simulator
 from repro.workload.spec import WorkloadSpec
 
 
@@ -151,3 +159,30 @@ class ExperimentConfig:
             matcher=self.matcher,
             covering=self.covering,
         )
+
+    def build_overlay(self, sim: Simulator, network: Network) -> OverlayNetwork:
+        """The configured overlay over ``network``, its ring not yet built.
+
+        The one overlay recipe: the serial runner and every shard worker
+        call it, so their routing state cannot drift apart.
+        """
+        keyspace = KeySpace(self.key_bits)
+        if self.overlay == "pastry":
+            return PastryOverlay(sim, keyspace, network=network)
+        if self.overlay == "can":
+            return CanOverlay(sim, keyspace, network=network)
+        return ChordOverlay(
+            sim, keyspace, network=network, cache_capacity=self.cache_capacity
+        )
+
+    def build_mapping(self) -> AKMapping:
+        """The configured ak-mapping (stateless, so every copy agrees on keys)."""
+        space = self.workload.make_space()
+        kwargs: dict[str, object] = {
+            "discretization": Discretization.uniform(
+                space.dimensions, self.discretization_width
+            )
+        }
+        if self.mapping == "attribute-split":
+            kwargs["event_attribute"] = self.event_attribute
+        return make_mapping(self.mapping, space, KeySpace(self.key_bits), **kwargs)

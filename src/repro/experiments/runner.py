@@ -5,23 +5,16 @@ from __future__ import annotations
 import dataclasses
 
 from repro.audit import AuditConfig, Auditor, AuditReport
-from repro.core.mappings import make_mapping
-from repro.core.mappings.base import Discretization
 from repro.core.system import PubSubSystem
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.recorder import MetricsRecorder
 from repro.metrics.stats import Summary, summarize
 from repro.overlay.api import MessageKind
-from repro.overlay.can import CanOverlay
-from repro.overlay.chord import ChordOverlay
-from repro.overlay.ids import KeySpace
-from repro.overlay.pastry import PastryOverlay
 from repro.overlay.network import FixedDelay, Network
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.shard import (
     ShardRunReport,
-    build_shard_mapping,
     ring_node_ids,
     run_sharded,
 )
@@ -102,31 +95,15 @@ def build_system(
             uses the ambient (by default disabled, free) telemetry.
     """
     sim = Simulator()
-    keyspace = KeySpace(config.key_bits)
     network = Network(sim, FixedDelay(config.message_delay), telemetry=telemetry)
     if telemetry is not None and telemetry.enabled:
         sim.attach_telemetry(telemetry)
-    if config.overlay == "pastry":
-        overlay = PastryOverlay(sim, keyspace, network=network)
-    elif config.overlay == "can":
-        overlay = CanOverlay(sim, keyspace, network=network)
-    else:
-        overlay = ChordOverlay(
-            sim, keyspace, network=network, cache_capacity=config.cache_capacity
-        )
+    overlay = config.build_overlay(sim, network)
     ring_rng = streams.stream("ring")
-    node_ids = ring_rng.sample(range(keyspace.size), config.nodes)
-    overlay.build_ring(node_ids)
-
-    space = config.workload.make_space()
-    discretization = Discretization.uniform(
-        space.dimensions, config.discretization_width
+    overlay.build_ring(ring_rng.sample(range(overlay.keyspace.size), config.nodes))
+    system = PubSubSystem(
+        sim, overlay, config.build_mapping(), config.pubsub_config()
     )
-    mapping_kwargs = {"discretization": discretization}
-    if config.mapping == "attribute-split":
-        mapping_kwargs["event_attribute"] = config.event_attribute
-    mapping = make_mapping(config.mapping, space, keyspace, **mapping_kwargs)
-    system = PubSubSystem(sim, overlay, mapping, config.pubsub_config())
     return sim, system
 
 
@@ -170,7 +147,7 @@ def run_sharded_experiment(
         cuts=config.shard_cuts,
     )
     recorder = outcome.recorder
-    mapping = build_shard_mapping(config)
+    mapping = config.build_mapping()
     subscriptions = [
         op.subscription for op in trace.ops if op.kind == "sub"
     ]

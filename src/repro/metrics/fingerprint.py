@@ -1,12 +1,13 @@
 """Canonical behavior fingerprints over a run's recorded metrics.
 
-The bench harness has pinned simulated outcomes since PR 1 by hashing a
-canonicalized view of the metrics recorder; the sharded kernel (PR 7)
-needs the *same* digest to state its determinism contract ("``--shards
-1`` is bit-for-bit the serial kernel", "K > 1 is identical across
-repeat runs"), so the canonicalization lives here and both consumers
-import it.  The canonical form is frozen — changing it silently
-invalidates every committed baseline fingerprint.
+Simulated outcomes have been pinned since PR 1 by hashing a
+canonicalized view of the metrics recorder; the sharded kernel states
+its determinism contract in the *same* digest ("``--shards 1`` is
+bit-for-bit the serial kernel", "K > 1 is identical across repeat
+runs"), and so does the performance ledger, so the canonicalization
+lives here and all of them import it.  The canonical form is frozen —
+changing it silently invalidates every record pinned in
+``tests/integration/behavior_pins.json``.
 
 Everything in the digest is invariant under intra-timestamp event
 reordering (multisets, not sequences) but pins delivery counts, hop
@@ -66,10 +67,10 @@ def behavior_digest(recorder: MetricsRecorder) -> str:
 
 
 def behavior_fingerprint(recorder: MetricsRecorder) -> dict:
-    """The bench-harness fingerprint record for one run.
+    """The fingerprint record for one run, as the behavior pins store it.
 
-    The digest plus the human-comparable summary fields the bench JSON
-    has always carried next to it.
+    The digest plus the human-comparable summary fields that say which
+    way a run moved when the digest changes.
     """
     stats = recorder.messages
     canonical = canonical_metrics(recorder)

@@ -1,8 +1,8 @@
-"""Peak resident-set measurement for the bench harness.
+"""Peak resident-set measurement for the sharded kernel's workers.
 
 Linux exposes a process's RSS high-water mark as ``VmHWM`` in
 ``/proc/self/status``, and writing ``"5"`` to ``/proc/self/clear_refs``
-resets it — so a bench scenario can be bracketed by
+resets it — so a run can be bracketed by
 :func:`reset_peak_rss` / :func:`peak_rss_bytes` to report its *own*
 peak footprint rather than the process's lifetime peak.  Where either
 file is unavailable (non-Linux, restricted ``/proc``) the fallback is
@@ -12,8 +12,7 @@ False.
 
 ``tracemalloc`` is deliberately not used here: it only sees Python
 allocations (missing numpy buffers and interpreter overhead) and slows
-the measured run down, which would corrupt the throughput numbers the
-same bench reports.
+the measured run down.
 """
 
 from __future__ import annotations

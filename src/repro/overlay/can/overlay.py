@@ -17,7 +17,7 @@ from repro.overlay.api import (
 from repro.overlay.can.morton import axis_sizes, decompose, morton_decode
 from repro.overlay.ids import KeySpace
 from repro.overlay.network import Network
-from repro.overlay.ring import MembershipDeltaLog, _flatten_audit_states
+from repro.overlay.ring import MembershipDeltaLog
 from repro.sim.kernel import Simulator
 from repro.telemetry import Telemetry
 
@@ -685,19 +685,6 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
         """Zone-ordered ids with materialized node state (see base)."""
         nodes = self._nodes
         return [node_id for node_id in self._owners if node_id in nodes]
-
-    def flat_routing_state(self) -> dict[str, list[int]]:
-        """Flat parallel-array view of materialized zone state.
-
-        Same structure-of-arrays contract as
-        :meth:`RingOverlay.flat_routing_state`; each node contributes
-        its flattened ``(start, size)`` cell pairs.
-        """
-        return _flatten_audit_states(
-            (node_id, self._nodes[node_id].audit_state())
-            for node_id in self._owners
-            if node_id in self._nodes
-        )
 
     def zone_of(self, node_id: int) -> tuple[int, int]:
         """``(start, length)`` of the node's zone (may wrap the origin)."""

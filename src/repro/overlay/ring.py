@@ -102,38 +102,6 @@ class MembershipDeltaLog:
         return self._delta_log, start
 
 
-def _flatten_audit_states(states) -> dict[str, list[int]]:
-    """Flatten ``(node_id, audit_state())`` pairs into parallel arrays.
-
-    Shared by the ring overlays and CAN.  Each audit state is
-    ``(version, *arrays)`` where the arrays hold ints, ``None`` (empty
-    routing slots, encoded -1) or int tuples (CAN cells, flattened in
-    order).
-    """
-    node_ids: list[int] = []
-    versions: list[int] = []
-    offsets: list[int] = [0]
-    entries: list[int] = []
-    for node_id, state in states:
-        node_ids.append(node_id)
-        versions.append(state[0])
-        for part in state[1:]:
-            for value in part:
-                if value is None:
-                    entries.append(-1)
-                elif isinstance(value, tuple):
-                    entries.extend(value)
-                else:
-                    entries.append(value)
-        offsets.append(len(entries))
-    return {
-        "node_ids": node_ids,
-        "versions": versions,
-        "offsets": offsets,
-        "entries": entries,
-    }
-
-
 class RingOverlay(MembershipDeltaLog, OverlayNetwork):
     """Base class: membership, KN-mapping and message entry points.
 
@@ -341,25 +309,6 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
         # the departed id's keys have a live heir: its old successor.
         heir = self._ring[index % len(self._ring)]
         self._log_delta("depart", node_id, heir)
-
-    def flat_routing_state(self) -> dict[str, list[int]]:
-        """Hoist per-node routing tables into flat parallel arrays.
-
-        Structure-of-arrays view over the materialized nodes, in ring
-        order: ``node_ids[i]`` / ``versions[i]`` describe node *i*, and
-        its table entries are ``entries[offsets[i]:offsets[i+1]]`` (the
-        flattened, order-preserving concatenation of its
-        ``audit_state()`` arrays, ``None`` encoded as -1).  Non-mutating
-        like ``audit_state`` itself.  The shard engine ships these
-        arrays — not node objects — across the process boundary, and
-        the bench reads table occupancy off them without touching node
-        state.
-        """
-        return _flatten_audit_states(
-            (node_id, self._nodes[node_id].audit_state())
-            for node_id in self._ring
-            if node_id in self._nodes
-        )
 
     # -- KN-mapping and pointers -------------------------------------------
 

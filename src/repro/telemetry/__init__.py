@@ -14,9 +14,9 @@ handed a telemetry explicitly fall back to :func:`current`, which
 returns a process-global *null* telemetry: ``enabled`` is False, the
 tracer is a no-op and the registry hands out unregistered (but still
 counting) instruments.  Hot paths guard at the call site — one cached
-``is None`` check per transmission — so the quick-bench behavior
-fingerprints with telemetry disabled stay bit-for-bit identical to the
-pre-telemetry baseline (enforced by ``make verify``).
+``is None`` check per transmission — so the behavior fingerprints of a
+telemetry-disabled run stay bit-for-bit identical to the pre-telemetry
+ones (enforced in tier-1 by ``tests/integration/test_behavior_pins.py``).
 
 Enable by constructing ``Telemetry()`` and passing it down the stack
 (``run_experiment(config, telemetry=...)`` / ``Network(...,

@@ -17,8 +17,8 @@ it:
 Hot paths follow the tracer's null-sink discipline exactly: components
 cache ``telemetry.load if telemetry.enabled else None`` once at
 construction and guard each emission with that single identity check,
-so a disabled run stays bit-for-bit fingerprint-free (enforced by the
-quick-bench gate in ``make verify``).
+so a disabled run stays bit-for-bit fingerprint-free (enforced in
+tier-1 by ``tests/integration/test_behavior_pins.py``).
 
 :meth:`LoadMeter.sample` runs on the simulated clock (invoked by
 :meth:`Telemetry.sample`): it snapshots the skew statistics of the

@@ -33,11 +33,10 @@ balancing.
 
 Profiling is pure observation: it never touches the simulated event
 stream, so a profiled run's behavior fingerprint is bit-for-bit
-identical to an unprofiled one (the scale bench runs its sharded legs
-profiled against baseline digests recorded unprofiled, which keeps
-this honest), and with profiling off the only residue is one ``is
-None`` check per transmit — pinned, like the tracer and the LoadMeter,
-by the quick-bench ``--check`` fingerprint gate.
+identical to an unprofiled one (``tests/telemetry/test_profile.py``
+keeps this honest), and with profiling off the only residue is one
+``is None`` check per transmit — pinned, like the tracer and the
+LoadMeter, by ``tests/integration/test_behavior_pins.py``.
 """
 
 from __future__ import annotations

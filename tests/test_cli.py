@@ -27,6 +27,15 @@ def test_run_with_optimizations(capsys):
     assert "notification" in capsys.readouterr().out
 
 
+def test_run_widens_the_key_space_for_rings_beyond_the_papers(capsys):
+    code = main([
+        "run", "--nodes", "9000", "--subscriptions", "5", "--publications", "5",
+        "--discretization", "256",
+    ])
+    assert code == 0
+    assert "hops per publication" in capsys.readouterr().out
+
+
 def test_run_event_space_partition(capsys):
     code = main([
         "run", "--mapping", "event-space-partition", "--nodes", "80",

@@ -222,33 +222,16 @@ class CanNode:
     # -- message handling --------------------------------------------------
 
     def receive(self, message: OverlayMessage) -> None:
-        self.receive_batch([message])
-
-    def receive_batch(self, messages: list[OverlayMessage]) -> None:
-        """Bucket entry point: dispatch one ``(dst, tick)`` inbox.
-
-        The zone decomposition is version-memoized, so a bucket pays at
-        most one catch-up.  The network only hands a bucket to a live
-        node, so liveness is re-checked from the second message on:
-        mid-batch self-unregistration drops the remainder with the
-        drain loop's accounting.
-        """
-        overlay = self._overlay
-        for index, message in enumerate(messages):
-            if index:
-                network = overlay._network
-                if not network.is_alive(self.id):
-                    network.drop_undeliverable(messages[index:])
-                    return
-            mode = message.mode
-            if mode is CastMode.MCAST:
-                self.continue_mcast(message)
-            elif mode is CastMode.SEQUENTIAL:
-                self.continue_sequential(message)
-            elif message.key is None:
-                overlay.do_deliver(self, message)
-            else:
-                self.route_unicast(message)
+        """Network upcall: continue routing or deliver ``message``."""
+        mode = message.mode
+        if mode is CastMode.MCAST:
+            self.continue_mcast(message)
+        elif mode is CastMode.SEQUENTIAL:
+            self.continue_sequential(message)
+        elif message.key is None:
+            self._overlay.do_deliver(self, message)
+        else:
+            self.route_unicast(message)
 
     def _next_hop(self, key: int) -> int | None:
         """Greedy geometric step toward ``key`` (None = deliver here).
@@ -464,9 +447,12 @@ class CanNode:
         if next_hop is None:
             self._overlay.do_deliver(self, message)
             return
-        self._overlay._network_transmit(
-            self.id, next_hop, message.forwarded_copy(self.id)
-        )
+        # Not delivered here, so this node holds the only reference
+        # (see OverlayMessage.forwarded_copy): forward it in place.
+        me = self.id
+        message.hops += 1
+        message.path += (me,)
+        self._overlay._network_transmit(me, next_hop, message)
 
     def start_mcast(self, message: OverlayMessage) -> None:
         self.continue_mcast(message)
@@ -478,7 +464,9 @@ class CanNode:
         Branches leave in the order their first key came up, each key
         set built by ``add`` in that same order: downstream nodes
         iterate the set, so its insertion history is part of the
-        behaviour the fingerprints pin.
+        behaviour the fingerprints pin.  An envelope that was not
+        delivered here carries the last branch itself (the others are
+        copied from it first); a delivered one is the application's.
         """
         overlay = self._overlay
         key_owner = overlay._key_owner
@@ -489,17 +477,26 @@ class CanNode:
             overlay.do_deliver(self, message)
         next_hop_of = self._next_hop
         groups: dict[int, set[int]] = {}
+        last_hop = None  # of the branch the envelope itself will carry
         for key in targets - mine:
             next_hop = next_hop_of(key)
             if next_hop in groups:
                 groups[next_hop].add(key)
             elif next_hop is not None:
                 groups[next_hop] = {key}
+                last_hop = next_hop
+        if mine:
+            last_hop = None
         transmit = overlay._network_transmit
         for next_hop in groups:
-            branch = message.forwarded_copy(
-                me, target_keys=frozenset(groups[next_hop])
-            )
+            keys = frozenset(groups[next_hop])
+            if next_hop == last_hop:
+                branch = message
+                branch.hops += 1
+                branch.path += (me,)
+                branch.target_keys = keys
+            else:
+                branch = message.forwarded_copy(me, target_keys=keys)
             transmit(me, next_hop, branch)
 
     def continue_sequential(self, message: OverlayMessage) -> None:
@@ -530,7 +527,13 @@ class CanNode:
         next_hop = self._next_hop(chase)
         if next_hop is None:
             return
-        onward = message.forwarded_copy(me, target_keys=rest)
+        if mine:
+            onward = message.forwarded_copy(me, target_keys=rest)
+        else:  # not delivered here: forwarded in place
+            onward = message
+            onward.hops += 1
+            onward.path += (me,)
+            onward.target_keys = rest
         onward.key = chase
         overlay._network_transmit(me, next_hop, onward)
 
@@ -936,7 +939,7 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
             return
         node = CanNode(node_id, self)
         self._nodes[node_id] = node
-        self._network.register(node_id, node.receive, node.receive_batch)
+        self._network.register(node_id, node.receive)
 
     def _unregister(self, node_id: int) -> None:
         self._members.discard(node_id)

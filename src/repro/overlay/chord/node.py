@@ -761,25 +761,6 @@ class ChordNode:
         else:
             self.route_unicast(message)
 
-    def receive_batch(self, messages: list[OverlayMessage]) -> None:
-        """Bucket entry point: one ``(dst, tick)`` inbox in send order.
-
-        Re-checks liveness before every message, so a self-removal
-        mid-tick drops the remainder with the drain loop's accounting.
-        """
-        if len(messages) == 1:  # the common bucket is a singleton
-            self.receive(messages[0])
-            return
-        network = self._overlay.network
-        is_alive = network.is_alive
-        me = self.id
-        receive = self.receive
-        for index, message in enumerate(messages):
-            if not is_alive(me):
-                network.drop_undeliverable(messages[index:])
-                return
-            receive(message)
-
     def route_unicast(self, message: OverlayMessage) -> None:
         """Greedy Chord routing of a unicast message toward its key.
 
@@ -802,7 +783,7 @@ class ChordNode:
         next_hop = self._next_hop(key, use_cache=True)
         message.hops += 1
         message.path += (me, predecessor)
-        self._overlay.transmit(me, next_hop, message)
+        self._overlay._network_transmit(me, next_hop, message)
 
     def _next_hop(self, key: int, use_cache: bool) -> int:
         """The owner of ``key`` when a pointer certifies it, else the
@@ -937,7 +918,7 @@ class ChordNode:
         slots = self._finger_slots
         hops = message.hops + 1
         path = message.path + (me, predecessor)
-        transmit = self._overlay.transmit
+        transmit = self._overlay._network_transmit
         if len(rest) == 1:
             # Single remaining key: one branch, no grouping machinery.
             (key,) = rest
@@ -1056,4 +1037,4 @@ class ChordNode:
             onward.target_keys = rest
             onward.key = next_key
         next_hop = self._next_hop(next_key, use_cache=True)
-        self._overlay.transmit(me, next_hop, onward)
+        self._overlay._network_transmit(me, next_hop, onward)

@@ -9,17 +9,36 @@ paper's evaluation fixes the per-hop delay at 50 ms (Section 5.1).
 Transmissions addressed to a node that has crashed are silently dropped
 (the send is still counted — the bytes left the sender).
 
-Delivery is *batched per destination and arrival time*: the paper's
-m-cast primitive (Fig. 4) fans one publication out into waves of
-one-hop messages that all land ``delay`` later, so under a fixed delay
-model many messages share one ``(dst, arrival-time)`` pair.  Instead of
-one kernel event per message, the network keeps an inbox bucket per
-``(dst, arrival-time)`` and schedules a single non-cancellable drain
-callback per bucket; the drain hands the messages to the receiver in
-send order, re-checking liveness per message so a handler that
-unregisters its own node mid-tick drops the remainder exactly as the
-one-event-per-message engine did.  Per-message accounting (send
-counters, drop/loss counters, delivery times) is unchanged bit for bit.
+Delivery is *one kernel event per arrival instant*.  The paper's
+evaluation fixes the hop delay, so everything sent while the clock
+stands at ``t`` lands at ``t + delay``, and the m-cast primitive
+(Fig. 4) fans a publication out into waves of one-hop messages that
+do.  The network keeps a *wave* per arrival instant — ``arrival ->
+{dst -> [messages]}`` — and the instant's first send schedules its one
+non-cancellable drain.  The drain walks the wave in insertion order:
+buckets in order of their first send, the messages of a bucket in send
+order, the destination's liveness re-read before every message, so a
+handler that unregisters its own node mid-bucket drops the remainder
+exactly as a one-event-per-message engine would.  Per-message
+accounting (send counters, drop/loss counters, delivery times) is that
+engine's bit for bit.
+
+Nothing selects this: a memo of the last arrival makes finding the wave
+one float compare under a constant delay, and a delay model that draws
+a fresh latency per send gets a wave per message, in the same order as
+before.  Two edges are observable, neither reached by any workload and
+both pinned in ``tests/overlay/test_network_reference.py``:
+
+- Against *other* kernel events.  Kernel events count arrival instants
+  (so do ``events_processed``, ``pending``, ``step()`` and
+  ``run(max_events)``), and a wave fires at the ``(time, seq)`` of its
+  first send: an unrelated event scheduled for exactly a wave's
+  timestamp after that send fires after the whole wave, even if some of
+  the wave's buckets were first sent into later than it was scheduled.
+- Under zero delay.  A wave is detached before it is drained, so what a
+  handler sends at zero delay lands after the whole wave — where a
+  one-event-per-message engine delivers it — and never in a bucket of
+  the instant being drained that is still pending.
 """
 
 from __future__ import annotations
@@ -68,7 +87,7 @@ class UniformDelay:
 
 
 ReceiveFn = Callable[[OverlayMessage], None]
-BatchReceiveFn = Callable[[list[OverlayMessage]], None]
+Wave = dict[int, list[OverlayMessage]]
 
 
 class Network:
@@ -112,7 +131,6 @@ class Network:
         self._loss_rate = loss_rate
         self._loss_rng = loss_rng
         self._handlers: dict[int, ReceiveFn] = {}
-        self._batch_handlers: dict[int, BatchReceiveFn] = {}
         self._telemetry = telemetry if telemetry is not None else current_telemetry()
         registry = self._telemetry.registry
         self._dropped_counter = registry.counter("network.dropped")
@@ -127,9 +145,14 @@ class Network:
         self._load = (
             self._telemetry.load if self._telemetry.enabled else None
         )
-        # In-flight messages, bucketed by (dst, arrival time).  One
-        # drain event per bucket; each bucket list is in send order.
-        self._inboxes: dict[tuple[int, float], list[OverlayMessage]] = {}
+        # In-flight messages: one wave, and one drain event, per arrival
+        # instant.  A wave's buckets are in order of their first send,
+        # each bucket in send order.  The memo is the wave last sent
+        # into — under a constant delay, the one every send joins until
+        # the clock moves.
+        self._waves: dict[float, Wave] = {}
+        self._wave_at: float | None = None
+        self._wave: Wave = {}
         # Hot-path bindings: transmit() runs once per one-hop message,
         # so resolve the per-call attribute chains once.  A constant
         # delay model (the paper's setup) skips sample() entirely.
@@ -192,48 +215,31 @@ class Network:
 
     @property
     def in_flight(self) -> int:
-        """Messages transmitted but not yet handed to a receiver."""
-        return sum(len(bucket) for bucket in self._inboxes.values())
+        """Messages transmitted and not yet handed to a receiver.
+
+        Exact between kernel events; a wave is detached before it is
+        drained, so the rest of one being delivered is not counted.
+        """
+        return sum(
+            len(bucket) for wave in self._waves.values() for bucket in wave.values()
+        )
 
     def register(
-        self,
-        node_id: int,
-        receive: ReceiveFn,
-        receive_batch: BatchReceiveFn | None = None,
+        self, node_id: int, receive: ReceiveFn, receive_batch: object = None
     ) -> None:
         """Attach a node's receive callback under its id.
 
-        ``receive_batch``, when given, is the bucket entry point: the
-        drain hands it each whole ``(dst, tick)`` inbox bucket in one
-        call instead of invoking ``receive`` per message.  The batch
-        handler owns the per-message semantics — dispatch in send
-        order, and if the node unregisters itself mid-batch, hand the
-        remainder to :meth:`drop_undeliverable` (see the node
-        implementations).
+        The drain calls it once per message, in send order.
         """
+        # receive_batch is accepted and ignored: the ledger's network
+        # micro (benchmarks/ledger/micro.py) still passes a handler.
         if node_id in self._handlers:
             raise OverlayError(f"node {node_id} already registered")
         self._handlers[node_id] = receive
-        if receive_batch is not None:
-            self._batch_handlers[node_id] = receive_batch
 
     def unregister(self, node_id: int) -> None:
         """Detach a node; subsequent transmissions to it are dropped."""
         self._handlers.pop(node_id, None)
-        self._batch_handlers.pop(node_id, None)
-
-    def drop_undeliverable(self, messages: list[OverlayMessage]) -> None:
-        """Account for messages whose destination died mid-batch.
-
-        Batch handlers call this for the unprocessed tail of a bucket,
-        keeping drop counters and trace marks identical to the
-        per-message drain loop.
-        """
-        tracer = self._tracer
-        for message in messages:
-            self._dropped_counter.inc()
-            if tracer is not None:
-                tracer.mark_dropped(message.trace)
 
     def is_alive(self, node_id: int) -> bool:
         """True if a receive callback is registered for ``node_id``.
@@ -248,8 +254,7 @@ class Network:
 
         The hop is charged to the message's request id even if the
         destination has crashed (the sender cannot know).  The message
-        joins the ``(dst, arrival-time)`` inbox bucket; the first
-        message of a bucket schedules its (single) drain event.
+        joins ``dst``'s bucket of the wave landing at its arrival time.
         """
         now = self._sim.now
         self._record_send(message.kind, message.request_id, now)
@@ -277,46 +282,52 @@ class Network:
                 message.trace, message.request_id, message.kind.value,
                 src, dst, now, arrival,
             )
-        key = (dst, arrival)
-        bucket = self._inboxes.get(key)
-        if bucket is None:
-            self._inboxes[key] = [message]
-            self._call_at(arrival, self._drain, key)
+        wave = self._wave if arrival == self._wave_at else self._wave_for(arrival)
+        if dst in wave:
+            wave[dst].append(message)
         else:
-            bucket.append(message)
+            wave[dst] = [message]
 
-    def _drain(self, key: tuple[int, float]) -> None:
-        """Deliver one inbox bucket in send order.
+    def _wave_for(self, arrival: float) -> Wave:
+        """The wave landing at ``arrival``, memoized; a new one is
+        opened and its (single) drain event scheduled."""
+        waves = self._waves
+        if arrival in waves:
+            wave = waves[arrival]
+        else:
+            wave = waves[arrival] = {}
+            self._call_at(arrival, self._drain, arrival)
+        self._wave_at = arrival
+        self._wave = wave
+        return wave
 
-        The bucket is detached first, so a receiver that transmits back
-        to the same destination at zero delay starts a fresh bucket
+    def _drain(self, arrival: float) -> None:
+        """Deliver one wave: buckets by first send, each in send order.
+
+        The wave is detached (and the memo dropped) first, so a
+        receiver that transmits at zero delay starts a fresh wave
         (matching the strict happens-after of per-message events), and
-        the handler is re-fetched per message so an unregistration by
-        an earlier message in the batch drops the rest.
-
-        A destination that registered a batch handler gets the whole
-        bucket in one upcall instead; the handler preserves the same
-        per-message semantics (see :meth:`register`).
+        the handler is re-fetched per message — ``in`` and a subscript,
+        where ``get`` would be a call — so an unregistration by an
+        earlier message drops the rest of the bucket and a node that
+        joined under the id since receives it.
         """
-        messages = self._inboxes.pop(key)
-        dst = key[0]
-        load = self._load
-        if load is not None:
-            load.on_bucket_drain(dst, len(messages))
-        batch = self._batch_handlers.get(dst)
-        if batch is not None:
-            batch(messages)
-            return
+        wave = self._waves.pop(arrival)
+        self._wave_at = None
         handlers = self._handlers
+        load = self._load
         tracer = self._tracer
-        for message in messages:
-            handler = handlers.get(dst)
-            if handler is None:
-                self._dropped_counter.inc()
-                if tracer is not None:
-                    tracer.mark_dropped(message.trace)
-            else:
-                handler(message)
+        for dst in wave:
+            bucket = wave[dst]
+            if load is not None:
+                load.on_bucket_drain(dst, len(bucket))
+            for message in bucket:
+                if dst in handlers:
+                    handlers[dst](message)
+                else:
+                    self._dropped_counter.inc()
+                    if tracer is not None:
+                        tracer.mark_dropped(message.trace)
 
 
 class ShardNetwork(Network):
@@ -330,10 +341,8 @@ class ShardNetwork(Network):
     the local inbox they are appended — already stamped with their
     arrival time — to an outbox the barrier coordinator drains once per
     conservative window.  The receiving shard injects them into its own
-    ``(dst, arrival)`` buckets, so the batched bucket drain of PR 2 is
-    reused verbatim as the shard-boundary unit: a bucket bound for a
-    remote shard crosses the process boundary once per tick, not once
-    per message.
+    waves, so a remote message is drained by the same loop, under the
+    same liveness re-check, as a local one.
 
     Loss models and tracing are deliberately unsupported here: shard
     workers run loss-free with telemetry disabled (the coordinator owns
@@ -394,7 +403,7 @@ class ShardNetwork(Network):
         return outbox
 
     def inject(self, items: list[tuple[int, float, OverlayMessage]]) -> None:
-        """Enqueue remote messages into the local ``(dst, arrival)`` buckets.
+        """Enqueue remote messages into the local waves.
 
         Called by the coordinator between windows, in the deterministic
         merge order (source shard id, then send sequence).  Every
@@ -403,13 +412,9 @@ class ShardNetwork(Network):
         valid, and messages joining an existing bucket land after that
         bucket's locally-sent messages, in merge order.
         """
-        inboxes = self._inboxes
-        call_at = self._call_at
         for dst, arrival, message in items:
-            key = (dst, arrival)
-            bucket = inboxes.get(key)
-            if bucket is None:
-                inboxes[key] = [message]
-                call_at(arrival, self._drain, key)
+            wave = self._wave if arrival == self._wave_at else self._wave_for(arrival)
+            if dst in wave:
+                wave[dst].append(message)
             else:
-                bucket.append(message)
+                wave[dst] = [message]

@@ -239,27 +239,6 @@ class PastryNode:
         else:
             self.route_unicast(message)
 
-    def receive_batch(self, messages: list[OverlayMessage]) -> None:
-        """Bucket entry point: dispatch one ``(dst, tick)`` inbox.
-
-        Routing state is version-memoized, so the first message that
-        routes syncs it once and the rest of the bucket rides the
-        fast path.  Mid-batch self-unregistration drops the remainder
-        with the drain loop's accounting.
-        """
-        if len(messages) == 1:
-            self.receive(messages[0])
-            return
-        network = self._overlay.network
-        is_alive = network.is_alive
-        me = self.id
-        receive = self.receive
-        for index, message in enumerate(messages):
-            if not is_alive(me):
-                network.drop_undeliverable(messages[index:])
-                return
-            receive(message)
-
     def _next_hop(self, key: int) -> int | None:
         """The prefix-routing next hop toward ``key`` (None = deliver here).
 
@@ -315,7 +294,7 @@ class PastryNode:
         if next_hop is None:
             self._overlay.do_deliver(self, message)
             return
-        self._overlay.transmit(self.id, next_hop, message.forwarded_copy(self.id))
+        self._overlay._network_transmit(self.id, next_hop, message.forwarded_copy(self.id))
 
     # -- one-to-many ------------------------------------------------------------
 
@@ -343,7 +322,7 @@ class PastryNode:
             groups.setdefault(next_hop, set()).add(key)
         for next_hop, keys in groups.items():
             branch = message.forwarded_copy(self.id, target_keys=frozenset(keys))
-            self._overlay.transmit(self.id, next_hop, branch)
+            self._overlay._network_transmit(self.id, next_hop, branch)
 
     def continue_sequential(self, message: OverlayMessage) -> None:
         """Conservative walk: chase the nearest remaining key clockwise."""
@@ -362,4 +341,4 @@ class PastryNode:
         onward = dataclasses.replace(
             message.forwarded_copy(self.id, target_keys=rest), key=next_key
         )
-        self._overlay.transmit(self.id, next_hop, onward)
+        self._overlay._network_transmit(self.id, next_hop, onward)

@@ -36,7 +36,6 @@ class RingNode(Protocol):
     id: int
 
     def receive(self, message: OverlayMessage) -> None: ...
-    def receive_batch(self, messages: list[OverlayMessage]) -> None: ...
     def route_unicast(self, message: OverlayMessage) -> None: ...
     def start_mcast(self, message: OverlayMessage) -> None: ...
     def continue_sequential(self, message: OverlayMessage) -> None: ...
@@ -122,6 +121,14 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
         super().__init__(keyspace)
         self._sim = sim
         self._network = network or Network(sim)
+        # Per-message bindings, resolved once per overlay: nodes hand
+        # every one-hop message straight to the network's transmit, and
+        # do_deliver runs for every delivery.  The tracer and load
+        # meter are None unless telemetry is enabled.
+        self._network_transmit = self._network.transmit
+        self._record_delivery = self._network.recorder.messages.record_delivery
+        self._tracer = self._network.active_tracer
+        self._load = self._network.active_load
         self.set_state_transfer(state_transfer)
         self._ring: list[int] = []
         self._nodes: dict[int, RingNode] = {}
@@ -280,7 +287,7 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
     def _add_node(self, node_id: int) -> None:
         node = self._make_node(node_id)
         self._nodes[node_id] = node
-        self._network.register(node_id, node.receive, node.receive_batch)
+        self._network.register(node_id, node.receive)
 
     def maintenance_totals(self) -> dict[str, int]:
         """Exact run-wide maintenance counts: live nodes + departed ones.
@@ -412,19 +419,20 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
 
     def transmit(self, src: int, dst: int, message: OverlayMessage) -> None:
         """One-hop transmission between nodes (charged to the request)."""
-        self._network.transmit(src, dst, message)
+        self._network_transmit(src, dst, message)
 
     def do_deliver(self, node: RingNode, message: OverlayMessage) -> None:
         """Record and raise the application delivery upcall at ``node``."""
-        self.recorder.messages.record_delivery(
-            message.request_id, node.id, self._sim.now, message.hops
-        )
-        tracer = self._network.active_tracer
+        node_id = node.id
+        now = self._sim.now
+        self._record_delivery(message.request_id, node_id, now, message.hops)
+        tracer = self._tracer
         if tracer is not None:
-            tracer.delivery(
-                message.trace, message.request_id, node.id, self._sim.now
-            )
-        load = self._network.active_load
+            tracer.delivery(message.trace, message.request_id, node_id, now)
+        load = self._load
         if load is not None:
-            load.on_deliver(node.id)
-        self._deliver_upcall(node.id, message)
+            load.on_deliver(node_id)
+        # _deliver_upcall, inline: one frame per delivery.
+        deliver = self._deliver
+        if deliver is not None:
+            deliver(node_id, message)

@@ -34,7 +34,8 @@ class _PlainEvent:
     ``_in_heap`` — but skips the cancellation machinery entirely:
     ``cancelled`` is a class attribute, so instances cost one small
     allocation and two attribute stores.  Used by high-rate schedulers
-    (the network's per-tick delivery buckets) that never cancel.
+    (the network's one delivery wave per arrival instant) that never
+    cancel.
     """
 
     __slots__ = ("callback", "args", "_in_heap")
@@ -61,19 +62,19 @@ class Simulator:
         ['b', 'a']
         >>> sim.now
         1.5
+
+    Attributes:
+        now: Current simulated time in seconds.  A plain attribute, not
+            a property — every message and delivery reads it — that only
+            the kernel's own loops assign.
     """
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        self.now: float = 0.0
         self._seq: int = 0
         self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._cancelled_in_heap: int = 0
         self._events_processed: int = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -101,7 +102,7 @@ class Simulator:
         and no per-event work is added.
         """
         registry = telemetry.registry
-        registry.gauge("sim.now", supplier=lambda: self._now)
+        registry.gauge("sim.now", supplier=lambda: self.now)
         registry.gauge("sim.pending", supplier=lambda: float(self.pending))
         registry.gauge(
             "sim.events_processed",
@@ -130,7 +131,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
@@ -140,9 +141,9 @@ class Simulator:
         Raises:
             SimulationError: If ``time`` precedes the current clock.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
+                f"cannot schedule at t={time} before current time t={self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -163,9 +164,9 @@ class Simulator:
         Raises:
             SimulationError: If ``time`` precedes the current clock.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
+                f"cannot schedule at t={time} before current time t={self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -198,11 +199,11 @@ class Simulator:
 
         def tick() -> None:
             callback(*args)
-            following = self._now + period
+            following = self.now + period
             if horizon is None or following <= horizon:
                 self.call_at(following, tick)
 
-        first = self._now + period
+        first = self.now + period
         if horizon is None or first <= horizon:
             self.call_at(first, tick)
 
@@ -238,9 +239,9 @@ class Simulator:
         Returns:
             The number of events fired by this call.
         """
-        if bound < self._now:
+        if bound < self.now:
             raise SimulationError(
-                f"cannot run backwards to t={bound} from t={self._now}"
+                f"cannot run backwards to t={bound} from t={self.now}"
             )
         heap = self._heap
         fired = 0
@@ -255,23 +256,11 @@ class Simulator:
                 break
             heappop(heap)
             event._in_heap = False
-            self._now = when
+            self.now = when
             self._events_processed += 1
             event.callback(*event.args)
             fired += 1
         return fired
-
-    def _pop_live(self) -> ScheduledEvent | None:
-        """Pop the next non-cancelled event, discarding cancelled ones."""
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[2]
-            event._in_heap = False
-            if event.cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            return event
-        return None
 
     def step(self) -> bool:
         """Fire the next pending event, advancing the clock.
@@ -279,13 +268,7 @@ class Simulator:
         Returns:
             True if an event fired, False if the queue was empty.
         """
-        event = self._pop_live()
-        if event is None:
-            return False
-        self._now = event.time
-        self._events_processed += 1
-        event.callback(*event.args)
-        return True
+        return self.run(max_events=1) == 1
 
     def run(self, max_events: int | None = None) -> int:
         """Run until the event queue drains (or ``max_events`` fire).
@@ -304,7 +287,7 @@ class Simulator:
             if event.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
-            self._now = time
+            self.now = time
             self._events_processed += 1
             event.callback(*event.args)
             fired += 1
@@ -319,9 +302,9 @@ class Simulator:
         Returns:
             The number of events fired by this call.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot run backwards to t={time} from t={self._now}"
+                f"cannot run backwards to t={time} from t={self.now}"
             )
         heap = self._heap
         fired = 0
@@ -336,9 +319,9 @@ class Simulator:
                 break
             heappop(heap)
             event._in_heap = False
-            self._now = when
+            self.now = when
             self._events_processed += 1
             event.callback(*event.args)
             fired += 1
-        self._now = time
+        self.now = time
         return fired

@@ -11,8 +11,8 @@ may safely drain ``[t0, t0 + delay)`` without hearing from its peers.
 At the window barrier the coordinator collects each shard's outbox
 (cross-shard sends already stamped with their arrival time, see
 :class:`~repro.overlay.network.ShardNetwork`) and routes it into the
-destination shards' ``(dst, arrival)`` inbox buckets, reusing the
-batched bucket drain as the shard-boundary unit.
+destination shards' waves, where the network's one drain per arrival
+instant delivers remote and local messages alike.
 
 Determinism:
 

@@ -1,0 +1,93 @@
+"""A frame budget for the one layer every message crosses.
+
+Every cost the paper states is a count of one-hop messages, so what a
+one-hop message costs between ``Network.transmit`` and its receiver's
+handler is the simulator's unit price.  The ledger measures it
+(``overlay.network.micro.calls_per_msg``) but gates nothing; this test
+counts the same thing under ``cProfile`` — every Python frame and every
+C call, exactly, no clock — and fails when a change puts a forwarding
+frame back.
+
+Two shapes, the two ends of how many messages share an arrival instant:
+
+- a **chain**: each handler transmits the next message, so every
+  message has an instant, a wave and a kernel event of its own (a
+  unicast route).  Eleven calls: ``transmit``, ``record_send`` and its
+  ``dict.get``, ``_wave_for``, ``call_at``, ``_PlainEvent.__init__``,
+  ``heappush``, ``heappop``, ``_drain``, ``dict.pop``, the handler.
+- a **fan**: the ledger micro's shape, every message sent at ``t = 0``
+  to one of 64 destinations, so one wave carries them all (an m-cast
+  wave at its widest).  Five calls: ``transmit``, ``record_send`` and
+  its ``dict.get``, ``list.append``, the handler — the wave's own dozen
+  are shared by all of them.
+
+The budgets are those counts, plus ``ONE_OFF`` calls per run for what
+does not scale with the messages (``run`` itself, opening the request's
+trace on its first send, the fan's single wave).
+"""
+
+import cProfile
+
+from repro.overlay.network import Network
+from repro.sim import Simulator
+from tests.overlay.test_network_batching import make_message
+
+MESSAGES = 10_000
+CHAIN_BUDGET = 11
+FAN_BUDGET = 5
+ONE_OFF = 16
+
+
+def profiled_calls(body) -> int:
+    profiler = cProfile.Profile()
+    profiler.enable()
+    body()
+    profiler.disable()
+    # The profiler's own disable() is the one call not the body's.
+    return sum(entry.callcount for entry in profiler.getstats()) - 1
+
+
+def test_chain_of_messages_one_per_instant():
+    sim = Simulator()
+    network = Network(sim)
+    message = make_message()
+    left = [MESSAGES]
+
+    def forward(received) -> None:
+        left[0] -= 1
+        if left[0]:
+            network.transmit(0, 0, received)
+
+    network.register(0, forward)
+
+    def body() -> None:
+        network.transmit(0, 0, message)
+        sim.run()
+
+    calls = profiled_calls(body)
+    assert calls <= CHAIN_BUDGET * MESSAGES + ONE_OFF, calls / MESSAGES
+    assert left == [0]
+    assert sim.events_processed == MESSAGES
+
+
+def test_fan_of_messages_sharing_one_instant():
+    sim = Simulator()
+    network = Network(sim)
+    message = make_message()
+    received = [0]
+
+    def count(message) -> None:
+        received[0] += 1
+
+    for node in range(64):
+        network.register(node, count)
+
+    def body() -> None:
+        for i in range(MESSAGES):
+            network.transmit(i & 63, (i * 7) & 63, message)
+        sim.run()
+
+    calls = profiled_calls(body)
+    assert calls <= FAN_BUDGET * MESSAGES + ONE_OFF, calls / MESSAGES
+    assert received == [MESSAGES]
+    assert sim.events_processed == 1

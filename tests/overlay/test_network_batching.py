@@ -1,11 +1,12 @@
 """Batched same-tick delivery and network fault paths.
 
-The network coalesces all transmissions sharing one ``(destination,
-arrival-time)`` pair into a single inbox bucket drained by one kernel
-event.  These tests pin the observable contract of that engine: one
-event per bucket, send-order delivery, per-message liveness checks,
-and the drop/loss accounting that must stay identical to the old
-one-event-per-message implementation.
+The network coalesces all transmissions sharing one arrival time into
+a single wave drained by one kernel event, a bucket per destination.
+These tests pin the observable contract of that engine: one event per
+arrival instant, buckets in first-send order, send-order delivery
+within a bucket, per-message liveness checks, and the drop/loss
+accounting that must stay identical to a one-event-per-message
+implementation.
 """
 
 import random
@@ -48,13 +49,21 @@ def test_same_tick_messages_share_one_kernel_event():
 
 
 def test_distinct_destinations_get_distinct_events():
+    # (The name predates waves.)  Two destinations at one instant are
+    # two buckets of one kernel event, delivered in first-send order,
+    # each to its own handler.
     sim = Simulator()
     net = Network(sim, FixedDelay(0.05))
-    net.register(1, lambda m: None)
-    net.register(2, lambda m: None)
-    net.transmit(0, 1, make_message())
-    net.transmit(0, 2, make_message())
-    assert sim.pending == 2
+    seen = []
+    net.register(1, lambda m: seen.append((1, m.payload)))
+    net.register(2, lambda m: seen.append((2, m.payload)))
+    net.transmit(0, 2, make_message(payload="a"))
+    net.transmit(0, 1, make_message(payload="b"))
+    net.transmit(0, 2, make_message(payload="c"))
+    assert sim.pending == 1
+    sim.run()
+    assert seen == [(2, "a"), (2, "c"), (1, "b")]
+    assert sim.events_processed == 1
 
 
 def test_distinct_arrival_times_get_distinct_events():

@@ -1,18 +1,22 @@
-"""The bucket entry point: ``receive_batch`` and its drain contract.
+"""A bucket's drain contract, now that the network owns the loop.
 
-The network drain hands a whole ``(dst, tick)`` inbox bucket to the
-destination's batch handler in one upcall; the handler owns the
-per-message semantics.  These tests pin the contract from both sides:
-the network invokes the batch handler exactly once per bucket (never
-the per-message handler), and the overlay node implementations keep
-send-order dispatch plus the mid-batch-death accounting identical to
-the old per-message drain loop.
+There is no batch upcall any more: the network's drain calls the
+destination's per-message handler once per message, in send order, and
+re-reads its liveness before each.  ``Network.register`` still accepts
+a third argument (the ledger's micro passes one) and never calls it.
+These tests pin that from both sides: a batch handler is accepted and
+ignored, and all three overlays keep send-order dispatch and the
+mid-bucket-death accounting of a one-event-per-message engine.
 """
 
+import pytest
+
 from repro.overlay.api import MessageKind, OverlayMessage
+from repro.overlay.can import CanOverlay
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.overlay.network import FixedDelay, Network
+from repro.overlay.pastry import PastryOverlay
 from repro.sim import Simulator
 
 KS = KeySpace(13)
@@ -27,7 +31,7 @@ def make_message(request_id=1, payload=None):
     )
 
 
-# -- network side: one bucket, one batch upcall ----------------------------
+# -- network side: a batch handler is accepted and never called -------------
 
 
 def test_batch_handler_gets_the_whole_bucket_once():
@@ -39,24 +43,30 @@ def test_batch_handler_gets_the_whole_bucket_once():
     for tag in ("a", "b", "c"):
         net.transmit(0, 1, make_message(payload=tag))
     sim.run()
-    # One bucket, one upcall, all messages in send order — and the
-    # per-message handler is bypassed entirely.
-    assert [[m.payload for m in batch] for batch in batches] == [["a", "b", "c"]]
-    assert singles == []
+    # One bucket, drained by the network itself: the per-message handler
+    # sees it in send order and the batch handler is never invoked.
+    assert [m.payload for m in singles] == ["a", "b", "c"]
+    assert batches == []
+    assert sim.events_processed == 1
 
 
 def test_batch_handler_is_per_destination():
     sim = Simulator()
     net = Network(sim, FixedDelay(0.05))
     batched = []
-    plain = []
-    net.register(1, lambda m: None, lambda msgs: batched.extend(msgs))
-    net.register(2, plain.append)  # no batch handler: per-message path
+    first = []
+    second = []
+    net.register(1, first.append, lambda msgs: batched.extend(msgs))
+    net.register(2, second.append)
     net.transmit(0, 1, make_message(payload="x"))
     net.transmit(0, 2, make_message(payload="y"))
+    net.transmit(0, 1, make_message(payload="z"))
     sim.run()
-    assert [m.payload for m in batched] == ["x"]
-    assert [m.payload for m in plain] == ["y"]
+    # With or without a batch handler, a destination gets its own
+    # bucket through its own per-message handler.
+    assert [m.payload for m in first] == ["x", "z"]
+    assert [m.payload for m in second] == ["y"]
+    assert batched == []
 
 
 def test_unregister_detaches_batch_handler():
@@ -71,14 +81,15 @@ def test_unregister_detaches_batch_handler():
     assert net.dropped == 1
 
 
-# -- node side: chord's batch dispatch -------------------------------------
+# -- node side: send-order dispatch, death mid-bucket ------------------------
 
 
-def build_pair():
-    """A two-node ring where 100's only route to key 200 is one hop."""
+def build_pair(overlay_cls=ChordOverlay):
+    """Two nodes, and a key of 200's that 100 reaches in one hop."""
     sim = Simulator()
-    overlay = ChordOverlay(sim, KS)
+    overlay = overlay_cls(sim, KS)
     overlay.build_ring([100, 200])
+    assert overlay.owner_of(200) == 200
     return sim, overlay
 
 
@@ -96,8 +107,8 @@ def test_chord_bucket_delivers_in_send_order_in_one_event():
     assert sim.events_processed == 1
 
 
-def test_chord_mid_batch_crash_drops_remainder():
-    sim, overlay = build_pair()
+def check_mid_batch_crash_drops_remainder(overlay_cls):
+    sim, overlay = build_pair(overlay_cls)
     delivered = []
 
     def crash_on_first_delivery(node_id, message):
@@ -109,9 +120,20 @@ def test_chord_mid_batch_crash_drops_remainder():
     overlay.send(100, 200, make_message(request_id=2, payload="second"))
     overlay.send(100, 200, make_message(request_id=3, payload="third"))
     sim.run()
-    # The first delivery kills the node; receive_batch hands the
-    # unprocessed tail to drop_undeliverable, so the accounting is
-    # identical to the per-message drain (two drops, one delivery).
+    # The first delivery kills the node; the network's loop re-reads
+    # its liveness before each message, so the accounting is that of a
+    # per-message engine (two drops, one delivery).
     assert delivered == ["first"]
     assert overlay.network.dropped == 2
     assert not overlay.is_alive(200)
+
+
+def test_chord_mid_batch_crash_drops_remainder():
+    check_mid_batch_crash_drops_remainder(ChordOverlay)
+
+
+@pytest.mark.parametrize("overlay_cls", [PastryOverlay, CanOverlay])
+def test_mid_batch_crash_drops_remainder(overlay_cls):
+    # One loop in the network now serves all three overlays.  (Chord
+    # keeps its own test above: its id predates the parameter.)
+    check_mid_batch_crash_drops_remainder(overlay_cls)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from repro.overlay.api import MessageKind, OverlayMessage
+from repro.overlay.network import Network
 from repro.sim.events import ScheduledEvent
 from repro.sim.kernel import Simulator
 
@@ -78,3 +80,21 @@ def test_pending_matches_brute_force_count_under_random_churn():
         assert sim.pending == expected
     sim.run()
     assert sim.pending == 0
+
+
+def test_step_fires_call_at_events_and_network_deliveries():
+    # Regression: step() read ``event.time``, which only a cancellable
+    # ScheduledEvent has — it raised on (and lost) every call_at event,
+    # which is what a network delivery is.
+    sim = Simulator()
+    fired = []
+    sim.call_at(1.0, fired.append, "plain")
+    assert sim.step() is True
+    assert (sim.now, fired) == (1.0, ["plain"])
+    net = Network(sim)
+    net.register(7, fired.append)
+    message = OverlayMessage(MessageKind.CONTROL, None, request_id=1, origin=0)
+    net.transmit(0, 7, message)
+    assert sim.step() is True
+    assert (sim.now, fired) == (1.05, ["plain", message])
+    assert sim.step() is False

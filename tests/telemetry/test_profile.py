@@ -345,9 +345,10 @@ def test_advisor_cuts_reduce_barrier_stalls_on_skewed_workload():
     # Same simulated traffic — rebalancing only moves arc boundaries,
     # and per-node one-hop sends are partition-invariant.  (The full
     # behavior digest is *not* invariant: request-id residue classes
-    # follow the shard a node lands on.)
+    # follow the shard a node lands on.  Nor are kernel events: a
+    # worker fires one per arrival instant it has traffic on, so their
+    # total moves with the cuts.)
     assert sum(rebalanced.load_by_shard) == sum(baseline.load_by_shard)
-    assert sum(rebalanced.events_per_shard) == sum(baseline.events_per_shard)
     # Traffic-weighted cuts flatten the skew and idle fewer windows.
     assert rebalanced.load_imbalance < baseline.load_imbalance
     assert rebalanced.barrier_stalls < baseline.barrier_stalls

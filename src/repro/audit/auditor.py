@@ -139,8 +139,8 @@ class AuditReport:
 class Auditor:
     """Observes one system: shadow ledger + probes + SLO histograms.
 
-    Constructing an auditor wires it into the system (the system's
-    guarded hooks start firing) and registers it on the system's
+    Constructing an auditor subscribes it to the system's observer tap
+    (:mod:`repro.telemetry.tap`) and registers it on the system's
     telemetry (if enabled) so :func:`repro.telemetry.export.write_jsonl`
     emits its violations and probe records.
     """
@@ -193,7 +193,7 @@ class Auditor:
             "audit.publications_indeterminate", mapping=name
         )
         self._probes_counter = registry.counter("audit.probes", overlay=kind)
-        system.attach_auditor(self)
+        system.tap.attach(self)
         telemetry = system.telemetry
         if telemetry.enabled:
             telemetry.audit = self
@@ -222,35 +222,24 @@ class Auditor:
         """
         self._sim.call_every(period, self.run_probe, horizon=horizon)
 
-    # -- system hooks (guarded by ``system._auditor is not None``) -----------
+    # -- tap events: the application-level request stream ----------------------
 
-    def on_subscribe(
-        self,
-        subscription: "Subscription",
-        subscriber: int,
-        ttl: float | None,
-        now: float,
-    ) -> None:
-        self._ledger[subscription.subscription_id] = _LedgerEntry(
-            subscription,
-            subscriber,
+    def on_subscribe(self, message, now: float) -> None:
+        payload = message.payload
+        self._ledger[payload.subscription.subscription_id] = _LedgerEntry(
+            payload.subscription,
+            payload.subscriber,
             now,
-            None if ttl is None else now + ttl,
+            None if payload.ttl is None else now + payload.ttl,
         )
 
-    def on_unsubscribe(self, subscription_id: int, now: float) -> None:
-        entry = self._ledger.get(subscription_id)
+    def on_unsubscribe(self, message, now: float) -> None:
+        entry = self._ledger.get(message.payload.subscription_id)
         if entry is not None and entry.t_unsubscribed is None:
             entry.t_unsubscribed = now
 
-    def on_publish(
-        self,
-        event: "Event",
-        publisher: int,
-        keys: frozenset[int],
-        request_id: int,
-        now: float,
-    ) -> None:
+    def on_publish(self, message, keys: frozenset[int], now: float) -> None:
+        event = message.payload.event
         if event.event_id in self._pending or event.event_id in self._evaluated:
             # Same event object published twice: arrivals would be
             # ambiguous, so only the first publication is audited.
@@ -287,12 +276,12 @@ class Auditor:
                 continue
             expected[sid] = entry
         self._pending[event.event_id] = _PendingPublication(
-            event, now, request_id, len(self._system.overlay), expected
+            event, now, message.request_id, len(self._system.overlay), expected
         )
         self._pubs_counter.inc()
         self._sim.call_at(now + self._deadline, self._evaluate, event.event_id)
 
-    def on_notifications(
+    def on_notify(
         self, node_id: int, notifications: tuple["Notification", ...], now: float
     ) -> None:
         """Classify one delivered batch (pre-deduplication)."""

@@ -53,19 +53,6 @@ class PubSubNode:
         self.replicas: dict[int, dict[int, StoredEntrySnapshot]] = {}
         self._seen_publications: OrderedDict[int, None] = OrderedDict()
         self._seen_notifications: OrderedDict[tuple[int, int], None] = OrderedDict()
-        # None when telemetry is disabled, so the matching hot path
-        # pays a single identity check (same guard as the tracer).
-        self._match_histogram = (
-            system._match_histogram if system.telemetry.enabled else None
-        )
-        # Load-attribution guard (same discipline); when metering is on
-        # the store's matcher also gets this node's work handle, so
-        # candidate/verify counts attribute to the rendezvous node.
-        self._load = (
-            system.telemetry.load if system.telemetry.enabled else None
-        )
-        if self._load is not None:
-            self.store.attach_match_stats(self._load.match_work_for(node_id))
 
     # -- delivery dispatch -------------------------------------------------
 
@@ -93,7 +80,7 @@ class PubSubNode:
 
     # -- subscriptions -------------------------------------------------------
 
-    def _covered_targets(self, message: OverlayMessage) -> set[int]:
+    def covered_targets(self, message: OverlayMessage) -> set[int]:
         """The rendezvous keys (of this message) that this node covers."""
         overlay = self._system.overlay
         if message.target_keys is not None:
@@ -104,11 +91,11 @@ class PubSubNode:
     def _handle_subscribe(
         self, payload: SubscribePayload, message: OverlayMessage
     ) -> None:
-        keys_here = self._covered_targets(message)
+        keys_here = self.covered_targets(message)
         now = self._system.now
         entry = self.store.put(payload, keys_here, now)
-        if self._load is not None:
-            self._load.on_subscription_stored(self.id, keys_here)
+        for fn in self._system.tap.store:
+            fn(self, keys_here)
         self._system.replicate_entry(self.id, entry.snapshot())
 
     def _handle_unsubscribe(self, payload: UnsubscribePayload) -> None:
@@ -128,10 +115,8 @@ class PubSubNode:
 
         now = self._system.now
         matched = self.store.match(payload.event, now)
-        if self._match_histogram is not None:
-            self._match_histogram.observe(len(matched))
-        if self._load is not None:
-            self._load.on_publication(self.id, self._covered_targets(message))
+        for fn in self._system.tap.match:
+            fn(self, message, matched)
         if not matched:
             return
         config = self._system.config

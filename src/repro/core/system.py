@@ -62,8 +62,7 @@ from repro.overlay.api import (
 from repro.overlay.api import OverlayNetwork
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicTimer
-from repro.telemetry import Telemetry, current as current_telemetry
-from repro.telemetry.tracing import Tracer
+from repro.telemetry import Telemetry
 
 
 class RoutingMode(enum.Enum):
@@ -154,20 +153,10 @@ class PubSubSystem:
         self._flush_timers: dict[int, PeriodicTimer] = {}
         self._notify_handlers: dict[int, NotifyHandler] = {}
         self._global_notify: NotifyHandler | None = None
-        # Telemetry rides on the overlay's network; the tracer guard is
-        # cached so a disabled run pays one identity check per request.
-        self._telemetry: Telemetry = getattr(
-            overlay, "telemetry", None
-        ) or current_telemetry()
-        self._tracer: Tracer | None = (
-            self._telemetry.tracer if self._telemetry.enabled else None
-        )
-        # Delivery-correctness auditor; None (the default) keeps every
-        # hook a single identity check, mirroring the tracer guard.
-        self._auditor = None
-        self._match_histogram = self._telemetry.registry.histogram(
-            "pubsub.matches_per_publication_delivery"
-        )
+        #: The observer tap of the overlay's network: every request,
+        #: notification and rendezvous event of this layer is announced
+        #: there (see :mod:`repro.telemetry.tap`).
+        self.tap = overlay.network.tap
         overlay.set_deliver(self._on_deliver)
         overlay.set_state_transfer(self._on_state_transfer)
         # app_node_ids == node_ids on a serial overlay; a sharded
@@ -210,27 +199,23 @@ class PubSubSystem:
     @property
     def telemetry(self) -> Telemetry:
         """Observability sink shared with the overlay network."""
-        return self._telemetry
+        return self._overlay.telemetry
 
     def node(self, node_id: int) -> PubSubNode:
         """The pub/sub layer instance at an overlay node."""
         return self._nodes[node_id]
-
-    def attach_auditor(self, auditor) -> None:
-        """Install the online invariant auditor (see :mod:`repro.audit`)."""
-        self._auditor = auditor
 
     # -- membership ------------------------------------------------------------
 
     def _attach(self, node_id: int) -> None:
         if node_id in self._nodes:
             return
-        self._nodes[node_id] = PubSubNode(node_id, self)
+        node = self._nodes[node_id] = PubSubNode(node_id, self)
+        for fn in self.tap.join:
+            fn(node)
         if self._config.buffering:
             timer = PeriodicTimer(
-                self._sim,
-                self._config.buffer_period,
-                self._nodes[node_id].flush,
+                self._sim, self._config.buffer_period, node.flush
             )
             timer.start()
             self._flush_timers[node_id] = timer
@@ -313,13 +298,12 @@ class PubSubSystem:
             ttl=self._config.default_ttl if ttl is None else ttl,
             groups=groups,
         )
-        request_id = next_request_id()
-        if self._auditor is not None:
-            self._auditor.on_subscribe(subscription, node_id, payload.ttl, self.now)
-        self._send_to_keys(
-            node_id, keys, payload, MessageKind.SUBSCRIPTION, request_id
-        )
-        return request_id
+        message = self._open(MessageKind.SUBSCRIPTION, payload, node_id)
+        now = self._sim.now
+        for fn in self.tap.subscribe:
+            fn(message, now)
+        self._send_to_keys(node_id, keys, message)
+        return message.request_id
 
     def unsubscribe(self, node_id: int, subscription: Subscription) -> int:
         """Remove σ from its rendezvous keys."""
@@ -327,54 +311,59 @@ class PubSubSystem:
         payload = UnsubscribePayload(
             subscription_id=subscription.subscription_id, subscriber=node_id
         )
-        request_id = next_request_id()
-        if self._auditor is not None:
-            self._auditor.on_unsubscribe(subscription.subscription_id, self.now)
-        self._send_to_keys(
-            node_id, keys, payload, MessageKind.UNSUBSCRIPTION, request_id
-        )
-        return request_id
+        message = self._open(MessageKind.UNSUBSCRIPTION, payload, node_id)
+        now = self._sim.now
+        for fn in self.tap.unsubscribe:
+            fn(message, now)
+        self._send_to_keys(node_id, keys, message)
+        return message.request_id
 
     def publish(self, node_id: int, event: Event) -> int:
         """Send an event to its rendezvous keys EK(e)."""
         keys = self._mapping.event_keys(event)
-        payload = PublishPayload(
-            event=event, publisher=node_id, published_at=self.now
-        )
-        request_id = next_request_id()
-        if self._auditor is not None:
-            self._auditor.on_publish(event, node_id, keys, request_id, self.now)
-        self._send_to_keys(
-            node_id, keys, payload, MessageKind.PUBLICATION, request_id
-        )
-        return request_id
+        now = self._sim.now
+        payload = PublishPayload(event=event, publisher=node_id, published_at=now)
+        message = self._open(MessageKind.PUBLICATION, payload, node_id)
+        for fn in self.tap.publish:
+            fn(message, keys, now)
+        self._send_to_keys(node_id, keys, message)
+        return message.request_id
 
     # -- propagation -------------------------------------------------------------
 
+    def _open(
+        self, kind: MessageKind, payload: object, origin: int, parent_span: int = 0
+    ) -> OverlayMessage:
+        """Open one logical request: a fresh id, its envelope, its event.
+
+        Every request of this layer starts here.  The ``request`` event
+        is where the recorder begins the request's trace and a tracer
+        roots its span — under ``parent_span``, which rides in on
+        ``message.trace``.
+        """
+        message = OverlayMessage(
+            kind=kind,
+            payload=payload,
+            request_id=next_request_id(),
+            origin=origin,
+            trace=parent_span,
+        )
+        now = self._sim.now
+        for fn in self.tap.request:
+            fn(message, now)
+        return message
+
     def _send_to_keys(
-        self,
-        node_id: int,
-        keys: frozenset[int],
-        payload: object,
-        kind: MessageKind,
-        request_id: int,
+        self, node_id: int, keys: frozenset[int], message: OverlayMessage
     ) -> None:
         """Propagate one request to its keys.
 
-        Callers tell the auditor about the request *before* calling
-        this: a key this node covers itself is delivered (and may
-        notify) synchronously inside the send, and the oracle must
-        already hold the request when that arrival reaches it.
+        Callers fire the request's own event (``subscribe`` /
+        ``unsubscribe`` / ``publish``) *before* calling this: a key this
+        node covers itself is delivered (and may notify) synchronously
+        inside the send, and an oracle must already hold the request
+        when that arrival reaches it.
         """
-        self.recorder.messages.begin_request(kind, request_id, self.now)
-        message = OverlayMessage(
-            kind=kind, payload=payload, request_id=request_id, origin=node_id
-        )
-        tracer = self._tracer
-        if tracer is not None:
-            message.trace = tracer.begin_request(
-                request_id, kind.value, node_id, self.now
-            )
         routing = self._config.routing
         if len(keys) == 1 or routing is RoutingMode.UNICAST:
             # Single-key requests degenerate to plain unicast in every
@@ -399,44 +388,20 @@ class PubSubSystem:
         root span to the publication hop that produced the match, so a
         trace walks publish → match → notify end to end.
         """
-        request_id = next_request_id()
-        self.recorder.messages.begin_request(
-            MessageKind.NOTIFICATION, request_id, self.now
+        payload = NotifyPayload(subscriber=subscriber, notifications=notifications)
+        self._overlay.send(
+            source_id,
+            subscriber,
+            self._open(MessageKind.NOTIFICATION, payload, source_id, parent_span),
         )
-        message = OverlayMessage(
-            kind=MessageKind.NOTIFICATION,
-            payload=NotifyPayload(subscriber=subscriber, notifications=notifications),
-            request_id=request_id,
-            origin=source_id,
-        )
-        tracer = self._tracer
-        if tracer is not None:
-            message.trace = tracer.begin_request(
-                request_id, MessageKind.NOTIFICATION.value, source_id,
-                self.now, parent=parent_span,
-            )
-        self._overlay.send(source_id, subscriber, message)
 
     def send_collect(
         self, source_id: int, side: NeighborSide, payload: CollectPayload
     ) -> None:
         """One-hop COLLECT toward a subscription's agent (Section 4.3.2)."""
-        request_id = next_request_id()
-        self.recorder.messages.begin_request(
-            MessageKind.COLLECT, request_id, self.now
+        self._overlay.send_to_neighbor(
+            source_id, side, self._open(MessageKind.COLLECT, payload, source_id)
         )
-        message = OverlayMessage(
-            kind=MessageKind.COLLECT,
-            payload=payload,
-            request_id=request_id,
-            origin=source_id,
-        )
-        tracer = self._tracer
-        if tracer is not None:
-            message.trace = tracer.begin_request(
-                request_id, MessageKind.COLLECT.value, source_id, self.now
-            )
-        self._overlay.send_to_neighbor(source_id, side, message)
 
     # -- replication (Section 4.1) ---------------------------------------------
 
@@ -470,21 +435,7 @@ class PubSubSystem:
         Replicas live where a crash would move the keys: the ring
         successor on Chord/Pastry, the absorbing zone owner on CAN.
         """
-        request_id = next_request_id()
-        self.recorder.messages.begin_request(
-            MessageKind.CONTROL, request_id, self.now
-        )
-        message = OverlayMessage(
-            kind=MessageKind.CONTROL,
-            payload=payload,
-            request_id=request_id,
-            origin=source_id,
-        )
-        tracer = self._tracer
-        if tracer is not None:
-            message.trace = tracer.begin_request(
-                request_id, MessageKind.CONTROL.value, source_id, self.now
-            )
+        message = self._open(MessageKind.CONTROL, payload, source_id)
         heir = self._overlay.heir_of(source_id)
         side = (
             NeighborSide.SUCCESSOR
@@ -515,33 +466,17 @@ class PubSubSystem:
         entries = source.extract_entries_for_range(key_range)
         if not entries:
             return
-        request_id = next_request_id()
-        self.recorder.messages.begin_request(
-            MessageKind.CONTROL, request_id, self.now
+        message = self._open(
+            MessageKind.CONTROL, StateTransferPayload(entries=tuple(entries)), from_node
         )
-        message = OverlayMessage(
-            kind=MessageKind.CONTROL,
-            payload=StateTransferPayload(entries=tuple(entries)),
-            request_id=request_id,
-            origin=from_node,
-        )
-        tracer = self._tracer
-        if tracer is not None:
-            message.trace = tracer.begin_request(
-                request_id, MessageKind.CONTROL.value, from_node, self.now
-            )
         self._overlay.transmit(from_node, to_node, message.forwarded_copy(from_node))
 
     def deliver_notifications(self, node_id: int, payload: NotifyPayload) -> None:
         """Terminal delivery of a notification batch at the subscriber."""
-        # Audit before dedupe so duplicate deliveries stay observable.
-        if self._auditor is not None:
-            self._auditor.on_notifications(node_id, payload.notifications, self.now)
-        self.recorder.record_notification_batch(len(payload.notifications))
-        for notification in payload.notifications:
-            self.recorder.record_notification_delay(
-                self.now - notification.published_at
-            )
+        # Announced before dedupe so duplicate deliveries stay observable.
+        now = self._sim.now
+        for fn in self.tap.notify:
+            fn(node_id, payload.notifications, now)
         node = self._nodes.get(node_id)
         if node is None:
             return

@@ -70,23 +70,31 @@ class MessageStats:
         self._traces[request_id] = trace
         return trace
 
-    def record_send(self, kind: MessageKind, request_id: int, time: float) -> None:
-        """Account one one-hop transmission to ``request_id``."""
-        self._sends_by_kind[kind] += 1
-        trace = self._traces.get(request_id)
+    # -- tap events ----------------------------------------------------------
+    # A request's trace opens at its ``request`` event, or at the first
+    # send or delivery seen for it: a shard worker meets requests another
+    # shard began, as a hop to forward or as a terminal delivery.
+
+    def on_request(self, message, now: float) -> None:
+        """A logical request opened."""
+        self.begin_request(message.kind, message.request_id, now)
+
+    def on_send(self, message, src, dst, now: float, arrival) -> None:
+        """Account one one-hop transmission to the message's request."""
+        self._sends_by_kind[message.kind] += 1
+        trace = self._traces.get(message.request_id)
         if trace is None:
-            trace = self.begin_request(kind, request_id, time)
+            trace = self.begin_request(message.kind, message.request_id, now)
         trace.one_hop_messages += 1
 
-    def record_delivery(
-        self, request_id: int, node_id: int, time: float, path_hops: int
-    ) -> None:
-        """Account an application-level delivery for ``request_id``."""
-        trace = self._traces.get(request_id)
+    def on_deliver(self, message, node_id: int, now: float) -> None:
+        """Account an application-level delivery to the message's request."""
+        trace = self._traces.get(message.request_id)
         if trace is None:
-            return
-        trace.deliveries.append((node_id, time))
-        trace.max_path_hops = max(trace.max_path_hops, path_hops)
+            trace = self.begin_request(message.kind, message.request_id, now)
+        trace.deliveries.append((node_id, now))
+        if message.hops > trace.max_path_hops:
+            trace.max_path_hops = message.hops
 
     def merge_from(self, other: "MessageStats") -> None:
         """Fold another partial's accounting into this one.
@@ -94,8 +102,8 @@ class MessageStats:
         The sharded kernel records each shard's sends and deliveries in
         a private recorder; the coordinator merges the partials in shard
         order.  A request's trace may exist in *several* partials (the
-        origin shard begins it, every shard that forwards a hop lazily
-        begins it on first ``record_send``), so traces merge field-wise:
+        origin shard begins it, every shard that forwards a hop of it or
+        delivers it lazily begins it), so traces merge field-wise:
         hop counts add, deliveries concatenate, the dilation maximum and
         the earliest start time win.
         """

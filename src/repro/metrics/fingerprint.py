@@ -2,12 +2,11 @@
 
 Simulated outcomes have been pinned since PR 1 by hashing a
 canonicalized view of the metrics recorder; the sharded kernel states
-its determinism contract in the *same* digest ("``--shards 1`` is
-bit-for-bit the serial kernel", "K > 1 is identical across repeat
-runs"), and so does the performance ledger, so the canonicalization
-lives here and all of them import it.  The canonical form is frozen —
-changing it silently invalidates every record pinned in
-``tests/integration/behavior_pins.json``.
+its determinism contract in the *same* digest ("``--shards K`` is
+bit-for-bit the serial kernel, for any K"), and so does the performance
+ledger, so the canonicalization lives here and all of them import it.
+The canonical form is frozen — changing it silently invalidates every
+record pinned in ``tests/integration/behavior_pins.json``.
 
 Everything in the digest is invariant under intra-timestamp event
 reordering (multisets, not sequences) but pins delivery counts, hop

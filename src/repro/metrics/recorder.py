@@ -1,9 +1,11 @@
 """The per-run metrics bundle.
 
 One :class:`MetricsRecorder` lives for the duration of a simulation run.
-The network substrate feeds it one-hop sends and deliveries; the
-experiment runner feeds it storage snapshots; the figure harnesses read
-aggregated views off it at the end.
+It is the first subscriber of the network's observer tap
+(:mod:`repro.telemetry.tap`), which feeds it requests, one-hop sends,
+deliveries and notification batches; the experiment runner feeds it
+storage snapshots; the figure harnesses read aggregated views off it at
+the end.
 """
 
 from __future__ import annotations
@@ -22,19 +24,28 @@ class MetricsRecorder:
         self._notified_events: int = 0
         self._matched_notifications: int = 0
         self._notification_delays: list[float] = []
+        # Per-message tap events go straight to the message accounting:
+        # no forwarding frame between the network and the counters.
+        self.on_request = self.messages.on_request
+        self.on_send = self.messages.on_send
+        self.on_deliver = self.messages.on_deliver
 
     # -- pub/sub-level counters ----------------------------------------
 
-    def record_notification_batch(self, match_count: int) -> None:
-        """Count an application-level notification delivery of a batch.
+    def on_notify(self, node_id: int, notifications, now: float) -> None:
+        """Count one notification batch delivered at its subscriber.
 
-        ``match_count`` is how many matched events the batch carried;
-        buffering/collecting (Section 4.3.2) packs several matches into
-        one message, which is exactly what this separates from the
-        one-hop message count.
+        Buffering/collecting (Section 4.3.2) packs several matches into
+        one message — the batch count against the matches it carried is
+        exactly what this separates from the one-hop message count —
+        "introducing only a delay in the notification itself", which the
+        publish-to-delivery latency of every match measures.
         """
         self._notified_events += 1
-        self._matched_notifications += match_count
+        self._matched_notifications += len(notifications)
+        delays = self._notification_delays
+        for notification in notifications:
+            delays.append(now - notification.published_at)
 
     @property
     def notification_batches(self) -> int:
@@ -61,15 +72,6 @@ class MetricsRecorder:
         self._notified_events += other._notified_events
         self._matched_notifications += other._matched_notifications
         self._notification_delays.extend(other._notification_delays)
-
-    def record_notification_delay(self, delay: float) -> None:
-        """Record publish-to-delivery latency of one matched event.
-
-        Buffering trades delivery delay for fewer, longer messages
-        (Section 4.3.2: "introducing only a delay in the notification
-        itself"); this measures that trade-off.
-        """
-        self._notification_delays.append(delay)
 
     def notification_delay_summary(self) -> Summary:
         """Summary of publish-to-delivery latencies."""

@@ -19,9 +19,15 @@ import abc
 import dataclasses
 import enum
 import itertools
-from typing import Any, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.overlay.ids import KeySpace
+
+if TYPE_CHECKING:
+    from repro.metrics.recorder import MetricsRecorder
+    from repro.overlay.network import Network
+    from repro.sim.kernel import Simulator
+    from repro.telemetry import Telemetry
 
 
 class MessageKind(enum.Enum):
@@ -93,9 +99,9 @@ class OverlayMessage:
             it forwarded this copy, so ``path[::2]`` are the ids.
         trace: Telemetry span id of the hop that produced this copy
             (the request's root span before the first transmission);
-            0 when tracing is disabled.  The network overwrites it on
-            every transmit, so the span graph records causal parentage
-            even through in-place envelope reuse.
+            0 when the run is not traced.  The tracer overwrites it at
+            every ``send`` event, so the span graph records causal
+            parentage even through in-place envelope reuse.
     """
 
     kind: MessageKind
@@ -165,15 +171,48 @@ class OverlayNetwork(abc.ABC):
     only ever talks to this interface.
     """
 
-    def __init__(self, keyspace: KeySpace) -> None:
+    def __init__(
+        self,
+        keyspace: KeySpace,
+        sim: "Simulator",
+        network: "Network",
+        state_transfer: "StateTransferHook | None" = None,
+    ) -> None:
         self._keyspace = keyspace
+        self._sim = sim
+        self._network = network
+        # Per-message bindings, resolved once per overlay: nodes hand
+        # every one-hop message straight to the network's transmit, and
+        # do_deliver reads the observer tap for every delivery.
+        self._network_transmit = network.transmit
+        self._tap = network.tap
         self._deliver: DeliverFn | None = None
-        self._state_transfer: "StateTransferHook | None" = None
+        self._state_transfer = state_transfer
 
     @property
     def keyspace(self) -> KeySpace:
         """The logical key space of this overlay."""
         return self._keyspace
+
+    @property
+    def sim(self) -> "Simulator":
+        """The simulation kernel."""
+        return self._sim
+
+    @property
+    def network(self) -> "Network":
+        """The underlying message transport."""
+        return self._network
+
+    @property
+    def recorder(self) -> "MetricsRecorder":
+        """Metrics recorder shared with the network."""
+        return self._network.recorder
+
+    @property
+    def telemetry(self) -> "Telemetry":
+        """Observability sink shared with the network."""
+        return self._network.telemetry
 
     def set_deliver(self, deliver: DeliverFn) -> None:
         """Register the application's delivery upcall."""
@@ -183,9 +222,19 @@ class OverlayNetwork(abc.ABC):
         """Register the application's churn state-transfer callback."""
         self._state_transfer = hook
 
-    def _deliver_upcall(self, node_id: int, message: OverlayMessage) -> None:
-        if self._deliver is not None:
-            self._deliver(node_id, message)
+    def do_deliver(self, node, message: OverlayMessage) -> None:
+        """Announce an application delivery at ``node`` and raise the upcall.
+
+        The one place a message leaves the overlay upward — the paper's
+        ``deliver(m)`` — for every overlay and every cast mode.
+        """
+        node_id = node.id
+        now = self._sim.now
+        for fn in self._tap.deliver:
+            fn(message, node_id, now)
+        deliver = self._deliver
+        if deliver is not None:
+            deliver(node_id, message)
 
     def _prepared(
         self,
@@ -211,6 +260,10 @@ class OverlayNetwork(abc.ABC):
         )
 
     # -- membership ---------------------------------------------------
+
+    @abc.abstractmethod
+    def node(self, node_id: int):
+        """The live node object with the given id."""
 
     @abc.abstractmethod
     def node_ids(self) -> list[int]:
@@ -291,13 +344,18 @@ class OverlayNetwork(abc.ABC):
         """Conservative one-to-many: walk the targets key by key
         (Section 4.3.1's unicast-based baseline)."""
 
-    @abc.abstractmethod
     def send_to_neighbor(
         self, source_id: int, side: NeighborSide, message: OverlayMessage
     ) -> None:
-        """One-hop send to a ring neighbor (state transfer / collecting)."""
+        """One-hop direct send to a ring neighbor (Sections 4.1, 4.3.2)."""
+        neighbor = self.neighbor_of(source_id, side)
+        if neighbor == source_id:
+            self.do_deliver(self.node(source_id), message)
+            return
+        self._network_transmit(
+            source_id, neighbor, message.forwarded_copy(source_id)
+        )
 
-    @abc.abstractmethod
     def transmit(self, src: int, dst: int, message: OverlayMessage) -> None:
         """One-hop transmission between two specific nodes.
 
@@ -305,11 +363,7 @@ class OverlayNetwork(abc.ABC):
         transfer between already-acquainted neighbors; applications
         address by key, never by node.
         """
-
-    @property
-    @abc.abstractmethod
-    def recorder(self):
-        """The :class:`~repro.metrics.recorder.MetricsRecorder` of this run."""
+        self._network_transmit(src, dst, message)
 
 
 class StateTransferHook(Protocol):

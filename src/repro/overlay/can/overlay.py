@@ -6,7 +6,6 @@ import bisect
 from typing import Iterable
 
 from repro.errors import OverlayError
-from repro.metrics.recorder import MetricsRecorder
 from repro.overlay.api import (
     CastMode,
     NeighborSide,
@@ -19,7 +18,6 @@ from repro.overlay.ids import KeySpace
 from repro.overlay.network import Network
 from repro.overlay.ring import MembershipDeltaLog
 from repro.sim.kernel import Simulator
-from repro.telemetry import Telemetry
 
 
 class CanNode:
@@ -562,18 +560,7 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
         express_links: bool = True,
         zone_jumps: bool = True,
     ) -> None:
-        super().__init__(keyspace)
-        self._sim = sim
-        self._network = network or Network(sim)
-        # Per-message bindings, resolved once as Network does for
-        # record_send: transmit and do_deliver run for every one-hop
-        # message and every delivery.  The tracer and load meter are
-        # None unless telemetry is enabled (the network's own guards).
-        self._network_transmit = self._network.transmit
-        self._record_delivery = self._network.recorder.messages.record_delivery
-        self._tracer = self._network.active_tracer
-        self._load = self._network.active_load
-        self.set_state_transfer(state_transfer)
+        super().__init__(keyspace, sim, network or Network(sim), state_transfer)
         self._express_links = express_links
         self._zone_jumps = zone_jumps
         # Parallel arrays: sorted zone start keys and their owner ids.
@@ -642,10 +629,6 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
     # -- accessors -----------------------------------------------------------
 
     @property
-    def sim(self) -> Simulator:
-        return self._sim
-
-    @property
     def express_links(self) -> bool:
         """Whether 2^k long-range shortcut links are enabled."""
         return self._express_links
@@ -654,19 +637,6 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
     def zone_jumps(self) -> bool:
         """Whether routing probes past the adjacent zone's far edge."""
         return self._zone_jumps
-
-    @property
-    def network(self) -> Network:
-        return self._network
-
-    @property
-    def recorder(self) -> MetricsRecorder:
-        return self._network.recorder
-
-    @property
-    def telemetry(self) -> Telemetry:
-        """Observability sink shared with the network."""
-        return self._network.telemetry
 
     def node(self, node_id: int) -> CanNode:
         try:
@@ -1015,30 +985,3 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
         node.continue_sequential(
             self._prepared(message, target_keys=targets, mode=CastMode.SEQUENTIAL)
         )
-
-    def send_to_neighbor(
-        self, source_id: int, side: NeighborSide, message: OverlayMessage
-    ) -> None:
-        neighbor = self.neighbor_of(source_id, side)
-        if neighbor == source_id:
-            self.do_deliver(self.node(source_id), message)
-            return
-        self.transmit(source_id, neighbor, message.forwarded_copy(source_id))
-
-    def transmit(self, src: int, dst: int, message: OverlayMessage) -> None:
-        self._network_transmit(src, dst, message)
-
-    def do_deliver(self, node: CanNode, message: OverlayMessage) -> None:
-        node_id = node.id
-        now = self._sim.now
-        self._record_delivery(message.request_id, node_id, now, message.hops)
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.delivery(message.trace, message.request_id, node_id, now)
-        load = self._load
-        if load is not None:
-            load.on_deliver(node_id)
-        # _deliver_upcall, inline: one frame per delivery.
-        deliver = self._deliver
-        if deliver is not None:
-            deliver(node_id, message)

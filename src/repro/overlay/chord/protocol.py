@@ -31,7 +31,6 @@ import itertools
 from typing import Callable
 
 from repro.errors import OverlayError
-from repro.metrics.recorder import MetricsRecorder
 from repro.overlay.api import (
     CastMode,
     MessageKind,
@@ -486,10 +485,7 @@ class ProtocolChordOverlay(OverlayNetwork):
         successor_list_size: int = 4,
         state_transfer: StateTransferHook | None = None,
     ) -> None:
-        super().__init__(keyspace)
-        self._sim = sim
-        self._network = network or Network(sim)
-        self.set_state_transfer(state_transfer)
+        super().__init__(keyspace, sim, network or Network(sim), state_transfer)
         self.stabilize_period = stabilize_period
         self.fix_fingers_period = fix_fingers_period
         self.successor_list_size = successor_list_size
@@ -497,18 +493,6 @@ class ProtocolChordOverlay(OverlayNetwork):
         self._timers: dict[int, list[PeriodicTimer]] = {}
 
     # -- accessors ------------------------------------------------------------
-
-    @property
-    def sim(self) -> Simulator:
-        return self._sim
-
-    @property
-    def keyspace(self) -> KeySpace:
-        return self._keyspace
-
-    @property
-    def recorder(self) -> MetricsRecorder:
-        return self._network.recorder
 
     def node(self, node_id: int) -> ProtocolChordNode:
         try:
@@ -737,30 +721,6 @@ class ProtocolChordOverlay(OverlayNetwork):
                 path=(),
             )
         )
-
-    def send_to_neighbor(
-        self, source_id: int, side: NeighborSide, message: OverlayMessage
-    ) -> None:
-        neighbor = self.neighbor_of(source_id, side)
-        if neighbor == source_id:
-            self.do_deliver(self.node(source_id), message)
-            return
-        self._network.transmit(
-            source_id, neighbor, message.forwarded_copy(source_id)
-        )
-
-    def transmit(self, src: int, dst: int, message: OverlayMessage) -> None:
-        self._network.transmit(src, dst, message)
-
-    def do_deliver(self, node: ProtocolChordNode, message: OverlayMessage) -> None:
-        """Record and raise the application delivery upcall."""
-        self.recorder.messages.record_delivery(
-            message.request_id, node.id, self._sim.now, message.hops
-        )
-        load = self._network.active_load
-        if load is not None:
-            load.on_deliver(node.id)
-        self._deliver_upcall(node.id, message)
 
     def fire_state_transfer(
         self, from_node: int, to_node: int, key_range: tuple[int, int]

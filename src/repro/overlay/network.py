@@ -1,10 +1,11 @@
 """Simulated point-to-point network with latency and hop accounting.
 
 Every inter-node transmission in the overlay goes through
-:meth:`Network.transmit`, which (a) charges one one-hop message of the
-message's kind to its request id, and (b) enqueues the message for the
-receiver after a delay drawn from the configured delay model.  The
-paper's evaluation fixes the per-hop delay at 50 ms (Section 5.1).
+:meth:`Network.transmit`, which (a) announces the one-hop message on the
+observer tap (:mod:`repro.telemetry.tap` — the metrics recorder charges
+it to its request there), and (b) enqueues the message for the receiver
+after a delay drawn from the configured delay model.  The paper's
+evaluation fixes the per-hop delay at 50 ms (Section 5.1).
 
 Transmissions addressed to a node that has crashed are silently dropped
 (the send is still counted — the bytes left the sender).
@@ -51,7 +52,7 @@ from repro.metrics.recorder import MetricsRecorder
 from repro.overlay.api import OverlayMessage
 from repro.sim.kernel import Simulator
 from repro.telemetry import Telemetry, current as current_telemetry
-from repro.telemetry.tracing import LOST, Tracer
+from repro.telemetry.tap import Tap
 
 
 class DelayModel(Protocol):
@@ -135,16 +136,12 @@ class Network:
         registry = self._telemetry.registry
         self._dropped_counter = registry.counter("network.dropped")
         self._lost_counter = registry.counter("network.lost")
-        # Tracing guard: None when disabled, so the per-transmission
-        # cost of the whole telemetry layer is one identity check.
-        self._tracer: Tracer | None = (
-            self._telemetry.tracer if self._telemetry.enabled else None
-        )
-        # Load-attribution guard, same null-sink discipline: the meter
-        # is only non-None on an enabled telemetry bundle.
-        self._load = (
-            self._telemetry.load if self._telemetry.enabled else None
-        )
+        #: The observer tap of everything built on this network.  The
+        #: recorder is always its first subscriber; an enabled telemetry
+        #: adds its tracer and load meter.
+        self.tap = Tap()
+        self.tap.attach(self._recorder)
+        self._telemetry.attach_to(self.tap)
         # In-flight messages: one wave, and one drain event, per arrival
         # instant.  A wave's buckets are in order of their first send,
         # each bucket in send order.  The memo is the wave last sent
@@ -158,7 +155,6 @@ class Network:
         # delay model (the paper's setup) skips sample() entirely.
         # The exact-type check matters: a FixedDelay *subclass* may
         # override sample(), so only the base class takes the fast path.
-        self._record_send = self._recorder.messages.record_send
         self._call_at = sim.call_at
         self._fixed_delay: float | None = (
             self._delay._delay if type(self._delay) is FixedDelay else None
@@ -178,24 +174,6 @@ class Network:
     def telemetry(self) -> Telemetry:
         """The observability sink of this network (and its overlays)."""
         return self._telemetry
-
-    @property
-    def active_tracer(self) -> Tracer | None:
-        """The span tracer when tracing is enabled, else None.
-
-        Overlays cache this so their delivery paths pay the same single
-        ``is None`` guard as the transmit path.
-        """
-        return self._tracer
-
-    @property
-    def active_load(self):
-        """The load meter when load metering is enabled, else None.
-
-        Same caching contract as :attr:`active_tracer`: overlays read
-        it once and guard each delivery with one identity check.
-        """
-        return self._load
 
     @property
     def dropped(self) -> int:
@@ -252,45 +230,40 @@ class Network:
     def transmit(self, src: int, dst: int, message: OverlayMessage) -> None:
         """Send ``message`` one hop from ``src`` to ``dst``.
 
-        The hop is charged to the message's request id even if the
-        destination has crashed (the sender cannot know).  The message
-        joins ``dst``'s bucket of the wave landing at its arrival time.
+        The hop is announced (and so charged to the message's request)
+        even if it is lost or the destination has crashed — the sender
+        cannot know.  The message joins ``dst``'s bucket of the wave
+        landing at its arrival time.
         """
         now = self._sim.now
-        self._record_send(message.kind, message.request_id, now)
-        tracer = self._tracer
-        load = self._load
-        if load is not None:
-            load.on_transmit(src)
         if self._loss_rate > 0 and self._loss_rng.random() < self._loss_rate:
             self._lost_counter.inc()
-            if tracer is not None:
-                message.trace = tracer.hop(
-                    message.trace, message.request_id, message.kind.value,
-                    src, dst, now, None, status=LOST,
-                )
+            arrival = None
+        else:
+            delay = self._fixed_delay
+            if delay is None:
+                delay = self._delay.sample(src, dst)
+            arrival = now + delay
+        for fn in self.tap.send:
+            fn(message, src, dst, now, arrival)
+        if arrival is None:
             return
-        delay = self._fixed_delay
-        if delay is None:
-            delay = self._delay.sample(src, dst)
-        arrival = now + delay
-        if tracer is not None:
-            # The new span's parent is whatever hop (or request root)
-            # produced this copy; stamping the id back onto the envelope
-            # keeps parentage exact through in-place forwarding.
-            message.trace = tracer.hop(
-                message.trace, message.request_id, message.kind.value,
-                src, dst, now, arrival,
-            )
-        wave = self._wave if arrival == self._wave_at else self._wave_for(arrival)
+        wave = (
+            self._wave if arrival == self._wave_at else self._wave_for(arrival, dst)
+        )
         if dst in wave:
             wave[dst].append(message)
         else:
             wave[dst] = [message]
 
-    def _wave_for(self, arrival: float) -> Wave:
-        """The wave landing at ``arrival``, memoized; a new one is
-        opened and its (single) drain event scheduled."""
+    def _wave_for(self, arrival: float, dst: int) -> Wave:
+        """The wave ``dst``'s message landing at ``arrival`` joins.
+
+        Memoized; a new wave is opened and its (single) drain event
+        scheduled.  Here every destination of an instant shares one
+        wave; ``dst`` is for :class:`ShardNetwork`, whose destinations
+        in another shard do not.
+        """
         waves = self._waves
         if arrival in waves:
             wave = waves[arrival]
@@ -315,39 +288,37 @@ class Network:
         wave = self._waves.pop(arrival)
         self._wave_at = None
         handlers = self._handlers
-        load = self._load
-        tracer = self._tracer
+        tap = self.tap
         for dst in wave:
             bucket = wave[dst]
-            if load is not None:
-                load.on_bucket_drain(dst, len(bucket))
+            for fn in tap.drain:
+                fn(dst, len(bucket))
             for message in bucket:
                 if dst in handlers:
                     handlers[dst](message)
                 else:
                     self._dropped_counter.inc()
-                    if tracer is not None:
-                        tracer.mark_dropped(message.trace)
+                    for fn in tap.drop:
+                        fn(message, dst, arrival)
 
 
 class ShardNetwork(Network):
     """The network substrate of one shard worker (see :mod:`repro.sim.shard`).
 
-    A shard owns a contiguous arc of the identifier ring.  Transmissions
-    whose destination lies inside the arc behave exactly like the serial
-    :class:`Network`; transmissions leaving the arc are *charged
-    normally* (the send counter and the request trace see the hop at
-    transmit time, just as in the serial run) but instead of entering
-    the local inbox they are appended — already stamped with their
-    arrival time — to an outbox the barrier coordinator drains once per
-    conservative window.  The receiving shard injects them into its own
-    waves, so a remote message is drained by the same loop, under the
-    same liveness re-check, as a local one.
+    A shard owns a contiguous arc of the identifier ring.  Every
+    transmission is :meth:`Network.transmit` — announced on the tap and
+    stamped with its arrival time at transmit time, just as in the
+    serial run — and only where it lands differs: a destination inside
+    the arc joins the local wave of its arrival instant, a destination
+    outside it joins the same-shaped wave of an *outbox* that no drain
+    is scheduled for.  The barrier coordinator collects the outbox once
+    per conservative window and the receiving shard injects it into its
+    own waves, so a remote message is drained by the same loop, under
+    the same liveness re-check, as a local one.
 
-    Loss models and tracing are deliberately unsupported here: shard
-    workers run loss-free with telemetry disabled (the coordinator owns
-    the observable surface), which keeps the cross-shard hop identical
-    to a local one in everything the metrics recorder can see.
+    Shard workers run loss-free on the ambient (disabled) telemetry —
+    the coordinator owns the observable surface — so the cross-shard
+    hop is identical to a local one in everything the recorder can see.
     """
 
     def __init__(
@@ -359,61 +330,54 @@ class ShardNetwork(Network):
     ) -> None:
         super().__init__(sim, delay_model, recorder)
         self._local = frozenset(local)
-        self._outbox: list[tuple[int, float, OverlayMessage]] = []
-        # Per-node send meter for the execution profiler's rebalance
-        # advisor (see repro.telemetry.profile).  Same null-sink
-        # discipline as the tracer/LoadMeter guards above: None unless
-        # the run is profiled, one identity check per transmit.
-        self._profile_sends: dict[int, int] | None = None
+        self._outbox: dict[float, Wave] = {}
 
     @property
     def local_ids(self) -> frozenset[int]:
         """The node ids whose inboxes live in this shard."""
         return self._local
 
-    def meter_sends(self) -> dict[int, int]:
-        """Enable per-node send metering; returns the live counter map.
-
-        Counts every one-hop transmit by source node — local and
-        cross-shard alike, so the aggregate over a shard's nodes equals
-        the recorder's ``total_sends()`` for that shard.
-        """
-        if self._profile_sends is None:
-            self._profile_sends = {}
-        return self._profile_sends
-
-    def transmit(self, src: int, dst: int, message: OverlayMessage) -> None:
-        sends = self._profile_sends
-        if sends is not None:
-            sends[src] = sends.get(src, 0) + 1
-        if dst in self._local:
-            super().transmit(src, dst, message)
-            return
-        now = self._sim.now
-        self._record_send(message.kind, message.request_id, now)
-        delay = self._fixed_delay
-        if delay is None:
-            delay = self._delay.sample(src, dst)
-        self._outbox.append((dst, now + delay, message))
+    def _wave_for(self, arrival: float, dst: int) -> Wave:
+        """Local destinations share the instant's wave, remote ones its
+        outbox wave.  Never memoized: the next send of the instant may
+        land on the other side of the shard boundary."""
+        local = dst in self._local
+        waves = self._waves if local else self._outbox
+        if arrival in waves:
+            return waves[arrival]
+        wave = waves[arrival] = {}
+        if local:
+            self._call_at(arrival, self._drain, arrival)
+        return wave
 
     def drain_outbox(self) -> list[tuple[int, float, OverlayMessage]]:
-        """Detach and return the cross-shard sends of the last window."""
+        """Detach and return the cross-shard sends of the last window.
+
+        Ordered by arrival instant (first send first), then as a drain
+        would deliver them: the waves the receiver builds from this are
+        the ones send order builds.
+        """
         outbox = self._outbox
-        self._outbox = []
-        return outbox
+        self._outbox = {}
+        return [
+            (dst, arrival, message)
+            for arrival, wave in outbox.items()
+            for dst, bucket in wave.items()
+            for message in bucket
+        ]
 
     def inject(self, items: list[tuple[int, float, OverlayMessage]]) -> None:
         """Enqueue remote messages into the local waves.
 
         Called by the coordinator between windows, in the deterministic
-        merge order (source shard id, then send sequence).  Every
+        merge order (source shard id, then outbox order).  Every
         arrival lies at or beyond the *next* window's start, which is
         strictly ahead of this worker's clock — so ``call_at`` is always
         valid, and messages joining an existing bucket land after that
         bucket's locally-sent messages, in merge order.
         """
         for dst, arrival, message in items:
-            wave = self._wave if arrival == self._wave_at else self._wave_for(arrival)
+            wave = self._wave_for(arrival, dst)
             if dst in wave:
                 wave[dst].append(message)
             else:

@@ -16,7 +16,6 @@ import bisect
 from typing import Iterable, Protocol
 
 from repro.errors import OverlayError
-from repro.metrics.recorder import MetricsRecorder
 from repro.overlay.api import (
     CastMode,
     NeighborSide,
@@ -27,7 +26,6 @@ from repro.overlay.api import (
 from repro.overlay.ids import KeySpace
 from repro.overlay.network import Network
 from repro.sim.kernel import Simulator
-from repro.telemetry import Telemetry
 
 
 class RingNode(Protocol):
@@ -118,18 +116,7 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
         network: Network | None = None,
         state_transfer: StateTransferHook | None = None,
     ) -> None:
-        super().__init__(keyspace)
-        self._sim = sim
-        self._network = network or Network(sim)
-        # Per-message bindings, resolved once per overlay: nodes hand
-        # every one-hop message straight to the network's transmit, and
-        # do_deliver runs for every delivery.  The tracer and load
-        # meter are None unless telemetry is enabled.
-        self._network_transmit = self._network.transmit
-        self._record_delivery = self._network.recorder.messages.record_delivery
-        self._tracer = self._network.active_tracer
-        self._load = self._network.active_load
-        self.set_state_transfer(state_transfer)
+        super().__init__(keyspace, sim, network or Network(sim), state_transfer)
         self._ring: list[int] = []
         self._nodes: dict[int, RingNode] = {}
         # Membership is tracked separately from materialized node
@@ -170,26 +157,6 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
         """
 
     # -- accessors --------------------------------------------------------
-
-    @property
-    def sim(self) -> Simulator:
-        """The simulation kernel."""
-        return self._sim
-
-    @property
-    def network(self) -> Network:
-        """The underlying message transport."""
-        return self._network
-
-    @property
-    def recorder(self) -> MetricsRecorder:
-        """Metrics recorder shared with the network."""
-        return self._network.recorder
-
-    @property
-    def telemetry(self) -> Telemetry:
-        """Observability sink shared with the network."""
-        return self._network.telemetry
 
     def node(self, node_id: int) -> RingNode:
         """The live node with the given id."""
@@ -404,35 +371,3 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
             message, target_keys=targets, mode=CastMode.SEQUENTIAL
         )
         node.continue_sequential(seq_msg)
-
-    def send_to_neighbor(
-        self, source_id: int, side: NeighborSide, message: OverlayMessage
-    ) -> None:
-        """One-hop direct send to a ring neighbor (Sections 4.1, 4.3.2)."""
-        neighbor = self.neighbor_of(source_id, side)
-        if neighbor == source_id:
-            self.do_deliver(self.node(source_id), message)
-            return
-        self.transmit(source_id, neighbor, message.forwarded_copy(source_id))
-
-    # -- internals shared with node implementations ---------------------------
-
-    def transmit(self, src: int, dst: int, message: OverlayMessage) -> None:
-        """One-hop transmission between nodes (charged to the request)."""
-        self._network_transmit(src, dst, message)
-
-    def do_deliver(self, node: RingNode, message: OverlayMessage) -> None:
-        """Record and raise the application delivery upcall at ``node``."""
-        node_id = node.id
-        now = self._sim.now
-        self._record_delivery(message.request_id, node_id, now, message.hops)
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.delivery(message.trace, message.request_id, node_id, now)
-        load = self._load
-        if load is not None:
-            load.on_deliver(node_id)
-        # _deliver_upcall, inline: one frame per delivery.
-        deliver = self._deliver
-        if deliver is not None:
-            deliver(node_id, message)

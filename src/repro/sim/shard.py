@@ -14,25 +14,29 @@ At the window barrier the coordinator collects each shard's outbox
 destination shards' waves, where the network's one drain per arrival
 instant delivers remote and local messages alike.
 
-Determinism:
+Determinism — every K reproduces the serial run:
 
-- Request ids are drawn from disjoint residue classes
-  (``itertools.count(shard + 1, num_shards)``), so no two shards can
-  mint the same id; with K=1 the stream is exactly the serial
-  ``count(1)``.
-- Remote messages are injected in (source shard id, send sequence)
-  order, after the destination's own same-tick sends — a fixed merge
-  order, so repeated runs are bit-for-bit identical for any K.
 - With K=1 nothing ever crosses a shard boundary and every event fires
-  in the same (time, seq) order as the serial kernel, so the behavior
-  fingerprint is bit-for-bit equal to a serial
-  :meth:`~repro.workload.trace.Trace.replay` of the same trace.
+  in the same (time, seq) order as the serial kernel.
+- With K > 1, remote messages are injected in (source shard id, outbox
+  order) order, after the destination's own same-instant sends — a fixed
+  merge order.  Request ids are drawn from disjoint residue classes
+  (``itertools.count(shard + 1, num_shards)``; K=1 is exactly the serial
+  ``count(1)``), so no two shards mint the same id, and the behavior
+  fingerprint contains no request id.
+- Each worker's recorder opens a request's trace at whichever of its
+  events it sees first — begun here, a hop forwarded here, or a terminal
+  delivery here — and the partials merge field-wise.  So the merged
+  fingerprint is bit-for-bit that of a serial
+  :meth:`~repro.workload.trace.Trace.replay` of the same trace, for any
+  K and any cut points.
 
-The merged run is audited *post hoc*: workers record the application
-hook stream (subscribe/publish/notify) with an :class:`AuditTap`, and
-the coordinator replays the merged stream into the real
-:class:`~repro.audit.Auditor` against a shim system, so the delivery
-oracle of the serial runner applies unchanged.
+The merged run is audited *post hoc*: an :class:`AuditTap` subscribed to
+each worker's observer tap records the application-level request stream
+(subscribe / unsubscribe / publish / notify), and the coordinator
+replays the merged stream into the real :class:`~repro.audit.Auditor`
+against a shim system, so the delivery oracle of the serial runner
+applies unchanged.
 """
 
 from __future__ import annotations
@@ -55,7 +59,9 @@ from repro.overlay.network import FixedDelay, ShardNetwork
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 from repro.telemetry import Telemetry, current as current_telemetry
+from repro.telemetry.load import NodeSends
 from repro.telemetry.profile import ShardProfiler
+from repro.telemetry.tap import Tap
 
 if TYPE_CHECKING:
     from repro.experiments.config import ExperimentConfig
@@ -147,35 +153,33 @@ def partition_ring(
 
 
 class AuditTap:
-    """Records the application-level audit hook stream of one worker.
+    """Records the application-level request stream of one worker.
 
-    Implements the same four hooks the :class:`~repro.audit.Auditor`
-    exposes, but only appends ``(time, seq, kind, args)`` records; the
+    Subscribes to the four tap events the :class:`~repro.audit.Auditor`
+    audits, but only appends ``(time, seq, event, args)`` records; the
     coordinator merges the per-shard streams by ``(time, shard, seq)``
     and replays them into a real auditor after the run.
     """
 
-    __slots__ = ("records", "_seq")
+    __slots__ = ("records",)
 
     def __init__(self) -> None:
         self.records: list[tuple[float, int, str, tuple]] = []
-        self._seq = 0
 
-    def _record(self, now: float, kind: str, args: tuple) -> None:
-        self.records.append((now, self._seq, kind, args))
-        self._seq += 1
+    def _record(self, now: float, event: str, args: tuple) -> None:
+        self.records.append((now, len(self.records), event, args))
 
-    def on_subscribe(self, subscription, subscriber, ttl, now) -> None:
-        self._record(now, "subscribe", (subscription, subscriber, ttl))
+    def on_subscribe(self, message, now) -> None:
+        self._record(now, "subscribe", (message,))
 
-    def on_unsubscribe(self, subscription_id, now) -> None:
-        self._record(now, "unsubscribe", (subscription_id,))
+    def on_unsubscribe(self, message, now) -> None:
+        self._record(now, "unsubscribe", (message,))
 
-    def on_publish(self, event, publisher, keys, request_id, now) -> None:
-        self._record(now, "publish", (event, publisher, keys, request_id))
+    def on_publish(self, message, keys, now) -> None:
+        self._record(now, "publish", (message, keys))
 
-    def on_notifications(self, node_id, notifications, now) -> None:
-        self._record(now, "notifications", (node_id, notifications))
+    def on_notify(self, node_id, notifications, now) -> None:
+        self._record(now, "notify", (node_id, notifications))
 
 
 @dataclasses.dataclass
@@ -195,8 +199,8 @@ class ShardResult:
     finish_busy_s: float = 0.0
     finish_events: int = 0
     #: One-hop sends per local node — the rebalance advisor's traffic
-    #: measurement (None unless the run was profiled).
-    node_sends: dict[int, int] | None = None
+    #: measurement (empty unless the run was profiled).
+    node_sends: dict[int, int] = dataclasses.field(default_factory=dict)
 
 
 class ShardWorker:
@@ -236,10 +240,9 @@ class ShardWorker:
         system = PubSubSystem(
             sim, overlay, config.build_mapping(), config.pubsub_config()
         )
-        self.tap: AuditTap | None = None
+        self.audit = AuditTap()
         if audit:
-            self.tap = AuditTap()
-            system.attach_auditor(self.tap)
+            system.tap.attach(self.audit)
         # Schedule the local slice of the trace exactly like
         # Trace.replay does for the whole trace.
         for op in ops:
@@ -255,9 +258,11 @@ class ShardWorker:
         self.network = network
         self.system = system
         # Per-node send metering for the execution profiler's rebalance
-        # advisor; a pure wall-clock/traffic observer, so profiled runs
-        # stay bit-for-bit behavior-identical to unprofiled ones.
-        self._node_sends = network.meter_sends() if profile else None
+        # advisor: one more subscriber of the ``send`` event, counting
+        # local and cross-shard sends alike.
+        self._node_sends = NodeSends()
+        if profile:
+            network.tap.attach(self._node_sends)
 
     # -- barrier protocol ---------------------------------------------------
 
@@ -306,15 +311,13 @@ class ShardWorker:
         self.system.snapshot_storage()
         return ShardResult(
             recorder=self.system.recorder,
-            audit_records=self.tap.records if self.tap is not None else [],
+            audit_records=self.audit.records,
             events_processed=self.sim.events_processed,
             now=self.sim.now,
             peak_rss_bytes=peak_rss_bytes(),
             finish_busy_s=busy,
             finish_events=finish_events,
-            node_sends=dict(self._node_sends)
-            if self._node_sends is not None
-            else None,
+            node_sends=dict(self._node_sends),
         )
 
 
@@ -429,10 +432,8 @@ class _ReplaySystem:
         self.telemetry = (
             telemetry if telemetry is not None else current_telemetry()
         )
-        self.auditor = None
-
-    def attach_auditor(self, auditor) -> None:
-        self.auditor = auditor
+        # Nothing fires on it: replay_audit calls the auditor's events.
+        self.tap = Tap()
 
 
 def replay_audit(
@@ -725,8 +726,7 @@ def run_sharded(
                 [result.finish_events for result in results],
             )
             for result in results:
-                if result.node_sends:
-                    profile.add_node_loads(result.node_sends)
+                profile.add_node_loads(result.node_sends)
     finally:
         for worker in workers:
             worker.close()

@@ -11,12 +11,15 @@ One :class:`Telemetry` bundles the three sinks of a run:
 
 **Disabled by default, free when disabled.**  Components that are not
 handed a telemetry explicitly fall back to :func:`current`, which
-returns a process-global *null* telemetry: ``enabled`` is False, the
-tracer is a no-op and the registry hands out unregistered (but still
-counting) instruments.  Hot paths guard at the call site — one cached
-``is None`` check per transmission — so the behavior fingerprints of a
-telemetry-disabled run stay bit-for-bit identical to the pre-telemetry
-ones (enforced in tier-1 by ``tests/integration/test_behavior_pins.py``).
+returns a process-global *null* telemetry: ``enabled`` is False and the
+registry hands out unregistered (but still counting) instruments.
+Observation goes through the run's observer tap
+(:mod:`repro.telemetry.tap`): an enabled bundle subscribes its tracer
+and load meter to the network's tap, a disabled one subscribes nothing,
+and no layer holds a reference to either — so a telemetry-disabled run
+executes empty loops, and its behavior fingerprint is the
+pre-telemetry one bit for bit (enforced in tier-1 by
+``tests/integration/test_behavior_pins.py``).
 
 Enable by constructing ``Telemetry()`` and passing it down the stack
 (``run_experiment(config, telemetry=...)`` / ``Network(...,
@@ -34,6 +37,7 @@ from repro.telemetry.registry import (
     MetricRegistry,
     NullRegistry,
 )
+from repro.telemetry.tap import Tap
 from repro.telemetry.tracing import (
     NullTracer,
     Span,
@@ -50,6 +54,7 @@ __all__ = [
     "NullRegistry",
     "NullTracer",
     "Span",
+    "Tap",
     "Telemetry",
     "Tracer",
     "current",
@@ -82,8 +87,7 @@ class Telemetry:
         self.audit = None
         #: Per-node / per-key load attribution (see
         #: :mod:`repro.telemetry.load`); None when the bundle is
-        #: disabled or load metering is opted out, so hot-path guards
-        #: stay one cached identity check.
+        #: disabled or load metering is opted out.
         self.load = None
         if enabled and load_metering:
             from repro.telemetry.load import LoadMeter
@@ -95,6 +99,25 @@ class Telemetry:
         #: ride along in the JSONL (v4) and Perfetto exports.
         self.profile = None
 
+    def attach_to(self, tap: Tap) -> None:
+        """Subscribe this bundle's observers to a network's tap.
+
+        A disabled bundle subscribes nothing, and a :class:`NullTracer`
+        has no event to subscribe to.
+        """
+        if not self.enabled:
+            return
+        tap.attach(self.tracer)
+        if self.load is not None:
+            tap.attach(self.load)
+        self._matches = self.registry.histogram(
+            "pubsub.matches_per_publication_delivery"
+        )
+        tap.attach(self)
+
+    def on_match(self, node, message, matched) -> None:
+        self._matches.observe(len(matched))
+
     def sample(self, now: float) -> None:
         """Take one time-series sample of the registry at sim-time ``now``."""
         if not self.enabled:
@@ -104,7 +127,7 @@ class Telemetry:
             self.load.sample(now)
 
 
-#: Process-global disabled default: unregistered instruments, no-op
+#: Process-global disabled default: unregistered instruments, no
 #: tracer.  Never accumulates state, so sharing it across every
 #: component constructed without an explicit telemetry is safe.
 _NULL = Telemetry(enabled=False, registry=NullRegistry(), tracer=NullTracer())

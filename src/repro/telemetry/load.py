@@ -4,21 +4,21 @@ A :class:`LoadMeter` rides on an *enabled* :class:`~repro.telemetry.
 Telemetry` and attributes the run's work to the entities that performed
 it:
 
-- **per overlay node** — one-hop messages routed or forwarded
-  (``Network.transmit``, charged to the forwarding source), terminal
-  application deliveries (``do_deliver``), subscriptions stored, and
-  matcher work (candidate set sizes, exact verifications, matches)
-  via the per-node :class:`MatchWork` handles;
+- **per overlay node** — one-hop messages routed or forwarded (the
+  ``send`` event, charged to the forwarding source), terminal
+  application deliveries (``deliver``), subscriptions stored
+  (``store``), and matcher work (candidate set sizes, exact
+  verifications, matches) via the per-node :class:`MatchWork` handles
+  it hands each rendezvous store as the node comes up (``join``);
 - **per rendezvous key** — subscriptions stored under the key and
-  publication deliveries that reached a node covering it;
-- **queue pressure** — the depth of every drained ``(dst, tick)``
-  inbox bucket, kept as per-node drain counts and max depths.
+  publication deliveries that reached a node covering it (``match``);
+- **queue pressure** — the depth of every drained ``(dst, instant)``
+  inbox bucket (``drain``), kept as per-node drain counts and max
+  depths.
 
-Hot paths follow the tracer's null-sink discipline exactly: components
-cache ``telemetry.load if telemetry.enabled else None`` once at
-construction and guard each emission with that single identity check,
-so a disabled run stays bit-for-bit fingerprint-free (enforced in
-tier-1 by ``tests/integration/test_behavior_pins.py``).
+The meter is a plain subscriber of the run's observer tap
+(:mod:`repro.telemetry.tap`): no layer holds a reference to it, and a
+run without one executes an empty loop at each of those events.
 
 :meth:`LoadMeter.sample` runs on the simulated clock (invoked by
 :meth:`Telemetry.sample`): it snapshots the skew statistics of the
@@ -70,6 +70,19 @@ class MatchWork:
         self.cover_promotions = 0
 
 
+class NodeSends(dict):
+    """One-hop sends per source node: a ``send`` subscriber that is its
+    own table.
+
+    The load meter's ``forwarded`` column and the shard workers'
+    measurement for the rebalance advisor
+    (:func:`repro.telemetry.profile.suggest_cuts`) are both one of these.
+    """
+
+    def on_send(self, message, src, dst, now, arrival) -> None:
+        self[src] = self.get(src, 0) + 1
+
+
 class LoadMeter:
     """Load-attribution sink of one run (see module docstring).
 
@@ -85,8 +98,9 @@ class LoadMeter:
         self, overload_threshold: float = 4.0, top_k: int = TOP_K
     ) -> None:
         self.top_k = top_k
-        # Per-node counters.
-        self.forwarded: dict[int, int] = {}
+        # Per-node counters.  The send count is its own subscriber.
+        self.forwarded = NodeSends()
+        self.on_send = self.forwarded.on_send
         self.delivered: dict[int, int] = {}
         self.subscriptions_stored: dict[int, int] = {}
         self.bucket_drains: dict[int, int] = {}
@@ -102,35 +116,36 @@ class LoadMeter:
         # the structured twin of run_sharded's logging warning.
         self.shard_imbalances: list[dict] = []
 
-    # -- hot-path hooks (guarded by the caller's cached handle) -----------
+    # -- tap events ----------------------------------------------------------
 
-    def on_transmit(self, src: int) -> None:
-        """One one-hop message routed/forwarded by ``src``."""
-        self.forwarded[src] = self.forwarded.get(src, 0) + 1
-
-    def on_deliver(self, node: int) -> None:
+    def on_deliver(self, message, node: int, now: float) -> None:
         """One terminal application delivery at ``node``."""
         self.delivered[node] = self.delivered.get(node, 0) + 1
 
-    def on_bucket_drain(self, dst: int, depth: int) -> None:
-        """One ``(dst, tick)`` inbox bucket of ``depth`` messages drained."""
+    def on_drain(self, dst: int, depth: int) -> None:
+        """One ``(dst, instant)`` inbox bucket of ``depth`` messages drained."""
         self.bucket_drains[dst] = self.bucket_drains.get(dst, 0) + 1
         if depth > self.bucket_max_depth.get(dst, 0):
             self.bucket_max_depth[dst] = depth
 
-    def on_subscription_stored(self, node: int, keys) -> None:
+    def on_join(self, node) -> None:
+        """A pub/sub node came up: its matcher reports to our handle."""
+        node.store.attach_match_stats(self.match_work_for(node.id))
+
+    def on_store(self, node, keys) -> None:
         """One subscription installed at ``node`` under ``keys``."""
-        self.subscriptions_stored[node] = (
-            self.subscriptions_stored.get(node, 0) + 1
+        node_id = node.id
+        self.subscriptions_stored[node_id] = (
+            self.subscriptions_stored.get(node_id, 0) + 1
         )
         key_subscriptions = self.key_subscriptions
         for key in keys:
             key_subscriptions[key] = key_subscriptions.get(key, 0) + 1
 
-    def on_publication(self, node: int, keys) -> None:
-        """One publication delivery at ``node`` covering rendezvous ``keys``."""
+    def on_match(self, node, message, matched) -> None:
+        """One publication matched at ``node``: charge the keys it covers."""
         key_publications = self.key_publications
-        for key in keys:
+        for key in node.covered_targets(message):
             key_publications[key] = key_publications.get(key, 0) + 1
 
     def record_shard_imbalance(

@@ -24,9 +24,9 @@ derives which shards dominate wall-clock and *why* (compute vs. barrier
 wait vs. pipe I/O), a per-shard lookahead-utilization metric (how many
 windows actually drained events, and how many events per window of
 lookahead), and the **rebalance advisor**: workers additionally meter
-one-hop sends per node (one cached identity check in
-``ShardNetwork.transmit``, the tracer/LoadMeter null-sink discipline),
-and :func:`suggest_cuts` turns that measured per-node traffic into
+one-hop sends per node (a :class:`~repro.telemetry.load.NodeSends`
+subscribed to the ``send`` event of the worker's observer tap), and
+:func:`suggest_cuts` turns that measured per-node traffic into
 ``partition_ring`` cut points that equalize *traffic* per arc instead
 of node count — the direct input to the roadmap's traffic-based shard
 balancing.
@@ -34,9 +34,8 @@ balancing.
 Profiling is pure observation: it never touches the simulated event
 stream, so a profiled run's behavior fingerprint is bit-for-bit
 identical to an unprofiled one (``tests/telemetry/test_profile.py``
-keeps this honest), and with profiling off the only residue is one
-``is None`` check per transmit — pinned, like the tracer and the
-LoadMeter, by ``tests/integration/test_behavior_pins.py``.
+keeps this honest), and with profiling off nothing of it is left in
+the run: the send counter is simply not subscribed.
 """
 
 from __future__ import annotations

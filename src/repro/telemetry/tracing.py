@@ -97,7 +97,12 @@ Delivery = tuple[int, int, int, float]
 
 
 class Tracer:
-    """Accumulates spans and deliveries for one traced run."""
+    """Accumulates spans and deliveries for one traced run.
+
+    A tap subscriber: it roots a span at every ``request``, adds one at
+    every ``send`` and stamps the new id onto the envelope itself, so
+    parentage stays exact through in-place forwarding.
+    """
 
     def __init__(self) -> None:
         self._spans: list[Span] = []
@@ -111,74 +116,56 @@ class Tracer:
     def deliveries(self) -> list[Delivery]:
         return self._deliveries
 
-    def _add(self, span: Span) -> int:
-        self._spans.append(span)
-        return span.id
+    def on_request(self, message, now: float) -> None:
+        """Open the root span of a logical request.
 
-    def begin_request(
-        self, request_id: int, kind: str, origin: int, now: float,
-        parent: int = 0,
-    ) -> int:
-        """Open a root span for a logical request; returns its id.
-
-        ``parent`` may name a span of *another* request (a notification
-        root pointing at the publication hop that matched it); within
-        its own request the span is still the root.
+        ``message.trace`` arrives naming the span that caused the
+        request — 0, or for a notification the publication hop that
+        matched it, a span of *another* request; within its own request
+        the new span is still the root.
         """
-        span_id = len(self._spans) + 1
-        return self._add(
-            Span(span_id, parent, request_id, kind, origin, origin,
-                 now, now, ROOT)
+        spans = self._spans
+        span_id = len(spans) + 1
+        origin = message.origin
+        spans.append(
+            Span(span_id, message.trace, message.request_id,
+                 message.kind.value, origin, origin, now, now, ROOT)
         )
+        message.trace = span_id
 
-    def hop(
-        self,
-        parent: int,
-        request_id: int,
-        kind: str,
-        src: int,
-        dst: int,
-        t_send: float,
-        t_recv: float | None,
-        status: str = SENT,
-    ) -> int:
-        """Record one one-hop transmission; returns the new span id."""
-        span_id = len(self._spans) + 1
-        return self._add(
-            Span(span_id, parent, request_id, kind, src, dst,
-                 t_send, t_recv, status)
+    def on_send(
+        self, message, src: int, dst: int, now: float, arrival: float | None
+    ) -> None:
+        """Record one one-hop transmission (``arrival`` None: lost)."""
+        spans = self._spans
+        span_id = len(spans) + 1
+        spans.append(
+            Span(span_id, message.trace, message.request_id,
+                 message.kind.value, src, dst, now, arrival,
+                 SENT if arrival is not None else LOST)
         )
+        message.trace = span_id
 
-    def mark_dropped(self, span_id: int) -> None:
-        """Flag a hop whose destination was dead at drain time."""
+    def on_drop(self, message, dst: int, now: float) -> None:
+        """Flag the hop whose destination was dead at drain time."""
+        span_id = message.trace
         if 0 < span_id <= len(self._spans):
             self._spans[span_id - 1].status = DROPPED
 
-    def delivery(
-        self, span_id: int, request_id: int, node_id: int, now: float
-    ) -> None:
-        """Record an application-level delivery caused by ``span_id``."""
-        self._deliveries.append((span_id, request_id, node_id, now))
+    def on_deliver(self, message, node_id: int, now: float) -> None:
+        """Record an application delivery caused by ``message.trace``."""
+        self._deliveries.append(
+            (message.trace, message.request_id, node_id, now)
+        )
 
     def spans_for_request(self, request_id: int) -> list[Span]:
         return [s for s in self._spans if s.request_id == request_id]
 
 
 class NullTracer(Tracer):
-    """Discards everything (the disabled default; call sites also guard)."""
+    """The tracer of an untraced run: subscribes to no event at all."""
 
-    def begin_request(self, request_id, kind, origin, now, parent=0) -> int:
-        return 0
-
-    def hop(self, parent, request_id, kind, src, dst, t_send, t_recv,
-            status=SENT) -> int:
-        return 0
-
-    def mark_dropped(self, span_id: int) -> None:
-        pass
-
-    def delivery(self, span_id, request_id, node_id, now) -> None:
-        pass
+    on_request = on_send = on_drop = on_deliver = None
 
 
 # -- tree reconstruction ----------------------------------------------------

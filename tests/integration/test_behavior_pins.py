@@ -8,8 +8,8 @@ record in ``behavior_pins.json`` beside this file:
   ``20260805:…``, unchanged since PR 1 so the digests stay comparable
   across the repository's history);
 - one n=4000 trace through the sharded kernel with one and with two
-  forked workers (K=1 is the serial kernel's digest; K=2 pins the
-  deterministic barrier merge and its two exact counters);
+  forked workers (both read the serial kernel's digest; K=2 also pins
+  the barrier merge's two exact counters);
 - the five ledger workloads at ``--smoke`` scale, read through the
   ledger's own child entry, so the workloads every PR is judged on are
   pinned by a test.

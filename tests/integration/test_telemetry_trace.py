@@ -7,11 +7,24 @@ request's root span.  Also pinned here: enabling telemetry must not
 perturb the simulation itself (recorder metrics identical bit for bit).
 """
 
+import random
+
+import pytest
+
 from repro.cli import main
+from repro.core import EventSpace, PubSubSystem, Subscription
+from repro.core.mappings import make_mapping
 from repro.core.system import RoutingMode
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.overlay.api import MessageKind
+from repro.overlay.can import CanOverlay
+from repro.overlay.chord import ChordOverlay
+from repro.overlay.chord.protocol import ProtocolChordOverlay
+from repro.overlay.ids import KeySpace
+from repro.overlay.network import Network
+from repro.overlay.pastry import PastryOverlay
+from repro.sim import Simulator
 from repro.telemetry import Telemetry
 from repro.telemetry.export import load_jsonl, write_jsonl
 from repro.telemetry.tracing import ROOT, delivery_coverage, request_tree
@@ -41,6 +54,48 @@ def test_every_delivery_reachable_from_its_root():
     assert coverage, "no request had deliveries"
     incomplete = [rid for rid, ok in coverage.items() if not ok]
     assert not incomplete, f"orphaned deliveries in requests {incomplete}"
+
+
+@pytest.mark.parametrize(
+    "overlay_cls", [ChordOverlay, PastryOverlay, CanOverlay, ProtocolChordOverlay]
+)
+def test_every_observer_sees_every_delivery(overlay_cls):
+    # One do_deliver serves every overlay, so the application, the
+    # recorder, the tracer and the load meter count the same deliveries.
+    telemetry = Telemetry()
+    sim = Simulator()
+    keyspace = KeySpace(13)
+    overlay = overlay_cls(sim, keyspace, Network(sim, telemetry=telemetry))
+    overlay.build_ring(random.Random(15).sample(range(keyspace.size), 40))
+    space = EventSpace.uniform(("a1", "a2"), 1000)
+    system = PubSubSystem(
+        sim, overlay, make_mapping("selective-attribute", space, keyspace)
+    )
+    upcalls = []
+
+    def deliver(node_id, message):
+        upcalls.append(node_id)
+        system.node(node_id).on_deliver(message)
+
+    overlay.set_deliver(deliver)
+    nodes = overlay.node_ids()
+    sim.run_until(sim.now + 30.0)  # a self-maintained ring settles its fingers
+    system.subscribe(nodes[3], Subscription.build(space, a1=(100, 200)))
+    system.subscribe(nodes[9], Subscription.build(space, a2=(0, 500)))
+    sim.run_until(sim.now + 30.0)
+    for index in range(4):
+        system.publish(nodes[20 + index], space.make_event(a1=150, a2=index))
+    sim.run_until(sim.now + 30.0)
+
+    traces = system.recorder.messages.traces.values()
+    assert len(upcalls) > 8
+    assert sum(trace.delivery_count for trace in traces) == len(upcalls)
+    assert len(telemetry.tracer.deliveries) == len(upcalls)
+    assert sum(telemetry.load.delivered.values()) == len(upcalls)
+    coverage = delivery_coverage(
+        telemetry.tracer.spans, telemetry.tracer.deliveries
+    )
+    assert coverage and all(coverage.values())
 
 
 def test_publication_mcast_tree_reconstructs():

@@ -1,19 +1,27 @@
 """Message and storage counters."""
 
+from types import SimpleNamespace
+
 from repro.metrics.counters import MessageStats, StorageStats
-from repro.overlay.api import MessageKind
+from repro.overlay.api import MessageKind, OverlayMessage
 
 SUB = MessageKind.SUBSCRIPTION
 PUB = MessageKind.PUBLICATION
 
 
+def message(kind, request_id, hops=0):
+    return OverlayMessage(
+        kind=kind, payload=None, request_id=request_id, origin=0, hops=hops
+    )
+
+
 def test_begin_and_record_sends():
     stats = MessageStats()
     stats.begin_request(SUB, 1, time=0.0)
-    stats.record_send(SUB, 1, time=0.1)
-    stats.record_send(SUB, 1, time=0.2)
+    stats.on_send(message(SUB, 1), 0, 1, 0.1, 0.15)
+    stats.on_send(message(SUB, 1), 1, 2, 0.2, 0.25)
     stats.begin_request(SUB, 2, time=0.0)
-    stats.record_send(SUB, 2, time=0.1)
+    stats.on_send(message(SUB, 2), 0, 1, 0.1, 0.15)
     assert stats.total_sends(SUB) == 3
     assert stats.total_sends() == 3
     assert stats.hops_per_request(SUB) == [2, 1]
@@ -31,7 +39,7 @@ def test_zero_hop_requests_counted():
 
 def test_send_without_begin_creates_trace():
     stats = MessageStats()
-    stats.record_send(PUB, 9, time=1.0)
+    stats.on_send(message(PUB, 9), 0, 1, 1.0, 1.05)
     assert stats.traces[9].kind is PUB
     assert stats.traces[9].one_hop_messages == 1
 
@@ -39,8 +47,8 @@ def test_send_without_begin_creates_trace():
 def test_deliveries_and_dilation():
     stats = MessageStats()
     stats.begin_request(SUB, 1, time=0.0)
-    stats.record_delivery(1, node_id=10, time=0.5, path_hops=3)
-    stats.record_delivery(1, node_id=20, time=0.7, path_hops=5)
+    stats.on_deliver(message(SUB, 1, hops=3), 10, 0.5)
+    stats.on_deliver(message(SUB, 1, hops=5), 20, 0.7)
     trace = stats.traces[1]
     assert trace.delivery_count == 2
     assert trace.max_path_hops == 5
@@ -49,9 +57,28 @@ def test_deliveries_and_dilation():
 
 
 def test_delivery_for_unknown_request_ignored():
+    # The id is historical: such a delivery used to be dropped, which
+    # lost every delivery on a shard that had not yet sent for the
+    # request (the "K-shard != serial" gap).  It opens the trace, with
+    # the kind the message carries, exactly as a first send does.
     stats = MessageStats()
-    stats.record_delivery(99, node_id=1, time=0.0, path_hops=1)
-    assert 99 not in stats.traces
+    stats.on_deliver(message(PUB, 99, hops=1), 1, 0.25)
+    trace = stats.traces[99]
+    assert trace.kind is PUB
+    assert trace.start_time == 0.25
+    assert trace.deliveries == [(1, 0.25)]
+    assert trace.one_hop_messages == 0
+    assert trace.max_path_hops == 1
+    # Merged into the partial of the shard that began the request, the
+    # earliest start wins and the deliveries concatenate.
+    origin = MessageStats()
+    origin.begin_request(PUB, 99, time=0.0)
+    origin.on_send(message(PUB, 99), 0, 1, 0.0, 0.05)
+    origin.merge_from(stats)
+    merged = origin.traces[99]
+    assert merged.start_time == 0.0
+    assert merged.one_hop_messages == 1
+    assert merged.deliveries == [(1, 0.25)]
 
 
 def test_empty_means_are_zero():
@@ -77,8 +104,8 @@ def test_notification_delay_recording():
 
     recorder = MetricsRecorder()
     assert recorder.notification_delay_summary().count == 0
-    recorder.record_notification_delay(0.5)
-    recorder.record_notification_delay(1.5)
+    recorder.on_notify(7, (SimpleNamespace(published_at=1.5),), 2.0)
+    recorder.on_notify(7, (SimpleNamespace(published_at=0.5),), 2.0)
     summary = recorder.notification_delay_summary()
     assert summary.count == 2
     assert summary.mean == 1.0
@@ -89,7 +116,8 @@ def test_notification_batch_accounting():
     from repro.metrics.recorder import MetricsRecorder
 
     recorder = MetricsRecorder()
-    recorder.record_notification_batch(3)
-    recorder.record_notification_batch(1)
+    notification = SimpleNamespace(published_at=0.0)
+    recorder.on_notify(7, (notification,) * 3, 1.0)
+    recorder.on_notify(8, (notification,), 1.0)
     assert recorder.notification_batches == 2
     assert recorder.matched_notifications == 4

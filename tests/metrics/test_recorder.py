@@ -6,6 +6,8 @@ behavior for the degenerate runs (no notifications, no snapshots,
 snapshots with no live nodes) where a naive max()/mean() would raise.
 """
 
+from types import SimpleNamespace
+
 from repro.metrics.counters import StorageStats
 from repro.metrics.recorder import MetricsRecorder
 
@@ -21,7 +23,7 @@ def test_notification_delay_summary_empty():
 def test_notification_delay_summary_values():
     recorder = MetricsRecorder()
     for delay in (0.1, 0.3, 0.2):
-        recorder.record_notification_delay(delay)
+        recorder.on_notify(1, (SimpleNamespace(published_at=-delay),), 0.0)
     summary = recorder.notification_delay_summary()
     assert summary.count == 3
     assert abs(summary.mean - 0.2) < 1e-12

@@ -12,30 +12,44 @@ Two shapes, the two ends of how many messages share an arrival instant:
 
 - a **chain**: each handler transmits the next message, so every
   message has an instant, a wave and a kernel event of its own (a
-  unicast route).  Eleven calls: ``transmit``, ``record_send`` and its
-  ``dict.get``, ``_wave_for``, ``call_at``, ``_PlainEvent.__init__``,
-  ``heappush``, ``heappop``, ``_drain``, ``dict.pop``, the handler.
+  unicast route).  Eleven calls: ``transmit``, the recorder's
+  ``on_send`` and its ``dict.get``, ``_wave_for``, ``call_at``,
+  ``_PlainEvent.__init__``, ``heappush``, ``heappop``, ``_drain``,
+  ``dict.pop``, the handler.
 - a **fan**: the ledger micro's shape, every message sent at ``t = 0``
   to one of 64 destinations, so one wave carries them all (an m-cast
-  wave at its widest).  Five calls: ``transmit``, ``record_send`` and
-  its ``dict.get``, ``list.append``, the handler — the wave's own dozen
-  are shared by all of them.
+  wave at its widest).  Five calls: ``transmit``, the recorder's
+  ``on_send`` and its ``dict.get``, ``list.append``, the handler — the
+  wave's own dozen are shared by all of them.
+
+Both with only the recorder on the tap, which is every run's floor.
+The fan is counted once more under ``Telemetry()`` — tracer and load
+meter subscribed — where a message costs thirteen: the five, the
+tracer's ``on_send`` with ``len``, ``Span``, ``list.append`` and the
+two frames of ``kind.value``, the send counter's ``on_send`` and its
+``dict.get``.  (PR 19's tree, which called both observers through
+cached guards, counted fourteen for the same body.)
 
 The budgets are those counts, plus ``ONE_OFF`` calls per run for what
 does not scale with the messages (``run`` itself, opening the request's
-trace on its first send, the fan's single wave).
+trace on its first send, the fan's single wave) and, observed, four per
+destination for its bucket's ``drain`` event.
 """
 
 import cProfile
 
 from repro.overlay.network import Network
 from repro.sim import Simulator
+from repro.telemetry import Telemetry
 from tests.overlay.test_network_batching import make_message
 
 MESSAGES = 10_000
 CHAIN_BUDGET = 11
 FAN_BUDGET = 5
+OBSERVED_FAN_BUDGET = 13
 ONE_OFF = 16
+DESTINATIONS = 64
+DRAIN_EVENT = 4
 
 
 def profiled_calls(body) -> int:
@@ -70,16 +84,14 @@ def test_chain_of_messages_one_per_instant():
     assert sim.events_processed == MESSAGES
 
 
-def test_fan_of_messages_sharing_one_instant():
-    sim = Simulator()
-    network = Network(sim)
+def fan_calls(network: Network, sim: Simulator) -> int:
     message = make_message()
     received = [0]
 
     def count(message) -> None:
         received[0] += 1
 
-    for node in range(64):
+    for node in range(DESTINATIONS):
         network.register(node, count)
 
     def body() -> None:
@@ -88,6 +100,19 @@ def test_fan_of_messages_sharing_one_instant():
         sim.run()
 
     calls = profiled_calls(body)
-    assert calls <= FAN_BUDGET * MESSAGES + ONE_OFF, calls / MESSAGES
     assert received == [MESSAGES]
     assert sim.events_processed == 1
+    return calls
+
+
+def test_fan_of_messages_sharing_one_instant():
+    sim = Simulator()
+    calls = fan_calls(Network(sim), sim)
+    assert calls <= FAN_BUDGET * MESSAGES + ONE_OFF, calls / MESSAGES
+
+
+def test_observed_fan_of_messages_sharing_one_instant():
+    sim = Simulator()
+    calls = fan_calls(Network(sim, telemetry=Telemetry()), sim)
+    one_off = ONE_OFF + DRAIN_EVENT * DESTINATIONS
+    assert calls <= OBSERVED_FAN_BUDGET * MESSAGES + one_off, calls / MESSAGES

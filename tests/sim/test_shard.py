@@ -2,12 +2,11 @@
 
 The contract under test (see ``repro/sim/shard.py``):
 
-- ``--shards 1`` reproduces a serial :meth:`Trace.replay` of the same
+- ``--shards K`` reproduces a serial :meth:`Trace.replay` of the same
   trace **bit for bit** (behavior digest over every send, trace and
-  delivery), for all three overlays.
-- K > 1 is deterministic across repeats and across worker modes
-  (inline vs fork), and the post-hoc delivery-oracle audit reports
-  zero violations.
+  delivery), for every K, for all three overlays and in both worker
+  modes (inline and fork).
+- The post-hoc delivery-oracle audit reports zero violations.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.audit import AuditConfig
+from repro.core.system import RoutingMode
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, run_experiment
@@ -216,6 +216,7 @@ def test_sharded_runs_deterministic_and_audit_clean(overlay, shards):
     again = run_sharded(config, trace, shards, mode="fork")
     inline = run_sharded(config, trace, shards, mode="inline")
     digest = behavior_digest(first.recorder)
+    assert digest == _serial_digest(config, trace)
     assert digest == behavior_digest(again.recorder)
     assert digest == behavior_digest(inline.recorder)
     assert first.audit is not None and first.audit.violations == []
@@ -277,25 +278,33 @@ def test_sharded_storage_snapshots_cover_all_nodes():
     assert sum(final.values()) > 0
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
     overlay=st.sampled_from(["chord", "pastry", "can"]),
     shards=st.integers(min_value=2, max_value=4),
+    routing=st.sampled_from(list(RoutingMode)),
+    notification=st.sampled_from(["direct", "buffering", "collecting"]),
+    replication_factor=st.integers(min_value=0, max_value=2),
 )
-def test_shard_property_small_rings(seed, overlay, shards):
-    """K=1 parity + K>1 determinism on randomized small configurations."""
+def test_shard_property_small_rings(
+    seed, overlay, shards, routing, notification, replication_factor
+):
+    """K-shard == serial, for K=1 and K>1, on randomized small configurations."""
     config = ExperimentConfig(
         overlay=overlay, nodes=60, subscriptions=40, publications=30,
-        seed=seed,
+        seed=seed, routing=routing,
+        buffering=notification != "direct",
+        collecting=notification == "collecting",
+        replication_factor=replication_factor,
     )
     trace = _make_trace(config)
+    serial = _serial_digest(config, trace)
     one = run_sharded(config, trace, 1, mode="inline")
-    assert behavior_digest(one.recorder) == _serial_digest(config, trace)
+    assert behavior_digest(one.recorder) == serial
     many = run_sharded(config, trace, shards, mode="inline",
                        audit=AuditConfig())
-    again = run_sharded(config, trace, shards, mode="inline")
-    assert behavior_digest(many.recorder) == behavior_digest(again.recorder)
+    assert behavior_digest(many.recorder) == serial
     assert many.audit is not None and many.audit.violations == []
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.overlay.api import MessageKind, OverlayMessage
 from repro.telemetry import Telemetry
 from repro.telemetry.export import (
     load_jsonl,
@@ -14,9 +15,12 @@ from repro.telemetry.export import (
 def _traced_telemetry() -> Telemetry:
     telemetry = Telemetry()
     tracer = telemetry.tracer
-    root = tracer.begin_request(1, "publication", origin=1, now=0.0)
-    hop = tracer.hop(root, 1, "publication", 1, 2, 0.0, 0.05)
-    tracer.delivery(hop, 1, 2, 0.05)
+    message = OverlayMessage(
+        kind=MessageKind.PUBLICATION, payload=None, request_id=1, origin=1
+    )
+    tracer.on_request(message, 0.0)
+    tracer.on_send(message, 1, 2, 0.0, 0.05)
+    tracer.on_deliver(message, 2, 0.05)
     telemetry.registry.counter("network.dropped").inc(2)
     telemetry.registry.gauge("sim.pending", supplier=lambda: 4.0)
     telemetry.registry.histogram("matches").observe(3.0)

@@ -3,20 +3,22 @@
 The acceptance properties from the PR: (a) with the observatory
 enabled on a Zipf-skewed workload, the report names the hot rendezvous
 keys and their load share; (b) with it disabled, the run's behavior
-fingerprint is bit-for-bit identical to an unmetered run (the
-null-sink discipline).
+fingerprint is bit-for-bit identical to an unmetered run (observers
+subscribe to the tap; none of them steers the run).
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.audit import AuditConfig
 from repro.cli import main
 from repro.core.system import RoutingMode
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.metrics.fingerprint import behavior_fingerprint
-from repro.telemetry import Telemetry
+from repro.telemetry import NullTracer, Telemetry
 from repro.telemetry.export import FORMAT_VERSION, load_jsonl, write_jsonl
 from repro.telemetry.load import LoadMeter, MatchWork
 from repro.telemetry.loadreport import build_load_report, render_load_report
@@ -44,30 +46,44 @@ def zipf_config(**overrides):
 # -- LoadMeter unit behavior -------------------------------------------------
 
 
+MESSAGE = None  # the meter reads nothing off the envelope
+
+
+def send(meter, src):
+    meter.on_send(MESSAGE, src, 99, 0.0, 0.05)
+
+
+def node(node_id, covered=()):
+    """What the meter reads of a ``PubSubNode``."""
+    return SimpleNamespace(
+        id=node_id, covered_targets=lambda message: covered
+    )
+
+
 class TestLoadMeter:
     def test_transmit_and_deliver_attribute_to_nodes(self):
         meter = LoadMeter()
-        meter.on_transmit(1)
-        meter.on_transmit(1)
-        meter.on_deliver(1)
-        meter.on_deliver(2)
+        send(meter, 1)
+        send(meter, 1)
+        meter.on_deliver(MESSAGE, 1, 0.0)
+        meter.on_deliver(MESSAGE, 2, 0.0)
         assert meter.forwarded == {1: 2}
         assert meter.delivered == {1: 1, 2: 1}
         assert meter.node_loads() == {1: 3.0, 2: 1.0}
 
     def test_bucket_drain_tracks_count_and_max_depth(self):
         meter = LoadMeter()
-        meter.on_bucket_drain(5, 3)
-        meter.on_bucket_drain(5, 7)
-        meter.on_bucket_drain(5, 2)
+        meter.on_drain(5, 3)
+        meter.on_drain(5, 7)
+        meter.on_drain(5, 2)
         assert meter.bucket_drains == {5: 3}
         assert meter.bucket_max_depth == {5: 7}
 
     def test_subscription_and_publication_key_attribution(self):
         meter = LoadMeter()
-        meter.on_subscription_stored(1, [10, 11])
-        meter.on_subscription_stored(2, [10])
-        meter.on_publication(3, [10, 12])
+        meter.on_store(node(1), [10, 11])
+        meter.on_store(node(2), [10])
+        meter.on_match(node(3, covered=[10, 12]), MESSAGE, [])
         assert meter.subscriptions_stored == {1: 1, 2: 1}
         assert meter.key_subscriptions == {10: 2, 11: 1}
         assert meter.key_publications == {10: 1, 12: 1}
@@ -82,10 +98,10 @@ class TestLoadMeter:
     def test_sample_snapshots_skew_and_runs_detector(self):
         meter = LoadMeter(overload_threshold=2.0)
         for _ in range(30):
-            meter.on_transmit(1)
-        meter.on_transmit(2)
-        meter.on_transmit(3)
-        meter.on_transmit(4)
+            send(meter, 1)
+        send(meter, 2)
+        send(meter, 3)
+        send(meter, 4)
         meter.sample(10.0)
         assert len(meter.skew_samples) == 1
         t, scopes = meter.skew_samples[0]
@@ -95,10 +111,10 @@ class TestLoadMeter:
 
     def test_load_records_deterministic_and_complete(self):
         meter = LoadMeter()
-        meter.on_transmit(2)
-        meter.on_deliver(1)
-        meter.on_subscription_stored(3, [7])
-        meter.on_publication(1, [7])
+        send(meter, 2)
+        meter.on_deliver(MESSAGE, 1, 0.0)
+        meter.on_store(node(3), [7])
+        meter.on_match(node(1, covered=[7]), MESSAGE, [])
         work = meter.match_work_for(3)
         work.candidates += 5
         work.matched += 1
@@ -223,7 +239,7 @@ def test_cli_stats_shows_load_rows(zipf_telemetry, tmp_path, capsys):
     assert "hottest rendezvous key" in shown
 
 
-# -- the null-sink guarantee --------------------------------------------------
+# -- observers never steer the run ---------------------------------------------
 
 
 def test_disabled_and_enabled_runs_share_one_fingerprint():
@@ -235,3 +251,42 @@ def test_disabled_and_enabled_runs_share_one_fingerprint():
     fp = behavior_fingerprint(plain.recorder)["sha256"]
     assert behavior_fingerprint(metered.recorder)["sha256"] == fp
     assert behavior_fingerprint(unmetered.recorder)["sha256"] == fp
+
+
+OBSERVERS = {
+    "tracing": lambda: (Telemetry(load_metering=False), None),
+    "load": lambda: (Telemetry(tracer=NullTracer()), None),
+    "audit": lambda: (None, AuditConfig()),
+    "all": lambda: (Telemetry(), AuditConfig()),
+}
+
+
+@pytest.fixture(scope="module")
+def plain_sha256():
+    return {
+        overlay: behavior_fingerprint(
+            run_experiment(zipf_config(seed=13, overlay=overlay)).recorder
+        )["sha256"]
+        for overlay in ("chord", "pastry", "can")
+    }
+
+
+@pytest.mark.parametrize("overlay", ["chord", "pastry", "can"])
+@pytest.mark.parametrize("observers", sorted(OBSERVERS))
+def test_observed_runs_read_the_plain_fingerprint(plain_sha256, overlay, observers):
+    telemetry, audit = OBSERVERS[observers]()
+    observed = run_experiment(
+        zipf_config(seed=13, overlay=overlay), telemetry=telemetry, audit=audit
+    )
+    fingerprint = behavior_fingerprint(observed.recorder)["sha256"]
+    assert fingerprint == plain_sha256[overlay]
+    # ... and each observer did observe the run it left alone.
+    if telemetry is not None:
+        sends = observed.recorder.messages.total_sends()
+        if observers != "load":
+            hops = [s for s in telemetry.tracer.spans if s.status != "root"]
+            assert len(hops) == sends
+        if observers != "tracing":
+            assert sum(telemetry.load.forwarded.values()) == sends
+    if audit is not None:
+        assert observed.audit.ok and observed.audit.publications_audited > 0

@@ -342,12 +342,15 @@ def test_advisor_cuts_reduce_barrier_stalls_on_skewed_workload():
     cuts = profiler.suggest_partition()
     rebalanced = run_sharded(config, trace, 8, mode="inline", cuts=cuts)
 
-    # Same simulated traffic — rebalancing only moves arc boundaries,
-    # and per-node one-hop sends are partition-invariant.  (The full
-    # behavior digest is *not* invariant: request-id residue classes
-    # follow the shard a node lands on.  Nor are kernel events: a
-    # worker fires one per arrival instant it has traffic on, so their
-    # total moves with the cuts.)
+    # Same simulated run — rebalancing only moves arc boundaries, and
+    # the behavior digest is partition-invariant (it equals the serial
+    # digest under any cuts; request ids, which do follow the shard a
+    # node lands on, are not in it).  Kernel events are not: a worker
+    # fires one per arrival instant it has traffic on, so their total
+    # moves with the cuts.
+    assert behavior_digest(rebalanced.recorder) == behavior_digest(
+        baseline.recorder
+    )
     assert sum(rebalanced.load_by_shard) == sum(baseline.load_by_shard)
     # Traffic-weighted cuts flatten the skew and idle fewer windows.
     assert rebalanced.load_imbalance < baseline.load_imbalance

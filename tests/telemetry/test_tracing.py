@@ -1,5 +1,7 @@
 """Unit tests for span tracing and causal-tree reconstruction."""
 
+from repro.overlay.api import MessageKind, OverlayMessage
+from repro.telemetry.tap import Tap
 from repro.telemetry.tracing import (
     DROPPED,
     LOST,
@@ -12,70 +14,99 @@ from repro.telemetry.tracing import (
     request_tree,
 )
 
+PUB = MessageKind.PUBLICATION
+
+
+def request(tracer, request_id, kind=PUB, origin=1, now=0.0, parent=0):
+    """Open a request as ``PubSubSystem`` does; its envelope carries the
+    root span id in ``trace``."""
+    message = OverlayMessage(
+        kind=kind, payload=None, request_id=request_id, origin=origin,
+        trace=parent,
+    )
+    tracer.on_request(message, now)
+    return message
+
+
+def hop(tracer, message, src, dst, now, arrival):
+    """Forward a copy of ``message`` one hop; returns the copy, whose
+    ``trace`` is the new span id."""
+    copy = message.forwarded_copy(src)
+    tracer.on_send(copy, src, dst, now, arrival)
+    return copy
+
 
 def test_root_and_hop_spans_link_causally():
     tracer = Tracer()
-    root = tracer.begin_request(7, "publication", origin=10, now=0.0)
-    first = tracer.hop(root, 7, "publication", 10, 20, 0.0, 0.05)
-    second = tracer.hop(first, 7, "publication", 20, 30, 0.05, 0.10)
+    root = request(tracer, 7, origin=10)
+    first = hop(tracer, root, 10, 20, 0.0, 0.05)
+    second = hop(tracer, first, 20, 30, 0.05, 0.10)
     spans = tracer.spans
     assert [s.id for s in spans] == [1, 2, 3]
     assert spans[0].status == ROOT
-    assert spans[1].parent == root
-    assert spans[2].parent == first
+    assert spans[1].parent == root.trace
+    assert spans[2].parent == first.trace
     assert spans[2].status == SENT
-    assert second == 3
+    assert second.trace == 3
 
 
 def test_mark_dropped_and_lost_status():
     tracer = Tracer()
-    root = tracer.begin_request(1, "publication", origin=1, now=0.0)
-    hop = tracer.hop(root, 1, "publication", 1, 2, 0.0, 0.05)
-    tracer.mark_dropped(hop)
-    assert tracer.spans[hop - 1].status == DROPPED
-    lost = tracer.hop(root, 1, "publication", 1, 3, 0.0, None, status=LOST)
-    assert tracer.spans[lost - 1].t_recv is None
-    tracer.mark_dropped(0)  # disabled-trace id: must be a no-op
-    tracer.mark_dropped(999)  # out of range: must be a no-op
+    root = request(tracer, 1)
+    sent = hop(tracer, root, 1, 2, 0.0, 0.05)
+    tracer.on_drop(sent, 2, 0.05)
+    assert tracer.spans[sent.trace - 1].status == DROPPED
+    lost = hop(tracer, root, 1, 3, 0.0, None)
+    assert tracer.spans[lost.trace - 1].status == LOST
+    assert tracer.spans[lost.trace - 1].t_recv is None
+    untraced = OverlayMessage(kind=PUB, payload=None, request_id=1, origin=1)
+    tracer.on_drop(untraced, 2, 0.05)  # trace 0: must be a no-op
+    untraced.trace = 999
+    tracer.on_drop(untraced, 2, 0.05)  # out of range: must be a no-op
+    assert [s.status for s in tracer.spans] == [ROOT, DROPPED, LOST]
 
 
 def test_request_tree_reconstructs_mcast_fanout():
     tracer = Tracer()
-    root = tracer.begin_request(5, "publication", origin=1, now=0.0)
-    left = tracer.hop(root, 5, "publication", 1, 2, 0.0, 0.05)
-    right = tracer.hop(root, 5, "publication", 1, 3, 0.0, 0.05)
-    leaf = tracer.hop(left, 5, "publication", 2, 4, 0.05, 0.10)
-    other = tracer.begin_request(6, "subscription", origin=9, now=0.0)
+    root = request(tracer, 5)
+    left = hop(tracer, root, 1, 2, 0.0, 0.05)
+    right = hop(tracer, root, 1, 3, 0.0, 0.05)
+    leaf = hop(tracer, left, 2, 4, 0.05, 0.10)
+    other = request(tracer, 6, kind=MessageKind.SUBSCRIPTION, origin=9)
     roots, reachable = request_tree(tracer.spans, 5)
-    assert roots == [root]
-    assert reachable == {root, left, right, leaf}
-    assert other not in reachable
+    assert roots == [root.trace]
+    assert reachable == {root.trace, left.trace, right.trace, leaf.trace}
+    assert other.trace not in reachable
 
 
 def test_cross_request_parent_does_not_break_tree():
     # A notification root may point at a publication hop (another
     # request); within its own request it still counts as the root.
     tracer = Tracer()
-    pub_root = tracer.begin_request(1, "publication", origin=1, now=0.0)
-    pub_hop = tracer.hop(pub_root, 1, "publication", 1, 2, 0.0, 0.05)
-    notify_root = tracer.begin_request(
-        2, "notification", origin=2, now=0.05, parent=pub_hop
+    pub_root = request(tracer, 1)
+    pub_hop = hop(tracer, pub_root, 1, 2, 0.0, 0.05)
+    notify_root = request(
+        tracer, 2, kind=MessageKind.NOTIFICATION, origin=2, now=0.05,
+        parent=pub_hop.trace,
     )
-    notify_hop = tracer.hop(notify_root, 2, "notification", 2, 3, 0.05, 0.10)
+    notify_hop = hop(tracer, notify_root, 2, 3, 0.05, 0.10)
     roots, reachable = request_tree(tracer.spans, 2)
-    assert roots == [notify_root]
-    assert reachable == {notify_root, notify_hop}
-    assert tracer.spans[notify_root - 1].parent == pub_hop
+    assert roots == [notify_root.trace]
+    assert reachable == {notify_root.trace, notify_hop.trace}
+    assert tracer.spans[notify_root.trace - 1].parent == pub_hop.trace
 
 
 def test_delivery_coverage_detects_orphans():
     tracer = Tracer()
-    root = tracer.begin_request(1, "publication", origin=1, now=0.0)
-    hop = tracer.hop(root, 1, "publication", 1, 2, 0.0, 0.05)
-    tracer.delivery(hop, 1, 2, 0.05)
+    root = request(tracer, 1)
+    sent = hop(tracer, root, 1, 2, 0.0, 0.05)
+    tracer.on_deliver(sent, 2, 0.05)
     # Request 2: a delivery hanging off a parentless hop (orphan).
-    orphan = tracer.hop(999, 2, "publication", 5, 6, 0.0, 0.05)
-    tracer.delivery(orphan, 2, 6, 0.05)
+    orphan = OverlayMessage(
+        kind=PUB, payload=None, request_id=2, origin=5, trace=999
+    )
+    tracer.on_send(orphan, 5, 6, 0.0, 0.05)
+    tracer.on_deliver(orphan, 6, 0.05)
     coverage = delivery_coverage(tracer.spans, tracer.deliveries)
     assert coverage[1] is True
     assert coverage[2] is False
@@ -88,10 +119,10 @@ def test_span_dict_round_trip():
 
 
 def test_null_tracer_records_nothing():
+    # A NullTracer has no event to subscribe to, so a tap never calls it.
     tracer = NullTracer()
-    assert tracer.begin_request(1, "publication", 1, 0.0) == 0
-    assert tracer.hop(0, 1, "publication", 1, 2, 0.0, 0.05) == 0
-    tracer.mark_dropped(0)
-    tracer.delivery(0, 1, 2, 0.05)
+    tap = Tap()
+    tap.attach(tracer)
+    assert (tap.request, tap.send, tap.drop, tap.deliver) == ((), (), (), ())
     assert tracer.spans == []
     assert tracer.deliveries == []

@@ -21,9 +21,9 @@ from repro.overlay.ids import KeySpace
 from repro.overlay.can import CanOverlay
 from repro.overlay.pastry import PastryOverlay
 from repro.sim import Simulator
-from repro.workload.driver import WorkloadDriver
 from repro.workload.generator import SubscriptionGenerator
 from repro.workload.spec import WorkloadSpec
+from repro.workload.trace import Trace
 
 KS = KeySpace(13)
 
@@ -87,14 +87,9 @@ def _run_workload(overlay_cls, cache_capacity=128, seed=13):
         make_mapping("selective-attribute", space, KS),
         PubSubConfig(routing=RoutingMode.MCAST),
     )
-    driver = WorkloadDriver(
-        system,
-        spec,
-        random.Random(seed + 1),
-        max_subscriptions=scaled(120),
-        max_publications=scaled(120),
-    )
-    driver.run_to_completion()
+    Trace.generate(
+        spec, random.Random(seed + 1), overlay.node_ids(), scaled(120), scaled(120)
+    ).replay(system)
     messages = system.recorder.messages
     return {
         "sub_hops": messages.mean_hops_per_request(MessageKind.SUBSCRIPTION),

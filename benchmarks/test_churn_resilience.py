@@ -23,9 +23,8 @@ from repro.experiments.report import render_table
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
-from repro.workload.churn import ChurnDriver, ChurnSpec
-from repro.workload.driver import WorkloadDriver
-from repro.workload.spec import WorkloadSpec
+from repro.workload.spec import ChurnSpec, WorkloadSpec
+from repro.workload.trace import Trace
 
 KS = KeySpace(13)
 
@@ -48,25 +47,24 @@ def run_condition(label, churn_spec, replication, seed=19):
     )
     received = []
     system.set_global_notify_handler(lambda nid, ns: received.extend(ns))
-    churn = ChurnDriver(system, churn_spec, random.Random(seed + 1))
-    workload = WorkloadDriver(
-        system, workload_spec, random.Random(seed + 2),
-        max_subscriptions=scaled(60), max_publications=scaled(120),
+    trace = Trace.generate(
+        workload_spec, random.Random(seed + 2), overlay.node_ids(),
+        scaled(60), scaled(120),
+        churn=churn_spec, churn_rng=random.Random(seed + 1),
+        keyspace_size=KS.size,
     )
-    churn.start()
-    workload.run_to_completion()
-    churn.stop()
+    trace.replay(system)
     got = {(n.event.event_id, n.subscription_id) for n in received}
     expected = {
         (event.event_id, sigma.subscription_id)
-        for event in workload.injected_events
-        for sigma in workload.injected_subscriptions
+        for event in trace.events
+        for sigma in trace.subscriptions
         if sigma.matches(event)
     }
     ratio = len(got & expected) / len(expected) if expected else 1.0
     return {
         "condition": label,
-        "churn_events": churn.events,
+        "churn_events": len(trace) - len(trace.events) - len(trace.subscriptions),
         "expected": len(expected),
         "delivered_ratio": ratio,
     }

@@ -18,8 +18,8 @@ from repro.overlay.api import MessageKind
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
-from repro.workload.driver import WorkloadDriver
 from repro.workload.spec import WorkloadSpec
+from repro.workload.trace import Trace
 
 KS = KeySpace(13)
 MAPPINGS = (
@@ -40,18 +40,18 @@ def run_mapping(name, seed=17):
     system = PubSubSystem(
         sim, overlay, mapping, PubSubConfig(routing=RoutingMode.MCAST)
     )
-    driver = WorkloadDriver(
-        system, spec, random.Random(seed + 1),
-        max_subscriptions=scaled(150), max_publications=scaled(150),
+    trace = Trace.generate(
+        spec, random.Random(seed + 1), overlay.node_ids(), scaled(150), scaled(150)
     )
-    driver.run_to_completion()
+    trace.replay(system)
     messages = system.recorder.messages
+    subscriptions, events = trace.subscriptions, trace.events
     keys_per_sub = sum(
-        len(mapping.subscription_keys(s)) for s in driver.injected_subscriptions
-    ) / max(1, driver.subscriptions_sent)
+        len(mapping.subscription_keys(s)) for s in subscriptions
+    ) / max(1, len(subscriptions))
     keys_per_pub = sum(
-        len(mapping.event_keys(e)) for e in driver.injected_events
-    ) / max(1, driver.publications_sent)
+        len(mapping.event_keys(e)) for e in events
+    ) / max(1, len(events))
     storage = system.subscriptions_per_node()
     return {
         "mapping": name,

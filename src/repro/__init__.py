@@ -55,7 +55,7 @@ from repro.errors import (
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import PeriodicTimer, RandomStreams, Simulator
-from repro.workload import WorkloadDriver, WorkloadSpec
+from repro.workload import Trace, WorkloadSpec
 
 __version__ = "1.0.0"
 
@@ -83,7 +83,7 @@ __all__ = [
     "PeriodicTimer",
     "RandomStreams",
     "Simulator",
-    "WorkloadDriver",
+    "Trace",
     "WorkloadSpec",
     "__version__",
 ]

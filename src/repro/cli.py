@@ -39,10 +39,10 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from repro.core.system import RoutingMode
+from repro.errors import ConfigurationError
 from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import render_table
@@ -239,9 +239,13 @@ def _command_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
+def _key_bits(nodes: int) -> int:
+    """The paper's 2^13 keys while the ring fits in them; a larger ring
+    gets at least four keys per node (17 bits at n=20 000)."""
+    return 13 if nodes <= 1 << 13 else nodes.bit_length() + 2
 
+
+def _command_run(args: argparse.Namespace) -> int:
     shard_cuts = None
     if args.shard_cuts is not None:
         try:
@@ -258,36 +262,28 @@ def _command_run(args: argparse.Namespace) -> int:
         subscription_ttl=args.ttl,
         temporal_locality=args.temporal_locality,
     )
-    try:
-        config = ExperimentConfig(
-            mapping=args.mapping,
-            routing=RoutingMode(args.routing),
-            overlay=args.overlay,
-            nodes=args.nodes,
-            # The paper's 2^13 keys while the ring fits in them; a larger
-            # ring gets at least four keys per node (17 bits at n=20 000).
-            key_bits=(
-                13 if args.nodes <= 1 << 13 else args.nodes.bit_length() + 2
-            ),
-            cache_capacity=args.cache,
-            seed=args.seed,
-            subscriptions=args.subscriptions,
-            publications=args.publications,
-            workload=workload,
-            buffering=args.buffering or args.collecting,
-            collecting=args.collecting,
-            buffer_period=args.buffer_period,
-            discretization_width=args.discretization,
-            replication_factor=args.replication,
-            matcher=args.matcher,
-            covering=False if args.no_covering else None,
-            shards=args.shards,
-            shard_profile=args.shard_profile,
-            shard_cuts=shard_cuts,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = ExperimentConfig(
+        mapping=args.mapping,
+        routing=RoutingMode(args.routing),
+        overlay=args.overlay,
+        nodes=args.nodes,
+        key_bits=_key_bits(args.nodes),
+        cache_capacity=args.cache,
+        seed=args.seed,
+        subscriptions=args.subscriptions,
+        publications=args.publications,
+        workload=workload,
+        buffering=args.buffering or args.collecting,
+        collecting=args.collecting,
+        buffer_period=args.buffer_period,
+        discretization_width=args.discretization,
+        replication_factor=args.replication,
+        matcher=args.matcher,
+        covering=False if args.no_covering else None,
+        shards=args.shards,
+        shard_profile=args.shard_profile,
+        shard_cuts=shard_cuts,
+    )
     telemetry = None
     if args.telemetry or args.perfetto or args.audit:
         from repro.telemetry import Telemetry
@@ -514,41 +510,28 @@ def _command_audit(args: argparse.Namespace) -> int:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import build_system, generate_trace
+    from repro.overlay.api import MessageKind
+    from repro.sim.rng import RandomStreams
     from repro.workload.trace import Trace
 
     if args.trace_command == "generate":
-        spec = WorkloadSpec(subscription_ttl=args.ttl)
-        rng = random.Random(args.seed)
-        node_ids = rng.sample(range(1 << 13), args.nodes)
-        trace = Trace.generate(
-            spec, rng, node_ids,
-            subscriptions=args.subscriptions,
+        # The op list `repro run` executes for the same flags.
+        trace = generate_trace(ExperimentConfig(
+            nodes=args.nodes, key_bits=_key_bits(args.nodes),
+            seed=args.seed, subscriptions=args.subscriptions,
             publications=args.publications,
-        )
+            workload=WorkloadSpec(subscription_ttl=args.ttl),
+        ))
         trace.save(args.out)
         print(f"wrote {len(trace)} operations to {args.out}")
         return 0
-
-    # replay
-    from repro.core.mappings import make_mapping
-    from repro.core.system import PubSubConfig, PubSubSystem
-    from repro.overlay.api import MessageKind
-    from repro.overlay.chord import ChordOverlay
-    from repro.overlay.ids import KeySpace
-    from repro.sim import Simulator
-
     trace = Trace.load(args.path)
-    sim = Simulator()
-    keyspace = KeySpace(13)
-    overlay = ChordOverlay(sim, keyspace)
-    overlay.build_ring(random.Random(args.seed).sample(range(keyspace.size),
-                                                       args.nodes))
-    system = PubSubSystem(
-        sim,
-        overlay,
-        make_mapping(args.mapping, trace.space, keyspace),
-        PubSubConfig(routing=RoutingMode(args.routing)),
+    config = ExperimentConfig(
+        mapping=args.mapping, routing=RoutingMode(args.routing),
+        nodes=args.nodes, key_bits=_key_bits(args.nodes), seed=args.seed,
     )
+    _, system = build_system(config, RandomStreams(config.seed))
     delivered = []
     system.set_global_notify_handler(lambda nid, ns: delivered.extend(ns))
     trace.replay(system)
@@ -640,19 +623,15 @@ def _command_report(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "figure":
-        return _command_figure(args)
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "stats":
-        return _command_stats(args)
-    if args.command == "audit":
-        return _command_audit(args)
-    if args.command == "report":
-        return _command_report(args)
-    if args.command == "trace":
-        return _command_trace(args)
-    return 2  # unreachable: argparse enforces the choices
+    command = {
+        "figure": _command_figure, "run": _command_run, "stats": _command_stats,
+        "audit": _command_audit, "report": _command_report, "trace": _command_trace,
+    }[args.command]
+    try:
+        return command(args)
+    except ConfigurationError as exc:  # a bad configuration or trace file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

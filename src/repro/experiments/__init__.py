@@ -2,8 +2,8 @@
 
 - :mod:`repro.experiments.config` -- one dataclass capturing every knob
   of a simulation run (defaults = the paper's Section 5.1 parameters).
-- :mod:`repro.experiments.runner` -- builds the stack (kernel, network,
-  Chord ring, mapping, pub/sub layer, workload driver), runs it, and
+- :mod:`repro.experiments.runner` -- generates the run's trace, builds
+  the stack (kernel, network, ring, mapping, pub/sub layer), runs it and
   returns a :class:`~repro.experiments.runner.RunResult`.
 - :mod:`repro.experiments.figures` -- one function per paper figure
   (Figs. 5-9), each returning the rows/series the paper plots.

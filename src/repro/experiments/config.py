@@ -52,9 +52,9 @@ class ExperimentConfig:
             the matcher is "brute"; see
             :class:`~repro.core.system.PubSubConfig`).
         event_attribute: The attribute Mapping 1 hashes events by.
-        shards: Parallel shard workers for the run (1 = the serial
-            kernel).  Sharded runs pre-generate the workload as a
-            trace and execute it with :mod:`repro.sim.shard`.
+        shards: Parallel shard workers (1 = the serial kernel, > 1 =
+            :mod:`repro.sim.shard`).  Chooses the kernel only: trace,
+            horizon and summary are the same for every value.
         shard_profile: Attach the shard execution profiler
             (:mod:`repro.telemetry.profile`) to the run: per-round
             busy/stall timelines, critical-path summary, rebalance

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from repro.core.system import RoutingMode
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import RunResult, run_experiment
+from repro.experiments.runner import run_experiment
 from repro.workload.spec import WorkloadSpec
 
 MAPPINGS = ("attribute-split", "keyspace-split", "selective-attribute")
@@ -389,8 +389,3 @@ def baseline_routing(
             }
         )
     return rows
-
-
-def result_for(config: ExperimentConfig) -> RunResult:
-    """Convenience alias so harness callers import one module."""
-    return run_experiment(config)

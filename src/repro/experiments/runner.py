@@ -13,21 +13,14 @@ from repro.overlay.api import MessageKind
 from repro.overlay.network import FixedDelay, Network
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.shard import (
-    ShardRunReport,
-    ring_node_ids,
-    run_sharded,
-)
+from repro.sim.shard import ShardRunReport, ring_node_ids, run_sharded, snapshot_times
 from repro.telemetry import Telemetry
 from repro.telemetry.profile import ShardProfiler
-from repro.workload.driver import WorkloadDriver
 from repro.workload.trace import Trace
 
-#: Periodic storage samples per run (steady-state occupancy, Figs. 6/8).
-STORAGE_SAMPLES = 24
-
-#: Periodic telemetry registry samples per traced run (sim-time series).
-TELEMETRY_SAMPLES = 24
+#: Periodic samples per run, on one schedule: storage occupancy (the
+#: steady state of Figs. 6/8) and, when traced, the telemetry registry.
+SAMPLES = 24
 
 #: Structural probes per audited run when no probe period is given.
 AUDIT_PROBES = 12
@@ -107,82 +100,51 @@ def build_system(
     return sim, system
 
 
-def run_sharded_experiment(
-    config: ExperimentConfig,
-    telemetry: Telemetry | None = None,
-    audit: AuditConfig | None = None,
-    shard_mode: str = "fork",
-) -> RunResult:
-    """Run one configuration on the sharded kernel (``config.shards``).
-
-    The workload is pre-generated as a :class:`Trace` from the
-    ``workload`` substream (same content model as the serial driver,
-    materialized up front so every shard schedules its slice
-    identically) and executed by :func:`repro.sim.shard.run_sharded`.
-    Structural audit probes are replaced by the post-hoc delivery
-    oracle replay; everything else in the result mirrors
-    :func:`run_experiment`.
-    """
-    streams = RandomStreams(config.seed)
-    node_ids = ring_node_ids(config)
-    trace = Trace.generate(
+def generate_trace(config: ExperimentConfig) -> Trace:
+    """The op list a configuration and its seed stand for, on every
+    path that runs it (serial, sharded, ``repro trace``): generated over
+    the run's ring from the ``workload`` substream."""
+    return Trace.generate(
         config.workload,
-        streams.stream("workload"),
-        node_ids,
+        RandomStreams(config.seed).stream("workload"),
+        ring_node_ids(config),
         config.subscriptions,
         config.publications,
     )
-    profiler = (
-        ShardProfiler(config.shards) if config.shard_profile else None
-    )
-    outcome = run_sharded(
-        config,
-        trace,
-        config.shards,
-        mode=shard_mode,
-        telemetry=telemetry,
-        audit=audit,
-        storage_samples=STORAGE_SAMPLES,
-        profile=profiler,
-        cuts=config.shard_cuts,
-    )
-    recorder = outcome.recorder
+
+
+def _mean_keys(keys_of, items: list) -> float:
+    return sum(len(keys_of(item)) for item in items) / len(items) if items else 0.0
+
+
+def summarize_run(
+    config: ExperimentConfig,
+    trace: Trace,
+    recorder: MetricsRecorder,
+    audit: AuditReport | None = None,
+    shard: ShardRunReport | None = None,
+) -> RunResult:
+    """The one summary of a finished run, whichever kernel ran it."""
+    messages = recorder.messages
     mapping = config.build_mapping()
-    subscriptions = [
-        op.subscription for op in trace.ops if op.kind == "sub"
-    ]
-    events = [op.event for op in trace.ops if op.kind == "pub"]
-    sub_key_counts = [len(mapping.subscription_keys(s)) for s in subscriptions]
-    pub_key_counts = [len(mapping.event_keys(e)) for e in events]
-    notify_total = recorder.messages.total_sends(
-        MessageKind.NOTIFICATION
-    ) + recorder.messages.total_sends(MessageKind.COLLECT)
+    subscriptions, events = trace.subscriptions, trace.events
     return RunResult(
         config=config,
         recorder=recorder,
         subscriptions_sent=len(subscriptions),
         publications_sent=len(events),
-        sub_hops=summarize(
-            recorder.messages.hops_per_request(MessageKind.SUBSCRIPTION)
-        ),
-        pub_hops=summarize(
-            recorder.messages.hops_per_request(MessageKind.PUBLICATION)
-        ),
-        notify_hops=summarize(
-            recorder.messages.hops_per_request(MessageKind.NOTIFICATION)
-        ),
-        notification_messages=notify_total,
+        sub_hops=summarize(messages.hops_per_request(MessageKind.SUBSCRIPTION)),
+        pub_hops=summarize(messages.hops_per_request(MessageKind.PUBLICATION)),
+        notify_hops=summarize(messages.hops_per_request(MessageKind.NOTIFICATION)),
+        notification_messages=messages.total_sends(MessageKind.NOTIFICATION)
+        + messages.total_sends(MessageKind.COLLECT),
         max_subscriptions_per_node=recorder.storage.peak_max_per_node(),
         mean_subscriptions_per_node=recorder.storage.peak_mean_per_node(),
-        keys_per_subscription=(
-            sum(sub_key_counts) / len(sub_key_counts) if sub_key_counts else 0.0
-        ),
-        keys_per_publication=(
-            sum(pub_key_counts) / len(pub_key_counts) if pub_key_counts else 0.0
-        ),
+        keys_per_subscription=_mean_keys(mapping.subscription_keys, subscriptions),
+        keys_per_publication=_mean_keys(mapping.event_keys, events),
         notification_delay=recorder.notification_delay_summary(),
-        audit=outcome.audit,
-        shard=outcome,
+        audit=audit,
+        shard=shard,
     )
 
 
@@ -195,87 +157,50 @@ def run_experiment(
 
     Deterministic in ``config`` (including the seed): the ring layout,
     the workload content and all arrival times derive from named
-    substreams of the root seed.  Passing an enabled ``telemetry``
-    additionally records spans for every one-hop message and periodic
-    registry samples on the simulated clock; the workload itself is
-    unchanged (sampling callbacks read state, never mutate it).
-    Passing an ``audit`` config additionally runs the online invariant
-    auditor: periodic structural probes plus a shadow-ledger delivery
-    oracle, with findings in ``RunResult.audit`` (and in the telemetry
-    JSONL export, when telemetry is also enabled).
+    substreams of the root seed.  The run is one op list
+    (:func:`generate_trace`) executed to one horizon
+    (:meth:`Trace.horizon`) on one storage-sample schedule, so
+    ``config.shards`` chooses the kernel — serial, or
+    :func:`~repro.sim.shard.run_sharded` when > 1 — and nothing else.
 
-    With ``config.shards > 1`` the run is dispatched to the sharded
-    kernel (see :func:`run_sharded_experiment`).
+    An enabled ``telemetry`` also records a span per one-hop message and
+    periodic registry samples on the simulated clock (read-only).  An
+    ``audit`` config also runs the invariant auditor, findings in
+    ``RunResult.audit`` and the telemetry export: online on the serial
+    kernel (structural probes plus the shadow-ledger delivery oracle), a
+    post-hoc replay of the oracle alone on the sharded one.
     """
+    trace = generate_trace(config)
     if config.shards > 1:
-        return run_sharded_experiment(config, telemetry=telemetry, audit=audit)
-    streams = RandomStreams(config.seed)
-    sim, system = build_system(config, streams, telemetry=telemetry)
+        outcome = run_sharded(
+            config,
+            trace,
+            config.shards,
+            telemetry=telemetry,
+            audit=audit,
+            storage_samples=SAMPLES,
+            profile=ShardProfiler(config.shards) if config.shard_profile else None,
+            cuts=config.shard_cuts,
+        )
+        return summarize_run(config, trace, outcome.recorder, outcome.audit, outcome)
+    sim, system = build_system(config, RandomStreams(config.seed), telemetry)
     auditor = Auditor(system, audit) if audit is not None else None
-    driver = WorkloadDriver(
-        system,
-        config.workload,
-        streams.stream("workload"),
-        max_subscriptions=config.subscriptions,
-        max_publications=config.publications,
-    )
-    # Sample the storage distribution periodically: with subscription
-    # expiration, the figures' quantity is the steady-state occupancy
-    # during the run (Figs. 6, 8), not the post-horizon residue.
-    horizon = driver.estimated_duration()
-    for sample in range(1, STORAGE_SAMPLES + 1):
-        sim.schedule_at(horizon * sample / STORAGE_SAMPLES, system.snapshot_storage)
-    if telemetry is not None and telemetry.enabled:
+    horizon = trace.horizon(config.buffer_period)
+    # Observers first, as in a shard worker: at an instant they share
+    # with an op, both kernels sample before the op runs.
+    traced = telemetry is not None and telemetry.enabled
+    if traced:
         telemetry.sample(sim.now)  # t=0 baseline
-        for sample in range(1, TELEMETRY_SAMPLES + 1):
-            sim.schedule_at(
-                horizon * sample / TELEMETRY_SAMPLES,
-                telemetry.sample,
-                horizon * sample / TELEMETRY_SAMPLES,
-            )
+    for time in snapshot_times(horizon, SAMPLES):
+        sim.schedule_at(time, system.snapshot_storage)
+        if traced:
+            sim.schedule_at(time, telemetry.sample, time)
     if auditor is not None:
         period = audit.probe_period or horizon / AUDIT_PROBES
         auditor.schedule_probes(period, horizon=horizon)
-    driver.run_to_completion(horizon=horizon)
+    trace.replay(system)
     system.snapshot_storage()
-    if telemetry is not None and telemetry.enabled:
+    if traced:
         telemetry.sample(sim.now)  # final state after the horizon
-    audit_report = auditor.finalize() if auditor is not None else None
-
-    recorder = system.recorder
-    mapping = system.mapping
-    sub_key_counts = [
-        len(mapping.subscription_keys(s)) for s in driver.injected_subscriptions
-    ]
-    pub_key_counts = [len(mapping.event_keys(e)) for e in driver.injected_events]
-    keys_per_pub = (
-        sum(pub_key_counts) / len(pub_key_counts) if pub_key_counts else 0.0
-    )
-
-    notify_total = recorder.messages.total_sends(
-        MessageKind.NOTIFICATION
-    ) + recorder.messages.total_sends(MessageKind.COLLECT)
-    return RunResult(
-        config=config,
-        recorder=recorder,
-        subscriptions_sent=driver.subscriptions_sent,
-        publications_sent=driver.publications_sent,
-        sub_hops=summarize(
-            recorder.messages.hops_per_request(MessageKind.SUBSCRIPTION)
-        ),
-        pub_hops=summarize(
-            recorder.messages.hops_per_request(MessageKind.PUBLICATION)
-        ),
-        notify_hops=summarize(
-            recorder.messages.hops_per_request(MessageKind.NOTIFICATION)
-        ),
-        notification_messages=notify_total,
-        max_subscriptions_per_node=recorder.storage.peak_max_per_node(),
-        mean_subscriptions_per_node=recorder.storage.peak_mean_per_node(),
-        keys_per_subscription=(
-            sum(sub_key_counts) / len(sub_key_counts) if sub_key_counts else 0.0
-        ),
-        keys_per_publication=keys_per_pub,
-        notification_delay=recorder.notification_delay_summary(),
-        audit=audit_report,
-    )
+    report = auditor.finalize() if auditor is not None else None
+    return summarize_run(config, trace, system.recorder, report)

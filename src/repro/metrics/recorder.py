@@ -79,24 +79,6 @@ class MetricsRecorder:
 
     # -- aggregated views ----------------------------------------------
 
-    def hops_summary(self, kind: MessageKind) -> Summary:
-        """Summary of one-hop messages per request for ``kind``."""
-        return summarize(self.messages.hops_per_request(kind))
-
     def mean_hops(self, kind: MessageKind) -> float:
         """Average one-hop messages per request for ``kind``."""
         return self.messages.mean_hops_per_request(kind)
-
-    def notification_hops_per_publication(self) -> float:
-        """Notification + collect one-hop messages per publication.
-
-        Fig. 9(a) reports notification cost as a function of matching
-        probability; collecting traffic (neighbor aggregation hops) is
-        part of that cost and is included here.
-        """
-        publications = len(self.messages.requests_of_kind(MessageKind.PUBLICATION))
-        if publications == 0:
-            return 0.0
-        notify_msgs = self.messages.total_sends(MessageKind.NOTIFICATION)
-        collect_msgs = self.messages.total_sends(MessageKind.COLLECT)
-        return (notify_msgs + collect_msgs) / publications

@@ -62,10 +62,10 @@ from repro.telemetry import Telemetry, current as current_telemetry
 from repro.telemetry.load import NodeSends
 from repro.telemetry.profile import ShardProfiler
 from repro.telemetry.tap import Tap
+from repro.workload.trace import Trace, TraceOp, schedule_ops
 
 if TYPE_CHECKING:
     from repro.experiments.config import ExperimentConfig
-    from repro.workload.trace import Trace, TraceOp
 
 logger = logging.getLogger(__name__)
 
@@ -88,6 +88,13 @@ def ring_node_ids(config: "ExperimentConfig") -> list[int]:
     return RandomStreams(config.seed).stream("ring").sample(
         range(keyspace.size), config.nodes
     )
+
+
+def snapshot_times(horizon: float, samples: int) -> list[float]:
+    """When a run samples its storage, on either kernel: with expiration
+    the figures' quantity is the occupancy *during* the run (Figs. 6, 8),
+    not the post-horizon residue."""
+    return [horizon * sample / samples for sample in range(1, samples + 1)]
 
 
 def partition_ring(
@@ -222,8 +229,8 @@ class ShardWorker:
         num_shards: int,
         ring_ids: list[int],
         local: frozenset[int],
-        ops: list["TraceOp"],
-        snapshot_times: Sequence[float],
+        ops: list[TraceOp],
+        snapshots: Sequence[float],
         audit: bool,
         profile: bool = False,
     ) -> None:
@@ -243,17 +250,9 @@ class ShardWorker:
         self.audit = AuditTap()
         if audit:
             system.tap.attach(self.audit)
-        # Schedule the local slice of the trace exactly like
-        # Trace.replay does for the whole trace.
-        for op in ops:
-            if op.kind == "sub":
-                sim.schedule_at(
-                    op.time, system.subscribe, op.node, op.subscription, op.ttl
-                )
-            else:
-                sim.schedule_at(op.time, system.publish, op.node, op.event)
-        for time in snapshot_times:
+        for time in snapshots:
             sim.schedule_at(time, system.snapshot_storage)
+        schedule_ops(system, ops)  # this arc's slice of the trace
         self.sim = sim
         self.network = network
         self.system = system
@@ -346,14 +345,14 @@ class _InlineShard:
 
 
 def _worker_main(conn, config, shard, num_shards, ring_ids, local, ops,
-                 snapshot_times, audit, profile) -> None:
+                 snapshots, audit, profile) -> None:
     """Forked worker loop: build the stack, then serve barrier requests."""
     # Start the RSS high-water mark at the post-fork footprint so the
     # final ShardResult reports this worker's own peak (stack build
     # plus run), not whatever the parent had touched before forking.
     reset_peak_rss()
     worker = ShardWorker(
-        config, shard, num_shards, ring_ids, local, ops, snapshot_times,
+        config, shard, num_shards, ring_ids, local, ops, snapshots,
         audit, profile,
     )
     while True:
@@ -404,8 +403,8 @@ class _ForkShard:
 class _ShimOverlay:
     """What the replay auditor needs of an overlay: size and liveness.
 
-    Sharded runs are churn-free (the trace carries only subscribe and
-    publish operations), so every node is alive for the whole run.
+    Sharded runs are churn-free (:func:`run_sharded` rejects a trace
+    with membership ops), so every node is alive for the whole run.
     """
 
     __slots__ = ("_n",)
@@ -488,7 +487,6 @@ class ShardRunReport:
         audit: Delivery-oracle report from the post-hoc replay (None
             when the run was not audited).
         num_shards: K.
-        horizon: The simulated end time every worker ran to.
         barrier_rounds: Conservative windows executed.
         remote_messages: One-hop messages that crossed a shard boundary.
         barrier_stalls: (shard, window) pairs that fired zero events —
@@ -509,7 +507,6 @@ class ShardRunReport:
     recorder: MetricsRecorder
     audit: AuditReport | None
     num_shards: int
-    horizon: float
     barrier_rounds: int
     remote_messages: int
     barrier_stalls: int
@@ -541,13 +538,12 @@ def load_imbalance_ratio(load_by_shard: Sequence[int]) -> float:
 
 def run_sharded(
     config: "ExperimentConfig",
-    trace: "Trace",
+    trace: Trace,
     num_shards: int,
     *,
     mode: str = "fork",
     telemetry: Telemetry | None = None,
     audit: AuditConfig | None = None,
-    horizon_slack: float = 60.0,
     storage_samples: int = 24,
     profile: ShardProfiler | None = None,
     cuts: Sequence[int] | None = None,
@@ -567,9 +563,8 @@ def run_sharded(
             disabled; the coordinator owns the observable surface.
         audit: Optional delivery-oracle configuration; the merged hook
             stream is replayed post hoc (structural probes are skipped).
-        horizon_slack: Seconds past the last trace op, matching
-            :meth:`~repro.workload.trace.Trace.replay`.
-        storage_samples: Periodic storage snapshots per worker.
+        storage_samples: Periodic storage snapshots per worker, on
+            :func:`snapshot_times` of the trace's own horizon.
         profile: Optional execution profiler
             (:class:`~repro.telemetry.profile.ShardProfiler` with
             ``num_shards`` shards): records per-round busy/stall/traffic
@@ -599,16 +594,16 @@ def run_sharded(
     current_cuts = [0]
     for arc in locals_[:-1]:
         current_cuts.append(current_cuts[-1] + len(arc))
-    ops = trace.ops
-    last = ops[-1].time if ops else 0.0
-    horizon = last + horizon_slack
-    snapshot_times = [
-        horizon * sample / storage_samples
-        for sample in range(1, storage_samples + 1)
-    ]
-    per_shard_ops: list[list["TraceOp"]] = [[] for _ in range(num_shards)]
-    for op in ops:
+    horizon = trace.horizon(config.buffer_period)
+    per_shard_ops: list[list[TraceOp]] = [[] for _ in range(num_shards)]
+    for index, op in enumerate(trace.ops):
+        if op.kind not in ("sub", "pub"):
+            raise ConfigurationError(
+                f"trace op {index} is a {op.kind!r}: shard arcs are fixed, so "
+                "a trace with membership ops runs on the serial kernel only"
+            )
         per_shard_ops[shard_of[op.node]].append(op)
+    snapshots = snapshot_times(horizon, storage_samples)
 
     audited = audit is not None
     profiled = profile is not None
@@ -617,14 +612,14 @@ def run_sharded(
         for shard in range(num_shards):
             workers.append(_InlineShard(ShardWorker(
                 config, shard, num_shards, ring_ids, locals_[shard],
-                per_shard_ops[shard], snapshot_times, audited, profiled,
+                per_shard_ops[shard], snapshots, audited, profiled,
             )))
     else:
         ctx = multiprocessing.get_context("fork")
         for shard in range(num_shards):
             workers.append(_ForkShard(ctx, (
                 config, shard, num_shards, ring_ids, locals_[shard],
-                per_shard_ops[shard], snapshot_times, audited, profiled,
+                per_shard_ops[shard], snapshots, audited, profiled,
             )))
 
     # Coordinator-side observability: gauges read these arrays lazily.
@@ -772,7 +767,6 @@ def run_sharded(
         recorder=recorder,
         audit=report,
         num_shards=num_shards,
-        horizon=horizon,
         barrier_rounds=rounds,
         remote_messages=remote,
         barrier_stalls=stalls,

@@ -8,14 +8,12 @@ centered uniformly (non-selective) or Zipf (selective); subscriptions
 arrive at a regular period (5 s), publications as a Poisson process
 (mean 5 s), interleaved; publications match at least one live
 subscription with a configurable *matching probability* (default 0.5);
-stored subscriptions expire after a configurable time, simulating
-unsubscriptions.
+stored subscriptions expire after a configurable time.  A workload is
+one :class:`~repro.workload.trace.Trace`: a time-ordered op list.
 """
 
-from repro.workload.spec import DEFAULT_ATTR_MAX, WorkloadSpec
+from repro.workload.spec import DEFAULT_ATTR_MAX, ChurnSpec, WorkloadSpec
 from repro.workload.generator import EventGenerator, SubscriptionGenerator
-from repro.workload.driver import WorkloadDriver
-from repro.workload.churn import ChurnDriver, ChurnSpec
 from repro.workload.trace import Trace, TraceOp
 from repro.workload.zipf import ZipfSampler
 
@@ -24,8 +22,6 @@ __all__ = [
     "WorkloadSpec",
     "EventGenerator",
     "SubscriptionGenerator",
-    "WorkloadDriver",
-    "ChurnDriver",
     "ChurnSpec",
     "Trace",
     "TraceOp",

@@ -135,3 +135,28 @@ class WorkloadSpec:
     def average_range(self, attribute: int) -> float:
         """Expected constraint span (ranges are uniform in [1, X])."""
         return (1 + self.max_range(attribute)) / 2
+
+
+@dataclasses.dataclass(frozen=True)
+class ChurnSpec:
+    """Churn intensities, as mean seconds between Poisson events (0 =
+    off): Section 4.1's "adaptive to node failures and joins", measurable.
+
+    Attributes:
+        join_period: Mean time between node joins.
+        leave_period: Mean time between graceful departures.
+        crash_period: Mean time between crashes.
+        min_ring_size: Departures are suppressed at this population.
+    """
+
+    join_period: float = 0.0
+    leave_period: float = 0.0
+    crash_period: float = 0.0
+    min_ring_size: int = 8
+
+    def __post_init__(self) -> None:
+        for period in (self.join_period, self.leave_period, self.crash_period):
+            if period < 0:
+                raise ConfigurationError("churn periods must be >= 0")
+        if self.min_ring_size < 2:
+            raise ConfigurationError("min_ring_size must be >= 2")

@@ -1,8 +1,13 @@
-"""The experiment runner: determinism and result plumbing."""
+"""The experiment runner: determinism, result plumbing, kernel parity."""
+
+import dataclasses
+
+import pytest
 
 from repro.core.system import RoutingMode
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import RunResult, generate_trace, run_experiment
+from repro.metrics.fingerprint import behavior_fingerprint
 from repro.workload.spec import WorkloadSpec
 
 
@@ -59,3 +64,54 @@ def test_zero_publications():
     assert result.publications_sent == 0
     assert result.notification_hops_per_publication == 0.0
     assert result.keys_per_publication == 0.0
+
+
+# -- same seed, same flags, same answer: the kernel is not part of the run --
+
+#: Everything a figure or the CLI table reads; the rest names the kernel.
+SUMMARY_FIELDS = [
+    field.name
+    for field in dataclasses.fields(RunResult)
+    if field.name not in ("config", "recorder", "shard")
+]
+
+
+@pytest.mark.parametrize("buffering", [False, True], ids=["direct", "buffering"])
+@pytest.mark.parametrize("routing", [RoutingMode.MCAST, RoutingMode.UNICAST])
+@pytest.mark.parametrize("overlay", ["chord", "can", "pastry"])
+def test_sharded_run_equals_serial_run(overlay, routing, buffering):
+    config = small_config(
+        overlay=overlay, routing=routing, buffering=buffering, nodes=60,
+        subscriptions=30, publications=30, seed=20260921,
+        workload=WorkloadSpec(subscription_ttl=60.0),
+    )
+    serial = run_experiment(config)
+    assert serial.shard is None
+    assert serial.max_subscriptions_per_node > 0
+    assert serial.notification_delay.count > 0
+    for shards in (2, 3):
+        sharded = run_experiment(dataclasses.replace(config, shards=shards))
+        assert sharded.shard.num_shards == shards
+        assert sharded.shard.remote_messages > 0
+        assert behavior_fingerprint(sharded.recorder) == behavior_fingerprint(
+            serial.recorder
+        )
+        for name in SUMMARY_FIELDS:
+            assert getattr(sharded, name) == getattr(serial, name), name
+
+
+def test_long_buffer_period_still_flushes_before_the_horizon():
+    """The slack derives from the buffer period: a period longer than
+    the 60 s floor delivers what the unbuffered run delivers."""
+    direct = run_experiment(small_config(seed=3))
+    slow = run_experiment(small_config(seed=3, buffering=True, buffer_period=90.0))
+    assert direct.notification_delay.count > 0
+    assert slow.notification_delay.count == direct.notification_delay.count
+    assert slow.notification_delay.mean > direct.notification_delay.mean
+
+
+def test_one_seed_is_one_workload():
+    config = small_config(seed=11)
+    again = dataclasses.replace(config, shards=2, mapping="keyspace-split")
+    ops = [(op.time, op.kind, op.node) for op in generate_trace(config).ops]
+    assert ops == [(op.time, op.kind, op.node) for op in generate_trace(again).ops]

@@ -4,9 +4,10 @@ Three groups of seeded runs, each compared field by field with its
 record in ``behavior_pins.json`` beside this file:
 
 - nine small scenarios over the three mappings, two matchers, the three
-  overlays under churn and a Zipf flash crowd (seed strings
-  ``20260805:…``, unchanged since PR 1 so the digests stay comparable
-  across the repository's history);
+  overlays under churn and a Zipf flash crowd, each one generated trace
+  replayed on a fresh stack (seed strings ``20260805:…``; the digests
+  date from PR 21, when ``Trace.generate`` became the one generator —
+  CHANGES.md shows the earlier ones reproduce from the earlier ops);
 - one n=4000 trace through the sharded kernel with one and with two
   forked workers (both read the serial kernel's digest; K=2 also pins
   the barrier merge's two exact counters);
@@ -46,9 +47,7 @@ from repro.sim import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.shard import ring_node_ids, run_sharded
 from repro.telemetry import Telemetry
-from repro.workload.churn import ChurnDriver, ChurnSpec
-from repro.workload.driver import WorkloadDriver
-from repro.workload.spec import WorkloadSpec
+from repro.workload.spec import ChurnSpec, WorkloadSpec
 from repro.workload.trace import Trace
 
 HERE = Path(__file__).resolve().parent
@@ -57,7 +56,7 @@ LEDGER_RUN = HERE.parents[1] / "benchmarks" / "ledger" / "run.py"
 
 SEED = 20260805
 #: Spelled out here, not taken from ``ExperimentConfig.build_overlay``:
-#: the module has to run unchanged against an older tree's ``src/``.
+#: the module has to run unchanged against another tree's ``src/``.
 OVERLAYS = {
     "chord": functools.partial(ChordOverlay, cache_capacity=128),
     "pastry": PastryOverlay,
@@ -78,10 +77,10 @@ def check(name: str, observed: dict) -> None:
 
 
 class Scenario(typing.NamedTuple):
-    """One seeded run; ``ring``/``driver``/``churn`` are seed suffixes."""
+    """One seeded run; ``ring``/``trace``/``churn`` are seed suffixes."""
 
     ring: str
-    driver: str
+    trace: str
     nodes: int
     subscriptions: int
     publications: int
@@ -123,7 +122,7 @@ SCENARIOS = {
     # Partially defined Zipf interest with celebrity publications: the
     # shape under which covering occurs at the hot rendezvous nodes.
     "flash-crowd-n2000": Scenario(
-        "flash:2000", "flash-driver:2000", 2000, 400, 800,
+        "flash:2000", "flash-trace:2000", 2000, 400, 800,
         spec=WorkloadSpec(
             selective_attributes=(0, 1), zipf_exponent=1.6,
             temporal_locality=0.9, constraint_probability=0.5,
@@ -146,21 +145,21 @@ def run_scenario(scenario: Scenario, **config_changes):
     mapping = make_mapping(scenario.mapping, scenario.spec.make_space(), keyspace)
     config = dataclasses.replace(scenario.config, **config_changes)
     system = PubSubSystem(sim, overlay, mapping, config)
-    driver = WorkloadDriver(
-        system, scenario.spec, random.Random(f"{SEED}:{scenario.driver}"),
-        max_subscriptions=scenario.subscriptions,
-        max_publications=scenario.publications,
-    )
+    churn = {}
     if scenario.churn is not None:
-        ChurnDriver(
-            system,
-            ChurnSpec(
+        churn = dict(
+            churn=ChurnSpec(
                 join_period=2.0, leave_period=2.0, crash_period=10.0,
                 min_ring_size=max(8, scenario.nodes // 2),
             ),
-            random.Random(f"{SEED}:{scenario.churn}"),
-        ).start()
-    driver.run_to_completion()
+            churn_rng=random.Random(f"{SEED}:{scenario.churn}"),
+            keyspace_size=keyspace.size,
+        )
+    Trace.generate(
+        scenario.spec, random.Random(f"{SEED}:{scenario.trace}"),
+        overlay.node_ids(), scenario.subscriptions, scenario.publications,
+        **churn,
+    ).replay(system)
     return system, telemetry.load if telemetry is not None else None
 
 

@@ -11,8 +11,8 @@ from repro.overlay.api import MessageKind
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
-from repro.workload.driver import WorkloadDriver
 from repro.workload.spec import WorkloadSpec
+from repro.workload.trace import Trace
 
 KS = KeySpace(13)
 MAPPINGS = ["attribute-split", "keyspace-split", "selective-attribute"]
@@ -32,15 +32,11 @@ def run_workload(mapping, routing, n=80, subs=25, pubs=40, seed=11, config=None)
     )
     notifications = []
     system.set_global_notify_handler(lambda nid, ns: notifications.extend(ns))
-    driver = WorkloadDriver(
-        system,
-        spec,
-        random.Random(seed + 1),
-        max_subscriptions=subs,
-        max_publications=pubs,
+    trace = Trace.generate(
+        spec, random.Random(seed + 1), overlay.node_ids(), subs, pubs
     )
-    driver.run_to_completion()
-    return system, driver, notifications
+    trace.replay(system)
+    return system, trace, notifications
 
 
 @pytest.mark.parametrize("mapping", MAPPINGS)
@@ -54,11 +50,11 @@ def test_no_false_negatives(mapping, routing):
     Publications arriving before their matching subscription finished
     propagating are exempt (in-flight races are inherent to the
     asynchronous system, not a correctness bug)."""
-    system, driver, notifications = run_workload(mapping, routing)
+    system, trace, notifications = run_workload(mapping, routing)
     got = {(n.event.event_id, n.subscription_id) for n in notifications}
-    subs = driver.injected_subscriptions
+    subs = trace.subscriptions
     missing = []
-    for event in driver.injected_events:
+    for event in trace.events:
         for sigma in subs:
             if sigma.matches(event):
                 if (event.event_id, sigma.subscription_id) not in got:
@@ -72,9 +68,9 @@ def test_no_false_negatives(mapping, routing):
 def test_no_false_positives(mapping):
     """Nothing is delivered for (event, subscription) pairs that do not
     match — matching happens at rendezvous, not at the subscriber."""
-    system, driver, notifications = run_workload(mapping, RoutingMode.MCAST)
-    subs = {s.subscription_id: s for s in driver.injected_subscriptions}
-    events = {e.event_id: e for e in driver.injected_events}
+    system, trace, notifications = run_workload(mapping, RoutingMode.MCAST)
+    subs = {s.subscription_id: s for s in trace.subscriptions}
+    events = {e.event_id: e for e in trace.events}
     for notification in notifications:
         sigma = subs[notification.subscription_id]
         event = events[notification.event.event_id]
@@ -96,27 +92,27 @@ def test_buffered_run_delivers_everything():
         routing=RoutingMode.MCAST, buffering=True, collecting=True,
         buffer_period=5.0,
     )
-    system, driver, notifications = run_workload(
+    system, trace, notifications = run_workload(
         "selective-attribute", RoutingMode.MCAST, config=config
     )
     got = {(n.event.event_id, n.subscription_id) for n in notifications}
     expected = {
         (event.event_id, sigma.subscription_id)
-        for event in driver.injected_events
-        for sigma in driver.injected_subscriptions
+        for event in trace.events
+        for sigma in trace.subscriptions
         if sigma.matches(event)
     }
     assert got >= expected
 
 
 def test_notification_count_matches_match_count():
-    system, driver, notifications = run_workload(
+    system, trace, notifications = run_workload(
         "keyspace-split", RoutingMode.MCAST
     )
     expected = sum(
         1
-        for event in driver.injected_events
-        for sigma in driver.injected_subscriptions
+        for event in trace.events
+        for sigma in trace.subscriptions
         if sigma.matches(event)
     )
     assert len(notifications) == expected

@@ -13,8 +13,8 @@ from repro.overlay.ids import KeySpace
 from repro.overlay.can import CanOverlay
 from repro.overlay.pastry import PastryOverlay
 from repro.sim import Simulator
-from repro.workload.driver import WorkloadDriver
 from repro.workload.spec import WorkloadSpec
+from repro.workload.trace import Trace
 
 KS = KeySpace(13)
 
@@ -30,26 +30,26 @@ def run_over(overlay_cls, mapping, routing, seed=21):
     )
     notifications = []
     system.set_global_notify_handler(lambda nid, ns: notifications.extend(ns))
-    driver = WorkloadDriver(
-        system, spec, random.Random(seed + 1),
-        max_subscriptions=20, max_publications=30,
-    )
-    driver.run_to_completion()
+    trace = Trace.generate(spec, random.Random(seed + 1), overlay.node_ids(), 20, 30)
+    trace.replay(system)
     # Subscription/event ids are process-global counters, so express
     # matches as injection-index pairs for cross-run comparability.
-    event_index = {e.event_id: i for i, e in enumerate(driver.injected_events)}
+    event_index = {e.event_id: i for i, e in enumerate(trace.events)}
     sub_index = {
-        s.subscription_id: i for i, s in enumerate(driver.injected_subscriptions)
+        s.subscription_id: i for i, s in enumerate(trace.subscriptions)
     }
     got = {
         (event_index[n.event.event_id], sub_index[n.subscription_id])
         for n in notifications
     }
+    # A publication within a second of its subscription races the
+    # subscription's propagation (50 ms a hop) and is owed nothing.
+    ops = trace.ops
     expected = {
-        (event_index[e.event_id], sub_index[s.subscription_id])
-        for e in driver.injected_events
-        for s in driver.injected_subscriptions
-        if s.matches(e)
+        (event_index[pub.event.event_id], sub_index[sub.subscription.subscription_id])
+        for pub in ops if pub.kind == "pub"
+        for sub in ops if sub.kind == "sub"
+        if sub.time + 1.0 <= pub.time and sub.subscription.matches(pub.event)
     }
     return got, expected
 

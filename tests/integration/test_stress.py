@@ -8,8 +8,8 @@ from repro.core.mappings import make_mapping
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
-from repro.workload.driver import WorkloadDriver
 from repro.workload.spec import WorkloadSpec
+from repro.workload.trace import Trace
 
 KS = KeySpace(13)
 
@@ -28,15 +28,12 @@ def test_two_thousand_node_ring_end_to_end():
     )
     received = []
     system.set_global_notify_handler(lambda nid, ns: received.extend(ns))
-    driver = WorkloadDriver(
-        system, spec, random.Random(2),
-        max_subscriptions=40, max_publications=60,
-    )
-    driver.run_to_completion()
+    trace = Trace.generate(spec, random.Random(2), overlay.node_ids(), 40, 60)
+    trace.replay(system)
     expected = sum(
         1
-        for event in driver.injected_events
-        for sigma in driver.injected_subscriptions
+        for event in trace.events
+        for sigma in trace.subscriptions
         if sigma.matches(event)
     )
     assert len(received) == expected

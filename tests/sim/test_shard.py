@@ -20,7 +20,7 @@ from repro.audit import AuditConfig
 from repro.core.system import RoutingMode
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import build_system, run_experiment
+from repro.experiments.runner import build_system, generate_trace, run_experiment
 from repro.metrics.fingerprint import behavior_digest
 from repro.metrics.recorder import MetricsRecorder
 from repro.overlay.api import MessageKind, OverlayMessage
@@ -28,7 +28,7 @@ from repro.overlay.network import FixedDelay, ShardNetwork
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.shard import partition_ring, ring_node_ids, run_sharded
-from repro.workload.spec import WorkloadSpec
+from repro.workload.spec import ChurnSpec, WorkloadSpec
 from repro.workload.trace import Trace
 
 
@@ -171,15 +171,7 @@ def test_shard_network_inject_delivers_in_merge_order():
 # -- serial parity and determinism ------------------------------------------
 
 
-def _make_trace(config: ExperimentConfig) -> Trace:
-    streams = RandomStreams(config.seed)
-    return Trace.generate(
-        config.workload,
-        streams.stream("workload"),
-        ring_node_ids(config),
-        config.subscriptions,
-        config.publications,
-    )
+_make_trace = generate_trace
 
 
 def _serial_digest(config: ExperimentConfig, trace: Trace) -> str:
@@ -252,7 +244,7 @@ def test_load_imbalance_ratio():
     def report(loads):
         return ShardRunReport(
             recorder=MetricsRecorder(), audit=None, num_shards=len(loads),
-            horizon=0.0, barrier_rounds=0, remote_messages=0,
+            barrier_rounds=0, remote_messages=0,
             barrier_stalls=0, events_per_shard=[], peak_rss_by_shard=[],
             load_by_shard=loads,
         )
@@ -340,6 +332,21 @@ def test_run_sharded_rejects_zero_delay_and_bad_mode():
         run_sharded(zero_delay, trace, 2, mode="inline")
     with pytest.raises(ConfigurationError):
         run_sharded(config, trace, 2, mode="threads")
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_run_sharded_rejects_a_churn_trace(shards):
+    """A worker's arc is fixed for the run: membership ops are refused
+    up front, not silently dropped at a frozen shard boundary."""
+    config = ExperimentConfig(nodes=20, subscriptions=5, publications=5)
+    trace = Trace.generate(
+        config.workload, random.Random(1), ring_node_ids(config), 5, 5,
+        churn=ChurnSpec(join_period=2.0), churn_rng=random.Random(2),
+        keyspace_size=1 << config.key_bits,
+    )
+    assert any(op.kind == "join" for op in trace.ops)
+    with pytest.raises(ConfigurationError, match="op .* is a 'join'"):
+        run_sharded(config, trace, shards, mode="inline")
 
 
 def test_run_experiment_dispatches_to_sharded_kernel():

@@ -71,6 +71,50 @@ def test_trace_roundtrip(tmp_path, capsys):
     assert "operations replayed" in out
 
 
+def test_trace_replay_on_another_ring_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "trace.json"
+    generate = ["trace", "generate", "--out", str(path), "--nodes", "50",
+                "--subscriptions", "5", "--publications", "5"]
+    assert main(generate + ["--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(["trace", "replay", str(path), "--nodes", "50", "--seed", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: trace op 0 ")
+    assert "not in the ring" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_trace_replay_rejects_an_edited_file(tmp_path, capsys):
+    import json
+
+    path = tmp_path / "trace.json"
+    assert main(["trace", "generate", "--out", str(path), "--nodes", "50",
+                 "--subscriptions", "5", "--publications", "5"]) == 0
+    payload = json.loads(path.read_text())
+    payload["version"] = 99
+    payload["ops"][0]["kind"] = "join"
+    path.write_text(json.dumps(payload))
+    assert main(["trace", "replay", str(path), "--nodes", "50"]) == 2
+    assert "unsupported trace format version 99" in capsys.readouterr().err
+
+
+def test_trace_generate_is_the_workload_run_executes(tmp_path):
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import generate_trace
+    from repro.workload.trace import Trace
+
+    path = tmp_path / "trace.json"
+    assert main(["trace", "generate", "--out", str(path), "--nodes", "9000",
+                 "--seed", "5", "--subscriptions", "4", "--publications", "4"]) == 0
+    # 9000 nodes do not fit the paper's 2^13 keys: no hard-coded key space.
+    config = ExperimentConfig(nodes=9000, key_bits=16, seed=5,
+                              subscriptions=4, publications=4)
+    assert [(op.time, op.kind, op.node) for op in Trace.load(path).ops] == [
+        (op.time, op.kind, op.node) for op in generate_trace(config).ops
+    ]
+
+
 def test_unknown_figure_rejected():
     with pytest.raises(SystemExit):
         main(["figure", "fig99"])

@@ -74,10 +74,10 @@ def test_matching_engine_ablation(benchmark):
 
 def _run_workload(overlay_cls, cache_capacity=128, seed=13):
     sim = Simulator()
-    if overlay_cls is ChordOverlay:
-        overlay = ChordOverlay(sim, KS, cache_capacity=cache_capacity)
+    if overlay_cls is PastryOverlay:  # has no location cache
+        overlay = PastryOverlay(sim, KS)
     else:
-        overlay = overlay_cls(sim, KS)
+        overlay = overlay_cls(sim, KS, cache_capacity=cache_capacity)
     overlay.build_ring(random.Random(seed).sample(range(KS.size), 300))
     spec = WorkloadSpec(subscription_ttl=None)
     space = spec.make_space()
@@ -99,26 +99,37 @@ def _run_workload(overlay_cls, cache_capacity=128, seed=13):
 
 
 def test_location_cache_ablation(benchmark):
-    """Cache off vs on, end to end (not just raw routing)."""
-    warm = benchmark.pedantic(
-        lambda: _run_workload(ChordOverlay, cache_capacity=128),
-        rounds=1,
-        iterations=1,
-    )
-    cold = _run_workload(ChordOverlay, cache_capacity=0)
+    """Cache off vs on, end to end (not just raw routing), on both
+    overlays that have one."""
+    runs = {
+        ("chord", 128): benchmark.pedantic(
+            lambda: _run_workload(ChordOverlay, cache_capacity=128),
+            rounds=1,
+            iterations=1,
+        ),
+        ("chord", 0): _run_workload(ChordOverlay, cache_capacity=0),
+        ("can", 128): _run_workload(CanOverlay, cache_capacity=128),
+        ("can", 0): _run_workload(CanOverlay, cache_capacity=0),
+    }
     print()
     print(
         render_table(
             ["config", "sub hops", "pub hops", "notify hops"],
             [
-                ["cache=128", warm["sub_hops"], warm["pub_hops"], warm["notify_hops"]],
-                ["cache=0", cold["sub_hops"], cold["pub_hops"], cold["notify_hops"]],
+                [f"{overlay} cache={cache}", r["sub_hops"], r["pub_hops"],
+                 r["notify_hops"]]
+                for (overlay, cache), r in runs.items()
             ],
             title="Ablation — location cache (mapping 3, m-cast, n=300)",
         )
     )
-    assert warm["pub_hops"] <= cold["pub_hops"]
-    assert warm["notify_hops"] <= cold["notify_hops"]
+    for overlay in ("chord", "can"):
+        warm, cold = runs[overlay, 128], runs[overlay, 0]
+        assert warm["pub_hops"] <= cold["pub_hops"]
+        assert warm["notify_hops"] < cold["notify_hops"]
+    # CAN reads its cache on unicast only: m-cast requests do not move.
+    assert runs["can", 128]["sub_hops"] == runs["can", 0]["sub_hops"]
+    assert runs["can", 128]["pub_hops"] == runs["can", 0]["pub_hops"]
 
 
 def test_overlay_portability_cost(benchmark):

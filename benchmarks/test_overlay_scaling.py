@@ -27,10 +27,10 @@ NODE_COUNTS = (64, 128, 256, 512, 1024)
 def mean_hops(overlay_cls, n, seed=5, messages=None):
     messages = messages or scaled(200)
     sim = Simulator()
-    if overlay_cls is ChordOverlay:
-        overlay = ChordOverlay(sim, KS, cache_capacity=0)
+    if overlay_cls is PastryOverlay:  # has no location cache to turn off
+        overlay = PastryOverlay(sim, KS)
     else:
-        overlay = overlay_cls(sim, KS)
+        overlay = overlay_cls(sim, KS, cache_capacity=0)
     overlay.build_ring(random.Random(seed).sample(range(KS.size), n))
     hops = []
     overlay.set_deliver(lambda nid, m: hops.append(m.hops))

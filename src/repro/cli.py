@@ -149,7 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "stores (default: on unless --matcher brute, "
                           "which always runs uncollapsed as the oracle)")
     run.add_argument("--cache", type=int, default=128,
-                     help="location cache capacity (0 = off)")
+                     help="location cache capacity on chord and can "
+                     "(0 = off; pastry has none)")
     run.add_argument("--telemetry", metavar="PATH", default=None,
                      help="record telemetry and export it as JSONL")
     run.add_argument("--perfetto", metavar="PATH", default=None,

@@ -36,7 +36,8 @@ class ExperimentConfig:
         key_bits: m; the paper's key space is 2^13.
         message_delay: One-hop latency in seconds.
         cache_capacity: Per-node location-cache size (the "finger
-            caching" that yields ~2.5 unicast hops at n=500).
+            caching" that yields ~2.5 unicast hops at n=500); 0 = off.
+            Chord and CAN honour it, Pastry has no location cache.
         seed: Root seed; every random stream derives from it.
         subscriptions: Number of subscriptions to inject.
         publications: Number of publications to inject.
@@ -169,9 +170,8 @@ class ExperimentConfig:
         keyspace = KeySpace(self.key_bits)
         if self.overlay == "pastry":
             return PastryOverlay(sim, keyspace, network=network)
-        if self.overlay == "can":
-            return CanOverlay(sim, keyspace, network=network)
-        return ChordOverlay(
+        cached = CanOverlay if self.overlay == "can" else ChordOverlay
+        return cached(
             sim, keyspace, network=network, cache_capacity=self.cache_capacity
         )
 

@@ -94,9 +94,10 @@ class OverlayMessage:
         hops: One-hop transmissions this copy of the message has made.
         path: The hops this copy traversed, one entry appended per hop:
             the node id (:meth:`forwarded_copy`), or, from an overlay
-            that caches owned arcs (Chord's routed messages), the flat
-            pair ``node id, predecessor`` — the arc the hop owned when
-            it forwarded this copy, so ``path[::2]`` are the ids.
+            with a location cache (Chord's and CAN's routed messages),
+            the flat pair ``node id, interval`` — the arc's predecessor
+            or the zone's ``(start, length)`` the hop owned when it
+            forwarded this copy, so ``path[::2]`` are the ids.
         trace: Telemetry span id of the hop that produced this copy
             (the request's root span before the first transmission);
             0 when the run is not traced.  The tracer overwrites it at
@@ -115,11 +116,14 @@ class OverlayMessage:
     path: tuple[int, ...] = ()
     trace: int = 0
 
-    def forwarded_copy(self, via: int, target_keys: frozenset[int] | None = None) -> "OverlayMessage":
+    def forwarded_copy(
+        self, via: int, target_keys: frozenset[int] | None = None, stamp: Any = None
+    ) -> "OverlayMessage":
         """A copy of this message as forwarded through node ``via``.
 
         ``m-cast`` splits the target set across fingers; each branch
-        carries its own subset, hop count and path.
+        carries its own subset, hop count and path — ``via`` alone, or
+        with the interval ``via`` owns beside it when ``stamp`` is given.
 
         Ownership note: routing layers may instead forward an envelope
         *in place* (mutating ``hops``/``path``) when they hold the only
@@ -140,7 +144,7 @@ class OverlayMessage:
             target_keys=self.target_keys if target_keys is None else target_keys,
             mode=self.mode,
             hops=self.hops + 1,
-            path=self.path + (via,),
+            path=self.path + ((via,) if stamp is None else (via, stamp)),
             trace=self.trace,
         )
 

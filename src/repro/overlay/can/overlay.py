@@ -5,7 +5,7 @@ from __future__ import annotations
 import bisect
 from typing import Iterable
 
-from repro.errors import OverlayError
+from repro.errors import ConfigurationError, OverlayError
 from repro.overlay.api import (
     CastMode,
     NeighborSide,
@@ -15,6 +15,7 @@ from repro.overlay.api import (
 )
 from repro.overlay.can.morton import axis_sizes, decompose, morton_decode
 from repro.overlay.ids import KeySpace
+from repro.overlay.location_cache import FOLD_AT, LocationCache
 from repro.overlay.network import Network
 from repro.overlay.ring import MembershipDeltaLog
 from repro.sim.kernel import Simulator
@@ -29,15 +30,25 @@ class CanNode:
     expressed as "the owner of the grid point one step outside my own
     boundary toward the target" — exactly what the neighbor table
     answers — resolved through the overlay's key→owner table.
+
+    Its :class:`~repro.overlay.location_cache.LocationCache` policy:
+    every forward stamps ``id, zone`` on the path, a delivery logs the
+    pair the request's origin stamped, and the node addressing a key (a
+    unicast's sender, the sequential walk picking its next key) tries the
+    cached owner before :meth:`_next_hop`; forwarders and m-cast do not.
     """
 
-    def __init__(self, node_id: int, overlay: "CanOverlay") -> None:
+    def __init__(
+        self, node_id: int, overlay: "CanOverlay", cache_capacity: int = 128
+    ) -> None:
         self.id = node_id
         self._overlay = overlay
+        self._cache = LocationCache(node_id, cache_capacity)
         self._cells: list[tuple[int, int]] = []
-        # Decoded rectangles, parallel to _cells and refreshed by the
-        # same rebuild — the memoized geometry the routing loop scans.
+        # Decoded rectangles and the zone's (start, length), the stamp:
+        # refreshed by the same rebuild as _cells — the memoized geometry.
         self._rects: list[tuple[int, int, int, int]] = []
+        self._zone: tuple[int, int] = (node_id, 0)
         self._version = -1
         # Express links: owner of the key at Morton distance 2^k for
         # each k.  The fixed target keys and their decoded points are
@@ -118,6 +129,7 @@ class CanNode:
         rect_of_cell = overlay.rect_of_cell
         self._cells = cells
         self._rects = [rect_of_cell(s, z) for s, z in cells]
+        self._zone = overlay.zone_of(self.id)
         self._version = version
         counter = self._rebuilds_counter
         if counter is None:
@@ -438,19 +450,38 @@ class CanNode:
         step = 1 if forward <= backward else -1
         return owners[(me_index + step) % count]
 
+    def _deliver(self, message: OverlayMessage) -> None:
+        """Deliver a routed message, first logging the zone its origin
+        stamped: the first pair of the path (the origin forwards first)."""
+        cache = self._cache
+        if message.path and cache.capacity:
+            cache.log += message.path[:2]
+            if len(cache.log) > FOLD_AT:
+                cache.fold()
+        self._overlay.do_deliver(self, message)
+
     def route_unicast(self, message: OverlayMessage) -> None:
         key = message.key
         assert key is not None, "unicast message without a destination key"
-        next_hop = self._next_hop(key)
+        overlay = self._overlay
+        me = self.id
+        next_hop = None
+        if not message.path and overlay._key_owner[key] != me:
+            # Only the sender asks its cache: forwarders route greedily,
+            # so a stale zone costs one forward and routing terminates.
+            next_hop = self._cache.covering(key, overlay._size, overlay.is_alive)
         if next_hop is None:
-            self._overlay.do_deliver(self, message)
-            return
+            next_hop = self._next_hop(key)
+            if next_hop is None:
+                self._deliver(message)
+                return
+        elif self._version != overlay.zone_version:
+            self.cells()  # the catch-up _next_hop would have made: the stamp
         # Not delivered here, so this node holds the only reference
         # (see OverlayMessage.forwarded_copy): forward it in place.
-        me = self.id
         message.hops += 1
-        message.path += (me,)
-        self._overlay._network_transmit(me, next_hop, message)
+        message.path += (me, self._zone)
+        overlay._network_transmit(me, next_hop, message)
 
     def start_mcast(self, message: OverlayMessage) -> None:
         self.continue_mcast(message)
@@ -472,7 +503,7 @@ class CanNode:
         targets = message.target_keys or frozenset()
         mine = {k for k in targets if key_owner[k] == me}
         if mine:
-            overlay.do_deliver(self, message)
+            self._deliver(message)
         next_hop_of = self._next_hop
         groups: dict[int, set[int]] = {}
         last_hop = None  # of the branch the envelope itself will carry
@@ -491,10 +522,10 @@ class CanNode:
             if next_hop == last_hop:
                 branch = message
                 branch.hops += 1
-                branch.path += (me,)
+                branch.path += (me, self._zone)
                 branch.target_keys = keys
             else:
-                branch = message.forwarded_copy(me, target_keys=keys)
+                branch = message.forwarded_copy(me, keys, self._zone)
             transmit(me, next_hop, branch)
 
     def continue_sequential(self, message: OverlayMessage) -> None:
@@ -515,22 +546,27 @@ class CanNode:
         targets = message.target_keys or frozenset()
         mine = {k for k in targets if key_owner[k] == me}
         if mine:
-            overlay.do_deliver(self, message)
+            self._deliver(message)
         rest = frozenset(targets - mine)
         if not rest:
             return
         chase = message.key
+        next_hop = None
         if chase is None or chase not in rest or chase in mine:
             chase = min(rest, key=lambda k: keyspace.distance(me, k))
-        next_hop = self._next_hop(chase)
+            next_hop = self._cache.covering(chase, overlay._size, overlay.is_alive)
         if next_hop is None:
-            return
+            next_hop = self._next_hop(chase)
+            if next_hop is None:
+                return
+        elif self._version != overlay.zone_version:
+            self.cells()
         if mine:
-            onward = message.forwarded_copy(me, target_keys=rest)
+            onward = message.forwarded_copy(me, rest, self._zone)
         else:  # not delivered here: forwarded in place
             onward = message
             onward.hops += 1
-            onward.path += (me,)
+            onward.path += (me, self._zone)
             onward.target_keys = rest
         onward.key = chase
         overlay._network_transmit(me, next_hop, onward)
@@ -559,10 +595,17 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
         *,
         express_links: bool = True,
         zone_jumps: bool = True,
+        cache_capacity: int = 128,
     ) -> None:
         super().__init__(keyspace, sim, network or Network(sim), state_transfer)
+        if cache_capacity < 0:
+            raise ConfigurationError(
+                f"cache_capacity must be >= 0 (0 = off), got {cache_capacity}"
+            )
         self._express_links = express_links
         self._zone_jumps = zone_jumps
+        self._cache_capacity = cache_capacity
+        self._size = keyspace.size
         # Parallel arrays: sorted zone start keys and their owner ids.
         # Zones are cyclic: zone i spans [starts[i], starts[i+1]) and the
         # last zone wraps around to starts[0], so removals never need a
@@ -907,7 +950,7 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
         local = self._local_filter
         if local is not None and node_id not in local:
             return
-        node = CanNode(node_id, self)
+        node = CanNode(node_id, self, self._cache_capacity)
         self._nodes[node_id] = node
         self._network.register(node_id, node.receive)
 

@@ -2,7 +2,8 @@
 
 A node knows its ring neighbors, its finger table and (optionally) a
 bounded LRU *location cache* of other live nodes it has learned about
-from message traffic.  Fingers are computed against the overlay's
+from message traffic (:mod:`repro.overlay.location_cache`: the touch
+log, its fold, the LRU).  Fingers are computed against the overlay's
 current membership — this models a converged Chord (stabilization has
 quiesced), which matches the paper's measurement setup where all joins
 complete before the workload starts.
@@ -19,12 +20,11 @@ own:
   whenever its own distance is ``>= t`` — exact at every ring version,
   because ``_sync`` precedes the read.
 - **Stamped arc.**  Each hop of a routed message stamps its
-  predecessor beside its id in the message's ``path``, receivers learn
-  the pairs, and the cache's value slot holds the predecessor a node's
-  last touch carried.  The first merged-table entry past the key is the owner if
-  it is live and its arc ``(pred, id]`` covers the key.  An arc can be
-  stale; the receiver's ``covers`` test alone decides delivery, and the
-  message it routes on carries its fresh stamp.
+  predecessor beside its id in the message's ``path`` and every receiver
+  logs the whole path.  The first merged-table entry past the key is the
+  owner if it is live and cached with an arc ``(pred, id]`` covering the
+  key.  An arc can be stale; the receiver's ``covers`` test alone
+  decides delivery, and the message it routes on carries its fresh stamp.
 
 Unicast and the sequential walk (``_next_hop``) try both; m-cast uses
 the slot certificate only, on whole groups of keys (the keys between
@@ -47,18 +47,10 @@ takes some twenty m-cast receives per unicast hop.  So a node pays for
 routing state when it routes, not when a message passes through it,
 and each layer under the array is deferred the same way:
 
-- **Touch log.**  ``receive`` (and ``learn``) append the ``(id,
-  predecessor)`` pairs a message carried to a per-node log, flat (the
-  path as it is, and a length check).  The location cache — a plain
-  insertion-ordered ``dict``, least recently touched first, id ->
-  predecessor — is brought current by :meth:`ChordNode._fold`, which replays
-  the log in order and cuts the cache to capacity.  That is exact
-  because an LRU after any touch sequence holds the ``capacity`` most
-  recently touched distinct ids in last-touch order: a fold may span
-  any touches that have no cached read between them.  Every cached
-  reader folds first (``_next_hop(use_cache=True)``, ``forget``,
-  ``cached_ids``, ``routing_table``), and the log folds itself past
-  ``_FOLD_AT`` slots, so it stays bounded on a node that never reads.
+- **Touch log.**  ``receive`` (and ``learn``) only append to the
+  cache's log; every cached reader (``_next_hop(use_cache=True)``,
+  ``forget``, ``cached_ids``, ``routing_table``) folds it first, through
+  :meth:`ChordNode._refresh_cache`, which journals what entered and left.
 - **Journal.**  Nothing that writes the fingers or the cache touches
   the array: writers append the ids whose membership changed to a
   journal, and the cached ``_next_hop`` brings the array current
@@ -96,23 +88,13 @@ reuse path entirely — the application (or a test) may retain them.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import islice
 from typing import TYPE_CHECKING, Iterable
 
 from repro.overlay.api import CastMode, OverlayMessage
+from repro.overlay.location_cache import FOLD_AT, LocationCache
 
 if TYPE_CHECKING:
     from repro.overlay.chord.overlay import ChordOverlay
-
-
-#: Touch-log length (slots: two per touch, id and predecessor) past which
-#: a node folds without waiting for a read, so the log of a node that
-#: never routes by cache stays bounded.  A fold costs the same per touch
-#: whenever it runs; the bound only spreads the fixed cost of a fold over
-#: more receives.  64 was set when a touch was one slot (call counts
-#: within 0.3% of an unbounded log, bytes/node on steady-chord climbing
-#: from 128); it stays 64 slots so the log's bound in bytes is unchanged.
-_FOLD_AT = 64
 
 
 class ChordNode:
@@ -132,14 +114,9 @@ class ChordNode:
     ) -> None:
         self.id = node_id
         self._overlay = overlay
-        self._cache_capacity = cache_capacity
-        # Location cache, least recently touched first, current up to
-        # the last _fold: node id -> the predecessor its last touch
-        # carried (the node's owned arc is ``(pred, id]``), None when
-        # that touch named it without one.  What was seen since the
-        # fold waits in the touch log as flat (id, pred) pairs.
-        self._cache: dict[int, int | None] = {}
-        self._touches: list[int | None] = []
+        # Node id -> the predecessor its last touch carried (its owned
+        # arc is ``(pred, id]``), None when named without one.
+        self._cache = LocationCache(node_id, cache_capacity)
         keyspace = overlay.keyspace
         self._size = keyspace.size  # ring size never changes; skip the property
         self._bits = keyspace.bits
@@ -542,7 +519,7 @@ class ChordNode:
         me = self.id
         size = self._size
         fingers = self._finger_members
-        cache = self._cache
+        cache = self._cache.entries
         journal = self._table_journal
         if journal is None:
             by_distance = {(nid - me) % size: nid for nid in fingers.union(cache)}
@@ -585,88 +562,48 @@ class ChordNode:
     def routing_table(self) -> list[int]:
         """Ids the cached next-hop search sees, nearest clockwise first."""
         self._sync()
-        if self._touches:
-            self._fold()
+        if self._cache.log:
+            self._refresh_cache()
         self._materialize()
         return list(self._table_ids)
 
     # -- location cache ---------------------------------------------------
 
     def learn(self, node_ids: Iterable[int]) -> None:
-        """Note recently seen node ids for the LRU location cache.
-
-        The ids are bare pointers (an owned arc comes only from the
-        stamp its owner put on a message: see :meth:`receive`).  They
-        only join the touch log; :meth:`_fold` applies them when the
-        cache is next read, or when the log passes ``_FOLD_AT``.
-        """
-        if self._cache_capacity:
-            log = self._touches
+        """Log recently seen node ids as bare pointers (an owned arc
+        comes only from the stamp its owner put on a message: see
+        :meth:`receive`)."""
+        cache = self._cache
+        if cache.capacity:
+            log = cache.log
             for node_id in node_ids:
                 log += (node_id, None)
-            if len(log) > _FOLD_AT:
-                self._fold()
+            if len(log) > FOLD_AT:
+                self._refresh_cache()
 
-    def _fold(self) -> None:
-        """Apply the touch log to the location cache and empty it.
-
-        An LRU after any touch sequence holds the ``capacity`` most
-        recently touched distinct ids in last-touch order, whether it
-        evicted after every sequence or evicts once now — so a fold may
-        span any touches with no cached read between them.  The log is
-        replayed in order, a pair at a time: a cached id moves to the
-        recent end (deleted and re-inserted; untouched entries keep
-        their order ahead of it), a new id joins there, either way with
-        the pair's predecessor (last touch wins), self is skipped.
-        Then the cache is cut to capacity from its old end, and the ids
-        that entered or left are journaled for the merged table.  The
-        work is in the touches, never in the capacity, and no id costs
-        a call.
-        """
-        cache = self._cache
-        me = self.id
-        fresh: dict[int, None] = {}
-        touches = iter(self._touches)
-        for node_id, predecessor in zip(touches, touches):
-            if node_id in cache:
-                del cache[node_id]
-            elif node_id == me:
-                continue
-            else:
-                fresh[node_id] = None
-            cache[node_id] = predecessor
-        del self._touches[:]
-        if not fresh:
-            return  # only LRU positions moved: nothing to evict or journal
-        evicted: list[int] = []
-        excess = len(cache) - self._cache_capacity
-        if excess > 0:
-            evicted = list(islice(cache, excess))
-            for node_id in evicted:
-                del cache[node_id]
+    def _refresh_cache(self) -> None:
+        """Fold the touch log and journal what entered or left the cache
+        (an id in both is re-decided twice: a no-op).  Every cached
+        reader folds through this, never through the cache's own read."""
+        entered, left = self._cache.fold()
         journal = self._table_journal
-        if journal is not None:
-            # An id that came and went in one fold is journaled twice;
-            # _materialize re-decides each id, so that is a no-op.
-            journal += fresh
-            journal += evicted
+        if entered and journal is not None:
+            journal += entered
+            journal += left
             self._cap_journal(journal)
 
     def forget(self, node_id: int) -> None:
         """Evict a (discovered-dead) node from the location cache."""
-        if self._touches:
-            self._fold()
-        if node_id in self._cache:
-            del self._cache[node_id]
-            journal = self._table_journal
-            if journal is not None:
-                journal.append(node_id)
+        if self._cache.log:
+            self._refresh_cache()
+        if self._cache.forget(node_id) and self._table_journal is not None:
+            self._table_journal.append(node_id)
 
     def cached_ids(self) -> list[int]:
         """Current location-cache contents (least recent first)."""
-        if self._touches:
-            self._fold()
-        return list(self._cache)
+        if self._cache.log:
+            self._refresh_cache()
+        return list(self._cache.entries)
 
     # -- outbound envelope reuse ------------------------------------------
 
@@ -735,21 +672,22 @@ class ChordNode:
         mode = message.mode
         direct = mode is CastMode.UNICAST and message.key is None
         # learn(), inline: every receive logs what the message names,
-        # and the cache pays for it when it is next read (see _fold).
+        # and the cache pays for it when it is next read.
         # A routed message was started with an empty path and every hop
         # stamped its arc, the origin first, so the path is the pairs.
         # A direct one is a forwarded_copy: it names the sender bare,
         # last in the path, and the origin.
-        if self._cache_capacity:
-            log = self._touches
+        cache = self._cache
+        if cache.capacity:
+            log = cache.log
             if direct:
                 if message.path:
                     log += (message.path[-1], None)
                 log += (message.origin, None)
             else:
                 log += message.path
-            if len(log) > _FOLD_AT:
-                self._fold()
+            if len(log) > FOLD_AT:
+                self._refresh_cache()
         if mode is CastMode.MCAST:
             self.continue_mcast(message)
         elif mode is CastMode.SEQUENTIAL:
@@ -789,15 +727,11 @@ class ChordNode:
         """The owner of ``key`` when a pointer certifies it, else the
         closest live node preceding-or-equal to ``key`` that we know.
 
-        Every pointer is an owned arc.  A finger slot is
-        ``owner(start_j)`` by definition, so the slot whose start is the
-        largest power of two not past the key owns the key whenever it
-        lies at or past it — exact, because the slots were just synced.
-        Failing that, the first entry past the key in the merged table
-        (fingers, plus the location cache when ``use_cache`` is set) is
-        the owner if it is live and the arc ``(pred, id]`` it last
-        stamped covers the key; a stale arc costs a forward, and the
-        receiver's own ``covers`` test routes the message on.
+        The two certificates of the module docstring, in order: the
+        finger slot (exact: the slots were just synced), then the first
+        entry past the key in the merged table (fingers, plus the
+        location cache when ``use_cache`` is set) if it is live and the
+        arc it last stamped covers the key.
 
         Otherwise binary-searches the distance-sorted table for the
         rightmost entry at clockwise distance ``<= distance(self, key)``
@@ -815,8 +749,10 @@ class ChordNode:
         if 0 < target_distance <= (owner - me) % size:
             return owner
         if use_cache:
-            if self._touches:
-                self._fold()
+            cache = self._cache
+            if cache.log:
+                self._refresh_cache()
+            cache = cache.entries
             journal = self._table_journal
             if journal is None or journal:
                 self._materialize()
@@ -828,7 +764,6 @@ class ChordNode:
         index = bisect_right(dists, target_distance) - 1
         if use_cache and index + 1 < len(ids):
             candidate = ids[index + 1]
-            cache = self._cache
             predecessor = cache[candidate] if candidate in cache else None
             if (
                 predecessor is not None
@@ -1018,23 +953,12 @@ class ChordNode:
                 best_distance = distance
                 next_key = k
         if mine:
-            onward = OverlayMessage(
-                kind=message.kind,
-                payload=message.payload,
-                request_id=message.request_id,
-                origin=message.origin,
-                key=next_key,
-                target_keys=rest,
-                mode=message.mode,
-                hops=message.hops + 1,
-                path=message.path + (me, predecessor),
-                trace=message.trace,
-            )
+            onward = message.forwarded_copy(me, rest, predecessor)
         else:
             onward = message
             onward.hops += 1
             onward.path += (me, predecessor)
             onward.target_keys = rest
-            onward.key = next_key
+        onward.key = next_key
         next_hop = self._next_hop(next_key, use_cache=True)
         self._overlay._network_transmit(me, next_hop, onward)

@@ -3,8 +3,10 @@
 Three groups of seeded runs, each compared field by field with its
 record in ``behavior_pins.json`` beside this file:
 
-- nine small scenarios over the three mappings, two matchers, the three
-  overlays under churn and a Zipf flash crowd, each one generated trace
+- ten small scenarios over the three mappings, two matchers, the three
+  overlays under churn (CAN also with its location cache off, which
+  must stay the routing it had before the cache: the record of the
+  PR 21 tree) and a Zipf flash crowd, each one generated trace
   replayed on a fresh stack (seed strings ``20260805:…``; the digests
   date from PR 21, when ``Trace.generate`` became the one generator —
   CHANGES.md shows the earlier ones reproduce from the earlier ops);
@@ -61,6 +63,9 @@ OVERLAYS = {
     "chord": functools.partial(ChordOverlay, cache_capacity=128),
     "pastry": PastryOverlay,
     "can": CanOverlay,
+    # Cache off is the tree before CAN had a location cache (PR 22):
+    # this row keeps that tree's churn-can-n100 record.
+    "can/cache0": functools.partial(CanOverlay, cache_capacity=0),
 }
 
 
@@ -73,7 +78,7 @@ def check(name: str, observed: dict) -> None:
     )
 
 
-# -- the nine small scenarios ---------------------------------------------------
+# -- the ten small scenarios ---------------------------------------------------
 
 
 class Scenario(typing.NamedTuple):
@@ -117,6 +122,7 @@ SCENARIOS = {
             ("churn-n100", "chord", "100"),
             ("churn-pastry-n100", "pastry", "pastry:100"),
             ("churn-can-n100", "can", "can:100"),
+            ("churn-can-n100/cache0", "can/cache0", "can:100"),
         )
     },
     # Partially defined Zipf interest with celebrity publications: the

@@ -136,4 +136,4 @@ def test_neighbor_send_teaches_the_sender_and_the_origin():
     sim.run()
     receiver = overlay.node(4000)
     assert receiver.cached_ids() == [2000, 6000]
-    assert receiver._cache == {2000: None, 6000: None}  # pointers, not arcs
+    assert receiver._cache.entries == {2000: None, 6000: None}  # pointers, not arcs

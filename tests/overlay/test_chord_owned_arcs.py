@@ -201,7 +201,7 @@ def test_cached_arc_is_learned_from_the_stamps_a_message_carries():
     assert (nid, message.path) == (0, (3000, 2100))  # id, predecessor
     node = overlay.node(0)
     assert node.cached_ids() == [3000]  # a read: folds the touch log
-    assert node._cache[3000] == 2100
+    assert node._cache.entries[3000] == 2100
     assert node._next_hop(2500, use_cache=True) == 3000
 
 

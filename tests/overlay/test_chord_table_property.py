@@ -15,9 +15,9 @@ past the key when it is live and the arc it last stamped covers the key
 before the key, dead-entry eviction included.
 
 The cache under the table is itself deferred — ``learn`` appends to a
-touch log that ``_fold`` applies on the next cached read or past its
-length bound — so each watched node is shadowed by the reference LRU of
-``test_learn_batch``: after every read the cache must hold the same ids
+touch log that ``LocationCache.fold`` applies on the next cached read or
+past its length bound — so each watched node is shadowed by the
+reference LRU of ``test_location_cache``: after every read the cache must hold the same ids
 in the same LRU order with the same stamped arcs, whichever reader
 folded and however many learns, forgets and dead-entry evictions the
 fold spanned.  Touches are bare ids (``learn``) or the stamped path of
@@ -39,7 +39,8 @@ import pytest
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
-from tests.overlay.test_learn_batch import ReferenceLRU, receive_stamped
+from tests.overlay.test_learn_batch import receive_stamped
+from tests.overlay.test_location_cache import ReferenceLRU
 
 KS = KeySpace(13)
 SIZE = KS.size
@@ -103,7 +104,7 @@ def run_example(cache: int, seed: int) -> None:
         reference = lru[node.id]
         assert node.routing_table() == derived_table(overlay, node, reference.order)
         assert node.cached_ids() == reference.order
-        assert node._cache == reference.arcs
+        assert node._cache.entries == reference.arcs
 
     def stamp(node_id: int) -> int:
         """The arc a path hop ``node_id`` stamped: true or stale."""

@@ -1,28 +1,19 @@
-"""Order-exact cache learning: the touch-log fold against a reference LRU.
+"""The Chord leg of ``test_location_cache.py``: the touch-log fold
+against the same reference LRU, through ``ChordNode``'s own readers.
 
-``learn`` (and ``receive``) only append what they saw to a per-node
-touch log, as flat ``(id, predecessor)`` pairs — the predecessor is the
-arc the node stamped on a message's path, None when it was named
-without one (``learn``, and the sender of a one-hop message); ``_fold``
-applies the log when the cache is next read, or on its own once the log
-passes ``_FOLD_AT`` slots.  The rule that makes this
-exact: **a fold may span any touches that have no cached read between
-them** — an LRU after any touch sequence holds the ``capacity`` most
-recently touched distinct ids in last-touch order, whether it evicted
-after every sequence or evicts once at the end.  A cached read
-(``_next_hop(use_cache=True)``, ``cached_ids()``, ``routing_table()``,
-``forget``) must see every earlier touch, so each folds first.
-
-Pinned here against an independent reference LRU that evicts after
-every sequence: same contents *and same LRU order* (hence the same
-eviction victims) through every reader, across runs longer than the
-fold bound, ``forget`` between learns, capacity 1, sequences longer
-than the capacity and self-only sequences; and a merged routing table
-equal to the from-scratch derivation.  The arc an id carries rides the
-same fold and the last touch wins, bare or stamped — so the value, like
-the order, does not depend on when the fold ran.  (The module and
-``test_learn_batch_*`` names are historical: ``learn_batch`` itself was
-retired in PR 12.)
+``learn`` (and ``receive``) only append what they saw to the location
+cache's log, as flat ``(id, predecessor)`` pairs — the predecessor is
+the arc the node stamped on a message's path, None when it was named
+without one (``learn``, and the sender of a one-hop message); the log is
+folded when the cache is next read, or on its own once it passes
+``FOLD_AT`` slots.  A cached read (``_next_hop(use_cache=True)``,
+``cached_ids()``, ``routing_table()``, ``forget``) must see every
+earlier touch, so each folds first — through
+``ChordNode._refresh_cache``, which journals what entered and left, so
+the merged routing table must equal the from-scratch derivation after
+any of them.  (The module and the
+``test_learn_batch_*`` names are historical: ``learn_batch`` was retired
+in PR 12; the ids stay because the tier-1 floor names them.)
 """
 
 from __future__ import annotations
@@ -31,11 +22,11 @@ import random
 
 import pytest
 
-from repro.overlay.api import MessageKind, OverlayMessage, next_request_id
 from repro.overlay.chord import ChordOverlay
-from repro.overlay.chord.node import _FOLD_AT
 from repro.overlay.ids import KeySpace
+from repro.overlay.location_cache import FOLD_AT
 from repro.sim import Simulator
+from tests.overlay.test_location_cache import ReferenceLRU, routed_to
 
 KS = KeySpace(13)
 RING = list(range(0, 8192, 64))  # 128 nodes
@@ -47,55 +38,10 @@ def build(cache: int) -> ChordOverlay:
     return overlay
 
 
-class ReferenceLRU:
-    """The location cache as its definition reads: least recent first,
-    each id with the predecessor its last touch carried (None: bare)."""
-
-    def __init__(self, owner: int, capacity: int) -> None:
-        self.owner = owner
-        self.capacity = capacity
-        self.order: list[int] = []
-        self.arcs: dict[int, int | None] = {}
-
-    def learn(self, node_ids) -> None:
-        self.touch([(node_id, None) for node_id in node_ids])
-
-    def touch(self, arcs) -> None:
-        """One sequence of ``(id, predecessor)`` touches, then evict."""
-        for node_id, stamped in arcs:
-            if node_id == self.owner:
-                continue
-            if node_id in self.order:
-                self.order.remove(node_id)
-            self.arcs[node_id] = stamped
-            self.order.append(node_id)
-        for evicted in self.order[: max(0, len(self.order) - self.capacity)]:
-            self.forget(evicted)
-
-    def forget(self, node_id: int) -> None:
-        if node_id in self.order:
-            self.order.remove(node_id)
-            del self.arcs[node_id]
-
-
 def receive_stamped(node, arcs) -> None:
-    """Hand ``node`` a routed message whose hops stamped ``arcs``.
-
-    The message is addressed to the node's own id, so it is delivered
-    there and goes no further; ``learn`` itself takes bare ids only.
-    """
-    path = tuple(slot for arc in arcs for slot in arc)
-    node.receive(
-        OverlayMessage(
-            kind=MessageKind.CONTROL,
-            payload=None,
-            request_id=next_request_id(),
-            origin=path[0],
-            key=node.id,
-            hops=len(arcs),
-            path=path,
-        )
-    )
+    """Hand ``node`` a routed message whose hops stamped ``arcs``
+    (delivered there; ``learn`` itself takes bare ids only)."""
+    node.receive(routed_to(node, tuple(slot for arc in arcs for slot in arc)))
 
 
 def test_learn_batch_matches_sequential_learns_exactly():
@@ -200,14 +146,14 @@ def test_fold_bound_is_crossed_without_a_read():
     oracle = ReferenceLRU(0, 8)
     rng = random.Random(3)
     touched = 0
-    while touched <= 3 * _FOLD_AT:
+    while touched <= 3 * FOLD_AT:
         sequence = [rng.choice(RING) for _ in range(5)]
         node.learn(sequence)
         oracle.learn(sequence)
         touched += 2 * len(sequence)  # a touch is an (id, predecessor) pair
         # The log folds itself, at the same bound in slots (hence in
         # bytes) as when a touch was a bare id.
-        assert len(node._touches) <= _FOLD_AT
+        assert len(node._cache.log) <= FOLD_AT
     assert node.cached_ids() == oracle.order
 
 
@@ -229,7 +175,7 @@ def test_fold_keeps_the_arc_of_the_last_touch_per_id():
             receive_stamped(node, arcs)
         oracle.touch(arcs)
     assert node.cached_ids() == oracle.order == [128, 192, 256]
-    assert node._cache == oracle.arcs == {128: 100, 192: None, 256: 192}
+    assert node._cache.entries == oracle.arcs == {128: 100, 192: None, 256: 192}
 
 
 def test_fold_keeps_untouched_entries_in_order_ahead_of_touched_ones():

@@ -34,10 +34,21 @@ The budgets are those counts, plus ``ONE_OFF`` calls per run for what
 does not scale with the messages (``run`` itself, opening the request's
 trace on its first send, the fan's single wave) and, observed, four per
 destination for its bucket's ``drain`` event.
+
+One budget above the network: what a CAN node adds to a unicast it
+merely forwards — ``receive``, ``route_unicast``, ``_next_hop`` and the
+zone jump's occasional ``bisect`` on the chain's eleven.  A forwarder
+stamps its zone from a memo and never asks its location cache, so the
+count is the one taken on the tree before CAN had a cache (PR 21).
 """
 
 import cProfile
+import gc
+import random
 
+from repro.overlay.api import MessageKind, OverlayMessage, next_request_id
+from repro.overlay.can import CanOverlay
+from repro.overlay.ids import KeySpace
 from repro.overlay.network import Network
 from repro.sim import Simulator
 from repro.telemetry import Telemetry
@@ -50,6 +61,8 @@ OBSERVED_FAN_BUDGET = 13
 ONE_OFF = 16
 DESTINATIONS = 64
 DRAIN_EVENT = 4
+CAN_ROUTES = 500
+CAN_FORWARD_CALLS = 49_500  # for the 7 x CAN_ROUTES extra forwards below
 
 
 def profiled_calls(body) -> int:
@@ -116,3 +129,43 @@ def test_observed_fan_of_messages_sharing_one_instant():
     calls = fan_calls(Network(sim, telemetry=Telemetry()), sim)
     one_off = ONE_OFF + DRAIN_EVENT * DESTINATIONS
     assert calls <= OBSERVED_FAN_BUDGET * MESSAGES + one_off, calls / MESSAGES
+
+
+def test_can_unicast_forward_costs_what_it_did_without_a_cache():
+    sim = Simulator()
+    overlay = CanOverlay(sim, KeySpace(13))
+    overlay.build_ring(random.Random(7).sample(range(1 << 13), 200))
+    hops = {}
+    overlay.set_deliver(lambda node, message: hops.__setitem__(node, message.hops))
+    source = overlay.node_ids()[0]
+
+    def send(target: int) -> None:
+        message = OverlayMessage(
+            kind=MessageKind.NOTIFICATION, payload=None,
+            request_id=next_request_id(), origin=source,
+        )
+        overlay.send(source, target, message)
+
+    # Every node delivers once: tables are built, and every forwarder
+    # holds a cached entry (the source's) it could ask.
+    for target in overlay.node_ids():
+        send(target)
+    sim.run()
+    near = min((node for node in hops if hops[node] >= 2), key=hops.get)
+    far = max(hops, key=hops.get)
+    assert (hops[near], hops[far]) == (2, 9)
+
+    def routes(target: int) -> int:
+        def body() -> None:
+            for _ in range(CAN_ROUTES):
+                send(target)
+                sim.run()
+
+        gc.disable()  # a collection's callbacks (hypothesis adds one) count
+        try:
+            return profiled_calls(body)
+        finally:
+            gc.enable()
+
+    # Same entry, same delivery, seven more forwards a route.
+    assert routes(far) - routes(near) <= CAN_FORWARD_CALLS + ONE_OFF

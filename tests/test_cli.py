@@ -27,6 +27,29 @@ def test_run_with_optimizations(capsys):
     assert "notification" in capsys.readouterr().out
 
 
+def test_run_cache_flag_reaches_the_can_overlay(capsys):
+    """``--cache`` was passed to Chord only: ``--overlay can --cache 0``
+    printed the table of ``--cache 128``."""
+    tables = []
+    for capacity in ("0", "128"):
+        code = main([
+            "run", "--overlay", "can", "--nodes", "100", "--subscriptions", "30",
+            "--publications", "60", "--cache", capacity,
+        ])
+        assert code == 0
+        tables.append(capsys.readouterr().out.splitlines())
+
+    def notification_hops(table) -> float:
+        (line,) = [row for row in table if "hops per notification" in row]
+        return float(line.split()[-1])
+
+    assert notification_hops(tables[1]) < notification_hops(tables[0])
+    # Only notifications are unicast here: nothing else reads the cache.
+    assert [row for row in tables[0] if "notification" not in row] == [
+        row for row in tables[1] if "notification" not in row
+    ]
+
+
 def test_run_widens_the_key_space_for_rings_beyond_the_papers(capsys):
     code = main([
         "run", "--nodes", "9000", "--subscriptions", "5", "--publications", "5",

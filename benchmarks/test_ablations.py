@@ -124,10 +124,10 @@ def test_location_cache_ablation(benchmark):
         )
     )
     for overlay in ("chord", "can"):
-        warm, cold = runs[overlay, 128], runs[overlay, 0]
-        assert warm["pub_hops"] <= cold["pub_hops"]
-        assert warm["notify_hops"] < cold["notify_hops"]
-    # CAN reads its cache on unicast only: m-cast requests do not move.
+        assert runs[overlay, 128]["notify_hops"] < runs[overlay, 0]["notify_hops"]
+    # The origin of a Chord m-cast reads its cache: publications get cheaper.
+    assert runs["chord", 128]["pub_hops"] < runs["chord", 0]["pub_hops"]
+    # CAN's m-cast still reads nothing: only unicast requests move.
     assert runs["can", 128]["sub_hops"] == runs["can", 0]["sub_hops"]
     assert runs["can", 128]["pub_hops"] == runs["can", 0]["pub_hops"]
 

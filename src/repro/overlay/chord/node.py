@@ -26,31 +26,33 @@ own:
   key.  An arc can be stale; the receiver's ``covers`` test alone
   decides delivery, and the message it routes on carries its fresh stamp.
 
-Unicast and the sequential walk (``_next_hop``) try both; m-cast uses
-the slot certificate only, on whole groups of keys (the keys between
-two consecutive fingers go to the finger past them iff it is certified
-for the group's nearest key — see ``continue_mcast`` for why per key is
-wrong), and reads fingers only.
+Unicast and the sequential walk (``_next_hop``) try both; m-cast tries
+them on whole groups of keys (the keys between two consecutive pointers
+go to the pointer past them iff it is certified for the group's nearest
+key — see ``continue_mcast`` for why per key is wrong), the slot at
+every node and the arc at the origin, the one node that reads its cache.
 
 When no certificate holds, routing is closest-preceding, and it does
 not scan the pointer set either.  Fingers and cache entries are merged
 in a single array sorted by clockwise distance from this node, and
 ``_next_hop`` binary-searches it: the best hop for a key at distance
 ``t`` is the rightmost table entry with distance ``<= t``.  An m-cast
-group falls back to the finger strictly preceding it, by binary search
-over the distance-sorted finger list.
+group falls back to the pointer strictly preceding it, by binary search
+over the distance-sorted fingers (at the origin, the merged array).
 
 The merged array is a *derived view* with one invariant,
 ``table == (finger members | cache) - {self}``, and only unicast hops
-read it — m-cast routes on fingers alone, and at steady state a node
-takes some twenty m-cast receives per unicast hop.  So a node pays for
-routing state when it routes, not when a message passes through it,
-and each layer under the array is deferred the same way:
+and m-cast origins read it — an m-cast forwarder routes on fingers
+alone, and at steady state a node takes some fifteen m-cast receives per
+unicast hop.  So a node pays for routing state when it addresses keys,
+not when a message passes through it, and each layer under the array is
+deferred the same way:
 
 - **Touch log.**  ``receive`` (and ``learn``) only append to the
   cache's log; every cached reader (``_next_hop(use_cache=True)``,
-  ``forget``, ``cached_ids``, ``routing_table``) folds it first, through
-  :meth:`ChordNode._refresh_cache`, which journals what entered and left.
+  ``start_mcast``, ``forget``, ``cached_ids``, ``routing_table``) folds
+  it first, through :meth:`ChordNode._refresh_cache`, which journals
+  what entered and left.
 - **Journal.**  Nothing that writes the fingers or the cache touches
   the array: writers append the ids whose membership changed to a
   journal, and the cached ``_next_hop`` brings the array current
@@ -718,7 +720,10 @@ class ChordNode:
         ):
             self._overlay.do_deliver(self, message)
             return
-        next_hop = self._next_hop(key, use_cache=True)
+        if message.path and (key - me) % self._size > self._size >> 1:
+            next_hop = predecessor  # overshot: see continue_mcast
+        else:
+            next_hop = self._next_hop(key, use_cache=True)
         message.hops += 1
         message.path += (me, predecessor)
         self._overlay._network_transmit(me, next_hop, message)
@@ -793,39 +798,60 @@ class ChordNode:
     # -- m-cast (Fig. 4) -------------------------------------------------
 
     def start_mcast(self, message: OverlayMessage) -> None:
-        """Entry point of the m-cast algorithm at the sending node."""
-        self.continue_mcast(message)
+        """Entry point of the m-cast algorithm at the sending node, the
+        one node of an m-cast that reads its location cache (a forwarder
+        gets no ``arcs``); with nothing cached it, too, reads fingers."""
+        cache = self._cache
+        if cache.log:
+            self._refresh_cache()
+        self.continue_mcast(message, cache.entries or None)
 
-    def continue_mcast(self, message: OverlayMessage) -> None:
-        """One step of the recursive finger-based multicast.
+    def continue_mcast(self, message: OverlayMessage, arcs: dict | None = None) -> None:
+        """One step of the recursive pointer-based multicast.
 
         Deliver locally if any target key falls in ``(pred, self]``
         (at most one delivery per node, per the paper's guarantee),
-        then partition the remaining keys among the fingers.  The keys
-        between two consecutive fingers form one group, and a group
-        travels whole: to the finger past it when that finger's slot
-        certifies the group's *nearest* key (see :meth:`_next_hop`) —
-        it then owns every key of the group — and otherwise to the
-        finger **strictly preceding** it.  Deciding per key would be
-        wrong: of two keys owned by the same finger, the one before the
-        slot's start is not certified, so the finger would receive one
-        key directly and the other through the preceding finger's
-        chain, and deliver twice.  For the same reason a key equal to
-        (or covered by) a finger must travel with the branch of the
-        preceding pointer unless its whole group jumps.  Every
-        transmission lands directly on a finger, so each is one hop,
-        and only fingers are read: a node the message merely passes
-        through neither folds its touch log nor builds a merged table.
+        then partition the remaining keys among the pointers: the
+        fingers, or at the origin (the node :meth:`start_mcast` hands
+        its cached ``arcs``) the merged table.  The keys between two
+        consecutive pointers form one group, and a group travels whole:
+        to the pointer past it when that pointer is certified for the
+        group's *nearest* key (see :meth:`_next_hop`; only the origin
+        has arcs to read) — it then owns every key of the group — and
+        otherwise to the pointer **strictly preceding** it.  Deciding
+        per key would be wrong: of two keys owned by the same finger,
+        the one before the slot's start is not certified, so the finger
+        would receive one key directly and the other through the
+        preceding finger's chain, and deliver twice.  For the same
+        reason a key equal to (or covered by) a pointer must travel with
+        the branch of the preceding pointer unless its whole group
+        jumps.  Every transmission lands directly on a pointer, so each
+        is one hop, and a forwarder reads fingers only: it neither folds
+        its touch log nor builds a merged table.
+
+        A group boundary is always a *live* pointer (a dead cached id
+        met at one is forgotten and the partition starts over), and no
+        live node lies inside another's arc, so the keys a node owns sit
+        between the same two boundaries and travel in one branch: one
+        delivery per node even when the arc that sent them is stale.
+
+        A stale arc, or a join racing the message, *overshoots*: the
+        receiver gets keys owned by nodes behind it.  Fresh pointers
+        never do: a certified group is delivered where it lands, and an
+        uncertified one at distance ``d``, ``2**j <= d < 2**(j+1)``,
+        goes to a pointer no nearer than slot ``j``'s owner, at ``r >=
+        2**j``, landing ``d - r < 2**j <= size / 2`` short of its key.
+        So a forwarder whose nearest remaining key is more than half the
+        ring ahead was overshot, and hands the *whole* message to its
+        predecessor: one hop per node that joined inside the arc, not a
+        trip round the ring.  (Splitting by distance there delivers
+        twice when one node's arc straddles the half-way point.)
 
         The keys are sorted by clockwise distance once, so the groups
         are runs of that order, each decided at its first key with one
-        slot read (and one binary search over the finger distances when
-        the slot does not certify it); consecutive groups bound for the
-        same finger merge into one branch.
-
-        Fan-out reuse: all branches share one path tuple; if this
-        envelope was not delivered locally it becomes one of the
-        branches, and further branches come from the per-node pool.
+        slot read (and one binary search when the slot does not certify
+        it); consecutive groups bound for the same pointer merge into
+        one branch.
         """
         size = self._size
         me = self.id
@@ -845,51 +871,67 @@ class ChordNode:
         if not rest:
             return
         pointers = self.fingers()
-        if not pointers:
-            if not mine:
-                self._release(message)
-            return
         dists = self._finger_dists
         slots = self._finger_slots
+        # The origin (empty path) addresses the whole ring on purpose.
+        behind = size >> 1 if message.path else size
         hops = message.hops + 1
         path = message.path + (me, predecessor)
         transmit = self._overlay._network_transmit
-        if len(rest) == 1:
-            # Single remaining key: one branch, no grouping machinery.
-            (key,) = rest
-            distance = (key - me) % size
-            pointer = slots[distance.bit_length() - 1]
-            if (pointer - me) % size < distance:
-                pointer = pointers[bisect_left(dists, distance) - 1]
-            if mine:
-                branch = self._branch(message, hops, path, rest)
-            else:
-                branch = message
-                branch.hops = hops
-                branch.path = path
-                branch.target_keys = rest
-            transmit(me, pointer, branch)
-            return
-        distances = sorted([(key - me) % size for key in rest])
-        count = len(distances)
-        nfingers = len(dists)
+        count = len(rest)
         # Pointer -> index of its branch's first key in ``distances``.
         # Pointers only move clockwise as the keys do, so each branch
         # is one run of the sorted order.
         branches: dict[int, int] = {}
-        reach = 0  # the current group ends at this distance
-        pointer = -1
-        for position, distance in enumerate(distances):
-            if distance > reach:  # nearest key of the next group
-                owner = slots[distance.bit_length() - 1]
-                reach = (owner - me) % size
-                if reach < distance:
-                    at = bisect_left(dists, distance)
-                    owner = pointers[at - 1]
-                    reach = dists[at] if at < nfingers else size
-                if owner != pointer:
-                    pointer = owner
-                    branches[owner] = position
+        if count == 1 and arcs is None:
+            # Single remaining key: one branch, no grouping machinery.
+            (key,) = rest
+            distance = (key - me) % size
+            if distance > behind:
+                pointer = predecessor  # overshot: one step back
+            else:
+                pointer = slots[distance.bit_length() - 1]
+                if (pointer - me) % size < distance:
+                    pointer = pointers[bisect_left(dists, distance) - 1]
+            branches[pointer] = 0
+        else:
+            distances = sorted([(key - me) % size for key in rest])
+            if distances[0] > behind:
+                branches[predecessor] = 0  # overshot: all of it, one step back
+        while not branches:
+            if arcs is not None:  # as _next_hop(use_cache=True) reads it
+                members = self._overlay._members
+                journal = self._table_journal
+                if journal is None or journal:
+                    self._materialize()
+                dists, pointers = self._table_dists, self._table_ids
+            npointers = len(dists)
+            reach = 0  # the current group ends at this distance
+            pointer = -1
+            for position, distance in enumerate(distances):
+                if distance > reach:  # nearest key of the next group
+                    owner = slots[distance.bit_length() - 1]
+                    reach = (owner - me) % size
+                    if reach < distance:
+                        at = bisect_left(dists, distance)
+                        owner = pointers[at - 1]
+                        reach = dists[at] if at < npointers else size
+                        if arcs is not None:
+                            past = pointers[at] if at < npointers else owner
+                            if owner not in members or past not in members:
+                                break
+                            arc = arcs[past] if past in arcs else None
+                            if arc is not None and (
+                                0 < (me + distance - arc) % size <= (past - arc) % size
+                            ):
+                                owner = past
+                    if owner != pointer:
+                        pointer = owner
+                        branches[owner] = position
+            else:
+                break
+            self.forget(past if owner in members else owner)
+            branches.clear()
         # The undelivered envelope carries one branch itself; the rest
         # are fresh (or pooled) copies sharing the same path tuple.
         reusable = None if mine else message

@@ -3,10 +3,13 @@
 Three groups of seeded runs, each compared field by field with its
 record in ``behavior_pins.json`` beside this file:
 
-- ten small scenarios over the three mappings, two matchers, the three
-  overlays under churn (CAN also with its location cache off, which
-  must stay the routing it had before the cache: the record of the
-  PR 21 tree) and a Zipf flash crowd, each one generated trace
+- eleven small scenarios over the three mappings (Mapping 3 also on
+  Chord with the location cache off, which must stay the fingers-only
+  m-cast it had before the origin read the cache: the record of the
+  PR 22 tree), two matchers, the three overlays under churn (CAN also
+  with its location cache off, which must stay the routing it had
+  before the cache: the record of the PR 21 tree) and a Zipf flash
+  crowd, each one generated trace
   replayed on a fresh stack (seed strings ``20260805:…``; the digests
   date from PR 21, when ``Trace.generate`` became the one generator —
   CHANGES.md shows the earlier ones reproduce from the earlier ops);
@@ -61,6 +64,9 @@ SEED = 20260805
 #: the module has to run unchanged against another tree's ``src/``.
 OVERLAYS = {
     "chord": functools.partial(ChordOverlay, cache_capacity=128),
+    # Cache off is the tree before an m-cast's origin read the cache
+    # (PR 22): this row keeps that tree's steady cache-0 record.
+    "chord/cache0": functools.partial(ChordOverlay, cache_capacity=0),
     "pastry": PastryOverlay,
     "can": CanOverlay,
     # Cache off is the tree before CAN had a location cache (PR 22):
@@ -78,7 +84,7 @@ def check(name: str, observed: dict) -> None:
     )
 
 
-# -- the ten small scenarios ---------------------------------------------------
+# -- the eleven small scenarios ---------------------------------------------------
 
 
 class Scenario(typing.NamedTuple):
@@ -106,6 +112,10 @@ SCENARIOS = {
         )
         for mapping in ("attribute-split", "keyspace-split", "selective-attribute")
     },
+    "n120-selective-attribute/cache0": Scenario(
+        "120:selective-attribute", "driver:120:selective-attribute", 120, 60, 120,
+        overlay="chord/cache0",
+    ),
     **{
         f"eqdense-{matcher}-n120": Scenario(
             f"eqdense:{matcher}:120", "eqdense-driver:120", 120, 60, 120,

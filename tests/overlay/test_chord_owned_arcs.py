@@ -156,16 +156,28 @@ def test_mcast_groups_bound_for_one_finger_share_a_branch():
 
 
 def test_mcast_routes_on_fingers_alone():
-    """A node that only sends, forwards and delivers m-casts never
-    builds the merged finger+cache table, whatever its cache holds."""
+    """Only the origin of an m-cast reads its location cache.  A node
+    that forwarded or delivered m-casts, whatever its cache holds, never
+    built the merged finger+cache table and never folded its touch log;
+    the origins that had something cached — and only they — hold one."""
     rng = random.Random("fingers-only")
     sim, overlay = build(rng.sample(range(SIZE), 150), cache=16)
-    for _ in range(20):
-        cast(sim, overlay, "mcast", rng.choice(overlay.node_ids()), random_keys(rng))
+    senders = overlay.node_ids()[::3]  # each hears of a node before it sends
+    cast(sim, overlay, "mcast", senders[0], senders)
+    cast(sim, overlay, "mcast", senders[1], senders)
+    origins = rng.sample(senders, 18)
+    for origin in origins:
+        cast(sim, overlay, "mcast", origin, random_keys(rng))
+    touched = 0
     for node_id in overlay.node_ids():
         node = overlay.node(node_id)
-        assert node._table_journal is None and not node._table_ids
-    assert any(overlay.node(node_id).cached_ids() for node_id in overlay.node_ids())
+        if node_id in origins:
+            assert node._table_journal is not None and node._table_ids
+        elif node_id not in senders[:2]:
+            assert node._table_journal is None and not node._table_ids
+            assert not node._cache.entries  # nothing folded
+            touched += bool(node._cache.log)
+    assert touched > 100
 
 
 # -- stale arcs -----------------------------------------------------------------

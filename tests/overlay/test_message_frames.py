@@ -40,14 +40,17 @@ merely forwards — ``receive``, ``route_unicast``, ``_next_hop`` and the
 zone jump's occasional ``bisect`` on the chain's eleven.  A forwarder
 stamps its zone from a memo and never asks its location cache, so the
 count is the one taken on the tree before CAN had a cache (PR 21).
+Chord's twin needs no constant: a Chord node that forwards an m-cast
+or a unicast is counted against the same node built without a cache.
 """
 
 import cProfile
 import gc
 import random
 
-from repro.overlay.api import MessageKind, OverlayMessage, next_request_id
+from repro.overlay.api import CastMode, MessageKind, OverlayMessage, next_request_id
 from repro.overlay.can import CanOverlay
+from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.overlay.network import Network
 from repro.sim import Simulator
@@ -169,3 +172,51 @@ def test_can_unicast_forward_costs_what_it_did_without_a_cache():
 
     # Same entry, same delivery, seven more forwards a route.
     assert routes(far) - routes(near) <= CAN_FORWARD_CALLS + ONE_OFF
+
+
+def test_chord_forwards_cost_what_they_do_without_a_cache():
+    """Only the node that addresses the keys reads its location cache.
+    An m-cast forwarder holding a full cache, touches it has not folded
+    and no merged table pays exactly the calls of a node built with
+    ``cache_capacity=0`` — multi-key and single-key — and so does a
+    unicast forwarder once its table is current: the overshoot test in
+    front of both is arithmetic."""
+    ring = list(range(0, 1 << 13, 64))
+
+    def forwards(cache: int, cast) -> int:
+        overlay = ChordOverlay(Simulator(), KeySpace(13), cache_capacity=cache)
+        overlay.build_ring(ring)
+        node = overlay.node(0)
+        node.learn(ring)  # 127 bare pointers: the cache is full
+        cast(node, 1)  # fingers built, the unicast's table current
+        gc.disable()
+        try:
+            return profiled_calls(lambda: cast(node, 500))
+        finally:
+            gc.enable()
+
+    def forwarded(**addressed) -> OverlayMessage:
+        return OverlayMessage(
+            kind=MessageKind.PUBLICATION, payload=None,
+            request_id=next_request_id(), origin=8128, hops=1,
+            path=(8128, 8064), **addressed,
+        )
+
+    def mcast(keys):
+        def cast(node, times: int) -> None:
+            for _ in range(times):
+                node._cache.log += (64, 0)  # a touch a reader would fold
+                node.continue_mcast(
+                    forwarded(target_keys=frozenset(keys), mode=CastMode.MCAST)
+                )
+            assert node._table_journal is None  # never read
+
+        return cast
+
+    def unicast(node, times: int) -> None:
+        for _ in range(times):
+            node.route_unicast(forwarded(key=3000))
+
+    # 700 and 900 share the finger 512; 3000 follows 2048, uncertified.
+    for cast in (mcast([700, 900, 3000]), mcast([3000]), unicast):
+        assert forwards(128, cast) == forwards(0, cast)

@@ -19,7 +19,16 @@ from repro.matching import (
     GridIndexMatcher,
     Matcher,
     RadixBitmapMatcher,
+    make_vector_matcher,
 )
+
+#: Engine constructors by matcher name, each called with the event space.
+_ENGINES = {
+    "brute": lambda space: BruteForceMatcher(),
+    "grid": GridIndexMatcher,
+    "radix": RadixBitmapMatcher,
+    "vector": make_vector_matcher,
+}
 
 
 @dataclasses.dataclass
@@ -77,7 +86,18 @@ class SubscriptionStore:
             :meth:`match`).  ``None`` (the default) enables covering
             for every engine except ``"brute"``, which stays the
             uncollapsed oracle the others are audited against.
+
+    The engine is made by the first install (:meth:`put` /
+    :meth:`restore`): most rendezvous nodes never hold a subscription,
+    and an empty store is a few hundred bytes whatever its engine.
+    Until then :meth:`match` returns ``[]`` and a handle attached by
+    :meth:`attach_match_stats` waits for the engine.
     """
+
+    #: The matching engine, made by the first install.
+    _matcher: Matcher | None = None
+    #: The attached :class:`~repro.telemetry.load.MatchWork`, if any.
+    _work = None
 
     def __init__(
         self,
@@ -86,18 +106,10 @@ class SubscriptionStore:
         covering: bool | None = None,
     ) -> None:
         self._entries: dict[int, StoredSubscription] = {}
-        if matcher == "grid":
-            self._matcher: Matcher = GridIndexMatcher(space)
-        elif matcher == "radix":
-            self._matcher = RadixBitmapMatcher(space)
-        elif matcher == "vector":
-            from repro.matching.vector import make_vector_matcher
-
-            self._matcher = make_vector_matcher(space)
-        elif matcher == "brute":
-            self._matcher = BruteForceMatcher()
-        else:
+        if matcher not in _ENGINES:
             raise ValueError(f"unknown matcher {matcher!r}")
+        self._space = space
+        self._engine = _ENGINES[matcher]
         if covering is None:
             covering = matcher != "brute"
         self._covering = CoveringIndex() if covering else None
@@ -116,13 +128,15 @@ class SubscriptionStore:
         check when not).  The covering gauges are synced into the same
         handle on every install/remove.
         """
-        self._matcher.work = stats
+        self._work = stats
+        if self._matcher is not None:
+            self._matcher.work = stats
         if stats is not None and self._covering is not None:
             self._sync_cover_stats()
 
     def _sync_cover_stats(self) -> None:
         """Mirror the covering gauges into the attached work handle."""
-        work = self._matcher.work
+        work = self._work
         if work is not None:
             covering = self._covering
             work.cover_roots = covering.root_count
@@ -166,15 +180,19 @@ class SubscriptionStore:
                 payload=payload, keys_here=set(keys_here), expire_at=expire_at
             )
             self._entries[sid] = entry
+            matcher = self._matcher
+            if matcher is None:
+                matcher = self._matcher = self._engine(self._space)
+                matcher.work = self._work
             covering = self._covering
             if covering is None:
-                self._matcher.add(payload.subscription)
+                matcher.add(payload.subscription)
             else:
                 became_root, demoted = covering.add(payload.subscription)
                 if became_root:
-                    self._matcher.add(payload.subscription)
+                    matcher.add(payload.subscription)
                     for demoted_id in demoted:
-                        self._matcher.remove(demoted_id)
+                        matcher.remove(demoted_id)
                 self._sync_cover_stats()
         else:
             entry.keys_here.update(keys_here)
@@ -260,12 +278,15 @@ class SubscriptionStore:
         covering root mid-match promotes its children for *future*
         events; this event already expanded through it).
         """
-        matched = self._matcher.match(event)
+        matcher = self._matcher
+        if matcher is None:
+            return []
+        matched = matcher.match(event)
         entries = self._entries
         covering = self._covering
         if covering is not None and covering.collapsed_count:
             matched_ids, tested, hit = covering.expand(matched, event)
-            work = self._matcher.work
+            work = self._work
             if work is not None and tested:
                 work.candidates += tested
                 work.verified += tested

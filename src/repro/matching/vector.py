@@ -9,7 +9,9 @@ overlay state — and verifies a whole candidate set with two vectorized
 comparisons instead of one Python ``matches`` call per candidate.  An
 unconstrained attribute is stored as the full domain ``[0, size - 1]``
 (a row is the subscription's compiled ``lows`` / ``highs``), so the
-inclusive interval test is the whole matching semantics.
+inclusive interval test is the whole matching semantics.  The matrices
+are allocated at construction; a store makes its engine at its first
+install.
 
 Candidate generation, candidate sets and the sorted-by-subscription-id
 result order are inherited unchanged, so this engine is behaviorally
@@ -51,25 +53,17 @@ class VectorizedGridMatcher(GridIndexMatcher):
                 "make_vector_matcher() for the graceful fallback"
             )
         super().__init__(space, buckets_per_attribute)
-        # Matrices are allocated on first add: every rendezvous node
-        # owns a matcher, but at scale most nodes never store a
-        # subscription, and 10^5 eager numpy allocations dominate ring
-        # construction.
-        self._dims = len(space.attributes)
-        self._lows = None
-        self._highs = None
+        shape = (_INITIAL_ROWS, len(space.attributes))
+        self._lows = numpy.zeros(shape, dtype=numpy.int64)
+        self._highs = numpy.zeros(shape, dtype=numpy.int64)
         self._row_of: dict[int, int] = {}
-        self._free: list[int] = []
+        self._free = list(range(_INITIAL_ROWS - 1, -1, -1))
 
     def add(self, subscription: Subscription) -> None:
         sid = subscription.subscription_id
         if sid in self._subscriptions:
             return
         super().add(subscription)
-        if self._lows is None:
-            self._lows = numpy.zeros((_INITIAL_ROWS, self._dims), dtype=numpy.int64)
-            self._highs = numpy.zeros((_INITIAL_ROWS, self._dims), dtype=numpy.int64)
-            self._free = list(range(_INITIAL_ROWS - 1, -1, -1))
         if not self._free:
             rows, dims = self._lows.shape
             grown_lows = numpy.zeros((rows * 2, dims), dtype=numpy.int64)

@@ -6,6 +6,10 @@ skewed popularity (stock tickers, event types).  The sampler draws rank
 ``k`` from ``P(k) ∝ 1/k^s`` over ``k = 1..N`` by inverse-CDF on a
 precomputed cumulative table; tables are cached per ``(N, s)`` since the
 harness builds many generators with the paper's fixed parameters.
+
+The table is one ``array('d')``, 8 bytes an entry where a list of boxed
+floats costs about 32, fed by generators that compute the list version's
+doubles in the same order, so every draw is bit-identical.
 """
 
 from __future__ import annotations
@@ -13,21 +17,25 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
+from array import array
 
 from repro.errors import ConfigurationError
 
-_CDF_CACHE: dict[tuple[int, float], list[float]] = {}
+_CDF_CACHE: dict[tuple[int, float], array] = {}
 
 
-def _cdf(size: int, exponent: float) -> list[float]:
+def _cdf(size: int, exponent: float) -> array:
     key = (size, exponent)
     cached = _CDF_CACHE.get(key)
     if cached is not None:
         return cached
-    weights = [1.0 / (k**exponent) for k in range(1, size + 1)]
-    cumulative = list(itertools.accumulate(weights))
-    total = cumulative[-1]
-    cdf = [c / total for c in cumulative]
+    weights = (1.0 / (k**exponent) for k in range(1, size + 1))
+    cdf = array("d", itertools.accumulate(weights))
+    total = cdf[-1]
+    cdf = array("d", (c / total for c in cdf))
+    # An array grown item by item over-allocates by up to 1/16; the
+    # slice is an exact-size copy.
+    cdf = cdf[:]
     _CDF_CACHE[key] = cdf
     return cdf
 

@@ -6,8 +6,13 @@ from repro.core.events import EventSpace
 from repro.core.payloads import SubscribePayload
 from repro.core.rendezvous import SubscriptionStore
 from repro.core.subscriptions import Subscription
+from repro.matching import CoveringIndex
+from repro.telemetry.load import MatchWork
 
 SPACE = EventSpace.uniform(("a1", "a2"), 1000)
+
+
+ENGINES = ("brute", "grid", "radix", "vector")
 
 
 def make_payload(low=10, high=20, subscriber=7, ttl=None):
@@ -117,3 +122,64 @@ def test_grid_matcher_backend():
 def test_unknown_matcher_rejected():
     with pytest.raises(ValueError):
         SubscriptionStore(SPACE, matcher="magic")
+
+
+def counters(work):
+    return (
+        work.candidates,
+        work.verified,
+        work.matched,
+        work.cover_roots,
+        work.cover_collapsed,
+        work.cover_promotions,
+    )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_stats_attached_before_the_engine_exists(engine):
+    # The load meter and the ledger attach at join, before any
+    # subscription: the handle must reach the engine the first put makes.
+    early, late = SubscriptionStore(SPACE, engine), SubscriptionStore(SPACE, engine)
+    early_work, late_work = MatchWork(0), MatchWork(0)
+    early.attach_match_stats(early_work)
+    assert early.match(SPACE.make_event(a1=15, a2=0), now=0.0) == []
+    assert counters(early_work) == (0, 0, 0, 0, 0, 0)
+    payloads = [make_payload(0, 100), make_payload(10, 20), make_payload(15, 60)]
+    for store in (early, late):
+        for payload in payloads:
+            store.put(payload, {1}, now=0.0)
+    late.attach_match_stats(late_work)
+    for value in (5, 15, 50, 500):
+        event = SPACE.make_event(a1=value, a2=0)
+        assert [e.subscription for e in early.match(event, now=0.0)] == [
+            e.subscription for e in late.match(event, now=0.0)
+        ]
+    early.remove(payloads[0].subscription.subscription_id)
+    late.remove(payloads[0].subscription.subscription_id)
+    assert counters(early_work) == counters(late_work)
+    assert early_work.verified == early_work.candidates
+    assert early_work.matched == 1 + 3 + 2
+    if engine == "brute":  # the oracle runs uncollapsed
+        assert counters(early_work)[3:] == (0, 0, 0)
+    else:
+        assert early_work.cover_roots == early.covering.root_count == 2
+        assert early_work.cover_collapsed == 2
+        assert early_work.cover_promotions == 2
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_store_that_never_held_anything(engine):
+    store = SubscriptionStore(SPACE, engine)
+    assert store.match(SPACE.make_event(a1=15, a2=0), now=0.0) == []
+    assert store.remove(123) is False
+    assert store.remove_keys(123, {1}) is None
+    assert store.purge_expired(now=5.0) == 0
+    assert store.live_count(now=5.0) == 0
+    assert len(store) == 0 and store.entries() == []
+    # None of that made an engine.
+    assert store._matcher is None
+    if engine == "brute":
+        assert store.covering is None
+    else:
+        assert isinstance(store.covering, CoveringIndex)
+        assert store.covering.root_count == 0

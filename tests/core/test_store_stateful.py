@@ -4,7 +4,9 @@ Hypothesis drives random interleavings of put / refresh / remove /
 remove_keys / purge / clock-advance against a simple reference model
 and checks the store agrees after every step — the kind of interleaving
 bugs (expiry vs refresh vs partial key removal) example-based tests
-miss.
+miss.  A work handle is attached before the first put, as the load
+meter does at join, and must count every match the engine (made by
+that put) and the covering descent perform.
 """
 
 from hypothesis import settings
@@ -15,6 +17,7 @@ from repro.core.events import EventSpace
 from repro.core.payloads import SubscribePayload
 from repro.core.rendezvous import SubscriptionStore
 from repro.core.subscriptions import Subscription
+from repro.telemetry.load import MatchWork
 
 SPACE = EventSpace.uniform(("a1",), 1000)
 
@@ -32,6 +35,8 @@ class StoreMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.store = SubscriptionStore(SPACE, matcher="grid")
+        self.work = MatchWork(0)
+        self.store.attach_match_stats(self.work)
         self.now = 0.0
         # Model: sid -> (payload, keys, expire_at or None)
         self.model: dict[int, tuple] = {}
@@ -139,6 +144,11 @@ class StoreMachine(RuleBasedStateMachine):
         live = self._live_model()
         for value in (0, 250, 500, 750, 999):
             event = SPACE.make_event(a1=value)
+            # Expired entries not yet purged still match, then go.
+            resident = sum(
+                e.subscription.matches(event) for e in self.store.entries()
+            )
+            before = self.work.matched
             got = {
                 e.subscription.subscription_id
                 for e in self.store.match(event, self.now)
@@ -149,6 +159,12 @@ class StoreMachine(RuleBasedStateMachine):
                 if payload.subscription.matches(event)
             }
             assert got == expected, (value, got, expected)
+            assert self.work.matched - before == resident
+
+    @invariant()
+    def cover_gauges_agree(self):
+        assert self.work.cover_roots == self.store.covering.root_count
+        assert self.work.verified == self.work.candidates >= self.work.matched
 
     @invariant()
     def key_sets_agree(self):

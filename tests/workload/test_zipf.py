@@ -1,11 +1,15 @@
 """The Zipf sampler used for selective range centers."""
 
+import bisect
+import itertools
 import random
+from array import array
 from collections import Counter
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.workload import zipf
 from repro.workload.zipf import ZipfSampler
 
 
@@ -63,3 +67,32 @@ def test_deterministic_given_rng():
     a = ZipfSampler(1000, 0.99, random.Random(7))
     b = ZipfSampler(1000, 0.99, random.Random(7))
     assert [a.sample() for _ in range(20)] == [b.sample() for _ in range(20)]
+
+
+def list_cdf(size, exponent):
+    """The table as three lists of boxed floats: the reference for the
+    flat array, which must hold the same doubles."""
+    weights = [1.0 / (k**exponent) for k in range(1, size + 1)]
+    cumulative = list(itertools.accumulate(weights))
+    total = cumulative[-1]
+    return [c / total for c in cumulative]
+
+
+@pytest.mark.parametrize(
+    "size, exponent", [(1, 1.0), (1000, 0.99), (10_000, 1.2), (100_001, 1.6)]
+)
+def test_flat_table_equals_the_list_table(size, exponent):
+    table = zipf._cdf(size, exponent)
+    assert isinstance(table, array) and table.typecode == "d"
+    assert table.buffer_info()[1] * table.itemsize == 8 * size
+    reference = list_cdf(size, exponent)
+    assert len(table) == len(reference)
+    assert all(a == b for a, b in zip(table, reference))
+    # A sampler drawing from either table draws the same ranks.
+    sampler = ZipfSampler(size, exponent, random.Random(size))
+    rng = random.Random(size)
+    rng.randrange(size)  # the spread offset the sampler drew first
+    drawn = [sampler.sample_rank() for _ in range(2000)]
+    assert drawn == [
+        bisect.bisect_left(reference, rng.random()) + 1 for _ in range(2000)
+    ]

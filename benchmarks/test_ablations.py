@@ -2,7 +2,7 @@
 
 1. Location cache on/off (explains the Section 5.1 routing figure).
 2. Matching engine: grid index vs brute force at rendezvous scale.
-3. Overlay portability: the same workload over Chord vs Pastry.
+3. Overlay portability: the same workload over Chord vs Pastry vs CAN.
 """
 
 import random
@@ -135,10 +135,11 @@ def test_location_cache_ablation(benchmark):
 def test_overlay_portability_cost(benchmark):
     """Chord vs Pastry vs CAN under the same pub/sub workload.
 
-    Expected shape: Chord and Pastry route in O(log n); CAN's greedy
-    geometric routing costs O(sqrt(n)) — visibly more hops per
-    publication at n=300, which is exactly the routing-geometry
-    difference the portability claim abstracts over."""
+    Expected shape: all three m-cast in O(log n + N_range) messages.
+    CAN runs the paper's Fig. 4 over key order with its express links
+    as fingers, so it lands next to Chord; its publications cost a
+    little more only because a Chord m-cast's origin also reads its
+    location cache and CAN's reads none."""
     chord = benchmark.pedantic(
         lambda: _run_workload(ChordOverlay), rounds=1, iterations=1
     )
@@ -156,6 +157,8 @@ def test_overlay_portability_cost(benchmark):
             title="Ablation — overlay substrate (mapping 3, m-cast, n=300)",
         )
     )
-    # All three complete the workload; CAN pays its sqrt(n) geometry.
+    # All three complete the workload; CAN's publications cost a little
+    # more than Chord's (12.62 against 12.38 messages at n=300), whose
+    # m-cast origin reads its cache.
     assert pastry["sub_hops"] < 10 * max(chord["sub_hops"], 1)
     assert can["pub_hops"] > chord["pub_hops"]

@@ -264,27 +264,26 @@ def _probe_can(overlay: CanOverlay, now: float):
                 )
             )
     intervals: list[tuple[int, int, int]] = []
-    express_on = overlay.express_links
     for node_id in overlay.node_ids():
         node = overlay.node(node_id)
-        if express_on:
-            # Express state is memoized on its own version; verify it
-            # whenever it is current, independent of the cells below.
-            express_version, links = node.audit_express_state()
-            if express_version == version_now:
-                truth_links = overlay.compute_express_links(node_id)
-                if links != truth_links:
-                    violations.append(
-                        Violation(
-                            CAN_EXPRESS_MISMATCH,
-                            now,
-                            node=node_id,
-                            detail=(
-                                f"express links {links} != "
-                                f"recomputed {truth_links}"
-                            ),
-                        )
+        # Express state is memoized on its own version; verify it
+        # whenever it is current, independent of the cells below and of
+        # the express_links flag (m-cast reads the links either way).
+        express_version, links = node.audit_express_state()
+        if express_version == version_now:
+            truth_links = overlay.compute_express_links(node_id)
+            if links != truth_links:
+                violations.append(
+                    Violation(
+                        CAN_EXPRESS_MISMATCH,
+                        now,
+                        node=node_id,
+                        detail=(
+                            f"express links {links} != "
+                            f"recomputed {truth_links}"
+                        ),
                     )
+                )
         version, cells = node.audit_state()
         if version < 0:
             cold += 1

@@ -1,8 +1,9 @@
-"""The CAN overlay: zone partition, joins by splitting, greedy routing."""
+"""The CAN overlay: zones, joins by splitting, greedy unicast, key-order m-cast."""
 
 from __future__ import annotations
 
 import bisect
+from array import array
 from typing import Iterable
 
 from repro.errors import ConfigurationError, OverlayError
@@ -22,14 +23,17 @@ from repro.sim.kernel import Simulator
 
 
 class CanNode:
-    """One CAN node: zone geometry + greedy forwarding decisions.
+    """One CAN node: zone geometry, greedy unicast, key-order m-cast.
 
     A real CAN node maintains a neighbor table with each neighbor's
     zone coordinates; forwarding picks the neighbor closest to the
     target point.  In this simulation the equivalent local knowledge is
     expressed as "the owner of the grid point one step outside my own
     boundary toward the target" — exactly what the neighbor table
-    answers — resolved through the overlay's key→owner table.
+    answers — resolved through the overlay's key→owner table.  M-cast
+    does not route geometrically: zones are key intervals and the
+    express links are Chord fingers in key space, so it splits its keys
+    in key order over those links and the zone after its own (Fig. 4).
 
     Its :class:`~repro.overlay.location_cache.LocationCache` policy:
     every forward stamps ``id, zone`` on the path, a delivery logs the
@@ -58,6 +62,9 @@ class CanNode:
         self._express_version = -1
         self._express_keys: list[int] | None = None
         self._express_points: list[tuple[int, int]] | None = None
+        # M-cast pointers as (zone version, zone-start distances, owners),
+        # made by the first m-cast this node forwards (_mcast_table).
+        self._mcast: tuple[int, array[int], list[int]] | None = None
         # Maintenance counters, mirroring ChordNode's read surface:
         # each is made on its first increment (_instrument); until then
         # its property reads 0 without one.
@@ -225,6 +232,29 @@ class CanNode:
         counter.inc()
         return self._express
 
+    def _mcast_table(self) -> tuple[int, array[int], list[int]]:
+        """``(zone version, distances, owners)`` of my m-cast pointers: the
+        owner of the key just past my zone and every express link but me,
+        each at the clockwise distance of its zone start from my id, sorted.
+        Rebuilt whole when the zone version moves."""
+        overlay = self._overlay
+        if self._version != overlay.zone_version:
+            self.cells()
+        links = self._express_table()
+        me, size, starts = self.id, overlay._size, overlay._starts
+        after = (self._zone[0] + self._zone[1]) % size
+        ranked = sorted({
+            ((starts[bisect.bisect_right(starts, key) - 1] - me) % size, owner)
+            for key, owner in zip(
+                [after, *self._express_keys], [overlay._key_owner[after], *links]
+            )
+            if owner != me
+        })
+        # Distances as machine ints: they are the table's only new objects.
+        dists = array("q", [distance for distance, _ in ranked])
+        self._mcast = (overlay.zone_version, dists, [o for _, o in ranked])
+        return self._mcast
+
     def covers(self, key: int) -> bool:
         """True if ``key`` falls in my zone."""
         return self._overlay.covers(self.id, key)
@@ -260,7 +290,7 @@ class CanNode:
           ``advance ≥ 1`` units closer than Φ;
         - **unit step**: the classic one-grid-unit probe (Φ' ≤ Φ - 1).
 
-        Runs once per target key of every m-cast, so the step leaves
+        Runs at every hop of every unicast, so the step leaves
         this frame only for a stale table and the jump's one bisect:
         ownership is an index into the overlay's key→owner table and
         the torus arithmetic is inline (``morton.py`` keeps the helper
@@ -487,15 +517,17 @@ class CanNode:
         self.continue_mcast(message)
 
     def continue_mcast(self, message: OverlayMessage) -> None:
-        """Partition targets by greedy next hop (coverage-complete;
-        at-most-once per node per branch, like the Pastry variant).
+        """One step of the paper's Fig. 4 m-cast, in key order.
 
-        Branches leave in the order their first key came up, each key
-        set built by ``add`` in that same order: downstream nodes
-        iterate the set, so its insertion history is part of the
-        behaviour the fingerprints pin.  An envelope that was not
-        delivered here carries the last branch itself (the others are
-        copied from it first); a delivered one is the application's.
+        Deliver here if any target key is mine, then hand each other key
+        to the pointer (:meth:`_mcast_table`) with the largest zone-start
+        distance not past the key's clockwise distance.  Ranges cut at
+        zone starts hold whole zones, so a node gets at most one branch
+        per m-cast; and a pointer's zone either holds the key or lies
+        strictly between me and it, so the distance falls on every hop.
+        The groups are runs of the keys sorted by distance, one bisect
+        each.  Branches leave farthest first; an envelope not delivered
+        here carries the nearest, once the others are copied from it.
         """
         overlay = self._overlay
         key_owner = overlay._key_owner
@@ -504,29 +536,39 @@ class CanNode:
         mine = {k for k in targets if key_owner[k] == me}
         if mine:
             self._deliver(message)
-        next_hop_of = self._next_hop
-        groups: dict[int, set[int]] = {}
-        last_hop = None  # of the branch the envelope itself will carry
-        for key in targets - mine:
-            next_hop = next_hop_of(key)
-            if next_hop in groups:
-                groups[next_hop].add(key)
-            elif next_hop is not None:
-                groups[next_hop] = {key}
-                last_hop = next_hop
-        if mine:
-            last_hop = None
-        transmit = overlay._network_transmit
-        for next_hop in groups:
-            keys = frozenset(groups[next_hop])
-            if next_hop == last_hop:
+        rest = targets - mine
+        if not rest:
+            return
+        table = self._mcast
+        if table is None or table[0] != overlay.zone_version:
+            table = self._mcast_table()
+        _, dists, owners = table
+        size = overlay._size
+        npointers = len(dists)
+        distances = sorted([(key - me) % size for key in rest])
+        count = len(distances)
+        branches = []  # (position of its nearest key, pointer), in key order
+        reach = 0  # the current group ends at this distance
+        for position, distance in enumerate(distances):
+            if distance >= reach:
+                at = bisect.bisect_right(dists, distance)
+                reach = dists[at] if at < npointers else size
+                branches.append((position, owners[at - 1]))
+        end = count
+        for first, pointer in reversed(branches):
+            if end - first < count:
+                keys = frozenset([(me + d) % size for d in distances[first:end]])
+            else:
+                keys = rest  # one branch: its key set is exactly ``rest``
+            end = first
+            if first or mine:
+                branch = message.forwarded_copy(me, keys, self._zone)
+            else:
                 branch = message
                 branch.hops += 1
                 branch.path += (me, self._zone)
                 branch.target_keys = keys
-            else:
-                branch = message.forwarded_copy(me, keys, self._zone)
-            transmit(me, next_hop, branch)
+            overlay._network_transmit(me, pointer, branch)
 
     def continue_sequential(self, message: OverlayMessage) -> None:
         """Conservative walk, CAN version.
@@ -673,7 +715,7 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
 
     @property
     def express_links(self) -> bool:
-        """Whether 2^k long-range shortcut links are enabled."""
+        """Whether unicast takes 2^k express shortcuts (m-cast reads them anyway)."""
         return self._express_links
 
     @property

@@ -8,6 +8,8 @@ matching violation type — and that the pre-corruption probe was clean.
 
 from __future__ import annotations
 
+import functools
+
 from tests.audit.conftest import build_audited_system
 
 from repro.audit import AuditConfig
@@ -85,7 +87,19 @@ def test_overlapping_can_zones_detected():
 
 
 def test_corrupt_can_express_link_detected():
-    sim, system, auditor, _ = build_audited_system(CanOverlay)
+    assert_corrupt_express_link_detected(CanOverlay)
+
+
+def test_corrupt_can_express_link_detected_with_express_links_off():
+    """M-cast reads the express links whatever the flag says, so the
+    probe checks them whenever they are current."""
+    assert_corrupt_express_link_detected(
+        functools.partial(CanOverlay, express_links=False)
+    )
+
+
+def assert_corrupt_express_link_detected(overlay_cls):
+    sim, system, auditor, _ = build_audited_system(overlay_cls)
     overlay = system.overlay
     node_id = sorted(overlay.node_ids())[0]
     node = overlay.node(node_id)

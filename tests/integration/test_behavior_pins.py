@@ -7,9 +7,8 @@ record in ``behavior_pins.json`` beside this file:
   Chord with the location cache off, which must stay the fingers-only
   m-cast it had before the origin read the cache: the record of the
   PR 22 tree), two matchers, the three overlays under churn (CAN also
-  with its location cache off, which must stay the routing it had
-  before the cache: the record of the PR 21 tree) and a Zipf flash
-  crowd, each one generated trace
+  with its location cache off: greedy unicast and key-order m-cast
+  alone) and a Zipf flash crowd, each one generated trace
   replayed on a fresh stack (seed strings ``20260805:…``; the digests
   date from PR 21, when ``Trace.generate`` became the one generator —
   CHANGES.md shows the earlier ones reproduce from the earlier ops);
@@ -69,8 +68,8 @@ OVERLAYS = {
     "chord/cache0": functools.partial(ChordOverlay, cache_capacity=0),
     "pastry": PastryOverlay,
     "can": CanOverlay,
-    # Cache off is the tree before CAN had a location cache (PR 22):
-    # this row keeps that tree's churn-can-n100 record.
+    # Cache off: CAN routing with no location cache, greedy unicast and
+    # key-order m-cast only.
     "can/cache0": functools.partial(CanOverlay, cache_capacity=0),
 }
 

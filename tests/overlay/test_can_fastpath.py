@@ -9,7 +9,10 @@ Three properties pin the fast path to the slow one:
   is the termination argument for all three layers at once;
 - **exact express maintenance** — a node's delta-log-patched express
   table always equals a wholesale recomputation against the current
-  zone table.
+  zone table;
+- **exactly-once m-cast** — under the same churn, every m-cast reaches
+  quiescence having delivered once at each brute-force owner of its
+  keys and nowhere else, whatever the flags say.
 """
 
 import hashlib
@@ -51,6 +54,14 @@ def send(overlay, src, key):
         request_id=next_request_id(), origin=src,
     )
     overlay.send(src, key, message)
+
+
+def mcast(overlay, src, keys):
+    message = OverlayMessage(
+        kind=MessageKind.SUBSCRIPTION, payload=None,
+        request_id=next_request_id(), origin=src,
+    )
+    overlay.mcast(src, keys, message)
 
 
 def brute_owner(overlay, key):
@@ -199,6 +210,51 @@ def test_property_fast_path_unicast_reaches_owner(key, seed):
     send(overlay, overlay.node_ids()[seed % len(overlay.node_ids())], key)
     sim.run()
     assert delivered == [brute_owner(overlay, key)]
+
+
+@pytest.mark.parametrize("flags", FLAG_COMBOS, ids=("both", "express", "jumps"))
+def test_mcast_delivers_once_at_each_owner_under_churn(flags):
+    """Contiguous and scattered key sets of 1 to 150 keys, cast from
+    random nodes between join/leave/crash bursts: each cast drains its
+    events and delivered exactly once at every brute-force owner."""
+    rng = random.Random(20261016)
+    for round_index in range(4):
+        sim, overlay = build(n=50, seed=round_index + 1, **flags)
+        delivered = []
+        overlay.set_deliver(lambda nid, m: delivered.append(nid))
+        for _ in range(4):
+            churn(overlay, rng, 10)
+            for _ in range(8):
+                count = rng.randint(1, 150)
+                if rng.random() < 0.5:
+                    first = rng.randrange(KS.size)
+                    keys = {(first + i) % KS.size for i in range(count)}
+                else:
+                    keys = {rng.randrange(KS.size) for _ in range(count)}
+                del delivered[:]
+                mcast(overlay, rng.choice(overlay.node_ids()), keys)
+                sim.run(max_events=10_000)
+                assert sim.pending == 0  # quiescent: no branch still walking
+                owners = {brute_owner(overlay, key) for key in keys}
+                assert sorted(delivered) == sorted(owners)
+
+
+def test_mcast_zone_straddling_a_link_target_gets_one_branch():
+    """B's zone starts before A + 2^10, the key its express link 10
+    names, and ends after it.  Cut at A + 2^9 and A + 2^10, B's keys
+    below A + 2^10 would ride link 9's branch (to C) and the rest come
+    straight from A: two branches at B.  Cut at zone starts, one."""
+    sim = Simulator()
+    overlay = CanOverlay(sim, KS)
+    a, c, b, d, e = 0x10, 0x30, 0x500, 0x900, 0x1400
+    overlay.build_ring([a, c, b, d, e])
+    set_zones(overlay, [0, 0x20, 0x400, 0x800, 0x1000], [a, c, b, d, e])
+    assert overlay.compute_express_links(a)[9:] == [c, b, d, e]
+    delivered = []
+    overlay.set_deliver(lambda nid, m: delivered.append((nid, m.hops)))
+    mcast(overlay, a, range(0x400, 0x420))  # straddles a + 2**10 = 0x410
+    sim.run()
+    assert delivered == [(b, 1)]
 
 
 # -- express-link maintenance -------------------------------------------------

@@ -20,6 +20,7 @@ one forward.  Pinned here:
 
 from __future__ import annotations
 
+import bisect
 import random
 
 import pytest
@@ -41,22 +42,39 @@ def build(n=60, seed=1, cache=128):
     return sim, overlay
 
 
-def far_pair(overlay):
-    """Two nodes at least three greedy hops apart, cache cold."""
+def far_pair(overlay, how="unicast"):
+    """Two nodes at least three hops apart, cache cold: by greedy unicast
+    steps, or for ``how="mcast"`` by the hops a one-key m-cast takes."""
     ids = overlay.node_ids()
     for a in ids:
         for b in ids:
-            hop = overlay.node(a)._next_hop(b)
-            if hop not in (None, b) and overlay.node(hop)._next_hop(b) != b:
+            if how == "mcast":
+                far = mcast_hops(overlay, a, b) >= 3
+            else:
+                hop = overlay.node(a)._next_hop(b)
+                far = hop not in (None, b) and overlay.node(hop)._next_hop(b) != b
+            if far:
                 return a, b
     raise AssertionError("ring too small")
 
 
+def mcast_hops(overlay, source, key):
+    """Hops of a one-key m-cast: each node hands the key to its pointer
+    with the largest zone-start distance not past the key's."""
+    hops, node_id = 0, source
+    while overlay.owner_of(key) != node_id:
+        _, dists, owners = overlay.node(node_id)._mcast_table()
+        distance = (key - node_id) % KS.size
+        node_id = owners[bisect.bisect_right(dists, distance) - 1]
+        hops += 1
+    return hops
+
+
 def test_a_reply_to_the_origin_of_a_delivered_request_takes_one_hop():
     sim, overlay = build()
-    subscriber, rendezvous = far_pair(overlay)
+    subscriber, rendezvous = far_pair(overlay, "mcast")
     ((_, request),) = cast(sim, overlay, "mcast", subscriber, {rendezvous})
-    assert request.hops >= 3
+    assert request.hops == mcast_hops(overlay, subscriber, rendezvous) >= 3
     # Every forward stamped id, zone; the origin's pair comes first.
     assert request.path[:2] == (subscriber, overlay.zone_of(subscriber))
     assert cached_ids(overlay.node(rendezvous)._cache) == [subscriber]

@@ -8,8 +8,9 @@ for every ownership question, ``decompose`` / ``zone_rectangle`` /
 geometry — and the two must name the same next hop for every
 (node, key) pair, on a fresh ring and after joins, leaves and crashes,
 in all four ``express_links`` × ``zone_jumps`` combinations.  The
-m-cast test pins which (next hop, key set) branches a node transmits,
-and in which order.
+m-cast test pins which (pointer, key set) branches a node transmits,
+and in which order, against a key-order partition built from
+``zone_table()`` and ``compute_express_links`` alone.
 """
 
 import bisect
@@ -219,30 +220,50 @@ class RecordingNetwork(Network):
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_mcast_branches_and_their_transmit_order(seed):
-    """The source of an m-cast sends one branch per distinct next hop,
-    in the order the hops first come up while it walks the targets it
-    does not own, each branch carrying exactly that hop's keys; the
-    wave after it obeys the same rule at every receiver."""
+    """The source of an m-cast splits the targets it does not own in key
+    order: each key goes to the pointer — the owner of the key past the
+    source's zone, or an express link — whose zone starts nearest before
+    the key, clockwise from the source.  One branch per pointer, sent
+    farthest first, nearest last; the wave after it obeys the same rule
+    at every receiver, and every owner hears the cast exactly once."""
     keyspace = KeySpace(13)
+    size = keyspace.size
     rng = random.Random(seed)
     sim = Simulator()
     network = RecordingNetwork(sim)
     overlay = CanOverlay(sim, keyspace, network)
-    overlay.build_ring(rng.sample(range(keyspace.size), 60))
+    overlay.build_ring(rng.sample(range(size), 60))
     churn(overlay, rng, 25)
     delivered: list[int] = []
     overlay.set_deliver(lambda node_id, message: delivered.append(node_id))
     reference = ReferenceRouter(overlay)
+    zone_start = {owner: start for start, owner in overlay.zone_table()}
 
     def expected_branches(node_id, targets):
+        """Brute force over the zone table and the express links."""
         mine = {k for k in targets if reference.owner_of(k) == node_id}
-        groups: dict[int, set[int]] = {}
+        index = reference.owners.index(node_id)
+        after = reference.starts[(index + 1) % len(reference.starts)]
+        pointers = {reference.owner_of(after)}
+        pointers.update(overlay.compute_express_links(node_id))
+        pointers.discard(node_id)
+
+        def offset(key):
+            return (key - node_id) % size
+
+        branches: dict[int, set[int]] = {}
         for key in targets - mine:
-            groups.setdefault(reference.next_hop(node_id, key), set()).add(key)
-        return [(node_id, hop, frozenset(keys)) for hop, keys in groups.items()]
+            _, pointer = max(
+                (offset(zone_start[p]), p)
+                for p in pointers
+                if offset(zone_start[p]) <= offset(key)
+            )
+            branches.setdefault(pointer, set()).add(key)
+        order = sorted(branches, key=lambda p: offset(zone_start[p]), reverse=True)
+        return [(node_id, p, frozenset(branches[p])) for p in order]
 
     source = rng.choice(overlay.node_ids())
-    targets = frozenset(rng.sample(range(keyspace.size), 40))
+    targets = frozenset(rng.sample(range(size), 40))
     message = OverlayMessage(
         kind=MessageKind.PUBLICATION,
         payload=None,
@@ -264,6 +285,7 @@ def test_mcast_branches_and_their_transmit_order(seed):
         inboxes: dict[int, list[frozenset[int]]] = {}
         for _, dst, keys in wave:
             inboxes.setdefault(dst, []).append(keys)
+        assert all(len(key_sets) == 1 for key_sets in inboxes.values())
         expected = [
             branch
             for dst, key_sets in inboxes.items()
@@ -272,5 +294,4 @@ def test_mcast_branches_and_their_transmit_order(seed):
         ]
         assert network.sent == expected
         wave = list(network.sent)
-    # Coverage-complete; a node may hear from more than one branch.
-    assert set(delivered) == {reference.owner_of(key) for key in targets}
+    assert sorted(delivered) == sorted({reference.owner_of(k) for k in targets})

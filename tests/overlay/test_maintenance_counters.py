@@ -180,8 +180,9 @@ def test_network_drop_counters_are_registry_views():
 
 
 def test_can_node_state_is_made_on_demand():
-    """A CAN node that only delivers holds no counter and no express
-    keys; the first route makes exactly what it used."""
+    """A CAN node that only delivers holds no counter, no express keys
+    and no m-cast pointers; the first route makes exactly what it used,
+    and the first m-cast it forwards makes its pointers."""
     telemetry = Telemetry()
     sim = Simulator()
     overlay = CanOverlay(sim, KS, network=Network(sim, telemetry=telemetry))
@@ -225,3 +226,18 @@ def test_can_node_state_is_made_on_demand():
     assert len(node._express_points) == KS.bits
     assert "can.table_patches" not in made()
     assert "can.express_patches" not in made()
+    assert node._mcast is None  # unicast does not read the pointers
+
+    def cast(source, keys):
+        message = OverlayMessage(
+            kind=MessageKind.SUBSCRIPTION, payload=None,
+            request_id=next_request_id(), origin=source,
+        )
+        overlay.mcast(source, keys, message)
+        sim.run()
+
+    cast(node.id, [node.id])  # delivered where it was sent
+    assert node._mcast is None
+    cast(node.id, [node.id, far])
+    assert node._mcast[0] == overlay.zone_version
+    assert (node.table_rebuilds, node.express_rebuilds) == (1, 1)

@@ -40,6 +40,9 @@ merely forwards — ``receive``, ``route_unicast``, ``_next_hop`` and the
 zone jump's occasional ``bisect`` on the chain's eleven.  A forwarder
 stamps its zone from a memo and never asks its location cache, so the
 count is the one taken on the tree before CAN had a cache (PR 21).
+And what a CAN node pays to forward a 50-key m-cast once its pointer
+table is current: a fixed six, seven a branch and two a copy, none a
+key.
 Chord's twin needs no constant: a Chord node that forwards an m-cast
 or a unicast is counted against the same node built without a cache.
 """
@@ -66,6 +69,9 @@ DESTINATIONS = 64
 DRAIN_EVENT = 4
 CAN_ROUTES = 500
 CAN_FORWARD_CALLS = 49_500  # for the 7 x CAN_ROUTES extra forwards below
+# One CAN m-cast forward of 50 contiguous keys split into two branches.
+# The greedy grouping this replaced counted 105: a _next_hop per key.
+CAN_MCAST_FORWARD_CALLS = 22
 
 
 def profiled_calls(body) -> int:
@@ -172,6 +178,46 @@ def test_can_unicast_forward_costs_what_it_did_without_a_cache():
 
     # Same entry, same delivery, seven more forwards a route.
     assert routes(far) - routes(near) <= CAN_FORWARD_CALLS + ONE_OFF
+
+
+def test_can_mcast_forward_costs_one_bisect_per_branch():
+    """22 calls: ``continue_mcast``, its set and list comprehensions,
+    ``sorted`` and two ``len``; per branch a ``bisect_right``, a
+    ``list.append``, the key-set comprehension and the network's four
+    (``transmit``, ``on_send``, ``dict.get``, ``list.append``); and the
+    one copy, ``forwarded_copy`` with its ``__init__`` — the envelope
+    carries the other branch."""
+    overlay = CanOverlay(Simulator(), KeySpace(13))
+    overlay.build_ring(random.Random(7).sample(range(1 << 13), 200))
+    ids = overlay.node_ids()
+    node, origin = overlay.node(ids[0]), ids[100]
+    start, length = overlay.zone_of(node.id)
+    first = start + length + 1000
+    keys = frozenset((first + i) % (1 << 13) for i in range(50))
+    request_id = next_request_id()
+
+    def forwarded() -> OverlayMessage:
+        return OverlayMessage(
+            kind=MessageKind.SUBSCRIPTION, payload=None,
+            request_id=request_id, origin=origin, target_keys=keys,
+            mode=CastMode.MCAST, hops=1, path=(origin, overlay.zone_of(origin)),
+        )
+
+    node.continue_mcast(forwarded())  # pointer table built, request open
+    assert node._mcast[0] == overlay.zone_version
+    messages = [forwarded() for _ in range(CAN_ROUTES)]
+
+    def body() -> None:
+        for message in messages:
+            node.continue_mcast(message)
+
+    gc.disable()
+    try:
+        calls = profiled_calls(body)
+    finally:
+        gc.enable()
+    # Exact: the one call that is not a forward is ``body`` itself.
+    assert calls == CAN_MCAST_FORWARD_CALLS * CAN_ROUTES + 1, calls / CAN_ROUTES
 
 
 def test_chord_forwards_cost_what_they_do_without_a_cache():

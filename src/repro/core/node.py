@@ -41,6 +41,11 @@ SEEN_PUBLICATIONS_LIMIT = 4096
 class PubSubNode:
     """The CB-pub/sub layer instance at one overlay node."""
 
+    # Most nodes only route: each is made at the first entry it holds.
+    _seen_publications: OrderedDict[int, None] | None = None
+    _seen_notifications: OrderedDict[tuple[int, int], None] | None = None
+    _replicas: dict[int, dict[int, StoredEntrySnapshot]] | None = None
+
     def __init__(self, node_id: int, system: "PubSubSystem") -> None:
         self.id = node_id
         self._system = system
@@ -49,10 +54,15 @@ class PubSubNode:
             matcher=system.config.matcher,
             covering=system.config.covering,
         )
-        self.buffer = NotificationBuffer()
-        self.replicas: dict[int, dict[int, StoredEntrySnapshot]] = {}
-        self._seen_publications: OrderedDict[int, None] = OrderedDict()
-        self._seen_notifications: OrderedDict[tuple[int, int], None] = OrderedDict()
+        # Only a buffering system flushes, collects or buffers a match.
+        self.buffer = NotificationBuffer() if system.config.buffering else None
+
+    @property
+    def replicas(self) -> dict[int, dict[int, StoredEntrySnapshot]]:
+        """Replica shelves by the owner that pushed them (made on read)."""
+        if self._replicas is None:
+            self._replicas = {}
+        return self._replicas
 
     # -- delivery dispatch -------------------------------------------------
 
@@ -107,11 +117,14 @@ class PubSubNode:
     def _handle_publication(
         self, payload: PublishPayload, message: OverlayMessage
     ) -> None:
-        if message.request_id in self._seen_publications:
+        seen = self._seen_publications
+        if seen is None:
+            seen = self._seen_publications = OrderedDict()
+        elif message.request_id in seen:
             return
-        self._seen_publications[message.request_id] = None
-        while len(self._seen_publications) > SEEN_PUBLICATIONS_LIMIT:
-            self._seen_publications.popitem(last=False)
+        seen[message.request_id] = None
+        while len(seen) > SEEN_PUBLICATIONS_LIMIT:
+            seen.popitem(last=False)
 
         now = self._system.now
         matched = self.store.match(payload.event, now)
@@ -209,21 +222,27 @@ class PubSubNode:
         a real network cost (counted by the metrics) but the
         application should see each match once.
         """
+        seen = self._seen_notifications
+        if seen is None:
+            seen = self._seen_notifications = OrderedDict()
         fresh = []
         for notification in notifications:
             dedup_key = (notification.event.event_id, notification.subscription_id)
-            if dedup_key in self._seen_notifications:
+            if dedup_key in seen:
                 continue
-            self._seen_notifications[dedup_key] = None
+            seen[dedup_key] = None
             fresh.append(notification)
-        while len(self._seen_notifications) > SEEN_PUBLICATIONS_LIMIT:
-            self._seen_notifications.popitem(last=False)
+        while len(seen) > SEEN_PUBLICATIONS_LIMIT:
+            seen.popitem(last=False)
         return fresh
 
     # -- replication and churn (Section 4.1) -----------------------------------
 
     def _handle_replica(self, payload: ReplicaPayload) -> None:
-        shelf = self.replicas.setdefault(payload.owner, {})
+        replicas = self._replicas
+        if replicas is None:
+            replicas = self._replicas = {}
+        shelf = replicas.setdefault(payload.owner, {})
         for snapshot in payload.entries:
             shelf[snapshot.payload.subscription.subscription_id] = snapshot
         if payload.remaining > 1:
@@ -237,7 +256,7 @@ class PubSubNode:
             )
 
     def _handle_replica_remove(self, payload: ReplicaRemovePayload) -> None:
-        shelf = self.replicas.get(payload.owner)
+        shelf = (self._replicas or {}).get(payload.owner)
         if shelf is not None:
             shelf.pop(payload.subscription_id, None)
         if payload.remaining > 1:
@@ -257,7 +276,7 @@ class PubSubNode:
         its replicated subscriptions become live entries here.  Returns
         the promoted snapshots so the system can re-replicate them.
         """
-        shelf = self.replicas.pop(crashed_owner, {})
+        shelf = (self._replicas or {}).pop(crashed_owner, {})
         now = self._system.now
         promoted = []
         for snapshot in shelf.values():

@@ -87,15 +87,16 @@ class SubscriptionStore:
             for every engine except ``"brute"``, which stays the
             uncollapsed oracle the others are audited against.
 
-    The engine is made by the first install (:meth:`put` /
-    :meth:`restore`): most rendezvous nodes never hold a subscription,
-    and an empty store is a few hundred bytes whatever its engine.
-    Until then :meth:`match` returns ``[]`` and a handle attached by
-    :meth:`attach_match_stats` waits for the engine.
+    The engine and the covering index are made by the first install
+    (:meth:`put` / :meth:`restore`): most rendezvous nodes never hold a
+    subscription, and an empty store is under two hundred bytes
+    whatever its engine.  Until then :meth:`match` returns ``[]`` and a
+    handle attached by :meth:`attach_match_stats` waits for the engine.
     """
 
-    #: The matching engine, made by the first install.
+    #: The matching engine and covering index, made by the first install.
     _matcher: Matcher | None = None
+    _covering: CoveringIndex | None = None
     #: The attached :class:`~repro.telemetry.load.MatchWork`, if any.
     _work = None
 
@@ -112,11 +113,13 @@ class SubscriptionStore:
         self._engine = _ENGINES[matcher]
         if covering is None:
             covering = matcher != "brute"
-        self._covering = CoveringIndex() if covering else None
+        self._collapse = covering
 
     @property
     def covering(self) -> CoveringIndex | None:
-        """The covering index, or None when running uncollapsed."""
+        """The covering index (made on first read), or None uncollapsed."""
+        if self._covering is None and self._collapse:
+            self._covering = CoveringIndex()
         return self._covering
 
     def attach_match_stats(self, stats) -> None:
@@ -184,6 +187,8 @@ class SubscriptionStore:
             if matcher is None:
                 matcher = self._matcher = self._engine(self._space)
                 matcher.work = self._work
+                if self._collapse and self._covering is None:
+                    self._covering = CoveringIndex()
             covering = self._covering
             if covering is None:
                 matcher.add(payload.subscription)

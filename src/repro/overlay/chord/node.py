@@ -1,6 +1,7 @@
 """A single Chord node: pointers, location cache, routing decisions.
 
-A node knows its ring neighbors, its finger table and (optionally) a
+A node knows its ring neighbors, its finger table — held once, as the
+raw slots and the distinct owners by distance — and (optionally) a
 bounded LRU *location cache* of other live nodes it has learned about
 from message traffic (:mod:`repro.overlay.location_cache`: the touch
 log, its fold, the LRU).  Fingers are computed against the overlay's
@@ -41,7 +42,7 @@ group falls back to the pointer strictly preceding it, by binary search
 over the distance-sorted fingers (at the origin, the merged array).
 
 The merged array is a *derived view* with one invariant,
-``table == (finger members | cache) - {self}``, and only unicast hops
+``table == (fingers | cache) - {self}``, and only unicast hops
 and m-cast origins read it — an m-cast forwarder routes on fingers
 alone, and at steady state a node takes some fifteen m-cast receives per
 unicast hop.  So a node pays for routing state when it addresses keys,
@@ -62,11 +63,10 @@ deferred the same way:
   by cache never holds a table.
 - **Cold build.**  A node holds no finger state until its first sync,
   which resolves the ``m`` starts ``(id + 2**i) mod size`` at one
-  bisect each and derives the fingers in one run-length pass — the
-  owners come out nearest first with equal owners adjacent and self
-  last, so nothing is sorted.  The sorted starts that delta replay
-  needs are built on the first patch, and each per-node registry
-  counter on its first increment.
+  bisect each and dedups the owners in one pass — they come out
+  nearest first with self last, so nothing is sorted.  The sorted
+  starts that delta replay needs are built on the first patch, and
+  each per-node registry counter on its first increment.
 
 Under churn the fingers are maintained *incrementally*.  The overlay logs
 every membership change (:meth:`~repro.overlay.ring.RingOverlay.deltas_since`)
@@ -122,28 +122,22 @@ class ChordNode:
         keyspace = overlay.keyspace
         self._size = keyspace.size  # ring size never changes; skip the property
         self._bits = keyspace.bits
-        # Raw finger slots: owner of finger_start(id, i) for each
-        # 1-based index i, *including* self-pointing entries.  This is
-        # the state the delta-log replay patches; empty on a cold node.
+        # The finger table, held once and empty until the first sync:
+        # - slots: owner of finger_start(id, i) per 1-based i, self
+        #   included; the state delta replay patches;
+        # - fingers / dists: the distinct owners but self, nearest
+        #   clockwise first (_refresh_fingers; _apply_slot per slot);
+        # - the sorted starts and their permutation back to slots,
+        #   for delta replay only (built on the first _patch);
+        # - the ring version all of it is current for.
         self._finger_slots: list[int] = []
-        # Derived from the slots by _refresh_fingers and kept exact per
-        # changed slot by _apply_slot (None while the node is cold):
-        # the distinct fingers nearest clockwise first, their distances,
-        # the same ids as a set, and how many slots point at each node
-        # (a finger only appears/disappears when its count crosses zero).
         self._fingers: list[int] | None = None
         self._finger_dists: list[int] | None = None
-        self._finger_members: set[int] | None = None
-        self._finger_counts: dict[int, int] | None = None
-        # The finger starts in ascending order and the permutation back
-        # to slot indexes; only delta replay reads them, so they are
-        # built on the first _patch.
         self._sorted_starts: list[int] | None = None
         self._start_perm: list[int] | None = None
-        # Ring version the finger state above is current for.
         self._table_version = -1
         # Merged routing table, a derived view: always meant to equal
-        # (finger members | cache) - {self}, sorted by clockwise
+        # (fingers | cache) - {self}, sorted by clockwise
         # distance (unique per id, so two parallel arrays suffice for
         # bisect).  Writers never touch the arrays; they append the ids
         # whose membership may have changed to the journal, and
@@ -240,7 +234,7 @@ class ChordNode:
         # Equivalent to overlay.deltas_since(...) without the slice
         # allocation: the invariant ring_version == base + len(log)
         # makes len(log) - start the number of missed deltas.  The
-        # cutover sits at the slot count: replaying a delta costs two
+        # cutover sits at the number of slots: a delta costs two
         # bisects against the sorted starts, while a rebuild re-resolves
         # all slots at one bisect each and splices only the changed
         # ones, so past ~#slots missed deltas the rebuild is cheaper.
@@ -258,12 +252,12 @@ class ChordNode:
         """Recompute the finger slots from the ring and splice the diff.
 
         Every start ``(id + 2**i) mod size`` is re-resolved against the
-        ring at one bisect each, but a node that already holds derived
-        state only pays for the slots that actually moved: each is
-        spliced into the finger arrays in place via the slot-count map,
-        which lands in exactly the state a from-scratch derivation
-        would (same argument as :meth:`_patch`).  Only a cold node — no
-        slots yet — derives the fingers from scratch, in one pass.
+        ring at one bisect each, but a node that already holds fingers
+        only pays for the slots that actually moved: each is written
+        through :meth:`_apply_slot`, which lands in exactly the state a
+        from-scratch derivation would (same argument as :meth:`_patch`).
+        Only a cold node — no slots yet — derives the fingers from
+        scratch, in one pass.
         """
         ring = self._overlay._ring
         count = len(ring)
@@ -307,10 +301,11 @@ class ChordNode:
 
         A join ``(J, pred)`` owns every finger start in ``(pred, J]``;
         a departure ``(L, heir)`` hands L's slots to its heir.  The
-        slot replay reproduces ``owner_of(start)`` exactly, so the
-        derived finger list is identical to what a full rebuild would
-        produce.  Departed nodes that live in the location cache stay
-        in the merged table until ``_next_hop`` discovers them dead.
+        slot replay reproduces ``owner_of(start)`` exactly, and
+        :meth:`_apply_slot` keeps the fingers exact per slot, so they
+        equal what a full rebuild would produce.  Departed nodes that
+        live in the location cache stay in the merged table until
+        ``_next_hop`` discovers them dead.
         """
         slots = self._finger_slots
         if self._sorted_starts is None:
@@ -325,8 +320,7 @@ class ChordNode:
         # with two C-level bisects over the sorted starts, and a
         # departure pre-screens with a C-level list containment before
         # scanning.  The common case touches no slot at all; each slot
-        # that does move updates the finger arrays in place via the
-        # slot-count map.
+        # that does move goes through _apply_slot.
         for index in range(start, len(log)):
             op, node_id, other = log[index]
             if op == "join":
@@ -368,78 +362,57 @@ class ChordNode:
         self._start_perm = perm
 
     def _apply_slot(self, index: int, new_owner: int) -> None:
-        """Point slot ``index`` at ``new_owner``, keeping the derived
-        finger arrays exact.
+        """Point slot ``index`` at ``new_owner``, keeping the fingers
+        exactly as re-deriving them from the slots would.
 
-        The finger arrays gain/lose a node only when its slot count
-        crosses zero, so the result is identical to re-deriving them
-        from the slots.  A node crossing zero either way is journaled:
-        whether it belongs in the merged table (a dropped finger stays
-        while cached) is settled when the table is next read.
+        A node is a finger iff a slot points at it: the new owner is
+        gained if no slot held it before the write, the old one lost if
+        none holds it after.  Either crossing is journaled; whether the
+        node belongs in the merged table (a dropped finger stays while
+        cached) is settled when the table is next read.
         """
         slots = self._finger_slots
         old = slots[index]
+        gained = new_owner not in slots
         slots[index] = new_owner
-        counts = self._finger_counts
         me = self.id
         size = self._size
+        dists = self._finger_dists
         journal = self._table_journal
-        remaining = counts[old] - 1
-        if remaining:
-            counts[old] = remaining
-        else:
-            del counts[old]
-            if old != me:
-                self._finger_members.discard(old)
-                distance = (old - me) % size
-                at = bisect_left(self._finger_dists, distance)
-                del self._finger_dists[at]
-                del self._fingers[at]
-                if journal is not None:
-                    journal.append(old)
-        held = counts.get(new_owner)
-        if held:
-            counts[new_owner] = held + 1
-        else:
-            counts[new_owner] = 1
-            if new_owner != me:
-                self._finger_members.add(new_owner)
-                distance = (new_owner - me) % size
-                at = bisect_left(self._finger_dists, distance)
-                self._finger_dists.insert(at, distance)
-                self._fingers.insert(at, new_owner)
-                if journal is not None:
-                    journal.append(new_owner)
+        if old != me and old not in slots:
+            at = bisect_left(dists, (old - me) % size)
+            del dists[at]
+            del self._fingers[at]
+            if journal is not None:
+                journal.append(old)
+        if gained and new_owner != me:
+            distance = (new_owner - me) % size
+            at = bisect_left(dists, distance)
+            dists.insert(at, distance)
+            self._fingers.insert(at, new_owner)
+            if journal is not None:
+                journal.append(new_owner)
 
     def _refresh_fingers(self) -> None:
-        """Derive the deduplicated distance-sorted fingers from the slots.
+        """Derive the distinct distance-sorted fingers from the slots.
 
         Slot ``i`` owns the start at clockwise distance ``2**i``, so the
-        owners come out nearest first with equal owners adjacent, and
-        this node — the owner of every start no other node follows —
-        last.  One run-length pass therefore yields the slot counts in
-        finger order, with no sort.
+        owners come out nearest first and this node — the owner of
+        every start no other node follows — last: dropping repeats in
+        slot order yields the fingers sorted.  The dedup is a plain
+        loop into a throwaway dict, which makes no call.
         """
         me = self.id
         size = self._size
         slots = self._finger_slots
-        counts: dict[int, int] = {}
-        owner = slots[0]
-        run = 0
+        distinct: dict[int, None] = {}
         for slot in slots:
-            if slot != owner:
-                counts[owner] = run
-                owner = slot
-                run = 0
-            run += 1
-        counts[owner] = run
-        fingers = list(counts)
-        if owner == me:
+            distinct[slot] = None
+        fingers = list(distinct)
+        if slots[-1] == me:
             del fingers[-1]
-        self._finger_counts = counts
         self._fingers = fingers
         self._finger_dists = [(nid - me) % size for nid in fingers]
-        self._finger_members = set(fingers)
 
     def seed_tables(self) -> None:
         """Seed finger slots at join time from the successor's table.
@@ -509,7 +482,7 @@ class ChordNode:
     def _materialize(self) -> None:
         """Bring the merged table current with the fingers and the cache.
 
-        Establishes ``table == (finger members | cache) - {self}`` in
+        Establishes ``table == (fingers | cache) - {self}`` in
         clockwise-distance order.  Callers :meth:`_sync` first, so the
         finger side is current.  A live journal names every id whose
         membership may have changed since the last call; each is
@@ -520,11 +493,12 @@ class ChordNode:
         """
         me = self.id
         size = self._size
-        fingers = self._finger_members
+        fingers = self._fingers
         cache = self._cache.entries
         journal = self._table_journal
         if journal is None:
-            by_distance = {(nid - me) % size: nid for nid in fingers.union(cache)}
+            by_distance = {(nid - me) % size: nid for nid in cache}
+            by_distance.update(zip(self._finger_dists, fingers))
             dists = sorted(by_distance)
             self._table_dists = dists
             self._table_ids = [by_distance[d] for d in dists]

@@ -5,7 +5,7 @@ import random
 from repro.core import EventSpace, PubSubSystem, Subscription
 from repro.core.mappings import make_mapping
 from repro.core.node import SEEN_PUBLICATIONS_LIMIT
-from repro.core.payloads import Notification, SubscribePayload
+from repro.core.payloads import Notification, ReplicaRemovePayload, SubscribePayload
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
@@ -22,6 +22,32 @@ def build(n=20, seed=6):
         sim, overlay, make_mapping("keyspace-split", SPACE, KS)
     )
     return sim, system
+
+
+def test_a_node_that_only_routes_holds_no_containers():
+    sim, system = build()
+    assert not system.config.buffering
+    nodes = [system.node(node_id) for node_id in system.overlay.node_ids()]
+    # Route one publication across the ring: under keyspace-split it
+    # reaches a few rendezvous nodes, and every other node only routes.
+    system.publish(nodes[0].id, SPACE.make_event(a1=500, a2=500))
+    sim.run()
+    routers = [node for node in nodes if node._seen_publications is None]
+    assert len(routers) < len(nodes)
+    assert routers
+    for node in nodes:
+        assert node.buffer is None
+        assert node._seen_notifications is None
+        assert node._replicas is None
+    # With no shelves, losing a neighbor promotes nothing and a replica
+    # removal finds nothing to drop; neither makes a shelf.
+    node = routers[0]
+    assert node.promote_replicas(crashed_owner=42) == []
+    node._handle_replica_remove(
+        ReplicaRemovePayload(owner=42, subscription_id=7, remaining=1)
+    )
+    assert node._replicas is None
+    assert node.replicas == {}  # reading makes the shelves
 
 
 def test_fresh_notifications_dedupes_and_bounds():

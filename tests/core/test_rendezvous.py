@@ -176,10 +176,18 @@ def test_a_store_that_never_held_anything(engine):
     assert store.purge_expired(now=5.0) == 0
     assert store.live_count(now=5.0) == 0
     assert len(store) == 0 and store.entries() == []
-    # None of that made an engine.
+    # None of that made an engine or a covering index.
     assert store._matcher is None
+    assert store._covering is None
+    # Reading the index makes it when covering is on; the first install
+    # then keeps the one it finds.
+    index = store.covering
     if engine == "brute":
-        assert store.covering is None
+        assert index is None
     else:
-        assert isinstance(store.covering, CoveringIndex)
-        assert store.covering.root_count == 0
+        assert isinstance(index, CoveringIndex)
+        assert index.root_count == 0
+    store.put(make_payload(), {1}, now=0.0)
+    assert store.covering is index
+    if index is not None:
+        assert index.root_count == 1

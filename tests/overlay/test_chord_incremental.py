@@ -18,11 +18,10 @@ node to a full key space.
 """
 
 import random
-from collections import Counter
 
 import pytest
 
-from repro.overlay.chord import ChordOverlay
+from repro.overlay.chord import ChordNode, ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
 
@@ -239,14 +238,13 @@ def assert_derived_state(overlay, node):
     slots = overlay.compute_finger_slots(node.id)
     assert node._finger_slots == slots
     assert node.fingers() == overlay.compute_fingers(node.id)
-    members = set(slots) - {node.id}
-    by_distance = sorted(members, key=lambda n: keyspace.distance(node.id, n))
+    # Every distinct slot owner but self, once, nearest first.
+    owners = set(slots) - {node.id}
+    by_distance = sorted(owners, key=lambda n: keyspace.distance(node.id, n))
     assert node._fingers == by_distance
     assert node._finger_dists == [
         keyspace.distance(node.id, n) for n in by_distance
     ]
-    assert node._finger_counts == dict(Counter(slots))
-    assert node._finger_members == members
 
 
 COLD_RINGS = {
@@ -307,6 +305,56 @@ def test_cold_built_nodes_patch_exactly_with_lazy_sorted_starts(ring):
         ]
         assert node._sorted_starts == sorted(starts)
         assert [starts[i] for i in node._start_perm] == node._sorted_starts
+
+
+def test_apply_slot_crosses_zero_exactly_like_a_fresh_derivation():
+    """Seeded single-slot writes, each checked against a from-scratch
+    ``_refresh_fingers`` of the same slots and against the journal.
+
+    Every write keeps the slots what a ring can produce (owners in
+    clockwise order, self last), and lands on a neighbour's owner — one
+    that already holds another slot — or on a fresh node.  A finger is
+    gained or lost only when the last slot leaves an owner or the first
+    lands on one, and the journal names exactly the ids that crossed.
+    """
+    bits, ids = COLD_RINGS["fifty-nodes"]
+    keyspace = KeySpace(bits)
+    size = keyspace.size
+    overlay = ChordOverlay(Simulator(), keyspace, cache_capacity=0)
+    overlay.build_ring(ids)
+    node = overlay.node(ids[0])
+    node.routing_table()  # syncs and materializes: the journal is live
+    me = node.id
+
+    def reach(owner):  # self owns the starts no other node follows
+        return (owner - me) % size or size
+
+    rng = random.Random(28)
+    onto_held = gained = lost = 0
+    for _ in range(400):
+        slots = node._finger_slots
+        index = rng.randrange(bits)
+        low = reach(slots[index - 1]) if index else 1
+        high = reach(slots[index + 1]) if index + 1 < bits else size
+        distance = rng.choice((low, high, rng.randint(low, high)))
+        new_owner = (me + distance) % size
+        old = slots[index]
+        if new_owner == old:
+            continue
+        before = set(node._fingers)
+        onto_held += new_owner in slots and new_owner != me
+        node._apply_slot(index, new_owner)
+        fresh = ChordNode(me, overlay, cache_capacity=0)
+        fresh._finger_slots = list(slots)
+        fresh._refresh_fingers()
+        assert node._fingers == fresh._fingers
+        assert node._finger_dists == fresh._finger_dists
+        crossed = before ^ set(node._fingers)
+        assert node._table_journal == [n for n in (old, new_owner) if n in crossed]
+        del node._table_journal[:]
+        lost += old in crossed
+        gained += new_owner in crossed
+    assert onto_held and gained and lost
 
 
 # -- the delta log itself --------------------------------------------------

@@ -7,9 +7,16 @@ weight back.
 
 - **An empty rendezvous store.**  Every node owns one, and under
   Mapping 3 most never hold a subscription, so the store makes its
-  matching engine at the first install.  Object sizes are a property of
-  the interpreter, so the budget is keyed on the Python minor version:
-  3.11 is measured, and an unknown version skips rather than fails.
+  matching engine and covering index at the first install.  Object
+  sizes are a property of the interpreter, so the budget is keyed on
+  the Python minor version: 3.11 is measured, and an unknown version
+  skips rather than fails.
+- **A pub/sub node that only routes.**  Its dedup windows, replica
+  shelves and (with buffering off) notification buffer are made at
+  first use; keyed like the store.
+- **A cold Chord node's first sync.**  The finger table is held once:
+  the raw slots plus the distinct owners and their distances; keyed
+  like the store.
 - **The Zipf table.**  The paper's workload draws range centres from a
   Zipf law over a domain of a million values; the inverse-CDF table is
   one array of doubles, 8 bytes an entry, built without a list of
@@ -19,22 +26,44 @@ Each budget's comment gives the number the tree before this change
 read, so a regression says what it undid.
 """
 
+import random
 import sys
 import tracemalloc
 
 import pytest
 
+from repro.core import PubSubSystem
 from repro.core.events import EventSpace
+from repro.core.mappings import make_mapping
+from repro.core.node import PubSubNode
 from repro.core.rendezvous import SubscriptionStore
+from repro.overlay.chord import ChordOverlay
+from repro.overlay.ids import KeySpace
+from repro.sim import Simulator
 from repro.workload import zipf
 
 SPACE = EventSpace.uniform(("a1", "a2", "a3", "a4"), 1_000_000)
 STORES = 200
 
 #: Bytes per empty store, by Python minor version.  3.11 reads brute
-#: 162 and 478 for the others; before the engine was made on first use
-#: it read brute 315, grid 1 427, radix 7 754 and vector 1 582.
-EMPTY_STORE_BUDGET = {(3, 11): 600}
+#: 155 and 147 for the others.  Before the covering index was made on
+#: first use it read brute 155 and 483 for the others (170 / 510 / 486
+#: / 486 for brute / grid / radix / vector in an earlier reading) under
+#: a budget of 600; before the engine was, brute 315, grid 1 427, radix
+#: 7 754 and vector 1 582.
+EMPTY_STORE_BUDGET = {(3, 11): 180}
+
+KS = KeySpace(17)
+NODES = 200
+#: Bytes per fresh PubSubNode (default grid store, buffering off), by
+#: Python minor version.  3.11 reads 272; with every container made up
+#: front it read 1 102 (1 112 in an earlier reading).
+ROUTING_NODE_BUDGET = {(3, 11): 300}
+#: Bytes a cold ChordNode adds at its first sync (2 000 nodes on a
+#: 17-bit ring), by Python minor version.  3.11 reads 917; with the
+#: fingers also held as a set and a per-owner slot-count dict it read
+#: 2 217 (2 276 in an earlier reading).
+COLD_SYNC_BUDGET = {(3, 11): 1000}
 
 ZIPF_SIZE = 100_001
 ZIPF_EXPONENT = 1.6
@@ -46,9 +75,7 @@ ZIPF_PEAK_BUDGET = 2.5 * 8 * ZIPF_SIZE
 
 @pytest.mark.parametrize("engine", ["brute", "grid", "radix", "vector"])
 def test_an_empty_store_is_a_few_hundred_bytes(engine):
-    budget = EMPTY_STORE_BUDGET.get(sys.version_info[:2])
-    if budget is None:
-        pytest.skip(f"no store budget measured for Python {sys.version_info[:2]}")
+    budget = _budget(EMPTY_STORE_BUDGET, "store")
     SubscriptionStore(SPACE, engine)  # one-time type and import costs
     stores = [None] * STORES
     tracemalloc.start()
@@ -59,6 +86,48 @@ def test_an_empty_store_is_a_few_hundred_bytes(engine):
     finally:
         tracemalloc.stop()
     assert held / STORES <= budget, held / STORES
+
+
+def _budget(budgets, what):
+    budget = budgets.get(sys.version_info[:2])
+    if budget is None:
+        pytest.skip(f"no {what} budget measured for Python {sys.version_info[:2]}")
+    return budget
+
+
+def test_a_routing_pubsub_node_is_a_few_hundred_bytes():
+    budget = _budget(ROUTING_NODE_BUDGET, "pub/sub node")
+    sim = Simulator()
+    overlay = ChordOverlay(sim, KS)
+    overlay.build_ring(random.Random(1).sample(range(KS.size), NODES))
+    system = PubSubSystem(sim, overlay, make_mapping("selective-attribute", SPACE, KS))
+    PubSubNode(5, system)  # one-time type and import costs
+    nodes = [None] * NODES
+    tracemalloc.start()
+    try:
+        for i in range(NODES):
+            nodes[i] = PubSubNode(5, system)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / NODES <= budget, held / NODES
+
+
+def test_a_cold_chord_node_syncs_in_under_a_kilobyte():
+    budget = _budget(COLD_SYNC_BUDGET, "Chord sync")
+    ids = random.Random(2).sample(range(KS.size), 2000)
+    overlay = ChordOverlay(Simulator(), KS)
+    overlay.build_ring(ids)
+    nodes = [overlay.node(node_id) for node_id in ids[:NODES + 1]]
+    nodes.pop()._sync()  # one-time costs
+    tracemalloc.start()
+    try:
+        for node in nodes:
+            node._sync()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / NODES <= budget, held / NODES
 
 
 def test_the_zipf_table_is_one_array_of_doubles():

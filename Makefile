@@ -17,11 +17,8 @@ test:
 # Then the CLI end to end, everything written under the ignored
 # artifacts/: an audited Chord run whose trace must reconstruct its
 # causal trees (repro stats), render the load report (repro report) and
-# show no violation (repro audit exits non-zero on one); the same
-# audited run over CAN; a two-shard run with the execution profiler
-# attached, rendered by repro report --mode shard; and one small
-# configuration run twice, serial and --shards 2, whose printed tables
-# must not differ by a byte (--shards chooses the kernel, nothing else).
+# show no violation (repro audit exits non-zero on one); and the same
+# audited run over CAN.
 verify: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 verify:
 	$(PYTHON) -m pytest tests/ -q
@@ -39,19 +36,6 @@ verify:
 		--telemetry artifacts/sample-trace-can.jsonl > /dev/null
 	$(PYTHON) -m repro audit artifacts/sample-trace-can.jsonl \
 		--report artifacts/audit-report-can.txt
-	$(PYTHON) -m repro run --nodes 4000 --subscriptions 400 \
-		--publications 400 --shards 2 --shard-profile \
-		--discretization 256 --cache 1024 --matcher vector \
-		--telemetry artifacts/sample-trace-shard.jsonl > /dev/null
-	$(PYTHON) -m repro report artifacts/sample-trace-shard.jsonl \
-		--mode shard > artifacts/shard-profile.txt
-	cat artifacts/shard-profile.txt
-	$(PYTHON) -m repro run --nodes 300 --subscriptions 100 \
-		--publications 200 --seed 7 --ttl 200 > artifacts/table-serial.txt
-	$(PYTHON) -m repro run --nodes 300 --subscriptions 100 \
-		--publications 200 --seed 7 --ttl 200 --shards 2 \
-		> artifacts/table-shards2.txt
-	diff artifacts/table-serial.txt artifacts/table-shards2.txt
 
 # The performance ledger (BENCHMARK.json): five seeded workloads, eight
 # end-to-end and 111 per-layer metrics, about 3 min.  ledger-smoke runs

@@ -162,20 +162,4 @@ def report_from_dump(dump, source: str = "") -> tuple[str, bool]:
         dump.violations, dump.probes, dump.counters, dump.histograms,
         source=source,
     )
-    # Coordinator-detected shard load imbalance (format v4+) rides the
-    # export as shard-scope overload records; surface it as a warning
-    # footer so the audit path sees it instead of a stderr log line.
-    # Informational only — the exit code stays violation-driven.
-    shard_imbalances = [
-        record for record in getattr(dump, "overloads", [])
-        if record.get("scope") == "shard"
-    ]
-    if shard_imbalances:
-        worst = max(shard_imbalances, key=lambda r: r.get("ratio", 0.0))
-        text += (
-            f"\n\nwarning: shard load imbalance {worst['ratio']:.2f}x "
-            f"max/median (threshold {worst['threshold']:.1f}x; "
-            f"loads {worst['loads']}) — consider the rebalance advisor's "
-            "cut points (repro report --mode shard)"
-        )
     return text, has_audit_data

@@ -14,11 +14,8 @@ Commands:
   audited export; exits non-zero when violations were recorded.
 - ``report`` — load-skew observatory report from a telemetry export
   (terminal heatmap of hot nodes / rendezvous keys, Gini, overload
-  events; ``--json`` writes the artifact), the shard execution
-  profile with ``--mode shard`` (utilization bars, stall attribution,
-  rebalance-advisor cut points from a ``--shard-profile`` run), or —
-  with ``--out-dir`` and no path — the full evaluation suite with
-  CSVs.
+  events; ``--json`` writes the artifact), or — with ``--out-dir``
+  and no path — the full evaluation suite with CSVs.
 - ``trace`` — pre-generate a workload trace to JSON, or replay one.
 
 Examples::
@@ -30,8 +27,6 @@ Examples::
     python -m repro stats out.jsonl
     python -m repro audit out.jsonl --report health.txt
     python -m repro report out.jsonl --json load-report.json
-    python -m repro run --shards 2 --shard-profile --telemetry out.jsonl
-    python -m repro report out.jsonl --mode shard
     python -m repro trace generate --out trace.json --subscriptions 100
     python -m repro trace replay trace.json --mapping selective-attribute
 """
@@ -130,17 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--discretization", type=int, default=1,
                      help="interval width (1 = off)")
     run.add_argument("--replication", type=int, default=0)
-    run.add_argument("--shards", type=int, default=1,
-                     help="parallel shard workers (1 = serial kernel)")
-    run.add_argument("--shard-profile", action="store_true",
-                     help="attach the shard execution profiler (per-round "
-                          "busy/stall timelines, critical-path summary, "
-                          "rebalance advisor); requires --shards > 1")
-    run.add_argument("--shard-cuts", metavar="OFFSETS", default=None,
-                     help="comma-separated arc start offsets for the ring "
-                          "partition (e.g. 0,1500,2600 — the rebalance "
-                          "advisor's suggested cut points); requires "
-                          "--shards > 1")
     run.add_argument("--matcher", choices=["grid", "radix", "brute", "vector"],
                      default="grid",
                      help="rendezvous matching engine")
@@ -184,11 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="telemetry JSONL export; when given, print "
                              "the rendezvous load-skew heatmap instead of "
                              "running the evaluation suite")
-    report.add_argument("--mode", choices=["load", "shard"], default="load",
-                        help="report flavor for a telemetry export: 'load' "
-                             "(rendezvous load-skew heatmap) or 'shard' "
-                             "(shard execution profile: utilization bars, "
-                             "stall attribution, suggested cut points)")
     report.add_argument("--json", metavar="OUT", default=None,
                         help="also write the load report as JSON "
                              "(load-report mode only)")
@@ -247,16 +226,6 @@ def _key_bits(nodes: int) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    shard_cuts = None
-    if args.shard_cuts is not None:
-        try:
-            shard_cuts = tuple(
-                int(part) for part in args.shard_cuts.split(",") if part
-            )
-        except ValueError:
-            print(f"error: --shard-cuts expects comma-separated integers, "
-                  f"got {args.shard_cuts!r}", file=sys.stderr)
-            return 2
     workload = WorkloadSpec(
         selective_attributes=tuple(range(args.selective)),
         matching_probability=args.matching_probability,
@@ -281,9 +250,6 @@ def _command_run(args: argparse.Namespace) -> int:
         replication_factor=args.replication,
         matcher=args.matcher,
         covering=False if args.no_covering else None,
-        shards=args.shards,
-        shard_profile=args.shard_profile,
-        shard_cuts=shard_cuts,
     )
     telemetry = None
     if args.telemetry or args.perfetto or args.audit:
@@ -319,19 +285,6 @@ def _command_run(args: argparse.Namespace) -> int:
     if report is not None and not report.ok:
         for vtype, count in sorted(report.counts_by_type().items()):
             print(f"audit violation: {vtype} x{count}")
-    shard_outcome = result.shard
-    if shard_outcome is not None and shard_outcome.profile is not None:
-        from repro.telemetry.profile import (
-            build_shard_report,
-            render_shard_report,
-        )
-
-        shard_view = build_shard_report(
-            shard_outcome.profile.profile_records()
-        )
-        if shard_view is not None:
-            print()
-            print(render_shard_report(shard_view))
     if telemetry is not None:
         from repro.telemetry.export import write_chrome_trace, write_jsonl
 
@@ -399,39 +352,6 @@ def _command_stats(args: argparse.Namespace) -> int:
             f"n/a (format v{version} predates load records; re-run with "
             "--telemetry on v3+)",
         ])
-    shard_imbalances = [
-        r for r in dump.overloads if r.get("scope") == "shard"
-    ]
-    if shard_imbalances:
-        worst = max(shard_imbalances, key=lambda r: r.get("ratio", 0.0))
-        rows.append([
-            "shard load imbalance",
-            f"{worst['ratio']:.2f}x max/median "
-            f"(threshold {worst['threshold']:.1f}x; loads {worst['loads']})",
-        ])
-    if dump.profiles:
-        run_profile = next(
-            (r for r in dump.profiles if r.get("scope") == "run"), None
-        )
-        if run_profile is not None:
-            rows.append(["shard profile rounds", run_profile["rounds"]])
-            rows.append([
-                "shard profile wall [s]",
-                f"{run_profile['total_wall_s']:.2f}",
-            ])
-            rows.append([
-                "shard critical path",
-                f"shard {run_profile['dominant_shard']} "
-                f"({run_profile['dominant_phase']}-bound)",
-            ])
-        advice = next(
-            (r for r in dump.profiles if r.get("scope") == "advice"), None
-        )
-        if advice is not None:
-            rows.append([
-                "shard rebalance advice (cuts)",
-                ",".join(map(str, advice["cuts"])),
-            ])
     if dump.loads:
         node_records = [r for r in dump.loads if r.get("scope") == "node"]
         key_records = [r for r in dump.loads if r.get("scope") == "key"]
@@ -561,30 +481,6 @@ def _command_report(args: argparse.Namespace) -> int:
 
         dump = load_jsonl(args.path)
         version = dump.meta.get("version", 1)
-        if args.mode == "shard":
-            from repro.telemetry.profile import (
-                build_shard_report,
-                render_shard_report,
-            )
-
-            shard_view = build_shard_report(dump)
-            if shard_view is None:
-                if version < 4:
-                    print(
-                        f"error: export is format v{version}, which predates "
-                        "profile records (v4+); re-run with --shards K "
-                        "--shard-profile --telemetry",
-                        file=sys.stderr,
-                    )
-                else:
-                    print(
-                        "error: export has no shard profile records (run "
-                        "with --shards K --shard-profile --telemetry)",
-                        file=sys.stderr,
-                    )
-                return 2
-            print(render_shard_report(shard_view, source=str(args.path)))
-            return 0
         if not dump.loads:
             if version < 3:
                 print(

@@ -53,19 +53,6 @@ class ExperimentConfig:
             the matcher is "brute"; see
             :class:`~repro.core.system.PubSubConfig`).
         event_attribute: The attribute Mapping 1 hashes events by.
-        shards: Parallel shard workers (1 = the serial kernel, > 1 =
-            :mod:`repro.sim.shard`).  Chooses the kernel only: trace,
-            horizon and summary are the same for every value.
-        shard_profile: Attach the shard execution profiler
-            (:mod:`repro.telemetry.profile`) to the run: per-round
-            busy/stall timelines, critical-path summary, rebalance
-            advisor.  Pure wall-clock observation — the simulated
-            outcome is bit-for-bit identical either way.  Requires
-            ``shards > 1``.
-        shard_cuts: Explicit arc start offsets for ``partition_ring``
-            (the rebalance advisor's suggested cut points); None keeps
-            the default near-equal node-count split.  Requires
-            ``shards > 1``.
     """
 
     mapping: str = "selective-attribute"
@@ -87,32 +74,8 @@ class ExperimentConfig:
     matcher: str = "grid"
     covering: bool | None = None
     event_attribute: int = 0
-    shards: int = 1
-    shard_profile: bool = False
-    shard_cuts: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigurationError("need at least one shard")
-        if self.shard_profile and self.shards < 2:
-            raise ConfigurationError(
-                "shard_profile requires shards > 1: the profiler rides the "
-                "sharded kernel's barrier rounds"
-            )
-        if self.shard_cuts is not None and self.shards < 2:
-            raise ConfigurationError(
-                "shard_cuts requires shards > 1"
-            )
-        if self.shards > 1 and self.message_delay <= 0:
-            raise ConfigurationError(
-                "sharded runs need message_delay > 0 (the conservative "
-                "window's lookahead)"
-            )
-        if self.shards > self.nodes:
-            raise ConfigurationError(
-                f"{self.shards} shards for {self.nodes} nodes: every shard "
-                "needs at least one node"
-            )
         if self.overlay not in ("chord", "pastry", "can"):
             raise ConfigurationError(
                 f"unknown overlay {self.overlay!r} "

@@ -13,9 +13,8 @@ from repro.overlay.api import MessageKind
 from repro.overlay.network import FixedDelay, Network
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.shard import ShardRunReport, ring_node_ids, run_sharded, snapshot_times
+from repro.sim.shard import ring_node_ids, snapshot_times
 from repro.telemetry import Telemetry
-from repro.telemetry.profile import ShardProfiler
 from repro.workload.trace import Trace
 
 #: Periodic samples per run, on one schedule: storage occupancy (the
@@ -45,9 +44,6 @@ class RunResult:
         keys_per_subscription / keys_per_publication: Mean |SK| / |EK|
             observed over the injected workload (Section 5.2 narrative).
         audit: Invariant/delivery audit report, when the run was audited.
-        shard: The sharded kernel's merged run report (barrier stats,
-            per-shard loads, and — when ``config.shard_profile`` — the
-            execution profiler); None for serial runs.
     """
 
     config: ExperimentConfig
@@ -64,7 +60,6 @@ class RunResult:
     keys_per_publication: float
     notification_delay: Summary
     audit: AuditReport | None = None
-    shard: ShardRunReport | None = None
 
     @property
     def notification_hops_per_publication(self) -> float:
@@ -122,7 +117,6 @@ def summarize_run(
     trace: Trace,
     recorder: MetricsRecorder,
     audit: AuditReport | None = None,
-    shard: ShardRunReport | None = None,
 ) -> RunResult:
     """The one summary of a finished run, whichever kernel ran it."""
     messages = recorder.messages
@@ -144,7 +138,6 @@ def summarize_run(
         keys_per_publication=_mean_keys(mapping.event_keys, events),
         notification_delay=recorder.notification_delay_summary(),
         audit=audit,
-        shard=shard,
     )
 
 
@@ -159,30 +152,17 @@ def run_experiment(
     the workload content and all arrival times derive from named
     substreams of the root seed.  The run is one op list
     (:func:`generate_trace`) executed to one horizon
-    (:meth:`Trace.horizon`) on one storage-sample schedule, so
-    ``config.shards`` chooses the kernel — serial, or
-    :func:`~repro.sim.shard.run_sharded` when > 1 — and nothing else.
+    (:meth:`Trace.horizon`) on one storage-sample schedule;
+    :func:`~repro.sim.shard.run_sharded` runs the same trace to the same
+    horizon on the same schedule.
 
     An enabled ``telemetry`` also records a span per one-hop message and
     periodic registry samples on the simulated clock (read-only).  An
-    ``audit`` config also runs the invariant auditor, findings in
-    ``RunResult.audit`` and the telemetry export: online on the serial
-    kernel (structural probes plus the shadow-ledger delivery oracle), a
-    post-hoc replay of the oracle alone on the sharded one.
+    ``audit`` config also runs the invariant auditor online (structural
+    probes plus the shadow-ledger delivery oracle), findings in
+    ``RunResult.audit`` and the telemetry export.
     """
     trace = generate_trace(config)
-    if config.shards > 1:
-        outcome = run_sharded(
-            config,
-            trace,
-            config.shards,
-            telemetry=telemetry,
-            audit=audit,
-            storage_samples=SAMPLES,
-            profile=ShardProfiler(config.shards) if config.shard_profile else None,
-            cuts=config.shard_cuts,
-        )
-        return summarize_run(config, trace, outcome.recorder, outcome.audit, outcome)
     sim, system = build_system(config, RandomStreams(config.seed), telemetry)
     auditor = Auditor(system, audit) if audit is not None else None
     horizon = trace.horizon(config.buffer_period)

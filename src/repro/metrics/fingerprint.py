@@ -2,7 +2,7 @@
 
 Simulated outcomes have been pinned since PR 1 by hashing a
 canonicalized view of the metrics recorder; the sharded kernel states
-its determinism contract in the *same* digest ("``--shards K`` is
+its determinism contract in the *same* digest ("K shards are
 bit-for-bit the serial kernel, for any K"), and so does the performance
 ledger, so the canonicalization lives here and all of them import it.
 The canonical form is frozen — changing it silently invalidates every

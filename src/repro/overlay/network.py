@@ -316,9 +316,9 @@ class ShardNetwork(Network):
     own waves, so a remote message is drained by the same loop, under
     the same liveness re-check, as a local one.
 
-    Shard workers run loss-free on the ambient (disabled) telemetry —
-    the coordinator owns the observable surface — so the cross-shard
-    hop is identical to a local one in everything the recorder can see.
+    Shard workers run loss-free on the ambient (disabled) telemetry, so
+    the cross-shard hop is identical to a local one in everything the
+    recorder can see.
     """
 
     def __init__(

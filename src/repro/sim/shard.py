@@ -29,26 +29,16 @@ Determinism — every K reproduces the serial run:
   delivery here — and the partials merge field-wise.  So the merged
   fingerprint is bit-for-bit that of a serial
   :meth:`~repro.workload.trace.Trace.replay` of the same trace, for any
-  K and any cut points.
-
-The merged run is audited *post hoc*: an :class:`AuditTap` subscribed to
-each worker's observer tap records the application-level request stream
-(subscribe / unsubscribe / publish / notify), and the coordinator
-replays the merged stream into the real :class:`~repro.audit.Auditor`
-against a shim system, so the delivery oracle of the serial runner
-applies unchanged.
+  K.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import logging
 import multiprocessing
-from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
-from repro.audit import AuditConfig, Auditor, AuditReport
 from repro.core.system import PubSubSystem
 from repro.errors import ConfigurationError
 from repro.metrics.memory import peak_rss_bytes, reset_peak_rss
@@ -58,20 +48,10 @@ from repro.overlay.ids import KeySpace
 from repro.overlay.network import FixedDelay, ShardNetwork
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
-from repro.telemetry import Telemetry, current as current_telemetry
-from repro.telemetry.load import NodeSends
-from repro.telemetry.profile import ShardProfiler
-from repro.telemetry.tap import Tap
 from repro.workload.trace import Trace, TraceOp, schedule_ops
 
 if TYPE_CHECKING:
     from repro.experiments.config import ExperimentConfig
-
-logger = logging.getLogger(__name__)
-
-#: The coordinator logs a shard-imbalance warning when the busiest
-#: shard carries more than this multiple of the median shard load.
-LOAD_IMBALANCE_THRESHOLD = 2.0
 
 
 def ring_node_ids(config: "ExperimentConfig") -> list[int]:
@@ -98,21 +78,12 @@ def snapshot_times(horizon: float, samples: int) -> list[float]:
 
 
 def partition_ring(
-    node_ids: Sequence[int],
-    num_shards: int,
-    cuts: Sequence[int] | None = None,
+    node_ids: Sequence[int], num_shards: int
 ) -> tuple[list[frozenset[int]], dict[int, int]]:
     """Split the ring into ``num_shards`` contiguous identifier arcs.
 
     Returns the per-shard id sets (ascending-arc order) and the
-    ``node id -> shard`` map.  By default arcs are near-equal in node
-    count; ``cuts`` overrides the arc boundaries with explicit start
-    offsets into the ascending id order — ``cuts[s]`` is the index of
-    shard ``s``'s first node (``cuts[0]`` must be 0, offsets strictly
-    increasing, every arc non-empty).  That is the feedback channel of
-    the execution profiler's rebalance advisor
-    (:func:`repro.telemetry.profile.suggest_cuts`): traffic-weighted
-    cut points equalize measured load per arc instead of node count.
+    ``node id -> shard`` map; arcs are near-equal in node count.
     Contiguity keeps intra-shard routing hops (successor walks, finger
     chains within the arc) local, which is what makes the conservative
     windows worth their barrier.
@@ -126,29 +97,7 @@ def partition_ring(
         )
     ordered = sorted(node_ids)
     n = len(ordered)
-    if cuts is None:
-        starts = [n * shard // num_shards for shard in range(num_shards)]
-    else:
-        starts = [int(c) for c in cuts]
-        if len(starts) != num_shards:
-            raise ConfigurationError(
-                f"{len(starts)} cut points for {num_shards} shards: need "
-                "exactly one start offset per shard"
-            )
-        if starts[0] != 0:
-            raise ConfigurationError(
-                f"cuts must start at offset 0, got {starts[0]}"
-            )
-        for shard in range(1, num_shards):
-            if starts[shard] <= starts[shard - 1]:
-                raise ConfigurationError(
-                    f"cut points must be strictly increasing, got {starts}"
-                )
-        if starts[-1] >= n:
-            raise ConfigurationError(
-                f"cut point {starts[-1]} out of range for {n} nodes"
-            )
-    bounds = starts + [n]
+    bounds = [n * shard // num_shards for shard in range(num_shards + 1)]
     locals_: list[frozenset[int]] = []
     shard_of: dict[int, int] = {}
     for shard in range(num_shards):
@@ -159,55 +108,16 @@ def partition_ring(
     return locals_, shard_of
 
 
-class AuditTap:
-    """Records the application-level request stream of one worker.
-
-    Subscribes to the four tap events the :class:`~repro.audit.Auditor`
-    audits, but only appends ``(time, seq, event, args)`` records; the
-    coordinator merges the per-shard streams by ``(time, shard, seq)``
-    and replays them into a real auditor after the run.
-    """
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: list[tuple[float, int, str, tuple]] = []
-
-    def _record(self, now: float, event: str, args: tuple) -> None:
-        self.records.append((now, len(self.records), event, args))
-
-    def on_subscribe(self, message, now) -> None:
-        self._record(now, "subscribe", (message,))
-
-    def on_unsubscribe(self, message, now) -> None:
-        self._record(now, "unsubscribe", (message,))
-
-    def on_publish(self, message, keys, now) -> None:
-        self._record(now, "publish", (message, keys))
-
-    def on_notify(self, node_id, notifications, now) -> None:
-        self._record(now, "notify", (node_id, notifications))
-
-
 @dataclasses.dataclass
 class ShardResult:
     """Final payload one worker hands back at the horizon."""
 
     recorder: MetricsRecorder
-    audit_records: list[tuple[float, int, str, tuple]]
     events_processed: int
-    now: float
     #: Worker-process RSS high-water mark (bytes).  Meaningful in fork
     #: mode, where each worker resets its mark at startup; inline
     #: workers share the coordinator process and report its peak.
-    peak_rss_bytes: int = 0
-    #: Wall-clock spent inside the final run-to-horizon stretch and the
-    #: events it fired (profiled runs only; zero otherwise).
-    finish_busy_s: float = 0.0
-    finish_events: int = 0
-    #: One-hop sends per local node — the rebalance advisor's traffic
-    #: measurement (empty unless the run was profiled).
-    node_sends: dict[int, int] = dataclasses.field(default_factory=dict)
+    peak_rss_bytes: int
 
 
 class ShardWorker:
@@ -231,10 +141,7 @@ class ShardWorker:
         local: frozenset[int],
         ops: list[TraceOp],
         snapshots: Sequence[float],
-        audit: bool,
-        profile: bool = False,
     ) -> None:
-        self.shard = shard
         # Disjoint residue classes: shard s mints s+1, s+1+K, s+1+2K, …
         # K=1 degenerates to the serial count(1) stream.
         self._counter = itertools.count(shard + 1, num_shards)
@@ -247,21 +154,12 @@ class ShardWorker:
         system = PubSubSystem(
             sim, overlay, config.build_mapping(), config.pubsub_config()
         )
-        self.audit = AuditTap()
-        if audit:
-            system.tap.attach(self.audit)
         for time in snapshots:
             sim.schedule_at(time, system.snapshot_storage)
         schedule_ops(system, ops)  # this arc's slice of the trace
         self.sim = sim
         self.network = network
         self.system = system
-        # Per-node send metering for the execution profiler's rebalance
-        # advisor: one more subscriber of the ``send`` event, counting
-        # local and cross-shard sends alike.
-        self._node_sends = NodeSends()
-        if profile:
-            network.tap.attach(self._node_sends)
 
     # -- barrier protocol ---------------------------------------------------
 
@@ -271,23 +169,15 @@ class ShardWorker:
             self.network.inject(injections)
         return self.sim.next_event_time()
 
-    def run_window(self, bound: float) -> tuple[list, int, float]:
-        """Drain ``[now, bound)``; return (outbox, events fired, busy seconds).
-
-        Busy time is the wall-clock spent inside ``run_before`` —
-        worker-measured, so the coordinator's round profile can split
-        each shard's slot into busy vs. stall (barrier wait + pipe)
-        without a clock shared across processes.
-        """
+    def run_window(self, bound: float) -> tuple[list, int]:
+        """Drain ``[now, bound)``; return (outbox, events fired)."""
         previous = overlay_api._request_counter
         overlay_api._request_counter = self._counter
-        start = perf_counter()
         try:
             fired = self.sim.run_before(bound)
         finally:
-            busy = perf_counter() - start
             overlay_api._request_counter = previous
-        return self.network.drain_outbox(), fired, busy
+        return self.network.drain_outbox(), fired
 
     def finish(self, horizon: float) -> ShardResult:
         """Run out the clock to the horizon and snapshot final state.
@@ -300,23 +190,16 @@ class ShardWorker:
         """
         previous = overlay_api._request_counter
         overlay_api._request_counter = self._counter
-        start = perf_counter()
         try:
-            finish_events = self.sim.run_until(horizon)
+            self.sim.run_until(horizon)
         finally:
-            busy = perf_counter() - start
             overlay_api._request_counter = previous
         self.network.drain_outbox()
         self.system.snapshot_storage()
         return ShardResult(
             recorder=self.system.recorder,
-            audit_records=self.audit.records,
             events_processed=self.sim.events_processed,
-            now=self.sim.now,
             peak_rss_bytes=peak_rss_bytes(),
-            finish_busy_s=busy,
-            finish_events=finish_events,
-            node_sends=dict(self._node_sends),
         )
 
 
@@ -345,15 +228,14 @@ class _InlineShard:
 
 
 def _worker_main(conn, config, shard, num_shards, ring_ids, local, ops,
-                 snapshots, audit, profile) -> None:
+                 snapshots) -> None:
     """Forked worker loop: build the stack, then serve barrier requests."""
     # Start the RSS high-water mark at the post-fork footprint so the
     # final ShardResult reports this worker's own peak (stack build
     # plus run), not whatever the parent had touched before forking.
     reset_peak_rss()
     worker = ShardWorker(
-        config, shard, num_shards, ring_ids, local, ops, snapshots,
-        audit, profile,
+        config, shard, num_shards, ring_ids, local, ops, snapshots
     )
     while True:
         op, arg = conn.recv()
@@ -397,84 +279,6 @@ class _ForkShard:
             self._process.join()
 
 
-# -- audit replay -----------------------------------------------------------
-
-
-class _ShimOverlay:
-    """What the replay auditor needs of an overlay: size and liveness.
-
-    Sharded runs are churn-free (:func:`run_sharded` rejects a trace
-    with membership ops), so every node is alive for the whole run.
-    """
-
-    __slots__ = ("_n",)
-
-    def __init__(self, n: int) -> None:
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def is_alive(self, node_id: int) -> bool:
-        return True
-
-
-class _ReplaySystem:
-    """The slice of PubSubSystem the auditor reads, over merged state."""
-
-    def __init__(self, sim, mapping, config, n_nodes, recorder, telemetry):
-        self.sim = sim
-        self.mapping = mapping
-        self.config = config
-        self.overlay = _ShimOverlay(n_nodes)
-        self.recorder = recorder
-        self.telemetry = (
-            telemetry if telemetry is not None else current_telemetry()
-        )
-        # Nothing fires on it: replay_audit calls the auditor's events.
-        self.tap = Tap()
-
-
-def replay_audit(
-    config: "ExperimentConfig",
-    recorder: MetricsRecorder,
-    records: list[tuple[float, int, int, str, tuple]],
-    horizon: float,
-    audit: AuditConfig,
-    telemetry: Telemetry | None = None,
-) -> AuditReport:
-    """Replay the merged audit hook stream into a real :class:`Auditor`.
-
-    ``records`` are ``(time, shard, seq, kind, args)`` tuples, already
-    sorted; hooks fire on a fresh simulator in exactly that order, so
-    the shadow ledger and the delivery oracle see the same global
-    history a serial auditor would have observed.  Structural probes
-    need a live overlay and are skipped (the per-worker routing state
-    was already serially verified by the K=1 parity contract).
-    """
-    sim = Simulator()
-    shim = _ReplaySystem(
-        sim, config.build_mapping(), config.pubsub_config(), config.nodes,
-        recorder, telemetry,
-    )
-    auditor = Auditor(
-        shim,
-        AuditConfig(
-            probe_period=None,
-            delivery_deadline=audit.delivery_deadline,
-            grace=audit.grace,
-        ),
-    )
-    for time, _shard, _seq, kind, args in records:
-        sim.call_at(time, getattr(auditor, "on_" + kind), *args, time)
-    # Truncate at the horizon like the serial runner: deadline
-    # evaluations past it stay pending and finalize() marks their
-    # publications indeterminate instead of deriving missed-delivery
-    # violations from in-flight truncation.
-    sim.run_until(horizon)
-    return auditor.finalize()
-
-
 # -- the coordinator --------------------------------------------------------
 
 
@@ -484,8 +288,6 @@ class ShardRunReport:
 
     Attributes:
         recorder: Metrics merged across shards in shard order.
-        audit: Delivery-oracle report from the post-hoc replay (None
-            when the run was not audited).
         num_shards: K.
         barrier_rounds: Conservative windows executed.
         remote_messages: One-hop messages that crossed a shard boundary.
@@ -496,16 +298,10 @@ class ShardRunReport:
             (per forked process; inline workers all report the shared
             coordinator process).
         load_by_shard: One-hop messages sent by each shard's nodes,
-            read from the per-shard recorders before the merge — the
-            coordinator-side per-shard load aggregate of the load
-            observatory (workers run telemetry-disabled).
-        profile: The execution profiler that rode this run (None unless
-            profiling was requested) — per-round busy/stall timelines,
-            the critical-path summary, and the rebalance advisor.
+            read from the per-shard recorders before the merge.
     """
 
     recorder: MetricsRecorder
-    audit: AuditReport | None
     num_shards: int
     barrier_rounds: int
     remote_messages: int
@@ -513,27 +309,21 @@ class ShardRunReport:
     events_per_shard: list[int]
     peak_rss_by_shard: list[int]
     load_by_shard: list[int]
-    profile: ShardProfiler | None = None
 
     @property
     def load_imbalance(self) -> float:
         """Max/median shard load ratio (0.0 when the median is zero)."""
-        return load_imbalance_ratio(self.load_by_shard)
-
-
-def load_imbalance_ratio(load_by_shard: Sequence[int]) -> float:
-    """Max/median shard load ratio (0.0 when the median is zero)."""
-    if not load_by_shard:
-        return 0.0
-    ordered = sorted(load_by_shard)
-    n = len(ordered)
-    mid = n // 2
-    median = (
-        ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2
-    )
-    if median <= 0:
-        return 0.0
-    return max(ordered) / median
+        if not self.load_by_shard:
+            return 0.0
+        ordered = sorted(self.load_by_shard)
+        n = len(ordered)
+        mid = n // 2
+        median = (
+            ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+        )
+        if median <= 0:
+            return 0.0
+        return ordered[-1] / median
 
 
 def run_sharded(
@@ -542,39 +332,18 @@ def run_sharded(
     num_shards: int,
     *,
     mode: str = "fork",
-    telemetry: Telemetry | None = None,
-    audit: AuditConfig | None = None,
     storage_samples: int = 24,
-    profile: ShardProfiler | None = None,
-    cuts: Sequence[int] | None = None,
 ) -> ShardRunReport:
     """Execute a trace across ``num_shards`` parallel shard workers.
 
     Args:
-        config: The experiment configuration (its ``shards`` field is
-            ignored here — ``num_shards`` is explicit).
+        config: The experiment configuration.
         trace: The full pre-generated workload trace.
         num_shards: K; 1 reproduces a serial replay bit for bit.
         mode: ``"fork"`` (worker processes) or ``"inline"`` (same
             process; debugging, and exact-parity tests without fork).
-        telemetry: Optional coordinator-side observability: per-shard
-            ``sim.*`` gauges and ``shard.*`` barrier counters, sampled
-            on the simulated clock.  Workers always run with telemetry
-            disabled; the coordinator owns the observable surface.
-        audit: Optional delivery-oracle configuration; the merged hook
-            stream is replayed post hoc (structural probes are skipped).
         storage_samples: Periodic storage snapshots per worker, on
             :func:`snapshot_times` of the trace's own horizon.
-        profile: Optional execution profiler
-            (:class:`~repro.telemetry.profile.ShardProfiler` with
-            ``num_shards`` shards): records per-round busy/stall/traffic
-            timelines and per-node sends.  Pure wall-clock observation —
-            the simulated outcome is bit-for-bit identical either way.
-            Attached to ``telemetry.profile`` (when enabled) so the
-            JSONL/Perfetto exports carry it.
-        cuts: Optional explicit arc start offsets for
-            :func:`partition_ring` — the rebalance advisor's feedback
-            channel (``suggest_cuts`` output goes here).
     """
     if mode not in ("fork", "inline"):
         raise ConfigurationError(f"unknown shard mode {mode!r}")
@@ -584,16 +353,8 @@ def run_sharded(
             "sharded execution needs message_delay > 0: the one-hop delay "
             "is the conservative window's lookahead"
         )
-    if profile is not None and profile.num_shards != num_shards:
-        raise ConfigurationError(
-            f"profiler sized for {profile.num_shards} shards attached to a "
-            f"{num_shards}-shard run"
-        )
     ring_ids = ring_node_ids(config)
-    locals_, shard_of = partition_ring(ring_ids, num_shards, cuts)
-    current_cuts = [0]
-    for arc in locals_[:-1]:
-        current_cuts.append(current_cuts[-1] + len(arc))
+    locals_, shard_of = partition_ring(ring_ids, num_shards)
     horizon = trace.horizon(config.buffer_period)
     per_shard_ops: list[list[TraceOp]] = [[] for _ in range(num_shards)]
     for index, op in enumerate(trace.ops):
@@ -605,44 +366,20 @@ def run_sharded(
         per_shard_ops[shard_of[op.node]].append(op)
     snapshots = snapshot_times(horizon, storage_samples)
 
-    audited = audit is not None
-    profiled = profile is not None
     workers: list[_InlineShard | _ForkShard] = []
     if mode == "inline":
         for shard in range(num_shards):
             workers.append(_InlineShard(ShardWorker(
                 config, shard, num_shards, ring_ids, locals_[shard],
-                per_shard_ops[shard], snapshots, audited, profiled,
+                per_shard_ops[shard], snapshots,
             )))
     else:
         ctx = multiprocessing.get_context("fork")
         for shard in range(num_shards):
             workers.append(_ForkShard(ctx, (
                 config, shard, num_shards, ring_ids, locals_[shard],
-                per_shard_ops[shard], snapshots, audited, profiled,
+                per_shard_ops[shard], snapshots,
             )))
-
-    # Coordinator-side observability: gauges read these arrays lazily.
-    now_by_shard = [0.0] * num_shards
-    fired_by_shard = [0] * num_shards
-    tel = telemetry if telemetry is not None and telemetry.enabled else None
-    if tel is not None:
-        registry = tel.registry
-        for shard in range(num_shards):
-            registry.gauge(
-                "sim.now", shard=shard,
-                supplier=(lambda s=shard: now_by_shard[s]),
-            )
-            registry.gauge(
-                "sim.events_processed", shard=shard,
-                supplier=(lambda s=shard: float(fired_by_shard[s])),
-            )
-        rounds_counter = registry.counter("shard.barrier_rounds")
-        remote_counter = registry.counter("shard.remote_messages")
-        stall_counter = registry.counter("shard.barrier_stalls")
-        sample_period = horizon / storage_samples
-        next_sample = sample_period
-        tel.sample(0.0)
 
     rounds = 0
     remote = 0
@@ -651,7 +388,7 @@ def run_sharded(
     try:
         # A lone shard owns every inbox: no message can cross a
         # boundary, so the whole run is one serial finish phase with
-        # zero barrier overhead (this is the `--shards 1` parity path).
+        # zero barrier overhead (this is the K=1 parity path).
         while num_shards > 1:
             for shard, worker in enumerate(workers):
                 worker.submit("poll", injections[shard])
@@ -666,62 +403,20 @@ def run_sharded(
                 # horizon: no cross-shard send from here on can arrive
                 # in time, so the workers can run out independently.
                 break
-            # The round wall-clock spans run-submit to outboxes routed:
-            # with the workers' own busy measurements, everything that
-            # is not busy is stall (barrier wait + pipe I/O), so
-            # busy + stall == wall holds exactly per shard per round.
-            round_start = perf_counter() if profiled else 0.0
             for worker in workers:
                 worker.submit("run", bound)
             injections = [[] for _ in range(num_shards)]
             rounds += 1
-            busy_list = [0.0] * num_shards
-            fired_list = [0] * num_shards
-            sent_rows = (
-                [[0] * num_shards for _ in range(num_shards)]
-                if profiled else None
-            )
-            for shard, worker in enumerate(workers):
-                outbox, fired, busy = worker.result()
-                busy_list[shard] = busy
-                fired_list[shard] = fired
-                fired_by_shard[shard] += fired
-                now_by_shard[shard] = bound
+            for worker in workers:
+                outbox, fired = worker.result()
                 if fired == 0:
                     stalls += 1
-                if sent_rows is None:
-                    for item in outbox:
-                        injections[shard_of[item[0]]].append(item)
-                        remote += 1
-                else:
-                    row = sent_rows[shard]
-                    for item in outbox:
-                        dst_shard = shard_of[item[0]]
-                        injections[dst_shard].append(item)
-                        remote += 1
-                        row[dst_shard] += 1
-            if profiled:
-                profile.on_round(
-                    t0, bound, perf_counter() - round_start,
-                    busy_list, fired_list, sent_rows,
-                )
-            if tel is not None:
-                rounds_counter.inc()
-                while next_sample <= bound:
-                    tel.sample(next_sample)
-                    next_sample += sample_period
-        finish_start = perf_counter() if profiled else 0.0
+                for item in outbox:
+                    injections[shard_of[item[0]]].append(item)
+                remote += len(outbox)
         for worker in workers:
             worker.submit("finish", horizon)
         results: list[ShardResult] = [worker.result() for worker in workers]
-        if profiled:
-            profile.on_finish(
-                [result.finish_busy_s for result in results],
-                perf_counter() - finish_start,
-                [result.finish_events for result in results],
-            )
-            for result in results:
-                profile.add_node_loads(result.node_sends)
     finally:
         for worker in workers:
             worker.close()
@@ -730,42 +425,11 @@ def run_sharded(
     # per-shard recorders into one; total one-hop sends is the load
     # proxy the skew observatory uses for nodes.
     load_by_shard = [result.recorder.messages.total_sends() for result in results]
-    imbalance = load_imbalance_ratio(load_by_shard)
-    if profiled:
-        profile.finalize(ring_ids, current_cuts, load_by_shard)
-        if telemetry is not None:
-            telemetry.profile = profile
-    if tel is not None:
-        for shard, result in enumerate(results):
-            now_by_shard[shard] = result.now
-            fired_by_shard[shard] = result.events_processed
-        remote_counter.inc(remote)
-        stall_counter.inc(stalls)
-        registry.gauge(
-            "shard.load_imbalance", supplier=(lambda: imbalance)
-        )
-        tel.sample(horizon)
     recorder = MetricsRecorder()
     for result in results:
         recorder.merge_from(result.recorder)
-
-    report: AuditReport | None = None
-    if audit is not None:
-        merged_records = sorted(
-            (
-                (time, shard, seq, kind, args)
-                for shard, result in enumerate(results)
-                for time, seq, kind, args in result.audit_records
-            ),
-            key=lambda record: record[:3],
-        )
-        report = replay_audit(
-            config, recorder, merged_records, horizon, audit, telemetry
-        )
-
-    shard_report = ShardRunReport(
+    return ShardRunReport(
         recorder=recorder,
-        audit=report,
         num_shards=num_shards,
         barrier_rounds=rounds,
         remote_messages=remote,
@@ -773,19 +437,4 @@ def run_sharded(
         events_per_shard=[result.events_processed for result in results],
         peak_rss_by_shard=[result.peak_rss_bytes for result in results],
         load_by_shard=load_by_shard,
-        profile=profile,
     )
-    if num_shards > 1 and imbalance > LOAD_IMBALANCE_THRESHOLD:
-        logger.warning(
-            "shard load imbalance: max/median = %.2fx (> %.1fx) across "
-            "%d shards; loads = %s",
-            imbalance, LOAD_IMBALANCE_THRESHOLD, num_shards, load_by_shard,
-        )
-        # Structured twin of the warning: a shard-scope overload record
-        # the JSONL export, `repro stats`, and the audit report can see
-        # instead of a stderr line scrolling past.
-        if tel is not None and tel.load is not None:
-            tel.load.record_shard_imbalance(
-                horizon, load_by_shard, imbalance, LOAD_IMBALANCE_THRESHOLD
-            )
-    return shard_report

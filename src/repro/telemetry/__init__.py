@@ -93,11 +93,6 @@ class Telemetry:
             from repro.telemetry.load import LoadMeter
 
             self.load = LoadMeter()
-        #: The shard execution profiler of the run (see
-        #: :mod:`repro.telemetry.profile`); attached by ``run_sharded``
-        #: when profiling was requested, None otherwise.  Its records
-        #: ride along in the JSONL (v4) and Perfetto exports.
-        self.profile = None
 
     def attach_to(self, tap: Tap) -> None:
         """Subscribe this bundle's observers to a network's tap.

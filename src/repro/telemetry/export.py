@@ -14,15 +14,12 @@ The JSONL format is line-per-record with a ``type`` discriminator:
 - ``load`` / ``skew`` / ``overload`` — the load observatory's final
   per-node/per-key load records, sim-time skew samples, and windowed
   overload-detector events (version 3+, present only when load
-  metering ran; see :mod:`repro.telemetry.load`).  Version 4 adds a
-  ``scope: "shard"`` overload variant for coordinator-detected shard
-  load imbalance;
-- ``profile`` — the shard execution profiler's records (version 4+,
-  present only when a sharded run was profiled; see
-  :mod:`repro.telemetry.profile`), discriminated by ``scope``: one
-  ``run`` critical-path summary, one ``advice`` record (the rebalance
-  advisor's suggested cut points), one ``shard`` record per shard, and
-  one ``round`` record per barrier round.
+  metering ran; see :mod:`repro.telemetry.load`).
+
+Older version-4 files may also hold records of a retired sharded-run
+profiler: ``profile`` lines and ``overload`` lines with ``scope:
+"shard"``.  :func:`load_jsonl` skips both, so every reader sees the
+same dump with or without them.
 
 The Chrome trace is a ``{"traceEvents": [...]}`` JSON that opens
 directly in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``:
@@ -48,11 +45,11 @@ FORMAT_NAME = "repro-telemetry"
 #: Version 2 added the ``p99`` histogram field and the ``violation`` /
 #: ``probe`` record types emitted by audited runs.  Version 3 added
 #: the load observatory's ``load`` / ``skew`` / ``overload`` record
-#: types (see :mod:`repro.telemetry.load`).  Version 4 added the shard
-#: execution profiler's ``profile`` records and the shard-scope
-#: ``overload`` variant (see :mod:`repro.telemetry.profile`).  Loaders
-#: accept every earlier version (the newer record types are simply
-#: absent).
+#: types (see :mod:`repro.telemetry.load`).  Version 4 added records
+#: of a sharded-run profiler that no longer exists: the loader skips
+#: them, and a file without them is valid version 4, so writers stay
+#: on 4.  Loaders accept every earlier version (the newer record types
+#: are simply absent).
 FORMAT_VERSION = 4
 
 
@@ -105,9 +102,6 @@ def write_jsonl(telemetry: "Telemetry", path: str | Path) -> int:
         records.extend(load.load_records())
         records.extend(load.skew_records())
         records.extend(load.overload_records())
-    profile = getattr(telemetry, "profile", None)
-    if profile is not None:
-        records.extend(profile.profile_records())
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record, separators=(",", ":")))
@@ -134,13 +128,14 @@ class TelemetryDump:
         self.loads: list[dict] = []
         self.skews: list[dict] = []
         self.overloads: list[dict] = []
-        #: Shard execution profiler records (format v4+), plain dicts
-        #: discriminated by ``scope`` (run / advice / shard / round).
-        self.profiles: list[dict] = []
 
 
 def load_jsonl(path: str | Path) -> TelemetryDump:
-    """Parse a JSONL export back into spans/deliveries/metrics."""
+    """Parse a JSONL export back into spans/deliveries/metrics.
+
+    Records of an unknown type (the retired ``profile`` records among
+    them) and shard-scope ``overload`` records are skipped.
+    """
     dump = TelemetryDump()
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -180,9 +175,8 @@ def load_jsonl(path: str | Path) -> TelemetryDump:
             elif kind == "skew":
                 dump.skews.append(record)
             elif kind == "overload":
-                dump.overloads.append(record)
-            elif kind == "profile":
-                dump.profiles.append(record)
+                if record.get("scope") != "shard":
+                    dump.overloads.append(record)
     return dump
 
 
@@ -274,13 +268,6 @@ def to_chrome_trace(telemetry: "Telemetry") -> dict:
                 {"ph": "C", "pid": _PID, "ts": _us(t), "name": name,
                  "args": {"value": value}}
             )
-    # Profiled sharded runs add a second process: wall-clock busy/stall
-    # tracks per shard plus coordinator counter tracks (see
-    # ShardProfiler.chrome_events).  The axes differ deliberately —
-    # pid 1 is simulated time, pid 2 is profiled wall-clock.
-    profile = getattr(telemetry, "profile", None)
-    if profile is not None:
-        events.extend(profile.chrome_events())
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

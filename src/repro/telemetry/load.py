@@ -72,12 +72,7 @@ class MatchWork:
 
 class NodeSends(dict):
     """One-hop sends per source node: a ``send`` subscriber that is its
-    own table.
-
-    The load meter's ``forwarded`` column and the shard workers'
-    measurement for the rebalance advisor
-    (:func:`repro.telemetry.profile.suggest_cuts`) are both one of these.
-    """
+    own table (the load meter's ``forwarded`` column)."""
 
     def on_send(self, message, src, dst, now, arrival) -> None:
         self[src] = self.get(src, 0) + 1
@@ -112,9 +107,6 @@ class LoadMeter:
         # Skew samples: (t, {"node": SkewSummary, "key": SkewSummary}).
         self.skew_samples: list[tuple[float, dict]] = []
         self.detector = OverloadDetector(threshold=overload_threshold)
-        # Coordinator-detected shard imbalance records (scope "shard"),
-        # the structured twin of run_sharded's logging warning.
-        self.shard_imbalances: list[dict] = []
 
     # -- tap events ----------------------------------------------------------
 
@@ -147,44 +139,6 @@ class LoadMeter:
         key_publications = self.key_publications
         for key in node.covered_targets(message):
             key_publications[key] = key_publications.get(key, 0) + 1
-
-    def record_shard_imbalance(
-        self,
-        t: float,
-        load_by_shard,
-        ratio: float,
-        threshold: float,
-    ) -> None:
-        """Record one coordinator-detected shard load imbalance.
-
-        Called by ``run_sharded`` when the busiest shard carries more
-        than ``threshold`` times the median shard load; rides the JSONL
-        export as an ``overload`` record with ``scope: "shard"`` so
-        ``repro stats`` and the audit report surface it instead of a
-        stderr warning scrolling past.
-        """
-        loads = list(load_by_shard)
-        worst = max(range(len(loads)), key=lambda s: (loads[s], -s))
-        ordered = sorted(loads)
-        mid = len(ordered) // 2
-        median = (
-            ordered[mid]
-            if len(ordered) % 2
-            else (ordered[mid - 1] + ordered[mid]) / 2
-        )
-        self.shard_imbalances.append(
-            {
-                "type": "overload",
-                "scope": "shard",
-                "t": t,
-                "shard": worst,
-                "window_load": float(loads[worst]),
-                "median": float(median),
-                "ratio": ratio,
-                "threshold": threshold,
-                "loads": loads,
-            }
-        )
 
     def match_work_for(self, node: int) -> MatchWork:
         """Get-or-create the matcher work handle of one node."""
@@ -322,8 +276,5 @@ class LoadMeter:
         ]
 
     def overload_records(self) -> list[dict]:
-        """``overload`` records: windowed detector events, then the
-        coordinator's shard-imbalance records (scope ``shard``)."""
-        records = [event.as_dict() for event in self.detector.events]
-        records.extend(self.shard_imbalances)
-        return records
+        """``overload`` records: the windowed detector's events."""
+        return [event.as_dict() for event in self.detector.events]

@@ -85,22 +85,10 @@ def build_load_report(dump: "TelemetryDump", top: int = _DEFAULT_TOP) -> dict:
     }
     match_summary = skew_summary(match_loads, 1)
     hottest_match = match_summary.top[0] if match_summary.top else None
-    # Shard-scope imbalance records (format v4+) carry no "node" key;
-    # split them out so the node-overload section stays node-only.
-    node_overloads = [
-        record for record in dump.overloads
-        if record.get("scope", "node") != "shard"
-    ]
-    shard_overloads = [
-        record for record in dump.overloads if record.get("scope") == "shard"
-    ]
-    overloaded = sorted({record["node"] for record in node_overloads})
+    overloads = dump.overloads
+    overloaded = sorted({record["node"] for record in overloads})
     worst = max(
-        node_overloads, key=lambda record: record.get("ratio", 0.0),
-        default=None,
-    )
-    worst_shard = max(
-        shard_overloads, key=lambda record: record.get("ratio", 0.0),
+        overloads, key=lambda record: record.get("ratio", 0.0),
         default=None,
     )
     return {
@@ -135,10 +123,9 @@ def build_load_report(dump: "TelemetryDump", top: int = _DEFAULT_TOP) -> dict:
         },
         "skew_samples": len(dump.skews),
         "overload": {
-            "events": len(node_overloads),
+            "events": len(overloads),
             "nodes": overloaded,
             "worst": dict(worst) if worst else None,
-            "shard_imbalance": dict(worst_shard) if worst_shard else None,
         },
     }
 
@@ -227,14 +214,5 @@ def render_load_report(report: dict, source: str = "") -> str:
     else:
         lines.append(
             f"overload: none across {report['skew_samples']} skew samples"
-        )
-    shard_imbalance = overload.get("shard_imbalance")
-    if shard_imbalance is not None:
-        lines.append(
-            f"shard imbalance: shard {shard_imbalance['shard']} carried "
-            f"{shard_imbalance['window_load']:.0f} msgs — "
-            f"{shard_imbalance['ratio']:.2f}x the median shard "
-            f"(threshold {shard_imbalance['threshold']:.1f}x; "
-            f"loads {shard_imbalance['loads']})"
         )
     return "\n".join(lines)

@@ -6,8 +6,14 @@ import pytest
 
 from repro.core.system import RoutingMode
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import RunResult, generate_trace, run_experiment
+from repro.experiments.runner import (
+    RunResult,
+    generate_trace,
+    run_experiment,
+    summarize_run,
+)
 from repro.metrics.fingerprint import behavior_fingerprint
+from repro.sim.shard import run_sharded
 from repro.workload.spec import WorkloadSpec
 
 
@@ -68,11 +74,11 @@ def test_zero_publications():
 
 # -- same seed, same flags, same answer: the kernel is not part of the run --
 
-#: Everything a figure or the CLI table reads; the rest names the kernel.
+#: Everything a figure or the CLI table reads.
 SUMMARY_FIELDS = [
     field.name
     for field in dataclasses.fields(RunResult)
-    if field.name not in ("config", "recorder", "shard")
+    if field.name not in ("config", "recorder")
 ]
 
 
@@ -86,13 +92,14 @@ def test_sharded_run_equals_serial_run(overlay, routing, buffering):
         workload=WorkloadSpec(subscription_ttl=60.0),
     )
     serial = run_experiment(config)
-    assert serial.shard is None
     assert serial.max_subscriptions_per_node > 0
     assert serial.notification_delay.count > 0
+    trace = generate_trace(config)
     for shards in (2, 3):
-        sharded = run_experiment(dataclasses.replace(config, shards=shards))
-        assert sharded.shard.num_shards == shards
-        assert sharded.shard.remote_messages > 0
+        outcome = run_sharded(config, trace, shards)
+        assert outcome.num_shards == shards
+        assert outcome.remote_messages > 0
+        sharded = summarize_run(config, trace, outcome.recorder)
         assert behavior_fingerprint(sharded.recorder) == behavior_fingerprint(
             serial.recorder
         )
@@ -112,6 +119,6 @@ def test_long_buffer_period_still_flushes_before_the_horizon():
 
 def test_one_seed_is_one_workload():
     config = small_config(seed=11)
-    again = dataclasses.replace(config, shards=2, mapping="keyspace-split")
+    again = dataclasses.replace(config, mapping="keyspace-split")
     ops = [(op.time, op.kind, op.node) for op in generate_trace(config).ops]
     assert ops == [(op.time, op.kind, op.node) for op in generate_trace(again).ops]

@@ -218,68 +218,27 @@ def test_stats_reports_slo_percentiles(tmp_path, capsys):
     assert "audit.notification_latency p50/p95/p99" in out
 
 
-# -- shard execution profiler ------------------------------------------------
-
-
-def _profiled_export(tmp_path, capsys):
-    export = tmp_path / "sharded.jsonl"
-    assert main([
-        "run", "--nodes", "120", "--subscriptions", "30",
-        "--publications", "30", "--shards", "2", "--shard-profile",
-        "--telemetry", str(export),
-    ]) == 0
-    capsys.readouterr()
-    return export
-
-
-def test_run_shard_profile_prints_report_and_exports_v4(tmp_path, capsys):
-    export = tmp_path / "sharded.jsonl"
-    code = main([
-        "run", "--nodes", "120", "--subscriptions", "30",
-        "--publications", "30", "--shards", "2", "--shard-profile",
-        "--telemetry", str(export),
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "shard execution profile" in out
-    assert "stall attribution" in out
-    assert "rebalance advisor" in out
-
-    assert main(["report", str(export), "--mode", "shard"]) == 0
-    out = capsys.readouterr().out
-    assert "shard execution profile" in out
-
-    assert main(["stats", str(export)]) == 0
-    out = capsys.readouterr().out
-    assert "shard profile rounds" in out
-    assert "shard critical path" in out
-
-
-def test_report_mode_shard_rejects_unprofiled_export(tmp_path, capsys):
-    export = tmp_path / "plain.jsonl"
-    assert main([
-        "run", "--nodes", "60", "--subscriptions", "10",
-        "--publications", "10", "--telemetry", str(export),
-    ]) == 0
-    capsys.readouterr()
-    assert main(["report", str(export), "--mode", "shard"]) == 2
-    err = capsys.readouterr().err
-    assert "no shard profile records" in err
+# -- older exports ----------------------------------------------------------
 
 
 def test_report_and_stats_degrade_gracefully_on_v2_export(tmp_path, capsys):
-    # A v2-era export: no load, overload, or profile records, and a
-    # meta line claiming version 2.  Both commands must say *why* the
-    # newer reports are unavailable instead of crashing.
+    # A v2-era export: no load, overload, or skew records, and a meta
+    # line claiming version 2.  Both commands must say *why* the newer
+    # reports are unavailable instead of crashing.
     import json
 
-    export = _profiled_export(tmp_path, capsys)
+    export = tmp_path / "plain.jsonl"
+    assert main([
+        "run", "--nodes", "120", "--subscriptions", "30",
+        "--publications", "30", "--telemetry", str(export),
+    ]) == 0
+    capsys.readouterr()
     downgraded = tmp_path / "v2.jsonl"
     with open(export) as src, open(downgraded, "w") as dst:
         for line in src:
             record = json.loads(line)
             kind = record.get("type")
-            if kind in ("load", "skew", "overload", "profile"):
+            if kind in ("load", "skew", "overload"):
                 continue
             if kind == "meta":
                 record["version"] = 2
@@ -289,36 +248,68 @@ def test_report_and_stats_degrade_gracefully_on_v2_export(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "predates load records" in out
 
-    assert main(["report", str(downgraded), "--mode", "shard"]) == 2
-    err = capsys.readouterr().err
-    assert "format v2" in err and "predates profile records" in err
-
     assert main(["report", str(downgraded)]) == 2
     err = capsys.readouterr().err
     assert "predates load records" in err
 
 
-def test_run_shard_profile_requires_shards(capsys):
-    code = main([
-        "run", "--nodes", "60", "--subscriptions", "10",
-        "--publications", "10", "--shard-profile",
-    ])
-    assert code == 2
-    assert "shard" in capsys.readouterr().err
+#: A hand-written v4 export: one request of two spans and a delivery,
+#: an audit counter and probe, node and key load, a skew sample and one
+#: node overload event.
+V4_EXPORT = [
+    {"type": "meta", "format": "repro-telemetry", "version": 4},
+    {"type": "span", "id": 1, "parent": 0, "request": 1,
+     "kind": "publication", "src": 7, "dst": 7, "t_send": 1.0,
+     "t_recv": 1.0, "status": "root"},
+    {"type": "span", "id": 2, "parent": 1, "request": 1,
+     "kind": "publication", "src": 7, "dst": 9, "t_send": 1.0,
+     "t_recv": 1.05, "status": "ok"},
+    {"type": "delivery", "span": 2, "request": 1, "node": 9, "t": 1.05},
+    {"type": "counter", "name": "audit.publications_audited",
+     "labels": {}, "value": 1},
+    {"type": "probe", "t": 2.0, "overlay": "chord", "nodes_total": 2,
+     "nodes_checked": 2, "nodes_stale": 0, "nodes_cold": 0,
+     "max_staleness": 0, "violations": 0},
+    {"type": "load", "scope": "node", "id": 7, "forwarded": 1,
+     "delivered": 0, "subscriptions": 1},
+    {"type": "load", "scope": "node", "id": 9, "forwarded": 0,
+     "delivered": 1, "subscriptions": 0},
+    {"type": "load", "scope": "key", "id": 3, "subscriptions": 1,
+     "publications": 1},
+    {"type": "skew", "t": 2.0, "scope": "node", "count": 2, "total": 2.0,
+     "gini": 0.0, "p99_mean_ratio": 1.0, "top": [[7, 1.0], [9, 1.0]]},
+    {"type": "overload", "t": 2.0, "node": 7, "window_load": 5.0,
+     "median": 1.0, "ratio": 5.0, "threshold": 4.0},
+]
+
+#: The two record kinds a retired sharded-run profiler wrote into v4.
+RETIRED_V4_RECORDS = [
+    {"type": "profile", "scope": "run", "rounds": 3, "total_wall_s": 0.5,
+     "dominant_shard": 1, "dominant_phase": "busy"},
+    {"type": "overload", "scope": "shard", "t": 2.0, "shard": 1,
+     "window_load": 30.0, "median": 10.0, "ratio": 3.0, "threshold": 2.0,
+     "loads": [10, 30]},
+]
 
 
-def test_run_shard_cuts_happy_path_and_parse_error(tmp_path, capsys):
-    code = main([
-        "run", "--nodes", "120", "--subscriptions", "20",
-        "--publications", "20", "--shards", "2",
-        "--shard-cuts", "0,40",
-    ])
-    assert code == 0
-    capsys.readouterr()
-    code = main([
-        "run", "--nodes", "120", "--subscriptions", "20",
-        "--publications", "20", "--shards", "2",
-        "--shard-cuts", "0,forty",
-    ])
-    assert code == 2
-    assert "--shard-cuts" in capsys.readouterr().err
+def test_retired_v4_records_change_no_command_output(tmp_path, capsys):
+    import json
+
+    export = tmp_path / "v4.jsonl"
+
+    def outcomes(records):
+        export.write_text(
+            "".join(json.dumps(record) + "\n" for record in records)
+        )
+        seen = []
+        for command in ("stats", "report", "audit"):
+            code = main([command, str(export)])
+            captured = capsys.readouterr()
+            seen.append((command, code, captured.out, captured.err))
+        return seen
+
+    plain = outcomes(V4_EXPORT)
+    assert [code for _, code, _, _ in plain] == [0, 0, 0]
+    assert "overload: 1 event(s)" in plain[1][2]
+    with_retired = V4_EXPORT[:6] + RETIRED_V4_RECORDS + V4_EXPORT[6:]
+    assert outcomes(with_retired) == plain

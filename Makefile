@@ -15,10 +15,11 @@ test:
 # seeded fingerprint, sharded-kernel digest and ledger smoke workload
 # must equal its pinned record exactly; nothing is gated on a clock.
 # Then the CLI end to end, everything written under the ignored
-# artifacts/: an audited Chord run whose trace must reconstruct its
-# causal trees (repro stats), render the load report (repro report) and
-# show no violation (repro audit exits non-zero on one); and the same
-# audited run over CAN.
+# artifacts/: an audited Chord run and the same audited run over CAN,
+# each read back by repro report, which exits non-zero on a violation
+# or an incomplete causal tree; the Chord report also writes the
+# Perfetto trace.  The last line checks that both traces were audited
+# and load-metered (a section not recorded is null in the JSON).
 verify: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 verify:
 	$(PYTHON) -m pytest tests/ -q
@@ -26,16 +27,15 @@ verify:
 	$(PYTHON) -m repro run --nodes 100 --subscriptions 50 \
 		--publications 50 --audit \
 		--telemetry artifacts/sample-trace.jsonl > /dev/null
-	$(PYTHON) -m repro stats artifacts/sample-trace.jsonl
 	$(PYTHON) -m repro report artifacts/sample-trace.jsonl \
-		--json artifacts/load-report.json
-	$(PYTHON) -m repro audit artifacts/sample-trace.jsonl \
-		--report artifacts/audit-report.txt
+		--json artifacts/report-chord.json \
+		--perfetto artifacts/perfetto-chord.json
 	$(PYTHON) -m repro run --overlay can --nodes 100 \
 		--subscriptions 50 --publications 50 --audit \
 		--telemetry artifacts/sample-trace-can.jsonl > /dev/null
-	$(PYTHON) -m repro audit artifacts/sample-trace-can.jsonl \
-		--report artifacts/audit-report-can.txt
+	$(PYTHON) -m repro report artifacts/sample-trace-can.jsonl \
+		--json artifacts/report-can.json
+	$(PYTHON) -c "import json; [exit(f'{p}: {k} not recorded') for p in ('artifacts/report-chord.json', 'artifacts/report-can.json') for k in ('audit', 'load') if json.load(open(p))[k] is None]"
 
 # The performance ledger (BENCHMARK.json): five seeded workloads, eight
 # end-to-end and 111 per-layer metrics, about 3 min.  ledger-smoke runs
@@ -63,7 +63,7 @@ examples:
 	done
 
 report:
-	$(PYTHON) -m repro report --out-dir results --scale default
+	$(PYTHON) -m repro suite --out-dir results --scale default
 
 clean:
 	rm -rf results artifacts .pytest_cache .benchmarks

@@ -7,8 +7,8 @@ finger consistency, Pastry leaf-set symmetry and prefix-row validity,
 CAN zone tessellation) and that every publication reaches exactly the
 subscriptions it matches (the paper's §3 mapping-intersection
 contract), recording SLO histograms along the way.  Violations and
-probe results export through the telemetry JSONL (format version 2)
-and render via ``repro audit``.
+probe results export through the telemetry JSONL and render in the
+audit section of ``repro report``.
 
 Disabled runs pay nothing: the system's hook sites guard on a cached
 ``auditor is None`` check, pinned by the fingerprints of
@@ -20,11 +20,6 @@ from __future__ import annotations
 from repro.audit.auditor import AuditConfig, Auditor, AuditReport
 from repro.audit.invariants import overlay_kind, probe_structure
 from repro.audit.records import VIOLATION_TYPES, ProbeRecord, Violation
-from repro.audit.report import (
-    render_health_report,
-    report_from_auditor,
-    report_from_dump,
-)
 
 __all__ = [
     "AuditConfig",
@@ -35,7 +30,4 @@ __all__ = [
     "Violation",
     "overlay_kind",
     "probe_structure",
-    "render_health_report",
-    "report_from_auditor",
-    "report_from_dump",
 ]

@@ -1,10 +1,8 @@
 """Audit record types: violations and structural probe results.
 
 These are the payloads the auditor feeds into the telemetry JSONL
-export (``type: "violation"`` / ``type: "probe"`` records, format
-version 2).  They live in their own module with no telemetry imports so
-:mod:`repro.telemetry.export` can deserialize them without an import
-cycle.
+export (``type: "violation"`` / ``type: "probe"`` records).  The
+reader keeps them as the plain dicts :meth:`as_dict` writes.
 """
 
 from __future__ import annotations
@@ -70,24 +68,7 @@ class Violation:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "type": "violation",
-            "vtype": self.vtype,
-            "t": self.t,
-            "node": self.node,
-            "mapping": self.mapping,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "Violation":
-        return cls(
-            vtype=record["vtype"],
-            t=record["t"],
-            node=record.get("node", -1),
-            mapping=record.get("mapping", ""),
-            detail=record.get("detail", ""),
-        )
+        return {"type": "violation", **dataclasses.asdict(self)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,27 +104,4 @@ class ProbeRecord:
     violations: int
 
     def as_dict(self) -> dict:
-        return {
-            "type": "probe",
-            "t": self.t,
-            "overlay": self.overlay,
-            "nodes_total": self.nodes_total,
-            "nodes_checked": self.nodes_checked,
-            "nodes_stale": self.nodes_stale,
-            "nodes_cold": self.nodes_cold,
-            "max_staleness": self.max_staleness,
-            "violations": self.violations,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "ProbeRecord":
-        return cls(
-            t=record["t"],
-            overlay=record["overlay"],
-            nodes_total=record["nodes_total"],
-            nodes_checked=record["nodes_checked"],
-            nodes_stale=record["nodes_stale"],
-            nodes_cold=record["nodes_cold"],
-            max_staleness=record["max_staleness"],
-            violations=record["violations"],
-        )
+        return {"type": "probe", **dataclasses.asdict(self)}

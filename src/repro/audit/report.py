@@ -1,14 +1,15 @@
-"""Health-report rendering for ``repro audit`` and ``repro run --audit``.
+"""The audit section of ``repro report``: the delivery health report.
 
-The renderer works from plain data (violation/probe records plus
-``audit.*`` counter and histogram summaries) so the same report comes
-out of a live :class:`~repro.audit.auditor.Auditor` and of a telemetry
-JSONL export loaded back from disk.
+:func:`build_audit_section` picks the audit records out of a loaded
+telemetry export (:func:`repro.telemetry.reader.load_jsonl`) —
+violation and probe records plus the ``audit.*`` counters and SLO
+histograms — and :func:`render_health_report` renders them.
 """
 
 from __future__ import annotations
 
-from repro.audit.records import VIOLATION_TYPES, ProbeRecord, Violation
+from repro.audit.records import VIOLATION_TYPES
+from repro.telemetry.registry import format_metric
 
 #: Sample violation details shown per type in the report.
 _DETAILS_PER_TYPE = 3
@@ -22,21 +23,34 @@ SLO_HISTOGRAMS = (
 )
 
 
-def _label_suffix(labels: dict) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-    return f"{{{inner}}}"
+def metric_name(record: dict) -> str:
+    """``name`` or ``name{k=v,...}`` of an exported instrument record."""
+    return format_metric(record["name"], tuple(sorted(record["labels"].items())))
 
 
-def render_health_report(
-    violations: list[Violation],
-    probes: list[ProbeRecord],
-    counters: list[dict],
-    histograms: list[dict],
-    source: str = "",
-) -> str:
-    """Render the audit health report as a multi-line string."""
+def build_audit_section(dump: dict[str, list[dict]]) -> dict | None:
+    """The audit records of a loaded export, or None when there are none.
+
+    None means the run was not audited (no probes, no violations, no
+    ``audit.*`` counters), which is not a clean bill of health.
+    """
+    counters = [c for c in dump["counter"] if c["name"].startswith("audit.")]
+    if not (dump["violation"] or dump["probe"] or counters):
+        return None
+    return {
+        "violations": dump["violation"],
+        "probes": dump["probe"],
+        "counters": counters,
+        "histograms": [
+            h for h in dump["histogram"] if h["name"] in SLO_HISTOGRAMS
+        ],
+    }
+
+
+def render_health_report(section: dict, source: str = "") -> str:
+    """Render the audit section as a multi-line string."""
+    violations = section["violations"]
+    probes = section["probes"]
     lines: list[str] = []
     title = "audit health report"
     if source:
@@ -50,19 +64,19 @@ def render_health_report(
     lines.append("")
 
     lines.append("violations by type:")
-    counts: dict[str, list[Violation]] = {}
+    counts: dict[str, list[dict]] = {}
     for violation in violations:
-        counts.setdefault(violation.vtype, []).append(violation)
+        counts.setdefault(violation["vtype"], []).append(violation)
     known = [v for v in VIOLATION_TYPES if v in counts]
     extra = sorted(set(counts) - set(VIOLATION_TYPES))
     for vtype in known + extra:
         group = counts[vtype]
         lines.append(f"  {vtype}: {len(group)}")
         for violation in group[:_DETAILS_PER_TYPE]:
-            where = f"node {violation.node}" if violation.node >= 0 else "-"
-            mapping = f" [{violation.mapping}]" if violation.mapping else ""
+            where = f"node {violation['node']}" if violation["node"] >= 0 else "-"
+            mapping = f" [{violation['mapping']}]" if violation["mapping"] else ""
             lines.append(
-                f"    t={violation.t:.3f} {where}{mapping}: {violation.detail}"
+                f"    t={violation['t']:.3f} {where}{mapping}: {violation['detail']}"
             )
         if len(group) > _DETAILS_PER_TYPE:
             lines.append(f"    ... and {len(group) - _DETAILS_PER_TYPE} more")
@@ -72,11 +86,11 @@ def render_health_report(
 
     lines.append("structural probes:")
     if probes:
-        checked = sum(p.nodes_checked for p in probes)
-        stale = sum(p.nodes_stale for p in probes)
-        cold = sum(p.nodes_cold for p in probes)
-        worst = max(p.max_staleness for p in probes)
-        overlays = sorted({p.overlay for p in probes})
+        checked = sum(p["nodes_checked"] for p in probes)
+        stale = sum(p["nodes_stale"] for p in probes)
+        cold = sum(p["nodes_cold"] for p in probes)
+        worst = max(p["max_staleness"] for p in probes)
+        overlays = sorted({p["overlay"] for p in probes})
         lines.append(
             f"  {len(probes)} probe(s) over {'/'.join(overlays)}: "
             f"{checked} node-checks current, {stale} stale, {cold} cold "
@@ -87,79 +101,27 @@ def render_health_report(
     lines.append("")
 
     lines.append("delivery accounting:")
-    audit_counters = [c for c in counters if c["name"].startswith("audit.")]
-    if audit_counters:
+    if section["counters"]:
         for counter in sorted(
-            audit_counters,
-            key=lambda c: (c["name"], sorted(c.get("labels", {}).items())),
+            section["counters"],
+            key=lambda c: (c["name"], sorted(c["labels"].items())),
         ):
-            label = _label_suffix(counter.get("labels", {}))
-            lines.append(f"  {counter['name']}{label}: {counter['value']}")
+            lines.append(f"  {metric_name(counter)}: {counter['value']}")
     else:
         lines.append("  (no audit counters)")
     lines.append("")
 
     lines.append("SLO histograms (p50/p95/p99):")
-    slo = [h for h in histograms if h["name"] in SLO_HISTOGRAMS]
+    slo = section["histograms"]
     for histogram in sorted(slo, key=lambda h: h["name"]):
-        label = _label_suffix(histogram.get("labels", {}))
-        if histogram.get("count", 0):
+        if histogram["count"]:
             lines.append(
-                f"  {histogram['name']}{label}: "
-                f"{histogram.get('p50', 0.0):.4g}/"
-                f"{histogram.get('p95', 0.0):.4g}/"
-                f"{histogram.get('p99', 0.0):.4g} "
-                f"(n={histogram['count']}, max={histogram.get('max', 0.0):.4g})"
+                f"  {metric_name(histogram)}: {histogram['p50']:.4g}/"
+                f"{histogram['p95']:.4g}/{histogram['p99']:.4g} "
+                f"(n={histogram['count']}, max={histogram['max']:.4g})"
             )
         else:
-            lines.append(f"  {histogram['name']}{label}: no observations")
+            lines.append(f"  {metric_name(histogram)}: no observations")
     if not slo:
         lines.append("  (none)")
-    return "\n".join(lines) + "\n"
-
-
-def report_from_auditor(auditor, source: str = "") -> str:
-    """Render the health report straight from a live auditor."""
-    registry = auditor._registry
-    counters = [
-        {"name": c.name, "labels": dict(c.labels), "value": c.value}
-        for c in registry.counters()
-    ]
-    histograms = []
-    for histogram in registry.histograms():
-        summary = histogram.summary()
-        histograms.append(
-            {
-                "name": histogram.name,
-                "labels": dict(histogram.labels),
-                "count": summary.count,
-                "mean": summary.mean,
-                "p50": summary.p50,
-                "p95": summary.p95,
-                "p99": summary.p99,
-                "max": summary.maximum,
-            }
-        )
-    return render_health_report(
-        auditor.violations, auditor.probes, counters, histograms, source=source
-    )
-
-
-def report_from_dump(dump, source: str = "") -> tuple[str, bool]:
-    """Render from a loaded JSONL dump; returns ``(text, has_audit_data)``.
-
-    ``has_audit_data`` is False when the export contains no audit
-    records at all (no probes, no violations, no ``audit.*`` counters)
-    — the run was not audited, which ``repro audit`` reports as a
-    configuration error rather than a clean bill of health.
-    """
-    has_audit_data = bool(
-        dump.violations
-        or dump.probes
-        or any(c["name"].startswith("audit.") for c in dump.counters)
-    )
-    text = render_health_report(
-        dump.violations, dump.probes, dump.counters, dump.histograms,
-        source=source,
-    )
-    return text, has_audit_data
+    return "\n".join(lines)

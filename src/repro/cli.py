@@ -5,28 +5,21 @@ Commands:
 - ``figure`` — regenerate one of the paper's figures and print its
   table (``fig5`` .. ``fig9b``, plus the ``routing`` baseline).
 - ``run`` — run a single simulation with explicit knobs and print the
-  headline metrics; ``--telemetry``/``--perfetto`` additionally record
-  per-hop spans and periodic metric samples and export them.
-- ``stats`` — summarize a ``--telemetry`` JSONL export (span counts,
-  hop latency, m-cast tree coverage, final instruments, SLO
-  percentiles for audited runs).
-- ``audit`` — render the delivery-correctness health report from an
-  audited export; exits non-zero when violations were recorded.
-- ``report`` — load-skew observatory report from a telemetry export
-  (terminal heatmap of hot nodes / rendezvous keys, Gini, overload
-  events; ``--json`` writes the artifact), or — with ``--out-dir``
-  and no path — the full evaluation suite with CSVs.
+  headline metrics; ``--telemetry`` additionally records per-hop spans,
+  periodic metric samples and load, and writes them as one JSONL file.
+- ``report`` — read that file and print its trace, load and audit
+  sections (``--json`` writes them, ``--perfetto`` the Chrome trace);
+  exits 1 on any violation or incomplete causal tree.
+- ``suite`` — the full evaluation suite, with CSVs and SUMMARY.txt.
 - ``trace`` — pre-generate a workload trace to JSON, or replay one.
 
 Examples::
 
     python -m repro figure fig5 --subscriptions 300 --publications 300
     python -m repro run --mapping keyspace-split --routing mcast --nodes 500
-    python -m repro run --telemetry out.jsonl --perfetto out.trace.json
     python -m repro run --audit --telemetry out.jsonl
-    python -m repro stats out.jsonl
-    python -m repro audit out.jsonl --report health.txt
-    python -m repro report out.jsonl --json load-report.json
+    python -m repro report out.jsonl --json report.json --perfetto out.trace.json
+    python -m repro suite --out-dir results --scale default
     python -m repro trace generate --out trace.json --subscriptions 100
     python -m repro trace replay trace.json --mapping selective-attribute
 """
@@ -137,9 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      "(0 = off; pastry has none)")
     run.add_argument("--telemetry", metavar="PATH", default=None,
                      help="record telemetry and export it as JSONL")
-    run.add_argument("--perfetto", metavar="PATH", default=None,
-                     help="export a Chrome trace-event JSON "
-                          "(open at https://ui.perfetto.dev)")
     run.add_argument("--audit", action="store_true",
                      help="run the online invariant auditor (structural "
                           "probes + delivery-correctness oracle)")
@@ -147,39 +137,25 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="seconds between structural probes "
                           "(default: horizon / 12)")
 
-    stats = sub.add_parser(
-        "stats", help="summarize a telemetry JSONL export"
-    )
-    stats.add_argument("path")
-
-    audit = sub.add_parser(
-        "audit", help="health report from an audited telemetry export"
-    )
-    audit.add_argument("path")
-    audit.add_argument("--report", metavar="OUT", default=None,
-                       help="also write the report to this file")
-
     report = sub.add_parser(
-        "report",
-        help="load-skew report from a telemetry export, or (with "
-             "--out-dir and no path) the full evaluation suite",
+        "report", help="trace, load and audit report of a telemetry export"
     )
-    report.add_argument("path", nargs="?", default=None,
-                        help="telemetry JSONL export; when given, print "
-                             "the rendezvous load-skew heatmap instead of "
-                             "running the evaluation suite")
+    report.add_argument("path", help="telemetry JSONL export (format v4)")
     report.add_argument("--json", metavar="OUT", default=None,
-                        help="also write the load report as JSON "
-                             "(load-report mode only)")
+                        help="also write every section as one JSON object")
     report.add_argument("--top", type=int, default=10,
-                        help="hot entities shown per scope "
-                             "(load-report mode only)")
-    report.add_argument("--out-dir", default=None,
-                        help="suite mode: directory for CSVs and SUMMARY.txt")
-    report.add_argument("--scale", choices=["quick", "default", "paper"],
-                        default="quick")
-    report.add_argument("--only", nargs="*", default=None,
-                        help="subset of figures (e.g. fig5 fig9b)")
+                        help="hot entities shown per load scope")
+    report.add_argument("--perfetto", metavar="OUT", default=None,
+                        help="also write a Chrome trace-event JSON "
+                             "(open at https://ui.perfetto.dev)")
+
+    suite = sub.add_parser("suite", help="run the full evaluation suite")
+    suite.add_argument("--out-dir", required=True,
+                       help="directory for CSVs and SUMMARY.txt")
+    suite.add_argument("--scale", choices=["quick", "default", "paper"],
+                       default="quick")
+    suite.add_argument("--only", nargs="*", default=None,
+                       help="subset of figures (e.g. fig5 fig9b)")
 
     trace = sub.add_parser("trace", help="generate or replay a trace")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
@@ -252,7 +228,7 @@ def _command_run(args: argparse.Namespace) -> int:
         covering=False if args.no_covering else None,
     )
     telemetry = None
-    if args.telemetry or args.perfetto or args.audit:
+    if args.telemetry or args.audit:
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
@@ -285,149 +261,12 @@ def _command_run(args: argparse.Namespace) -> int:
     if report is not None and not report.ok:
         for vtype, count in sorted(report.counts_by_type().items()):
             print(f"audit violation: {vtype} x{count}")
-    if telemetry is not None:
-        from repro.telemetry.export import write_chrome_trace, write_jsonl
+    if args.telemetry:
+        from repro.telemetry.export import write_jsonl
 
-        if args.telemetry:
-            count = write_jsonl(telemetry, args.telemetry)
-            print(f"wrote {count} telemetry records to {args.telemetry}")
-        if args.perfetto:
-            count = write_chrome_trace(telemetry, args.perfetto)
-            print(f"wrote {count} trace events to {args.perfetto} "
-                  "(open at https://ui.perfetto.dev)")
+        count = write_jsonl(telemetry, args.telemetry)
+        print(f"wrote {count} telemetry records to {args.telemetry}")
     return 0
-
-
-def _command_stats(args: argparse.Namespace) -> int:
-    from repro.experiments.report import render_table as _render
-    from repro.telemetry.export import load_jsonl
-    from repro.telemetry.tracing import (
-        DROPPED,
-        LOST,
-        ROOT,
-        delivery_coverage,
-    )
-
-    dump = load_jsonl(args.path)
-    spans = dump.spans
-    by_kind: dict[str, int] = {}
-    hop_latencies: list[float] = []
-    dropped = lost = roots = 0
-    for span in spans:
-        by_kind[span.kind] = by_kind.get(span.kind, 0) + 1
-        if span.status == ROOT:
-            roots += 1
-        elif span.status == DROPPED:
-            dropped += 1
-        elif span.status == LOST:
-            lost += 1
-        elif span.t_recv is not None:
-            hop_latencies.append(span.t_recv - span.t_send)
-    coverage = delivery_coverage(spans, dump.deliveries)
-    complete = sum(1 for ok in coverage.values() if ok)
-    rows = [
-        ["spans", len(spans)],
-        ["requests (root spans)", roots],
-        ["deliveries", len(dump.deliveries)],
-        ["hops dropped (dead destination)", dropped],
-        ["hops lost (loss model)", lost],
-        ["mean hop latency [s]",
-         sum(hop_latencies) / len(hop_latencies) if hop_latencies else 0.0],
-        ["requests with deliveries", len(coverage)],
-        ["  ...with complete causal trees", complete],
-        ["metric samples", len(dump.samples)],
-        ["final counters", len(dump.counters)],
-        ["final gauges", len(dump.gauges)],
-        ["final histograms", len(dump.histograms)],
-    ]
-    for kind in sorted(by_kind):
-        rows.append([f"spans[{kind}]", by_kind[kind]])
-    if dump.violations or dump.probes:
-        rows.append(["audit violations", len(dump.violations)])
-        rows.append(["audit probes", len(dump.probes)])
-    version = dump.meta.get("version", 1)
-    if not dump.loads and version < 3:
-        rows.append([
-            "load observatory",
-            f"n/a (format v{version} predates load records; re-run with "
-            "--telemetry on v3+)",
-        ])
-    if dump.loads:
-        node_records = [r for r in dump.loads if r.get("scope") == "node"]
-        key_records = [r for r in dump.loads if r.get("scope") == "key"]
-        rows.append(["load records (nodes)", len(node_records)])
-        rows.append(["load records (keys)", len(key_records)])
-        rows.append(["skew samples", len(dump.skews)])
-        rows.append(["overload events", len(dump.overloads)])
-        final_node_skews = [
-            r for r in dump.skews if r.get("scope") == "node"
-        ]
-        if final_node_skews:
-            last = final_node_skews[-1]
-            rows.append(["node-load gini (final)", f"{last['gini']:.4f}"])
-            rows.append(
-                ["node-load p99/mean (final)", f"{last['p99_mean_ratio']:.2f}"]
-            )
-        if key_records:
-            hottest = max(
-                key_records,
-                key=lambda r: (
-                    r.get("subscriptions", 0) + r.get("publications", 0),
-                    -r["id"],
-                ),
-            )
-            rows.append([
-                "hottest rendezvous key",
-                f"{hottest['id']} "
-                f"(subs={hottest.get('subscriptions', 0)}, "
-                f"pubs={hottest.get('publications', 0)})",
-            ])
-        cover_roots = sum(r.get("cover_roots", 0) for r in node_records)
-        cover_collapsed = sum(
-            r.get("cover_collapsed", 0) for r in node_records
-        )
-        if cover_roots or cover_collapsed:
-            rows.append(["covering roots (matcher-resident)", cover_roots])
-            rows.append(["covering collapsed installs", cover_collapsed])
-            rows.append([
-                "covering promotions",
-                sum(r.get("cover_promotions", 0) for r in node_records),
-            ])
-    for record in sorted(
-        dump.histograms, key=lambda r: (r["name"], sorted(r["labels"].items()))
-    ):
-        if not record["count"]:
-            continue
-        labels = ",".join(f"{k}={v}" for k, v in sorted(record["labels"].items()))
-        name = f"{record['name']}{{{labels}}}" if labels else record["name"]
-        # p99 is absent from version-1 exports.
-        p99 = record.get("p99")
-        rows.append([
-            f"  {name} p50/p95/p99",
-            f"{record['p50']:.4g} / {record['p95']:.4g} / "
-            + (f"{p99:.4g}" if p99 is not None else "n/a"),
-        ])
-    print(_render(["metric", "value"], rows, title=f"telemetry in {args.path}"))
-    return 0 if complete == len(coverage) else 1
-
-
-def _command_audit(args: argparse.Namespace) -> int:
-    from repro.audit import report_from_dump
-    from repro.telemetry.export import load_jsonl
-
-    dump = load_jsonl(args.path)
-    text, has_audit_data = report_from_dump(dump, source=str(args.path))
-    print(text)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.write("\n")
-        print(f"wrote health report to {args.report}")
-    if not has_audit_data:
-        print("error: export has no audit records (run with --audit)",
-              file=sys.stderr)
-        return 2
-    return 1 if dump.violations else 0
 
 
 def _command_trace(args: argparse.Namespace) -> int:
@@ -470,45 +309,26 @@ def _command_trace(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
-    if args.path is not None:
-        import json
+    import json
 
-        from repro.telemetry.export import load_jsonl
-        from repro.telemetry.loadreport import (
-            build_load_report,
-            render_load_report,
-        )
+    from repro.telemetry import reader
 
-        dump = load_jsonl(args.path)
-        version = dump.meta.get("version", 1)
-        if not dump.loads:
-            if version < 3:
-                print(
-                    f"error: export is format v{version}, which predates "
-                    "load records (v3+); re-run with --telemetry on the "
-                    "current build",
-                    file=sys.stderr,
-                )
-            else:
-                print(
-                    "error: export has no load records (run with "
-                    "--telemetry on format v3+)",
-                    file=sys.stderr,
-                )
-            return 2
-        report = build_load_report(dump, top=args.top)
-        print(render_load_report(report, source=str(args.path)))
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2)
-                handle.write("\n")
-            print(f"wrote load report to {args.json}")
-        return 0
+    dump = reader.load_jsonl(args.path)
+    report = reader.build_report(dump, top=args.top)
+    print(reader.render_report(report, source=str(args.path)))
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2)
+            handle.write("\n")
+        print(f"wrote report to {args.json}")
+    if args.perfetto:
+        count = reader.write_chrome_trace(dump, args.perfetto)
+        print(f"wrote {count} trace events to {args.perfetto} "
+              "(open at https://ui.perfetto.dev)")
+    return 1 if reader.report_failed(report) else 0
 
-    if args.out_dir is None:
-        print("error: either a telemetry JSONL path (load report) or "
-              "--out-dir (evaluation suite) is required", file=sys.stderr)
-        return 2
+
+def _command_suite(args: argparse.Namespace) -> int:
     from repro.experiments.suite import SCALES, run_suite
 
     only = tuple(args.only) if args.only else None
@@ -521,8 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
     command = {
-        "figure": _command_figure, "run": _command_run, "stats": _command_stats,
-        "audit": _command_audit, "report": _command_report, "trace": _command_trace,
+        "figure": _command_figure, "run": _command_run,
+        "report": _command_report, "suite": _command_suite,
+        "trace": _command_trace,
     }[args.command]
     try:
         return command(args)

@@ -80,7 +80,7 @@ def build_system(
         config: The experiment configuration.
         streams: Seeded random substreams for the run.
         telemetry: Optional observability sink; when omitted the stack
-            uses the ambient (by default disabled, free) telemetry.
+            uses the disabled, free ``NULL_TELEMETRY``.
     """
     sim = Simulator()
     network = Network(sim, FixedDelay(config.message_delay), telemetry=telemetry)

@@ -3,7 +3,7 @@
 ``run_suite`` executes every figure harness at a configurable scale and
 writes one CSV per figure plus a plain-text summary — the "reproduce
 the paper" button.  Exposed on the command line as
-``python -m repro report --out-dir results/``.
+``python -m repro suite --out-dir results/``.
 """
 
 from __future__ import annotations

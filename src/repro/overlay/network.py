@@ -51,7 +51,7 @@ from repro.errors import OverlayError
 from repro.metrics.recorder import MetricsRecorder
 from repro.overlay.api import OverlayMessage
 from repro.sim.kernel import Simulator
-from repro.telemetry import Telemetry, current as current_telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.tap import Tap
 
 
@@ -119,8 +119,8 @@ class Network:
             loss_rng: Randomness for loss draws (required if
                 ``loss_rate`` > 0, to keep runs reproducible).
             telemetry: Observability sink shared by everything built on
-                this network; defaults to the (disabled, free) ambient
-                telemetry — see :func:`repro.telemetry.current`.
+                this network; defaults to the disabled, free
+                :data:`repro.telemetry.NULL_TELEMETRY`.
         """
         if not 0 <= loss_rate <= 1:
             raise OverlayError(f"loss_rate {loss_rate} outside [0, 1]")
@@ -132,7 +132,7 @@ class Network:
         self._loss_rate = loss_rate
         self._loss_rng = loss_rng
         self._handlers: dict[int, ReceiveFn] = {}
-        self._telemetry = telemetry if telemetry is not None else current_telemetry()
+        self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         registry = self._telemetry.registry
         self._dropped_counter = registry.counter("network.dropped")
         self._lost_counter = registry.counter("network.lost")
@@ -316,7 +316,7 @@ class ShardNetwork(Network):
     own waves, so a remote message is drained by the same loop, under
     the same liveness re-check, as a local one.
 
-    Shard workers run loss-free on the ambient (disabled) telemetry, so
+    Shard workers run loss-free on the null (disabled) telemetry, so
     the cross-shard hop is identical to a local one in everything the
     recorder can see.
     """

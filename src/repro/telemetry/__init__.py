@@ -9,9 +9,9 @@ One :class:`Telemetry` bundles the three sinks of a run:
 - a list of periodic time-series ``samples`` taken on the *simulated*
   clock, so exported metrics carry sim-time axes.
 
-**Disabled by default, free when disabled.**  Components that are not
-handed a telemetry explicitly fall back to :func:`current`, which
-returns a process-global *null* telemetry: ``enabled`` is False and the
+**Disabled by default, free when disabled.**  A network that is not
+handed a telemetry explicitly falls back to :data:`NULL_TELEMETRY`,
+the one module-level *null* bundle: ``enabled`` is False and the
 registry hands out unregistered (but still counting) instruments.
 Observation goes through the run's observer tap
 (:mod:`repro.telemetry.tap`): an enabled bundle subscribes its tracer
@@ -23,9 +23,8 @@ pre-telemetry one bit for bit (enforced in tier-1 by
 
 Enable by constructing ``Telemetry()`` and passing it down the stack
 (``run_experiment(config, telemetry=...)`` / ``Network(...,
-telemetry=...)``), or by installing it globally with
-:func:`set_current`.  Export with :mod:`repro.telemetry.export`
-(JSONL, and Chrome trace-event JSON that opens in Perfetto).
+telemetry=...)``).  Export with :mod:`repro.telemetry.export`; read
+the file back with ``repro report`` (:mod:`repro.telemetry.reader`).
 """
 
 from __future__ import annotations
@@ -38,29 +37,20 @@ from repro.telemetry.registry import (
     NullRegistry,
 )
 from repro.telemetry.tap import Tap
-from repro.telemetry.tracing import (
-    NullTracer,
-    Span,
-    Tracer,
-    delivery_coverage,
-    request_tree,
-)
+from repro.telemetry.tracing import NullTracer, Span, Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricRegistry",
+    "NULL_TELEMETRY",
     "NullRegistry",
     "NullTracer",
     "Span",
     "Tap",
     "Telemetry",
     "Tracer",
-    "current",
-    "delivery_coverage",
-    "request_tree",
-    "set_current",
 ]
 
 
@@ -122,27 +112,9 @@ class Telemetry:
             self.load.sample(now)
 
 
-#: Process-global disabled default: unregistered instruments, no
-#: tracer.  Never accumulates state, so sharing it across every
-#: component constructed without an explicit telemetry is safe.
-_NULL = Telemetry(enabled=False, registry=NullRegistry(), tracer=NullTracer())
-
-_current: Telemetry | None = None
-
-
-def current() -> Telemetry:
-    """The ambient telemetry: the installed one, else the null default."""
-    return _current if _current is not None else _NULL
-
-
-def set_current(telemetry: Telemetry | None) -> Telemetry | None:
-    """Install (or, with None, clear) the process-global telemetry.
-
-    Returns the previously installed telemetry so callers can restore
-    it (``old = set_current(tel) ... set_current(old)``).  Explicit
-    constructor arguments always win over this global.
-    """
-    global _current
-    previous = _current
-    _current = telemetry
-    return previous
+#: The disabled default of every network built without a telemetry:
+#: unregistered instruments, no tracer.  Never accumulates state, so
+#: sharing it across all of them is safe.
+NULL_TELEMETRY = Telemetry(
+    enabled=False, registry=NullRegistry(), tracer=NullTracer()
+)

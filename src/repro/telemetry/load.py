@@ -25,7 +25,7 @@ run without one executes an empty loop at each of those events.
 node and key distributions (:func:`repro.metrics.skew.skew_summary`)
 and feeds the cumulative node loads to the windowed
 :class:`~repro.metrics.skew.OverloadDetector`, whose events ride the
-JSONL export (format v3) next to the final per-entity load records.
+JSONL export next to the final per-entity load records.
 """
 
 from __future__ import annotations
@@ -156,8 +156,12 @@ class LoadMeter:
         The message count is the attribution unit because it is what a
         deployed broker pays for (CPU to route, bandwidth to carry);
         matcher work and storage are reported separately per node.
+        Every node seen joining (it holds a :class:`MatchWork` handle)
+        counts, at zero if it stayed idle: an idle node is part of the
+        ring's load distribution, for the skew samples and for the
+        overload detector's median alike.
         """
-        loads: dict[int, float] = {}
+        loads = dict.fromkeys(self.match_work, 0.0)
         for node, count in self.forwarded.items():
             loads[node] = loads.get(node, 0.0) + count
         for node, count in self.delivered.items():
@@ -224,7 +228,7 @@ class LoadMeter:
         )
         self.detector.observe(now, node_loads)
 
-    # -- export (JSONL format v3) --------------------------------------------
+    # -- export (JSONL) ------------------------------------------------------
 
     def load_records(self) -> list[dict]:
         """Final per-entity ``load`` records, deterministic order."""

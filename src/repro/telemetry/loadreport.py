@@ -1,12 +1,13 @@
 """Load-skew report: JSON artifact + terminal heatmap from an export.
 
-``repro report <trace.jsonl>`` feeds a format-v3 telemetry export
-(:func:`repro.telemetry.export.load_jsonl`) through
-:func:`build_load_report` and prints :func:`render_load_report` — a
-bar heatmap of the hottest overlay nodes and rendezvous keys with
-their load shares, the distribution-level skew statistics (Gini,
-p99/mean), and the windowed overload events.  The JSON artifact
-(``--json``) carries the same numbers for dashboards and CI.
+The load section of ``repro report <trace.jsonl>``
+(:mod:`repro.telemetry.reader`): :func:`build_load_report` turns the
+export's ``load`` / ``skew`` / ``overload`` records into the section,
+and :func:`render_load_report` prints it — a bar heatmap of the
+hottest overlay nodes and rendezvous keys with their load shares, the
+distribution-level skew statistics (Gini, p99/mean), and the windowed
+overload events.  ``--json`` carries the same numbers for dashboards
+and CI.
 
 Loads mirror :class:`~repro.telemetry.load.LoadMeter`'s aggregation:
 node load = forwarded + delivered messages; key load = subscriptions
@@ -15,18 +16,18 @@ stored + publication deliveries under the key.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.metrics.skew import skew_summary
-
-if TYPE_CHECKING:
-    from repro.telemetry.export import TelemetryDump
 
 #: Width of the heatmap bars in terminal cells.
 _BAR_WIDTH = 32
 
 #: Entities shown per scope by default.
 _DEFAULT_TOP = 10
+
+
+def _loads(records: list[dict], *fields: str) -> dict[int, float]:
+    """Per record id, the sum of ``fields`` (the load unit of a scope)."""
+    return {r["id"]: float(sum(r.get(f, 0) for f in fields)) for r in records}
 
 
 def _scope_section(
@@ -38,14 +39,12 @@ def _scope_section(
     entries = []
     for entity, load in summary.top:
         record = by_id.get(entity, {})
-        entry = {
+        entries.append({
             "id": entity,
             "load": load,
             "share": round(load / summary.total, 6) if summary.total else 0.0,
-        }
-        for field in fields:
-            entry[field] = record.get(field, 0)
-        entries.append(entry)
+            **{field: record.get(field, 0) for field in fields},
+        })
     return {
         "count": summary.count,
         "total_load": summary.total,
@@ -55,44 +54,39 @@ def _scope_section(
     }
 
 
-def build_load_report(dump: "TelemetryDump", top: int = _DEFAULT_TOP) -> dict:
+def build_load_report(
+    dump: dict[str, list[dict]], top: int = _DEFAULT_TOP
+) -> dict | None:
     """Build the JSON-able load report from a loaded export.
 
-    Returns a dict with ``nodes`` / ``keys`` sections (counts, total
-    load, Gini, p99/mean, top-k entries with load shares), a
+    Returns None when the export holds no ``load`` records, else a
+    dict with ``nodes`` / ``keys`` sections (counts, total load, Gini,
+    p99/mean, top-k entries with load shares), a
     ``matching`` section (matcher-work skew over the active rendezvous
     nodes plus the covering-index gauges — roots, collapsed installs,
     promotions), the skew sample count, and an ``overload`` section
     summarizing detector events.  All numbers derive from the export's
     final ``load`` records, so the report is exact, not sampled.
     """
-    node_records = [r for r in dump.loads if r.get("scope") == "node"]
-    key_records = [r for r in dump.loads if r.get("scope") == "key"]
-    node_loads = {
-        r["id"]: float(r.get("forwarded", 0) + r.get("delivered", 0))
-        for r in node_records
-    }
-    key_loads = {
-        r["id"]: float(r.get("subscriptions", 0) + r.get("publications", 0))
-        for r in key_records
-    }
+    if not dump["load"]:
+        return None
+    node_records = [r for r in dump["load"] if r.get("scope") == "node"]
+    key_records = [r for r in dump["load"] if r.get("scope") == "key"]
+    node_loads = _loads(node_records, "forwarded", "delivered")
+    key_loads = _loads(key_records, "subscriptions", "publications")
     # Matcher-work distribution over *active* rendezvous nodes — the
     # load the covering index sheds (candidates + verified per node).
     match_loads = {
-        r["id"]: float(r.get("match_candidates", 0) + r.get("match_verified", 0))
-        for r in node_records
-        if r.get("match_candidates", 0) or r.get("match_verified", 0)
+        node: work for node, work in
+        _loads(node_records, "match_candidates", "match_verified").items()
+        if work
     }
     match_summary = skew_summary(match_loads, 1)
     hottest_match = match_summary.top[0] if match_summary.top else None
-    overloads = dump.overloads
+    overloads = dump["overload"]
     overloaded = sorted({record["node"] for record in overloads})
-    worst = max(
-        overloads, key=lambda record: record.get("ratio", 0.0),
-        default=None,
-    )
+    worst = max(overloads, key=lambda record: record["ratio"], default=None)
     return {
-        "format_version": dump.meta.get("version"),
         "nodes": _scope_section(
             node_records, node_loads, top,
             ["forwarded", "delivered", "subscriptions", "bucket_max_depth",
@@ -112,16 +106,11 @@ def build_load_report(dump: "TelemetryDump", top: int = _DEFAULT_TOP) -> dict:
                 else 0.0
             ),
             "covering": {
-                "roots": sum(r.get("cover_roots", 0) for r in node_records),
-                "collapsed": sum(
-                    r.get("cover_collapsed", 0) for r in node_records
-                ),
-                "promotions": sum(
-                    r.get("cover_promotions", 0) for r in node_records
-                ),
+                gauge: sum(r.get(f"cover_{gauge}", 0) for r in node_records)
+                for gauge in ("roots", "collapsed", "promotions")
             },
         },
-        "skew_samples": len(dump.skews),
+        "skew_samples": len(dump["skew"]),
         "overload": {
             "events": len(overloads),
             "nodes": overloaded,
@@ -180,8 +169,8 @@ def render_load_report(report: dict, source: str = "") -> str:
         lambda e: f"subs={e['subscriptions']} pubs={e['publications']}",
     )
     lines.append("")
-    matching = report.get("matching")
-    if matching is not None and matching["active_nodes"]:
+    matching = report["matching"]
+    if matching["active_nodes"]:
         covering = matching["covering"]
         lines.append(
             f"matcher work: {matching['total_work']:.0f} candidate+verify "

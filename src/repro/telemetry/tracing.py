@@ -20,12 +20,14 @@ flight (``t_recv`` is None).
 
 Span ids are 1-based and dense, so the tracer resolves an id to its
 span with one list index — cheap enough for the drain loop to mark
-drops without a dict lookup.
+drops without a dict lookup.  The reader
+(:func:`repro.telemetry.reader.request_tree`) rebuilds each request's
+tree from the exported spans.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import dataclasses
 
 #: Span statuses.
 ROOT = "root"
@@ -34,62 +36,23 @@ DROPPED = "dropped"
 LOST = "lost"
 
 
+@dataclasses.dataclass(slots=True, eq=False)
 class Span:
     """One hop (or request root) in the causal message graph."""
 
-    __slots__ = (
-        "id", "parent", "request_id", "kind", "src", "dst",
-        "t_send", "t_recv", "status",
-    )
-
-    def __init__(
-        self,
-        span_id: int,
-        parent: int,
-        request_id: int,
-        kind: str,
-        src: int,
-        dst: int,
-        t_send: float,
-        t_recv: float | None,
-        status: str,
-    ) -> None:
-        self.id = span_id
-        self.parent = parent
-        self.request_id = request_id
-        self.kind = kind
-        self.src = src
-        self.dst = dst
-        self.t_send = t_send
-        self.t_recv = t_recv
-        self.status = status
+    id: int
+    parent: int
+    request: int
+    kind: str
+    src: int
+    dst: int
+    t_send: float
+    t_recv: float | None
+    status: str
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "parent": self.parent,
-            "request": self.request_id,
-            "kind": self.kind,
-            "src": self.src,
-            "dst": self.dst,
-            "t_send": self.t_send,
-            "t_recv": self.t_recv,
-            "status": self.status,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "Span":
-        return cls(
-            record["id"], record["parent"], record["request"],
-            record["kind"], record["src"], record["dst"],
-            record["t_send"], record["t_recv"], record["status"],
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Span(#{self.id}<-{self.parent} req={self.request_id} "
-            f"{self.kind} {self.src}->{self.dst} {self.status})"
-        )
+        """The span's export record, minus its ``type``."""
+        return {field: getattr(self, field) for field in self.__slots__}
 
 
 #: One application delivery: (span_id, request_id, node_id, time).
@@ -105,16 +68,8 @@ class Tracer:
     """
 
     def __init__(self) -> None:
-        self._spans: list[Span] = []
-        self._deliveries: list[Delivery] = []
-
-    @property
-    def spans(self) -> list[Span]:
-        return self._spans
-
-    @property
-    def deliveries(self) -> list[Delivery]:
-        return self._deliveries
+        self.spans: list[Span] = []
+        self.deliveries: list[Delivery] = []
 
     def on_request(self, message, now: float) -> None:
         """Open the root span of a logical request.
@@ -124,7 +79,7 @@ class Tracer:
         matched it, a span of *another* request; within its own request
         the new span is still the root.
         """
-        spans = self._spans
+        spans = self.spans
         span_id = len(spans) + 1
         origin = message.origin
         spans.append(
@@ -137,7 +92,7 @@ class Tracer:
         self, message, src: int, dst: int, now: float, arrival: float | None
     ) -> None:
         """Record one one-hop transmission (``arrival`` None: lost)."""
-        spans = self._spans
+        spans = self.spans
         span_id = len(spans) + 1
         spans.append(
             Span(span_id, message.trace, message.request_id,
@@ -149,77 +104,17 @@ class Tracer:
     def on_drop(self, message, dst: int, now: float) -> None:
         """Flag the hop whose destination was dead at drain time."""
         span_id = message.trace
-        if 0 < span_id <= len(self._spans):
-            self._spans[span_id - 1].status = DROPPED
+        if 0 < span_id <= len(self.spans):
+            self.spans[span_id - 1].status = DROPPED
 
     def on_deliver(self, message, node_id: int, now: float) -> None:
         """Record an application delivery caused by ``message.trace``."""
-        self._deliveries.append(
+        self.deliveries.append(
             (message.trace, message.request_id, node_id, now)
         )
-
-    def spans_for_request(self, request_id: int) -> list[Span]:
-        return [s for s in self._spans if s.request_id == request_id]
 
 
 class NullTracer(Tracer):
     """The tracer of an untraced run: subscribes to no event at all."""
 
     on_request = on_send = on_drop = on_deliver = None
-
-
-# -- tree reconstruction ----------------------------------------------------
-
-
-def request_tree(
-    spans: Iterable[Span], request_id: int
-) -> tuple[list[int], set[int]]:
-    """Roots and root-reachable span ids of one request's span graph.
-
-    A request's roots are its ``root``-status spans (their ``parent``
-    may point into another request — cross-request causality — which
-    does not affect in-request reachability).
-    """
-    children: dict[int, list[int]] = {}
-    roots: list[int] = []
-    ids: set[int] = set()
-    for span in spans:
-        if span.request_id != request_id:
-            continue
-        ids.add(span.id)
-        if span.status == ROOT:
-            roots.append(span.id)
-        else:
-            children.setdefault(span.parent, []).append(span.id)
-    reachable: set[int] = set()
-    frontier = list(roots)
-    while frontier:
-        span_id = frontier.pop()
-        if span_id in reachable:
-            continue
-        reachable.add(span_id)
-        frontier.extend(children.get(span_id, ()))
-    return roots, reachable
-
-
-def delivery_coverage(
-    spans: Iterable[Span], deliveries: Iterable[Delivery]
-) -> dict[int, bool]:
-    """Per request: is every delivery reachable from the request's root?
-
-    This is the telemetry acceptance property — a publication's full
-    m-cast tree is reconstructable iff each of its deliveries hangs off
-    a span that walks back to the root.  Requests with no deliveries
-    are omitted.
-    """
-    spans = list(spans)
-    per_request: dict[int, list[Delivery]] = {}
-    for delivery in deliveries:
-        per_request.setdefault(delivery[1], []).append(delivery)
-    coverage: dict[int, bool] = {}
-    for request_id, delivered in per_request.items():
-        _, reachable = request_tree(spans, request_id)
-        coverage[request_id] = all(
-            span_id in reachable for span_id, _, _, _ in delivered
-        )
-    return coverage

@@ -1,4 +1,4 @@
-"""Audit records survive the JSONL export/load round trip (format v2)."""
+"""Audit records survive the JSONL export/load round trip."""
 
 from __future__ import annotations
 
@@ -11,7 +11,8 @@ from repro.audit.records import (
     Violation,
 )
 from repro.telemetry import Telemetry
-from repro.telemetry.export import FORMAT_VERSION, load_jsonl, write_jsonl
+from repro.telemetry.export import write_jsonl
+from repro.telemetry.reader import load_jsonl
 
 
 class _FakeAudit:
@@ -36,11 +37,10 @@ def test_violation_and_probe_round_trip(tmp_path):
     write_jsonl(telemetry, path)
 
     dump = load_jsonl(path)
-    assert dump.meta["version"] == FORMAT_VERSION
-    assert dump.violations == [violation]
-    assert dump.probes == [probe]
-    histogram = dump.histograms[0]
-    assert histogram["p99"] == 0.25  # v2 histogram records carry p99
+    assert dump["violation"] == [violation.as_dict()]
+    assert dump["probe"] == [probe.as_dict()]
+    histogram = dump["histogram"][0]
+    assert histogram["p99"] == 0.25
 
 
 def test_unaudited_export_has_no_audit_records(tmp_path):
@@ -50,7 +50,7 @@ def test_unaudited_export_has_no_audit_records(tmp_path):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert all(r["type"] not in ("violation", "probe") for r in records)
     dump = load_jsonl(path)
-    assert dump.violations == [] and dump.probes == []
+    assert dump["violation"] == [] and dump["probe"] == []
 
 
 def test_violation_types_are_distinct():

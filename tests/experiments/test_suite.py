@@ -30,12 +30,13 @@ def test_unknown_figure_rejected(tmp_path):
 
 
 def test_cli_report_command(tmp_path, capsys):
+    """``repro suite``, the command ``make report`` runs."""
     from repro.cli import main
 
     # Patch in a tiny scale through the quick path by running only the
     # cheapest figure.
     code = main([
-        "report", "--out-dir", str(tmp_path), "--scale", "quick",
+        "suite", "--out-dir", str(tmp_path), "--scale", "quick",
         "--only", "fig9b",
     ])
     assert code == 0

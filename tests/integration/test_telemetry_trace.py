@@ -26,8 +26,9 @@ from repro.overlay.network import Network
 from repro.overlay.pastry import PastryOverlay
 from repro.sim import Simulator
 from repro.telemetry import Telemetry
-from repro.telemetry.export import load_jsonl, write_jsonl
-from repro.telemetry.tracing import ROOT, delivery_coverage, request_tree
+from repro.telemetry.export import write_jsonl
+from repro.telemetry.reader import delivery_coverage, load_jsonl, request_tree
+from repro.telemetry.tracing import ROOT
 from repro.workload.spec import WorkloadSpec
 
 
@@ -44,13 +45,20 @@ def small_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
-def test_every_delivery_reachable_from_its_root():
+def exported(telemetry, tmp_path):
+    """The run's export as the reader loads it."""
+    path = tmp_path / "run.jsonl"
+    write_jsonl(telemetry, path)
+    return load_jsonl(path)
+
+
+def test_every_delivery_reachable_from_its_root(tmp_path):
     telemetry = Telemetry()
     run_experiment(small_config(), telemetry=telemetry)
-    tracer = telemetry.tracer
-    assert tracer.spans, "traced run recorded no spans"
-    assert tracer.deliveries, "traced run recorded no deliveries"
-    coverage = delivery_coverage(tracer.spans, tracer.deliveries)
+    dump = exported(telemetry, tmp_path)
+    assert dump["span"], "traced run recorded no spans"
+    assert dump["delivery"], "traced run recorded no deliveries"
+    coverage = delivery_coverage(dump["span"], dump["delivery"])
     assert coverage, "no request had deliveries"
     incomplete = [rid for rid, ok in coverage.items() if not ok]
     assert not incomplete, f"orphaned deliveries in requests {incomplete}"
@@ -59,7 +67,7 @@ def test_every_delivery_reachable_from_its_root():
 @pytest.mark.parametrize(
     "overlay_cls", [ChordOverlay, PastryOverlay, CanOverlay, ProtocolChordOverlay]
 )
-def test_every_observer_sees_every_delivery(overlay_cls):
+def test_every_observer_sees_every_delivery(overlay_cls, tmp_path):
     # One do_deliver serves every overlay, so the application, the
     # recorder, the tracer and the load meter count the same deliveries.
     telemetry = Telemetry()
@@ -92,31 +100,30 @@ def test_every_observer_sees_every_delivery(overlay_cls):
     assert sum(trace.delivery_count for trace in traces) == len(upcalls)
     assert len(telemetry.tracer.deliveries) == len(upcalls)
     assert sum(telemetry.load.delivered.values()) == len(upcalls)
-    coverage = delivery_coverage(
-        telemetry.tracer.spans, telemetry.tracer.deliveries
-    )
+    dump = exported(telemetry, tmp_path)
+    coverage = delivery_coverage(dump["span"], dump["delivery"])
     assert coverage and all(coverage.values())
 
 
-def test_publication_mcast_tree_reconstructs():
+def test_publication_mcast_tree_reconstructs(tmp_path):
     # At least one publication must fan out to several rendezvous nodes
     # (selective-attribute maps each event to d=4 keys) and its whole
     # tree must hang off the single root span.
     telemetry = Telemetry()
     run_experiment(small_config(), telemetry=telemetry)
-    tracer = telemetry.tracer
+    dump = exported(telemetry, tmp_path)
     pub_requests = {
-        s.request_id for s in tracer.spans if s.kind == "publication"
+        s["request"] for s in dump["span"] if s["kind"] == "publication"
     }
     fanned_out = 0
     for request_id in pub_requests:
-        roots, reachable = request_tree(tracer.spans, request_id)
+        roots, reachable = request_tree(dump["span"], request_id)
         assert len(roots) == 1, "publication must have exactly one root"
-        delivered = [d for d in tracer.deliveries if d[1] == request_id]
+        delivered = [d for d in dump["delivery"] if d["request"] == request_id]
         if len(delivered) >= 2:
             fanned_out += 1
-            for span_id, _, _, _ in delivered:
-                assert span_id in reachable
+            for delivery in delivered:
+                assert delivery["span"] in reachable
     assert fanned_out > 0, "no publication reached multiple nodes"
 
 
@@ -180,20 +187,19 @@ def test_cli_run_telemetry_export_round_trips(tmp_path, capsys):
     perfetto = tmp_path / "run.trace.json"
     code = main([
         "run", "--nodes", "60", "--subscriptions", "20",
-        "--publications", "20",
-        "--telemetry", str(out), "--perfetto", str(perfetto),
+        "--publications", "20", "--telemetry", str(out),
     ])
     assert code == 0
-    assert out.exists() and perfetto.exists()
     dump = load_jsonl(out)
-    assert dump.spans and dump.deliveries
-    coverage = delivery_coverage(dump.spans, dump.deliveries)
+    assert dump["span"] and dump["delivery"]
+    coverage = delivery_coverage(dump["span"], dump["delivery"])
     assert coverage and all(coverage.values())
-    # The stats subcommand reads the same file and exits 0 (full trees).
+    # The report reads the same file and exits 0 (full trees).
     capsys.readouterr()
-    assert main(["stats", str(out)]) == 0
+    assert main(["report", str(out), "--perfetto", str(perfetto)]) == 0
     shown = capsys.readouterr().out
     assert "complete causal trees" in shown
+    assert perfetto.exists()
 
 
 def test_jsonl_export_of_experiment_round_trips(tmp_path):
@@ -202,6 +208,6 @@ def test_jsonl_export_of_experiment_round_trips(tmp_path):
     path = tmp_path / "exp.jsonl"
     write_jsonl(telemetry, path)
     dump = load_jsonl(path)
-    assert len(dump.spans) == len(telemetry.tracer.spans)
-    assert len(dump.deliveries) == len(telemetry.tracer.deliveries)
-    assert len(dump.samples) == len(telemetry.samples)
+    assert len(dump["span"]) == len(telemetry.tracer.spans)
+    assert len(dump["delivery"]) == len(telemetry.tracer.deliveries)
+    assert len(dump["sample"]) == len(telemetry.samples)

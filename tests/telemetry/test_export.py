@@ -2,14 +2,12 @@
 
 import json
 
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
 from repro.overlay.api import MessageKind, OverlayMessage
 from repro.telemetry import Telemetry
-from repro.telemetry.export import (
-    load_jsonl,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro.telemetry.export import write_jsonl
+from repro.telemetry.reader import load_jsonl, to_chrome_trace, write_chrome_trace
 
 
 def _traced_telemetry() -> Telemetry:
@@ -29,26 +27,31 @@ def _traced_telemetry() -> Telemetry:
     return telemetry
 
 
+def _loaded(telemetry: Telemetry, path) -> dict:
+    write_jsonl(telemetry, path)
+    return load_jsonl(path)
+
+
 def test_jsonl_round_trip(tmp_path):
     telemetry = _traced_telemetry()
     path = tmp_path / "out.jsonl"
     count = write_jsonl(telemetry, path)
     assert count == sum(1 for _ in open(path))
     dump = load_jsonl(path)
-    assert dump.meta["format"] == "repro-telemetry"
-    assert len(dump.spans) == 2
-    assert dump.spans[0].status == "root"
-    assert dump.deliveries == [(2, 1, 2, 0.05)]
-    assert len(dump.samples) == 2
-    assert dump.samples[1][1]["network.dropped"] == 2
-    assert [c["value"] for c in dump.counters] == [2]
-    assert [g["value"] for g in dump.gauges] == [4.0]
-    assert dump.histograms[0]["count"] == 1
+    assert len(dump["span"]) == 2
+    assert dump["span"][0]["status"] == "root"
+    assert [
+        (d["span"], d["request"], d["node"], d["t"]) for d in dump["delivery"]
+    ] == [(2, 1, 2, 0.05)]
+    assert len(dump["sample"]) == 2
+    assert dump["sample"][1]["metrics"]["network.dropped"] == 2
+    assert [c["value"] for c in dump["counter"]] == [2]
+    assert [g["value"] for g in dump["gauge"]] == [4.0]
+    assert dump["histogram"][0]["count"] == 1
 
 
-def test_chrome_trace_structure():
-    telemetry = _traced_telemetry()
-    trace = to_chrome_trace(telemetry)
+def test_chrome_trace_structure(tmp_path):
+    trace = to_chrome_trace(_loaded(_traced_telemetry(), tmp_path / "t.jsonl"))
     events = trace["traceEvents"]
     slices = [e for e in events if e["ph"] == "X"]
     flows = [e for e in events if e["ph"] in ("s", "f")]
@@ -69,9 +72,34 @@ def test_chrome_trace_structure():
 
 
 def test_write_chrome_trace_is_valid_json(tmp_path):
-    telemetry = _traced_telemetry()
+    dump = _loaded(_traced_telemetry(), tmp_path / "t.jsonl")
     path = tmp_path / "out.trace.json"
-    count = write_chrome_trace(telemetry, path)
+    count = write_chrome_trace(dump, path)
     parsed = json.loads(path.read_text())
     assert len(parsed["traceEvents"]) == count
     assert parsed["displayTimeUnit"] == "ms"
+
+
+def test_chrome_trace_from_the_file_equals_the_live_one(tmp_path):
+    # The trace built from a written-then-loaded export is the trace of
+    # the run itself: records built here straight from the live bundle
+    # give the same JSON, byte for byte.
+    telemetry = Telemetry()
+    run_experiment(
+        ExperimentConfig(nodes=60, subscriptions=20, publications=20),
+        telemetry=telemetry,
+    )
+    tracer = telemetry.tracer
+    live = {
+        "span": [span.as_dict() for span in tracer.spans],
+        "delivery": [
+            {"span": span, "request": request, "node": node, "t": t}
+            for span, request, node, t in tracer.deliveries
+        ],
+        "sample": [
+            {"t": t, "metrics": metrics} for t, metrics in telemetry.samples
+        ],
+    }
+    from_file = to_chrome_trace(_loaded(telemetry, tmp_path / "run.jsonl"))
+    assert len(from_file["traceEvents"]) > 1000
+    assert json.dumps(from_file) == json.dumps(to_chrome_trace(live))

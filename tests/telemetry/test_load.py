@@ -19,9 +19,10 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.metrics.fingerprint import behavior_fingerprint
 from repro.telemetry import NullTracer, Telemetry
-from repro.telemetry.export import FORMAT_VERSION, load_jsonl, write_jsonl
+from repro.telemetry.export import write_jsonl
 from repro.telemetry.load import LoadMeter, MatchWork
 from repro.telemetry.loadreport import build_load_report, render_load_report
+from repro.telemetry.reader import load_jsonl
 from repro.workload.spec import WorkloadSpec
 
 
@@ -180,12 +181,11 @@ def test_export_round_trips_load_records(zipf_telemetry, tmp_path):
     path = tmp_path / "zipf.jsonl"
     write_jsonl(zipf_telemetry, path)
     dump = load_jsonl(path)
-    assert dump.meta["version"] == FORMAT_VERSION == 4
     load = zipf_telemetry.load
-    assert len(dump.loads) == len(load.load_records())
-    assert len(dump.skews) == 2 * len(load.skew_samples)  # node + key
-    assert len(dump.overloads) == len(load.detector.events)
-    scopes = {record["scope"] for record in dump.skews}
+    assert len(dump["load"]) == len(load.load_records())
+    assert len(dump["skew"]) == 2 * len(load.skew_samples)  # node + key
+    assert len(dump["overload"]) == len(load.detector.events)
+    scopes = {record["scope"] for record in dump["skew"]}
     assert scopes == {"node", "key"}
 
 
@@ -210,33 +210,48 @@ def test_report_names_hot_keys_with_load_share(zipf_telemetry, tmp_path):
 def test_cli_report_load_mode(zipf_telemetry, tmp_path, capsys):
     path = tmp_path / "zipf.jsonl"
     write_jsonl(zipf_telemetry, path)
-    artifact = tmp_path / "load-report.json"
+    artifact = tmp_path / "report.json"
     assert main(["report", str(path), "--json", str(artifact)]) == 0
     shown = capsys.readouterr().out
     assert "rendezvous load-skew report" in shown
     assert "hot nodes" in shown
     written = json.loads(artifact.read_text())
-    assert written["nodes"]["top"] and written["keys"]["top"]
+    assert written["load"]["nodes"]["top"] and written["load"]["keys"]["top"]
+    assert written["trace"]["spans"] == len(zipf_telemetry.tracer.spans)
+    assert written["audit"] is None
 
 
-def test_cli_report_rejects_loadless_export(tmp_path, capsys):
-    # A disabled-load export (or pre-v3 file) has no load records.
+def test_cli_report_notes_loadless_export(tmp_path, capsys):
+    # A disabled-load export has no load records: the load section is
+    # one line, and the other sections still print.
     telemetry = Telemetry(load_metering=False)
     run_experiment(zipf_config(subscriptions=5, publications=5),
                    telemetry=telemetry)
     path = tmp_path / "noload.jsonl"
     write_jsonl(telemetry, path)
-    assert main(["report", str(path)]) == 2
-    assert "no load records" in capsys.readouterr().err
-
-
-def test_cli_stats_shows_load_rows(zipf_telemetry, tmp_path, capsys):
-    path = tmp_path / "zipf.jsonl"
-    write_jsonl(zipf_telemetry, path)
-    main(["stats", str(path)])
+    assert main(["report", str(path)]) == 0
     shown = capsys.readouterr().out
-    assert "load records (nodes)" in shown
-    assert "hottest rendezvous key" in shown
+    assert "\nload: not recorded — no load records" in shown
+    assert "rendezvous load-skew report" not in shown
+    assert "complete causal trees" in shown
+
+
+def test_last_skew_sample_counts_every_node_that_joined(tmp_path):
+    # The runner's final sample follows the last traffic, so the last
+    # node skew sample and the final load records describe the same
+    # distribution — idle nodes included, at zero load.
+    telemetry = Telemetry()
+    run_experiment(
+        zipf_config(nodes=100, subscriptions=10, publications=10),
+        telemetry=telemetry,
+    )
+    path = tmp_path / "run.jsonl"
+    write_jsonl(telemetry, path)
+    dump = load_jsonl(path)
+    last = [r for r in dump["skew"] if r["scope"] == "node"][-1]
+    final = build_load_report(dump)["nodes"]
+    assert final["count"] == 100
+    assert (last["count"], last["gini"]) == (final["count"], final["gini"])
 
 
 # -- observers never steer the run ---------------------------------------------

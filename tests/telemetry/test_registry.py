@@ -1,6 +1,8 @@
 """Unit tests for the metric registry and its instruments."""
 
-from repro.telemetry import Telemetry, current, set_current
+from repro.overlay.network import Network
+from repro.sim import Simulator
+from repro.telemetry import NULL_TELEMETRY
 from repro.telemetry.registry import (
     MetricRegistry,
     NullRegistry,
@@ -83,17 +85,9 @@ def test_null_registry_hands_out_unregistered_instruments():
 
 
 def test_current_defaults_to_disabled_null_telemetry():
-    telemetry = current()
-    assert telemetry.enabled is False
-    telemetry.sample(1.0)
-    assert telemetry.samples == []
-
-
-def test_set_current_installs_and_restores():
-    mine = Telemetry()
-    previous = set_current(mine)
-    try:
-        assert current() is mine
-    finally:
-        set_current(previous)
-    assert current() is not mine
+    # A network built without a telemetry gets the one null bundle.
+    network = Network(Simulator())
+    assert network.telemetry is NULL_TELEMETRY
+    assert NULL_TELEMETRY.enabled is False
+    NULL_TELEMETRY.sample(1.0)
+    assert NULL_TELEMETRY.samples == []

@@ -1,6 +1,9 @@
 """Unit tests for span tracing and causal-tree reconstruction."""
 
 from repro.overlay.api import MessageKind, OverlayMessage
+from repro.telemetry import Telemetry
+from repro.telemetry.export import write_jsonl
+from repro.telemetry.reader import delivery_coverage, load_jsonl, request_tree
 from repro.telemetry.tap import Tap
 from repro.telemetry.tracing import (
     DROPPED,
@@ -10,11 +13,22 @@ from repro.telemetry.tracing import (
     NullTracer,
     Span,
     Tracer,
-    delivery_coverage,
-    request_tree,
 )
 
 PUB = MessageKind.PUBLICATION
+
+
+def span_records(tracer):
+    """The tracer's spans as the export writes them."""
+    return [span.as_dict() for span in tracer.spans]
+
+
+def delivery_records(tracer):
+    """The tracer's deliveries as the export writes them."""
+    return [
+        {"span": span, "request": request, "node": node, "t": t}
+        for span, request, node, t in tracer.deliveries
+    ]
 
 
 def request(tracer, request_id, kind=PUB, origin=1, now=0.0, parent=0):
@@ -73,7 +87,7 @@ def test_request_tree_reconstructs_mcast_fanout():
     right = hop(tracer, root, 1, 3, 0.0, 0.05)
     leaf = hop(tracer, left, 2, 4, 0.05, 0.10)
     other = request(tracer, 6, kind=MessageKind.SUBSCRIPTION, origin=9)
-    roots, reachable = request_tree(tracer.spans, 5)
+    roots, reachable = request_tree(span_records(tracer), 5)
     assert roots == [root.trace]
     assert reachable == {root.trace, left.trace, right.trace, leaf.trace}
     assert other.trace not in reachable
@@ -90,7 +104,7 @@ def test_cross_request_parent_does_not_break_tree():
         parent=pub_hop.trace,
     )
     notify_hop = hop(tracer, notify_root, 2, 3, 0.05, 0.10)
-    roots, reachable = request_tree(tracer.spans, 2)
+    roots, reachable = request_tree(span_records(tracer), 2)
     assert roots == [notify_root.trace]
     assert reachable == {notify_root.trace, notify_hop.trace}
     assert tracer.spans[notify_root.trace - 1].parent == pub_hop.trace
@@ -107,15 +121,20 @@ def test_delivery_coverage_detects_orphans():
     )
     tracer.on_send(orphan, 5, 6, 0.0, 0.05)
     tracer.on_deliver(orphan, 6, 0.05)
-    coverage = delivery_coverage(tracer.spans, tracer.deliveries)
+    coverage = delivery_coverage(span_records(tracer), delivery_records(tracer))
     assert coverage[1] is True
     assert coverage[2] is False
 
 
-def test_span_dict_round_trip():
+def test_span_dict_round_trip(tmp_path):
+    # The reader keeps a span as the record the writer wrote.
     span = Span(3, 1, 9, "collect", 4, 5, 1.0, 1.05, SENT)
-    clone = Span.from_dict(span.as_dict())
-    assert clone.as_dict() == span.as_dict()
+    tracer = Tracer()
+    tracer.spans.append(span)
+    path = tmp_path / "one-span.jsonl"
+    write_jsonl(Telemetry(tracer=tracer), path)
+    (record,) = load_jsonl(path)["span"]
+    assert record == {**span.as_dict(), "type": "span"}
 
 
 def test_null_tracer_records_nothing():

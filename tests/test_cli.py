@@ -1,5 +1,7 @@
 """CLI smoke tests (direct main() invocation, captured stdout)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -109,8 +111,6 @@ def test_trace_replay_on_another_ring_exits_2_with_one_line(tmp_path, capsys):
 
 
 def test_trace_replay_rejects_an_edited_file(tmp_path, capsys):
-    import json
-
     path = tmp_path / "trace.json"
     assert main(["trace", "generate", "--out", str(path), "--nodes", "50",
                  "--subscriptions", "5", "--publications", "5"]) == 0
@@ -172,9 +172,9 @@ def test_run_with_temporal_locality(capsys):
     assert code == 0
 
 
-def test_run_audit_then_audit_command(tmp_path, capsys):
+def test_run_audit_then_report(tmp_path, capsys):
     export = tmp_path / "audited.jsonl"
-    report = tmp_path / "health.txt"
+    artifact = tmp_path / "report.json"
     code = main([
         "run", "--mapping", "selective-attribute", "--nodes", "60",
         "--subscriptions", "20", "--publications", "30",
@@ -185,14 +185,17 @@ def test_run_audit_then_audit_command(tmp_path, capsys):
     assert "audit: publications audited" in out
     assert "audit: violations" in out
 
-    code = main(["audit", str(export), "--report", str(report)])
+    code = main(["report", str(export), "--json", str(artifact)])
     out = capsys.readouterr().out
-    assert code == 0  # clean run: no violations
+    assert code == 0  # clean run: no violations, every tree complete
     assert "VERDICT: healthy" in out
-    assert "VERDICT: healthy" in report.read_text()
+    written = json.loads(artifact.read_text())
+    assert written["audit"]["violations"] == []
+    assert written["audit"]["probes"]
+    assert written["trace"] is not None and written["load"] is not None
 
 
-def test_audit_command_rejects_unaudited_export(tmp_path, capsys):
+def test_report_notes_unaudited_export(tmp_path, capsys):
     export = tmp_path / "plain.jsonl"
     code = main([
         "run", "--mapping", "keyspace-split", "--nodes", "60",
@@ -201,7 +204,12 @@ def test_audit_command_rejects_unaudited_export(tmp_path, capsys):
     ])
     assert code == 0
     capsys.readouterr()
-    assert main(["audit", str(export)]) == 2
+    assert main(["report", str(export)]) == 0
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith(
+        "audit: not recorded — no audit records (run with --audit)"
+    )
+    assert "VERDICT" not in out
 
 
 def test_stats_reports_slo_percentiles(tmp_path, capsys):
@@ -212,21 +220,19 @@ def test_stats_reports_slo_percentiles(tmp_path, capsys):
         "--audit", "--telemetry", str(export),
     ]) == 0
     capsys.readouterr()
-    assert main(["stats", str(export)]) == 0
+    assert main(["report", str(export)]) == 0
     out = capsys.readouterr().out
-    assert "audit violations" in out
-    assert "audit.notification_latency p50/p95/p99" in out
+    assert "VERDICT: healthy — 0 violations" in out
+    # The audit section prints the SLO percentiles; the trace section
+    # prints only the histograms the audit section does not.
+    assert out.count("audit.notification_latency") == 1
+    assert "audit.notification_latency: " in out
+    assert "pubsub.matches_per_publication_delivery p50/p95/p99" in out
 
 
-# -- older exports ----------------------------------------------------------
-
-
-def test_report_and_stats_degrade_gracefully_on_v2_export(tmp_path, capsys):
-    # A v2-era export: no load, overload, or skew records, and a meta
-    # line claiming version 2.  Both commands must say *why* the newer
-    # reports are unavailable instead of crashing.
-    import json
-
+def test_report_rejects_v2_export(tmp_path, capsys):
+    # The reader reads version 4 only: an older file exits 2 with one
+    # line that names its version.
     export = tmp_path / "plain.jsonl"
     assert main([
         "run", "--nodes", "120", "--subscriptions", "30",
@@ -244,13 +250,22 @@ def test_report_and_stats_degrade_gracefully_on_v2_export(tmp_path, capsys):
                 record["version"] = 2
             dst.write(json.dumps(record) + "\n")
 
-    assert main(["stats", str(downgraded)]) == 0
-    out = capsys.readouterr().out
-    assert "predates load records" in out
-
     assert main(["report", str(downgraded)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "repro-telemetry version 2;" in captured.err
+
+
+def test_report_rejects_a_file_that_is_no_export(tmp_path, capsys):
+    trace = tmp_path / "trace.json"
+    assert main(["trace", "generate", "--out", str(trace), "--nodes", "50",
+                 "--subscriptions", "5", "--publications", "5"]) == 0
+    capsys.readouterr()
+    assert main(["report", str(trace)]) == 2
     err = capsys.readouterr().err
-    assert "predates load records" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 #: A hand-written v4 export: one request of two spans and a delivery,
@@ -263,7 +278,7 @@ V4_EXPORT = [
      "t_recv": 1.0, "status": "root"},
     {"type": "span", "id": 2, "parent": 1, "request": 1,
      "kind": "publication", "src": 7, "dst": 9, "t_send": 1.0,
-     "t_recv": 1.05, "status": "ok"},
+     "t_recv": 1.05, "status": "sent"},
     {"type": "delivery", "span": 2, "request": 1, "node": 9, "t": 1.05},
     {"type": "counter", "name": "audit.publications_audited",
      "labels": {}, "value": 1},
@@ -293,23 +308,21 @@ RETIRED_V4_RECORDS = [
 
 
 def test_retired_v4_records_change_no_command_output(tmp_path, capsys):
-    import json
-
     export = tmp_path / "v4.jsonl"
 
-    def outcomes(records):
+    def outcome(records):
         export.write_text(
             "".join(json.dumps(record) + "\n" for record in records)
         )
-        seen = []
-        for command in ("stats", "report", "audit"):
-            code = main([command, str(export)])
-            captured = capsys.readouterr()
-            seen.append((command, code, captured.out, captured.err))
-        return seen
+        code = main(["report", str(export)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
 
-    plain = outcomes(V4_EXPORT)
-    assert [code for _, code, _, _ in plain] == [0, 0, 0]
-    assert "overload: 1 event(s)" in plain[1][2]
+    plain = outcome(V4_EXPORT)
+    code, out, err = plain
+    assert (code, err) == (0, "")
+    assert "...with complete causal trees" in out
+    assert "overload: 1 event(s)" in out
+    assert "VERDICT: healthy" in out
     with_retired = V4_EXPORT[:6] + RETIRED_V4_RECORDS + V4_EXPORT[6:]
-    assert outcomes(with_retired) == plain
+    assert outcome(with_retired) == plain

@@ -102,6 +102,9 @@ class PubSubConfig:
             the indexed engine, O(candidates) per event), "radix" (the
             radix-block index, best when stored constraints are mostly
             equalities), or "brute" (the O(stored) reference oracle).
+            A store builds it when it reaches
+            :data:`~repro.core.rendezvous.SCAN_LIMIT` entries and
+            scans its entries until then.
         covering: Collapse covered subscriptions at rendezvous nodes
             (:class:`~repro.matching.covering.CoveringIndex`) so the
             matching engine only sees the least-covered roots.  None

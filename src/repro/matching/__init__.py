@@ -1,7 +1,10 @@
 """Subscription-matching engines.
 
 Rendezvous nodes match each incoming event against their stored
-subscriptions (Section 3.2).  Four interchangeable engines are provided:
+subscriptions (Section 3.2).  A rendezvous store below
+:data:`~repro.core.rendezvous.SCAN_LIMIT` entries holds no engine and
+scans its entries' compiled rows itself; the store that reaches the
+limit builds one of four interchangeable engines:
 
 - :class:`~repro.matching.brute.BruteForceMatcher` -- the obvious
   reference implementation (test oracle);
@@ -20,8 +23,9 @@ subscriptions (Section 3.2).  Four interchangeable engines are provided:
   matrices (optional; falls back to the scalar grid engine via
   :func:`~repro.matching.vector.make_vector_matcher` without numpy).
 
-All expose add/remove/match over :class:`repro.core.Subscription`;
-brute force remains the oracle the others are tested against.  The
+All expose add/remove/match over :class:`repro.core.Subscription` and
+return matches in subscription-id order; brute force remains the
+oracle the others are tested against.  The
 engines differ in how they find *candidates*; the predicate itself is
 one loop over the subscription's compiled bound rows
 (``Subscription.rows``, built once at construction), run inside each

@@ -32,7 +32,8 @@ class Matcher(abc.ABC):
 
     @abc.abstractmethod
     def match(self, event: Event) -> list[Subscription]:
-        """All stored subscriptions the event satisfies."""
+        """All stored subscriptions the event satisfies, in
+        subscription-id order."""
 
     @abc.abstractmethod
     def __len__(self) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.core.events import Event
 from repro.core.subscriptions import Subscription
 from repro.errors import DataModelError
-from repro.matching.base import Matcher
+from repro.matching.base import Matcher, _by_id
 
 
 class BruteForceMatcher(Matcher):
@@ -40,6 +40,7 @@ class BruteForceMatcher(Matcher):
             work.candidates += len(self._subscriptions)
             work.verified += len(self._subscriptions)
             work.matched += len(matched)
+        matched.sort(key=_by_id)
         return matched
 
     def __len__(self) -> int:

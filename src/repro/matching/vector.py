@@ -10,8 +10,8 @@ comparisons instead of one Python ``matches`` call per candidate.  An
 unconstrained attribute is stored as the full domain ``[0, size - 1]``
 (a row is the subscription's compiled ``lows`` / ``highs``), so the
 inclusive interval test is the whole matching semantics.  The matrices
-are allocated at construction; a store makes its engine at its first
-install.
+are allocated at construction; a store makes its engine when it
+reaches :data:`~repro.core.rendezvous.SCAN_LIMIT` entries.
 
 Candidate generation, candidate sets and the sorted-by-subscription-id
 result order are inherited unchanged, so this engine is behaviorally

@@ -39,15 +39,20 @@ TOP_K = 10
 class MatchWork:
     """Cumulative matcher work counters for one rendezvous node.
 
-    Handed to the node's matcher (``matcher.work``); the matching
+    Handed to the node's rendezvous store, which passes it to its
+    matcher (``matcher.work``); the store's scan and the matching
     engines add to these on every ``match()`` call when the handle is
-    attached, and never touch them otherwise (one identity check).
+    attached, and never touch them otherwise (one identity check).  A
+    store below :data:`~repro.core.rendezvous.SCAN_LIMIT` entries has
+    no engine: its scan counts every resident entry as both candidate
+    and verify, as the brute-force engine does.
 
     The ``cover_*`` fields mirror the node's covering index
     (:class:`~repro.matching.covering.CoveringIndex`): current roots
     (the matcher-resident summaries), cumulative collapsed installs,
     and cumulative promotions of covered leaves back to roots.  They
-    stay zero when covering is disabled.
+    stay zero when covering is disabled and until the store builds its
+    index at ``SCAN_LIMIT`` entries.
     """
 
     __slots__ = (

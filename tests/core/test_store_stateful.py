@@ -5,8 +5,9 @@ remove_keys / purge / clock-advance against a simple reference model
 and checks the store agrees after every step — the kind of interleaving
 bugs (expiry vs refresh vs partial key removal) example-based tests
 miss.  A work handle is attached before the first put, as the load
-meter does at join, and must count every match the engine (made by
-that put) and the covering descent perform.
+meter does at join, and must count every match the store's scan, its
+engine (made by the put that brings it to ``SCAN_LIMIT`` entries) and
+the covering descent perform.
 """
 
 from hypothesis import settings
@@ -15,7 +16,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.events import EventSpace
 from repro.core.payloads import SubscribePayload
-from repro.core.rendezvous import SubscriptionStore
+from repro.core.rendezvous import SCAN_LIMIT, SubscriptionStore
 from repro.core.subscriptions import Subscription
 from repro.telemetry.load import MatchWork
 
@@ -41,6 +42,7 @@ class StoreMachine(RuleBasedStateMachine):
         # Model: sid -> (payload, keys, expire_at or None)
         self.model: dict[int, tuple] = {}
         self.payloads: list = []
+        self.peak = 0  # most entries the store has held
 
     def _sync_expiry(self):
         """Purge both sides at the same instant.
@@ -67,6 +69,17 @@ class StoreMachine(RuleBasedStateMachine):
         self.model[payload.subscription.subscription_id] = (
             payload, set(keys), expire_at,
         )
+        self.peak = max(self.peak, len(self.store))
+
+    @rule(
+        lows=st.lists(
+            st.integers(0, 900), min_size=SCAN_LIMIT, max_size=SCAN_LIMIT
+        ),
+        ttl=st.one_of(st.none(), st.floats(1.0, 50.0)),
+    )
+    def put_past_the_scan_limit(self, lows, ttl):
+        for low in lows:
+            self.put_new(low, 50, ttl, {0})
 
     @rule(
         index=st.integers(0, 10**6),
@@ -163,7 +176,12 @@ class StoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def cover_gauges_agree(self):
-        assert self.work.cover_roots == self.store.covering.root_count
+        # The store builds its engine and forest at SCAN_LIMIT entries
+        # and keeps them; until then the gauges stay zero.
+        covering = self.store.covering
+        assert (covering is not None) == (self.peak >= SCAN_LIMIT)
+        roots = 0 if covering is None else covering.root_count
+        assert self.work.cover_roots == roots
         assert self.work.verified == self.work.candidates >= self.work.matched
 
     @invariant()

@@ -7,7 +7,9 @@ calls; seeded add / remove / expire / match sequences must leave both in
 the same state after every step — roots in the same order, the same
 parent map, the same return values — and a ``SubscriptionStore`` on each
 indexed engine must match the same subscriptions with the same
-``MatchWork`` counts.
+``MatchWork`` counts.  Each sequence opens with ``SCAN_LIMIT`` installs,
+so the forest the store builds from its entries at the last of them is
+the reference's from then on.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 
 from repro.core.events import Event, EventSpace
 from repro.core.payloads import SubscribePayload
-from repro.core.rendezvous import SubscriptionStore
+from repro.core.rendezvous import SCAN_LIMIT, SubscriptionStore
 from repro.core.subscriptions import Constraint, Subscription
 from repro.errors import DataModelError
 from repro.matching import (
@@ -177,10 +179,10 @@ def test_store_follows_the_reference_forest(engine_name, seed):
         assert all(r in store._matcher for r in reference.roots)
         assert work.cover_roots == len(reference.roots)
 
-    for _ in range(400):
+    for step in range(SCAN_LIMIT + 400):
         now += rng.random()
         action = rng.random()
-        if action < 0.45 or not expiry:
+        if step < SCAN_LIMIT or action < 0.45 or not expiry:
             subscription = random_subscription(rng)
             ttl = rng.choice((None, 5.0, 20.0))
             store.put(
@@ -194,6 +196,9 @@ def test_store_follows_the_reference_forest(engine_name, seed):
                 None if ttl is None else now + ttl
             )
             assert index.add(subscription) == reference.add(subscription)
+            if step < SCAN_LIMIT - 1:
+                assert store.covering is None
+                continue
         elif action < 0.6:
             sid = rng.choice(list(expiry))
             assert store.remove(sid)

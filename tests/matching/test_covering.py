@@ -13,7 +13,9 @@ covered subscriptions is invisible to delivery:
 3. a hypothesis state machine driving a covering grid store and an
    uncollapsed brute store through random install / refresh / expire /
    unsubscribe / churn interleavings, asserting both match the exact
-   same subscriber set at every step.
+   same subscriber set at every step — while the grid store scans,
+   across the install that builds its engine and forest at
+   ``SCAN_LIMIT`` entries, and after it drains again.
 """
 
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.events import EventSpace
 from repro.core.payloads import SubscribePayload
-from repro.core.rendezvous import SubscriptionStore
+from repro.core.rendezvous import SCAN_LIMIT, SubscriptionStore
 from repro.core.subscriptions import Constraint, Subscription
 from repro.matching.covering import CoveringIndex
 
@@ -190,6 +192,7 @@ class CoveringParityMachine(RuleBasedStateMachine):
         self.oracle = SubscriptionStore(SPACE, matcher="brute", covering=False)
         self.now = 0.0
         self.payloads: list = []
+        self.peak = 0  # most entries the covering store has held
 
     @rule(
         sub=subscriptions(),
@@ -201,6 +204,15 @@ class CoveringParityMachine(RuleBasedStateMachine):
         self.payloads.append(payload)
         self.covering_store.put(payload, set(keys), self.now)
         self.oracle.put(payload, set(keys), self.now)
+        self.peak = max(self.peak, len(self.covering_store))
+
+    @rule(
+        subs=st.lists(subscriptions(), min_size=SCAN_LIMIT, max_size=SCAN_LIMIT),
+        ttl=st.one_of(st.none(), st.floats(1.0, 20.0)),
+    )
+    def install_past_the_scan_limit(self, subs, ttl):
+        for sub in subs:
+            self.install(sub, ttl, {0})
 
     @rule(index=st.integers(0, 10**6), keys=st.sets(st.integers(0, 6), min_size=1, max_size=3))
     def refresh(self, index, keys):
@@ -257,10 +269,12 @@ class CoveringParityMachine(RuleBasedStateMachine):
     @invariant()
     def forest_partitions_the_store(self):
         index = self.covering_store.covering
-        assert index is not None
-        assert index.root_count + index.collapsed_count == len(
-            self.covering_store
-        )
+        # The store builds its forest at SCAN_LIMIT entries and keeps it.
+        assert (index is not None) == (self.peak >= SCAN_LIMIT)
+        if index is not None:
+            assert index.root_count + index.collapsed_count == len(
+                self.covering_store
+            )
 
 
 TestCoveringParity = CoveringParityMachine.TestCase

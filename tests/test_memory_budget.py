@@ -6,11 +6,14 @@ bytes exactly under :mod:`tracemalloc` and fail when a change puts the
 weight back.
 
 - **An empty rendezvous store.**  Every node owns one, and under
-  Mapping 3 most never hold a subscription, so the store makes its
-  matching engine and covering index at the first install.  Object
+  Mapping 3 most never hold a subscription, so the store makes no
+  matching engine or covering index before it needs one.  Object
   sizes are a property of the interpreter, so the budget is keyed on
   the Python minor version: 3.11 is measured, and an unknown version
   skips rather than fails.
+- **A six-entry store.**  Six is ``scale-cold``'s median store size;
+  below ``SCAN_LIMIT`` entries a store scans its entries and builds no
+  engine, so every engine costs the same; keyed like the empty store.
 - **A pub/sub node that only routes.**  Its dedup windows, replica
   shelves and (with buffering off) notification buffer are made at
   first use; keyed like the store.
@@ -36,7 +39,9 @@ from repro.core import PubSubSystem
 from repro.core.events import EventSpace
 from repro.core.mappings import make_mapping
 from repro.core.node import PubSubNode
-from repro.core.rendezvous import SubscriptionStore
+from repro.core.payloads import SubscribePayload
+from repro.core.rendezvous import SCAN_LIMIT, SubscriptionStore
+from repro.core.subscriptions import Subscription
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
@@ -52,6 +57,12 @@ STORES = 200
 #: a budget of 600; before the engine was, brute 315, grid 1 427, radix
 #: 7 754 and vector 1 582.
 EMPTY_STORE_BUDGET = {(3, 11): 180}
+ENTRIES = 6
+#: Bytes per six-entry store (entries included, subscriptions shared),
+#: by Python minor version.  3.11 reads 2 436 to 2 467 on every engine;
+#: with the engine and covering index made at the first install it read
+#: brute 2 929, grid 7 609, radix 34 302 and vector 12 927.
+SMALL_STORE_BUDGET = {(3, 11): 2600}
 
 KS = KeySpace(17)
 NODES = 200
@@ -82,6 +93,36 @@ def test_an_empty_store_is_a_few_hundred_bytes(engine):
     try:
         for i in range(STORES):
             stores[i] = SubscriptionStore(SPACE, engine)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / STORES <= budget, held / STORES
+
+
+@pytest.mark.parametrize("engine", ["brute", "grid", "radix", "vector"])
+def test_a_six_entry_store_holds_no_engine(engine):
+    budget = _budget(SMALL_STORE_BUDGET, "small store")
+    assert ENTRIES < SCAN_LIMIT
+    rng = random.Random(6)
+
+    def payload():
+        ranges = {}
+        for attribute in rng.sample([a.name for a in SPACE.attributes], 2):
+            low = rng.randrange(990_000)
+            ranges[attribute] = (low, low + rng.randrange(1, 10_000))
+        return SubscribePayload(Subscription.build(SPACE, **ranges), 1, 20.0, ())
+
+    payloads = [[payload() for _ in range(ENTRIES)] for _ in range(STORES + 1)]
+    first = SubscriptionStore(SPACE, engine)  # one-time type and import costs
+    for p in payloads.pop():
+        first.put(p, {1}, 0.0)
+    stores = [None] * STORES
+    tracemalloc.start()
+    try:
+        for i in range(STORES):
+            store = stores[i] = SubscriptionStore(SPACE, engine)
+            for p in payloads[i]:
+                store.put(p, {1}, 0.0)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

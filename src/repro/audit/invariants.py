@@ -19,7 +19,6 @@ from __future__ import annotations
 import bisect
 
 from repro.audit.records import (
-    CAN_EXPRESS_MISMATCH,
     CAN_TESSELLATION,
     CAN_ZONE_MISMATCH,
     CAN_ZONE_OVERLAP,
@@ -266,24 +265,6 @@ def _probe_can(overlay: CanOverlay, now: float):
     intervals: list[tuple[int, int, int]] = []
     for node_id in overlay.node_ids():
         node = overlay.node(node_id)
-        # Express state is memoized on its own version; verify it
-        # whenever it is current, independent of the cells below and of
-        # the express_links flag (m-cast reads the links either way).
-        express_version, links = node.audit_express_state()
-        if express_version == version_now:
-            truth_links = overlay.compute_express_links(node_id)
-            if links != truth_links:
-                violations.append(
-                    Violation(
-                        CAN_EXPRESS_MISMATCH,
-                        now,
-                        node=node_id,
-                        detail=(
-                            f"express links {links} != "
-                            f"recomputed {truth_links}"
-                        ),
-                    )
-                )
         version, cells = node.audit_state()
         if version < 0:
             cold += 1

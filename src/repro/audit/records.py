@@ -22,7 +22,6 @@ PASTRY_PREFIX_ROW = "pastry-prefix-row"
 CAN_ZONE_MISMATCH = "can-zone-mismatch"
 CAN_ZONE_OVERLAP = "can-zone-overlap"
 CAN_TESSELLATION = "can-tessellation"
-CAN_EXPRESS_MISMATCH = "can-express-mismatch"
 # delivery-correctness (publication-deadline / notification-time):
 NOTIFICATION_MISSED = "notification-missed"
 NOTIFICATION_FALSE_POSITIVE = "notification-false-positive"
@@ -39,7 +38,6 @@ VIOLATION_TYPES = (
     CAN_ZONE_MISMATCH,
     CAN_ZONE_OVERLAP,
     CAN_TESSELLATION,
-    CAN_EXPRESS_MISMATCH,
     NOTIFICATION_MISSED,
     NOTIFICATION_FALSE_POSITIVE,
     NOTIFICATION_UNKNOWN,

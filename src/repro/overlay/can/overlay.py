@@ -18,7 +18,6 @@ from repro.overlay.can.morton import axis_sizes, decompose, morton_decode
 from repro.overlay.ids import KeySpace
 from repro.overlay.location_cache import FOLD_AT, LocationCache
 from repro.overlay.network import Network
-from repro.overlay.ring import MembershipDeltaLog
 from repro.sim.kernel import Simulator
 
 
@@ -54,12 +53,11 @@ class CanNode:
         self._rects: list[tuple[int, int, int, int]] = []
         self._zone: tuple[int, int] = (node_id, 0)
         self._version = -1
-        # Express links: owner of the key at Morton distance 2^k for
-        # each k.  The fixed target keys and their decoded points are
-        # made by the first express scan (_express_table's cold build),
-        # so a node that only delivers holds neither.
-        self._express: list[int] = []
-        self._express_version = -1
+        # Express links: link k is the owner of the key at Morton
+        # distance 2^k, read off the overlay's key→owner table at each
+        # use.  The fixed target keys and their decoded points are made
+        # on first use (_express_targets), so a node that only delivers
+        # holds neither.
         self._express_keys: list[int] | None = None
         self._express_points: list[tuple[int, int]] | None = None
         # M-cast pointers as (zone version, zone-start distances, owners),
@@ -70,8 +68,6 @@ class CanNode:
         # its property reads 0 without one.
         self._rebuilds_counter = None
         self._patches_counter = None
-        self._express_patches_counter = None
-        self._express_rebuilds_counter = None
 
     @property
     def table_rebuilds(self) -> int:
@@ -81,20 +77,8 @@ class CanNode:
 
     @property
     def table_patches(self) -> int:
-        """Delta-log scans that confirmed the zone was untouched."""
+        """Zone re-reads that found the zone unchanged."""
         counter = self._patches_counter
-        return 0 if counter is None else counter.value
-
-    @property
-    def express_patches(self) -> int:
-        """Express-link tables repaired by delta-log replay."""
-        counter = self._express_patches_counter
-        return 0 if counter is None else counter.value
-
-    @property
-    def express_rebuilds(self) -> int:
-        """Express-link tables rebuilt wholesale (cold start / overrun)."""
-        counter = self._express_rebuilds_counter
         return 0 if counter is None else counter.value
 
     def _instrument(self, name: str):
@@ -105,38 +89,30 @@ class CanNode:
         """My zone's maximal aligned cells ((start, size) pairs).
 
         A zone wrapping the key-space origin decomposes as two plain
-        intervals.  A membership change only moves this node's zone
-        boundaries when a join splits *its* zone or a departure makes
-        *it* the heir — both cases name this node in the overlay's
-        delta log — so a stale node scans the missed deltas and, when
-        none involve it, keeps its decomposition as-is (a patch).  It
-        recomputes only when a delta names it or the log no longer
-        reaches its version (a rebuild).
+        intervals.  The decomposition is a function of the zone alone,
+        so on a new zone version a node re-reads its zone: unchanged, it
+        keeps its cells as-is (a patch); moved, it recomputes cells,
+        rectangles and stamp (a rebuild).
         """
         overlay = self._overlay
         version = overlay.zone_version
         if self._version == version:
             return self._cells
-        deltas = overlay.deltas_since(self._version) if self._version >= 0 else None
-        if deltas is not None:
-            me = self.id
-            for _, node_id, other in deltas:
-                if node_id == me or other == me:
-                    break
-            else:
-                self._version = version
-                counter = self._patches_counter
-                if counter is None:
-                    counter = self._patches_counter = self._instrument(
-                        "can.table_patches"
-                    )
-                counter.inc()
-                return self._cells
+        zone = overlay.zone_of(self.id)
+        if self._version >= 0 and zone == self._zone:
+            self._version = version
+            counter = self._patches_counter
+            if counter is None:
+                counter = self._patches_counter = self._instrument(
+                    "can.table_patches"
+                )
+            counter.inc()
+            return self._cells
         cells = overlay.compute_cells(self.id)
         rect_of_cell = overlay.rect_of_cell
         self._cells = cells
         self._rects = [rect_of_cell(s, z) for s, z in cells]
-        self._zone = overlay.zone_of(self.id)
+        self._zone = zone
         self._version = version
         counter = self._rebuilds_counter
         if counter is None:
@@ -155,82 +131,15 @@ class CanNode:
         """
         return self._version, list(self._cells)
 
-    def audit_express_state(self) -> tuple[int, list[int]]:
-        """Raw express-link state for the auditor: ``(version, links)``.
-
-        Non-mutating, like :meth:`audit_state`: never triggers the
-        :meth:`_express_table` catch-up.  Version -1 means cold.
-        """
-        return self._express_version, list(self._express)
-
-    def _express_table(self) -> list[int]:
-        """My express links, caught up to the current zone version.
-
-        ``links[k]`` is the owner of the key at Morton distance ``2^k``
-        ahead of my id; the cold build also makes the fixed target keys
-        and their decoded points.  Same contract as :meth:`cells`:
-        version-memoized, repaired by delta-log replay when the missed
-        churn is small, rebuilt wholesale otherwise.  The replay is exact — a
-        link changes only when a delta names its current target: a
-        departure redirects it to the heir, a join moves it to the
-        joiner iff the link's key landed in the joiner's half (the
-        overlay logs each join's zone alongside the delta entry).
-        """
+    def _express_targets(self) -> list[int]:
+        """The fixed target keys of my express links, ``id + 2^k`` for
+        each ``k``; made, with their decoded points, on first use."""
         overlay = self._overlay
-        version = overlay.zone_version
-        if self._express_version == version:
-            return self._express
-        links = self._express
-        window = (
-            overlay._delta_window(self._express_version)
-            if self._express_version >= 0
-            else None
-        )
-        if window is not None:
-            log, start = window
-            if len(log) - start <= len(links):
-                keys = self._express_keys
-                size = overlay.keyspace.size
-                zones = overlay._delta_zones
-                for i in range(start, len(log)):
-                    op, node_id, other = log[i]
-                    if op == "join":
-                        joiner_start, joiner_length = zones[i]
-                        for k, target in enumerate(links):
-                            if (
-                                target == other
-                                and (keys[k] - joiner_start) % size
-                                < joiner_length
-                            ):
-                                links[k] = node_id
-                    else:
-                        for k, target in enumerate(links):
-                            if target == node_id:
-                                links[k] = other
-                self._express_version = version
-                counter = self._express_patches_counter
-                if counter is None:
-                    counter = self._express_patches_counter = self._instrument(
-                        "can.express_patches"
-                    )
-                counter.inc()
-                return links
-        if self._express_keys is None:
-            size = overlay.keyspace.size
-            points = overlay._points
-            me = self.id
-            keys = [(me + (1 << k)) % size for k in range(overlay.keyspace.bits)]
-            self._express_keys = keys
-            self._express_points = [points[k] for k in keys]
-        self._express = overlay.compute_express_links(self.id)
-        self._express_version = version
-        counter = self._express_rebuilds_counter
-        if counter is None:
-            counter = self._express_rebuilds_counter = self._instrument(
-                "can.express_rebuilds"
-            )
-        counter.inc()
-        return self._express
+        size = overlay.keyspace.size
+        keys = [(self.id + (1 << k)) % size for k in range(overlay.keyspace.bits)]
+        self._express_points = [overlay._points[key] for key in keys]
+        self._express_keys = keys
+        return keys
 
     def _mcast_table(self) -> tuple[int, array[int], list[int]]:
         """``(zone version, distances, owners)`` of my m-cast pointers: the
@@ -240,15 +149,14 @@ class CanNode:
         overlay = self._overlay
         if self._version != overlay.zone_version:
             self.cells()
-        links = self._express_table()
+        keys = self._express_keys or self._express_targets()
         me, size, starts = self.id, overlay._size, overlay._starts
+        key_owner = overlay._key_owner
         after = (self._zone[0] + self._zone[1]) % size
         ranked = sorted({
             ((starts[bisect.bisect_right(starts, key) - 1] - me) % size, owner)
-            for key, owner in zip(
-                [after, *self._express_keys], [overlay._key_owner[after], *links]
-            )
-            if owner != me
+            for key in (after, *keys)
+            if (owner := key_owner[key]) != me
         })
         # Distances as machine ints: they are the table's only new objects.
         dists = array("q", [distance for distance, _ in ranked])
@@ -305,8 +213,7 @@ class CanNode:
         x_size = overlay._x_size
         y_size = overlay._y_size
         tx, ty = overlay._points[key]
-        version = overlay.zone_version
-        if self._version != version:
+        if self._version != overlay.zone_version:
             self.cells()
         # Closest point of my zone (inlined rect_closest_point + torus
         # distance over the memoized rectangles; same cell order and
@@ -354,10 +261,7 @@ class CanNode:
                 best_px = px
                 best_py = py
         if best_distance > 1 and overlay._express_links:
-            if self._express_version == version:
-                links = self._express
-            else:
-                links = self._express_table()
+            keys = self._express_keys or self._express_targets()
             best_k = -1
             best_d = best_distance
             k = 0
@@ -369,7 +273,7 @@ class CanNode:
                 if dyo + dyo > y_size:
                     dyo = y_size - dyo
                 d = dxo + dyo
-                if d < best_d and links[k] != me:
+                if d < best_d and key_owner[keys[k]] != me:
                     best_d = d
                     best_k = k
                 k += 1
@@ -377,7 +281,7 @@ class CanNode:
             # small wins are left to the zone jump, which advances
             # without spending a hop on a marginal improvement.
             if best_k >= 0 and best_d + best_d <= best_distance:
-                return links[best_k]
+                return key_owner[keys[best_k]]
         # Signed shortest torus deltas from the closest point to the
         # target, as (magnitude, direction); a tie goes forward.
         forward = (tx - best_px) % x_size
@@ -614,7 +518,7 @@ class CanNode:
         overlay._network_transmit(me, next_hop, onward)
 
 
-class CanOverlay(MembershipDeltaLog, OverlayNetwork):
+class CanOverlay(OverlayNetwork):
     """A CAN built on quadtree zones over the Morton-mapped key space.
 
     Membership semantics (documented simplifications vs deployed CAN):
@@ -697,19 +601,7 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
             "table_rebuilds": 0,
             "table_patches": 0,
             "table_seeds": 0,
-            "express_patches": 0,
-            "express_rebuilds": 0,
         }
-        # Join entries log the owner whose zone the joiner split; depart
-        # entries log the heir absorbing the departed zone — the only
-        # live node besides the joiner/departed whose cells a membership
-        # change can touch (see MembershipDeltaLog).  _delta_zones runs
-        # parallel to the delta log with the joiner's (start, length)
-        # for join entries (None for departs), which makes the express
-        # patch replay exact: it decides key-by-key which side of the
-        # split a link's target key landed on.
-        self._delta_zones: list[tuple[int, int] | None] = []
-        self._init_delta_log()
 
     # -- accessors -----------------------------------------------------------
 
@@ -774,9 +666,9 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
         """Ground-truth express links: the owner of the key at Morton
         distance ``2^k`` ahead of ``node_id``, for each ``k``.
 
-        :meth:`CanNode._express_table` materializes exactly this, so
-        the auditor compares a current node's links against a fresh
-        call of this method.
+        :meth:`CanNode._next_hop` and :meth:`CanNode._mcast_table` read
+        exactly these owners off the key→owner table; this is the
+        reference the tests hold them to.
         """
         size = self._keyspace.size
         starts = self._starts
@@ -866,7 +758,6 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
                 self.join(node_id)
         finally:
             self._local_filter = None
-        self._reset_delta_log(self.zone_version)
 
     def join(self, node_id: int) -> None:
         """CAN join: split the zone containing the joiner's point.
@@ -909,7 +800,6 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
         self._assign_keys(joiner_start, joiner_length, node_id)
         self._register(node_id)
         self.zone_version += 1
-        self._log_can_delta("join", node_id, owner, (joiner_start, joiner_length))
         if self._state_transfer is not None:
             left = (joiner_start - 1) % size
             right = (joiner_start + joiner_length - 1) % size
@@ -954,7 +844,6 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
         self._assign_keys(start, length, heir)
         self._unregister(node_id)
         self.zone_version += 1
-        self._log_can_delta("depart", node_id, heir, None)
 
     def _assign_keys(self, start: int, length: int, owner: int) -> None:
         """Write ``owner`` over ``[start, start + length)`` of the
@@ -967,25 +856,6 @@ class CanOverlay(MembershipDeltaLog, OverlayNetwork):
         else:
             table[start:] = [owner] * (size - start)
             table[: end - size] = [owner] * (end - size)
-
-    def _log_can_delta(
-        self,
-        op: str,
-        node_id: int,
-        other: int,
-        zone: tuple[int, int] | None,
-    ) -> None:
-        """Append to the shared delta log plus the parallel zone log."""
-        self._log_delta(op, node_id, other)
-        zones = self._delta_zones
-        zones.append(zone)
-        overflow = len(zones) - len(self._delta_log)
-        if overflow > 0:
-            del zones[:overflow]
-
-    def _reset_delta_log(self, version: int) -> None:
-        super()._reset_delta_log(version)
-        self._delta_zones.clear()
 
     def _register(self, node_id: int) -> None:
         self._members.add(node_id)

@@ -81,10 +81,10 @@ two paths.
 
 Outbound fan-out reuses message envelopes: an envelope that was *not*
 delivered locally is forwarded in place (unicast, sequential, and one
-m-cast branch), extra m-cast branches draw on a small per-node free
-pool, and all branches of one fan-out share a single path tuple.
-Envelopes handed to the application via ``do_deliver`` escape the
-reuse path entirely — the application (or a test) may retain them.
+m-cast branch), extra m-cast branches are fresh envelopes, and all
+branches of one fan-out share a single path tuple.  Envelopes handed to
+the application via ``do_deliver`` are never forwarded in place — the
+application (or a test) may retain them.
 """
 
 from __future__ import annotations
@@ -108,8 +108,6 @@ class ChordNode:
         cache_capacity: Maximum entries in the location cache; 0
             disables caching entirely.
     """
-
-    _POOL_CAP = 32
 
     def __init__(
         self, node_id: int, overlay: "ChordOverlay", cache_capacity: int = 128
@@ -157,8 +155,6 @@ class ChordNode:
         # multicast walks all ask for it, often several times per tick.
         self._pred_version = -1
         self._pred_value = node_id
-        # Free pool of outbound envelopes for the m-cast fan-out loop.
-        self._msg_pool: list[OverlayMessage] = []
 
     # -- pointers -------------------------------------------------------
 
@@ -581,7 +577,7 @@ class ChordNode:
             self._refresh_cache()
         return list(self._cache.entries)
 
-    # -- outbound envelope reuse ------------------------------------------
+    # -- outbound envelopes -----------------------------------------------
 
     def _branch(
         self,
@@ -590,21 +586,7 @@ class ChordNode:
         path: tuple[int, ...],
         target_keys: frozenset[int],
     ) -> OverlayMessage:
-        """An outbound m-cast branch, recycled from the pool if possible."""
-        pool = self._msg_pool
-        if pool:
-            branch = pool.pop()
-            branch.kind = message.kind
-            branch.payload = message.payload
-            branch.request_id = message.request_id
-            branch.origin = message.origin
-            branch.key = message.key
-            branch.target_keys = target_keys
-            branch.mode = message.mode
-            branch.hops = hops
-            branch.path = path
-            branch.trace = message.trace
-            return branch
+        """A fresh outbound m-cast branch of ``message``."""
         return OverlayMessage(
             kind=message.kind,
             payload=message.payload,
@@ -617,20 +599,6 @@ class ChordNode:
             path=path,
             trace=message.trace,
         )
-
-    def _release(self, message: OverlayMessage) -> None:
-        """Return a dead envelope to the pool.
-
-        Only for envelopes this node owns outright: never delivered
-        locally (the application may retain delivered messages) and not
-        forwarded anywhere.
-        """
-        pool = self._msg_pool
-        if len(pool) < self._POOL_CAP:
-            message.payload = None
-            message.target_keys = None
-            message.path = ()
-            pool.append(message)
 
     # -- routing ----------------------------------------------------------
 

@@ -39,68 +39,19 @@ class RingNode(Protocol):
     def continue_sequential(self, message: OverlayMessage) -> None: ...
 
 
-class MembershipDeltaLog:
-    """Bounded membership change log keyed by a version counter.
+class RingOverlay(OverlayNetwork):
+    """Base class: membership, KN-mapping and message entry points.
 
-    Overlays mix this in next to their version counter (``ring_version``
-    for the ring overlays, ``zone_version`` for CAN) and append one
-    entry per version bump past ``_delta_base``: ``("join", id, other)``
-    or ``("depart", id, other)``, where ``other`` is the peer whose
-    routing state the change touches besides the joiner/departed node
-    itself (the ring predecessor / zone-split owner on join, the heir
+    Membership changes go to a bounded log keyed by ``ring_version``:
+    one entry per version bump past ``_delta_base``, either
+    ``("join", id, other)`` or ``("depart", id, other)``, where ``other``
+    is the peer whose routing state the change touches besides the
+    joiner/departed node itself (the ring predecessor on join, the heir
     on departure).  A node holding routing state for version ``v``
     catches up by replaying ``deltas_since(v)`` instead of rebuilding.
     Bulk construction resets the log (its bump is a wholesale change),
     and the log is capped: once it outgrows ``_DELTA_LOG_CAP`` the
     oldest entries are dropped and stragglers fall back to a rebuild.
-    """
-
-    _DELTA_LOG_CAP = 512
-
-    def _init_delta_log(self) -> None:
-        self._delta_base = 0
-        self._delta_log: list[tuple[str, int, int]] = []
-
-    def _reset_delta_log(self, version: int) -> None:
-        """Forget history up to ``version`` (wholesale membership change)."""
-        self._delta_base = version
-        self._delta_log.clear()
-
-    def _log_delta(self, op: str, node_id: int, other: int) -> None:
-        log = self._delta_log
-        log.append((op, node_id, other))
-        if len(log) > self._DELTA_LOG_CAP:
-            drop = len(log) - self._DELTA_LOG_CAP
-            del log[:drop]
-            self._delta_base += drop
-
-    def deltas_since(self, version: int) -> list[tuple[str, int, int]] | None:
-        """Membership changes between ``version`` and the current one.
-
-        Returns the change entries a node at ``version`` must replay to
-        reach the current version, oldest first, or ``None`` when the
-        log no longer stretches back that far (caller must rebuild).
-        """
-        start = version - self._delta_base
-        if start < 0:
-            return None
-        return self._delta_log[start:]
-
-    def _delta_window(self, version: int) -> tuple[list[tuple[str, int, int]], int] | None:
-        """Zero-copy view of :meth:`deltas_since`: ``(log, start)``.
-
-        Hot catch-up paths replay missed deltas on every routing step,
-        so the slice allocation in :meth:`deltas_since` shows up in
-        profiles.  This returns the whole log plus the start offset the
-        caller iterates from, or ``None`` on log overrun (rebuild)."""
-        start = version - self._delta_base
-        if start < 0:
-            return None
-        return self._delta_log, start
-
-
-class RingOverlay(MembershipDeltaLog, OverlayNetwork):
-    """Base class: membership, KN-mapping and message entry points.
 
     Args:
         sim: The simulation kernel.
@@ -108,6 +59,8 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
         network: Message transport (defaults to 50 ms fixed delay).
         state_transfer: Optional Section 4.1 churn hook.
     """
+
+    _DELTA_LOG_CAP = 512
 
     def __init__(
         self,
@@ -136,8 +89,9 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
         }
         # Join entries log the joiner's predecessor *after* the join;
         # depart entries log the departed node's successor *after* the
-        # removal (see MembershipDeltaLog).
-        self._init_delta_log()
+        # removal.
+        self._delta_base = 0
+        self._delta_log: list[tuple[str, int, int]] = []
 
     # -- subclass contribution ------------------------------------------------
 
@@ -213,7 +167,8 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
             if local is None or node_id in local:
                 self._add_node(node_id)
         self.ring_version += 1
-        self._reset_delta_log(self.ring_version)
+        self._delta_base = self.ring_version
+        self._delta_log.clear()
 
     def join(self, node_id: int) -> None:
         """Add one node; the successor hands over the inherited keys."""
@@ -283,6 +238,26 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
         # the departed id's keys have a live heir: its old successor.
         heir = self._ring[index % len(self._ring)]
         self._log_delta("depart", node_id, heir)
+
+    def _log_delta(self, op: str, node_id: int, other: int) -> None:
+        log = self._delta_log
+        log.append((op, node_id, other))
+        if len(log) > self._DELTA_LOG_CAP:
+            drop = len(log) - self._DELTA_LOG_CAP
+            del log[:drop]
+            self._delta_base += drop
+
+    def deltas_since(self, version: int) -> list[tuple[str, int, int]] | None:
+        """Membership changes between ``version`` and the current one.
+
+        Returns the change entries a node at ``version`` must replay to
+        reach the current version, oldest first, or ``None`` when the
+        log no longer stretches back that far (caller must rebuild).
+        """
+        start = version - self._delta_base
+        if start < 0:
+            return None
+        return self._delta_log[start:]
 
     # -- KN-mapping and pointers -------------------------------------------
 

@@ -8,13 +8,10 @@ matching violation type — and that the pre-corruption probe was clean.
 
 from __future__ import annotations
 
-import functools
-
 from tests.audit.conftest import build_audited_system
 
 from repro.audit import AuditConfig
 from repro.audit.records import (
-    CAN_EXPRESS_MISMATCH,
     CAN_TESSELLATION,
     CAN_ZONE_OVERLAP,
     CHORD_FINGER_MISMATCH,
@@ -84,35 +81,6 @@ def test_overlapping_can_zones_detected():
     overlay.node(second)._cells = list(overlay.node(first).cells())
     auditor.run_probe()
     assert CAN_ZONE_OVERLAP in vtypes(auditor)
-
-
-def test_corrupt_can_express_link_detected():
-    assert_corrupt_express_link_detected(CanOverlay)
-
-
-def test_corrupt_can_express_link_detected_with_express_links_off():
-    """M-cast reads the express links whatever the flag says, so the
-    probe checks them whenever they are current."""
-    assert_corrupt_express_link_detected(
-        functools.partial(CanOverlay, express_links=False)
-    )
-
-
-def assert_corrupt_express_link_detected(overlay_cls):
-    sim, system, auditor, _ = build_audited_system(overlay_cls)
-    overlay = system.overlay
-    node_id = sorted(overlay.node_ids())[0]
-    node = overlay.node(node_id)
-    node._express_table()  # materialize at the current zone version
-    clean = auditor.run_probe()
-    assert clean.violations == 0
-
-    truth = overlay.compute_express_links(node_id)
-    wrong = next(n for n in sorted(overlay.node_ids()) if n != truth[-1])
-    node._express[-1] = wrong
-    record = auditor.run_probe()
-    assert record.violations >= 1
-    assert CAN_EXPRESS_MISMATCH in vtypes(auditor)
 
 
 def test_corrupt_can_key_owner_slot_detected():

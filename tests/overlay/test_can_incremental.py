@@ -2,11 +2,11 @@
 
 A CAN node's zone boundaries move only when a join splits its own zone
 or a departure makes it the heir; every other membership change leaves
-its cells untouched.  The overlay's delta log names exactly the nodes a
-change involves, so a stale node can catch up by scanning the missed
-deltas: untouched -> keep the decomposition (patch), involved or log
-overrun -> recompute (rebuild).  These tests pin that the patched
-decomposition is always identical to a wholesale recomputation.
+its cells untouched.  The decomposition is a function of the zone
+alone, so a stale node re-reads its zone: unchanged -> keep the
+decomposition (patch), moved -> recompute (rebuild).  These tests pin
+that the kept decomposition is always identical to a wholesale
+recomputation.
 """
 
 import random
@@ -103,16 +103,21 @@ def test_randomized_churn_keeps_cells_exact():
     assert patched > 0
 
 
-def test_log_overrun_falls_back_to_rebuild():
+def test_untouched_zone_keeps_cells_past_512_deltas():
+    """More membership changes than a bounded delta log would hold,
+    none touching the node's zone: it keeps its cells with one patch
+    and no rebuild, because it re-reads its zone, not a log."""
     _, overlay = build([0x100, 0x500, 0x900, 0xD00])
-    overlay._DELTA_LOG_CAP = 3  # shrink the window for the test
     node = overlay.node(0x100)
-    node.cells()
+    cells_before = list(node.cells())
+    zone_before = overlay.zone_of(node.id)
     version_before = overlay.zone_version
-    # Churn entirely inside another zone, more times than the log holds.
-    for joiner in (0xA00, 0xB00, 0xC00, 0xA80):
+    # Churn entirely inside another zone, well past 512 deltas.
+    for round_ in range(300):
+        joiner = 0xA00 + round_
         overlay.join(joiner)
         overlay.leave(joiner)
-    assert overlay.deltas_since(version_before) is None
-    assert node.cells() == recompute_cells(overlay, node.id)
-    assert node.table_rebuilds == 2  # cold start + overrun fallback
+    assert overlay.zone_version - version_before == 600
+    assert overlay.zone_of(node.id) == zone_before
+    assert node.cells() == cells_before == recompute_cells(overlay, node.id)
+    assert (node.table_rebuilds, node.table_patches) == (1, 1)

@@ -188,12 +188,7 @@ def test_can_node_state_is_made_on_demand():
     overlay = CanOverlay(sim, KS, network=Network(sim, telemetry=telemetry))
     overlay.build_ring(_ids(12))
     registry = telemetry.registry
-    names = (
-        "can.table_rebuilds",
-        "can.table_patches",
-        "can.express_patches",
-        "can.express_rebuilds",
-    )
+    names = ("can.table_rebuilds", "can.table_patches")
 
     def made():
         return sorted(c.name for c in registry.counters() if c.name in names)
@@ -213,19 +208,14 @@ def test_can_node_state_is_made_on_demand():
     assert delivered == [node.id]
     assert made() == []
     assert node._express_keys is None and node._express_points is None
-    assert (
-        node.table_rebuilds, node.table_patches,
-        node.express_rebuilds, node.express_patches,
-    ) == (0, 0, 0, 0)
+    assert (node.table_rebuilds, node.table_patches) == (0, 0)
 
     far = (node.id + KS.size // 2) % KS.size
     send(node.id, far)
     assert delivered[-1] == overlay.owner_of(far)
-    assert (node.table_rebuilds, node.express_rebuilds) == (1, 1)
-    assert (node.table_patches, node.express_patches) == (0, 0)
+    assert (node.table_rebuilds, node.table_patches) == (1, 0)
     assert len(node._express_points) == KS.bits
     assert "can.table_patches" not in made()
-    assert "can.express_patches" not in made()
     assert node._mcast is None  # unicast does not read the pointers
 
     def cast(source, keys):
@@ -240,4 +230,4 @@ def test_can_node_state_is_made_on_demand():
     assert node._mcast is None
     cast(node.id, [node.id, far])
     assert node._mcast[0] == overlay.zone_version
-    assert (node.table_rebuilds, node.express_rebuilds) == (1, 1)
+    assert (node.table_rebuilds, node.table_patches) == (1, 0)

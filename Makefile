@@ -15,11 +15,12 @@ test:
 # seeded fingerprint, sharded-kernel digest and ledger smoke workload
 # must equal its pinned record exactly; nothing is gated on a clock.
 # Then the CLI end to end, everything written under the ignored
-# artifacts/: an audited Chord run and the same audited run over CAN,
-# each read back by repro report, which exits non-zero on a violation
-# or an incomplete causal tree; the Chord report also writes the
-# Perfetto trace.  The last line checks that both traces were audited
-# and load-metered (a section not recorded is null in the JSON).
+# artifacts/: an audited Chord run and the same audited run over CAN
+# and over Pastry, each read back by repro report, which exits non-zero
+# on a violation or an incomplete causal tree; the Chord report also
+# writes the Perfetto trace.  The last line checks that all three traces
+# were audited and load-metered (a section not recorded is null in the
+# JSON).
 verify: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 verify:
 	$(PYTHON) -m pytest tests/ -q
@@ -35,7 +36,12 @@ verify:
 		--telemetry artifacts/sample-trace-can.jsonl > /dev/null
 	$(PYTHON) -m repro report artifacts/sample-trace-can.jsonl \
 		--json artifacts/report-can.json
-	$(PYTHON) -c "import json; [exit(f'{p}: {k} not recorded') for p in ('artifacts/report-chord.json', 'artifacts/report-can.json') for k in ('audit', 'load') if json.load(open(p))[k] is None]"
+	$(PYTHON) -m repro run --overlay pastry --nodes 100 \
+		--subscriptions 50 --publications 50 --audit \
+		--telemetry artifacts/sample-trace-pastry.jsonl > /dev/null
+	$(PYTHON) -m repro report artifacts/sample-trace-pastry.jsonl \
+		--json artifacts/report-pastry.json
+	$(PYTHON) -c "import json; [exit(f'{p}: {k} not recorded') for p in ('artifacts/report-chord.json', 'artifacts/report-can.json', 'artifacts/report-pastry.json') for k in ('audit', 'load') if json.load(open(p))[k] is None]"
 
 # The performance ledger (BENCHMARK.json): five seeded workloads, eight
 # end-to-end and 111 per-layer metrics, about 3 min.  ledger-smoke runs

@@ -64,20 +64,15 @@ deferred the same way:
 - **Cold build.**  A node holds no finger state until its first sync,
   which resolves the ``m`` starts ``(id + 2**i) mod size`` at one
   bisect each and dedups the owners in one pass — they come out
-  nearest first with self last, so nothing is sorted.  The sorted
-  starts that delta replay needs are built on the first patch, and
-  each per-node registry counter on its first increment.
+  nearest first with self last, so nothing is sorted.  A joiner starts
+  cold too, and the ``table_rebuilds`` registry counter is made on its
+  first increment.
 
-Under churn the fingers are maintained *incrementally*.  The overlay logs
-every membership change (:meth:`~repro.overlay.ring.RingOverlay.deltas_since`)
-and a stale node replays the entries it missed against its raw finger
-slots: a join captures the slots whose start falls in ``(pred, joiner]``,
-a departure redirects the departed node's slots to its heir.  Only
-when the log no longer reaches back to the node's version — or has more
-entries than the node has finger slots — does the node fall back to the
-rebuild path, which re-resolves every slot from the ring and splices
-the slots that moved.  ``table_rebuilds`` / ``table_patches`` count the
-two paths.
+Under churn a node whose fingers predate the ring version re-resolves
+them on its next use: every start is bisected against the ring again
+and only the slots that moved are written, through
+:meth:`ChordNode._apply_slot`, so the journal names only the fingers
+that came or went.  ``table_rebuilds`` counts the re-resolves.
 
 Outbound fan-out reuses message envelopes: an envelope that was *not*
 delivered locally is forwarded in place (unicast, sequential, and one
@@ -122,17 +117,13 @@ class ChordNode:
         self._bits = keyspace.bits
         # The finger table, held once and empty until the first sync:
         # - slots: owner of finger_start(id, i) per 1-based i, self
-        #   included; the state delta replay patches;
+        #   included;
         # - fingers / dists: the distinct owners but self, nearest
         #   clockwise first (_refresh_fingers; _apply_slot per slot);
-        # - the sorted starts and their permutation back to slots,
-        #   for delta replay only (built on the first _patch);
         # - the ring version all of it is current for.
         self._finger_slots: list[int] = []
         self._fingers: list[int] | None = None
         self._finger_dists: list[int] | None = None
-        self._sorted_starts: list[int] | None = None
-        self._start_perm: list[int] | None = None
         self._table_version = -1
         # Merged routing table, a derived view: always meant to equal
         # (fingers | cache) - {self}, sorted by clockwise
@@ -144,13 +135,10 @@ class ChordNode:
         self._table_dists: list[int] = []
         self._table_ids: list[int] = []
         self._table_journal: list[int] | None = None
-        # Maintenance counters, exposed for tests and benchmarks as
-        # thin property views over per-node registry instruments.
-        # Each is made on its first increment (_instrument); until then
-        # the property reads 0 without one.
+        # The rebuild counter, exposed as a thin property view over a
+        # per-node registry instrument made on its first increment;
+        # until then the property reads 0 without one.
         self._rebuilds_counter = None
-        self._patches_counter = None
-        self._seeds_counter = None
         # Version-stamped predecessor memo: covers() and the two
         # multicast walks all ask for it, often several times per tick.
         self._pred_version = -1
@@ -162,18 +150,6 @@ class ChordNode:
     def table_rebuilds(self) -> int:
         """Full finger-table rebuilds (view over ``chord.table_rebuilds``)."""
         counter = self._rebuilds_counter
-        return 0 if counter is None else counter.value
-
-    @property
-    def table_patches(self) -> int:
-        """Incremental delta-log patches (view over ``chord.table_patches``)."""
-        counter = self._patches_counter
-        return 0 if counter is None else counter.value
-
-    @property
-    def table_seeds(self) -> int:
-        """Join-time table seedings (view over ``chord.table_seeds``)."""
-        counter = self._seeds_counter
         return 0 if counter is None else counter.value
 
     @property
@@ -216,30 +192,14 @@ class ChordNode:
     def _sync(self) -> None:
         """Catch the finger state up to the current ring version.
 
-        Cheap no-op when already current.  Otherwise replays the
-        overlay's membership delta log against the raw finger slots;
-        falls back to a slot re-resolve when the log does not reach
-        back to our version or has more entries than we have finger
-        slots.  Fingers that came or went are journaled for the merged
-        table, which only :meth:`_materialize` brings current.
+        Cheap no-op when already current; otherwise :meth:`_rebuild`.
+        Fingers that came or went are journaled for the merged table,
+        which only :meth:`_materialize` brings current.
         """
-        overlay = self._overlay
-        version = overlay.ring_version
+        version = self._overlay.ring_version
         if self._table_version == version:
             return
-        # Equivalent to overlay.deltas_since(...) without the slice
-        # allocation: the invariant ring_version == base + len(log)
-        # makes len(log) - start the number of missed deltas.  The
-        # cutover sits at the number of slots: a delta costs two
-        # bisects against the sorted starts, while a rebuild re-resolves
-        # all slots at one bisect each and splices only the changed
-        # ones, so past ~#slots missed deltas the rebuild is cheaper.
-        log = overlay._delta_log
-        start = self._table_version - overlay._delta_base
-        if start < 0 or len(log) - start > self._bits:
-            self._rebuild(version)
-        else:
-            self._patch(log, start, version)
+        self._rebuild(version)
         journal = self._table_journal
         if journal is not None:
             self._cap_journal(journal)
@@ -250,10 +210,10 @@ class ChordNode:
         Every start ``(id + 2**i) mod size`` is re-resolved against the
         ring at one bisect each, but a node that already holds fingers
         only pays for the slots that actually moved: each is written
-        through :meth:`_apply_slot`, which lands in exactly the state a
-        from-scratch derivation would (same argument as :meth:`_patch`).
-        Only a cold node — no slots yet — derives the fingers from
-        scratch, in one pass.
+        through :meth:`_apply_slot`, which keeps the fingers exactly as
+        a from-scratch derivation of the new slots would.  Only a cold
+        node — no slots yet — derives the fingers from scratch, in one
+        pass.
         """
         ring = self._overlay._ring
         count = len(ring)
@@ -277,85 +237,12 @@ class ChordNode:
         self._table_version = version
         counter = self._rebuilds_counter
         if counter is None:
-            counter = self._rebuilds_counter = self._instrument(
-                "chord.table_rebuilds"
+            counter = self._rebuilds_counter = (
+                self._overlay.telemetry.registry.counter(
+                    "chord.table_rebuilds", node=self.id
+                )
             )
         counter.inc()
-
-    def _instrument(self, name: str):
-        """This node's registry counter ``name``, made on first increment.
-
-        A node that never rebuilt, patched or seeded has no instrument
-        for it, and the ``table_*`` properties read 0 without one.
-        """
-        return self._overlay.telemetry.registry.counter(name, node=self.id)
-
-    def _patch(
-        self, log: list[tuple[str, int, int]], start: int, version: int
-    ) -> None:
-        """Replay membership deltas ``log[start:]`` instead of rebuilding.
-
-        A join ``(J, pred)`` owns every finger start in ``(pred, J]``;
-        a departure ``(L, heir)`` hands L's slots to its heir.  The
-        slot replay reproduces ``owner_of(start)`` exactly, and
-        :meth:`_apply_slot` keeps the fingers exact per slot, so they
-        equal what a full rebuild would produce.  Departed nodes that
-        live in the location cache stay in the merged table until
-        ``_next_hop`` discovers them dead.
-        """
-        slots = self._finger_slots
-        if self._sorted_starts is None:
-            self._sort_starts()
-        sorted_starts = self._sorted_starts
-        perm = self._start_perm
-        nslots = len(slots)
-        apply_slot = self._apply_slot
-        # Replay runs for every stale node on every use under churn,
-        # and most deltas leave a given node's slots untouched — so a
-        # join locates its captured starts (the ones in (pred, joiner])
-        # with two C-level bisects over the sorted starts, and a
-        # departure pre-screens with a C-level list containment before
-        # scanning.  The common case touches no slot at all; each slot
-        # that does move goes through _apply_slot.
-        for index in range(start, len(log)):
-            op, node_id, other = log[index]
-            if op == "join":
-                if other == node_id:  # joiner was alone; captures all
-                    for i in range(nslots):
-                        if slots[i] != node_id:
-                            apply_slot(i, node_id)
-                    continue
-                lo = bisect_right(sorted_starts, other)
-                hi = bisect_right(sorted_starts, node_id)
-                if other < node_id:
-                    captured = perm[lo:hi]
-                else:  # (pred, joiner] wraps past zero
-                    captured = perm[lo:] + perm[:hi]
-                for i in captured:
-                    if slots[i] != node_id:
-                        apply_slot(i, node_id)
-            elif node_id in slots:  # "depart": redirect L's slots to heir
-                for i in range(nslots):
-                    if slots[i] == node_id:
-                        apply_slot(i, other)
-        self._table_version = version
-        counter = self._patches_counter
-        if counter is None:
-            counter = self._patches_counter = self._instrument(
-                "chord.table_patches"
-            )
-        counter.inc()
-
-    def _sort_starts(self) -> None:
-        """Build the ascending finger starts and the permutation back to
-        slot indexes, which let a replayed join find the starts it
-        captures with two bisects instead of testing every slot."""
-        me = self.id
-        size = self._size
-        starts = [(me + (1 << i)) % size for i in range(self._bits)]
-        perm = sorted(range(len(starts)), key=starts.__getitem__)
-        self._sorted_starts = [starts[i] for i in perm]
-        self._start_perm = perm
 
     def _apply_slot(self, index: int, new_owner: int) -> None:
         """Point slot ``index`` at ``new_owner``, keeping the fingers
@@ -409,71 +296,6 @@ class ChordNode:
             del fingers[-1]
         self._fingers = fingers
         self._finger_dists = [(nid - me) % size for nid in fingers]
-
-    def seed_tables(self) -> None:
-        """Seed finger slots at join time from the successor's table.
-
-        A cold node's first ``_sync`` used to be a wholesale rebuild.
-        Instead, the overlay calls this right after the join is applied:
-        the joiner's slots are derived from its successor S, one delta
-        apart on the ring, and only the slots S's table cannot certify
-        fall back to a ring bisect.  Exactness per slot (start ``x``):
-
-        - ``x`` in ``(self, S]``: S is the first live node clockwise of
-          self, so ``owner(x) = S`` outright.
-        - otherwise, S's slot ``j`` says ``owner(start_j) = y`` — i.e.
-          no live node lies in ``[start_j, y)``.  If ``x`` falls inside
-          ``(start_j, y]`` for the certifying ``j`` (the largest power
-          of two not past ``x``), then ``owner(x) = y`` too.
-        - anything else is resolved with ``owner_of`` on the ring.
-
-        The successor is synced first, so its slots are at the current
-        ring version (which already includes this join); syncing early
-        only moves work it would do on its next use anyway.
-        """
-        overlay = self._overlay
-        version = overlay.ring_version
-        me = self.id
-        size = self._size
-        nslots = self._bits
-        succ_id = overlay.successor_of(me)
-        if succ_id == me:  # alone on the ring: every slot is self
-            slots: list[int | None] = [me] * nslots
-        else:
-            succ = overlay._nodes[succ_id]
-            succ._sync()
-            succ_slots = succ._finger_slots
-            gap = (succ_id - me) % size
-            slots = [None] * nslots
-            unresolved: list[int] = []
-            for i in range(nslots):
-                step = 1 << i  # distance(self, start_i)
-                if step <= gap:
-                    slots[i] = succ_id
-                    continue
-                offset = step - gap  # distance(S, start_i), > 0
-                j = offset.bit_length() - 1  # largest 2**j <= offset
-                if j < nslots:
-                    sample_start = (succ_id + (1 << j)) % size
-                    sample_owner = succ_slots[j]
-                    reach = (sample_owner - sample_start) % size
-                    if offset - (1 << j) <= reach:
-                        slots[i] = sample_owner
-                        continue
-                unresolved.append(i)
-            if unresolved:
-                resolved = overlay.owners_of(
-                    (me + (1 << i)) % size for i in unresolved
-                )
-                for i, owner in zip(unresolved, resolved):
-                    slots[i] = owner
-        self._finger_slots = slots  # type: ignore[assignment]
-        self._refresh_fingers()
-        self._table_version = version
-        counter = self._seeds_counter
-        if counter is None:
-            counter = self._seeds_counter = self._instrument("chord.table_seeds")
-        counter.inc()
 
     def _materialize(self) -> None:
         """Bring the merged table current with the fingers and the cache.

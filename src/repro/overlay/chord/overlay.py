@@ -53,11 +53,6 @@ class ChordOverlay(RingOverlay):
     def _make_node(self, node_id: int) -> ChordNode:
         return ChordNode(node_id, self, cache_capacity=self._cache_capacity)
 
-    def _seed_joiner(self, node_id: int) -> None:
-        node = self._nodes[node_id]
-        assert isinstance(node, ChordNode)
-        node.seed_tables()
-
     def node(self, node_id: int) -> ChordNode:
         """The live Chord node with the given id."""
         node = super().node(node_id)
@@ -69,11 +64,9 @@ class ChordOverlay(RingOverlay):
 
         Slot ``i`` (0-based) is ``owner_of(finger_start(node_id, i+1))``,
         *including* self-pointing entries.  This is the representation
-        :class:`~repro.overlay.chord.node.ChordNode` maintains under the
-        membership delta log — a join captures the slots whose start
-        falls inside ``(pred, joiner]``, a departure redirects the
-        departed node's slots to its heir — so patched slots always
-        equal a fresh call of this method.
+        :class:`~repro.overlay.chord.node.ChordNode` holds: a synced
+        node's slots equal a fresh call of this method at every ring
+        version.
         """
         finger_start = self._keyspace.finger_start
         return self.owners_of(

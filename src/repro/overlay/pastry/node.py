@@ -6,7 +6,8 @@ where its own id differs from ``k`` — that entry shares a strictly
 longer prefix with ``k``, so every hop makes prefix progress and
 routing terminates in at most ``m`` hops.  Once ``k`` falls within the
 leaf set's ring span, the message jumps directly to the leaf covering
-it.
+it.  Both structures are read off the overlay's ring, again whenever
+the ring has changed since the last read.
 """
 
 from __future__ import annotations
@@ -33,13 +34,8 @@ class PastryNode:
 
     Routing state (leaf set + routing table) is memoized per ring
     version, modelling a converged overlay (same approach as the Chord
-    node's fingers).  A stale node catches up by replaying the
-    overlay's membership delta log — joins min-update exactly one
-    routing-table row and dirty the leaf set only when they land inside
-    its arc; departures recompute exactly the rows they held — and
-    falls back to wholesale recomputation only when the log no longer
-    reaches its version (or the gap exceeds the state size).  Joiners
-    are seeded from their successor's table at join time.
+    node's fingers).  A stale node recomputes both from the ring on its
+    next use, and a joiner starts cold.
     """
 
     def __init__(self, node_id: int, overlay: "PastryOverlay") -> None:
@@ -48,25 +44,10 @@ class PastryNode:
         self._leaf_set: list[int] = []
         self._table: list[int | None] = []
         self._version = -1
-        keyspace = overlay.keyspace
-        self._bits = keyspace.bits
-        self._size = keyspace.size
-        # Replaying more deltas than the routing state has entries is
-        # slower than recomputing it; past this many missed deltas the
-        # node falls back to a wholesale rebuild (same rule as Chord's
-        # table-rows bound).
-        self._patch_limit = keyspace.bits + overlay.leaf_set_size
-        # Maintenance counters, mirroring ChordNode's read surface so
+        # The maintenance counter, mirroring ChordNode's read surface so
         # harnesses can report all overlays uniformly.
-        registry = overlay.telemetry.registry
-        self._rebuilds_counter = registry.counter(
+        self._rebuilds_counter = overlay.telemetry.registry.counter(
             "pastry.table_rebuilds", node=node_id
-        )
-        self._patches_counter = registry.counter(
-            "pastry.table_patches", node=node_id
-        )
-        self._seeds_counter = registry.counter(
-            "pastry.table_seeds", node=node_id
         )
 
     @property
@@ -74,132 +55,19 @@ class PastryNode:
         """Full routing-state recomputations (leaf set + table)."""
         return self._rebuilds_counter.value
 
-    @property
-    def table_patches(self) -> int:
-        """Incremental delta-log patches of the routing state."""
-        return self._patches_counter.value
-
-    @property
-    def table_seeds(self) -> int:
-        """Join-time routing-state seedings."""
-        return self._seeds_counter.value
-
     # -- routing state -----------------------------------------------------
 
     def _refresh(self) -> None:
-        """Catch the leaf set + routing table up to the ring version.
-
-        Replays the overlay's membership delta log when it stretches
-        back to this node's version and the gap is small enough;
-        otherwise recomputes both structures wholesale.
-        """
-        overlay = self._overlay
-        version = overlay.ring_version
-        if self._version == version:
-            return
-        log = overlay._delta_log
-        start = self._version - overlay._delta_base
-        if start < 0 or len(log) - start > self._patch_limit:
+        """Catch the leaf set + routing table up to the ring version."""
+        version = self._overlay.ring_version
+        if self._version != version:
             self._rebuild(version)
-        else:
-            self._patch(log, start, version)
 
     def _rebuild(self, version: int) -> None:
         self._leaf_set = self._overlay.compute_leaf_set(self.id)
         self._table = self._overlay.compute_routing_table(self.id)
         self._version = version
         self._rebuilds_counter.inc()
-
-    def _patch(
-        self, log: list[tuple[str, int, int]], start: int, version: int
-    ) -> None:
-        """Replay membership deltas instead of rebuilding.
-
-        Routing-table rows: a join J lands in exactly the row
-        ``common_prefix_length(self, J)`` — its id shares that many
-        leading bits with ours and differs at the next — and the row
-        entry is the *smallest* id in the row's half-space, so the
-        update is a min.  A departure only invalidates rows whose entry
-        is the departed node; those are recomputed from the current
-        ring, which is exact because later joins in the log are already
-        reflected there (the min-update then no-ops) and later
-        departures of the recomputed entry recompute again.
-
-        Leaf set: a join matters only if it falls inside the current
-        leaf arc (anything outside is farther than every existing leaf)
-        and a departure only if it takes a current leaf — or, either
-        way, if the set holds fewer than L nodes (small ring: every
-        membership change can shift it).  The first delta that matters
-        marks the set dirty; it is then recomputed once from the
-        current ring, which subsumes the remaining deltas.
-        """
-        overlay = self._overlay
-        me = self.id
-        size = self._size
-        table = self._table
-        leaves = self._leaf_set
-        leaf_dirty = len(leaves) < self._overlay.leaf_set_size
-        bits = self._bits
-        for index in range(start, len(log)):
-            op, node_id, other = log[index]
-            if op == "join":
-                row = common_prefix_length(me, node_id, bits)
-                entry = table[row]
-                if entry is None or node_id < entry:
-                    table[row] = node_id
-                if not leaf_dirty:
-                    arc_start = leaves[0]
-                    span = (leaves[-1] - arc_start) % size
-                    if (node_id - arc_start) % size <= span:
-                        leaf_dirty = True
-            else:  # depart
-                if node_id in table:
-                    table_row = overlay._table_row
-                    for row in range(bits):
-                        if table[row] == node_id:
-                            table[row] = table_row(me, row)
-                if not leaf_dirty and node_id in leaves:
-                    leaf_dirty = True
-        if leaf_dirty:
-            self._leaf_set = overlay.compute_leaf_set(me)
-        self._version = version
-        self._patches_counter.inc()
-
-    def seed_tables(self) -> None:
-        """Seed routing state at join time from the successor's table.
-
-        Called by the overlay right after this node's join is applied.
-        For every row below ``common_prefix_length(self, successor)``
-        the two nodes share the row's prefix *and* the flipped bit, so
-        the row half-spaces — and hence the entries — are identical and
-        copy over; deeper rows are recomputed with one ring bisect
-        each.  The successor is refreshed first so its rows are at the
-        current version (which already includes this join).  The leaf
-        set is taken from the ring directly (it is this node's own
-        neighborhood; the successor's tells us nothing extra).
-        """
-        overlay = self._overlay
-        version = overlay.ring_version
-        me = self.id
-        bits = self._bits
-        succ_id = overlay.successor_of(me)
-        if succ_id == me:  # alone on the ring
-            self._table = [None] * bits
-            self._leaf_set = []
-        else:
-            succ = overlay._nodes[succ_id]
-            assert isinstance(succ, PastryNode)
-            succ._refresh()
-            succ_table = succ._table
-            shared = common_prefix_length(me, succ_id, bits)
-            table_row = overlay._table_row
-            self._table = [
-                succ_table[row] if row < shared else table_row(me, row)
-                for row in range(bits)
-            ]
-            self._leaf_set = overlay.compute_leaf_set(me)
-        self._version = version
-        self._seeds_counter.inc()
 
     def leaf_set(self) -> list[int]:
         """The nearest ring neighbors on both sides (ring order)."""

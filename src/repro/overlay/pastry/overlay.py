@@ -44,11 +44,6 @@ class PastryOverlay(RingOverlay):
     def _make_node(self, node_id: int) -> PastryNode:
         return PastryNode(node_id, self)
 
-    def _seed_joiner(self, node_id: int) -> None:
-        node = self._nodes[node_id]
-        assert isinstance(node, PastryNode)
-        node.seed_tables()
-
     def node(self, node_id: int) -> PastryNode:
         """The live Pastry node with the given id."""
         node = super().node(node_id)
@@ -65,7 +60,6 @@ class PastryOverlay(RingOverlay):
         """
         index = self._ring_index(node_id)
         n = len(self._ring)
-        half = min(self._leaf_set_size // 2, (n - 1) // 2 + ((n - 1) % 2))
         before = [
             self._ring[(index - offset) % n]
             for offset in range(min(self._leaf_set_size // 2, n - 1), 0, -1)
@@ -81,7 +75,6 @@ class PastryOverlay(RingOverlay):
             if candidate not in seen:
                 seen.add(candidate)
                 leaves.append(candidate)
-        del half  # clarity: arc bounded by min() above
         return leaves
 
     def compute_routing_table(self, node_id: int) -> list[int | None]:
@@ -98,12 +91,9 @@ class PastryOverlay(RingOverlay):
         return [self._table_row(node_id, position) for position in range(bits)]
 
     def _table_row(self, node_id: int, position: int) -> int | None:
-        """One routing-table entry, recomputed from the current ring.
-
-        The incremental patch path calls this for exactly the rows a
-        departure invalidated; :meth:`compute_routing_table` maps it
-        over all rows.
-        """
+        """Routing-table entry ``position`` of ``node_id``, read off the
+        current ring (:meth:`compute_routing_table` maps it over all
+        rows)."""
         bits = self._keyspace.bits
         shift = bits - 1 - position
         flipped = node_id ^ (1 << shift)

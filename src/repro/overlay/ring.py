@@ -8,6 +8,9 @@ the sorted ring, the KN-mapping (``owner_of``), neighbor lookup,
 join/leave/crash with the Section 4.1 state-transfer hooks, and the
 plumbing to the simulated network.  Subclasses contribute a node type
 (routing state) by overriding :meth:`_make_node`.
+
+The overlay keeps no history of membership changes: a node whose
+routing state predates the current ``ring_version`` re-reads the ring.
 """
 
 from __future__ import annotations
@@ -42,16 +45,10 @@ class RingNode(Protocol):
 class RingOverlay(OverlayNetwork):
     """Base class: membership, KN-mapping and message entry points.
 
-    Membership changes go to a bounded log keyed by ``ring_version``:
-    one entry per version bump past ``_delta_base``, either
-    ``("join", id, other)`` or ``("depart", id, other)``, where ``other``
-    is the peer whose routing state the change touches besides the
-    joiner/departed node itself (the ring predecessor on join, the heir
-    on departure).  A node holding routing state for version ``v``
-    catches up by replaying ``deltas_since(v)`` instead of rebuilding.
-    Bulk construction resets the log (its bump is a wholesale change),
-    and the log is capped: once it outgrows ``_DELTA_LOG_CAP`` the
-    oldest entries are dropped and stragglers fall back to a rebuild.
+    Every membership change bumps ``ring_version``.  A node memoizes
+    its routing state per version, and a stale node re-resolves it from
+    the sorted ring on its next use; a joiner starts cold, like every
+    node of :meth:`build_ring`.
 
     Args:
         sim: The simulation kernel.
@@ -59,8 +56,6 @@ class RingOverlay(OverlayNetwork):
         network: Message transport (defaults to 50 ms fixed delay).
         state_transfer: Optional Section 4.1 churn hook.
     """
-
-    _DELTA_LOG_CAP = 512
 
     def __init__(
         self,
@@ -81,34 +76,20 @@ class RingOverlay(OverlayNetwork):
         self.ring_version = 0
         # Maintenance counts of nodes that already departed: without
         # this, harness totals summed over live nodes silently truncate
-        # (a departing node takes its counters with it).
+        # (a departing node takes its counters with it).  A ring node
+        # only rebuilds; the other two keys read 0 and stay because every
+        # overlay reports the same three totals.
         self._departed_maintenance = {
             "table_rebuilds": 0,
             "table_patches": 0,
             "table_seeds": 0,
         }
-        # Join entries log the joiner's predecessor *after* the join;
-        # depart entries log the departed node's successor *after* the
-        # removal.
-        self._delta_base = 0
-        self._delta_log: list[tuple[str, int, int]] = []
 
     # -- subclass contribution ------------------------------------------------
 
     def _make_node(self, node_id: int) -> RingNode:
         """Create the routing-state object for a new node."""
         raise NotImplementedError
-
-    def _seed_joiner(self, node_id: int) -> None:
-        """Give a just-joined node its initial routing state.
-
-        Called by :meth:`join` once the ring and the delta log reflect
-        the join.  The default leaves the node cold (first use pays a
-        full rebuild); overlays with a cheap exact seeding rule —
-        deriving the joiner's state from its successor's, one delta
-        apart — override this.  ``build_ring`` never seeds: bulk setup
-        stays lazy so unused nodes cost nothing.
-        """
 
     # -- accessors --------------------------------------------------------
 
@@ -167,8 +148,6 @@ class RingOverlay(OverlayNetwork):
             if local is None or node_id in local:
                 self._add_node(node_id)
         self.ring_version += 1
-        self._delta_base = self.ring_version
-        self._delta_log.clear()
 
     def join(self, node_id: int) -> None:
         """Add one node; the successor hands over the inherited keys."""
@@ -179,8 +158,6 @@ class RingOverlay(OverlayNetwork):
         self._members.add(node_id)
         self._add_node(node_id)
         self.ring_version += 1
-        self._log_delta("join", node_id, self.predecessor_of(node_id))
-        self._seed_joiner(node_id)
         if len(self._ring) > 1 and self._state_transfer is not None:
             successor = self.successor_of(node_id)
             predecessor = self.predecessor_of(node_id)
@@ -234,30 +211,6 @@ class RingOverlay(OverlayNetwork):
             totals[key] += getattr(node, key, 0)
         self._network.unregister(node_id)
         self.ring_version += 1
-        # Callers (leave/crash) guarantee the ring keeps >= 1 node, so
-        # the departed id's keys have a live heir: its old successor.
-        heir = self._ring[index % len(self._ring)]
-        self._log_delta("depart", node_id, heir)
-
-    def _log_delta(self, op: str, node_id: int, other: int) -> None:
-        log = self._delta_log
-        log.append((op, node_id, other))
-        if len(log) > self._DELTA_LOG_CAP:
-            drop = len(log) - self._DELTA_LOG_CAP
-            del log[:drop]
-            self._delta_base += drop
-
-    def deltas_since(self, version: int) -> list[tuple[str, int, int]] | None:
-        """Membership changes between ``version`` and the current one.
-
-        Returns the change entries a node at ``version`` must replay to
-        reach the current version, oldest first, or ``None`` when the
-        log no longer stretches back that far (caller must rebuild).
-        """
-        start = version - self._delta_base
-        if start < 0:
-            return None
-        return self._delta_log[start:]
 
     # -- KN-mapping and pointers -------------------------------------------
 
@@ -274,10 +227,10 @@ class RingOverlay(OverlayNetwork):
     def owners_of(self, keys: Iterable[int]) -> list[int]:
         """``owner_of`` for many already-validated keys.
 
-        The routing-table rebuild path maps every finger start through
-        the KN-mapping at once; this skips the per-key validation (the
-        starts are precomputed on-ring values) and rebinds the ring and
-        bisect locally.
+        :meth:`~repro.overlay.chord.ChordOverlay.compute_finger_slots`
+        maps every finger start through the KN-mapping at once; this
+        skips the per-key validation (the starts are on-ring values) and
+        rebinds the ring and bisect locally.
         """
         ring = self._ring
         if not ring:

@@ -1,7 +1,7 @@
 """Named metric instruments: counters, gauges, histograms.
 
 Any component can create an instrument through the run's
-:class:`MetricRegistry` (``registry.counter("chord.table_patches")``)
+:class:`MetricRegistry` (``registry.counter("chord.table_rebuilds")``)
 and update it with plain attribute arithmetic — an update is one
 ``int`` add on a ``__slots__`` object, cheap enough to leave permanently
 on (the migrated ``ChordNode.table_rebuilds`` / ``Network.dropped``

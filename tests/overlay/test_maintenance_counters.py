@@ -1,10 +1,9 @@
 """Maintenance counters across the three overlays.
 
-Chord's ``table_rebuilds``/``table_patches`` split is pinned in detail
-by ``test_chord_incremental`` (and Pastry's/CAN's by their own
-incremental suites); here the rebuild-vs-patch read surface is checked
-on Pastry and CAN and the shared registry plumbing on a
-telemetry-enabled network.
+Chord and Pastry count one rebuild per stale read (pinned in detail by
+their incremental suites), and CAN splits rebuilds from patches (an
+unchanged zone re-read); here the read surface is checked on Pastry and
+CAN and the shared registry plumbing on a telemetry-enabled network.
 """
 
 import random
@@ -25,7 +24,7 @@ def _ids(n, seed=3):
     return random.Random(seed).sample(range(KS.size), n)
 
 
-def test_pastry_counts_rebuilds_and_patches_on_churn():
+def test_pastry_counts_rebuilds_on_churn():
     sim = Simulator()
     overlay = PastryOverlay(sim, KS)
     overlay.build_ring(_ids(20))
@@ -37,10 +36,9 @@ def test_pastry_counts_rebuilds_and_patches_on_churn():
     assert node.table_rebuilds == 1
     joiner = next(i for i in range(KS.size) if not overlay.is_alive(i))
     overlay.join(joiner)
+    assert overlay.node(joiner).table_rebuilds == 0  # a joiner starts cold
     node.routing_table()
-    assert node.table_rebuilds == 1  # one delta behind: patched
-    assert node.table_patches == 1
-    assert overlay.node(joiner).table_seeds == 1
+    assert node.table_rebuilds == 2  # stale: recomputed once
 
 
 def test_can_counts_rebuilds_and_patches_on_zone_changes():
@@ -132,30 +130,22 @@ def test_chord_instruments_are_made_on_first_increment():
         return [c for c in registry.counters() if c.name == name]
 
     node = overlay.node(overlay.node_ids()[0])
-    assert (node.table_rebuilds, node.table_patches, node.table_seeds) == (0, 0, 0)
-    for name in ("chord.table_rebuilds", "chord.table_patches", "chord.table_seeds"):
-        assert instruments(name) == []  # a cold ring has counted nothing
+    assert node.table_rebuilds == 0
+    assert instruments("chord.table_rebuilds") == []  # a cold ring counted nothing
     node.fingers()
-    assert (node.table_rebuilds, node.table_patches, node.table_seeds) == (1, 0, 0)
+    assert node.table_rebuilds == 1
+    assert [c.labels for c in instruments("chord.table_rebuilds")] == [
+        (("node", node.id),)
+    ]
+    joiner = next(i for i in range(KS.size) if not overlay.is_alive(i))
+    overlay.join(joiner)  # the joiner starts cold: no instrument yet
+    assert overlay.node(joiner).table_rebuilds == 0
     assert len(instruments("chord.table_rebuilds")) == 1
-    assert instruments("chord.table_patches") == []
-    assert instruments("chord.table_seeds") == []
-    joiner = next(
-        i for i in range(KS.size)
-        if not overlay.is_alive(i) and overlay.owner_of(i) != node.id
-    )
-    overlay.join(joiner)  # seeds the joiner; its successor is not `node`
-    assert overlay.node(joiner).table_seeds == 1
-    assert [c.labels for c in instruments("chord.table_seeds")] == [
-        (("node", joiner),)
-    ]
-    node.fingers()  # one delta behind: the first patch makes the instrument
-    assert (node.table_rebuilds, node.table_patches) == (1, 1)
-    assert (("node", node.id),) in [
-        c.labels for c in instruments("chord.table_patches")
-    ]
-    assert registry.total("chord.table_patches") == sum(
-        overlay.node(i).table_patches for i in overlay.node_ids()
+    node.fingers()  # stale: one more re-resolve on the same instrument
+    assert node.table_rebuilds == 2
+    assert len(instruments("chord.table_rebuilds")) == 1
+    assert registry.total("chord.table_rebuilds") == sum(
+        overlay.node(i).table_rebuilds for i in overlay.node_ids()
     )
 
 

@@ -1,11 +1,11 @@
-"""Incremental Pastry routing-state maintenance under churn.
+"""Pastry routing-state maintenance under churn.
 
-The prefix router consumes the same membership delta log as Chord:
-joins min-update exactly one routing-table row and dirty the leaf set
-only when they land inside its arc; departures recompute exactly the
-rows they held.  These tests pin that a patched node's state is always
-identical to a wholesale recomputation, that join-time seeding is
-exact, and that the log-overrun fallback still rebuilds.
+The overlay keeps no history of membership changes: a stale
+:class:`PastryNode` recomputes its leaf set and prefix rows from the
+ring on its next use, and a joiner holds no state until its first use.
+These tests pin that one stale read is one recomputation, however many
+changes it absorbs, and that the state always equals a wholesale
+computation.
 """
 
 import random
@@ -29,15 +29,17 @@ def assert_state_matches_rebuild(overlay, node):
     assert node.leaf_set() == overlay.compute_leaf_set(node.id)
 
 
-def test_join_patches_exactly_one_row():
+def test_one_stale_read_recomputes_once():
     _, overlay = build([0x0100, 0x0900, 0x1100, 0x1900])
     node = overlay.node(0x0100)
     node.routing_table()
-    rebuilds, patches = node.table_rebuilds, node.table_patches
+    rebuilds = node.table_rebuilds
     overlay.join(0x0500)
+    overlay.join(0x1500)
+    overlay.leave(0x0900)
+    assert node.audit_state()[0] < overlay.ring_version  # stale until read
     assert_state_matches_rebuild(overlay, node)
-    assert node.table_rebuilds == rebuilds
-    assert node.table_patches == patches + 1
+    assert node.table_rebuilds == rebuilds + 1
 
 
 def test_departure_recomputes_held_rows():
@@ -47,13 +49,13 @@ def test_departure_recomputes_held_rows():
     rebuilds = node.table_rebuilds
     overlay.leave(0x1100)
     assert_state_matches_rebuild(overlay, node)
-    assert node.table_rebuilds == rebuilds
+    assert node.table_rebuilds == rebuilds + 1
     overlay.crash(0x0300)
     assert_state_matches_rebuild(overlay, node)
-    assert node.table_rebuilds == rebuilds
+    assert node.table_rebuilds == rebuilds + 2
 
 
-def test_joiner_is_seeded_exactly():
+def test_joiner_is_cold_until_first_use():
     rng = random.Random(7)
     ids = rng.sample(range(KS.size), 40)
     _, overlay = build(ids)
@@ -63,12 +65,10 @@ def test_joiner_is_seeded_exactly():
             continue
         overlay.join(candidate)
         joiner = overlay.node(candidate)
-        assert joiner.table_seeds == 1
+        assert joiner.audit_state()[0] == -1
         assert joiner.table_rebuilds == 0
-        # Seeded state must equal a wholesale computation and leave the
-        # node version-current (reading it is not another rebuild).
         assert_state_matches_rebuild(overlay, joiner)
-        assert joiner.table_rebuilds == 0
+        assert joiner.table_rebuilds == 1
 
 
 def test_randomized_churn_keeps_patched_state_exact():
@@ -98,41 +98,3 @@ def test_randomized_churn_keeps_patched_state_exact():
                 assert_state_matches_rebuild(overlay, node)
     for node in watched:
         assert_state_matches_rebuild(overlay, node)
-        assert node.table_patches > 0
-
-
-def test_log_overrun_falls_back_to_rebuild():
-    _, overlay = build([0x0100, 0x0900, 0x1100, 0x1900])
-    overlay._DELTA_LOG_CAP = 4  # shrink the window for the test
-    node = overlay.node(0x0100)
-    node.routing_table()
-    version_before = overlay.ring_version
-    rebuilds = node.table_rebuilds
-    for candidate in (0x0200, 0x0400, 0x0600, 0x0A00, 0x0C00, 0x1300):
-        overlay.join(candidate)
-    assert overlay.deltas_since(version_before) is None
-    node.routing_table()
-    assert node.table_rebuilds == rebuilds + 1
-    assert_state_matches_rebuild(overlay, node)
-
-
-def test_many_missed_deltas_fall_back_to_rebuild():
-    _, overlay = build([0x0100, 0x0900, 0x1100, 0x1900])
-    node = overlay.node(0x0100)
-    node.routing_table()
-    rebuilds = node.table_rebuilds
-    joiner_rng = random.Random(11)
-    added = 0
-    while added <= node._patch_limit:
-        candidate = joiner_rng.randrange(KS.size)
-        # Keep joiners out of (0x1900, 0x0100]: a joiner there would
-        # have the watched node as successor, and join-time seeding
-        # force-syncs the successor, resetting the gap we are growing.
-        if not 0x0100 < candidate < 0x1900:
-            continue
-        if not overlay.is_alive(candidate):
-            overlay.join(candidate)
-            added += 1
-    node.routing_table()
-    assert node.table_rebuilds == rebuilds + 1
-    assert_state_matches_rebuild(overlay, node)

@@ -23,12 +23,12 @@ def test_counter_get_or_create_and_inc():
 
 def test_labeled_counters_are_distinct_instruments():
     registry = MetricRegistry()
-    n1 = registry.counter("chord.table_patches", node=1)
-    n2 = registry.counter("chord.table_patches", node=2)
+    n1 = registry.counter("chord.table_rebuilds", node=1)
+    n2 = registry.counter("chord.table_rebuilds", node=2)
     assert n1 is not n2
     n1.inc(2)
     n2.inc(5)
-    assert registry.total("chord.table_patches") == 7
+    assert registry.total("chord.table_rebuilds") == 7
 
 
 def test_gauge_explicit_and_supplier():

@@ -476,6 +476,10 @@ class PubSubSystem:
 
     def deliver_notifications(self, node_id: int, payload: NotifyPayload) -> None:
         """Terminal delivery of a notification batch at the subscriber."""
+        if payload.subscriber != node_id:
+            # Routed on a departed subscriber's id, the batch reached the
+            # node that took the id over; it is not that node's to deliver.
+            return
         # Announced before dedupe so duplicate deliveries stay observable.
         now = self._sim.now
         for fn in self.tap.notify:

@@ -42,6 +42,7 @@ from repro.audit.records import (
     ProbeRecord,
     Violation,
 )
+from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
     from repro.core.events import Event
@@ -68,6 +69,14 @@ class AuditConfig:
     probe_period: float | None = None
     delivery_deadline: float | None = None
     grace: float = 2.0
+
+    def __post_init__(self) -> None:
+        for name in ("probe_period", "delivery_deadline"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigurationError(f"{name} must be > 0, got {value}")
+        if not self.grace >= 0:
+            raise ConfigurationError(f"grace must be >= 0, got {self.grace}")
 
 
 class _LedgerEntry:

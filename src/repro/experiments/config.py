@@ -83,6 +83,11 @@ class ExperimentConfig:
             )
         if self.nodes < 1:
             raise ConfigurationError("need at least one node")
+        if self.subscriptions < 0 or self.publications < 0:
+            raise ConfigurationError(
+                "subscriptions and publications must be >= 0, got "
+                f"{self.subscriptions} and {self.publications}"
+            )
         if self.nodes > (1 << self.key_bits):
             raise ConfigurationError(
                 f"{self.nodes} nodes do not fit a {self.key_bits}-bit key space"

@@ -7,9 +7,9 @@ one-to-many primitive.  Section 4.1 additionally relies on each overlay
 exposing *some* proprietary way to reach ring neighbors (for state
 transfer on join/leave and for the notification-collecting chain).
 
-This module defines those primitives as abstract types so that the
-CB-pub/sub layer (:mod:`repro.core`) is portable across overlays: the
-test suite exercises it over :mod:`repro.overlay.chord`,
+This module defines those primitives once, in :class:`OverlayNetwork`,
+so that the CB-pub/sub layer (:mod:`repro.core`) is portable across
+overlays: the test suite exercises it over :mod:`repro.overlay.chord`,
 :mod:`repro.overlay.pastry` and :mod:`repro.overlay.can`.
 """
 
@@ -19,8 +19,9 @@ import abc
 import dataclasses
 import enum
 import itertools
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING, Any, Iterable, Protocol
 
+from repro.errors import OverlayError
 from repro.overlay.ids import KeySpace
 
 if TYPE_CHECKING:
@@ -167,13 +168,37 @@ class NeighborSide(enum.Enum):
     PREDECESSOR = "predecessor"
 
 
+class OverlayNode(Protocol):
+    """What :class:`OverlayNetwork` requires of a node implementation."""
+
+    id: int
+
+    def receive(self, message: OverlayMessage) -> None: ...
+    def route_unicast(self, message: OverlayMessage) -> None: ...
+    def start_mcast(self, message: OverlayMessage) -> None: ...
+    def continue_sequential(self, message: OverlayMessage) -> None: ...
+
+
 class OverlayNetwork(abc.ABC):
     """A structured overlay: logical-key routing over a set of nodes.
 
-    Concrete implementations (Chord, Pastry) maintain the KN-mapping and
-    route messages to the node covering each key.  The pub/sub layer
-    only ever talks to this interface.
+    The pub/sub layer only ever talks to this interface.  The base owns
+    what every overlay shares: the table of live node objects, the
+    application entry points (``send``, ``mcast``, ``sequential_cast``:
+    validate, build the request envelope, hand it to the source node)
+    and the maintenance counters.  A subclass (Chord, Pastry, CAN,
+    protocol-level Chord) contributes membership, the KN-mapping and an
+    :class:`OverlayNode` type that routes.
+
+    Routing-state maintenance is counted per overlay, in two unlabelled
+    registry counters ``<kind>.table_rebuilds`` and
+    ``<kind>.table_patches``: a node bumps ``.value`` in place when it
+    recomputes its state (a rebuild) or re-reads it unchanged (a patch,
+    CAN only), so a departed node's work stays counted.
     """
+
+    #: Overlay family name; prefixes the maintenance counters.
+    kind: str
 
     def __init__(
         self,
@@ -192,6 +217,11 @@ class OverlayNetwork(abc.ABC):
         self._tap = network.tap
         self._deliver: DeliverFn | None = None
         self._state_transfer = state_transfer
+        # Live node objects by id; a sharded worker holds only its own.
+        self._nodes: dict[int, OverlayNode] = {}
+        registry = network.telemetry.registry
+        self.table_rebuilds = registry.counter(f"{self.kind}.table_rebuilds")
+        self.table_patches = registry.counter(f"{self.kind}.table_patches")
 
     @property
     def keyspace(self) -> KeySpace:
@@ -263,11 +293,26 @@ class OverlayNetwork(abc.ABC):
             trace=message.trace,
         )
 
+    def maintenance_totals(self) -> dict[str, int]:
+        """Run-wide routing-state maintenance counts, departed nodes included.
+
+        ``table_seeds`` reads 0 on every overlay; it stays because every
+        overlay reports the same three totals.
+        """
+        return {
+            "table_rebuilds": self.table_rebuilds.value,
+            "table_patches": self.table_patches.value,
+            "table_seeds": 0,
+        }
+
     # -- membership ---------------------------------------------------
 
-    @abc.abstractmethod
     def node(self, node_id: int):
         """The live node object with the given id."""
+        try:
+            return self._nodes[node_id]
+        except KeyError:
+            raise OverlayError(f"no live node with id {node_id}") from None
 
     @abc.abstractmethod
     def node_ids(self) -> list[int]:
@@ -276,13 +321,13 @@ class OverlayNetwork(abc.ABC):
     def app_node_ids(self) -> list[int]:
         """Ids the *application layer* should attach pub/sub state to.
 
-        Equal to :meth:`node_ids` in a serial overlay.  A sharded
-        overlay reports full ring membership through ``node_ids`` (every
-        worker knows the whole KN-mapping) but materializes node objects
-        and application state only for the ids its shard owns; those
-        local ids are what this returns.
+        The ids of :meth:`node_ids` with a node object.  A serial
+        overlay materializes every member, so the two are equal; a
+        sharded worker knows the whole membership but builds node
+        objects and application state only for the ids its shard owns.
         """
-        return self.node_ids()
+        nodes = self._nodes
+        return [node_id for node_id in self.node_ids() if node_id in nodes]
 
     @abc.abstractmethod
     def join(self, node_id: int) -> None:
@@ -316,9 +361,14 @@ class OverlayNetwork(abc.ABC):
         """
         return self.owner_of(key) == node_id
 
-    @abc.abstractmethod
     def neighbor_of(self, node_id: int, side: NeighborSide) -> int:
-        """Id of the ring neighbor of ``node_id`` on the given side."""
+        """Id of the ring neighbor of ``node_id`` on the given side.
+
+        Read off the subclass's ``successor_of`` / ``predecessor_of``.
+        """
+        if side is NeighborSide.SUCCESSOR:
+            return self.successor_of(node_id)
+        return self.predecessor_of(node_id)
 
     def heir_of(self, node_id: int) -> int:
         """The node that inherits ``node_id``'s keys if it disappears.
@@ -331,22 +381,34 @@ class OverlayNetwork(abc.ABC):
 
     # -- communication ------------------------------------------------
 
-    @abc.abstractmethod
     def send(self, source_id: int, key: int, message: OverlayMessage) -> None:
         """Route ``message`` from ``source_id`` to the node covering ``key``."""
+        self._keyspace.validate(key)
+        self.node(source_id).route_unicast(self._prepared(message, key=key))
 
-    @abc.abstractmethod
     def mcast(
-        self, source_id: int, keys: frozenset[int], message: OverlayMessage
+        self, source_id: int, keys: Iterable[int], message: OverlayMessage
     ) -> None:
-        """Deliver ``message`` once to every node covering a key in ``keys``."""
+        """Deliver ``message`` once to every node covering a key in ``keys``
+        (Section 4.3.1's native one-to-many primitive)."""
+        targets = frozenset(self._keyspace.validate(k) for k in keys)
+        if targets:
+            self.node(source_id).start_mcast(
+                self._prepared(message, target_keys=targets, mode=CastMode.MCAST)
+            )
 
-    @abc.abstractmethod
     def sequential_cast(
-        self, source_id: int, keys: frozenset[int], message: OverlayMessage
+        self, source_id: int, keys: Iterable[int], message: OverlayMessage
     ) -> None:
         """Conservative one-to-many: walk the targets key by key
         (Section 4.3.1's unicast-based baseline)."""
+        targets = frozenset(self._keyspace.validate(k) for k in keys)
+        if targets:
+            self.node(source_id).continue_sequential(
+                self._prepared(
+                    message, target_keys=targets, mode=CastMode.SEQUENTIAL
+                )
+            )
 
     def send_to_neighbor(
         self, source_id: int, side: NeighborSide, message: OverlayMessage

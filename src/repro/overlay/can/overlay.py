@@ -9,7 +9,6 @@ from typing import Iterable
 from repro.errors import ConfigurationError, OverlayError
 from repro.overlay.api import (
     CastMode,
-    NeighborSide,
     OverlayMessage,
     OverlayNetwork,
     StateTransferHook,
@@ -63,27 +62,6 @@ class CanNode:
         # M-cast pointers as (zone version, zone-start distances, owners),
         # made by the first m-cast this node forwards (_mcast_table).
         self._mcast: tuple[int, array[int], list[int]] | None = None
-        # Maintenance counters, mirroring ChordNode's read surface:
-        # each is made on its first increment (_instrument); until then
-        # its property reads 0 without one.
-        self._rebuilds_counter = None
-        self._patches_counter = None
-
-    @property
-    def table_rebuilds(self) -> int:
-        """Full zone-decomposition recomputations."""
-        counter = self._rebuilds_counter
-        return 0 if counter is None else counter.value
-
-    @property
-    def table_patches(self) -> int:
-        """Zone re-reads that found the zone unchanged."""
-        counter = self._patches_counter
-        return 0 if counter is None else counter.value
-
-    def _instrument(self, name: str):
-        """This node's registry counter ``name``, made on first increment."""
-        return self._overlay.telemetry.registry.counter(name, node=self.id)
 
     def cells(self) -> list[tuple[int, int]]:
         """My zone's maximal aligned cells ((start, size) pairs).
@@ -92,7 +70,8 @@ class CanNode:
         intervals.  The decomposition is a function of the zone alone,
         so on a new zone version a node re-reads its zone: unchanged, it
         keeps its cells as-is (a patch); moved, it recomputes cells,
-        rectangles and stamp (a rebuild).
+        rectangles and stamp (a rebuild).  Each is counted on the
+        overlay, in ``can.table_patches`` / ``can.table_rebuilds``.
         """
         overlay = self._overlay
         version = overlay.zone_version
@@ -101,12 +80,7 @@ class CanNode:
         zone = overlay.zone_of(self.id)
         if self._version >= 0 and zone == self._zone:
             self._version = version
-            counter = self._patches_counter
-            if counter is None:
-                counter = self._patches_counter = self._instrument(
-                    "can.table_patches"
-                )
-            counter.inc()
+            overlay.table_patches.value += 1
             return self._cells
         cells = overlay.compute_cells(self.id)
         rect_of_cell = overlay.rect_of_cell
@@ -114,12 +88,7 @@ class CanNode:
         self._rects = [rect_of_cell(s, z) for s, z in cells]
         self._zone = zone
         self._version = version
-        counter = self._rebuilds_counter
-        if counter is None:
-            counter = self._rebuilds_counter = self._instrument(
-                "can.table_rebuilds"
-            )
-        counter.inc()
+        overlay.table_rebuilds.value += 1
         return self._cells
 
     def audit_state(self) -> tuple[int, list[tuple[int, int]]]:
@@ -532,6 +501,8 @@ class CanOverlay(OverlayNetwork):
       so the pub/sub layer promotes replicas at the right node.
     """
 
+    kind = "can"
+
     def __init__(
         self,
         sim: Simulator,
@@ -558,7 +529,6 @@ class CanOverlay(OverlayNetwork):
         # special case and a zone may legitimately wrap the origin.
         self._starts: list[int] = []
         self._owners: list[int] = []
-        self._nodes: dict[int, CanNode] = {}
         # Membership vs. materialization — see RingOverlay: a sharded
         # worker tracks every zone owner in `_members` but only builds
         # CanNode state for its own ids (`_local_filter` is set for the
@@ -594,14 +564,6 @@ class CanOverlay(OverlayNetwork):
                 1 for position in range(bits - free, bits) if position % 2 == 0
             )
             self._cell_dims.append((1 << width_bits, 1 << (free - width_bits)))
-        # Maintenance counts of nodes that already departed: without
-        # this, harness totals summed over live nodes silently truncate
-        # (a departing node takes its counters with it).
-        self._departed_maintenance = {
-            "table_rebuilds": 0,
-            "table_patches": 0,
-            "table_seeds": 0,
-        }
 
     # -- accessors -----------------------------------------------------------
 
@@ -615,12 +577,6 @@ class CanOverlay(OverlayNetwork):
         """Whether routing probes past the adjacent zone's far edge."""
         return self._zone_jumps
 
-    def node(self, node_id: int) -> CanNode:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise OverlayError(f"no live node with id {node_id}") from None
-
     def node_ids(self) -> list[int]:
         """Live node ids, in zone (Morton-start) order."""
         return list(self._owners)
@@ -630,11 +586,6 @@ class CanOverlay(OverlayNetwork):
 
     def is_alive(self, node_id: int) -> bool:
         return node_id in self._members
-
-    def app_node_ids(self) -> list[int]:
-        """Zone-ordered ids with materialized node state (see base)."""
-        nodes = self._nodes
-        return [node_id for node_id in self._owners if node_id in nodes]
 
     def zone_of(self, node_id: int) -> tuple[int, int]:
         """``(start, length)`` of the node's zone (may wrap the origin)."""
@@ -832,8 +783,7 @@ class CanOverlay(OverlayNetwork):
         smallest-neighbor takeover rule.  A single-node overlay is its
         own heir.
         """
-        index = self._owner_index(node_id)
-        return self._owners[(index - 1) % len(self._owners)]
+        return self.predecessor_of(node_id)
 
     def _absorb(self, node_id: int) -> None:
         index = self._owner_index(node_id)
@@ -868,26 +818,8 @@ class CanOverlay(OverlayNetwork):
 
     def _unregister(self, node_id: int) -> None:
         self._members.discard(node_id)
-        node = self._nodes.pop(node_id, None)
-        if node is None:
-            return
-        totals = self._departed_maintenance
-        for key in totals:
-            totals[key] += getattr(node, key, 0)
-        self._network.unregister(node_id)
-
-    def maintenance_totals(self) -> dict[str, int]:
-        """Exact run-wide maintenance counts: live nodes + departed ones.
-
-        The per-node ``table_*`` properties only cover nodes still
-        alive; departures accumulate here first, so harness totals are
-        exact regardless of churn.
-        """
-        totals = dict(self._departed_maintenance)
-        for node in self._nodes.values():
-            for key in totals:
-                totals[key] += getattr(node, key, 0)
-        return totals
+        if self._nodes.pop(node_id, None) is not None:
+            self._network.unregister(node_id)
 
     # -- KN-mapping ---------------------------------------------------------------
 
@@ -896,9 +828,6 @@ class CanOverlay(OverlayNetwork):
             raise OverlayError("empty overlay")
         return self._key_owner[self._keyspace.validate(key)]
 
-    def covers(self, node_id: int, key: int) -> bool:
-        return self.owner_of(key) == node_id
-
     def successor_of(self, node_id: int) -> int:
         index = self._owner_index(node_id)
         return self._owners[(index + 1) % len(self._owners)]
@@ -906,37 +835,3 @@ class CanOverlay(OverlayNetwork):
     def predecessor_of(self, node_id: int) -> int:
         index = self._owner_index(node_id)
         return self._owners[(index - 1) % len(self._owners)]
-
-    def neighbor_of(self, node_id: int, side: NeighborSide) -> int:
-        if side is NeighborSide.SUCCESSOR:
-            return self.successor_of(node_id)
-        return self.predecessor_of(node_id)
-
-    # -- communication ---------------------------------------------------------
-
-    def send(self, source_id: int, key: int, message: OverlayMessage) -> None:
-        self._keyspace.validate(key)
-        node = self.node(source_id)
-        node.route_unicast(self._prepared(message, key=key))
-
-    def mcast(
-        self, source_id: int, keys: Iterable[int], message: OverlayMessage
-    ) -> None:
-        targets = frozenset(self._keyspace.validate(k) for k in keys)
-        if not targets:
-            return
-        node = self.node(source_id)
-        node.start_mcast(
-            self._prepared(message, target_keys=targets, mode=CastMode.MCAST)
-        )
-
-    def sequential_cast(
-        self, source_id: int, keys: Iterable[int], message: OverlayMessage
-    ) -> None:
-        targets = frozenset(self._keyspace.validate(k) for k in keys)
-        if not targets:
-            return
-        node = self.node(source_id)
-        node.continue_sequential(
-            self._prepared(message, target_keys=targets, mode=CastMode.SEQUENTIAL)
-        )

@@ -50,13 +50,13 @@ not when a message passes through it, and each layer under the array is
 deferred the same way:
 
 - **Touch log.**  ``receive`` (and ``learn``) only append to the
-  cache's log; every cached reader (``_next_hop(use_cache=True)``,
+  cache's log; every cached reader (``_next_hop``,
   ``start_mcast``, ``forget``, ``cached_ids``, ``routing_table``) folds
   it first, through :meth:`ChordNode._refresh_cache`, which journals
   what entered and left.
 - **Journal.**  Nothing that writes the fingers or the cache touches
   the array: writers append the ids whose membership changed to a
-  journal, and the cached ``_next_hop`` brings the array current
+  journal, and ``_next_hop`` brings the array current
   before it searches (:meth:`ChordNode._materialize`).  A short journal
   is replayed by splice; one that outgrew a quarter of the table has
   been dropped, and the read re-sorts once.  A node that never routes
@@ -65,14 +65,14 @@ deferred the same way:
   which resolves the ``m`` starts ``(id + 2**i) mod size`` at one
   bisect each and dedups the owners in one pass — they come out
   nearest first with self last, so nothing is sorted.  A joiner starts
-  cold too, and the ``table_rebuilds`` registry counter is made on its
-  first increment.
+  cold too, and costs nothing until its first use.
 
 Under churn a node whose fingers predate the ring version re-resolves
 them on its next use: every start is bisected against the ring again
 and only the slots that moved are written, through
 :meth:`ChordNode._apply_slot`, so the journal names only the fingers
-that came or went.  ``table_rebuilds`` counts the re-resolves.
+that came or went.  The overlay's ``chord.table_rebuilds`` counter
+counts the re-resolves, cold builds included.
 
 Outbound fan-out reuses message envelopes: an envelope that was *not*
 delivered locally is forwarded in place (unicast, sequential, and one
@@ -135,22 +135,12 @@ class ChordNode:
         self._table_dists: list[int] = []
         self._table_ids: list[int] = []
         self._table_journal: list[int] | None = None
-        # The rebuild counter, exposed as a thin property view over a
-        # per-node registry instrument made on its first increment;
-        # until then the property reads 0 without one.
-        self._rebuilds_counter = None
         # Version-stamped predecessor memo: covers() and the two
         # multicast walks all ask for it, often several times per tick.
         self._pred_version = -1
         self._pred_value = node_id
 
     # -- pointers -------------------------------------------------------
-
-    @property
-    def table_rebuilds(self) -> int:
-        """Full finger-table rebuilds (view over ``chord.table_rebuilds``)."""
-        counter = self._rebuilds_counter
-        return 0 if counter is None else counter.value
 
     @property
     def successor(self) -> int:
@@ -235,14 +225,7 @@ class ChordNode:
             ]
             self._refresh_fingers()
         self._table_version = version
-        counter = self._rebuilds_counter
-        if counter is None:
-            counter = self._rebuilds_counter = (
-                self._overlay.telemetry.registry.counter(
-                    "chord.table_rebuilds", node=self.id
-                )
-            )
-        counter.inc()
+        self._overlay.table_rebuilds.value += 1
 
     def _apply_slot(self, index: int, new_owner: int) -> None:
         """Point slot ``index`` at ``new_owner``, keeping the fingers
@@ -487,20 +470,20 @@ class ChordNode:
         if message.path and (key - me) % self._size > self._size >> 1:
             next_hop = predecessor  # overshot: see continue_mcast
         else:
-            next_hop = self._next_hop(key, use_cache=True)
+            next_hop = self._next_hop(key)
         message.hops += 1
         message.path += (me, predecessor)
         self._overlay._network_transmit(me, next_hop, message)
 
-    def _next_hop(self, key: int, use_cache: bool) -> int:
+    def _next_hop(self, key: int) -> int:
         """The owner of ``key`` when a pointer certifies it, else the
         closest live node preceding-or-equal to ``key`` that we know.
 
         The two certificates of the module docstring, in order: the
         finger slot (exact: the slots were just synced), then the first
-        entry past the key in the merged table (fingers, plus the
-        location cache when ``use_cache`` is set) if it is live and the
-        arc it last stamped covers the key.
+        entry past the key in the merged table (fingers plus the
+        location cache) if it is live and the arc it last stamped covers
+        the key.
 
         Otherwise binary-searches the distance-sorted table for the
         rightmost entry at clockwise distance ``<= distance(self, key)``
@@ -517,21 +500,18 @@ class ChordNode:
         owner = self._finger_slots[target_distance.bit_length() - 1]
         if 0 < target_distance <= (owner - me) % size:
             return owner
-        if use_cache:
-            cache = self._cache
-            if cache.log:
-                self._refresh_cache()
-            cache = cache.entries
-            journal = self._table_journal
-            if journal is None or journal:
-                self._materialize()
-            dists, ids = self._table_dists, self._table_ids
-        else:
-            dists, ids = self._finger_dists, self._fingers
+        cache = self._cache
+        if cache.log:
+            self._refresh_cache()
+        cache = cache.entries
+        journal = self._table_journal
+        if journal is None or journal:
+            self._materialize()
+        dists, ids = self._table_dists, self._table_ids
         is_alive = overlay.is_alive
         dead: list[int] | None = None
         index = bisect_right(dists, target_distance) - 1
-        if use_cache and index + 1 < len(ids):
+        if index + 1 < len(ids):
             candidate = ids[index + 1]
             predecessor = cache[candidate] if candidate in cache else None
             if (
@@ -663,7 +643,7 @@ class ChordNode:
             if distances[0] > behind:
                 branches[predecessor] = 0  # overshot: all of it, one step back
         while not branches:
-            if arcs is not None:  # as _next_hop(use_cache=True) reads it
+            if arcs is not None:  # as _next_hop reads it
                 members = self._overlay._members
                 journal = self._table_journal
                 if journal is None or journal:
@@ -766,5 +746,5 @@ class ChordNode:
             onward.path += (me, predecessor)
             onward.target_keys = rest
         onward.key = next_key
-        next_hop = self._next_hop(next_key, use_cache=True)
+        next_hop = self._next_hop(next_key)
         self._overlay._network_transmit(me, next_hop, onward)

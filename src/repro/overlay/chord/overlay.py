@@ -1,11 +1,11 @@
 """The Chord overlay: finger tables over the shared ring machinery.
 
-Membership, the KN-mapping (``owner_of``), neighbor lookup and the
-message entry points live in :class:`~repro.overlay.ring.RingOverlay`;
-this class contributes Chord's routing state — the finger table of
-Section 3.1.1 — and the :class:`~repro.overlay.chord.node.ChordNode`
-that implements greedy routing, the location cache and the ``m-cast``
-algorithm of Fig. 4.
+Membership, the KN-mapping (``owner_of``) and neighbor lookup live in
+:class:`~repro.overlay.ring.RingOverlay`, the message entry points in
+:class:`~repro.overlay.api.OverlayNetwork`; this class contributes
+Chord's routing state — the finger table of Section 3.1.1 — and the
+:class:`~repro.overlay.chord.node.ChordNode` that implements greedy
+routing, the location cache and the ``m-cast`` algorithm of Fig. 4.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ class ChordOverlay(RingOverlay):
             so per-key state follows the KN-mapping (Section 4.1).
     """
 
+    kind = "chord"
+
     def __init__(
         self,
         sim: Simulator,
@@ -52,12 +54,6 @@ class ChordOverlay(RingOverlay):
 
     def _make_node(self, node_id: int) -> ChordNode:
         return ChordNode(node_id, self, cache_capacity=self._cache_capacity)
-
-    def node(self, node_id: int) -> ChordNode:
-        """The live Chord node with the given id."""
-        node = super().node(node_id)
-        assert isinstance(node, ChordNode)
-        return node
 
     def compute_finger_slots(self, node_id: int) -> list[int]:
         """Raw finger-table slots of ``node_id``: the owner of each start.

@@ -208,15 +208,15 @@ class ProtocolChordNode:
 
     def _receive_application(self, message: OverlayMessage) -> None:
         if message.mode is CastMode.MCAST:
-            self.continue_app_mcast(message)
+            self.start_mcast(message)
         elif message.mode is CastMode.SEQUENTIAL:
-            self.continue_app_sequential(message)
+            self.continue_sequential(message)
         elif message.key is None:
             self._overlay.do_deliver(self, message)
         else:
-            self.route_app_unicast(message)
+            self.route_unicast(message)
 
-    def route_app_unicast(self, message: OverlayMessage) -> None:
+    def route_unicast(self, message: OverlayMessage) -> None:
         """Greedy routing of an application message over stored pointers."""
         key = message.key
         assert key is not None
@@ -239,8 +239,11 @@ class ProtocolChordNode:
             return
         self._overlay.forward(self.id, next_hop, message.forwarded_copy(self.id))
 
-    def continue_app_mcast(self, message: OverlayMessage) -> None:
-        """m-cast over stored fingers (strict-precedence partition)."""
+    def start_mcast(self, message: OverlayMessage) -> None:
+        """m-cast over stored fingers (strict-precedence partition).
+
+        The origin and every forwarder run the same step.
+        """
         keyspace = self._overlay.keyspace
         targets = message.target_keys or frozenset()
         mine = {k for k in targets if self.believes_covers(k)}
@@ -277,7 +280,7 @@ class ProtocolChordNode:
             branch = message.forwarded_copy(self.id, target_keys=frozenset(keys))
             self._overlay.forward(self.id, pointer, branch)
 
-    def continue_app_sequential(self, message: OverlayMessage) -> None:
+    def continue_sequential(self, message: OverlayMessage) -> None:
         """Conservative walk over stored pointers (chase current key)."""
         keyspace = self._overlay.keyspace
         targets = message.target_keys or frozenset()
@@ -475,6 +478,8 @@ class ProtocolChordOverlay(OverlayNetwork):
         successor_list_size: Failure-resilience depth.
     """
 
+    kind = "chord-protocol"
+
     def __init__(
         self,
         sim: Simulator,
@@ -489,16 +494,9 @@ class ProtocolChordOverlay(OverlayNetwork):
         self.stabilize_period = stabilize_period
         self.fix_fingers_period = fix_fingers_period
         self.successor_list_size = successor_list_size
-        self._nodes: dict[int, ProtocolChordNode] = {}
         self._timers: dict[int, list[PeriodicTimer]] = {}
 
     # -- accessors ------------------------------------------------------------
-
-    def node(self, node_id: int) -> ProtocolChordNode:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise OverlayError(f"no live node with id {node_id}") from None
 
     def node_ids(self) -> list[int]:
         return sorted(self._nodes)
@@ -683,44 +681,6 @@ class ProtocolChordOverlay(OverlayNetwork):
         if node.predecessor is not None and self.is_alive(node.predecessor):
             return node.predecessor
         return node_id
-
-    def heir_of(self, node_id: int) -> int:
-        return self.neighbor_of(node_id, NeighborSide.SUCCESSOR)
-
-    def send(self, source_id: int, key: int, message: OverlayMessage) -> None:
-        self._keyspace.validate(key)
-        node = self.node(source_id)
-        node.route_app_unicast(
-            dataclasses.replace(
-                message, key=key, mode=CastMode.UNICAST, hops=0, path=()
-            )
-        )
-
-    def mcast(self, source_id: int, keys, message: OverlayMessage) -> None:
-        targets = frozenset(self._keyspace.validate(k) for k in keys)
-        if not targets:
-            return
-        node = self.node(source_id)
-        node.continue_app_mcast(
-            dataclasses.replace(
-                message, target_keys=targets, mode=CastMode.MCAST, hops=0, path=()
-            )
-        )
-
-    def sequential_cast(self, source_id: int, keys, message: OverlayMessage) -> None:
-        targets = frozenset(self._keyspace.validate(k) for k in keys)
-        if not targets:
-            return
-        node = self.node(source_id)
-        node.continue_app_sequential(
-            dataclasses.replace(
-                message,
-                target_keys=targets,
-                mode=CastMode.SEQUENTIAL,
-                hops=0,
-                path=(),
-            )
-        )
 
     def fire_state_transfer(
         self, from_node: int, to_node: int, key_range: tuple[int, int]

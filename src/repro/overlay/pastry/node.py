@@ -44,16 +44,6 @@ class PastryNode:
         self._leaf_set: list[int] = []
         self._table: list[int | None] = []
         self._version = -1
-        # The maintenance counter, mirroring ChordNode's read surface so
-        # harnesses can report all overlays uniformly.
-        self._rebuilds_counter = overlay.telemetry.registry.counter(
-            "pastry.table_rebuilds", node=node_id
-        )
-
-    @property
-    def table_rebuilds(self) -> int:
-        """Full routing-state recomputations (leaf set + table)."""
-        return self._rebuilds_counter.value
 
     # -- routing state -----------------------------------------------------
 
@@ -64,10 +54,11 @@ class PastryNode:
             self._rebuild(version)
 
     def _rebuild(self, version: int) -> None:
+        """Recompute leaf set and table; counted in ``pastry.table_rebuilds``."""
         self._leaf_set = self._overlay.compute_leaf_set(self.id)
         self._table = self._overlay.compute_routing_table(self.id)
         self._version = version
-        self._rebuilds_counter.inc()
+        self._overlay.table_rebuilds.value += 1
 
     def leaf_set(self) -> list[int]:
         """The nearest ring neighbors on both sides (ring order)."""

@@ -23,6 +23,8 @@ class PastryOverlay(RingOverlay):
         state_transfer: Optional Section 4.1 churn hook.
     """
 
+    kind = "pastry"
+
     def __init__(
         self,
         sim: Simulator,
@@ -43,12 +45,6 @@ class PastryOverlay(RingOverlay):
 
     def _make_node(self, node_id: int) -> PastryNode:
         return PastryNode(node_id, self)
-
-    def node(self, node_id: int) -> PastryNode:
-        """The live Pastry node with the given id."""
-        node = super().node(node_id)
-        assert isinstance(node, PastryNode)
-        return node
 
     def compute_leaf_set(self, node_id: int) -> list[int]:
         """Up to L/2 ring neighbors per side, returned in ring order.

@@ -1,13 +1,15 @@
 """Shared machinery of ring-structured overlays.
 
-Both overlays in this library (Chord and the Pastry-style prefix
+Both ring overlays in this library (Chord and the Pastry-style prefix
 router) organize nodes on the same circular identifier space, assign
-each key to its successor node, and support the same membership and
-one-to-many operations.  :class:`RingOverlay` factors that common core:
-the sorted ring, the KN-mapping (``owner_of``), neighbor lookup,
-join/leave/crash with the Section 4.1 state-transfer hooks, and the
-plumbing to the simulated network.  Subclasses contribute a node type
-(routing state) by overriding :meth:`_make_node`.
+each key to its successor node, and support the same membership
+operations.  :class:`RingOverlay` factors that common core: the sorted
+ring, the KN-mapping (``owner_of``), the successor and predecessor
+pointers, and join/leave/crash with the Section 4.1 state-transfer
+hooks.  The node table, the message entry points and the maintenance
+counters live in :class:`~repro.overlay.api.OverlayNetwork`.
+Subclasses contribute a node type (routing state) by overriding
+:meth:`_make_node`.
 
 The overlay keeps no history of membership changes: a node whose
 routing state predates the current ``ring_version`` re-reads the ring.
@@ -16,34 +18,17 @@ routing state predates the current ``ring_version`` re-reads the ring.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from repro.errors import OverlayError
-from repro.overlay.api import (
-    CastMode,
-    NeighborSide,
-    OverlayMessage,
-    OverlayNetwork,
-    StateTransferHook,
-)
+from repro.overlay.api import OverlayNetwork, OverlayNode, StateTransferHook
 from repro.overlay.ids import KeySpace
 from repro.overlay.network import Network
 from repro.sim.kernel import Simulator
 
 
-class RingNode(Protocol):
-    """What :class:`RingOverlay` requires of a node implementation."""
-
-    id: int
-
-    def receive(self, message: OverlayMessage) -> None: ...
-    def route_unicast(self, message: OverlayMessage) -> None: ...
-    def start_mcast(self, message: OverlayMessage) -> None: ...
-    def continue_sequential(self, message: OverlayMessage) -> None: ...
-
-
 class RingOverlay(OverlayNetwork):
-    """Base class: membership, KN-mapping and message entry points.
+    """Base class: ring membership, KN-mapping and neighbor pointers.
 
     Every membership change bumps ``ring_version``.  A node memoizes
     its routing state per version, and a stale node re-resolves it from
@@ -66,7 +51,6 @@ class RingOverlay(OverlayNetwork):
     ) -> None:
         super().__init__(keyspace, sim, network or Network(sim), state_transfer)
         self._ring: list[int] = []
-        self._nodes: dict[int, RingNode] = {}
         # Membership is tracked separately from materialized node
         # objects: a sharded worker knows the whole ring (`_members`)
         # but only builds node state for its own arc (`_nodes`).  In a
@@ -74,31 +58,14 @@ class RingOverlay(OverlayNetwork):
         # always equal.
         self._members: set[int] = set()
         self.ring_version = 0
-        # Maintenance counts of nodes that already departed: without
-        # this, harness totals summed over live nodes silently truncate
-        # (a departing node takes its counters with it).  A ring node
-        # only rebuilds; the other two keys read 0 and stay because every
-        # overlay reports the same three totals.
-        self._departed_maintenance = {
-            "table_rebuilds": 0,
-            "table_patches": 0,
-            "table_seeds": 0,
-        }
 
     # -- subclass contribution ------------------------------------------------
 
-    def _make_node(self, node_id: int) -> RingNode:
+    def _make_node(self, node_id: int) -> OverlayNode:
         """Create the routing-state object for a new node."""
         raise NotImplementedError
 
     # -- accessors --------------------------------------------------------
-
-    def node(self, node_id: int) -> RingNode:
-        """The live node with the given id."""
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise OverlayError(f"no live node with id {node_id}") from None
 
     def node_ids(self) -> list[int]:
         """Ids of all live nodes in ring order."""
@@ -110,11 +77,6 @@ class RingOverlay(OverlayNetwork):
     def is_alive(self, node_id: int) -> bool:
         """True if the node is currently part of the ring."""
         return node_id in self._members
-
-    def app_node_ids(self) -> list[int]:
-        """Ring-ordered ids with materialized node state (see base)."""
-        nodes = self._nodes
-        return [node_id for node_id in self._ring if node_id in nodes]
 
     # -- membership -------------------------------------------------------
 
@@ -188,27 +150,11 @@ class RingOverlay(OverlayNetwork):
         self._nodes[node_id] = node
         self._network.register(node_id, node.receive)
 
-    def maintenance_totals(self) -> dict[str, int]:
-        """Exact run-wide maintenance counts: live nodes + departed ones.
-
-        The per-node ``table_*`` properties only cover nodes still
-        alive; departures accumulate into ``_departed_maintenance``
-        first, so harness totals are exact regardless of churn.
-        """
-        totals = dict(self._departed_maintenance)
-        for node in self._nodes.values():
-            for key in totals:
-                totals[key] += getattr(node, key, 0)
-        return totals
-
     def _remove_node(self, node_id: int) -> None:
         index = bisect.bisect_left(self._ring, node_id)
         del self._ring[index]
         self._members.discard(node_id)
-        node = self._nodes.pop(node_id)
-        totals = self._departed_maintenance
-        for key in totals:
-            totals[key] += getattr(node, key, 0)
+        del self._nodes[node_id]
         self._network.unregister(node_id)
         self.ring_version += 1
 
@@ -255,47 +201,8 @@ class RingOverlay(OverlayNetwork):
         index = self._ring_index(node_id)
         return self._ring[(index - 1) % len(self._ring)]
 
-    def neighbor_of(self, node_id: int, side: NeighborSide) -> int:
-        """Ring neighbor on the requested side."""
-        if side is NeighborSide.SUCCESSOR:
-            return self.successor_of(node_id)
-        return self.predecessor_of(node_id)
-
     def _ring_index(self, node_id: int) -> int:
         index = bisect.bisect_left(self._ring, node_id)
         if index >= len(self._ring) or self._ring[index] != node_id:
             raise OverlayError(f"no live node with id {node_id}")
         return index
-
-    # -- communication -------------------------------------------------------
-
-    def send(self, source_id: int, key: int, message: OverlayMessage) -> None:
-        """Route ``message`` from ``source_id`` to the node covering ``key``."""
-        self._keyspace.validate(key)
-        node = self.node(source_id)
-        unicast = self._prepared(message, key=key, mode=CastMode.UNICAST)
-        node.route_unicast(unicast)
-
-    def mcast(
-        self, source_id: int, keys: Iterable[int], message: OverlayMessage
-    ) -> None:
-        """Native one-to-many send (Section 4.3.1)."""
-        targets = frozenset(self._keyspace.validate(k) for k in keys)
-        if not targets:
-            return
-        node = self.node(source_id)
-        mcast_msg = self._prepared(message, target_keys=targets, mode=CastMode.MCAST)
-        node.start_mcast(mcast_msg)
-
-    def sequential_cast(
-        self, source_id: int, keys: Iterable[int], message: OverlayMessage
-    ) -> None:
-        """Conservative unicast-based range walk (Section 4.3.1 baseline)."""
-        targets = frozenset(self._keyspace.validate(k) for k in keys)
-        if not targets:
-            return
-        node = self.node(source_id)
-        seq_msg = self._prepared(
-            message, target_keys=targets, mode=CastMode.SEQUENTIAL
-        )
-        node.continue_sequential(seq_msg)

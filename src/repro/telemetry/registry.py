@@ -4,15 +4,16 @@ Any component can create an instrument through the run's
 :class:`MetricRegistry` (``registry.counter("chord.table_rebuilds")``)
 and update it with plain attribute arithmetic — an update is one
 ``int`` add on a ``__slots__`` object, cheap enough to leave permanently
-on (the migrated ``ChordNode.table_rebuilds`` / ``Network.dropped``
-counters run on every churn event and every dead-destination drop).
+on (an overlay's ``table_rebuilds`` and the network's ``dropped``
+counters run on every routing-state rebuild and every dead-destination
+drop).
 
-Instruments may carry **labels** (``counter("chord.table_rebuilds",
-node=42)``) so per-node series coexist with cross-node aggregation:
-:meth:`MetricRegistry.total` sums a name across label sets, and
-:meth:`MetricRegistry.snapshot` — the time-series sampling hook —
-aggregates labeled counters under their bare name to keep periodic
-samples compact even on 2000-node rings.
+Instruments may carry **labels** (``counter("audit.violations",
+vtype="notification-missed")``) so labelled series coexist with
+aggregation: :meth:`MetricRegistry.total` sums a name across label
+sets, and :meth:`MetricRegistry.snapshot` — the time-series sampling
+hook — aggregates labeled counters under their bare name to keep
+periodic samples compact.
 
 The process-global default telemetry uses :class:`NullRegistry`, which
 hands out fully functional but *unregistered* instruments: components
@@ -180,7 +181,7 @@ class MetricRegistry:
     def snapshot(self) -> dict[str, float]:
         """One time-series sample: counters summed by bare name, gauges read.
 
-        Labeled counters aggregate under their name (per-node series
+        Labeled counters aggregate under their name (labelled series
         stay queryable through the instruments themselves); histograms
         contribute their observation count as ``<name>.count``.
         """

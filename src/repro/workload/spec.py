@@ -108,6 +108,10 @@ class WorkloadSpec:
             raise ConfigurationError("locality_jitter_fraction outside (0, 1]")
         if self.subscription_period <= 0 or self.publication_mean_period <= 0:
             raise ConfigurationError("injection periods must be positive")
+        if self.subscription_ttl is not None and not self.subscription_ttl > 0:
+            raise ConfigurationError(
+                f"subscription_ttl must be > 0 or None, got {self.subscription_ttl}"
+            )
 
     @property
     def domain_size(self) -> int:

@@ -6,7 +6,8 @@ its cells untouched.  The decomposition is a function of the zone
 alone, so a stale node re-reads its zone: unchanged -> keep the
 decomposition (patch), moved -> recompute (rebuild).  These tests pin
 that the kept decomposition is always identical to a wholesale
-recomputation.
+recomputation, and count each re-read in the overlay's
+``maintenance_totals()``.
 """
 
 import random
@@ -23,6 +24,12 @@ def build(ids):
     overlay = CanOverlay(sim, KS)
     overlay.build_ring(ids)
     return sim, overlay
+
+
+def counts(overlay):
+    """The overlay's run-wide ``(rebuilds, patches)``."""
+    totals = overlay.maintenance_totals()
+    return totals["table_rebuilds"], totals["table_patches"]
 
 
 def recompute_cells(overlay, node_id):
@@ -42,38 +49,35 @@ def test_unrelated_churn_patches_without_recomputing():
     _, overlay = build([0x100, 0x500, 0x900, 0xD00])
     node = overlay.node(0x100)
     cells_before = list(node.cells())
-    assert node.table_rebuilds == 1
+    assert counts(overlay) == (1, 0)
     # A join splitting someone else's zone leaves our cells untouched.
     overlay.join(0xB00)
     assert node.cells() == cells_before
-    assert node.table_rebuilds == 1
-    assert node.table_patches == 1
+    assert counts(overlay) == (1, 1)
     # So does a departure absorbed by someone else.
     victim = 0xB00
     assert overlay.heir_of(victim) != node.id
     overlay.leave(victim)
     assert node.cells() == cells_before
-    assert node.table_rebuilds == 1
-    assert node.table_patches == 2
+    assert counts(overlay) == (1, 2)
 
 
 def test_own_split_and_absorption_recompute():
     _, overlay = build([0x100, 0x500, 0x900, 0xD00])
     node = overlay.node(0x900)
     node.cells()
-    assert node.table_rebuilds == 1
+    assert counts(overlay) == (1, 0)
     # A join splitting OUR zone must recompute.
     joiner = 0xA00
     assert overlay.owner_of(joiner) == node.id
     overlay.join(joiner)
     assert node.cells() == recompute_cells(overlay, node.id)
-    assert node.table_rebuilds == 2
+    assert counts(overlay) == (2, 0)
     # A departure WE absorb must recompute.
     assert overlay.heir_of(joiner) == node.id
     overlay.leave(joiner)
     assert node.cells() == recompute_cells(overlay, node.id)
-    assert node.table_rebuilds == 3
-    assert node.table_patches == 0
+    assert counts(overlay) == (3, 0)
 
 
 def test_randomized_churn_keeps_cells_exact():
@@ -99,8 +103,7 @@ def test_randomized_churn_keeps_cells_exact():
             for node_id in rng.sample(sorted(live), 5):
                 node = overlay.node(node_id)
                 assert node.cells() == recompute_cells(overlay, node_id)
-    patched = sum(overlay.node(n).table_patches for n in overlay.node_ids())
-    assert patched > 0
+    assert counts(overlay)[1] > 0
 
 
 def test_untouched_zone_keeps_cells_past_512_deltas():
@@ -120,4 +123,4 @@ def test_untouched_zone_keeps_cells_past_512_deltas():
     assert overlay.zone_version - version_before == 600
     assert overlay.zone_of(node.id) == zone_before
     assert node.cells() == cells_before == recompute_cells(overlay, node.id)
-    assert (node.table_rebuilds, node.table_patches) == (1, 1)
+    assert counts(overlay) == (1, 1)

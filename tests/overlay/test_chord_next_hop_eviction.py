@@ -44,7 +44,7 @@ def test_single_crashed_cached_node_is_skipped_and_evicted():
     node = overlay.node(100)
     node.learn([4600])
     overlay.crash(4600)
-    assert node._next_hop(5000, use_cache=True) == 4300
+    assert node._next_hop(5000) == 4300
     assert 4600 not in node.cached_ids()
 
 
@@ -59,14 +59,14 @@ def test_stack_of_crashed_cached_nodes_walked_and_evicted():
     node.learn([5100, 5600, 6100, 6600])
     for dead in (5600, 6100, 6600):
         overlay.crash(dead)
-    hop = node._next_hop(6700, use_cache=True)
+    hop = node._next_hop(6700)
     assert hop == 5100
     for dead in (5600, 6100, 6600):
         assert dead not in node.cached_ids()
     assert 5100 in node.cached_ids()
     # The table stays consistent: a second lookup gets the same answer
     # without re-examining dead entries.
-    assert node._next_hop(6700, use_cache=True) == 5100
+    assert node._next_hop(6700) == 5100
 
 
 def test_route_through_crashed_cache_still_delivers_at_owner():

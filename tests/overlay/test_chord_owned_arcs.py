@@ -199,12 +199,12 @@ def cached_arc_setup():
 
 def test_cached_arc_reaches_the_owner_past_the_key_in_one_hop():
     sim, overlay, node = cached_arc_setup()
-    assert node._next_hop(2500, use_cache=True) == 3000
+    assert node._next_hop(2500) == 3000
     ((nid, message),) = cast(sim, overlay, "unicast", 0, [2500])
     assert (nid, message.hops) == (3000, 1)
     # Without the arc the key walks through the owner's predecessor.
     node.learn([3000])
-    assert node._next_hop(2500, use_cache=True) == 2100
+    assert node._next_hop(2500) == 2100
 
 
 def test_cached_arc_is_learned_from_the_stamps_a_message_carries():
@@ -214,14 +214,14 @@ def test_cached_arc_is_learned_from_the_stamps_a_message_carries():
     node = overlay.node(0)
     assert node.cached_ids() == [3000]  # a read: folds the touch log
     assert node._cache.entries[3000] == 2100
-    assert node._next_hop(2500, use_cache=True) == 3000
+    assert node._next_hop(2500) == 3000
 
 
 def test_join_inside_a_cached_arc_overshoots_and_still_delivers():
     sim, overlay, node = cached_arc_setup()
     overlay.join(2600)  # now owns (2100, 2600]; node 0 still believes 3000 does
     assert 2600 not in node.fingers()
-    assert node._next_hop(2500, use_cache=True) == 3000
+    assert node._next_hop(2500) == 3000
     ((nid, message),) = cast(sim, overlay, "unicast", 0, [2500])
     assert nid == overlay.owner_of(2500) == 2600
     assert message.path[:4:2] == (0, 3000)  # the stale jump, then routed on
@@ -241,7 +241,7 @@ def test_departure_of_a_cached_predecessor_only_narrows_the_arc():
 def test_crash_of_a_cached_owner_falls_back_and_evicts_it():
     sim, overlay, node = cached_arc_setup()
     overlay.crash(3000)
-    assert node._next_hop(2500, use_cache=True) == 2100
+    assert node._next_hop(2500) == 2100
     assert 3000 not in node.cached_ids()
     ((nid, _),) = cast(sim, overlay, "unicast", 0, [2500])
     assert nid == overlay.owner_of(2500) == 4200

@@ -150,7 +150,7 @@ def run_example(cache: int, seed: int) -> None:
             # so _next_hop is the reader that folds here.
             key = rng.randrange(SIZE)
             expected, evicted = reference_next_hop(overlay, node, key, lru[node.id])
-            assert node._next_hop(key, use_cache=True) == expected
+            assert node._next_hop(key) == expected
             for dead in evicted:
                 lru[node.id].forget(dead)
             check(node)

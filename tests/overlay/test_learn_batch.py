@@ -6,7 +6,7 @@ cache's log, as flat ``(id, predecessor)`` pairs — the predecessor is
 the arc the node stamped on a message's path, None when it was named
 without one (``learn``, and the sender of a one-hop message); the log is
 folded when the cache is next read, or on its own once it passes
-``FOLD_AT`` slots.  A cached read (``_next_hop(use_cache=True)``,
+``FOLD_AT`` slots.  A cached read (``_next_hop``,
 ``cached_ids()``, ``routing_table()``, ``forget``) must see every
 earlier touch, so each folds first — through
 ``ChordNode._refresh_cache``, which journals what entered and left, so
@@ -133,7 +133,7 @@ def test_fold_matches_reference_through_every_reader(cache, reader):
             oracle.forget(victim)
         if reader == "next_hop":
             key = rng.randrange(KS.size)
-            assert node._next_hop(key, use_cache=True) == expected_hop(
+            assert node._next_hop(key) == expected_hop(
                 node, oracle, key
             )
         elif reader == "routing_table":

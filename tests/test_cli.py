@@ -163,6 +163,28 @@ def test_run_rejects_bad_routing():
         main(["run", "--routing", "teleport"])
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--audit", "--audit-period", "-1"], "probe_period must be > 0"),
+        (["--audit", "--audit-period", "0"], "probe_period must be > 0"),
+        (["--subscriptions", "-5"], "subscriptions and publications must be >= 0"),
+        (["--publications", "-3"], "subscriptions and publications must be >= 0"),
+        (["--ttl", "-1"], "subscription_ttl must be > 0"),
+        (["--ttl", "0"], "subscription_ttl must be > 0"),
+    ],
+    ids=["audit-period-1", "audit-period0", "subscriptions-5",
+         "publications-3", "ttl-1", "ttl0"],
+)
+def test_run_rejects_impossible_inputs(capsys, flags, message):
+    """Each is refused before the run starts: ``error: ...``, exit 2."""
+    argv = ["run", "--nodes", "10", "--subscriptions", "5", "--publications", "5"]
+    assert main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_run_with_temporal_locality(capsys):
     code = main([
         "run", "--mapping", "keyspace-split", "--nodes", "60",

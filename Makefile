@@ -22,9 +22,13 @@ test:
 # were audited and load-metered (a section not recorded is null in the
 # JSON), and that each exported fewer than 100 counters: a 100-node run
 # that needs more has an instrument per node, which grows with the ring.
+# The churn-resilience bench (about 0.3 s of simulation) runs too, with
+# its timing off: it is the one check of delivery under crashes with and
+# without replication.
 verify: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 verify:
 	$(PYTHON) -m pytest tests/ -q
+	$(PYTHON) -m pytest benchmarks/test_churn_resilience.py -q --benchmark-disable
 	mkdir -p artifacts
 	$(PYTHON) -m repro run --nodes 100 --subscriptions 50 \
 		--publications 50 --audit \

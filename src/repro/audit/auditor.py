@@ -43,6 +43,7 @@ from repro.audit.records import (
     Violation,
 )
 from repro.errors import ConfigurationError
+from repro.sim.process import PeriodicTimer
 
 if TYPE_CHECKING:
     from repro.core.events import Event
@@ -226,10 +227,10 @@ class Auditor:
         """Fire :meth:`run_probe` every ``period`` sim-seconds.
 
         ``horizon`` bounds the rescheduling (see
-        :meth:`~repro.sim.kernel.Simulator.call_every`); without it the
+        :class:`~repro.sim.process.PeriodicTimer`); without it the
         probe chain would keep the event queue non-empty forever.
         """
-        self._sim.call_every(period, self.run_probe, horizon=horizon)
+        PeriodicTimer(self._sim, period, self.run_probe, horizon).start()
 
     # -- tap events: the application-level request stream ----------------------
 
@@ -288,7 +289,7 @@ class Auditor:
             event, now, message.request_id, len(self._system.overlay), expected
         )
         self._pubs_counter.inc()
-        self._sim.call_at(now + self._deadline, self._evaluate, event.event_id)
+        self._sim.schedule_at(now + self._deadline, self._evaluate, event.event_id)
 
     def on_notify(
         self, node_id: int, notifications: tuple["Notification", ...], now: float

@@ -111,9 +111,6 @@ class PubSubConfig:
             (default) enables covering with every engine except
             "brute", which stays the uncollapsed oracle; True/False
             force it on/off regardless of engine.
-        dedupe_notifications: Suppress duplicate (event, subscription)
-            deliveries at the subscriber (the duplicate *messages* are
-            still counted by the metrics).
     """
 
     routing: RoutingMode = RoutingMode.MCAST
@@ -125,7 +122,6 @@ class PubSubConfig:
     failure_detection_delay: float = 0.5
     matcher: str = "grid"
     covering: bool | None = None
-    dedupe_notifications: bool = True
 
     def __post_init__(self) -> None:
         if self.collecting and not self.buffering:
@@ -487,10 +483,7 @@ class PubSubSystem:
         node = self._nodes.get(node_id)
         if node is None:
             return
-        if self._config.dedupe_notifications:
-            fresh = node.fresh_notifications(payload.notifications)
-        else:
-            fresh = list(payload.notifications)
+        fresh = node.fresh_notifications(payload.notifications)
         if not fresh:
             return
         handler = self._notify_handlers.get(node_id)

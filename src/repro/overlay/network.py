@@ -16,9 +16,9 @@ stands at ``t`` lands at ``t + delay``, and the m-cast primitive
 (Fig. 4) fans a publication out into waves of one-hop messages that
 do.  The network keeps a *wave* per arrival instant — ``arrival ->
 {dst -> [messages]}`` — and the instant's first send schedules its one
-non-cancellable drain.  The drain walks the wave in insertion order:
-buckets in order of their first send, the messages of a bucket in send
-order, the destination's liveness re-read before every message, so a
+drain.  The drain walks the wave in insertion order: buckets in order
+of their first send, the messages of a bucket in send order, the
+destination's liveness re-read before every message, so a
 handler that unregisters its own node mid-bucket drops the remainder
 exactly as a one-event-per-message engine would.  Per-message
 accounting (send counters, drop/loss counters, delivery times) is that
@@ -31,9 +31,9 @@ before.  Two edges are observable, neither reached by any workload and
 both pinned in ``tests/overlay/test_network_reference.py``:
 
 - Against *other* kernel events.  Kernel events count arrival instants
-  (so do ``events_processed``, ``pending``, ``step()`` and
-  ``run(max_events)``), and a wave fires at the ``(time, seq)`` of its
-  first send: an unrelated event scheduled for exactly a wave's
+  (so do ``events_processed``, ``pending`` and ``run(max_events)``),
+  and a wave fires at the ``(time, seq)`` of its first send: an
+  unrelated event scheduled for exactly a wave's
   timestamp after that send fires after the whole wave, even if some of
   the wave's buckets were first sent into later than it was scheduled.
 - Under zero delay.  A wave is detached before it is drained, so what a
@@ -155,7 +155,7 @@ class Network:
         # delay model (the paper's setup) skips sample() entirely.
         # The exact-type check matters: a FixedDelay *subclass* may
         # override sample(), so only the base class takes the fast path.
-        self._call_at = sim.call_at
+        self._schedule_at = sim.schedule_at
         self._fixed_delay: float | None = (
             self._delay._delay if type(self._delay) is FixedDelay else None
         )
@@ -269,7 +269,7 @@ class Network:
             wave = waves[arrival]
         else:
             wave = waves[arrival] = {}
-            self._call_at(arrival, self._drain, arrival)
+            self._schedule_at(arrival, self._drain, arrival)
         self._wave_at = arrival
         self._wave = wave
         return wave
@@ -347,7 +347,7 @@ class ShardNetwork(Network):
             return waves[arrival]
         wave = waves[arrival] = {}
         if local:
-            self._call_at(arrival, self._drain, arrival)
+            self._schedule_at(arrival, self._drain, arrival)
         return wave
 
     def drain_outbox(self) -> list[tuple[int, float, OverlayMessage]]:
@@ -372,7 +372,7 @@ class ShardNetwork(Network):
         Called by the coordinator between windows, in the deterministic
         merge order (source shard id, then outbox order).  Every
         arrival lies at or beyond the *next* window's start, which is
-        strictly ahead of this worker's clock — so ``call_at`` is always
+        strictly ahead of this worker's clock — so ``schedule_at`` is always
         valid, and messages joining an existing bucket land after that
         bucket's locally-sent messages, in merge order.
         """

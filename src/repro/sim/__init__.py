@@ -4,9 +4,8 @@ This package provides the deterministic event-driven substrate on which
 the Chord overlay and the content-based pub/sub layer run:
 
 - :class:`~repro.sim.kernel.Simulator` -- the event loop: a priority
-  queue of timestamped callbacks with a virtual clock.
-- :class:`~repro.sim.events.ScheduledEvent` -- a cancellable handle for
-  a scheduled callback.
+  queue of timestamped callbacks with a virtual clock.  A scheduled
+  callback cannot be taken back.
 - :class:`~repro.sim.process.PeriodicTimer` -- a recurring timer built
   on the kernel.
 - :class:`~repro.sim.rng.RandomStreams` -- named, independently seeded
@@ -17,9 +16,8 @@ All simulated time is expressed in **seconds** as floats. The paper's
 default message delay of 50 ms is therefore ``0.05``.
 """
 
-from repro.sim.events import ScheduledEvent
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicTimer
 from repro.sim.rng import RandomStreams
 
-__all__ = ["ScheduledEvent", "Simulator", "PeriodicTimer", "RandomStreams"]
+__all__ = ["Simulator", "PeriodicTimer", "RandomStreams"]

@@ -43,7 +43,7 @@ def test_clean_run_reports_zero_violations(overlay_name, mapping_name):
     # least one stored subscription.
     t0 = sim.now + 10.0
     for offset, a1 in enumerate((100, 600)):
-        sim.call_at(
+        sim.schedule_at(
             t0 + offset,
             lambda value=a1: system.publish(
                 nodes[-1], space.make_event(a1=value, a2=3)

@@ -117,7 +117,7 @@ def test_suppressed_notification_detected():
     # Swallow every rendezvous-to-subscriber unicast, then publish a
     # matching event well clear of the install-grace window.
     system.send_notification = lambda *args, **kwargs: None
-    sim.call_at(
+    sim.schedule_at(
         sim.now + 10.0,
         lambda: system.publish(nodes[1], space.make_event(a1=500, a2=7)),
     )
@@ -171,7 +171,7 @@ def test_broken_mapping_intersection_detected():
     sk = system.mapping.subscription_keys(sigma)
     free_key = next(k for k in range(system.overlay.keyspace.size) if k not in sk)
     system.mapping.event_keys = lambda event: frozenset({free_key})
-    sim.call_at(
+    sim.schedule_at(
         sim.now + 10.0,
         lambda: system.publish(nodes[1], space.make_event(a1=500, a2=7)),
     )

@@ -152,9 +152,7 @@ def test_expired_subscription_not_notified():
 def test_notifications_deduplicated_at_subscriber():
     """Selective-Attribute can match the same subscription at several
     rendezvous nodes of one event; the application sees it once."""
-    sim, system = build_system(
-        config=PubSubConfig(routing=RoutingMode.UNICAST, dedupe_notifications=True)
-    )
+    sim, system = build_system(config=PubSubConfig(routing=RoutingMode.UNICAST))
     received = []
     system.set_global_notify_handler(lambda nid, ns: received.extend(ns))
     nodes = system.overlay.node_ids()

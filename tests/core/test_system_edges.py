@@ -62,14 +62,23 @@ def test_remove_node_stops_flush_timer():
     config = PubSubConfig(buffering=True, buffer_period=2.0)
     sim, system = build(config)
     victim = system.overlay.node_ids()[5]
+    node = system.node(victim)
     sim.run_until(1.0)
-    pending_before = sim.pending
     system.remove_node(victim)
-    # The victim's flush timer is cancelled: pending drops (its handle
-    # is lazily discarded) and no callback for it ever fires again.
+    # Give the departed node something to flush: were its timer still
+    # ticking, the next flush (t = 2.0) would drain this batch.
+    from repro.core.payloads import Notification
+
+    node.buffer.add(
+        system.overlay.node_ids()[0],
+        999,
+        None,
+        [Notification(event=SPACE.make_event(a1=1, a2=1, a3=1, a4=1),
+                      subscription_id=999, matched_at=victim)],
+    )
     sim.run_until(50.0)
-    assert victim not in [n for n in system.overlay.node_ids()]
-    assert pending_before >= 1
+    assert victim not in system.overlay.node_ids()
+    assert len(node.buffer) == 1
 
 
 def test_flush_timer_created_for_late_joiner():

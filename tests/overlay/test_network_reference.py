@@ -66,7 +66,7 @@ class ReferenceNetwork:
         key = (dst, self.sim.now + self.delay.sample(src, dst))
         if key not in self.buckets:
             self.buckets[key] = []
-            self.sim.call_at(key[1], self.drain, key)
+            self.sim.schedule_at(key[1], self.drain, key)
         self.buckets[key].append(message)
 
     def drain(self, key):

@@ -1,7 +1,10 @@
 """Unit tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.overlay.api import MessageKind, OverlayMessage
+from repro.overlay.network import Network
 from repro.sim.kernel import SimulationError, Simulator
 
 
@@ -41,24 +44,6 @@ def test_schedule_at_in_past_rejected():
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(0.5, lambda: None)
-
-
-def test_cancelled_event_does_not_fire():
-    sim = Simulator()
-    fired = []
-    handle = sim.schedule(1.0, fired.append, "cancelled")
-    sim.schedule(2.0, fired.append, "kept")
-    handle.cancel()
-    sim.run()
-    assert fired == ["kept"]
-
-
-def test_cancel_is_idempotent():
-    sim = Simulator()
-    handle = sim.schedule(1.0, lambda: None)
-    handle.cancel()
-    handle.cancel()
-    assert sim.run() == 0
 
 
 def test_events_scheduled_during_run_fire():
@@ -113,13 +98,44 @@ def test_run_max_events_bounds_work():
 
 def test_pending_and_processed_counters():
     sim = Simulator()
-    h1 = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    assert sim.pending == 2
-    h1.cancel()
-    assert sim.pending == 1
+    for i in range(100):
+        sim.schedule(float(i + 1), lambda: None)
+    assert sim.pending == 100
+    assert sim.run(max_events=40) == 40
+    assert (sim.pending, sim.events_processed) == (60, 40)
+    sim.run_until(70.0)
+    assert (sim.pending, sim.events_processed) == (30, 70)
     sim.run()
-    assert sim.events_processed == 1
+    assert (sim.pending, sim.events_processed) == (0, 100)
+
+
+def test_run_one_event_fires_schedule_at_events_and_network_deliveries():
+    # A network delivery is a kernel event like any other: running one
+    # event at a time fires it (a one-event step once raised on it).
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(1.0, fired.append, "plain")
+    assert sim.run(max_events=1) == 1
+    assert (sim.now, fired) == (1.0, ["plain"])
+    net = Network(sim)
+    net.register(7, fired.append)
+    message = OverlayMessage(MessageKind.CONTROL, None, request_id=1, origin=0)
+    net.transmit(0, 7, message)
+    assert sim.run(max_events=1) == 1
+    assert (sim.now, fired) == (1.05, ["plain", message])
+    assert sim.run(max_events=1) == 0
+
+
+@given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0]), min_size=1, max_size=50))
+def test_property_events_fire_in_time_then_scheduling_order(times):
+    # Few distinct timestamps, so ties are common.
+    sim = Simulator()
+    fired = []
+    for order, time in enumerate(times):
+        sim.schedule_at(time, fired.append, (time, order))
+    assert sim.run() == len(times)
+    assert fired == sorted(fired)
+    assert sim.pending == 0
 
 
 def test_callback_args_passed_through():

@@ -1,4 +1,4 @@
-"""Unit tests for the periodic timer."""
+"""Unit tests for the periodic timer, bounded and unbounded."""
 
 import pytest
 
@@ -15,15 +15,6 @@ def test_ticks_at_period():
     assert ticks == [2.0, 4.0, 6.0]
 
 
-def test_first_delay_override():
-    sim = Simulator()
-    ticks = []
-    timer = PeriodicTimer(sim, 5.0, lambda: ticks.append(sim.now))
-    timer.start(first_delay=1.0)
-    sim.run_until(12.0)
-    assert ticks == [1.0, 6.0, 11.0]
-
-
 def test_stop_halts_ticking():
     sim = Simulator()
     ticks = []
@@ -33,7 +24,20 @@ def test_stop_halts_ticking():
     timer.stop()
     sim.run_until(10.0)
     assert ticks == [1.0, 2.0]
-    assert not timer.running
+
+
+def test_stopped_chain_leaves_one_no_op_tick():
+    # The kernel cannot take the armed tick back: it stays pending and
+    # fires, without calling back, at its time.
+    sim = Simulator()
+    ticks = []
+    timer = PeriodicTimer(sim, 1.0, lambda: ticks.append(sim.now))
+    timer.start()
+    sim.run_until(1.5)
+    timer.stop()
+    assert sim.pending == 1
+    assert sim.run() == 1
+    assert (ticks, sim.now, sim.pending) == ([1.0], 2.0, 0)
 
 
 def test_stop_from_within_callback():
@@ -78,3 +82,33 @@ def test_restart_after_stop():
     timer.start()
     sim.run_until(3.0)
     assert ticks == [1.0, 2.5]
+
+
+def test_fires_each_period_up_to_horizon():
+    sim = Simulator()
+    fired = []
+    PeriodicTimer(sim, 2.0, lambda: fired.append(sim.now), horizon=9.0).start()
+    sim.run()
+    assert fired == [2.0, 4.0, 6.0, 8.0]
+
+
+def test_horizon_is_inclusive():
+    sim = Simulator()
+    fired = []
+    PeriodicTimer(sim, 3.0, lambda: fired.append(sim.now), horizon=6.0).start()
+    sim.run()
+    assert fired == [3.0, 6.0]
+
+
+def test_horizon_before_first_tick_schedules_nothing():
+    sim = Simulator()
+    PeriodicTimer(sim, 3.0, lambda: None, horizon=2.0).start()
+    assert sim.pending == 0
+
+
+def test_unbounded_chain_stops_with_max_events():
+    sim = Simulator()
+    fired = []
+    PeriodicTimer(sim, 1.0, lambda: fired.append(sim.now)).start()
+    sim.run(max_events=5)
+    assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]

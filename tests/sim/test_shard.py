@@ -41,17 +41,9 @@ def test_next_event_time_peeks_without_firing():
     sim.schedule_at(3.0, fired.append, "a")
     sim.schedule_at(1.0, fired.append, "b")
     assert sim.next_event_time() == 1.0
+    assert sim.next_event_time() == 1.0  # idempotent peek
     assert fired == []
     assert sim.now == 0.0
-
-
-def test_next_event_time_skips_cancelled_tops():
-    sim = Simulator()
-    handle = sim.schedule_at(1.0, lambda: None)
-    sim.schedule_at(2.0, lambda: None)
-    handle.cancel()
-    assert sim.next_event_time() == 2.0
-    assert sim.next_event_time() == 2.0  # idempotent peek
 
 
 def test_next_event_time_empty():

@@ -3,8 +3,8 @@
 Attach an :class:`Auditor` to a running
 :class:`~repro.core.system.PubSubSystem` and it verifies, on the
 simulated clock, that the overlay stays structurally sound (Chord
-finger consistency, Pastry leaf-set symmetry and prefix-row validity,
-CAN zone tessellation) and that every publication reaches exactly the
+finger consistency, CAN zone tessellation; a Pastry node holds no
+routing state to check) and that every publication reaches exactly the
 subscriptions it matches (the paper's §3 mapping-intersection
 contract), recording SLO histograms along the way.  Violations and
 probe results export through the telemetry JSONL and render in the

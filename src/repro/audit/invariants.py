@@ -2,8 +2,9 @@
 
 Each probe compares the *materialized* routing state of live nodes
 against the deterministic ground truth the overlay can recompute from
-its membership (``compute_finger_slots`` / ``compute_leaf_set`` +
-``compute_routing_table`` / ``compute_cells``).
+its membership (``compute_finger_slots`` / ``compute_cells``).  A
+Pastry node holds no routing state — every hop reads its leaf span and
+prefix row off the sorted ring — so a Pastry probe checks no node.
 
 Routing state in this codebase is lazily version-memoized: a node only
 syncs its tables when it next routes a message, so most nodes are
@@ -23,9 +24,6 @@ from repro.audit.records import (
     CAN_ZONE_MISMATCH,
     CAN_ZONE_OVERLAP,
     CHORD_FINGER_MISMATCH,
-    PASTRY_LEAF_ASYMMETRY,
-    PASTRY_LEAF_MISMATCH,
-    PASTRY_PREFIX_ROW,
     ProbeRecord,
     Violation,
 )
@@ -57,11 +55,9 @@ def probe_structure(
     kind = overlay_kind(overlay)
     if kind == "chord":
         checked, stale, cold, lags, violations = _probe_chord(overlay, now)
-    elif kind == "pastry":
-        checked, stale, cold, lags, violations = _probe_pastry(overlay, now)
     elif kind == "can":
         checked, stale, cold, lags, violations = _probe_can(overlay, now)
-    else:  # unknown overlay family: nothing checkable
+    else:  # Pastry (routes off the ring) or unknown: nothing checkable
         checked = stale = cold = 0
         lags, violations = [], []
     record = ProbeRecord(
@@ -119,71 +115,6 @@ def _probe_chord(overlay: ChordOverlay, now: float):
                     ),
                 )
             )
-    return checked, stale, cold, lags, violations
-
-
-def _probe_pastry(overlay: PastryOverlay, now: float):
-    """Leaf-set symmetry + prefix-row validity for current nodes.
-
-    The ground-truth leaf set (up to L/2 ring neighbors per side) is
-    symmetric by construction, so any current pair where B lists A but
-    A does not list B is a corruption.  A routing-table row must hold
-    the first live node of its flipped-bit half-space (the deterministic
-    min-id rule both the rebuild and the patch paths maintain).
-    """
-    checked = stale = cold = 0
-    lags: list[int] = []
-    violations: list[Violation] = []
-    version_now = overlay.ring_version
-    current_leaves: dict[int, list[int]] = {}
-    for node_id in overlay.node_ids():
-        version, leaves, table = overlay.node(node_id).audit_state()
-        if version < 0:
-            cold += 1
-            continue
-        if version != version_now:
-            stale += 1
-            lags.append(version_now - version)
-            continue
-        checked += 1
-        current_leaves[node_id] = leaves
-        truth_leaves = overlay.compute_leaf_set(node_id)
-        if leaves != truth_leaves:
-            violations.append(
-                Violation(
-                    PASTRY_LEAF_MISMATCH,
-                    now,
-                    node=node_id,
-                    detail=f"leaf set {leaves} != ring arc {truth_leaves}",
-                )
-            )
-        truth_table = overlay.compute_routing_table(node_id)
-        for row, want in enumerate(truth_table):
-            have = table[row] if row < len(table) else None
-            if have != want:
-                violations.append(
-                    Violation(
-                        PASTRY_PREFIX_ROW,
-                        now,
-                        node=node_id,
-                        detail=f"row {row}: have {have}, want {want}",
-                    )
-                )
-    for node_id, leaves in current_leaves.items():
-        for leaf in leaves:
-            peer = current_leaves.get(leaf)
-            if peer is not None and node_id not in peer:
-                violations.append(
-                    Violation(
-                        PASTRY_LEAF_ASYMMETRY,
-                        now,
-                        node=leaf,
-                        detail=(
-                            f"{node_id} lists {leaf} as a leaf but "
-                            f"{leaf} does not list {node_id}"
-                        ),
-                    )
-                )
     return checked, stale, cold, lags, violations
 
 

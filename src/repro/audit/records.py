@@ -16,9 +16,6 @@ import dataclasses
 #
 # structural (probe-time):
 CHORD_FINGER_MISMATCH = "chord-finger-mismatch"
-PASTRY_LEAF_MISMATCH = "pastry-leaf-set-mismatch"
-PASTRY_LEAF_ASYMMETRY = "pastry-leaf-asymmetry"
-PASTRY_PREFIX_ROW = "pastry-prefix-row"
 CAN_ZONE_MISMATCH = "can-zone-mismatch"
 CAN_ZONE_OVERLAP = "can-zone-overlap"
 CAN_TESSELLATION = "can-tessellation"
@@ -32,9 +29,6 @@ MAPPING_INTERSECTION = "mapping-intersection"
 #: Every violation type the auditor can emit (render order).
 VIOLATION_TYPES = (
     CHORD_FINGER_MISMATCH,
-    PASTRY_LEAF_MISMATCH,
-    PASTRY_LEAF_ASYMMETRY,
-    PASTRY_PREFIX_ROW,
     CAN_ZONE_MISMATCH,
     CAN_ZONE_OVERLAP,
     CAN_TESSELLATION,

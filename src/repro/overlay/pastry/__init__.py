@@ -3,8 +3,10 @@
 The paper's footnote 1 claims the pub/sub infrastructure is portable
 across structured overlays (Chord, Pastry, Tapestry, CAN).  This
 subpackage substantiates that claim: a second overlay with an entirely
-different routing geometry — per-bit prefix correction plus a leaf set
-— behind the same :class:`~repro.overlay.api.OverlayNetwork` interface.
+different routing geometry — per-bit prefix correction plus a leaf set,
+both read off the sorted ring at every hop, so a node holds no routing
+state — behind the same :class:`~repro.overlay.api.OverlayNetwork`
+interface.
 The integration test suite runs the full pub/sub stack over it.
 
 Simplifications relative to deployed Pastry (documented in DESIGN.md):

@@ -1,15 +1,12 @@
-"""The Pastry-style overlay: leaf sets and per-bit routing tables."""
+"""The Pastry-style overlay: leaf sets and per-bit routing tables, read
+off the sorted ring whenever a node routes."""
 
 from __future__ import annotations
 
 import bisect
 
-from repro.overlay.api import StateTransferHook
-from repro.overlay.ids import KeySpace
-from repro.overlay.network import Network
-from repro.overlay.pastry.node import PastryNode
+from repro.overlay.pastry.node import LEAF_SET_SIZE, PastryNode
 from repro.overlay.ring import RingOverlay
-from repro.sim.kernel import Simulator
 
 
 class PastryOverlay(RingOverlay):
@@ -19,35 +16,16 @@ class PastryOverlay(RingOverlay):
         sim: The simulation kernel.
         keyspace: The m-bit identifier space.
         network: Message transport (defaults to 50 ms fixed delay).
-        leaf_set_size: Total leaf-set size L (L/2 neighbors per side).
         state_transfer: Optional Section 4.1 churn hook.
     """
 
     kind = "pastry"
 
-    def __init__(
-        self,
-        sim: Simulator,
-        keyspace: KeySpace,
-        network: Network | None = None,
-        leaf_set_size: int = 8,
-        state_transfer: StateTransferHook | None = None,
-    ) -> None:
-        super().__init__(sim, keyspace, network, state_transfer)
-        if leaf_set_size < 2 or leaf_set_size % 2:
-            raise ValueError("leaf_set_size must be a positive even number")
-        self._leaf_set_size = leaf_set_size
-
-    @property
-    def leaf_set_size(self) -> int:
-        """Configured total leaf-set size L (L/2 neighbors per side)."""
-        return self._leaf_set_size
-
     def _make_node(self, node_id: int) -> PastryNode:
         return PastryNode(node_id, self)
 
     def compute_leaf_set(self, node_id: int) -> list[int]:
-        """Up to L/2 ring neighbors per side, returned in ring order.
+        """Up to ``LEAF_SET_SIZE // 2`` ring neighbors per side, in ring order.
 
         "Ring order" here means clockwise order starting from the
         farthest counter-clockwise leaf, so the list spans a contiguous
@@ -58,11 +36,11 @@ class PastryOverlay(RingOverlay):
         n = len(self._ring)
         before = [
             self._ring[(index - offset) % n]
-            for offset in range(min(self._leaf_set_size // 2, n - 1), 0, -1)
+            for offset in range(min(LEAF_SET_SIZE // 2, n - 1), 0, -1)
         ]
         after = [
             self._ring[(index + offset) % n]
-            for offset in range(1, min(self._leaf_set_size // 2, n - 1) + 1)
+            for offset in range(1, min(LEAF_SET_SIZE // 2, n - 1) + 1)
         ]
         # De-duplicate for tiny rings where the arcs overlap.
         seen: set[int] = {node_id}

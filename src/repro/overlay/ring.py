@@ -8,11 +8,11 @@ ring, the KN-mapping (``owner_of``), the successor and predecessor
 pointers, and join/leave/crash with the Section 4.1 state-transfer
 hooks.  The node table, the message entry points and the maintenance
 counters live in :class:`~repro.overlay.api.OverlayNetwork`.
-Subclasses contribute a node type (routing state) by overriding
-:meth:`_make_node`.
+Subclasses contribute a node type by overriding :meth:`_make_node`.
 
-The overlay keeps no history of membership changes: a node whose
-routing state predates the current ``ring_version`` re-reads the ring.
+The overlay keeps no history of membership changes: a Chord node whose
+routing state predates the current ``ring_version`` re-reads the ring,
+and a Pastry node, which holds none, reads it at every hop.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from repro.sim.kernel import Simulator
 class RingOverlay(OverlayNetwork):
     """Base class: ring membership, KN-mapping and neighbor pointers.
 
-    Every membership change bumps ``ring_version``.  A node memoizes
-    its routing state per version, and a stale node re-resolves it from
-    the sorted ring on its next use; a joiner starts cold, like every
-    node of :meth:`build_ring`.
+    Every membership change bumps ``ring_version``.  A Chord node
+    memoizes its routing state per version, and a stale node re-resolves
+    it from the sorted ring on its next use; a joiner starts cold, like
+    every node of :meth:`build_ring`.
 
     Args:
         sim: The simulation kernel.

@@ -19,13 +19,11 @@ from repro.audit.records import (
     NOTIFICATION_FALSE_POSITIVE,
     NOTIFICATION_MISSED,
     NOTIFICATION_UNKNOWN,
-    PASTRY_LEAF_ASYMMETRY,
 )
 from repro.core.payloads import Notification, NotifyPayload
 from repro.core.subscriptions import Subscription
 from repro.overlay.can import CanOverlay
 from repro.overlay.chord import ChordOverlay
-from repro.overlay.pastry import PastryOverlay
 
 
 def vtypes(auditor) -> set[str]:
@@ -47,26 +45,6 @@ def test_corrupt_finger_slot_detected():
     record = auditor.run_probe()
     assert record.violations >= 1
     assert CHORD_FINGER_MISMATCH in vtypes(auditor)
-
-
-def test_desymmetrized_leaf_set_detected():
-    sim, system, auditor, _ = build_audited_system(PastryOverlay)
-    overlay = system.overlay
-    node_id = sorted(overlay.node_ids())[0]
-    node = overlay.node(node_id)
-    node.leaf_set()
-    node.routing_table()
-    leaf_id = node.leaf_set()[0]
-    leaf = overlay.node(leaf_id)
-    leaf.leaf_set()
-    leaf.routing_table()
-    clean = auditor.run_probe()
-    assert clean.violations == 0
-
-    # Ground-truth leaf sets are symmetric; drop one side of the pair.
-    leaf._leaf_set.remove(node_id)
-    auditor.run_probe()
-    assert PASTRY_LEAF_ASYMMETRY in vtypes(auditor)
 
 
 def test_overlapping_can_zones_detected():

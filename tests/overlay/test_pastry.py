@@ -4,21 +4,20 @@ import random
 import statistics
 from collections import Counter
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.overlay.api import MessageKind, OverlayMessage, next_request_id
 from repro.overlay.ids import KeySpace
 from repro.overlay.pastry import PastryOverlay
-from repro.overlay.pastry.node import common_prefix_length
+from repro.overlay.pastry.node import LEAF_SET_SIZE, common_prefix_length
 from repro.sim import Simulator
 
 KS = KeySpace(13)
 
 
-def build(n=200, seed=1, **kwargs):
+def build(n=200, seed=1):
     sim = Simulator()
-    overlay = PastryOverlay(sim, KS, **kwargs)
+    overlay = PastryOverlay(sim, KS)
     overlay.build_ring(random.Random(seed).sample(range(KS.size), n))
     return sim, overlay
 
@@ -40,27 +39,20 @@ def test_common_prefix_length():
     assert common_prefix_length(0, 0, 13) == 13
 
 
-def test_leaf_set_size_validation():
-    with pytest.raises(ValueError):
-        PastryOverlay(Simulator(), KS, leaf_set_size=3)
-    with pytest.raises(ValueError):
-        PastryOverlay(Simulator(), KS, leaf_set_size=0)
-
-
 def test_leaf_set_contains_ring_neighbors():
-    _, overlay = build(n=50, leaf_set_size=8)
+    _, overlay = build(n=50)
     for node_id in overlay.node_ids()[:10]:
-        leaves = overlay.node(node_id).leaf_set()
+        leaves = overlay.compute_leaf_set(node_id)
         assert overlay.successor_of(node_id) in leaves
         assert overlay.predecessor_of(node_id) in leaves
         assert node_id not in leaves
-        assert len(leaves) == 8
+        assert len(leaves) == LEAF_SET_SIZE == 8
 
 
 def test_leaf_set_on_tiny_ring():
-    _, overlay = build(n=3, leaf_set_size=8)
+    _, overlay = build(n=3)
     for node_id in overlay.node_ids():
-        leaves = overlay.node(node_id).leaf_set()
+        leaves = overlay.compute_leaf_set(node_id)
         assert set(leaves) == set(overlay.node_ids()) - {node_id}
 
 
@@ -68,7 +60,7 @@ def test_routing_table_prefix_property():
     _, overlay = build(n=200)
     bits = KS.bits
     for node_id in overlay.node_ids()[:15]:
-        table = overlay.node(node_id).routing_table()
+        table = overlay.compute_routing_table(node_id)
         assert len(table) == bits
         for position, entry in enumerate(table):
             if entry is None:

@@ -1,18 +1,20 @@
 """Structural invariant checks against overlay ground truth.
 
-Each probe compares the *materialized* routing state of live nodes
-against the deterministic ground truth the overlay can recompute from
-its membership (``compute_finger_slots`` / ``compute_cells``).  A
-Pastry node holds no routing state — every hop reads its leaf span and
-prefix row off the sorted ring — so a Pastry probe checks no node.
+Each probe compares the routing state nodes read against the
+deterministic ground truth the overlay can recompute from its
+membership (``compute_finger_slots`` / ``zone_of`` and
+``compute_cells``), and never mutates it.
 
-Routing state in this codebase is lazily version-memoized: a node only
-syncs its tables when it next routes a message, so most nodes are
+A Chord node's finger slots are lazily version-memoized: a node only
+syncs them when it next routes a message, so most nodes are
 legitimately *stale* (or *cold* — never materialized) at any instant.
-A probe therefore verifies only the nodes whose state version matches
-the current membership version, reports the rest as staleness
-statistics, and never mutates node state (it reads the raw fields via
-``audit_state()``, not the syncing accessors).
+A Chord probe therefore verifies only the nodes whose version matches
+the current ring version, reports the rest as staleness statistics,
+and reads the raw slots through ``audit_state()``, not the syncing
+accessors.  CAN geometry is the overlay's own table, written where
+membership changes, so a CAN probe checks every node.  A Pastry node
+holds no routing state — every hop reads its leaf span and prefix row
+off the sorted ring — so a Pastry probe checks no node.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import bisect
 from repro.audit.records import (
     CAN_TESSELLATION,
     CAN_ZONE_MISMATCH,
-    CAN_ZONE_OVERLAP,
     CHORD_FINGER_MISMATCH,
     ProbeRecord,
     Violation,
@@ -119,19 +120,18 @@ def _probe_chord(overlay: ChordOverlay, now: float):
 
 
 def _probe_can(overlay: CanOverlay, now: float):
-    """Zone tessellation: cells match zones, no overlap, full cover.
+    """Zone tessellation, the key→owner table and every geometry entry.
 
     The zone table itself (``zone_table``) must tile the key space —
     strictly sorted unique starts, live owners, each covering its own
     id — and the flat key→owner table routing reads must be its
-    run-length expansion.  On top of that, every current node's
-    materialized Morton cells must equal the decomposition of its
-    ground-truth zone, and no two current nodes' cells may intersect.
+    run-length expansion.  Every member's geometry entry must hold its
+    zone and the rectangles of that zone's cells.  Entries are written
+    where membership changes and never lag it, so every node is
+    checked; once each entry matches a zone of a tessellating table, no
+    two can overlap.
     """
-    checked = stale = cold = 0
-    lags: list[int] = []
     violations: list[Violation] = []
-    version_now = overlay.zone_version
     table = overlay.zone_table()
     starts = [start for start, _ in table]
     if sorted(set(starts)) != starts:
@@ -193,43 +193,25 @@ def _probe_can(overlay: CanOverlay, now: float):
                     ),
                 )
             )
-    intervals: list[tuple[int, int, int]] = []
+    checked = 0
+    rect_of_cell = overlay.rect_of_cell
     for node_id in overlay.node_ids():
-        node = overlay.node(node_id)
-        version, cells = node.audit_state()
-        if version < 0:
-            cold += 1
-            continue
-        if version != version_now:
-            stale += 1
-            lags.append(version_now - version)
-            continue
+        if not overlay.is_alive(node_id):
+            continue  # no entry: reported above as a dead owner
         checked += 1
-        truth = overlay.compute_cells(node_id)
-        if cells != truth:
+        zone, rects = overlay.zone_geometry(node_id)
+        truth = overlay.zone_of(node_id)
+        cells = overlay.compute_cells(node_id)
+        if (zone, rects) != (truth, [rect_of_cell(*cell) for cell in cells]):
             violations.append(
                 Violation(
                     CAN_ZONE_MISMATCH,
                     now,
                     node=node_id,
-                    detail=f"cells {cells} != zone decomposition {truth}",
-                )
-            )
-        intervals.extend(
-            (start, start + size, node_id) for start, size in cells
-        )
-    intervals.sort()
-    for (s1, e1, n1), (s2, e2, n2) in zip(intervals, intervals[1:]):
-        if s2 < e1:
-            violations.append(
-                Violation(
-                    CAN_ZONE_OVERLAP,
-                    now,
-                    node=n2,
                     detail=(
-                        f"cells of nodes {n1} and {n2} overlap: "
-                        f"[{s1},{e1}) ∩ [{s2},{e2})"
+                        f"geometry entry ({zone}, {len(rects)} rects) != "
+                        f"zone {truth} and its {len(cells)} cells"
                     ),
                 )
             )
-    return checked, stale, cold, lags, violations
+    return checked, 0, 0, [], violations

@@ -17,7 +17,6 @@ import dataclasses
 # structural (probe-time):
 CHORD_FINGER_MISMATCH = "chord-finger-mismatch"
 CAN_ZONE_MISMATCH = "can-zone-mismatch"
-CAN_ZONE_OVERLAP = "can-zone-overlap"
 CAN_TESSELLATION = "can-tessellation"
 # delivery-correctness (publication-deadline / notification-time):
 NOTIFICATION_MISSED = "notification-missed"
@@ -30,7 +29,6 @@ MAPPING_INTERSECTION = "mapping-intersection"
 VIOLATION_TYPES = (
     CHORD_FINGER_MISMATCH,
     CAN_ZONE_MISMATCH,
-    CAN_ZONE_OVERLAP,
     CAN_TESSELLATION,
     NOTIFICATION_MISSED,
     NOTIFICATION_FALSE_POSITIVE,
@@ -67,11 +65,12 @@ class Violation:
 class ProbeRecord:
     """One periodic structural-invariant probe over the overlay.
 
-    Routing state is *lazily* version-memoized (nodes sync on use), so
-    a probe only verifies the nodes whose table version matches the
-    current membership version — the rest are merely stale, which is
-    expected, and reported as staleness statistics instead of
-    violations.
+    Chord fingers are *lazily* version-memoized (nodes sync on use), so
+    a Chord probe only verifies the nodes whose table version matches
+    the current membership version — the rest are merely stale, which
+    is expected, and reported as staleness statistics instead of
+    violations.  A CAN probe checks every node: its geometry is the
+    overlay's own table and never lags.
 
     Attributes:
         t: Simulated probe time.

@@ -190,11 +190,12 @@ class OverlayNetwork(abc.ABC):
     protocol-level Chord) contributes membership, the KN-mapping and an
     :class:`OverlayNode` type that routes.
 
-    Routing-state maintenance is counted per overlay, in two unlabelled
-    registry counters ``<kind>.table_rebuilds`` and
-    ``<kind>.table_patches``: a node bumps ``.value`` in place when it
-    recomputes its state (a rebuild) or re-reads it unchanged (a patch,
-    CAN only), so a departed node's work stays counted.
+    Routing-state maintenance is counted per overlay, in one unlabelled
+    registry counter ``<kind>.table_rebuilds``: a node bumps ``.value``
+    in place when it recomputes its state, so a departed node's work
+    stays counted.  Only a Chord node rebuilds (its fingers): CAN zones
+    and ring predecessors are the overlay's own tables, so the other
+    overlays count 0.
     """
 
     #: Overlay family name; prefixes the maintenance counters.
@@ -221,7 +222,6 @@ class OverlayNetwork(abc.ABC):
         self._nodes: dict[int, OverlayNode] = {}
         registry = network.telemetry.registry
         self.table_rebuilds = registry.counter(f"{self.kind}.table_rebuilds")
-        self.table_patches = registry.counter(f"{self.kind}.table_patches")
 
     @property
     def keyspace(self) -> KeySpace:
@@ -296,12 +296,12 @@ class OverlayNetwork(abc.ABC):
     def maintenance_totals(self) -> dict[str, int]:
         """Run-wide routing-state maintenance counts, departed nodes included.
 
-        ``table_seeds`` reads 0 on every overlay; it stays because every
-        overlay reports the same three totals.
+        ``table_patches`` and ``table_seeds`` read 0 on every overlay;
+        they stay because every overlay reports the same three totals.
         """
         return {
             "table_rebuilds": self.table_rebuilds.value,
-            "table_patches": self.table_patches.value,
+            "table_patches": 0,
             "table_seeds": 0,
         }
 

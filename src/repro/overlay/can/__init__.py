@@ -12,7 +12,7 @@ it into quadtree *zones*, one per node:
   (Section 4.1 state transfer) carries over unchanged;
 - a node covers exactly the keys of its zone; joins split the zone
   owning a random point (CAN's join), leaves/crashes hand the zone to
-  the Morton-successor owner (a documented simplification of CAN's
+  the Morton-predecessor owner (a documented simplification of CAN's
   smallest-neighbor takeover rule);
 - routing is CAN's greedy geometric forwarding: each hop moves to the
   edge-adjacent neighbor zone closest to the target point, giving the

@@ -21,7 +21,7 @@ from repro.sim.kernel import Simulator
 
 
 class CanNode:
-    """One CAN node: zone geometry, greedy unicast, key-order m-cast.
+    """One CAN node: greedy unicast and key-order m-cast over its zone.
 
     A real CAN node maintains a neighbor table with each neighbor's
     zone coordinates; forwarding picks the neighbor closest to the
@@ -38,6 +38,10 @@ class CanNode:
     pair the request's origin stamped, and the node addressing a key (a
     unicast's sender, the sequential walk picking its next key) tries the
     cached owner before :meth:`_next_hop`; forwarders and m-cast do not.
+
+    The node holds no geometry of its own: its zone and the rectangles
+    of its cells are the overlay's ``_geometry`` entry, written where
+    membership changes, so they are current at every read.
     """
 
     def __init__(
@@ -46,85 +50,25 @@ class CanNode:
         self.id = node_id
         self._overlay = overlay
         self._cache = LocationCache(node_id, cache_capacity)
-        self._cells: list[tuple[int, int]] = []
-        # Decoded rectangles and the zone's (start, length), the stamp:
-        # refreshed by the same rebuild as _cells — the memoized geometry.
-        self._rects: list[tuple[int, int, int, int]] = []
-        self._zone: tuple[int, int] = (node_id, 0)
-        self._version = -1
-        # Express links: link k is the owner of the key at Morton
-        # distance 2^k, read off the overlay's key→owner table at each
-        # use.  The fixed target keys and their decoded points are made
-        # on first use (_express_targets), so a node that only delivers
-        # holds neither.
-        self._express_keys: list[int] | None = None
-        self._express_points: list[tuple[int, int]] | None = None
         # M-cast pointers as (zone version, zone-start distances, owners),
         # made by the first m-cast this node forwards (_mcast_table).
         self._mcast: tuple[int, array[int], list[int]] | None = None
 
-    def cells(self) -> list[tuple[int, int]]:
-        """My zone's maximal aligned cells ((start, size) pairs).
-
-        A zone wrapping the key-space origin decomposes as two plain
-        intervals.  The decomposition is a function of the zone alone,
-        so on a new zone version a node re-reads its zone: unchanged, it
-        keeps its cells as-is (a patch); moved, it recomputes cells,
-        rectangles and stamp (a rebuild).  Each is counted on the
-        overlay, in ``can.table_patches`` / ``can.table_rebuilds``.
-        """
-        overlay = self._overlay
-        version = overlay.zone_version
-        if self._version == version:
-            return self._cells
-        zone = overlay.zone_of(self.id)
-        if self._version >= 0 and zone == self._zone:
-            self._version = version
-            overlay.table_patches.value += 1
-            return self._cells
-        cells = overlay.compute_cells(self.id)
-        rect_of_cell = overlay.rect_of_cell
-        self._cells = cells
-        self._rects = [rect_of_cell(s, z) for s, z in cells]
-        self._zone = zone
-        self._version = version
-        overlay.table_rebuilds.value += 1
-        return self._cells
-
-    def audit_state(self) -> tuple[int, list[tuple[int, int]]]:
-        """Raw zone state for the auditor: ``(version, cells)``.
-
-        Non-mutating by contract — never triggers the :meth:`cells`
-        catch-up, so the auditor sees the decomposition exactly as
-        routing left it.  Version -1 means cold.
-        """
-        return self._version, list(self._cells)
-
-    def _express_targets(self) -> list[int]:
-        """The fixed target keys of my express links, ``id + 2^k`` for
-        each ``k``; made, with their decoded points, on first use."""
-        overlay = self._overlay
-        size = overlay.keyspace.size
-        keys = [(self.id + (1 << k)) % size for k in range(overlay.keyspace.bits)]
-        self._express_points = [overlay._points[key] for key in keys]
-        self._express_keys = keys
-        return keys
-
     def _mcast_table(self) -> tuple[int, array[int], list[int]]:
         """``(zone version, distances, owners)`` of my m-cast pointers: the
-        owner of the key just past my zone and every express link but me,
-        each at the clockwise distance of its zone start from my id, sorted.
-        Rebuilt whole when the zone version moves."""
+        owner of the key just past my zone and of each express link
+        target ``id + 2^k`` but me, each at the clockwise distance of its
+        zone start from my id, sorted.  Rebuilt whole when the zone
+        version moves."""
         overlay = self._overlay
-        if self._version != overlay.zone_version:
-            self.cells()
-        keys = self._express_keys or self._express_targets()
         me, size, starts = self.id, overlay._size, overlay._starts
         key_owner = overlay._key_owner
-        after = (self._zone[0] + self._zone[1]) % size
+        (start, length), _ = overlay._geometry[me]
+        keys = [(start + length) % size]
+        keys += [(me + (1 << k)) % size for k in range(overlay.keyspace.bits)]
         ranked = sorted({
             ((starts[bisect.bisect_right(starts, key) - 1] - me) % size, owner)
-            for key in (after, *keys)
+            for key in keys
             if (owner := key_owner[key]) != me
         })
         # Distances as machine ints: they are the table's only new objects.
@@ -168,11 +112,12 @@ class CanNode:
         - **unit step**: the classic one-grid-unit probe (Φ' ≤ Φ - 1).
 
         Runs at every hop of every unicast, so the step leaves
-        this frame only for a stale table and the jump's one bisect:
-        ownership is an index into the overlay's key→owner table and
-        the torus arithmetic is inline (``morton.py`` keeps the helper
-        forms; ``tests/overlay/test_can_next_hop_reference.py`` holds
-        this method to them).
+        this frame only for the jump's one bisect: ownership is an index
+        into the overlay's key→owner table, the zone's rectangles are
+        its geometry entry, and the torus arithmetic is inline
+        (``morton.py`` keeps the helper forms;
+        ``tests/overlay/test_can_next_hop_reference.py`` holds this
+        method to them).
         """
         overlay = self._overlay
         key_owner = overlay._key_owner
@@ -181,15 +126,14 @@ class CanNode:
             return None
         x_size = overlay._x_size
         y_size = overlay._y_size
-        tx, ty = overlay._points[key]
-        if self._version != overlay.zone_version:
-            self.cells()
+        points = overlay._points
+        tx, ty = points[key]
         # Closest point of my zone (inlined rect_closest_point + torus
-        # distance over the memoized rectangles; same cell order and
+        # distance over the zone's rectangles; same cell order and
         # tie-breaks as the morton.py helpers).
         best_distance = -1
         best_px = best_py = 0
-        for x0, y0, width, height in self._rects:
+        for x0, y0, width, height in overlay._geometry[me][1]:
             offset = (tx - x0) % x_size
             if offset < width:
                 px = tx
@@ -230,11 +174,16 @@ class CanNode:
                 best_px = px
                 best_py = py
         if best_distance > 1 and overlay._express_links:
-            keys = self._express_keys or self._express_targets()
-            best_k = -1
+            # Link k is the owner of the key 2^k ahead of my id, for
+            # k = 0, 1, ... (the distance doubles up to the size).
+            size = overlay._size
+            best_key = -1
             best_d = best_distance
-            k = 0
-            for ex, ey in self._express_points:
+            distance = 1
+            while distance < size:
+                link_key = (me + distance) % size
+                distance <<= 1
+                ex, ey = points[link_key]
                 dxo = (tx - ex) % x_size
                 if dxo + dxo > x_size:
                     dxo = x_size - dxo
@@ -242,15 +191,14 @@ class CanNode:
                 if dyo + dyo > y_size:
                     dyo = y_size - dyo
                 d = dxo + dyo
-                if d < best_d and key_owner[keys[k]] != me:
+                if d < best_d and key_owner[link_key] != me:
                     best_d = d
-                    best_k = k
-                k += 1
+                    best_key = link_key
             # Only shortcut when the link at least halves the distance;
             # small wins are left to the zone jump, which advances
             # without spending a hop on a marginal improvement.
-            if best_k >= 0 and best_d + best_d <= best_distance:
-                return key_owner[keys[best_k]]
+            if best_key >= 0 and best_d + best_d <= best_distance:
+                return key_owner[best_key]
         # Signed shortest torus deltas from the closest point to the
         # target, as (magnitude, direction); a tie goes forward.
         forward = (tx - best_px) % x_size
@@ -312,7 +260,7 @@ class CanNode:
                     break
                 csize = nsize
                 free += 1
-            x0, y0 = overlay._points[probe_key & -csize]
+            x0, y0 = points[probe_key & -csize]
             cw, ch = overlay._cell_dims[free]
             if axis_x:
                 extra = (x0 + cw - 1 - nx) if step > 0 else (nx - x0)
@@ -329,7 +277,7 @@ class CanNode:
             next_owner = key_owner[point_keys[nx * y_size + ny]]
         if next_owner != me:
             return next_owner
-        # Defensive: only reachable with corrupted/stale geometry (a
+        # Defensive: only reachable with a corrupted geometry entry (a
         # healthy probe point lies outside our boundary).  Step one
         # zone toward the key in cyclic zone order — never away.
         return self._fallback_toward(key)
@@ -337,11 +285,13 @@ class CanNode:
     def _fallback_toward(self, key: int) -> int:
         """Nearest zone toward ``key`` in cyclic zone-index order.
 
-        The old fallback returned the zone-ring successor, which on a
-        torus can point *away* from the target and livelock a walk
-        between two stale nodes.  Stepping toward the key's zone index
-        (whichever cyclic direction is shorter) makes even the
-        degenerate path converge.
+        The geometry entries are written where membership changes, so
+        they are never stale: only a corrupted entry, whose probe point
+        lands back inside this node's own zone, reaches this step.
+        Returning the zone-ring successor there can point *away* from
+        the target on a torus and livelock a walk between two such
+        nodes; stepping toward the key's zone index (whichever cyclic
+        direction is shorter) makes even the degenerate path converge.
         """
         overlay = self._overlay
         owners = overlay._owners
@@ -378,12 +328,10 @@ class CanNode:
             if next_hop is None:
                 self._deliver(message)
                 return
-        elif self._version != overlay.zone_version:
-            self.cells()  # the catch-up _next_hop would have made: the stamp
         # Not delivered here, so this node holds the only reference
         # (see OverlayMessage.forwarded_copy): forward it in place.
         message.hops += 1
-        message.path += (me, self._zone)
+        message.path += (me, overlay._geometry[me][0])
         overlay._network_transmit(me, next_hop, message)
 
     def start_mcast(self, message: OverlayMessage) -> None:
@@ -416,6 +364,7 @@ class CanNode:
         if table is None or table[0] != overlay.zone_version:
             table = self._mcast_table()
         _, dists, owners = table
+        zone = overlay._geometry[me][0]
         size = overlay._size
         npointers = len(dists)
         distances = sorted([(key - me) % size for key in rest])
@@ -435,11 +384,11 @@ class CanNode:
                 keys = rest  # one branch: its key set is exactly ``rest``
             end = first
             if first or mine:
-                branch = message.forwarded_copy(me, keys, self._zone)
+                branch = message.forwarded_copy(me, keys, zone)
             else:
                 branch = message
                 branch.hops += 1
-                branch.path += (me, self._zone)
+                branch.path += (me, zone)
                 branch.target_keys = keys
             overlay._network_transmit(me, pointer, branch)
 
@@ -474,14 +423,13 @@ class CanNode:
             next_hop = self._next_hop(chase)
             if next_hop is None:
                 return
-        elif self._version != overlay.zone_version:
-            self.cells()
+        zone = overlay._geometry[me][0]
         if mine:
-            onward = message.forwarded_copy(me, rest, self._zone)
+            onward = message.forwarded_copy(me, rest, zone)
         else:  # not delivered here: forwarded in place
             onward = message
             onward.hops += 1
-            onward.path += (me, self._zone)
+            onward.path += (me, zone)
             onward.target_keys = rest
         onward.key = chase
         overlay._network_transmit(me, next_hop, onward)
@@ -529,11 +477,15 @@ class CanOverlay(OverlayNetwork):
         # special case and a zone may legitimately wrap the origin.
         self._starts: list[int] = []
         self._owners: list[int] = []
-        # Membership vs. materialization — see RingOverlay: a sharded
-        # worker tracks every zone owner in `_members` but only builds
-        # CanNode state for its own ids (`_local_filter` is set for the
-        # duration of build_ring).
-        self._members: set[int] = set()
+        # Owner -> (its zone's (start, length), the zone's cell
+        # rectangles): what its node routes on, written by _place where
+        # a zone moves and dropped on departure.  Its keys are the
+        # membership; a sharded worker holds every entry but builds
+        # CanNode state only for its own ids (`_local_filter`, set for
+        # the duration of build_ring).
+        self._geometry: dict[
+            int, tuple[tuple[int, int], list[tuple[int, int, int, int]]]
+        ] = {}
         self._local_filter: set[int] | None = None
         self.zone_version = 0
         # Grid geometry tables, fixed for the life of the overlay: the
@@ -556,7 +508,7 @@ class CanOverlay(OverlayNetwork):
         # _absorb); every routing step reads ownership from here.  The
         # zone arrays above stay the ground truth that membership code,
         # compute_cells/compute_express_links and the auditor use, and
-        # the auditor checks this table against them.
+        # the auditor checks this table and _geometry against them.
         self._key_owner: list[int] = [0] * keyspace.size
         self._cell_dims = []
         for free in range(bits + 1):
@@ -585,7 +537,7 @@ class CanOverlay(OverlayNetwork):
         return len(self._owners)
 
     def is_alive(self, node_id: int) -> bool:
-        return node_id in self._members
+        return node_id in self._geometry
 
     def zone_of(self, node_id: int) -> tuple[int, int]:
         """``(start, length)`` of the node's zone (may wrap the origin)."""
@@ -601,13 +553,14 @@ class CanOverlay(OverlayNetwork):
 
         The canonical ``(start, size)`` maximal aligned cells of
         :meth:`zone_of`; a zone wrapping the origin decomposes as two
-        plain intervals.  :meth:`CanNode.cells` materializes exactly
-        this, so the auditor compares a current node's cells against a
-        fresh call of this method.
+        plain intervals.  A geometry entry holds the rectangles of
+        exactly these cells, and the auditor holds every entry to them.
         """
+        return self._decompose(*self.zone_of(node_id))
+
+    def _decompose(self, start: int, length: int) -> list[tuple[int, int]]:
         bits = self._keyspace.bits
         size = self._keyspace.size
-        start, length = self.zone_of(node_id)
         if start + length <= size:
             return decompose(start, length, bits)
         head = size - start
@@ -629,6 +582,25 @@ class CanOverlay(OverlayNetwork):
             owners[bisect_right(starts, (node_id + (1 << k)) % size) - 1]
             for k in range(self._keyspace.bits)
         ]
+
+    def zone_geometry(
+        self, node_id: int
+    ) -> tuple[tuple[int, int], list[tuple[int, int, int, int]]]:
+        """A copy of ``node_id``'s geometry entry: ``(zone, rects)``.
+
+        Introspection for the auditor, which holds it to
+        :meth:`zone_of` and the rectangles of :meth:`compute_cells`.
+        """
+        zone, rects = self._geometry[node_id]
+        return zone, list(rects)
+
+    def _place(self, node_id: int) -> None:
+        """Write ``node_id``'s geometry entry from its current zone."""
+        zone = self.zone_of(node_id)
+        rect_of_cell = self.rect_of_cell
+        self._geometry[node_id] = (
+            zone, [rect_of_cell(s, z) for s, z in self._decompose(*zone)]
+        )
 
     def rect_of_cell(self, start: int, size: int) -> tuple[int, int, int, int]:
         """``zone_rectangle`` via the precomputed geometry tables."""
@@ -703,6 +675,7 @@ class CanOverlay(OverlayNetwork):
             self._starts = [first]
             self._owners = [first]
             self._assign_keys(0, self._keyspace.size, first)
+            self._place(first)
             self._register(first)
             self.zone_version += 1
             for node_id in rest:
@@ -721,7 +694,7 @@ class CanOverlay(OverlayNetwork):
         conventions split zones equally in expectation.
         """
         self._keyspace.validate(node_id)
-        if node_id in self._members:
+        if node_id in self._geometry:
             raise OverlayError(f"node {node_id} already joined")
         size = self._keyspace.size
         index = self._zone_index_for_key(node_id)
@@ -749,6 +722,8 @@ class CanOverlay(OverlayNetwork):
             # cut, or the last slot when the cut wrapped to the front.
             self._owners[position - 1] = node_id
         self._assign_keys(joiner_start, joiner_length, node_id)
+        self._place(owner)
+        self._place(node_id)
         self._register(node_id)
         self.zone_version += 1
         if self._state_transfer is not None:
@@ -792,7 +767,10 @@ class CanOverlay(OverlayNetwork):
         del self._starts[index]
         del self._owners[index]
         self._assign_keys(start, length, heir)
-        self._unregister(node_id)
+        del self._geometry[node_id]
+        self._place(heir)
+        if self._nodes.pop(node_id, None) is not None:
+            self._network.unregister(node_id)
         self.zone_version += 1
 
     def _assign_keys(self, start: int, length: int, owner: int) -> None:
@@ -808,18 +786,12 @@ class CanOverlay(OverlayNetwork):
             table[: end - size] = [owner] * (end - size)
 
     def _register(self, node_id: int) -> None:
-        self._members.add(node_id)
         local = self._local_filter
         if local is not None and node_id not in local:
             return
         node = CanNode(node_id, self, self._cache_capacity)
         self._nodes[node_id] = node
         self._network.register(node_id, node.receive)
-
-    def _unregister(self, node_id: int) -> None:
-        self._members.discard(node_id)
-        if self._nodes.pop(node_id, None) is not None:
-            self._network.unregister(node_id)
 
     # -- KN-mapping ---------------------------------------------------------------
 

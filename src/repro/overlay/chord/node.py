@@ -1,7 +1,8 @@
 """A single Chord node: pointers, location cache, routing decisions.
 
-A node knows its ring neighbors, its finger table — held once, as the
-raw slots and the distinct owners by distance — and (optionally) a
+A node reads its ring neighbors off the overlay (the predecessor from
+``overlay._pred``), and holds its finger table — once, as the raw
+slots and the distinct owners by distance — and (optionally) a
 bounded LRU *location cache* of other live nodes it has learned about
 from message traffic (:mod:`repro.overlay.location_cache`: the touch
 log, its fold, the LRU).  Fingers are computed against the overlay's
@@ -135,10 +136,6 @@ class ChordNode:
         self._table_dists: list[int] = []
         self._table_ids: list[int] = []
         self._table_journal: list[int] | None = None
-        # Version-stamped predecessor memo: covers() and the two
-        # multicast walks all ask for it, often several times per tick.
-        self._pred_version = -1
-        self._pred_value = node_id
 
     # -- pointers -------------------------------------------------------
 
@@ -146,15 +143,6 @@ class ChordNode:
     def successor(self) -> int:
         """Id of the next live node clockwise on the ring."""
         return self._overlay.successor_of(self.id)
-
-    @property
-    def predecessor(self) -> int:
-        """Id of the previous live node on the ring."""
-        version = self._overlay.ring_version
-        if self._pred_version != version:
-            self._pred_value = self._overlay.predecessor_of(self.id)
-            self._pred_version = version
-        return self._pred_value
 
     def fingers(self) -> list[int]:
         """Distinct live finger nodes, in clockwise order from this node.
@@ -420,7 +408,7 @@ class ChordNode:
     def covers(self, key: int) -> bool:
         """True if this node covers ``key``: ``key in (pred, self]``."""
         me = self.id
-        predecessor = self.predecessor
+        predecessor = self._overlay._pred[me]
         if predecessor == me:  # sole node: covers the whole ring
             return True
         # Inline in_open_closed: per-message hot path.
@@ -469,7 +457,7 @@ class ChordNode:
         key = message.key
         assert key is not None, "unicast message without a destination key"
         me = self.id
-        predecessor = self.predecessor
+        predecessor = self._overlay._pred[me]
         # covers(key), inline: the predecessor is needed for the stamp.
         if (
             predecessor == me
@@ -610,7 +598,7 @@ class ChordNode:
         size = self._size
         me = self.id
         targets = message.target_keys or frozenset()
-        predecessor = self.predecessor
+        predecessor = self._overlay._pred[me]
         # Inline in_open_closed(k, pred, me): runs per target key.
         if predecessor == me:  # sole node: every key is ours
             mine = set(targets)
@@ -654,7 +642,7 @@ class ChordNode:
                 branches[predecessor] = 0  # overshot: all of it, one step back
         while not branches:
             if arcs is not None:  # as _next_hop reads it
-                members = self._overlay._members
+                members = self._overlay._pred
                 journal = self._table_journal
                 if journal is None or journal:
                     self._materialize()
@@ -726,7 +714,7 @@ class ChordNode:
         size = self._size
         me = self.id
         targets = message.target_keys or frozenset()
-        predecessor = self.predecessor
+        predecessor = self._overlay._pred[me]
         # Inline in_open_closed(k, pred, me), as in continue_mcast.
         if predecessor == me:
             mine = set(targets)

@@ -11,8 +11,10 @@ counters live in :class:`~repro.overlay.api.OverlayNetwork`.
 Subclasses contribute a node type by overriding :meth:`_make_node`.
 
 The overlay keeps no history of membership changes: a Chord node whose
-routing state predates the current ``ring_version`` re-reads the ring,
-and a Pastry node, which holds none, reads it at every hop.
+fingers predate the current ``ring_version`` re-reads the ring, and a
+Pastry node, which holds none, reads it at every hop.  Every member's
+predecessor is held once, here, in ``_pred``; nodes read it off the
+overlay.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ class RingOverlay(OverlayNetwork):
     """Base class: ring membership, KN-mapping and neighbor pointers.
 
     Every membership change bumps ``ring_version``.  A Chord node
-    memoizes its routing state per version, and a stale node re-resolves
-    it from the sorted ring on its next use; a joiner starts cold, like
+    memoizes its fingers per version, and a stale node re-resolves them
+    from the sorted ring on its next use; a joiner starts cold, like
     every node of :meth:`build_ring`.
 
     Args:
@@ -51,12 +53,11 @@ class RingOverlay(OverlayNetwork):
     ) -> None:
         super().__init__(keyspace, sim, network or Network(sim), state_transfer)
         self._ring: list[int] = []
-        # Membership is tracked separately from materialized node
-        # objects: a sharded worker knows the whole ring (`_members`)
-        # but only builds node state for its own arc (`_nodes`).  In a
-        # serial overlay the two sets are updated in lockstep and
-        # always equal.
-        self._members: set[int] = set()
+        # Member -> its ring predecessor (a sole node is its own),
+        # written wherever membership changes.  Its keys are the
+        # membership: a sharded worker knows the whole ring here but
+        # builds node objects (`_nodes`) only for its own arc.
+        self._pred: dict[int, int] = {}
         self.ring_version = 0
 
     # -- subclass contribution ------------------------------------------------
@@ -76,7 +77,7 @@ class RingOverlay(OverlayNetwork):
 
     def is_alive(self, node_id: int) -> bool:
         """True if the node is currently part of the ring."""
-        return node_id in self._members
+        return node_id in self._pred
 
     # -- membership -------------------------------------------------------
 
@@ -105,7 +106,7 @@ class RingOverlay(OverlayNetwork):
         if self._ring:
             raise OverlayError("ring already built; use join() to add nodes")
         self._ring = ids
-        self._members.update(ids)
+        self._pred = dict(zip(ids, ids[-1:] + ids[:-1]))
         for node_id in ids:
             if local is None or node_id in local:
                 self._add_node(node_id)
@@ -116,13 +117,16 @@ class RingOverlay(OverlayNetwork):
         self._keyspace.validate(node_id)
         if node_id in self._nodes:
             raise OverlayError(f"node {node_id} already in the ring")
-        bisect.insort(self._ring, node_id)
-        self._members.add(node_id)
+        ring = self._ring
+        index = bisect.bisect_left(ring, node_id)
+        ring.insert(index, node_id)
+        predecessor = ring[index - 1]
+        successor = ring[(index + 1) % len(ring)]
+        self._pred[node_id] = predecessor
+        self._pred[successor] = node_id
         self._add_node(node_id)
         self.ring_version += 1
-        if len(self._ring) > 1 and self._state_transfer is not None:
-            successor = self.successor_of(node_id)
-            predecessor = self.predecessor_of(node_id)
+        if len(ring) > 1 and self._state_transfer is not None:
             self._state_transfer(successor, node_id, (predecessor, node_id))
 
     def leave(self, node_id: int) -> None:
@@ -151,9 +155,10 @@ class RingOverlay(OverlayNetwork):
         self._network.register(node_id, node.receive)
 
     def _remove_node(self, node_id: int) -> None:
-        index = bisect.bisect_left(self._ring, node_id)
-        del self._ring[index]
-        self._members.discard(node_id)
+        ring = self._ring
+        index = bisect.bisect_left(ring, node_id)
+        del ring[index]
+        self._pred[ring[index % len(ring)]] = self._pred.pop(node_id)
         del self._nodes[node_id]
         self._network.unregister(node_id)
         self.ring_version += 1
@@ -198,8 +203,10 @@ class RingOverlay(OverlayNetwork):
 
     def predecessor_of(self, node_id: int) -> int:
         """The live node preceding ``node_id`` on the ring."""
-        index = self._ring_index(node_id)
-        return self._ring[(index - 1) % len(self._ring)]
+        try:
+            return self._pred[node_id]
+        except KeyError:
+            raise OverlayError(f"no live node with id {node_id}") from None
 
     def _ring_index(self, node_id: int) -> int:
         index = bisect.bisect_left(self._ring, node_id)

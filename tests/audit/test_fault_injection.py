@@ -1,9 +1,10 @@
 """Each injected corruption class must raise its distinct violation type.
 
-Every test corrupts exactly one piece of state *after* forcing the
-touched nodes current (the probes only verify nodes whose version
-matches the membership version), then asserts the auditor reports the
-matching violation type — and that the pre-corruption probe was clean.
+Every test corrupts exactly one piece of state — a Chord node's only
+*after* forcing it current (a Chord probe only verifies nodes whose
+version matches the ring version) — then asserts the auditor reports
+the matching violation type, and that the pre-corruption probe was
+clean.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from tests.audit.conftest import build_audited_system
 from repro.audit import AuditConfig
 from repro.audit.records import (
     CAN_TESSELLATION,
-    CAN_ZONE_OVERLAP,
+    CAN_ZONE_MISMATCH,
     CHORD_FINGER_MISMATCH,
     MAPPING_INTERSECTION,
     NOTIFICATION_FALSE_POSITIVE,
@@ -48,17 +49,21 @@ def test_corrupt_finger_slot_detected():
 
 
 def test_overlapping_can_zones_detected():
+    """One member's geometry entry written over another's: two nodes
+    would route on the same zone, and the copy no longer matches the
+    zone table."""
     sim, system, auditor, _ = build_audited_system(CanOverlay)
     overlay = system.overlay
     first, second = sorted(overlay.node_ids())[:2]
-    overlay.node(first).cells()
-    overlay.node(second).cells()
     clean = auditor.run_probe()
     assert clean.violations == 0
 
-    overlay.node(second)._cells = list(overlay.node(first).cells())
-    auditor.run_probe()
-    assert CAN_ZONE_OVERLAP in vtypes(auditor)
+    overlay._geometry[second] = overlay.zone_geometry(first)
+    record = auditor.run_probe()
+    assert record.violations == 1
+    assert [(v.vtype, v.node) for v in auditor.violations] == [
+        (CAN_ZONE_MISMATCH, second)
+    ]
 
 
 def test_corrupt_can_key_owner_slot_detected():

@@ -1,4 +1,4 @@
-"""The CAN routing fast path: memoized geometry, zone jumps, express links.
+"""The CAN routing fast path: overlay-held geometry, zone jumps, express links.
 
 Three properties pin the fast path to the slow one:
 
@@ -261,9 +261,9 @@ def test_mcast_zone_straddling_a_link_target_gets_one_branch():
 
 def test_express_links_read_off_the_key_owner_table_stay_exact_under_churn():
     """A node stores no links: ``_next_hop`` and ``_mcast_table`` read
-    link ``k`` as the owner of its fixed target key ``id + 2^k``.  After
-    any run of joins, leaves and crashes those owners are the links a
-    wholesale recomputation against the zone arrays names."""
+    link ``k`` as the key→owner table's owner of the key ``id + 2^k``.
+    After any run of joins, leaves and crashes those owners are the
+    links ``compute_express_links`` names off the zone arrays."""
     rng = random.Random(23)
     _, overlay = build(n=48, seed=9)
     key_owner = overlay._key_owner
@@ -272,14 +272,8 @@ def test_express_links_read_off_the_key_owner_table_stay_exact_under_churn():
         churn(overlay, rng, 1)
         if rng.random() < 0.3:
             for node_id in rng.sample(overlay.node_ids(), 5):
-                node = overlay.node(node_id)
-                far = (node_id + KS.size // 2) % KS.size
-                node._next_hop(far)
-                keys = node._express_keys or node._express_targets()
-                assert keys == [
-                    (node_id + (1 << k)) % KS.size for k in range(KS.bits)
-                ]
-                assert [key_owner[key] for key in keys] == (
+                targets = [(node_id + (1 << k)) % KS.size for k in range(KS.bits)]
+                assert [key_owner[key] for key in targets] == (
                     overlay.compute_express_links(node_id)
                 )
                 checked += 1
@@ -297,7 +291,7 @@ def set_zones(overlay, starts, owners):
 
 
 def test_fallback_steps_toward_key_not_successor():
-    """A node with corrupted (stale) geometry must still forward toward
+    """A node with a corrupted geometry entry must still forward toward
     the key's zone, not blindly to its zone-ring successor — on a torus
     the successor can point the wrong way and the old fallback
     livelocked such walks.
@@ -307,12 +301,10 @@ def test_fallback_steps_toward_key_not_successor():
     overlay.build_ring([0x100, 0x900, 0x1400])
     set_zones(overlay, [0, 0x800, 0x1000], [0x100, 0x900, 0x1400])
     node_a = overlay.node(0x100)
-    # Corrupt A's memoized geometry so its "closest point" probe lands
+    # Corrupt A's geometry entry so its "closest point" probe lands
     # back inside its own true zone: pretend its zone is a single far
     # cell whose one-unit step stays within [0, 0x800).
-    node_a._cells = [(0x400, 1)]
-    node_a._rects = [overlay.rect_of_cell(0x400, 1)]
-    node_a._version = overlay.zone_version
+    overlay._geometry[0x100] = ((0x400, 1), [overlay.rect_of_cell(0x400, 1)])
     key = 0x1600  # owned by C=0x1400; zone index 2
     hop = node_a._next_hop(key)
     # Cyclically, stepping backward (index 0 -> 2) is the short way

@@ -1,18 +1,17 @@
-"""Incremental CAN zone maintenance under churn.
+"""Incremental CAN zone geometry under churn.
 
-A CAN node's zone boundaries move only when a join splits its own zone
-or a departure makes it the heir; every other membership change leaves
-its cells untouched.  The decomposition is a function of the zone
-alone, so a stale node re-reads its zone: unchanged -> keep the
-decomposition (patch), moved -> recompute (rebuild).  These tests pin
-that the kept decomposition is always identical to a wholesale
-recomputation, and count each re-read in the overlay's
-``maintenance_totals()``.
+The overlay holds every member's zone and the rectangles of its cells
+in one table, ``_geometry``, and writes an entry only where a zone
+moves: a join writes the split owner's and the joiner's, a departure
+the heir's.  Every other membership change leaves an entry as it was,
+the same object.  These tests pin that the kept entries always equal a
+wholesale recomputation from the zone and the Morton helpers.
 """
 
 import random
 
-from repro.overlay.can import CanOverlay
+from repro.overlay.can import CanOverlay, zone_rectangle
+from repro.overlay.can.morton import decompose
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
 
@@ -26,58 +25,49 @@ def build(ids):
     return sim, overlay
 
 
-def counts(overlay):
-    """The overlay's run-wide ``(rebuilds, patches)``."""
-    totals = overlay.maintenance_totals()
-    return totals["table_rebuilds"], totals["table_patches"]
-
-
-def recompute_cells(overlay, node_id):
-    """Oracle: a fresh decomposition of the node's current zone."""
-    from repro.overlay.can.morton import decompose
-
-    bits = overlay.keyspace.bits
-    size = overlay.keyspace.size
+def recompute_entry(overlay, node_id):
+    """Oracle: the node's zone and the rectangles of a fresh
+    decomposition of it (a zone wrapping the origin is two intervals)."""
+    bits = KS.bits
     start, length = overlay.zone_of(node_id)
-    if start + length <= size:
-        return decompose(start, length, bits)
-    head = size - start
-    return decompose(start, head, bits) + decompose(0, length - head, bits)
+    if start + length <= KS.size:
+        cells = decompose(start, length, bits)
+    else:
+        head = KS.size - start
+        cells = decompose(start, head, bits) + decompose(0, length - head, bits)
+    rects = [zone_rectangle(cell, size, bits) for cell, size in cells]
+    return (start, length), rects
 
 
 def test_unrelated_churn_patches_without_recomputing():
     _, overlay = build([0x100, 0x500, 0x900, 0xD00])
-    node = overlay.node(0x100)
-    cells_before = list(node.cells())
-    assert counts(overlay) == (1, 0)
-    # A join splitting someone else's zone leaves our cells untouched.
+    entry = overlay._geometry[0x100]
+    # A join splitting someone else's zone leaves our entry untouched.
     overlay.join(0xB00)
-    assert node.cells() == cells_before
-    assert counts(overlay) == (1, 1)
+    assert overlay._geometry[0x100] is entry
     # So does a departure absorbed by someone else.
     victim = 0xB00
-    assert overlay.heir_of(victim) != node.id
+    assert overlay.heir_of(victim) != 0x100
     overlay.leave(victim)
-    assert node.cells() == cells_before
-    assert counts(overlay) == (1, 2)
+    assert overlay._geometry[0x100] is entry
+    assert entry == recompute_entry(overlay, 0x100)
 
 
 def test_own_split_and_absorption_recompute():
     _, overlay = build([0x100, 0x500, 0x900, 0xD00])
-    node = overlay.node(0x900)
-    node.cells()
-    assert counts(overlay) == (1, 0)
-    # A join splitting OUR zone must recompute.
+    entry = overlay._geometry[0x900]
+    # A join splitting OUR zone rewrites our entry and writes the joiner's.
     joiner = 0xA00
-    assert overlay.owner_of(joiner) == node.id
+    assert overlay.owner_of(joiner) == 0x900
     overlay.join(joiner)
-    assert node.cells() == recompute_cells(overlay, node.id)
-    assert counts(overlay) == (2, 0)
-    # A departure WE absorb must recompute.
-    assert overlay.heir_of(joiner) == node.id
+    assert overlay._geometry[0x900] != entry
+    assert overlay._geometry[0x900] == recompute_entry(overlay, 0x900)
+    assert overlay._geometry[joiner] == recompute_entry(overlay, joiner)
+    # A departure WE absorb rewrites ours and drops the leaver's.
+    assert overlay.heir_of(joiner) == 0x900
     overlay.leave(joiner)
-    assert node.cells() == recompute_cells(overlay, node.id)
-    assert counts(overlay) == (3, 0)
+    assert joiner not in overlay._geometry
+    assert overlay._geometry[0x900] == entry == recompute_entry(overlay, 0x900)
 
 
 def test_randomized_churn_keeps_cells_exact():
@@ -99,21 +89,17 @@ def test_randomized_churn_keeps_cells_exact():
             else:
                 overlay.crash(victim)
             live.discard(victim)
-        if rng.random() < 0.2:
-            for node_id in rng.sample(sorted(live), 5):
-                node = overlay.node(node_id)
-                assert node.cells() == recompute_cells(overlay, node_id)
-    assert counts(overlay)[1] > 0
+        assert overlay._geometry == {
+            node_id: recompute_entry(overlay, node_id) for node_id in live
+        }
+    assert overlay.maintenance_totals()["table_rebuilds"] == 0
 
 
 def test_untouched_zone_keeps_cells_past_512_deltas():
     """More membership changes than a bounded delta log would hold,
-    none touching the node's zone: it keeps its cells with one patch
-    and no rebuild, because it re-reads its zone, not a log."""
+    none touching the node's zone: its entry is never rewritten."""
     _, overlay = build([0x100, 0x500, 0x900, 0xD00])
-    node = overlay.node(0x100)
-    cells_before = list(node.cells())
-    zone_before = overlay.zone_of(node.id)
+    entry = overlay._geometry[0x100]
     version_before = overlay.zone_version
     # Churn entirely inside another zone, well past 512 deltas.
     for round_ in range(300):
@@ -121,6 +107,5 @@ def test_untouched_zone_keeps_cells_past_512_deltas():
         overlay.join(joiner)
         overlay.leave(joiner)
     assert overlay.zone_version - version_before == 600
-    assert overlay.zone_of(node.id) == zone_before
-    assert node.cells() == cells_before == recompute_cells(overlay, node.id)
-    assert counts(overlay) == (1, 1)
+    assert overlay._geometry[0x100] is entry
+    assert entry == recompute_entry(overlay, 0x100)

@@ -1,12 +1,12 @@
 """Maintenance counters across the three overlays.
 
 Chord counts one rebuild per stale read (pinned in detail by its
-incremental suite), CAN splits rebuilds from patches (an unchanged
-zone re-read), and Pastry, which holds no routing state, counts
-nothing.  Every count lives on the overlay, in one unlabelled registry
-counter per kind of count, so ``maintenance_totals()`` reads it
-directly; here it is checked on CAN, across departures, and in a
-telemetry-enabled registry.
+incremental suite).  CAN and Pastry count nothing: a CAN zone is the
+overlay's own geometry table and a Pastry node reads the ring at every
+hop, so neither holds state that lags membership.  Every count lives on
+the overlay, in one unlabelled registry counter, so
+``maintenance_totals()`` reads it directly; here it is checked across
+departures and in a telemetry-enabled registry.
 """
 
 import random
@@ -28,47 +28,13 @@ def _ids(n, seed=3):
     return random.Random(seed).sample(range(KS.size), n)
 
 
-def counts(overlay):
-    """The overlay's run-wide ``(rebuilds, patches)``."""
-    totals = overlay.maintenance_totals()
-    return totals["table_rebuilds"], totals["table_patches"]
-
-
 def _sync(node):
     """Bring one node's routing state current, whatever its overlay: a
-    Pastry node has none, so it routes one key off the ring instead."""
+    Pastry or CAN node has none to bring, so it routes one key instead."""
     if hasattr(node, "fingers"):
         node.fingers()
-    elif hasattr(node, "cells"):
-        node.cells()
     else:
         node._next_hop((node.id + KS.size // 2) % KS.size)
-
-
-def test_can_counts_rebuilds_and_patches_on_zone_changes():
-    sim = Simulator()
-    overlay = CanOverlay(sim, KS)
-    overlay.build_ring(_ids(16))
-    node = overlay.node(overlay.node_ids()[0])
-    assert node.audit_state()[0] == -1
-    assert counts(overlay) == (0, 0)
-    node.cells()
-    assert counts(overlay) == (1, 0)
-    node.cells()  # memoized per zone version
-    assert counts(overlay) == (1, 0)
-    # A departure elsewhere (our node is not the heir) leaves our zone
-    # untouched: re-reading it is a patch, not a rebuild.
-    victim = overlay.node_ids()[2]
-    assert overlay.heir_of(victim) != node.id
-    overlay.leave(victim)
-    node.cells()
-    assert counts(overlay) == (1, 1)
-    # Absorbing a zone (we are the heir) recomputes the decomposition.
-    victim = overlay.node_ids()[1]
-    assert overlay.heir_of(victim) == node.id
-    overlay.leave(victim)
-    node.cells()
-    assert counts(overlay) == (2, 1)
 
 
 def test_departed_nodes_keep_their_maintenance_counts():
@@ -82,7 +48,7 @@ def test_departed_nodes_keep_their_maintenance_counts():
         for node_id in ids[:4]:
             _sync(overlay.node(node_id))
         before = overlay.maintenance_totals()
-        assert before["table_rebuilds"] == (0 if overlay_cls is PastryOverlay else 4)
+        assert before["table_rebuilds"] == (4 if overlay_cls is ChordOverlay else 0)
         overlay.leave(ids[1])
         assert overlay.maintenance_totals() == before, overlay_cls.__name__
         overlay.crash(ids[2])
@@ -104,9 +70,10 @@ def test_counters_aggregate_in_an_enabled_registry():
 
 
 def test_each_count_is_one_unlabelled_instrument_per_overlay():
-    """However many nodes sync, rebuild or patch, a telemetry-enabled
-    registry holds one unlabelled ``<kind>.table_rebuilds`` and one
-    ``<kind>.table_patches``, and they read what the overlay reports."""
+    """However many nodes sync, a telemetry-enabled registry holds one
+    unlabelled ``<kind>.table_rebuilds``, and it reads what the overlay
+    reports.  No overlay makes a ``table_patches`` counter: the total
+    reads 0, as ``table_seeds`` does."""
     for overlay_cls in OVERLAYS:
         telemetry = Telemetry()
         sim = Simulator()
@@ -117,16 +84,16 @@ def test_each_count_is_one_unlabelled_instrument_per_overlay():
                 _sync(overlay.node(node_id))
             overlay.leave(overlay.node_ids()[3])
         totals = overlay.maintenance_totals()
-        if overlay_cls is PastryOverlay:
-            assert totals["table_rebuilds"] == totals["table_patches"] == 0
-        else:
+        if overlay_cls is ChordOverlay:
             assert totals["table_rebuilds"] > 12
-        if overlay_cls is CanOverlay:
-            assert totals["table_patches"] > 0
-        for count in ("table_rebuilds", "table_patches"):
-            name = f"{overlay.kind}.{count}"
-            made = [c for c in telemetry.registry.counters() if c.name == name]
-            assert [(c.labels, c.value) for c in made] == [((), totals[count])]
+        else:
+            assert totals["table_rebuilds"] == 0
+        assert totals["table_patches"] == totals["table_seeds"] == 0
+        counters = list(telemetry.registry.counters())
+        name = f"{overlay.kind}.table_rebuilds"
+        made = [c for c in counters if c.name == name]
+        assert [(c.labels, c.value) for c in made] == [((), totals["table_rebuilds"])]
+        assert not any(c.name.endswith(".table_patches") for c in counters)
 
 
 def test_network_drop_counters_are_registry_views():
@@ -150,12 +117,15 @@ def test_network_drop_counters_are_registry_views():
 
 
 def test_can_node_state_is_made_on_demand():
-    """A CAN node that only delivers holds no zone state, no express keys
-    and no m-cast pointers; the first route makes exactly what it used,
-    and the first m-cast it forwards makes its pointers."""
+    """A CAN node holds its id, its overlay, its location cache and its
+    m-cast pointers, and nothing else: its zone and express links are
+    read off the overlay.  The pointers are made by the first m-cast it
+    forwards; a unicast does not read them."""
     sim = Simulator()
     overlay = CanOverlay(sim, KS)
     overlay.build_ring(_ids(12))
+    node = overlay.node(overlay.node_ids()[0])
+    assert set(vars(node)) == {"id", "_overlay", "_cache", "_mcast"}
 
     def send(source, key):
         message = OverlayMessage(
@@ -165,26 +135,6 @@ def test_can_node_state_is_made_on_demand():
         overlay.send(source, key, message)
         sim.run()
 
-    def warm():  # every node that read its zone did so once: a rebuild
-        return sum(overlay.node(n).audit_state()[0] != -1 for n in overlay.node_ids())
-
-    delivered = []
-    overlay.set_deliver(lambda node_id, message: delivered.append(node_id))
-    node = overlay.node(overlay.node_ids()[0])
-    send(node.id, node.id)  # own key: delivered where it was sent
-    assert delivered == [node.id]
-    assert node.audit_state()[0] == -1
-    assert node._express_keys is None and node._express_points is None
-    assert counts(overlay) == (0, 0)
-
-    far = (node.id + KS.size // 2) % KS.size
-    send(node.id, far)
-    assert delivered[-1] == overlay.owner_of(far)
-    assert node.audit_state()[0] == overlay.zone_version
-    assert counts(overlay) == (warm(), 0)
-    assert len(node._express_points) == KS.bits
-    assert node._mcast is None  # unicast does not read the pointers
-
     def cast(source, keys):
         message = OverlayMessage(
             kind=MessageKind.SUBSCRIPTION, payload=None,
@@ -193,8 +143,11 @@ def test_can_node_state_is_made_on_demand():
         overlay.mcast(source, keys, message)
         sim.run()
 
+    far = (node.id + KS.size // 2) % KS.size
+    send(node.id, far)
+    assert node._mcast is None  # unicast does not read the pointers
     cast(node.id, [node.id])  # delivered where it was sent
     assert node._mcast is None
     cast(node.id, [node.id, far])
     assert node._mcast[0] == overlay.zone_version
-    assert counts(overlay) == (warm(), 0)
+    assert overlay.maintenance_totals()["table_rebuilds"] == 0

@@ -22,12 +22,11 @@ test:
 # were audited and load-metered (a section not recorded is null in the
 # JSON), that each exported fewer than 100 counters (a 100-node run that
 # needs more has an instrument per node, which grows with the ring),
-# that the Chord run's probes checked at least one node in all (the sum
-# of nodes_checked: a Chord probe checks only nodes whose fingers are
-# current) and that every CAN probe checked every node (nodes_checked
-# == nodes_total: CAN geometry is the overlay's own table and never
-# lags).  A Pastry node holds no routing state, so Pastry probes check
-# none.
+# that each audited at least one publication (audit.publications_audited
+# > 0: the delivery oracle ran) and that every CAN probe checked every
+# node (nodes_checked == nodes_total: CAN geometry is the overlay's own
+# table and never lags).  A Chord or Pastry node holds no routing state
+# (each hop reads the sorted ring), so their probes check none.
 # The churn-resilience bench (about 0.3 s of simulation) runs too, with
 # its timing off: it is the one check of delivery under crashes with and
 # without replication.
@@ -52,7 +51,7 @@ verify:
 		--telemetry artifacts/sample-trace-pastry.jsonl > /dev/null
 	$(PYTHON) -m repro report artifacts/sample-trace-pastry.jsonl \
 		--json artifacts/report-pastry.json
-	$(PYTHON) -c "import json; reports = {p: json.load(open(p)) for p in ('artifacts/report-chord.json', 'artifacts/report-can.json', 'artifacts/report-pastry.json')}; [exit(f'{p}: {k} not recorded') for p, r in reports.items() for k in ('audit', 'load') if r[k] is None]; [exit(f'{p}: {n} counters, one per node?') for p, r in reports.items() for n in [r['trace']['final_counters']] if n >= 100]; [exit(f'{p}: probes checked no node') for p in ('artifacts/report-chord.json',) if sum(q['nodes_checked'] for q in reports[p]['audit']['probes']) == 0]; [exit(f'{p}: a probe missed a node') for p in ('artifacts/report-can.json',) for q in reports[p]['audit']['probes'] if q['nodes_checked'] != q['nodes_total']]"
+	$(PYTHON) -c "import json; reports = {p: json.load(open(p)) for p in ('artifacts/report-chord.json', 'artifacts/report-can.json', 'artifacts/report-pastry.json')}; [exit(f'{p}: {k} not recorded') for p, r in reports.items() for k in ('audit', 'load') if r[k] is None]; [exit(f'{p}: {n} counters, one per node?') for p, r in reports.items() for n in [r['trace']['final_counters']] if n >= 100]; [exit(f'{p}: no publication audited') for p, r in reports.items() if sum(c['value'] for c in r['audit']['counters'] if c['name'] == 'audit.publications_audited') == 0]; [exit(f'{p}: a probe missed a node') for p in ('artifacts/report-can.json',) for q in reports[p]['audit']['probes'] if q['nodes_checked'] != q['nodes_total']]"
 
 # The performance ledger (BENCHMARK.json): five seeded workloads, eight
 # end-to-end and 111 per-layer metrics, about 3 min.  ledger-smoke runs

@@ -180,9 +180,6 @@ class Auditor:
         self._latency_hist = registry.histogram("audit.notification_latency")
         self._dilation_hist = registry.histogram("audit.hop_dilation")
         self._duplicates_hist = registry.histogram("audit.duplicate_deliveries")
-        self._staleness_hist = registry.histogram(
-            "audit.table_staleness", overlay=kind
-        )
         name = self._mapping_name
         self._true_counter = registry.counter(
             "audit.deliveries_true", mapping=name
@@ -212,13 +209,9 @@ class Auditor:
 
     def run_probe(self) -> ProbeRecord:
         """Snapshot the overlay and verify its structural invariants."""
-        record, violations, lags = probe_structure(
-            self._system.overlay, self._sim.now
-        )
+        record, violations = probe_structure(self._system.overlay, self._sim.now)
         self.probes.append(record)
         self._probes_counter.inc()
-        for lag in lags:
-            self._staleness_hist.observe(float(lag))
         for violation in violations:
             self._record(violation)
         return record

@@ -1,20 +1,12 @@
 """Structural invariant checks against overlay ground truth.
 
-Each probe compares the routing state nodes read against the
-deterministic ground truth the overlay can recompute from its
-membership (``compute_finger_slots`` / ``zone_of`` and
-``compute_cells``), and never mutates it.
-
-A Chord node's finger slots are lazily version-memoized: a node only
-syncs them when it next routes a message, so most nodes are
-legitimately *stale* (or *cold* — never materialized) at any instant.
-A Chord probe therefore verifies only the nodes whose version matches
-the current ring version, reports the rest as staleness statistics,
-and reads the raw slots through ``audit_state()``, not the syncing
-accessors.  CAN geometry is the overlay's own table, written where
-membership changes, so a CAN probe checks every node.  A Pastry node
-holds no routing state — every hop reads its leaf span and prefix row
-off the sorted ring — so a Pastry probe checks no node.
+A probe compares the tables routing reads against the deterministic
+ground truth the overlay can recompute from its membership (``zone_of``
+and ``compute_cells``), and never mutates them.  CAN geometry is the
+overlay's own table, written where membership changes, so a CAN probe
+checks every node.  A Chord or Pastry node holds no routing state —
+every hop reads its fingers, or its leaf span and prefix row, off the
+sorted ring — so their probes check no node.
 """
 
 from __future__ import annotations
@@ -24,7 +16,6 @@ import bisect
 from repro.audit.records import (
     CAN_TESSELLATION,
     CAN_ZONE_MISMATCH,
-    CHORD_FINGER_MISMATCH,
     ProbeRecord,
     Violation,
 )
@@ -44,79 +35,21 @@ def overlay_kind(overlay) -> str:
     return type(overlay).__name__.lower()
 
 
-def probe_structure(
-    overlay, now: float
-) -> tuple[ProbeRecord, list[Violation], list[int]]:
-    """Run one structural probe.
-
-    Returns the probe record, the violations found, and the per-node
-    version lags of the stale (but not cold) nodes, for the staleness
-    histogram.
-    """
+def probe_structure(overlay, now: float) -> tuple[ProbeRecord, list[Violation]]:
+    """Run one structural probe: its record and the violations found."""
     kind = overlay_kind(overlay)
-    if kind == "chord":
-        checked, stale, cold, lags, violations = _probe_chord(overlay, now)
-    elif kind == "can":
-        checked, stale, cold, lags, violations = _probe_can(overlay, now)
-    else:  # Pastry (routes off the ring) or unknown: nothing checkable
-        checked = stale = cold = 0
-        lags, violations = [], []
+    if kind == "can":
+        checked, violations = _probe_can(overlay, now)
+    else:  # Chord, Pastry (route off the ring) or unknown: nothing checkable
+        checked, violations = 0, []
     record = ProbeRecord(
         t=now,
         overlay=kind,
         nodes_total=len(overlay),
         nodes_checked=checked,
-        nodes_stale=stale,
-        nodes_cold=cold,
-        max_staleness=max(lags, default=0),
         violations=len(violations),
     )
-    return record, violations, lags
-
-
-def _probe_chord(overlay: ChordOverlay, now: float):
-    """Finger slots of every *current* node must equal ground truth.
-
-    Slot ``i`` is the live successor of ``finger_start(id, i+1)`` —
-    slot 0 doubles as the successor pointer, so this check covers both
-    the successor and finger consistency of Section 3.1.1.
-    """
-    checked = stale = cold = 0
-    lags: list[int] = []
-    violations: list[Violation] = []
-    version_now = overlay.ring_version
-    for node_id in overlay.node_ids():
-        version, slots = overlay.node(node_id).audit_state()
-        if version < 0:
-            cold += 1
-            continue
-        if version != version_now:
-            stale += 1
-            lags.append(version_now - version)
-            continue
-        checked += 1
-        truth = overlay.compute_finger_slots(node_id)
-        if slots != truth:
-            bad = [
-                index
-                for index, (have, want) in enumerate(zip(slots, truth))
-                if have != want
-            ]
-            if len(slots) != len(truth):
-                bad.append(min(len(slots), len(truth)))
-            violations.append(
-                Violation(
-                    CHORD_FINGER_MISMATCH,
-                    now,
-                    node=node_id,
-                    detail=(
-                        f"slots {bad[:4]} diverge from live membership "
-                        f"(have {[slots[i] for i in bad[:4] if i < len(slots)]}, "
-                        f"want {[truth[i] for i in bad[:4] if i < len(truth)]})"
-                    ),
-                )
-            )
-    return checked, stale, cold, lags, violations
+    return record, violations
 
 
 def _probe_can(overlay: CanOverlay, now: float):
@@ -214,4 +147,4 @@ def _probe_can(overlay: CanOverlay, now: float):
                     ),
                 )
             )
-    return checked, 0, 0, [], violations
+    return checked, violations

@@ -15,7 +15,6 @@ import dataclasses
 # fault-injection tests) can tell *which* contract broke:
 #
 # structural (probe-time):
-CHORD_FINGER_MISMATCH = "chord-finger-mismatch"
 CAN_ZONE_MISMATCH = "can-zone-mismatch"
 CAN_TESSELLATION = "can-tessellation"
 # delivery-correctness (publication-deadline / notification-time):
@@ -27,7 +26,6 @@ MAPPING_INTERSECTION = "mapping-intersection"
 
 #: Every violation type the auditor can emit (render order).
 VIOLATION_TYPES = (
-    CHORD_FINGER_MISMATCH,
     CAN_ZONE_MISMATCH,
     CAN_TESSELLATION,
     NOTIFICATION_MISSED,
@@ -65,23 +63,16 @@ class Violation:
 class ProbeRecord:
     """One periodic structural-invariant probe over the overlay.
 
-    Chord fingers are *lazily* version-memoized (nodes sync on use), so
-    a Chord probe only verifies the nodes whose table version matches
-    the current membership version — the rest are merely stale, which
-    is expected, and reported as staleness statistics instead of
-    violations.  A CAN probe checks every node: its geometry is the
-    overlay's own table and never lags.
+    A CAN probe checks every node: its geometry is the overlay's own
+    table and never lags.  A Chord or Pastry node holds no routing state
+    (each hop reads the sorted ring), so their probes check none.
 
     Attributes:
         t: Simulated probe time.
         overlay: Overlay kind ("chord" / "pastry" / "can").
         nodes_total: Live nodes at probe time.
-        nodes_checked: Nodes whose routing state was current and
-            therefore structurally verified.
-        nodes_stale: Nodes behind the membership version (expected
-            under lazy maintenance; not violations).
-        nodes_cold: Nodes that never materialized routing state.
-        max_staleness: Largest version lag among stale nodes.
+        nodes_checked: Nodes whose routing state was structurally
+            verified.
         violations: Structural violations found by this probe.
     """
 
@@ -89,9 +80,6 @@ class ProbeRecord:
     overlay: str
     nodes_total: int
     nodes_checked: int
-    nodes_stale: int
-    nodes_cold: int
-    max_staleness: int
     violations: int
 
     def as_dict(self) -> dict:

@@ -19,7 +19,6 @@ SLO_HISTOGRAMS = (
     "audit.notification_latency",
     "audit.hop_dilation",
     "audit.duplicate_deliveries",
-    "audit.table_staleness",
 )
 
 
@@ -87,14 +86,10 @@ def render_health_report(section: dict, source: str = "") -> str:
     lines.append("structural probes:")
     if probes:
         checked = sum(p["nodes_checked"] for p in probes)
-        stale = sum(p["nodes_stale"] for p in probes)
-        cold = sum(p["nodes_cold"] for p in probes)
-        worst = max(p["max_staleness"] for p in probes)
         overlays = sorted({p["overlay"] for p in probes})
         lines.append(
             f"  {len(probes)} probe(s) over {'/'.join(overlays)}: "
-            f"{checked} node-checks current, {stale} stale, {cold} cold "
-            f"(max staleness {worst} version(s))"
+            f"{checked} node-checks"
         )
     else:
         lines.append("  (none recorded)")

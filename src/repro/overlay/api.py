@@ -186,20 +186,14 @@ class OverlayNetwork(abc.ABC):
     what every overlay shares: the table of live node objects, the
     application entry points (``send``, ``mcast``, ``sequential_cast``:
     validate, build the request envelope, hand it to the source node)
-    and the maintenance counters.  A subclass (Chord, Pastry, CAN,
+    and the maintenance totals.  A subclass (Chord, Pastry, CAN,
     protocol-level Chord) contributes membership, the KN-mapping and an
     :class:`OverlayNode` type that routes.
 
-    Routing-state maintenance is counted per overlay, in one unlabelled
-    registry counter ``<kind>.table_rebuilds``: a node bumps ``.value``
-    in place when it recomputes its state, so a departed node's work
-    stays counted.  Only a Chord node rebuilds (its fingers): CAN zones
-    and ring predecessors are the overlay's own tables, so the other
-    overlays count 0.
+    No node holds membership-derived state — fingers, leaf spans, prefix
+    rows and CAN geometry are read off the overlay's own tables — so no
+    overlay does any routing-state maintenance to count.
     """
-
-    #: Overlay family name; prefixes the maintenance counters.
-    kind: str
 
     def __init__(
         self,
@@ -220,8 +214,6 @@ class OverlayNetwork(abc.ABC):
         self._state_transfer = state_transfer
         # Live node objects by id; a sharded worker holds only its own.
         self._nodes: dict[int, OverlayNode] = {}
-        registry = network.telemetry.registry
-        self.table_rebuilds = registry.counter(f"{self.kind}.table_rebuilds")
 
     @property
     def keyspace(self) -> KeySpace:
@@ -294,16 +286,10 @@ class OverlayNetwork(abc.ABC):
         )
 
     def maintenance_totals(self) -> dict[str, int]:
-        """Run-wide routing-state maintenance counts, departed nodes included.
-
-        ``table_patches`` and ``table_seeds`` read 0 on every overlay;
-        they stay because every overlay reports the same three totals.
-        """
-        return {
-            "table_rebuilds": self.table_rebuilds.value,
-            "table_patches": 0,
-            "table_seeds": 0,
-        }
+        """Run-wide routing-state maintenance counts: all 0, since no
+        node holds state to maintain.  The three keys stay because the
+        performance ledger reports them."""
+        return {"table_rebuilds": 0, "table_patches": 0, "table_seeds": 0}
 
     # -- membership ---------------------------------------------------
 

@@ -449,8 +449,6 @@ class CanOverlay(OverlayNetwork):
       so the pub/sub layer promotes replicas at the right node.
     """
 
-    kind = "can"
-
     def __init__(
         self,
         sim: Simulator,

@@ -1,14 +1,20 @@
-"""A single Chord node: pointers, location cache, routing decisions.
+"""A single Chord node: location cache and routing decisions.
 
-A node reads its ring neighbors off the overlay (the predecessor from
-``overlay._pred``), and holds its finger table — once, as the raw
-slots and the distinct owners by distance — and (optionally) a
-bounded LRU *location cache* of other live nodes it has learned about
-from message traffic (:mod:`repro.overlay.location_cache`: the touch
-log, its fold, the LRU).  Fingers are computed against the overlay's
-current membership — this models a converged Chord (stabilization has
-quiesced), which matches the paper's measurement setup where all joins
-complete before the workload starts.
+A node holds no membership-derived state.  Its ring neighbors are the
+overlay's (the predecessor from ``overlay._pred``), and its fingers
+are read off the overlay's sorted ring when a hop needs them: slot
+``j`` is ``owner(id + 2**j)`` (§3.1.1), one bisect.  This models a
+converged Chord (stabilization has quiesced), which matches the paper's
+measurement setup where all joins complete before the workload starts.
+What a node does hold is (optionally) a bounded LRU *location cache* of
+other nodes it has learned about from message traffic
+(:mod:`repro.overlay.location_cache`: the touch log, its fold, the LRU).
+
+For a key at clockwise distance ``t``, ``j = t.bit_length() - 1`` is
+the one slot a hop reads.  The next slot starts at ``2**(j+1) > t``, so
+no finger lies between slot ``j``'s owner and the key: the owner either
+owns the key or is the nearest finger before it, and the first finger
+past the key, if the owner is not, is slot ``j + 1``'s.
 
 Every pointer is an *owned arc*, and a key goes straight to the pointer
 known to own it.  Greedy routing may never pass the key, so without
@@ -16,17 +22,14 @@ this every key ends with a walk through its owner's predecessor even
 when the sender holds the owner.  Two certificates, no state of their
 own:
 
-- **Finger slot.**  Slot ``j`` is ``owner(id + 2**j)`` by definition,
-  so it owns every key from its start up to itself.  For a key at
-  clockwise distance ``t``, ``slots[t.bit_length() - 1]`` owns the key
-  whenever its own distance is ``>= t`` — exact at every ring version,
-  because ``_sync`` precedes the read.
+- **Finger slot.**  Slot ``j`` owns every key from its start up to
+  itself, so it owns the key whenever its distance is ``>= t``.
 - **Stamped arc.**  Each hop of a routed message stamps its
   predecessor beside its id in the message's ``path`` and every receiver
-  logs the whole path.  The first merged-table entry past the key is the
-  owner if it is live and cached with an arc ``(pred, id]`` covering the
-  key.  An arc can be stale; the receiver's ``covers`` test alone
-  decides delivery, and the message it routes on carries its fresh stamp.
+  logs the whole path.  The first pointer past the key is the owner if
+  it is live and cached with an arc ``(pred, id]`` covering the key.
+  An arc can be stale; the receiver's ``covers`` test alone decides
+  delivery, and the message it routes on carries its fresh stamp.
 
 Unicast and the sequential walk (``_next_hop``) try both; m-cast tries
 them on whole groups of keys (the keys between two consecutive pointers
@@ -34,46 +37,27 @@ go to the pointer past them iff it is certified for the group's nearest
 key — see ``continue_mcast`` for why per key is wrong), the slot at
 every node and the arc at the origin, the one node that reads its cache.
 
-When no certificate holds, routing is closest-preceding, and it does
-not scan the pointer set either.  Fingers and cache entries are merged
-in a single array sorted by clockwise distance from this node, and
-``_next_hop`` binary-searches it: the best hop for a key at distance
-``t`` is the rightmost table entry with distance ``<= t``.  An m-cast
-group falls back to the pointer strictly preceding it, by binary search
-over the distance-sorted fingers (at the origin, the merged array).
-
-The merged array is a *derived view* with one invariant,
-``table == (fingers | cache) - {self}``, and only unicast hops
-and m-cast origins read it — an m-cast forwarder routes on fingers
-alone, and at steady state a node takes some fifteen m-cast receives per
-unicast hop.  So a node pays for routing state when it addresses keys,
-not when a message passes through it, and each layer under the array is
-deferred the same way:
+When no certificate holds, routing is closest-preceding.  The cache is
+viewed as one array sorted by clockwise distance from this node, and
+``_next_hop`` binary-searches it for the rightmost entry at distance
+``<= t``, walking left past dead entries but never below slot ``j``'s
+owner.  Only unicast hops and m-cast origins read the view — an m-cast
+forwarder routes on the ring alone, and at steady state a node takes
+some fifteen m-cast receives per unicast hop — and each layer under it
+is deferred:
 
 - **Touch log.**  ``receive`` (and ``learn``) only append to the
-  cache's log; every cached reader (``_next_hop``,
-  ``start_mcast``, ``forget``, ``cached_ids``, ``routing_table``) folds
-  it first, through :meth:`ChordNode._refresh_cache`, which journals
-  what entered and left.
-- **Journal.**  Nothing that writes the fingers or the cache touches
-  the array: writers append the ids whose membership changed to a
-  journal, and ``_next_hop`` brings the array current
-  before it searches (:meth:`ChordNode._materialize`).  A short journal
-  is replayed by splice; one that outgrew a quarter of the table has
-  been dropped, and the read re-sorts once.  A node that never routes
-  by cache never holds a table.
-- **Cold build.**  A node holds no finger state until its first sync,
-  which resolves the ``m`` starts ``(id + 2**i) mod size`` at one
-  bisect each and dedups the owners in one pass — they come out
-  nearest first with self last, so nothing is sorted.  A joiner starts
-  cold too, and costs nothing until its first use.
-
-Under churn a node whose fingers predate the ring version re-resolves
-them on its next use: every start is bisected against the ring again
-and only the slots that moved are written, through
-:meth:`ChordNode._apply_slot`, so the journal names only the fingers
-that came or went.  The overlay's ``chord.table_rebuilds`` counter
-counts the re-resolves, cold builds included.
+  cache's log; every cached reader (``_next_hop``, ``start_mcast``,
+  ``forget``, ``cached_ids``) folds it first, through
+  :meth:`ChordNode._refresh_cache`, which journals what entered and
+  left.
+- **Journal.**  Nothing that writes the cache touches the view: writers
+  append the ids whose membership changed to a journal, and a reader
+  brings the view current before it searches
+  (:meth:`ChordNode._materialize`).  A short journal is replayed by
+  splice; one that outgrew a quarter of the view has been dropped, and
+  the read re-sorts once.  A node that never routes by cache never
+  holds a view.
 
 Outbound fan-out reuses message envelopes: an envelope that was *not*
 delivered locally is forwarded in place (unicast, sequential, and one
@@ -113,181 +97,43 @@ class ChordNode:
         # Node id -> the predecessor its last touch carried (its owned
         # arc is ``(pred, id]``), None when named without one.
         self._cache = LocationCache(node_id, cache_capacity)
-        keyspace = overlay.keyspace
-        self._size = keyspace.size  # ring size never changes; skip the property
-        self._bits = keyspace.bits
-        # The finger table, held once and empty until the first sync:
-        # - slots: owner of finger_start(id, i) per 1-based i, self
-        #   included;
-        # - fingers / dists: the distinct owners but self, nearest
-        #   clockwise first (_refresh_fingers; _apply_slot per slot);
-        # - the ring version all of it is current for.
-        self._finger_slots: list[int] = []
-        self._fingers: list[int] | None = None
-        self._finger_dists: list[int] | None = None
-        self._table_version = -1
-        # Merged routing table, a derived view: always meant to equal
-        # (fingers | cache) - {self}, sorted by clockwise
-        # distance (unique per id, so two parallel arrays suffice for
-        # bisect).  Writers never touch the arrays; they append the ids
-        # whose membership may have changed to the journal, and
-        # _materialize replays it on the next cached read.  None means
-        # the arrays are void and the next read re-sorts from scratch.
+        self._size = overlay.keyspace.size  # ring size never changes
+        # The cache view, derived: always meant to equal the cached ids
+        # sorted by clockwise distance (unique per id, so two parallel
+        # arrays suffice for bisect).  Writers never touch the arrays;
+        # they append the ids whose membership may have changed to the
+        # journal, and _materialize replays it on the next cached read.
+        # None means the arrays are void and the next read re-sorts.
         self._table_dists: list[int] = []
         self._table_ids: list[int] = []
         self._table_journal: list[int] | None = None
-
-    # -- pointers -------------------------------------------------------
 
     @property
     def successor(self) -> int:
         """Id of the next live node clockwise on the ring."""
         return self._overlay.successor_of(self.id)
 
-    def fingers(self) -> list[int]:
-        """Distinct live finger nodes, in clockwise order from this node.
-
-        The first entry is always the successor (Chord's first finger).
-        Kept current against the overlay ring version, together with the
-        clockwise distance of each finger (same order).
-        """
-        self._sync()
-        return self._fingers
-
-    def audit_state(self) -> tuple[int, list[int]]:
-        """Raw routing state for the auditor: ``(version, finger slots)``.
-
-        Non-mutating by contract — the auditor must observe the table
-        exactly as routing left it (a sync would launder a corrupted or
-        stale table into a fresh one), so this must never call
-        :meth:`_sync`.  Version -1 means the node never materialized a
-        table (cold).
-        """
-        return self._table_version, list(self._finger_slots)
-
-    # -- routing table ----------------------------------------------------
-
-    def _sync(self) -> None:
-        """Catch the finger state up to the current ring version.
-
-        Cheap no-op when already current; otherwise :meth:`_rebuild`.
-        Fingers that came or went are journaled for the merged table,
-        which only :meth:`_materialize` brings current.
-        """
-        version = self._overlay.ring_version
-        if self._table_version == version:
-            return
-        self._rebuild(version)
-        journal = self._table_journal
-        if journal is not None:
-            self._cap_journal(journal)
-
-    def _rebuild(self, version: int) -> None:
-        """Recompute the finger slots from the ring and splice the diff.
-
-        Every start ``(id + 2**i) mod size`` is re-resolved against the
-        ring at one bisect each, but a node that already holds fingers
-        only pays for the slots that actually moved: each is written
-        through :meth:`_apply_slot`, which keeps the fingers exactly as
-        a from-scratch derivation of the new slots would.  Only a cold
-        node — no slots yet — derives the fingers from scratch, in one
-        pass.
-        """
-        ring = self._overlay._ring
-        count = len(ring)
-        me = self.id
-        size = self._size
-        search = bisect_left
-        old_slots = self._finger_slots
-        # ``% count``: a start past the last node wraps to the first.
-        if old_slots:
-            apply_slot = self._apply_slot
-            for index in range(self._bits):
-                owner = ring[search(ring, (me + (1 << index)) % size) % count]
-                if old_slots[index] != owner:
-                    apply_slot(index, owner)
-        else:
-            self._finger_slots = [
-                ring[search(ring, (me + (1 << index)) % size) % count]
-                for index in range(self._bits)
-            ]
-            self._refresh_fingers()
-        self._table_version = version
-        self._overlay.table_rebuilds.value += 1
-
-    def _apply_slot(self, index: int, new_owner: int) -> None:
-        """Point slot ``index`` at ``new_owner``, keeping the fingers
-        exactly as re-deriving them from the slots would.
-
-        A node is a finger iff a slot points at it: the new owner is
-        gained if no slot held it before the write, the old one lost if
-        none holds it after.  Either crossing is journaled; whether the
-        node belongs in the merged table (a dropped finger stays while
-        cached) is settled when the table is next read.
-        """
-        slots = self._finger_slots
-        old = slots[index]
-        gained = new_owner not in slots
-        slots[index] = new_owner
-        me = self.id
-        size = self._size
-        dists = self._finger_dists
-        journal = self._table_journal
-        if old != me and old not in slots:
-            at = bisect_left(dists, (old - me) % size)
-            del dists[at]
-            del self._fingers[at]
-            if journal is not None:
-                journal.append(old)
-        if gained and new_owner != me:
-            distance = (new_owner - me) % size
-            at = bisect_left(dists, distance)
-            dists.insert(at, distance)
-            self._fingers.insert(at, new_owner)
-            if journal is not None:
-                journal.append(new_owner)
-
-    def _refresh_fingers(self) -> None:
-        """Derive the distinct distance-sorted fingers from the slots.
-
-        Slot ``i`` owns the start at clockwise distance ``2**i``, so the
-        owners come out nearest first and this node — the owner of
-        every start no other node follows — last: dropping repeats in
-        slot order yields the fingers sorted.  The dedup is a plain
-        loop into a throwaway dict, which makes no call.
-        """
-        me = self.id
-        size = self._size
-        slots = self._finger_slots
-        distinct: dict[int, None] = {}
-        for slot in slots:
-            distinct[slot] = None
-        fingers = list(distinct)
-        if slots[-1] == me:
-            del fingers[-1]
-        self._fingers = fingers
-        self._finger_dists = [(nid - me) % size for nid in fingers]
+    # -- cache view -------------------------------------------------------
 
     def _materialize(self) -> None:
-        """Bring the merged table current with the fingers and the cache.
+        """Bring the cache view current with the cache.
 
-        Establishes ``table == (fingers | cache) - {self}`` in
-        clockwise-distance order.  Callers :meth:`_sync` first, so the
-        finger side is current.  A live journal names every id whose
-        membership may have changed since the last call; each is
-        re-decided against the two sources and spliced in or out (a
-        repeated or already-settled id is a no-op, so the journal needs
-        no dedup).  A dropped journal means too much changed to replay:
-        the table is re-sorted once instead.
+        Establishes ``view == cache`` in clockwise-distance order (the
+        cache never holds this node).  A live journal names every id
+        whose membership may have changed since the last call; each is
+        re-decided against the cache and spliced in or out (a repeated
+        or already-settled id is a no-op, so the journal needs no
+        dedup).  A dropped journal means too much changed to replay:
+        the view is re-sorted once instead.
         """
         me = self.id
         size = self._size
-        fingers = self._fingers
         cache = self._cache.entries
         journal = self._table_journal
         if journal is None:
+            # Reuse the cache's int objects: an id recomputed from its
+            # distance is a new int, about 1 KB more per steady-chord node.
             by_distance = {(nid - me) % size: nid for nid in cache}
-            by_distance.update(zip(self._finger_dists, fingers))
             dists = sorted(by_distance)
             self._table_dists = dists
             self._table_ids = [by_distance[d] for d in dists]
@@ -300,7 +146,7 @@ class ChordNode:
             distance = (node_id - me) % size
             at = bisect_left(dists, distance)
             present = at < count and ids[at] == node_id
-            if node_id in cache or node_id in fingers:
+            if node_id in cache:
                 if not present:
                     dists.insert(at, distance)
                     ids.insert(at, node_id)
@@ -312,17 +158,17 @@ class ChordNode:
         del journal[:]
 
     def _cap_journal(self, journal: list[int]) -> None:
-        """Void the merged table once ``journal`` outgrows a quarter of it.
+        """Void the view once ``journal`` outgrows a quarter of it.
 
         The next cached read then re-sorts instead of replaying:
         replaying one id costs what re-sorting ~2.5 rows does
         (break-even near T/2.5), and cutting off earlier also bounds
-        the appends a node spends on a table it may never read again.
+        the appends a node spends on a view it may never read again.
 
-        Why the journal stays: voiding the table on *every* change and
-        re-sorting on read (no replay at all) was measured at seed 1 on
-        an Intel Xeon host with Python 3.11.  Python calls per op fell
-        4.3% on ``steady-chord`` (463.3 → 443.3) and 3.2% on
+        Why the journal stays: voiding the view (then fingers and cache
+        merged) on *every* change and re-sorting on read was measured at
+        seed 1 on an Intel Xeon host with Python 3.11.  Python calls per
+        op fell 4.3% on ``steady-chord`` (463.3 → 443.3) and 3.2% on
         ``churn-chord`` (628.9 → 608.8), every fingerprint equal, but
         the untraced ``steady-chord`` pass got slower: median 2.92 →
         3.22 s, and the re-sort won 2 of 6 alternating pairs.  The
@@ -333,14 +179,6 @@ class ChordNode:
             self._table_journal = None
             self._table_dists = []
             self._table_ids = []
-
-    def routing_table(self) -> list[int]:
-        """Ids the cached next-hop search sees, nearest clockwise first."""
-        self._sync()
-        if self._cache.log:
-            self._refresh_cache()
-        self._materialize()
-        return list(self._table_ids)
 
     # -- location cache ---------------------------------------------------
 
@@ -477,27 +315,40 @@ class ChordNode:
         """The owner of ``key`` when a pointer certifies it, else the
         closest live node preceding-or-equal to ``key`` that we know.
 
-        The two certificates of the module docstring, in order: the
-        finger slot (exact: the slots were just synced), then the first
-        entry past the key in the merged table (fingers plus the
-        location cache) if it is live and the arc it last stamped covers
-        the key.
+        The two certificates of the module docstring, in order: slot
+        ``j``'s owner, read off the ring, then the first cache entry
+        past the key if it is live, the arc it last stamped covers the
+        key, and no finger lies before it — only slot ``j + 1``'s owner
+        can, and it is read only then.
 
-        Otherwise binary-searches the distance-sorted table for the
-        rightmost entry at clockwise distance ``<= distance(self, key)``
-        and walks left past dead entries.  Dead cache entries met on
-        the way are evicted *after* the scan (never while the table is
-        being read).  Falls back to the successor when nothing useful
-        is known, which always makes progress on the ring.
+        Otherwise binary-searches the cache view for the rightmost entry
+        at clockwise distance ``<= distance(self, key)`` and walks left
+        past dead entries down to slot ``j``'s owner, the nearest finger
+        before the key.  Dead entries met on the way are evicted *after*
+        the scan (never while the view is being read).  Falls back to
+        the successor when nothing useful is known, which always makes
+        progress on the ring.
         """
         overlay = self._overlay
+        ring = overlay._ring
+        nodes = len(ring)
         me = self.id
         size = self._size
-        target_distance = (key - me) % size
-        self._sync()
-        owner = self._finger_slots[target_distance.bit_length() - 1]
-        if 0 < target_distance <= (owner - me) % size:
-            return owner
+        target = (key - me) % size
+        top = 1 << target.bit_length()  # slot j + 1 starts here
+        finger = ring[bisect_left(ring, (me + (top >> 1)) % size) % nodes]
+        floor = (finger - me) % size
+        if 0 < target <= floor:
+            return finger
+        if target and not floor:
+            # No node from slot j's start on: the key is ours, and the
+            # farthest finger (the last slot the predecessor reaches)
+            # precedes it.
+            far = (overlay._pred[me] - me) % size
+            if far:
+                start = me + (1 << (far.bit_length() - 1))
+                finger = ring[bisect_left(ring, start % size) % nodes]
+                floor = (finger - me) % size
         cache = self._cache
         if cache.log:
             self._refresh_cache()
@@ -506,23 +357,27 @@ class ChordNode:
         if journal is None or journal:
             self._materialize()
         dists, ids = self._table_dists, self._table_ids
-        is_alive = overlay.is_alive
+        members = overlay._pred
         dead: list[int] | None = None
-        index = bisect_right(dists, target_distance) - 1
+        index = bisect_right(dists, target) - 1
         if index + 1 < len(ids):
             candidate = ids[index + 1]
-            predecessor = cache[candidate] if candidate in cache else None
-            if (
-                predecessor is not None
-                and 0 < (key - predecessor) % size <= (candidate - predecessor) % size
-            ):
-                if is_alive(candidate):
-                    return candidate
-                dead = [candidate]
-        best: int | None = None
-        while index >= 0:
+            arc = cache[candidate]
+            if arc is not None and 0 < (key - arc) % size <= (candidate - arc) % size:
+                # The first pointer past the key is a finger instead iff
+                # slot j + 1 starts before the entry and its owner does.
+                past = dists[index + 1]
+                nearer = me
+                if past > top:
+                    nearer = ring[bisect_left(ring, (me + top) % size) % nodes]
+                if not 0 < (nearer - me) % size < past:
+                    if candidate in members:
+                        return candidate
+                    dead = [candidate]
+        best = finger if floor else self.successor
+        while index >= 0 and dists[index] > floor:
             candidate = ids[index]
-            if is_alive(candidate):
+            if candidate in members:
                 best = candidate
                 break
             if dead is None:
@@ -533,8 +388,6 @@ class ChordNode:
         if dead:
             for node_id in dead:
                 self.forget(node_id)
-        if best is None:
-            return self.successor
         return best
 
     # -- m-cast (Fig. 4) -------------------------------------------------
@@ -555,7 +408,7 @@ class ChordNode:
         (at most one delivery per node, per the paper's guarantee),
         then partition the remaining keys among the pointers: the
         fingers, or at the origin (the node :meth:`start_mcast` hands
-        its cached ``arcs``) the merged table.  The keys between two
+        its cached ``arcs``) the fingers and the cache view.  The keys between two
         consecutive pointers form one group, and a group travels whole:
         to the pointer past it when that pointer is certified for the
         group's *nearest* key (see :meth:`_next_hop`; only the origin
@@ -568,8 +421,8 @@ class ChordNode:
         reason a key equal to (or covered by) a pointer must travel with
         the branch of the preceding pointer unless its whole group
         jumps.  Every transmission lands directly on a pointer, so each
-        is one hop, and a forwarder reads fingers only: it neither folds
-        its touch log nor builds a merged table.
+        is one hop, and a forwarder reads the ring only: it neither folds
+        its touch log nor builds a cache view.
 
         A group boundary is always a *live* pointer (a dead cached id
         met at one is forgotten and the partition starts over), and no
@@ -590,10 +443,14 @@ class ChordNode:
         twice when one node's arc straddles the half-way point.)
 
         The keys are sorted by clockwise distance once, so the groups
-        are runs of that order, each decided at its first key with one
-        slot read (and one binary search when the slot does not certify
-        it); consecutive groups bound for the same pointer merge into
-        one branch.
+        are runs of that order, each decided at its first key, at
+        distance ``d`` with ``j = d.bit_length() - 1``: slot ``j``'s
+        owner is the group's pointer when it certifies the key and
+        otherwise the finger strictly preceding it, and then slot ``j +
+        1``'s owner, the first finger past the key, ends the group (at
+        the origin, whichever of each pair the cache view holds nearer
+        the key).  Consecutive groups bound for the same pointer merge
+        into one branch.
         """
         size = self._size
         me = self.id
@@ -612,9 +469,8 @@ class ChordNode:
             rest = targets  # nothing delivered: the set is unchanged
         if not rest:
             return
-        pointers = self.fingers()
-        dists = self._finger_dists
-        slots = self._finger_slots
+        ring = self._overlay._ring
+        nodes = len(ring)
         # The origin (empty path) addresses the whole ring on purpose.
         behind = size >> 1 if message.path else size
         hops = message.hops + 1
@@ -631,10 +487,9 @@ class ChordNode:
             distance = (key - me) % size
             if distance > behind:
                 pointer = predecessor  # overshot: one step back
-            else:
-                pointer = slots[distance.bit_length() - 1]
-                if (pointer - me) % size < distance:
-                    pointer = pointers[bisect_left(dists, distance) - 1]
+            else:  # slot j: the key's owner, or the finger before it
+                start = me + (1 << (distance.bit_length() - 1))
+                pointer = ring[bisect_left(ring, start % size) % nodes]
             branches[pointer] = 0
         else:
             distances = sorted([(key - me) % size for key in rest])
@@ -646,20 +501,30 @@ class ChordNode:
                 journal = self._table_journal
                 if journal is None or journal:
                     self._materialize()
-                dists, pointers = self._table_dists, self._table_ids
-            npointers = len(dists)
+                dists, ids = self._table_dists, self._table_ids
+                cached = len(dists)
             reach = 0  # the current group ends at this distance
             pointer = -1
             for position, distance in enumerate(distances):
                 if distance > reach:  # nearest key of the next group
-                    owner = slots[distance.bit_length() - 1]
+                    top = 1 << distance.bit_length()
+                    owner = ring[bisect_left(ring, (me + (top >> 1)) % size) % nodes]
                     reach = (owner - me) % size
                     if reach < distance:
-                        at = bisect_left(dists, distance)
-                        owner = pointers[at - 1]
-                        reach = dists[at] if at < npointers else size
-                        if arcs is not None:
-                            past = pointers[at] if at < npointers else owner
+                        # Slot j's owner precedes the key, and slot j + 1's
+                        # is the first finger past it (this node: none).
+                        floor = reach
+                        past = ring[bisect_left(ring, (me + top) % size) % nodes]
+                        reach = (past - me - 1) % size + 1
+                        if arcs is not None:  # the cache's pointers too
+                            at = bisect_left(dists, distance)
+                            if at and dists[at - 1] > floor:
+                                owner = ids[at - 1]
+                            if at < cached and dists[at] < reach:
+                                past = ids[at]
+                                reach = dists[at]
+                            elif reach == size:
+                                past = owner
                             if owner not in members or past not in members:
                                 break
                             arc = arcs[past] if past in arcs else None

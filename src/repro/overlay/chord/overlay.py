@@ -2,10 +2,11 @@
 
 Membership, the KN-mapping (``owner_of``) and neighbor lookup live in
 :class:`~repro.overlay.ring.RingOverlay`, the message entry points in
-:class:`~repro.overlay.api.OverlayNetwork`; this class contributes
-Chord's routing state — the finger table of Section 3.1.1 — and the
+:class:`~repro.overlay.api.OverlayNetwork`; this class contributes the
 :class:`~repro.overlay.chord.node.ChordNode` that implements greedy
-routing, the location cache and the ``m-cast`` algorithm of Fig. 4.
+routing over the finger table of Section 3.1.1 (read off the sorted
+ring, one slot per hop), the location cache and the ``m-cast``
+algorithm of Fig. 4, and the whole table as ground truth for tests.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ class ChordOverlay(RingOverlay):
             so per-key state follows the KN-mapping (Section 4.1).
     """
 
-    kind = "chord"
-
     def __init__(
         self,
         sim: Simulator,
@@ -59,10 +58,9 @@ class ChordOverlay(RingOverlay):
         """Raw finger-table slots of ``node_id``: the owner of each start.
 
         Slot ``i`` (0-based) is ``owner_of(finger_start(node_id, i+1))``,
-        *including* self-pointing entries.  This is the representation
-        :class:`~repro.overlay.chord.node.ChordNode` holds: a synced
-        node's slots equal a fresh call of this method at every ring
-        version.
+        *including* self-pointing entries.  A
+        :class:`~repro.overlay.chord.node.ChordNode` hop reads one slot
+        of it off the ring, the same bisect per start.
         """
         finger_start = self._keyspace.finger_start
         return self.owners_of(

@@ -478,8 +478,6 @@ class ProtocolChordOverlay(OverlayNetwork):
         successor_list_size: Failure-resilience depth.
     """
 
-    kind = "chord-protocol"
-
     def __init__(
         self,
         sim: Simulator,

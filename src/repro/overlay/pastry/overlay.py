@@ -19,8 +19,6 @@ class PastryOverlay(RingOverlay):
         state_transfer: Optional Section 4.1 churn hook.
     """
 
-    kind = "pastry"
-
     def _make_node(self, node_id: int) -> PastryNode:
         return PastryNode(node_id, self)
 

@@ -10,11 +10,9 @@ hooks.  The node table, the message entry points and the maintenance
 counters live in :class:`~repro.overlay.api.OverlayNetwork`.
 Subclasses contribute a node type by overriding :meth:`_make_node`.
 
-The overlay keeps no history of membership changes: a Chord node whose
-fingers predate the current ``ring_version`` re-reads the ring, and a
-Pastry node, which holds none, reads it at every hop.  Every member's
-predecessor is held once, here, in ``_pred``; nodes read it off the
-overlay.
+No node holds membership-derived state: a Chord or Pastry hop reads
+its fingers or its leaf span and prefix row off the sorted ring, and
+every member's predecessor is held once, here, in ``_pred``.
 """
 
 from __future__ import annotations
@@ -32,10 +30,9 @@ from repro.sim.kernel import Simulator
 class RingOverlay(OverlayNetwork):
     """Base class: ring membership, KN-mapping and neighbor pointers.
 
-    Every membership change bumps ``ring_version``.  A Chord node
-    memoizes its fingers per version, and a stale node re-resolves them
-    from the sorted ring on its next use; a joiner starts cold, like
-    every node of :meth:`build_ring`.
+    The sorted ring and ``_pred`` are written wherever membership
+    changes, and nodes read both at every hop, so a joiner routes
+    exactly from its first message.
 
     Args:
         sim: The simulation kernel.
@@ -58,7 +55,6 @@ class RingOverlay(OverlayNetwork):
         # membership: a sharded worker knows the whole ring here but
         # builds node objects (`_nodes`) only for its own arc.
         self._pred: dict[int, int] = {}
-        self.ring_version = 0
 
     # -- subclass contribution ------------------------------------------------
 
@@ -110,7 +106,6 @@ class RingOverlay(OverlayNetwork):
         for node_id in ids:
             if local is None or node_id in local:
                 self._add_node(node_id)
-        self.ring_version += 1
 
     def join(self, node_id: int) -> None:
         """Add one node; the successor hands over the inherited keys."""
@@ -125,7 +120,6 @@ class RingOverlay(OverlayNetwork):
         self._pred[node_id] = predecessor
         self._pred[successor] = node_id
         self._add_node(node_id)
-        self.ring_version += 1
         if len(ring) > 1 and self._state_transfer is not None:
             self._state_transfer(successor, node_id, (predecessor, node_id))
 
@@ -161,7 +155,6 @@ class RingOverlay(OverlayNetwork):
         self._pred[ring[index % len(ring)]] = self._pred.pop(node_id)
         del self._nodes[node_id]
         self._network.unregister(node_id)
-        self.ring_version += 1
 
     # -- KN-mapping and pointers -------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The telemetry export: one JSONL file per run, format version 4.
+"""The telemetry export: one JSONL file per run, format version 5.
 
 This module is the only writer.  ``repro report PATH``
 (:mod:`repro.telemetry.reader`) is the only reader: it renders every
@@ -20,7 +20,7 @@ The file is line-per-record with a ``type`` discriminator:
   overload-detector events (present only when load metering ran; see
   :mod:`repro.telemetry.load`).
 
-Older version-4 files may also hold records of a retired sharded-run
+Version-4 files could also hold records of a retired sharded-run
 profiler: ``profile`` lines and ``overload`` lines with ``scope:
 "shard"``.  The reader skips both, so its output is the same with or
 without them.
@@ -36,11 +36,12 @@ if TYPE_CHECKING:
     from repro.telemetry import Telemetry
 
 FORMAT_NAME = "repro-telemetry"
-#: Version 4 is the only version written or read.  It is the last of
-#: four that added record types (``p99`` and the audit records, then the
-#: load records, then a retired profiler's records), so a file without
-#: the profiler's records is valid version 4 and writers stay on it.
-FORMAT_VERSION = 4
+#: Version 5 is the only version written or read.  Versions 2 to 4
+#: added record types (``p99`` and the audit records, then the load
+#: records, then a retired profiler's records); version 5 drops the
+#: Chord staleness fields (``nodes_stale``, ``nodes_cold``,
+#: ``max_staleness``) from ``probe`` records.
+FORMAT_VERSION = 5
 
 
 def write_jsonl(telemetry: "Telemetry", path: str | Path) -> int:

@@ -1,6 +1,6 @@
 """The one reader of a telemetry export: ``repro report PATH``.
 
-:func:`load_jsonl` reads a version-4 file (:mod:`repro.telemetry.export`)
+:func:`load_jsonl` reads a version-5 file (:mod:`repro.telemetry.export`)
 once into a dict of plain records keyed by record type.
 :func:`build_report` turns that dict into one section per kind of data
 the file can hold, ``None`` where the run recorded none:
@@ -47,10 +47,10 @@ RECORD_TYPES = (
 
 
 def load_jsonl(path: str | Path) -> dict[str, list[dict]]:
-    """Read a version-4 export into ``{record type: [records]}``.
+    """Read a version-5 export into ``{record type: [records]}``.
 
     Raises :class:`~repro.errors.ConfigurationError` unless the first
-    line is the ``meta`` record of a version-4 ``repro-telemetry``
+    line is the ``meta`` record of a version-5 ``repro-telemetry``
     file.  Records of an unknown type (the retired ``profile`` records
     among them) and shard-scope records (the retired profiler's
     ``overload`` events) are skipped.

@@ -1,11 +1,10 @@
 """Named metric instruments: counters, gauges, histograms.
 
 Any component can create an instrument through the run's
-:class:`MetricRegistry` (``registry.counter("chord.table_rebuilds")``)
+:class:`MetricRegistry` (``registry.counter("network.dropped")``)
 and update it with plain attribute arithmetic — an update is one
 ``int`` add on a ``__slots__`` object, cheap enough to leave permanently
-on (an overlay's ``table_rebuilds`` and the network's ``dropped``
-counters run on every routing-state rebuild and every dead-destination
+on (the network's ``dropped`` counter runs on every dead-destination
 drop).
 
 Instruments may carry **labels** (``counter("audit.violations",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.audit.records import (
-    CHORD_FINGER_MISMATCH,
+    CAN_ZONE_MISMATCH,
     VIOLATION_TYPES,
     ProbeRecord,
     Violation,
@@ -23,12 +23,11 @@ class _FakeAudit:
 
 def test_violation_and_probe_round_trip(tmp_path):
     violation = Violation(
-        CHORD_FINGER_MISMATCH, 3.5, node=42, mapping="keyspace-split",
-        detail="slot 0 diverged",
+        CAN_ZONE_MISMATCH, 3.5, node=42, mapping="keyspace-split",
+        detail="geometry entry diverged",
     )
     probe = ProbeRecord(
-        t=4.0, overlay="chord", nodes_total=10, nodes_checked=6,
-        nodes_stale=3, nodes_cold=1, max_staleness=2, violations=1,
+        t=4.0, overlay="can", nodes_total=10, nodes_checked=10, violations=1,
     )
     telemetry = Telemetry()
     telemetry.registry.histogram("audit.notification_latency").observe(0.25)

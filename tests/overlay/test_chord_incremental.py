@@ -1,26 +1,25 @@
-"""Finger-table maintenance under membership churn.
+"""Chord routing under membership churn, with no finger table to maintain.
 
-The overlay keeps no history of membership changes.  A :class:`ChordNode`
-whose table predates the ring version re-resolves every finger start
-against the ring on its next use and writes only the slots that moved,
-so the merged-table journal names only the fingers that came or went.
-These tests pin the contract: one stale read is one re-resolve (one
-more ``table_rebuilds`` in ``maintenance_totals()``) however many
-changes it absorbs, its table always
-equals a fresh computation, a joiner stays cold until its first use,
-and a change that moves none of a node's slots writes nothing.
+A :class:`ChordNode` holds no membership-derived state: every hop reads
+the one finger slot it needs off the overlay's sorted ring.  These
+tests pin the contract that replaced incremental finger maintenance.
+After any join, leave or crash — one at a time or in a batch, on rings
+from one node to a full key space, for a node that has routed before
+or a joiner that never has — ``compute_fingers`` and
+``compute_finger_slots`` equal the written-out definitions, and the
+node's next hop equals the closest-preceding rule over those fingers.
+The node's own state is its cache view alone: membership changes never
+write it, and ``maintenance_totals()`` reads 0.
 
-A cold node's first sync derives everything in one pass — starts
-inline, one bisect per slot, a run-length pass over the owners — and
-the last section pins that against the written-out derivation on rings
-from one node to a full key space.
+(The module's name and its test ids are historical: they pinned the
+finger table's cold build and re-resolve while a node held one.)
 """
 
 import random
 
 import pytest
 
-from repro.overlay.chord import ChordNode, ChordOverlay
+from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
 
@@ -34,32 +33,54 @@ def build(ids, **kwargs):
     return sim, overlay
 
 
-def rebuilds(overlay):
-    """The overlay's run-wide re-resolve count."""
-    return overlay.maintenance_totals()["table_rebuilds"]
+def assert_no_maintenance(overlay):
+    assert overlay.maintenance_totals() == {
+        "table_rebuilds": 0, "table_patches": 0, "table_seeds": 0,
+    }
 
 
-def synced_node(overlay, node_id):
-    """The node, with its routing table brought current."""
-    node = overlay.node(node_id)
-    node.fingers()  # forces a sync
-    return node
+def assert_derived_state(overlay, node):
+    """Slots and fingers against the definitions, and the node's hops
+    against closest-preceding routing over those fingers alone."""
+    keyspace = overlay.keyspace
+    size = keyspace.size
+    me = node.id
+    ring = overlay.node_ids()
+    # Slot i is the first live id at or after me + 2**i, wrapping.
+    slots = [
+        min(ring, key=lambda n: (n - (me + (1 << i))) % size)
+        for i in range(keyspace.bits)
+    ]
+    assert overlay.compute_finger_slots(me) == slots
+    # Every distinct slot owner but self, once, nearest first.
+    owners = set(slots) - {me}
+    by_distance = sorted(owners, key=lambda n: keyspace.distance(me, n))
+    assert overlay.compute_fingers(me) == by_distance
+    assert by_distance[:1] == ([] if len(ring) == 1 else [overlay.successor_of(me)])
+    if node._cache.capacity:
+        return  # cached pointers may stand in: test_chord_table_property
+    for key in range(0, size, max(1, size // 64)):
+        if node.covers(key):
+            continue
+        target = keyspace.distance(me, key)
+        owner = overlay.owner_of(key)
+        # The slot starting at the key's top bit certifies its owner;
+        # otherwise the hop is the last finger at or before the key.
+        start = (me + (1 << (target.bit_length() - 1))) % size
+        if overlay.owner_of(start) != owner:
+            owner = [f for f in by_distance if keyspace.distance(me, f) <= target][-1]
+        assert node._next_hop(key) == owner
 
 
-def assert_table_matches_rebuild(overlay, node):
-    """The node's incremental state equals a from-scratch computation."""
-    assert node.fingers() == overlay.compute_fingers(node.id)
-    assert node._finger_slots == overlay.compute_finger_slots(node.id)
-    # The merged table is fingers plus cache, minus self, with no
-    # duplicates — order is by clockwise distance.
-    expected_members = set(node.fingers()) | set(node.cached_ids())
-    expected_members.discard(node.id)
-    distance = overlay.keyspace.distance
-    expected_order = sorted(expected_members, key=lambda n: distance(node.id, n))
-    assert node.routing_table() == expected_order
+def assert_no_finger_state(node):
+    """A node holds its id, overlay, ring size, cache and cache view."""
+    assert set(vars(node)) == {
+        "id", "_overlay", "_size", "_cache",
+        "_table_dists", "_table_ids", "_table_journal",
+    }
 
 
-# -- a stale node re-resolves once -----------------------------------------
+# -- one change, then one read ----------------------------------------------
 
 
 CHANGES = {
@@ -77,48 +98,45 @@ CHANGES = {
 
 @pytest.mark.parametrize("change", sorted(CHANGES))
 def test_one_stale_read_re_resolves_once(change):
-    _, overlay = build([100, 1000, 2000, 3500, 4000, 5000, 6000, 7000])
-    node = synced_node(overlay, 100)
-    before = rebuilds(overlay)
+    """The first read after a change is exact: nothing on the node
+    predates the change, so nothing is re-resolved or counted."""
+    _, overlay = build(
+        [100, 1000, 2000, 3500, 4000, 5000, 6000, 7000], cache_capacity=0
+    )
+    node = overlay.node(100)
+    assert_derived_state(overlay, node)
     CHANGES[change](overlay)
-    assert node.audit_state()[0] < overlay.ring_version  # stale until read
-    node.fingers()
-    node.fingers()
-    assert rebuilds(overlay) == before + 1
-    assert_table_matches_rebuild(overlay, node)
+    assert_derived_state(overlay, node)
+    assert_no_finger_state(node)
+    assert_no_maintenance(overlay)
 
 
 def test_join_that_moves_no_slot_writes_nothing():
-    """The re-resolve splices only the slots that moved: a joiner that
-    captures none of a node's finger starts costs that node no
-    ``_apply_slot`` write, and its merged table stays live and equal."""
-    _, overlay = build([100, 2000, 4000, 6000])
+    """A join writes nothing at a node: its cache view stays live and
+    equal, whether the joiner captures one of its finger starts or
+    none."""
+    _, overlay = build([100, 2000, 4000, 6000], cache_capacity=8)
     node = overlay.node(100)
-    before = node.routing_table()  # synced and materialized: journal live
+    node.learn([2000, 6000])
+    # Slot 10 (start 1124) is 2000, short of 2100: no slot certifies
+    # the key, so the hop reads the cache view and the journal is live.
+    assert node._next_hop(2100) == 2000
     assert node._table_journal == []
-    slots = list(node._finger_slots)
-    # Node 100's starts sit at 100 + 2**i, up to 4196: a joiner takes
-    # the starts in (its predecessor, itself], and (4000, 4100] holds none.
-    joiner = 4100
-    assert all(
-        not 4000 < overlay.keyspace.finger_start(100, i) <= joiner
-        for i in range(1, overlay.keyspace.bits + 1)
-    )
-    overlay.join(joiner)
-    writes = []
-    node._apply_slot = lambda index, owner: writes.append((index, owner))
-    node.fingers()
-    assert writes == []
-    assert node._finger_slots == slots == overlay.compute_finger_slots(100)
-    assert node._table_journal == []  # live, not voided
-    assert node.routing_table() == before
+    view = list(node._table_ids)
+    # 4100 captures no start of node 100 (they sit at 100 + 2**i, up to
+    # 4196, and (4000, 4100] holds none); 3000 captures 100 + 2048.
+    for joiner in (4100, 3000):
+        overlay.join(joiner)
+        assert node._table_journal == []  # live, not voided
+        assert node._table_ids == view
+    assert overlay.compute_finger_slots(100)[11] == 3000
 
 
 def test_randomized_churn_keeps_patched_tables_exact():
     rng = random.Random(1234)
     ids = sorted(rng.sample(range(KS.size), 64))
-    _, overlay = build(ids)
-    watched = [synced_node(overlay, nid) for nid in ids[:8]]
+    _, overlay = build(ids, cache_capacity=0)
+    watched = [overlay.node(nid) for nid in ids[:8]]
     live = set(ids)
     for _ in range(200):
         if rng.random() < 0.5 or len(live) < 16:
@@ -135,40 +153,35 @@ def test_randomized_churn_keeps_patched_tables_exact():
                 overlay.crash(victim)
             live.discard(victim)
         if rng.random() < 0.3:
-            for node in watched:
-                node.fingers()
+            assert_derived_state(overlay, rng.choice(watched))
     for node in watched:
-        assert_table_matches_rebuild(overlay, node)
+        assert_derived_state(overlay, node)
+    assert_no_maintenance(overlay)
 
 
-# -- a joiner starts cold --------------------------------------------------
+# -- a joiner routes exactly from its first message -------------------------
 
 
 def test_fresh_node_is_cold_then_re_resolves():
-    """A joiner holds no table and costs nothing until its first use;
-    that use is one rebuild, and a later change is one more."""
-    _, overlay = build([100, 2000, 4000, 6000])
+    """A joiner holds no finger state, before its first use or after
+    it, and routes exactly at once and after a later join."""
+    _, overlay = build([100, 2000, 4000, 6000], cache_capacity=0)
     overlay.join(3000)
     joiner = overlay.node(3000)
-    assert joiner.audit_state() == (-1, [])
-    assert rebuilds(overlay) == 0
-    joiner.fingers()
-    joiner.fingers()
-    assert rebuilds(overlay) == 1
-    assert_table_matches_rebuild(overlay, joiner)
+    assert_no_finger_state(joiner)
+    assert_derived_state(overlay, joiner)
+    assert_no_finger_state(joiner)
     overlay.join(5000)
-    assert joiner.audit_state()[0] < overlay.ring_version
-    joiner.fingers()
-    assert rebuilds(overlay) == 2
-    assert_table_matches_rebuild(overlay, joiner)
+    assert_derived_state(overlay, joiner)
+    assert_no_maintenance(overlay)
 
 
 def test_randomized_joiners_are_cold_until_first_use():
-    """Every joiner holds no table until it is used, then exactly what
-    a fresh derivation computes, whatever the ring looks like."""
+    """Every joiner holds no finger state and routes exactly what the
+    definitions give, whatever the ring looks like."""
     rng = random.Random(777)
     ids = sorted(rng.sample(range(KS.size), 32))
-    _, overlay = build(ids)
+    _, overlay = build(ids, cache_capacity=0)
     live = set(ids)
     for _ in range(150):
         action = rng.random()
@@ -179,10 +192,8 @@ def test_randomized_joiners_are_cold_until_first_use():
             overlay.join(candidate)
             live.add(candidate)
             joiner = overlay.node(candidate)
-            assert joiner.audit_state() == (-1, [])
-            before = rebuilds(overlay)
-            assert_table_matches_rebuild(overlay, joiner)
-            assert rebuilds(overlay) == before + 1
+            assert_no_finger_state(joiner)
+            assert_derived_state(overlay, joiner)
         else:
             victim = rng.choice(sorted(live))
             if rng.random() < 0.5:
@@ -190,24 +201,10 @@ def test_randomized_joiners_are_cold_until_first_use():
             else:
                 overlay.crash(victim)
             live.discard(victim)
+    assert_no_maintenance(overlay)
 
 
-# -- the one-pass cold build -----------------------------------------------
-
-
-def assert_derived_state(overlay, node):
-    """Slots and everything derived from them, against the definitions."""
-    keyspace = overlay.keyspace
-    slots = overlay.compute_finger_slots(node.id)
-    assert node._finger_slots == slots
-    assert node.fingers() == overlay.compute_fingers(node.id)
-    # Every distinct slot owner but self, once, nearest first.
-    owners = set(slots) - {node.id}
-    by_distance = sorted(owners, key=lambda n: keyspace.distance(node.id, n))
-    assert node._fingers == by_distance
-    assert node._finger_dists == [
-        keyspace.distance(node.id, n) for n in by_distance
-    ]
+# -- small and full rings -----------------------------------------------------
 
 
 COLD_RINGS = {
@@ -223,25 +220,19 @@ COLD_RINGS = {
 @pytest.mark.parametrize("ring", sorted(COLD_RINGS))
 def test_cold_build_matches_the_definitions_on_every_node(ring):
     bits, ids = COLD_RINGS[ring]
-    overlay = ChordOverlay(Simulator(), KeySpace(bits))
+    overlay = ChordOverlay(Simulator(), KeySpace(bits), cache_capacity=0)
     overlay.build_ring(ids)
     for node_id in ids:
-        node = overlay.node(node_id)
-        assert node.audit_state() == (-1, [])  # cold: no slots yet
-        before = rebuilds(overlay)
-        node._sync()
-        assert rebuilds(overlay) == before + 1
-        assert_derived_state(overlay, node)
+        assert_derived_state(overlay, overlay.node(node_id))
+    assert_no_maintenance(overlay)
 
 
 @pytest.mark.parametrize("ring", ["three-nodes-both-ends", "fifty-nodes"])
 def test_cold_nodes_stay_exact_under_churn(ring):
     bits, ids = COLD_RINGS[ring]
-    overlay = ChordOverlay(Simulator(), KeySpace(bits))
+    overlay = ChordOverlay(Simulator(), KeySpace(bits), cache_capacity=0)
     overlay.build_ring(ids)
     watched = [overlay.node(node_id) for node_id in ids[:3]]
-    for node in watched:
-        node._sync()
     rng = random.Random(ring)
     live = set(ids)
     protected = {node.id for node in watched}
@@ -257,57 +248,5 @@ def test_cold_nodes_stay_exact_under_churn(ring):
                 (overlay.leave if rng.random() < 0.5 else overlay.crash)(victim)
                 live.discard(victim)
         for node in watched:
-            before = rebuilds(overlay)
-            node._sync()
-            assert rebuilds(overlay) == before + 1
             assert_derived_state(overlay, node)
-
-
-def test_apply_slot_crosses_zero_exactly_like_a_fresh_derivation():
-    """Seeded single-slot writes, each checked against a from-scratch
-    ``_refresh_fingers`` of the same slots and against the journal.
-
-    Every write keeps the slots what a ring can produce (owners in
-    clockwise order, self last), and lands on a neighbour's owner — one
-    that already holds another slot — or on a fresh node.  A finger is
-    gained or lost only when the last slot leaves an owner or the first
-    lands on one, and the journal names exactly the ids that crossed.
-    """
-    bits, ids = COLD_RINGS["fifty-nodes"]
-    keyspace = KeySpace(bits)
-    size = keyspace.size
-    overlay = ChordOverlay(Simulator(), keyspace, cache_capacity=0)
-    overlay.build_ring(ids)
-    node = overlay.node(ids[0])
-    node.routing_table()  # syncs and materializes: the journal is live
-    me = node.id
-
-    def reach(owner):  # self owns the starts no other node follows
-        return (owner - me) % size or size
-
-    rng = random.Random(28)
-    onto_held = gained = lost = 0
-    for _ in range(400):
-        slots = node._finger_slots
-        index = rng.randrange(bits)
-        low = reach(slots[index - 1]) if index else 1
-        high = reach(slots[index + 1]) if index + 1 < bits else size
-        distance = rng.choice((low, high, rng.randint(low, high)))
-        new_owner = (me + distance) % size
-        old = slots[index]
-        if new_owner == old:
-            continue
-        before = set(node._fingers)
-        onto_held += new_owner in slots and new_owner != me
-        node._apply_slot(index, new_owner)
-        fresh = ChordNode(me, overlay, cache_capacity=0)
-        fresh._finger_slots = list(slots)
-        fresh._refresh_fingers()
-        assert node._fingers == fresh._fingers
-        assert node._finger_dists == fresh._finger_dists
-        crossed = before ^ set(node._fingers)
-        assert node._table_journal == [n for n in (old, new_owner) if n in crossed]
-        del node._table_journal[:]
-        lost += old in crossed
-        gained += new_owner in crossed
-    assert onto_held and gained and lost
+    assert_no_maintenance(overlay)

@@ -86,7 +86,7 @@ def test_mcast_over_a_split_arc_steps_back_once_per_joiner(joiners):
     sim, overlay, node = cached_arc_setup()
     for joiner in joiners:
         overlay.join(joiner)  # node 0 still believes 3008 owns (2944, 3008]
-    assert not set(joiners) & set(node.fingers())
+    assert not set(joiners) & set(overlay.compute_fingers(node.id))
     keys = [joiner - 5 for joiner in joiners] + [3000]
     sends = Sends(overlay)
     deliveries = cast(sim, overlay, "mcast", 0, keys)

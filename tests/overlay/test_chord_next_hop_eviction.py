@@ -6,7 +6,7 @@ sorted-table rewrite defers eviction until after the binary-search walk.
 These tests pin the observable contract: with one or *several* crashed
 cached nodes stacked in front of the key, routing still picks the
 correct live hop, evicts every dead entry it examined, and leaves the
-routing table consistent for subsequent messages.
+cache view consistent for subsequent messages.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from repro.overlay.api import MessageKind, OverlayMessage, next_request_id
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
+from tests.overlay.test_learn_batch import cache_view
 
 KS = KeySpace(13)
 
@@ -100,26 +101,27 @@ def test_forget_keeps_finger_entries_in_routing_table():
     ids = (100, 2000, 4000, 6000)
     sim, overlay = build(ids)
     node = overlay.node(100)
-    target = node.fingers()[0]
+    target = overlay.compute_fingers(100)[0]
     # Learning a finger then forgetting it must not remove the finger
-    # from the merged routing table.
+    # from routing: fingers are read off the ring, not the cache.
     node.learn([target])
-    assert target in node.routing_table()
+    assert target in cache_view(node)
     node.forget(target)
     assert target not in node.cached_ids()
-    assert target in node.routing_table()
+    assert node._next_hop(2100) == target  # slot 10 (start 1124) precedes 2100
 
 
 def test_forget_drops_cached_non_finger_from_routing_table():
     ids = tuple(range(100, 8100, 500))
     sim, overlay = build(ids)
     node = overlay.node(100)
-    stranger = next(nid for nid in ids[1:] if nid not in node.fingers())
+    fingers = overlay.compute_fingers(100)
+    stranger = next(nid for nid in ids[1:] if nid not in fingers)
     node.learn([stranger])
-    assert stranger in node.routing_table()
+    assert stranger in cache_view(node)
     node.forget(stranger)
     assert stranger not in node.cached_ids()
-    assert stranger not in node.routing_table()
+    assert stranger not in cache_view(node)
 
 
 def test_forget_of_unknown_id_is_a_no_op():
@@ -127,8 +129,8 @@ def test_forget_of_unknown_id_is_a_no_op():
     sim, overlay = build(ids)
     node = overlay.node(100)
     node.learn([3100])
-    table, cached = node.routing_table(), node.cached_ids()
+    table, cached = cache_view(node), node.cached_ids()
     node.forget(3600)  # live, but neither cached nor a finger
     node.forget(12345 % KS.size)  # not even a node
-    assert node.routing_table() == table
+    assert cache_view(node) == table
     assert node.cached_ids() == cached

@@ -220,7 +220,7 @@ def test_cached_arc_is_learned_from_the_stamps_a_message_carries():
 def test_join_inside_a_cached_arc_overshoots_and_still_delivers():
     sim, overlay, node = cached_arc_setup()
     overlay.join(2600)  # now owns (2100, 2600]; node 0 still believes 3000 does
-    assert 2600 not in node.fingers()
+    assert 2600 not in overlay.compute_fingers(node.id)
     assert node._next_hop(2500) == 3000
     ((nid, message),) = cast(sim, overlay, "unicast", 0, [2500])
     assert nid == overlay.owner_of(2500) == 2600

@@ -107,7 +107,7 @@ def test_cache_learns_from_message_paths():
 def test_fingers_sorted_and_start_with_successor():
     _, overlay = build(n=100)
     for node_id in overlay.node_ids()[:20]:
-        fingers = overlay.node(node_id).fingers()
+        fingers = overlay.compute_fingers(node_id)
         assert fingers[0] == overlay.successor_of(node_id)
         distances = [KS.distance(node_id, f) for f in fingers]
         assert distances == sorted(distances)
@@ -115,18 +115,17 @@ def test_fingers_sorted_and_start_with_successor():
 
 
 def test_finger_memoization_invalidated_by_churn():
+    """Fingers follow churn at once: a node reads them off the ring."""
     _, overlay = build(n=50)
     node = overlay.node(overlay.node_ids()[0])
-    # fingers() exposes the live internal array (patching updates it in
-    # place), so snapshot it before the churn below.
-    before = list(node.fingers())
+    before = overlay.compute_fingers(node.id)
     # Join a node right after this one: it becomes the new successor.
     new_id = (node.id + 1) % KS.size
     if not overlay.is_alive(new_id):
         overlay.join(new_id)
-        after = node.fingers()
-        assert after[0] == new_id
+        assert overlay.compute_fingers(node.id)[0] == new_id
         assert before[0] != new_id
+        assert node._next_hop(new_id) == new_id
 
 
 def test_single_node_ring_covers_everything():

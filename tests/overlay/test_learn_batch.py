@@ -7,11 +7,11 @@ the arc the node stamped on a message's path, None when it was named
 without one (``learn``, and the sender of a one-hop message); the log is
 folded when the cache is next read, or on its own once it passes
 ``FOLD_AT`` slots.  A cached read (``_next_hop``,
-``cached_ids()``, ``routing_table()``, ``forget``) must see every
+``cached_ids()``, the cache view, ``forget``) must see every
 earlier touch, so each folds first — through
-``ChordNode._refresh_cache``, which journals what entered and left, so
-the merged routing table must equal the from-scratch derivation after
-any of them.  (The module and the
+``ChordNode._refresh_cache``, which journals what entered and left,
+so the distance-sorted cache view must equal the cache after any of
+them.  (The module and the
 ``test_learn_batch_*`` names are historical: ``learn_batch`` was retired
 in PR 12; the ids stay because the tier-1 floor names them.)
 """
@@ -36,6 +36,15 @@ def build(cache: int) -> ChordOverlay:
     overlay = ChordOverlay(Simulator(), KS, cache_capacity=cache)
     overlay.build_ring(RING)
     return overlay
+
+
+def cache_view(node) -> list[int]:
+    """The ids a cached next-hop search sees, nearest clockwise first,
+    folded and brought current as such a read brings them."""
+    if node._cache.log:
+        node._refresh_cache()
+    node._materialize()
+    return list(node._table_ids)
 
 
 def receive_stamped(node, arcs) -> None:
@@ -67,11 +76,11 @@ def test_learn_batch_pins_eviction_order():
 def test_learn_batch_refresh_only_keeps_order_without_eviction():
     node = build(cache=3).node(0)
     node.learn([64, 128, 192])
-    table = node.routing_table()
-    node.learn([64])  # pure LRU refreshes: the routing table is untouched
+    table = cache_view(node)
+    node.learn([64])  # pure LRU refreshes: the cache view is untouched
     node.learn([128])
     assert node.cached_ids() == [192, 64, 128]
-    assert node.routing_table() == table
+    assert cache_view(node) == table
 
 
 def test_learn_batch_ignores_self_and_capacity_zero():
@@ -89,7 +98,6 @@ def test_learn_batch_randomized_equivalence(cache, seed):
     rng = random.Random(seed)
     node = build(cache).node(0)
     oracle = ReferenceLRU(0, cache)
-    fingers = set(node.fingers())
     for _ in range(40):
         for _ in range(rng.randint(1, 4)):
             sequence = [rng.choice(RING) for _ in range(rng.randint(1, 6))]
@@ -97,7 +105,7 @@ def test_learn_batch_randomized_equivalence(cache, seed):
             oracle.learn(sequence)
         assert node.cached_ids() == oracle.order
         if rng.random() < 0.5:  # read on some rounds, let others pile up
-            assert node.routing_table() == sorted(fingers | set(oracle.order))
+            assert cache_view(node) == sorted(oracle.order)
 
 
 # -- the fold: reads, bound, forget, small capacities ------------------------
@@ -106,7 +114,7 @@ def test_learn_batch_randomized_equivalence(cache, seed):
 def expected_hop(node, oracle: ReferenceLRU, key: int) -> int:
     """Closest known node at or before ``key`` (every node is alive)."""
     target = (key - node.id) % KS.size
-    known = set(node.fingers()) | set(oracle.order)
+    known = set(node._overlay.compute_fingers(node.id)) | set(oracle.order)
     reachable = [n for n in known if (n - node.id) % KS.size <= target]
     if not reachable:
         return node.successor
@@ -119,7 +127,6 @@ def test_fold_matches_reference_through_every_reader(cache, reader):
     rng = random.Random(f"{cache}:{reader}")
     node = build(cache).node(0)
     oracle = ReferenceLRU(0, cache)
-    fingers = set(node.fingers())
     for _ in range(60):
         # Anything from one short sequence to a run several times the
         # fold bound, with no read in between.
@@ -136,8 +143,8 @@ def test_fold_matches_reference_through_every_reader(cache, reader):
             assert node._next_hop(key) == expected_hop(
                 node, oracle, key
             )
-        elif reader == "routing_table":
-            assert node.routing_table() == sorted(fingers | set(oracle.order))
+        elif reader == "routing_table":  # the cache view
+            assert cache_view(node) == sorted(oracle.order)
         assert node.cached_ids() == oracle.order
 
 
@@ -211,7 +218,7 @@ def test_fold_capacity_one_and_sequence_longer_than_capacity():
     small = build(cache=2).node(0)
     small.learn([64, 128, 192, 256, 128])
     assert small.cached_ids() == [256, 128]
-    assert small.routing_table() == sorted(set(small.fingers()) | {256, 128})
+    assert cache_view(small) == [128, 256]
 
 
 def test_fold_self_only_sequences_change_nothing():
@@ -220,7 +227,7 @@ def test_fold_self_only_sequences_change_nothing():
     node.learn([0, 0])
     assert node.cached_ids() == []
     node.learn([64, 128])
-    table = node.routing_table()
+    table = cache_view(node)
     node.learn([0])
     assert node.cached_ids() == [64, 128]
-    assert node.routing_table() == table
+    assert cache_view(node) == table

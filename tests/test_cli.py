@@ -253,7 +253,7 @@ def test_stats_reports_slo_percentiles(tmp_path, capsys):
 
 
 def test_report_rejects_v2_export(tmp_path, capsys):
-    # The reader reads version 4 only: an older file exits 2 with one
+    # The reader reads version 5 only: an older file exits 2 with one
     # line that names its version.
     export = tmp_path / "plain.jsonl"
     assert main([
@@ -290,11 +290,11 @@ def test_report_rejects_a_file_that_is_no_export(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-#: A hand-written v4 export: one request of two spans and a delivery,
-#: an audit counter and probe, node and key load, a skew sample and one
+#: A hand-written export: one request of two spans and a delivery, an
+#: audit counter and probe, node and key load, a skew sample and one
 #: node overload event.
-V4_EXPORT = [
-    {"type": "meta", "format": "repro-telemetry", "version": 4},
+EXPORT = [
+    {"type": "meta", "format": "repro-telemetry", "version": 5},
     {"type": "span", "id": 1, "parent": 0, "request": 1,
      "kind": "publication", "src": 7, "dst": 7, "t_send": 1.0,
      "t_recv": 1.0, "status": "root"},
@@ -304,9 +304,8 @@ V4_EXPORT = [
     {"type": "delivery", "span": 2, "request": 1, "node": 9, "t": 1.05},
     {"type": "counter", "name": "audit.publications_audited",
      "labels": {}, "value": 1},
-    {"type": "probe", "t": 2.0, "overlay": "chord", "nodes_total": 2,
-     "nodes_checked": 2, "nodes_stale": 0, "nodes_cold": 0,
-     "max_staleness": 0, "violations": 0},
+    {"type": "probe", "t": 2.0, "overlay": "can", "nodes_total": 2,
+     "nodes_checked": 2, "violations": 0},
     {"type": "load", "scope": "node", "id": 7, "forwarded": 1,
      "delivered": 0, "subscriptions": 1},
     {"type": "load", "scope": "node", "id": 9, "forwarded": 0,
@@ -319,7 +318,8 @@ V4_EXPORT = [
      "median": 1.0, "ratio": 5.0, "threshold": 4.0},
 ]
 
-#: The two record kinds a retired sharded-run profiler wrote into v4.
+#: The two record kinds a retired sharded-run profiler wrote into v4;
+#: the reader still skips them.
 RETIRED_V4_RECORDS = [
     {"type": "profile", "scope": "run", "rounds": 3, "total_wall_s": 0.5,
      "dominant_shard": 1, "dominant_phase": "busy"},
@@ -330,7 +330,7 @@ RETIRED_V4_RECORDS = [
 
 
 def test_retired_v4_records_change_no_command_output(tmp_path, capsys):
-    export = tmp_path / "v4.jsonl"
+    export = tmp_path / "export.jsonl"
 
     def outcome(records):
         export.write_text(
@@ -340,11 +340,11 @@ def test_retired_v4_records_change_no_command_output(tmp_path, capsys):
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    plain = outcome(V4_EXPORT)
+    plain = outcome(EXPORT)
     code, out, err = plain
     assert (code, err) == (0, "")
     assert "...with complete causal trees" in out
     assert "overload: 1 event(s)" in out
     assert "VERDICT: healthy" in out
-    with_retired = V4_EXPORT[:6] + RETIRED_V4_RECORDS + V4_EXPORT[6:]
+    with_retired = EXPORT[:6] + RETIRED_V4_RECORDS + EXPORT[6:]
     assert outcome(with_retired) == plain

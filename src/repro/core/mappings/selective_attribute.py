@@ -26,6 +26,17 @@ class SelectiveAttributeMapping(AKMapping):
 
     name = "selective-attribute"
 
+    def __init__(self, space, keyspace, discretization=None) -> None:
+        super().__init__(space, keyspace, discretization)
+        # hᵢ's two constants, (interval width, |Ωᵢ|), per attribute:
+        # event_keys hashes every attribute of every publication.
+        self._scales = tuple(
+            zip(
+                self._discretization.widths,
+                [attribute.size for attribute in space.attributes],
+            )
+        )
+
     def subscription_key_groups(
         self, subscription: Subscription
     ) -> tuple[tuple[int, ...], ...]:
@@ -43,8 +54,11 @@ class SelectiveAttributeMapping(AKMapping):
         return (group,)
 
     def event_keys(self, event: Event) -> frozenset[int]:
+        # _hash_value per attribute, inline over the (width, |Ωᵢ|) table.
         bits = self._keyspace.bits
         return frozenset(
-            self._hash_value(attribute, value, bits)
-            for attribute, value in enumerate(event.values)
+            [
+                (value // width * width << bits) // domain
+                for (width, domain), value in zip(self._scales, event.values)
+            ]
         )

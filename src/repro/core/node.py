@@ -67,34 +67,27 @@ class PubSubNode:
     # -- delivery dispatch -------------------------------------------------
 
     def on_deliver(self, message: OverlayMessage) -> None:
-        """Overlay upcall: dispatch on the application payload type."""
+        """Overlay upcall: dispatch on the application payload's class.
+
+        One dict read and one handler call (see ``_HANDLERS`` below).
+        """
         payload = message.payload
-        if isinstance(payload, SubscribePayload):
-            self._handle_subscribe(payload, message)
-        elif isinstance(payload, UnsubscribePayload):
-            self._handle_unsubscribe(payload)
-        elif isinstance(payload, PublishPayload):
-            self._handle_publication(payload, message)
-        elif isinstance(payload, NotifyPayload):
-            self._system.deliver_notifications(self.id, payload)
-        elif isinstance(payload, CollectPayload):
-            self._handle_collect(payload)
-        elif isinstance(payload, ReplicaPayload):
-            self._handle_replica(payload)
-        elif isinstance(payload, ReplicaRemovePayload):
-            self._handle_replica_remove(payload)
-        elif isinstance(payload, StateTransferPayload):
-            self._handle_state_transfer(payload)
-        else:
-            raise TypeError(f"unexpected payload type {type(payload).__name__}")
+        try:
+            handler = _HANDLERS[payload.__class__]
+        except KeyError:
+            raise TypeError(
+                f"unexpected payload type {type(payload).__name__}"
+            ) from None
+        handler(self, payload, message)
 
     # -- subscriptions -------------------------------------------------------
 
     def covered_targets(self, message: OverlayMessage) -> set[int]:
         """The rendezvous keys (of this message) that this node covers."""
-        overlay = self._system.overlay
         if message.target_keys is not None:
-            return {k for k in message.target_keys if overlay.covers(self.id, k)}
+            covers = self._system._overlay.covers
+            me = self.id
+            return {k for k in message.target_keys if covers(me, k)}
         assert message.key is not None
         return {message.key}
 
@@ -102,13 +95,15 @@ class PubSubNode:
         self, payload: SubscribePayload, message: OverlayMessage
     ) -> None:
         keys_here = self.covered_targets(message)
-        now = self._system.now
+        now = self._system._sim.now
         entry = self.store.put(payload, keys_here, now)
         for fn in self._system.tap.store:
             fn(self, keys_here)
         self._system.replicate_entry(self.id, entry.snapshot())
 
-    def _handle_unsubscribe(self, payload: UnsubscribePayload) -> None:
+    def _handle_unsubscribe(
+        self, payload: UnsubscribePayload, message: OverlayMessage
+    ) -> None:
         if self.store.remove(payload.subscription_id):
             self._system.replicate_removal(self.id, payload.subscription_id)
 
@@ -126,7 +121,7 @@ class PubSubNode:
         while len(seen) > SEEN_PUBLICATIONS_LIMIT:
             seen.popitem(last=False)
 
-        now = self._system.now
+        now = self._system._sim.now
         matched = self.store.match(payload.event, now)
         for fn in self._system.tap.match:
             fn(self, message, matched)
@@ -203,7 +198,10 @@ class PubSubNode:
         for subscriber, notifications in direct.items():
             self._system.send_notification(self.id, subscriber, tuple(notifications))
 
-    def _handle_collect(self, payload: CollectPayload) -> None:
+    def _handle_notify(self, payload: NotifyPayload, message: OverlayMessage) -> None:
+        self._system.deliver_notifications(self.id, payload)
+
+    def _handle_collect(self, payload: CollectPayload, message: OverlayMessage) -> None:
         self.buffer.add(
             payload.subscriber,
             payload.subscription_id,
@@ -238,7 +236,7 @@ class PubSubNode:
 
     # -- replication and churn (Section 4.1) -----------------------------------
 
-    def _handle_replica(self, payload: ReplicaPayload) -> None:
+    def _handle_replica(self, payload: ReplicaPayload, message: OverlayMessage) -> None:
         replicas = self._replicas
         if replicas is None:
             replicas = self._replicas = {}
@@ -255,7 +253,9 @@ class PubSubNode:
                 ),
             )
 
-    def _handle_replica_remove(self, payload: ReplicaRemovePayload) -> None:
+    def _handle_replica_remove(
+        self, payload: ReplicaRemovePayload, message: OverlayMessage
+    ) -> None:
         shelf = (self._replicas or {}).get(payload.owner)
         if shelf is not None:
             shelf.pop(payload.subscription_id, None)
@@ -277,7 +277,7 @@ class PubSubNode:
         the promoted snapshots so the system can re-replicate them.
         """
         shelf = (self._replicas or {}).pop(crashed_owner, {})
-        now = self._system.now
+        now = self._system._sim.now
         promoted = []
         for snapshot in shelf.values():
             if snapshot.expire_at is not None and now >= snapshot.expire_at:
@@ -286,7 +286,9 @@ class PubSubNode:
             promoted.append(snapshot)
         return promoted
 
-    def _handle_state_transfer(self, payload: StateTransferPayload) -> None:
+    def _handle_state_transfer(
+        self, payload: StateTransferPayload, message: OverlayMessage
+    ) -> None:
         for snapshot in payload.entries:
             self.store.restore(snapshot)
 
@@ -331,3 +333,18 @@ class PubSubNode:
                 entry.subscription.subscription_id, in_range
             )
         return moved
+
+
+#: Payload class -> its handler, called as ``handler(node, payload,
+#: message)``.  Payloads are final (frozen, slotted) dataclasses, so the
+#: exact class is the whole dispatch.
+_HANDLERS = {
+    SubscribePayload: PubSubNode._handle_subscribe,
+    UnsubscribePayload: PubSubNode._handle_unsubscribe,
+    PublishPayload: PubSubNode._handle_publication,
+    NotifyPayload: PubSubNode._handle_notify,
+    CollectPayload: PubSubNode._handle_collect,
+    ReplicaPayload: PubSubNode._handle_replica,
+    ReplicaRemovePayload: PubSubNode._handle_replica_remove,
+    StateTransferPayload: PubSubNode._handle_state_transfer,
+}

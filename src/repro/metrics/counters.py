@@ -11,7 +11,6 @@ every :class:`~repro.overlay.api.OverlayMessage`.
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
 
 from repro.overlay.api import MessageKind
 
@@ -51,50 +50,41 @@ class RequestTrace:
 
 
 class MessageStats:
-    """Aggregates one-hop message counts by kind and by request."""
+    """Aggregates one-hop message counts by kind and by request.
+
+    Nothing here is called per message.  The two places a message is
+    counted write these dicts inline — :meth:`Network.transmit
+    <repro.overlay.network.Network.transmit>` a send,
+    :meth:`OverlayNetwork.do_deliver
+    <repro.overlay.api.OverlayNetwork.do_deliver>` a delivery — the way
+    the network bumps its own ``dropped`` / ``lost`` counters.  Both hold
+    the dicts by reference, so they are mutated, never rebound.
+
+    Attributes:
+        sends_by_kind: One-hop sends per :class:`MessageKind`, every
+            kind present from the start.
+        traces: Per-request traces, keyed by request id.  A request's
+            trace opens at its ``request`` event, or at the first send
+            or delivery seen for it: a shard worker meets requests
+            another shard began, as a hop to forward or as a terminal
+            delivery.
+    """
 
     def __init__(self) -> None:
-        self._sends_by_kind: defaultdict[MessageKind, int] = defaultdict(int)
-        self._traces: dict[int, RequestTrace] = {}
-
-    @property
-    def traces(self) -> dict[int, RequestTrace]:
-        """All per-request traces, keyed by request id."""
-        return self._traces
+        self.sends_by_kind: dict[MessageKind, int] = dict.fromkeys(MessageKind, 0)
+        self.traces: dict[int, RequestTrace] = {}
 
     def begin_request(
         self, kind: MessageKind, request_id: int, time: float
     ) -> RequestTrace:
         """Register the start of a logical request."""
         trace = RequestTrace(request_id=request_id, kind=kind, start_time=time)
-        self._traces[request_id] = trace
+        self.traces[request_id] = trace
         return trace
 
-    # -- tap events ----------------------------------------------------------
-    # A request's trace opens at its ``request`` event, or at the first
-    # send or delivery seen for it: a shard worker meets requests another
-    # shard began, as a hop to forward or as a terminal delivery.
-
     def on_request(self, message, now: float) -> None:
-        """A logical request opened."""
+        """Tap event: a logical request opened."""
         self.begin_request(message.kind, message.request_id, now)
-
-    def on_send(self, message, src, dst, now: float, arrival) -> None:
-        """Account one one-hop transmission to the message's request."""
-        self._sends_by_kind[message.kind] += 1
-        trace = self._traces.get(message.request_id)
-        if trace is None:
-            trace = self.begin_request(message.kind, message.request_id, now)
-        trace.one_hop_messages += 1
-
-    def on_deliver(self, message, node_id: int, now: float) -> None:
-        """Account an application-level delivery to the message's request."""
-        trace = self._traces.get(message.request_id)
-        if trace is None:
-            trace = self.begin_request(message.kind, message.request_id, now)
-        trace.deliveries.append((node_id, now))
-        if message.hops > trace.max_path_hops:
-            trace.max_path_hops = message.hops
 
     def merge_from(self, other: "MessageStats") -> None:
         """Fold another partial's accounting into this one.
@@ -107,10 +97,11 @@ class MessageStats:
         hop counts add, deliveries concatenate, the dilation maximum and
         the earliest start time win.
         """
-        for kind, count in other._sends_by_kind.items():
-            self._sends_by_kind[kind] += count
-        traces = self._traces
-        for request_id, partial in other._traces.items():
+        sends = self.sends_by_kind
+        for kind, count in other.sends_by_kind.items():
+            sends[kind] += count
+        traces = self.traces
+        for request_id, partial in other.traces.items():
             trace = traces.get(request_id)
             if trace is None:
                 traces[request_id] = dataclasses.replace(
@@ -125,12 +116,12 @@ class MessageStats:
     def total_sends(self, kind: MessageKind | None = None) -> int:
         """Total one-hop messages of ``kind`` (or of all kinds)."""
         if kind is None:
-            return sum(self._sends_by_kind.values())
-        return self._sends_by_kind[kind]
+            return sum(self.sends_by_kind.values())
+        return self.sends_by_kind[kind]
 
     def requests_of_kind(self, kind: MessageKind) -> list[RequestTrace]:
         """All traces for requests of the given kind."""
-        return [t for t in self._traces.values() if t.kind == kind]
+        return [t for t in self.traces.values() if t.kind == kind]
 
     def hops_per_request(self, kind: MessageKind) -> list[int]:
         """One-hop message counts, one entry per request of ``kind``."""

@@ -1,11 +1,14 @@
 """The per-run metrics bundle.
 
 One :class:`MetricsRecorder` lives for the duration of a simulation run.
-It is the first subscriber of the network's observer tap
-(:mod:`repro.telemetry.tap`), which feeds it requests, one-hop sends,
-deliveries and notification batches; the experiment runner feeds it
-storage snapshots; the figure harnesses read aggregated views off it at
-the end.
+The hop count is the run's output, not an optional observer: the
+network counts every one-hop send, and the overlay every delivery,
+straight into the recorder's :class:`MessageStats` dicts.  The recorder
+is also the first subscriber of the network's observer tap
+(:mod:`repro.telemetry.tap`), for the two pub/sub-level events only:
+``request`` (a request's trace opens) and ``notify`` (a notification
+batch arrives).  The experiment runner feeds it storage snapshots; the
+figure harnesses read aggregated views off it at the end.
 """
 
 from __future__ import annotations
@@ -24,11 +27,9 @@ class MetricsRecorder:
         self._notified_events: int = 0
         self._matched_notifications: int = 0
         self._notification_delays: list[float] = []
-        # Per-message tap events go straight to the message accounting:
-        # no forwarding frame between the network and the counters.
+        # The tap's request event goes straight to the message
+        # accounting: no forwarding frame.
         self.on_request = self.messages.on_request
-        self.on_send = self.messages.on_send
-        self.on_deliver = self.messages.on_deliver
 
     # -- pub/sub-level counters ----------------------------------------
 

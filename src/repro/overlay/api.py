@@ -203,12 +203,16 @@ class OverlayNetwork(abc.ABC):
         state_transfer: "StateTransferHook | None" = None,
     ) -> None:
         self._keyspace = keyspace
+        # The exclusive upper bound of a key, for the inline key checks.
+        self._key_limit = keyspace.size
         self._sim = sim
         self._network = network
         # Per-message bindings, resolved once per overlay: nodes hand
         # every one-hop message straight to the network's transmit, and
-        # do_deliver reads the observer tap for every delivery.
+        # do_deliver charges every delivery to its request's trace and
+        # reads the observer tap.
         self._network_transmit = network.transmit
+        self._traces = network.recorder.messages.traces
         self._tap = network.tap
         self._deliver: DeliverFn | None = None
         self._state_transfer = state_transfer
@@ -249,13 +253,29 @@ class OverlayNetwork(abc.ABC):
         self._state_transfer = hook
 
     def do_deliver(self, node, message: OverlayMessage) -> None:
-        """Announce an application delivery at ``node`` and raise the upcall.
+        """Count an application delivery at ``node``, announce it and
+        raise the upcall.
 
         The one place a message leaves the overlay upward — the paper's
-        ``deliver(m)`` — for every overlay and every cast mode.
+        ``deliver(m)`` — for every overlay and every cast mode, so the
+        one place a delivery is counted: inline, into its request's
+        trace, which opens here when no ``request`` event or send did
+        (a shard worker's terminal delivery of a request another shard
+        began).
         """
         node_id = node.id
         now = self._sim.now
+        request_id = message.request_id
+        traces = self._traces
+        if request_id in traces:
+            trace = traces[request_id]
+        else:
+            trace = self._network.recorder.messages.begin_request(
+                message.kind, request_id, now
+            )
+        trace.deliveries.append((node_id, now))
+        if message.hops > trace.max_path_hops:
+            trace.max_path_hops = message.hops
         for fn in self._tap.deliver:
             fn(message, node_id, now)
         deliver = self._deliver
@@ -369,7 +389,9 @@ class OverlayNetwork(abc.ABC):
 
     def send(self, source_id: int, key: int, message: OverlayMessage) -> None:
         """Route ``message`` from ``source_id`` to the node covering ``key``."""
-        self._keyspace.validate(key)
+        # KeySpace.validate, inline: it is called only to raise.
+        if not (key.__class__ is int and 0 <= key < self._key_limit):
+            self._keyspace.validate(key)
         self.node(source_id).route_unicast(self._prepared(message, key=key))
 
     def mcast(
@@ -377,7 +399,11 @@ class OverlayNetwork(abc.ABC):
     ) -> None:
         """Deliver ``message`` once to every node covering a key in ``keys``
         (Section 4.3.1's native one-to-many primitive)."""
-        targets = frozenset(self._keyspace.validate(k) for k in keys)
+        targets = frozenset(keys)
+        limit = self._key_limit
+        for key in targets:  # KeySpace.validate, inline, as in send
+            if not (key.__class__ is int and 0 <= key < limit):
+                self._keyspace.validate(key)
         if targets:
             self.node(source_id).start_mcast(
                 self._prepared(message, target_keys=targets, mode=CastMode.MCAST)
@@ -388,7 +414,11 @@ class OverlayNetwork(abc.ABC):
     ) -> None:
         """Conservative one-to-many: walk the targets key by key
         (Section 4.3.1's unicast-based baseline)."""
-        targets = frozenset(self._keyspace.validate(k) for k in keys)
+        targets = frozenset(keys)
+        limit = self._key_limit
+        for key in targets:  # KeySpace.validate, inline, as in send
+            if not (key.__class__ is int and 0 <= key < limit):
+                self._keyspace.validate(key)
         if targets:
             self.node(source_id).continue_sequential(
                 self._prepared(

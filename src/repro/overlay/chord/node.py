@@ -245,12 +245,7 @@ class ChordNode:
 
     def covers(self, key: int) -> bool:
         """True if this node covers ``key``: ``key in (pred, self]``."""
-        me = self.id
-        predecessor = self._overlay._pred[me]
-        if predecessor == me:  # sole node: covers the whole ring
-            return True
-        # Inline in_open_closed: per-message hot path.
-        return 0 < (key - predecessor) % self._size <= (me - predecessor) % self._size
+        return self._overlay.covers(self.id, key)
 
     def receive(self, message: OverlayMessage) -> None:
         """Network upcall: continue routing or deliver ``message``."""
@@ -456,12 +451,18 @@ class ChordNode:
         me = self.id
         targets = message.target_keys or frozenset()
         predecessor = self._overlay._pred[me]
-        # Inline in_open_closed(k, pred, me): runs per target key.
+        # Inline in_open_closed(k, pred, me): runs per target key.  Most
+        # forwarders own none of their keys, so a plain loop looks for
+        # the first owned one and the set is built only then.
+        mine = None
         if predecessor == me:  # sole node: every key is ours
             mine = set(targets)
         else:
             span = (me - predecessor) % size
-            mine = {k for k in targets if 0 < (k - predecessor) % size <= span}
+            for key in targets:
+                if 0 < (key - predecessor) % size <= span:
+                    mine = {k for k in targets if 0 < (k - predecessor) % size <= span}
+                    break
         if mine:
             self._overlay.do_deliver(self, message)
             rest = targets - mine
@@ -580,12 +581,16 @@ class ChordNode:
         me = self.id
         targets = message.target_keys or frozenset()
         predecessor = self._overlay._pred[me]
-        # Inline in_open_closed(k, pred, me), as in continue_mcast.
+        # The owned keys, found as in continue_mcast.
+        mine = None
         if predecessor == me:
             mine = set(targets)
         else:
             span = (me - predecessor) % size
-            mine = {k for k in targets if 0 < (k - predecessor) % size <= span}
+            for key in targets:
+                if 0 < (key - predecessor) % size <= span:
+                    mine = {k for k in targets if 0 < (k - predecessor) % size <= span}
+                    break
         if mine:
             self._overlay.do_deliver(self, message)
             rest = targets - mine

@@ -43,9 +43,13 @@ class KeySpace:
         return 0 <= key < self.size
 
     def validate(self, key: int) -> int:
-        """Return ``key`` unchanged, raising if it is out of range."""
-        # Range test inline: every target key of every send and m-cast
-        # on every overlay passes through here.
+        """Return ``key`` unchanged, raising if it is not an ``int`` (a
+        ``bool`` is one) or is out of range."""
+        # The exact-class test first: an int makes no isinstance call.
+        if not (key.__class__ is int or isinstance(key, int)):
+            raise ConfigurationError(
+                f"key {key!r} is a {type(key).__name__}, not an int"
+            )
         if not 0 <= key < 1 << self.bits:
             raise ConfigurationError(
                 f"key {key} outside key space [0, {self.size})"

@@ -1,9 +1,11 @@
 """Simulated point-to-point network with latency and hop accounting.
 
 Every inter-node transmission in the overlay goes through
-:meth:`Network.transmit`, which (a) announces the one-hop message on the
-observer tap (:mod:`repro.telemetry.tap` — the metrics recorder charges
-it to its request there), and (b) enqueues the message for the receiver
+:meth:`Network.transmit`, which (a) counts the one-hop message, by kind
+and against its request, straight into the metrics recorder's dicts —
+the hop count is the run's output, so no observer frame stands between
+a message and its count — (b) announces it on the observer tap
+(:mod:`repro.telemetry.tap`), and (c) enqueues it for the receiver
 after a delay drawn from the configured delay model.  The paper's
 evaluation fixes the per-hop delay at 50 ms (Section 5.1).
 
@@ -137,10 +139,14 @@ class Network:
         self._dropped_counter = registry.counter("network.dropped")
         self._lost_counter = registry.counter("network.lost")
         #: The observer tap of everything built on this network.  The
-        #: recorder is always its first subscriber; an enabled telemetry
-        #: adds its tracer and load meter.
+        #: recorder is always its first subscriber (to ``request`` and
+        #: ``notify``); an enabled telemetry adds its tracer and load
+        #: meter.
         self.tap = Tap()
         self.tap.attach(self._recorder)
+        # transmit() counts every send into these, inline.
+        self._sends_by_kind = self._recorder.messages.sends_by_kind
+        self._traces = self._recorder.messages.traces
         self._telemetry.attach_to(self.tap)
         # In-flight messages: one wave, and one drain event, per arrival
         # instant.  A wave's buckets are in order of their first send,
@@ -230,10 +236,11 @@ class Network:
     def transmit(self, src: int, dst: int, message: OverlayMessage) -> None:
         """Send ``message`` one hop from ``src`` to ``dst``.
 
-        The hop is announced (and so charged to the message's request)
-        even if it is lost or the destination has crashed — the sender
-        cannot know.  The message joins ``dst``'s bucket of the wave
-        landing at its arrival time.
+        The hop is counted (by kind, and against the message's request,
+        whose trace its first send opens when no ``request`` event did)
+        and announced even if it is lost or the destination has crashed
+        — the sender cannot know.  The message joins ``dst``'s bucket of
+        the wave landing at its arrival time.
         """
         now = self._sim.now
         if self._loss_rate > 0 and self._loss_rng.random() < self._loss_rate:
@@ -244,6 +251,16 @@ class Network:
             if delay is None:
                 delay = self._delay.sample(src, dst)
             arrival = now + delay
+        kind = message.kind
+        self._sends_by_kind[kind] += 1
+        request_id = message.request_id
+        traces = self._traces
+        if request_id in traces:
+            traces[request_id].one_hop_messages += 1
+        else:
+            self._recorder.messages.begin_request(
+                kind, request_id, now
+            ).one_hop_messages = 1
         for fn in self.tap.send:
             fn(message, src, dst, now, arrival)
         if arrival is None:
@@ -306,8 +323,8 @@ class ShardNetwork(Network):
     """The network substrate of one shard worker (see :mod:`repro.sim.shard`).
 
     A shard owns a contiguous arc of the identifier ring.  Every
-    transmission is :meth:`Network.transmit` — announced on the tap and
-    stamped with its arrival time at transmit time, just as in the
+    transmission is :meth:`Network.transmit` — counted, announced on the
+    tap and stamped with its arrival time at transmit time, just as in the
     serial run — and only where it lands differs: a destination inside
     the arc joins the local wave of its arrival instant, a destination
     outside it joins the same-shaped wave of an *outbox* that no drain

@@ -41,6 +41,12 @@ event           arguments                         fired by
 ``match``       node, message, matched            ``PubSubNode``
 ==============  ================================  ======================
 
+The metrics recorder is the first subscriber of every tap, to
+``request`` and ``notify`` only: the hop count is the run's output, not
+an observer, so ``Network.transmit`` counts each send and ``do_deliver``
+each delivery straight into the recorder's dicts, and an unobserved
+run's ``send`` and ``deliver`` are empty loops.
+
 The pub/sub-level request events fire *before* the request is sent: a
 key the requester covers itself is delivered, matched and notified
 synchronously inside the send, and an observer must already hold the

@@ -44,7 +44,7 @@ def test_a_node_that_only_routes_holds_no_containers():
     node = routers[0]
     assert node.promote_replicas(crashed_owner=42) == []
     node._handle_replica_remove(
-        ReplicaRemovePayload(owner=42, subscription_id=7, remaining=1)
+        ReplicaRemovePayload(owner=42, subscription_id=7, remaining=1), None
     )
     assert node._replicas is None
     assert node.replicas == {}  # reading makes the shelves

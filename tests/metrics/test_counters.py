@@ -1,9 +1,18 @@
-"""Message and storage counters."""
+"""Message and storage counters.
+
+A send is counted by ``Network.transmit`` and a delivery by
+``OverlayNetwork.do_deliver``, inline into the recorder's dicts, so the
+counting tests drive those two.
+"""
 
 from types import SimpleNamespace
 
 from repro.metrics.counters import MessageStats, StorageStats
 from repro.overlay.api import MessageKind, OverlayMessage
+from repro.overlay.chord import ChordOverlay
+from repro.overlay.ids import KeySpace
+from repro.overlay.network import Network
+from repro.sim import Simulator
 
 SUB = MessageKind.SUBSCRIPTION
 PUB = MessageKind.PUBLICATION
@@ -15,13 +24,24 @@ def message(kind, request_id, hops=0):
     )
 
 
+def deliver_at(deliveries) -> MessageStats:
+    """Run ``(time, node_id, message)`` deliveries through ``do_deliver``."""
+    sim = Simulator()
+    overlay = ChordOverlay(sim, KeySpace(13))
+    for time, node_id, sent in deliveries:
+        sim.schedule_at(time, overlay.do_deliver, SimpleNamespace(id=node_id), sent)
+    sim.run()
+    return overlay.recorder.messages
+
+
 def test_begin_and_record_sends():
-    stats = MessageStats()
+    network = Network(Simulator())
+    stats = network.recorder.messages
     stats.begin_request(SUB, 1, time=0.0)
-    stats.on_send(message(SUB, 1), 0, 1, 0.1, 0.15)
-    stats.on_send(message(SUB, 1), 1, 2, 0.2, 0.25)
+    network.transmit(0, 1, message(SUB, 1))
+    network.transmit(1, 2, message(SUB, 1))
     stats.begin_request(SUB, 2, time=0.0)
-    stats.on_send(message(SUB, 2), 0, 1, 0.1, 0.15)
+    network.transmit(0, 1, message(SUB, 2))
     assert stats.total_sends(SUB) == 3
     assert stats.total_sends() == 3
     assert stats.hops_per_request(SUB) == [2, 1]
@@ -38,17 +58,16 @@ def test_zero_hop_requests_counted():
 
 
 def test_send_without_begin_creates_trace():
-    stats = MessageStats()
-    stats.on_send(message(PUB, 9), 0, 1, 1.0, 1.05)
+    network = Network(Simulator())
+    network.transmit(0, 1, message(PUB, 9))
+    stats = network.recorder.messages
     assert stats.traces[9].kind is PUB
     assert stats.traces[9].one_hop_messages == 1
 
 
 def test_deliveries_and_dilation():
-    stats = MessageStats()
-    stats.begin_request(SUB, 1, time=0.0)
-    stats.on_deliver(message(SUB, 1, hops=3), 10, 0.5)
-    stats.on_deliver(message(SUB, 1, hops=5), 20, 0.7)
+    first, second = message(SUB, 1, hops=3), message(SUB, 1, hops=5)
+    stats = deliver_at([(0.5, 10, first), (0.7, 20, second)])
     trace = stats.traces[1]
     assert trace.delivery_count == 2
     assert trace.max_path_hops == 5
@@ -61,8 +80,7 @@ def test_delivery_for_unknown_request_ignored():
     # lost every delivery on a shard that had not yet sent for the
     # request (the "K-shard != serial" gap).  It opens the trace, with
     # the kind the message carries, exactly as a first send does.
-    stats = MessageStats()
-    stats.on_deliver(message(PUB, 99, hops=1), 1, 0.25)
+    stats = deliver_at([(0.25, 1, message(PUB, 99, hops=1))])
     trace = stats.traces[99]
     assert trace.kind is PUB
     assert trace.start_time == 0.25
@@ -71,9 +89,10 @@ def test_delivery_for_unknown_request_ignored():
     assert trace.max_path_hops == 1
     # Merged into the partial of the shard that began the request, the
     # earliest start wins and the deliveries concatenate.
-    origin = MessageStats()
+    network = Network(Simulator())
+    origin = network.recorder.messages
     origin.begin_request(PUB, 99, time=0.0)
-    origin.on_send(message(PUB, 99), 0, 1, 0.0, 0.05)
+    network.transmit(0, 1, message(PUB, 99))
     origin.merge_from(stats)
     merged = origin.traces[99]
     assert merged.start_time == 0.0

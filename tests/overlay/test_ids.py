@@ -29,6 +29,10 @@ def test_contains_and_validate():
     assert ks.validate(7) == 7
     with pytest.raises(ConfigurationError):
         ks.validate(16)
+    assert ks.validate(True) is True  # a bool is an int
+    for not_int in (7.0, 7.5, "7", None):
+        with pytest.raises(ConfigurationError, match="not an int"):
+            ks.validate(not_int)
 
 
 def test_wrap():

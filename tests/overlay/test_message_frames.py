@@ -12,22 +12,23 @@ Two shapes, the two ends of how many messages share an arrival instant:
 
 - a **chain**: each handler transmits the next message, so every
   message has an instant, a wave and a kernel event of its own (a
-  unicast route).  Ten calls: ``transmit``, the recorder's
-  ``on_send`` and its ``dict.get``, ``_wave_for``, ``schedule_at``,
-  ``heappush``, ``heappop``, ``_drain``, ``dict.pop``, the handler.
+  unicast route).  Eight calls: ``transmit``, ``_wave_for``,
+  ``schedule_at``, ``heappush``, ``heappop``, ``_drain``, ``dict.pop``,
+  the handler.
 - a **fan**: the ledger micro's shape, every message sent at ``t = 0``
   to one of 64 destinations, so one wave carries them all (an m-cast
-  wave at its widest).  Five calls: ``transmit``, the recorder's
-  ``on_send`` and its ``dict.get``, ``list.append``, the handler — the
-  wave's own dozen are shared by all of them.
+  wave at its widest).  Three calls: ``transmit``, ``list.append``, the
+  handler — the wave's own dozen are shared by all of them.
 
-Both with only the recorder on the tap, which is every run's floor.
-The fan is counted once more under ``Telemetry()`` — tracer and load
-meter subscribed — where a message costs thirteen: the five, the
+Both with only the recorder on the tap, which is every run's floor:
+``transmit`` counts the send into the recorder's dicts inline, with no
+call.  The fan is counted once more under ``Telemetry()`` — tracer and
+load meter subscribed — where a message costs eleven: the three, the
 tracer's ``on_send`` with ``len``, ``Span``, ``list.append`` and the
 two frames of ``kind.value``, the send counter's ``on_send`` and its
-``dict.get``.  (PR 19's tree, which called both observers through
-cached guards, counted fourteen for the same body.)
+``dict.get``.  (While the recorder was a ``send`` subscriber the three
+were five and the eleven thirteen; calling both observers through
+cached guards instead of the tap counted fourteen.)
 
 The budgets are those counts, plus ``ONE_OFF`` calls per run for what
 does not scale with the messages: the profiled body, ``run`` itself,
@@ -38,15 +39,24 @@ bucket without a ``list.append``.  Observed, a fan adds four calls per
 destination for its bucket's ``drain`` event: the load meter's
 ``on_drain``, two ``dict.get`` and a ``len``.
 
+Above the network, the receiving end and the pub/sub layer:
+
+- what a delivery costs from ``do_deliver`` to its payload handler: a
+  publication reaching a node whose store is empty, exactly;
+- what Mapping 3 spends hashing one event's d = 4 attributes: no frame
+  per attribute, exactly (keyed on the Python minor version, whose
+  comprehensions differ).
+
 One budget above the network: what a CAN node adds to a unicast it
 merely forwards — ``receive``, ``route_unicast``, ``_next_hop`` and the
-zone jump's occasional ``bisect`` on the chain's ten.  A forwarder
+zone jump's occasional ``bisect`` on the chain's eight.  A forwarder
 stamps its zone from a memo and never asks its location cache, so the
 count is the one taken before CAN had a location cache, 49 500, less
-the one call each forward's kernel event no longer makes.
+the one call each forward's kernel event no longer makes and the two
+the recorder's ``on_send`` and its ``dict.get`` made.
 And what a CAN node pays to forward a 50-key m-cast once its pointer
-table is current: a fixed six, seven a branch and two a copy, none a
-key.
+table is current: a fixed six, five a branch and two a copy, none a
+key (3.11; Python 3.12 inlines the comprehensions, four fewer).
 Chord's twin needs no constant: a Chord node that forwards an m-cast
 is counted against the same node built without a cache, and one that
 forwards a unicast costs no less than that node does.
@@ -55,7 +65,14 @@ forwards a unicast costs no less than that node does.
 import cProfile
 import gc
 import random
+import sys
 
+import pytest
+
+from repro.core import PubSubSystem
+from repro.core.events import EventSpace
+from repro.core.mappings import make_mapping
+from repro.core.payloads import PublishPayload
 from repro.overlay.api import CastMode, MessageKind, OverlayMessage, next_request_id
 from repro.overlay.can import CanOverlay
 from repro.overlay.chord import ChordOverlay
@@ -66,17 +83,38 @@ from repro.telemetry import Telemetry
 from tests.overlay.test_network_batching import make_message
 
 MESSAGES = 10_000
-CHAIN_BUDGET = 10
-FAN_BUDGET = 5
-OBSERVED_FAN_BUDGET = 13
+CHAIN_BUDGET = 8
+FAN_BUDGET = 3
+OBSERVED_FAN_BUDGET = 11
 ONE_OFF = 4
 DESTINATIONS = 64
 DRAIN_EVENT = 4
 CAN_ROUTES = 500
-CAN_FORWARD_CALLS = 46_000  # for the 7 x CAN_ROUTES extra forwards below
-# One CAN m-cast forward of 50 contiguous keys split into two branches.
-# The greedy grouping this replaced counted 105: a _next_hop per key.
-CAN_MCAST_FORWARD_CALLS = 22
+CAN_FORWARD_CALLS = 39_000  # for the 7 x CAN_ROUTES extra forwards below
+# One CAN m-cast forward of 50 contiguous keys split into two branches,
+# by Python minor version.  The greedy grouping this replaced counted
+# 105 on 3.11: a _next_hop per key.  While the recorder was a ``send``
+# subscriber, 3.11 read 22 and 3.12 read 18.
+CAN_MCAST_FORWARD_CALLS = {(3, 11): 18, (3, 12): 14}
+DELIVERIES = 500
+# One publication delivered at a node with an empty store, from
+# ``do_deliver`` to the handler's return; 3.11 and 3.12 agree.  With
+# the recorder a ``deliver`` subscriber and an ``isinstance`` chain in
+# front of the handler it read 15 (a publication is the chain's third
+# test).
+DELIVERY_CALLS = 9
+EVENTS = 500
+# Mapping 3's event_keys at d = 4, by Python minor version.  With a
+# generator and a ``_hash_value`` frame per attribute (and its
+# ``quantize`` and ``_domain_size``) 3.11 read 18.
+EVENT_KEYS_CALLS = {(3, 11): 2, (3, 12): 1}
+
+
+def minor_budget(budgets: dict, what: str) -> int:
+    budget = budgets.get(sys.version_info[:2])
+    if budget is None:
+        pytest.skip(f"no {what} budget measured for Python {sys.version_info[:2]}")
+    return budget
 
 
 def profiled_calls(body) -> int:
@@ -186,12 +224,13 @@ def test_can_unicast_forward_costs_what_it_did_without_a_cache():
 
 
 def test_can_mcast_forward_costs_one_bisect_per_branch():
-    """22 calls: ``continue_mcast``, its set and list comprehensions,
-    ``sorted`` and two ``len``; per branch a ``bisect_right``, a
-    ``list.append``, the key-set comprehension and the network's four
-    (``transmit``, ``on_send``, ``dict.get``, ``list.append``); and the
-    one copy, ``forwarded_copy`` with its ``__init__`` — the envelope
-    carries the other branch."""
+    """18 calls on 3.11: ``continue_mcast``, its set and list
+    comprehensions, ``sorted`` and two ``len``; per branch a
+    ``bisect_right``, a ``list.append``, the key-set comprehension and
+    the network's two (``transmit``, ``list.append``); and the one
+    copy, ``forwarded_copy`` with its ``__init__`` — the envelope
+    carries the other branch.  3.12 inlines the four comprehensions."""
+    budget = minor_budget(CAN_MCAST_FORWARD_CALLS, "CAN m-cast forward")
     overlay = CanOverlay(Simulator(), KeySpace(13))
     overlay.build_ring(random.Random(7).sample(range(1 << 13), 200))
     ids = overlay.node_ids()
@@ -218,7 +257,68 @@ def test_can_mcast_forward_costs_one_bisect_per_branch():
 
     calls = profiled_calls(body)
     # Exact: the one call that is not a forward is ``body`` itself.
-    assert calls == CAN_MCAST_FORWARD_CALLS * CAN_ROUTES + 1, calls / CAN_ROUTES
+    assert calls == budget * CAN_ROUTES + 1, calls / CAN_ROUTES
+
+
+def test_a_delivery_reaches_its_payload_handler_in_one_dispatch():
+    """9 calls: ``do_deliver`` and the ``list.append`` that charges the
+    delivery to its request; the system's upcall and its ``dict.get``;
+    the node's ``on_deliver`` (one dict read, no call) and the handler,
+    ``_handle_publication``, with its ``len``; the store's ``match``
+    and ``_scan``."""
+    sim = Simulator()
+    overlay = ChordOverlay(sim, KeySpace(13))
+    overlay.build_ring(range(0, 1 << 13, 64))
+    space = EventSpace.uniform(("a1", "a2", "a3", "a4"), 1_000)
+    system = PubSubSystem(
+        sim, overlay, make_mapping("selective-attribute", space, overlay.keyspace)
+    )
+    node = overlay.node(64)
+    payload = PublishPayload(
+        event=space.make_event(a1=1, a2=2, a3=3, a4=4),
+        publisher=0,
+        published_at=0.0,
+    )
+    stats = overlay.recorder.messages
+    messages = []
+    for _ in range(DELIVERIES + 1):
+        message = OverlayMessage(
+            kind=MessageKind.PUBLICATION, payload=payload,
+            request_id=next_request_id(), origin=0, hops=2,
+        )
+        stats.begin_request(message.kind, message.request_id, 0.0)
+        messages.append(message)
+    overlay.do_deliver(node, messages.pop())  # the dedup window made
+
+    def body() -> None:
+        for message in messages:
+            overlay.do_deliver(node, message)
+
+    calls = profiled_calls(body)
+    assert calls == DELIVERY_CALLS * DELIVERIES + 1, calls / DELIVERIES
+    assert len(system.node(64).store) == 0
+    assert all(stats.traces[m.request_id].deliveries == [(64, 0.0)] for m in messages)
+
+
+def test_selective_attribute_event_keys_make_no_frame_per_attribute():
+    """2 calls on 3.11 for d = 4: ``event_keys`` and its list
+    comprehension (``zip`` and ``frozenset`` are types: calling one is
+    no profiled call); 3.12 inlines the comprehension."""
+    budget = minor_budget(EVENT_KEYS_CALLS, "event_keys")
+    space = EventSpace.uniform(("a1", "a2", "a3", "a4"), 1_000_001)
+    mapping = make_mapping("selective-attribute", space, KeySpace(13))
+    rng = random.Random(3)
+    events = [
+        space.make_event(**{a.name: rng.randrange(1_000_001) for a in space.attributes})
+        for _ in range(EVENTS)
+    ]
+
+    def body() -> None:
+        for event in events:
+            mapping.event_keys(event)
+
+    calls = profiled_calls(body)
+    assert calls == budget * EVENTS + 1, calls / EVENTS
 
 
 def test_chord_forwards_cost_what_they_do_without_a_cache():

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.errors import OverlayError
+from repro.errors import ConfigurationError, OverlayError
 from repro.overlay.api import MessageKind, NeighborSide, OverlayMessage, next_request_id
 from repro.overlay.can import CanOverlay
 from repro.overlay.chord import ChordOverlay, ProtocolChordOverlay
@@ -113,6 +113,47 @@ def test_send_validates_key_range(overlay_cls):
     src = overlay.node_ids()[0]
     with pytest.raises(Exception):
         overlay.send(src, KS.size, message(src))
+
+
+#: Keys of another type, some of them equal to a valid key: each is
+#: refused by type at the entry point, before any routing.
+NOT_INT_KEYS = [60.5, 60.0, 3.5, "60", None]
+
+
+@pytest.mark.parametrize("key", NOT_INT_KEYS)
+@pytest.mark.parametrize("overlay_cls", OVERLAYS)
+def test_a_key_that_is_not_an_int_is_refused(overlay_cls, key):
+    sim, overlay = build(overlay_cls)
+    src = overlay.node_ids()[0]
+    delivered = []
+    overlay.set_deliver(lambda nid, m: delivered.append(m))
+    with pytest.raises(ConfigurationError, match="not an int"):
+        overlay.send(src, key, message(src))
+    for cast in (overlay.mcast, overlay.sequential_cast):
+        with pytest.raises(ConfigurationError, match="not an int"):
+            cast(src, [7, key], message(src))
+    with pytest.raises(ConfigurationError, match="not an int"):
+        overlay.owner_of(key)
+    with pytest.raises(ConfigurationError, match="not an int"):
+        overlay.covers(src, key)
+    settle(sim)
+    assert delivered == []
+    assert overlay.recorder.messages.total_sends() == 0
+
+
+@pytest.mark.parametrize("overlay_cls", OVERLAYS)
+def test_a_bool_key_is_an_int(overlay_cls):
+    sim, overlay = build(overlay_cls)
+    src = overlay.node_ids()[0]
+    delivered = []
+    overlay.set_deliver(lambda nid, m: delivered.append(nid))
+    assert overlay.owner_of(True) == overlay.owner_of(1)
+    assert overlay.covers(overlay.owner_of(1), True)
+    overlay.send(src, True, message(src))
+    overlay.mcast(src, [True, 7], message(src))
+    overlay.sequential_cast(src, [True], message(src))
+    settle(sim)
+    assert delivered.count(overlay.owner_of(1)) == 3
 
 
 @pytest.mark.parametrize("overlay_cls", ENTRY_POINT_OVERLAYS)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.system import RoutingMode
+from repro.core import RoutingMode
 from repro.errors import ConfigurationError
 from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig

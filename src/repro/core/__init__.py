@@ -14,7 +14,8 @@ Public entry point: :class:`repro.core.system.PubSubSystem`.
 from repro.core.client import Disjunction, PubSubClient
 from repro.core.events import Attribute, Event, EventSpace
 from repro.core.subscriptions import Constraint, Subscription
-from repro.core.system import PubSubConfig, PubSubSystem, RoutingMode
+from repro.core.system import PubSubConfig, PubSubSystem
+from repro.overlay.api import RoutingMode
 
 __all__ = [
     "Attribute",

@@ -32,7 +32,6 @@ Example:
 from __future__ import annotations
 
 import dataclasses
-import enum
 from typing import Callable
 
 from repro.core.events import Event
@@ -57,25 +56,13 @@ from repro.overlay.api import (
     MessageKind,
     NeighborSide,
     OverlayMessage,
+    OverlayNetwork,
+    RoutingMode,
     next_request_id,
 )
-from repro.overlay.api import OverlayNetwork
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicTimer
 from repro.telemetry import Telemetry
-
-
-class RoutingMode(enum.Enum):
-    """How multi-key requests are propagated (Section 4.3.1).
-
-    ``UNICAST`` is the aggressive baseline (one overlay unicast per
-    key, in parallel); ``MCAST`` is the native one-to-many primitive;
-    ``SEQUENTIAL`` is the conservative key-by-key walk.
-    """
-
-    UNICAST = "unicast"
-    MCAST = "mcast"
-    SEQUENTIAL = "sequential"
 
 
 NotifyHandler = Callable[[int, list[Notification]], None]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.mappings import AKMapping, Discretization, make_mapping
-from repro.core.system import PubSubConfig, RoutingMode
+from repro.core import PubSubConfig, RoutingMode
 from repro.errors import ConfigurationError
 from repro.overlay.api import OverlayNetwork
 from repro.overlay.can import CanOverlay

@@ -15,7 +15,7 @@ import dataclasses
 import math
 from typing import Sequence
 
-from repro.core.system import RoutingMode
+from repro.core import RoutingMode
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.workload.spec import WorkloadSpec

@@ -1,10 +1,10 @@
 """The abstract overlay interface: message helpers and defaults."""
 
 from repro.overlay.api import (
-    CastMode,
     MessageKind,
     NeighborSide,
     OverlayMessage,
+    RoutingMode,
     next_request_id,
 )
 from repro.overlay.chord import ChordOverlay
@@ -43,7 +43,7 @@ def test_forwarded_copy_increments_hops_and_path():
 
 def test_forwarded_copy_can_narrow_targets():
     message = make_message(
-        target_keys=frozenset({1, 2, 3}), mode=CastMode.MCAST
+        target_keys=frozenset({1, 2, 3}), mode=RoutingMode.MCAST
     )
     branch = message.forwarded_copy(via=5, target_keys=frozenset({2}))
     assert branch.target_keys == frozenset({2})

@@ -115,6 +115,25 @@ def test_every_key_delivered_exactly_once_at_its_owner(how, cache):
             assert_exactly_once_at_owners(overlay, keys, deliveries)
 
 
+def test_the_walk_routes_a_picked_key_clockwise_past_half_the_ring():
+    """A walk node that delivers and picks the next key addresses it, as a
+    unicast's sender does: a key more than half the ring ahead goes
+    clockwise, not back through the picker's predecessor as if an arc
+    had overshot it."""
+    sim, overlay = build(random.Random(4).sample(range(SIZE), 40), cache=0)
+    ids = overlay.node_ids()
+    origin, picker = ids[0], ids[5]
+    far = (picker + SIZE // 2 + SIZE // 8) % SIZE
+    predecessor = overlay.predecessor_of(picker)
+    assert overlay.owner_of(far) not in (origin, picker, predecessor)
+    deliveries = cast(sim, overlay, "sequential", origin, [picker, far])
+    assert [nid for nid, _ in deliveries] == [picker, overlay.owner_of(far)]
+    path = list(deliveries[1][1].path[::2])
+    assert path[0] == origin and picker in path
+    after = path[path.index(picker) + 1]
+    assert after == overlay.node(picker)._next_hop(far) != predecessor
+
+
 # -- the m-cast group rule ----------------------------------------------------
 
 # Node 0's slot 9 starts at 512 and is owned by 600; slot 10 starts at

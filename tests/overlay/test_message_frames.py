@@ -73,7 +73,7 @@ from repro.core import PubSubSystem
 from repro.core.events import EventSpace
 from repro.core.mappings import make_mapping
 from repro.core.payloads import PublishPayload
-from repro.overlay.api import CastMode, MessageKind, OverlayMessage, next_request_id
+from repro.overlay.api import MessageKind, OverlayMessage, RoutingMode, next_request_id
 from repro.overlay.can import CanOverlay
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
@@ -244,7 +244,7 @@ def test_can_mcast_forward_costs_one_bisect_per_branch():
         return OverlayMessage(
             kind=MessageKind.SUBSCRIPTION, payload=None,
             request_id=request_id, origin=origin, target_keys=keys,
-            mode=CastMode.MCAST, hops=1, path=(origin, overlay.zone_of(origin)),
+            mode=RoutingMode.MCAST, hops=1, path=(origin, overlay.zone_of(origin)),
         )
 
     node.continue_mcast(forwarded())  # pointer table built, request open
@@ -351,7 +351,7 @@ def test_chord_forwards_cost_what_they_do_without_a_cache():
             for _ in range(times):
                 node._cache.log += (64, 0)  # a touch a reader would fold
                 node.continue_mcast(
-                    forwarded(target_keys=frozenset(keys), mode=CastMode.MCAST)
+                    forwarded(target_keys=frozenset(keys), mode=RoutingMode.MCAST)
                 )
             assert node._table_journal is None  # never read
 

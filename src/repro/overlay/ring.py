@@ -27,6 +27,17 @@ from repro.overlay.network import Network
 from repro.sim.kernel import Simulator
 
 
+def arc_span(node: OverlayNode) -> tuple[int, int]:
+    """A ring node's ``owned_span``: its arc ``(pred, self]`` as
+    ``(start, length)``, the ``length`` keys clockwise from ``start``;
+    the whole ring when it is alone.  Chord and Pastry nodes share it."""
+    overlay = node._overlay
+    me, size = node.id, overlay._key_limit
+    predecessor = overlay._pred[me]
+    # (me - pred - 1) % size + 1: the arc's length, size when pred == me.
+    return (predecessor + 1) % size, (me - predecessor - 1) % size + 1
+
+
 class RingOverlay(OverlayNetwork):
     """Base class: ring membership, KN-mapping and neighbor pointers.
 

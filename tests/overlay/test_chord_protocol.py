@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import OverlayError
+from repro.overlay.api import MessageKind, OverlayMessage, next_request_id
 from repro.overlay.chord.protocol import ProtocolChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
@@ -206,3 +207,33 @@ def test_leave_clears_stale_pointers():
     sim.run_until(sim.now + 60.0)  # successor lists refresh
     for node_id in overlay.node_ids():
         assert victim not in overlay.node(node_id).successor_list
+
+
+def test_a_walk_at_a_node_that_believes_itself_alone_is_delivered_there():
+    """The walk's leg is the node's own unicast, so it ends where that
+    unicast does: a node whose successor and successor list all died
+    has nowhere to send and delivers the walk, once, covered or not."""
+    sim, overlay = build(5, seed=13, successor_list_size=3)
+    overlay.run_until_converged()
+    sim.run_until(sim.now + 20.0)  # populate successor lists
+    me = overlay.node_ids()[0]
+    node = overlay.node(me)
+    for other in overlay.node_ids()[1:]:
+        overlay.crash(other)
+    # No timeout has fired yet: its pointers still name the dead.
+    assert node.predecessor != me and node.live_successor() == me
+    keys = [k for k in range(0, KS.size, 97) if not node.covers(k)][:3]
+    deliveries = []
+    overlay.set_deliver(lambda nid, m: deliveries.append((nid, m)))
+    message = OverlayMessage(
+        kind=MessageKind.PUBLICATION,
+        payload=None,
+        request_id=next_request_id(),
+        origin=me,
+    )
+    overlay.sequential_cast(me, keys, message)
+    ((at, delivered),) = deliveries
+    assert at == me and delivered.hops == 0
+    assert delivered.target_keys == frozenset(keys)
+    trace = overlay.recorder.messages.traces[message.request_id]
+    assert trace.deliveries == [(me, sim.now)] and trace.one_hop_messages == 0

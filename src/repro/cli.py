@@ -35,6 +35,7 @@ from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import render_table
 from repro.experiments.runner import run_experiment
+from repro.telemetry.export import FORMAT_VERSION
 from repro.workload.spec import WorkloadSpec
 
 FIGURES = {
@@ -140,7 +141,9 @@ def _build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report", help="trace, load and audit report of a telemetry export"
     )
-    report.add_argument("path", help="telemetry JSONL export (format v4)")
+    report.add_argument(
+        "path", help=f"telemetry JSONL export (format v{FORMAT_VERSION})"
+    )
     report.add_argument("--json", metavar="OUT", default=None,
                         help="also write every section as one JSON object")
     report.add_argument("--top", type=int, default=10,

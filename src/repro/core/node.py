@@ -11,6 +11,7 @@ callbacks of Section 4.1.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from repro.core.buffering import NotificationBuffer, agent_key_for
@@ -22,11 +23,11 @@ from repro.core.payloads import (
     ReplicaPayload,
     ReplicaRemovePayload,
     StateTransferPayload,
-    StoredEntrySnapshot,
+    StoredSubscription,
     SubscribePayload,
     UnsubscribePayload,
 )
-from repro.core.rendezvous import StoredSubscription, SubscriptionStore
+from repro.core.rendezvous import SubscriptionStore
 from repro.overlay.api import NeighborSide, OverlayMessage
 
 if TYPE_CHECKING:
@@ -44,7 +45,7 @@ class PubSubNode:
     # Most nodes only route: each is made at the first entry it holds.
     _seen_publications: OrderedDict[int, None] | None = None
     _seen_notifications: OrderedDict[tuple[int, int], None] | None = None
-    _replicas: dict[int, dict[int, StoredEntrySnapshot]] | None = None
+    _replicas: dict[int, dict[int, StoredSubscription]] | None = None
 
     def __init__(self, node_id: int, system: "PubSubSystem") -> None:
         self.id = node_id
@@ -58,7 +59,7 @@ class PubSubNode:
         self.buffer = NotificationBuffer() if system.config.buffering else None
 
     @property
-    def replicas(self) -> dict[int, dict[int, StoredEntrySnapshot]]:
+    def replicas(self) -> dict[int, dict[int, StoredSubscription]]:
         """Replica shelves by the owner that pushed them (made on read)."""
         if self._replicas is None:
             self._replicas = {}
@@ -91,15 +92,25 @@ class PubSubNode:
         assert message.key is not None
         return {message.key}
 
+    def held_keys(self, entry: StoredSubscription) -> list[int]:
+        """The keys of SK(σ) in this node's span: why ``entry`` is here."""
+        overlay = self._system._overlay
+        start, length = overlay.node(self.id).owned_span()
+        size = overlay.keyspace.size
+        return [
+            key
+            for group in entry.payload.groups
+            for key in group
+            if (key - start) % size < length
+        ]
+
     def _handle_subscribe(
         self, payload: SubscribePayload, message: OverlayMessage
     ) -> None:
-        keys_here = self.covered_targets(message)
-        now = self._system._sim.now
-        entry = self.store.put(payload, keys_here, now)
+        entry = self.store.put(payload, None, self._system._sim.now)
         for fn in self._system.tap.store:
-            fn(self, keys_here)
-        self._system.replicate_entry(self.id, entry.snapshot())
+            fn(self, message)
+        self._system.replicate_entry(self.id, entry)
 
     def _handle_unsubscribe(
         self, payload: UnsubscribePayload, message: OverlayMessage
@@ -154,8 +165,8 @@ class PubSubNode:
             )
 
     def _agent_for(self, entry: StoredSubscription) -> int:
-        anchor = min(entry.keys_here) if entry.keys_here else self.id
-        return agent_key_for(entry.payload.groups, anchor)
+        held = self.held_keys(entry)
+        return agent_key_for(entry.payload.groups, min(held) if held else self.id)
 
     # -- buffering / collecting ----------------------------------------------
 
@@ -241,8 +252,8 @@ class PubSubNode:
         if replicas is None:
             replicas = self._replicas = {}
         shelf = replicas.setdefault(payload.owner, {})
-        for snapshot in payload.entries:
-            shelf[snapshot.payload.subscription.subscription_id] = snapshot
+        for entry in payload.entries:
+            shelf[entry.payload.subscription.subscription_id] = entry
         if payload.remaining > 1:
             self._system.forward_replica(
                 self.id,
@@ -269,69 +280,62 @@ class PubSubNode:
                 ),
             )
 
-    def promote_replicas(self, crashed_owner: int) -> list[StoredEntrySnapshot]:
+    def promote_replicas(self, crashed_owner: int) -> list[StoredSubscription]:
         """Adopt the replicas held for a crashed ring neighbor.
 
         The crashed node's key interval is now covered by this node, so
         its replicated subscriptions become live entries here.  Returns
-        the promoted snapshots so the system can re-replicate them.
+        the promoted entries so the system can re-replicate them.
         """
         shelf = (self._replicas or {}).pop(crashed_owner, {})
         now = self._system._sim.now
         promoted = []
-        for snapshot in shelf.values():
-            if snapshot.expire_at is not None and now >= snapshot.expire_at:
+        for entry in shelf.values():
+            if entry.expire_at is not None and now >= entry.expire_at:
                 continue
-            self.store.restore(snapshot)
-            promoted.append(snapshot)
+            self.store.restore(entry)
+            promoted.append(entry)
         return promoted
 
     def _handle_state_transfer(
         self, payload: StateTransferPayload, message: OverlayMessage
     ) -> None:
-        for snapshot in payload.entries:
-            self.store.restore(snapshot)
+        for entry in payload.entries:
+            self.store.restore(entry)
 
     def extract_entries_for_range(
         self, key_range: tuple[int, int]
-    ) -> list[StoredEntrySnapshot]:
-        """Detach the stored keys falling in ``(left, right]`` (churn).
+    ) -> list[StoredSubscription]:
+        """The entries with a key of SK(σ) in ``(left, right]`` (churn).
 
-        Entries whose every rendezvous key moved are dropped locally;
-        entries that also cover keys outside the range stay (minus the
-        moved keys).  Returns snapshots carrying exactly the moved keys.
+        Each goes to the range's new owner, and stays here too while a
+        key of SK(σ) outside the range is still in this node's span
+        (read once: on a join the overlay has already moved the range
+        away; on a leave the span is the range itself).
         """
-        moved: list[StoredEntrySnapshot] = []
-        if not len(self.store):  # churn probes every node; most are empty
+        store = self.store
+        moved: list[StoredSubscription] = []
+        if not len(store):  # churn probes every node; most are empty
             return moved
-        keyspace = self._system.overlay.keyspace
+        overlay = self._system._overlay
+        start, length = overlay.node(self.id).owned_span()
+        size = overlay.keyspace.size
         left, right = key_range
-        # Inline ``in_open_closed``: this scan visits every stored entry
-        # on every join/leave, so the per-key cost must stay at two int
-        # ops.  key in (left, right] <=> 0 < (key-left) <= (right-left),
-        # both mod the ring size; left == right means the whole ring.
-        size = keyspace.size
-        whole = left == right
-        span = (right - left) % size
-        for entry in self.store.entries():
-            if whole:
-                in_range = set(entry.keys_here)
-            else:
-                in_range = {
-                    k for k in entry.keys_here if 0 < (k - left) % size <= span
-                }
-            if not in_range:
-                continue
-            moved.append(
-                StoredEntrySnapshot(
-                    payload=entry.payload,
-                    keys_here=tuple(sorted(in_range)),
-                    expire_at=entry.expire_at,
-                )
-            )
-            self.store.remove_keys(
-                entry.subscription.subscription_id, in_range
-            )
+        # key in (left, right] <=> (key - first) % size < width, as an
+        # owned span; left == right means the whole ring.  Both tests are
+        # inline: this scan visits every stored key on every join/leave.
+        first, width = left + 1, (right - left - 1) % size + 1
+        for entry in store.entries():
+            ships = stays = False
+            for key in chain.from_iterable(entry.payload.groups):
+                if (key - first) % size < width:
+                    ships = True
+                elif (key - start) % size < length:
+                    stays = True
+            if ships:
+                moved.append(entry)
+                if not stays:
+                    store.remove(entry.payload.subscription.subscription_id)
         return moved
 
 

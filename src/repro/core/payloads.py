@@ -4,7 +4,7 @@ The CB-pub/sub layer exchanges five payload types through the overlay:
 subscription installs/removals toward SK(σ), publications toward EK(e),
 notifications back to subscribers, neighbor-to-neighbor COLLECT
 aggregation (Section 4.3.2), and replication/state-transfer control
-traffic (Section 4.1).
+traffic (Section 4.1), which ships stored records as they are.
 
 All payload classes are frozen *slotted* dataclasses: at sharded-run
 populations (10^5 nodes, 10^6 publications) the per-instance ``__dict__``
@@ -107,25 +107,43 @@ class CollectPayload:
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
-class StoredEntrySnapshot:
-    """Serializable image of a stored subscription (replication, churn).
+class StoredSubscription:
+    """One subscription resident at a rendezvous node.
+
+    Replication and state transfer ship the record as it is.  The keys
+    that hold it at a node are not part of it: they are SK(σ) (the
+    payload's ``groups``) within the node's span, read when needed
+    (:meth:`~repro.core.node.PubSubNode.held_keys`), so they follow
+    ownership through every join, leave and crash.
 
     Attributes:
-        payload: The original install payload.
-        keys_here: Rendezvous keys of σ held by the snapshotting node.
-        expire_at: Absolute expiry time, or None.
+        payload: The install payload (subscription, subscriber, groups).
+        expire_at: Absolute simulated expiry time, or None.
     """
 
     payload: SubscribePayload
-    keys_here: tuple[int, ...]
     expire_at: float | None
+
+    @property
+    def subscription(self) -> Subscription:
+        """The stored subscription."""
+        return self.payload.subscription
+
+    @property
+    def subscriber(self) -> int:
+        """Overlay id of the subscribing node."""
+        return self.payload.subscriber
+
+    def expired(self, now: float) -> bool:
+        """True once the expiry time has passed."""
+        return self.expire_at is not None and now >= self.expire_at
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class StateTransferPayload:
     """Bulk move of stored subscriptions between ring neighbors."""
 
-    entries: tuple[StoredEntrySnapshot, ...]
+    entries: tuple[StoredSubscription, ...]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -139,7 +157,7 @@ class ReplicaPayload:
     """
 
     owner: int
-    entries: tuple[StoredEntrySnapshot, ...]
+    entries: tuple[StoredSubscription, ...]
     remaining: int = 1
 
 

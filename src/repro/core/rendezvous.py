@@ -1,17 +1,15 @@
 """The rendezvous subscription store (Section 4.1).
 
-Each node stores the subscriptions whose SK keys it covers, remembers
-the subscriber and the keys that put the subscription here, enforces
+Each node stores the subscriptions whose SK keys it covers, one
+:class:`~repro.core.payloads.StoredSubscription` record each, enforces
 expiration times (the paper's stand-in for unsubscriptions, Section
 5.1), and matches incoming events against the live entries.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.core.events import Event, EventSpace
-from repro.core.payloads import StoredEntrySnapshot, SubscribePayload
+from repro.core.payloads import StoredSubscription, SubscribePayload
 from repro.core.subscriptions import Subscription
 from repro.errors import DataModelError
 from repro.matching import (
@@ -39,45 +37,6 @@ _ENGINES = {
 #: 12-15 installs (index / scan time 1.30 below 8, 1.03 at 8-11, 0.98
 #: at 12-15, 0.81 at 16-23, 0.32 past 128), so the index pays from 16.
 SCAN_LIMIT = 16
-
-
-@dataclasses.dataclass
-class StoredSubscription:
-    """One subscription resident at a rendezvous node.
-
-    Attributes:
-        payload: The install payload (subscription, subscriber, groups).
-        keys_here: The subset of SK(σ) covered by this node.  Tracked so
-            that churn can move exactly the keys that change ownership
-            (Section 4.1) and so the collecting agent can be derived.
-        expire_at: Absolute simulated expiry time, or None.
-    """
-
-    payload: SubscribePayload
-    keys_here: set[int]
-    expire_at: float | None
-
-    @property
-    def subscription(self) -> Subscription:
-        """The stored subscription."""
-        return self.payload.subscription
-
-    @property
-    def subscriber(self) -> int:
-        """Overlay id of the subscribing node."""
-        return self.payload.subscriber
-
-    def expired(self, now: float) -> bool:
-        """True once the expiry time has passed."""
-        return self.expire_at is not None and now >= self.expire_at
-
-    def snapshot(self) -> StoredEntrySnapshot:
-        """Serializable image for replication and state transfer."""
-        return StoredEntrySnapshot(
-            payload=self.payload,
-            keys_here=tuple(sorted(self.keys_here)),
-            expire_at=self.expire_at,
-        )
 
 
 class SubscriptionStore:
@@ -178,24 +137,31 @@ class SubscriptionStore:
         return self._entries.get(subscription_id)
 
     def put(
-        self,
-        payload: SubscribePayload,
-        keys_here: set[int],
-        now: float,
-        expire_at: float | None = None,
+        self, payload: SubscribePayload, keys: object, now: float
     ) -> StoredSubscription:
-        """Install (or refresh) a subscription.
+        """Install (or refresh) a subscription received at ``now``.
 
-        Re-installs are idempotent on the matcher and merge the covered
-        key sets — with per-key unicast propagation (the aggressive
-        baseline) the same node legitimately receives one copy per
-        covered key.  A refresh restarts the TTL clock.
+        With per-key unicast propagation (the aggressive baseline) the
+        same node legitimately receives one copy per covered key, so a
+        re-install is idempotent on the matcher.  A refresh replaces the
+        record, which restarts the TTL clock.
         """
+        # keys is accepted and ignored: the ledger's rendezvous micro
+        # (benchmarks/ledger/micro.py) still passes a key set.
+        ttl = payload.ttl
+        return self.restore(
+            StoredSubscription(payload, None if ttl is None else now + ttl)
+        )
+
+    def restore(self, entry: StoredSubscription) -> StoredSubscription:
+        """Install a shipped record as it is (its absolute expiry kept),
+        replacing a resident record of the same subscription."""
+        payload = entry.payload
         sid = payload.subscription.subscription_id
-        if expire_at is None and payload.ttl is not None:
-            expire_at = now + payload.ttl
-        entry = self._entries.get(sid)
-        if entry is None:
+        entries = self._entries
+        if sid in entries:
+            entries[sid] = entry
+        else:
             space = payload.subscription.space
             if space is not self._space:
                 if space != self._space:
@@ -204,10 +170,6 @@ class SubscriptionStore:
                 # adopt it, so the checks against events from the same
                 # trace, here and in the engine, hit on identity.
                 self._space = space
-            entry = StoredSubscription(
-                payload=payload, keys_here=set(keys_here), expire_at=expire_at
-            )
-            entries = self._entries
             entries[sid] = entry
             if self._matcher is not None:
                 self._index(payload.subscription)
@@ -218,9 +180,6 @@ class SubscriptionStore:
                     self._covering = CoveringIndex()
                 for resident in entries.values():
                     self._index(resident.payload.subscription)
-        else:
-            entry.keys_here.update(keys_here)
-            entry.expire_at = expire_at
         return entry
 
     def _index(self, subscription: Subscription) -> None:
@@ -237,15 +196,6 @@ class SubscriptionStore:
             for demoted_id in demoted:
                 matcher.remove(demoted_id)
         self._sync_cover_stats()
-
-    def restore(self, snapshot: StoredEntrySnapshot) -> StoredSubscription:
-        """Install from a snapshot, preserving its absolute expiry."""
-        return self.put(
-            snapshot.payload,
-            keys_here=set(snapshot.keys_here),
-            now=0.0,
-            expire_at=snapshot.expire_at,
-        )
 
     def remove(self, subscription_id: int) -> bool:
         """Drop a subscription entirely; True if it was resident.
@@ -273,22 +223,6 @@ class SubscriptionStore:
                     matcher.add(subscription)
             self._sync_cover_stats()
         return True
-
-    def remove_keys(
-        self, subscription_id: int, keys: set[int]
-    ) -> StoredSubscription | None:
-        """Detach ``keys`` from an entry, dropping it when none remain.
-
-        Returns the (possibly removed) entry so churn handlers can ship
-        it to the new owner.
-        """
-        entry = self._entries.get(subscription_id)
-        if entry is None:
-            return None
-        entry.keys_here -= keys
-        if not entry.keys_here:
-            self.remove(subscription_id)
-        return entry
 
     def purge_expired(self, now: float) -> int:
         """Drop every expired entry; returns how many were removed."""

@@ -45,7 +45,7 @@ from repro.core.payloads import (
     ReplicaPayload,
     ReplicaRemovePayload,
     StateTransferPayload,
-    StoredEntrySnapshot,
+    StoredSubscription,
     SubscribePayload,
     UnsubscribePayload,
 )
@@ -246,9 +246,8 @@ class PubSubSystem:
         node = self._nodes.get(owner)
         if node is None or not self._overlay.is_alive(owner):
             return
-        promoted = node.promote_replicas(crashed)
-        for snapshot in promoted:
-            self.replicate_entry(owner, snapshot)
+        for entry in node.promote_replicas(crashed):
+            self.replicate_entry(owner, entry)
 
     # -- application API ------------------------------------------------------
 
@@ -391,13 +390,13 @@ class PubSubSystem:
 
     # -- replication (Section 4.1) ---------------------------------------------
 
-    def replicate_entry(self, owner: int, snapshot: StoredEntrySnapshot) -> None:
+    def replicate_entry(self, owner: int, entry: StoredSubscription) -> None:
         """Push one stored entry to the owner's successor chain."""
         if self._config.replication_factor < 1:
             return
         payload = ReplicaPayload(
             owner=owner,
-            entries=(snapshot,),
+            entries=(entry,),
             remaining=self._config.replication_factor,
         )
         self.forward_replica(owner, payload)

@@ -129,14 +129,15 @@ class LoadMeter:
         """A pub/sub node came up: its matcher reports to our handle."""
         node.store.attach_match_stats(self.match_work_for(node.id))
 
-    def on_store(self, node, keys) -> None:
-        """One subscription installed at ``node`` under ``keys``."""
+    def on_store(self, node, message) -> None:
+        """One subscription installed at ``node``: charge the keys of
+        ``message`` it covers."""
         node_id = node.id
         self.subscriptions_stored[node_id] = (
             self.subscriptions_stored.get(node_id, 0) + 1
         )
         key_subscriptions = self.key_subscriptions
-        for key in keys:
+        for key in node.covered_targets(message):
             key_subscriptions[key] = key_subscriptions.get(key, 0) + 1
 
     def on_match(self, node, message, matched) -> None:

@@ -37,7 +37,8 @@ event           arguments                         fired by
                                                   (before deduplication)
 ``join``        node                              ``PubSubSystem`` (a
                                                   ``PubSubNode`` came up)
-``store``       node, keys                        ``PubSubNode``
+``store``       node, message                     ``PubSubNode`` (σ
+                                                  installed or refreshed)
 ``match``       node, message, matched            ``PubSubNode``
 ==============  ================================  ======================
 

@@ -5,7 +5,12 @@ import random
 from repro.core import EventSpace, PubSubSystem, Subscription
 from repro.core.mappings import make_mapping
 from repro.core.node import SEEN_PUBLICATIONS_LIMIT
-from repro.core.payloads import Notification, ReplicaRemovePayload, SubscribePayload
+from repro.core.payloads import (
+    Notification,
+    ReplicaRemovePayload,
+    StoredSubscription,
+    SubscribePayload,
+)
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
@@ -72,23 +77,64 @@ def test_fresh_notifications_dedupes_and_bounds():
     assert node.fresh_notifications((first,)) == [first]
 
 
-def test_extract_entries_for_range_partial_and_total():
+def widest(system):
+    """The node with the longest span, its span and the key-space size."""
+    overlay = system.overlay
+    node_id = max(overlay.node_ids(), key=lambda i: overlay.node(i).owned_span()[1])
+    return system.node(node_id), overlay.node(node_id).owned_span(), KS.size
+
+
+def test_held_keys_are_sk_within_the_span():
     sim, system = build()
-    node = system.node(system.overlay.node_ids()[0])
+    node, (start, length), size = widest(system)
+    inside = [(start + offset) % size for offset in (0, length // 2, length - 1)]
+    outside = [(start + length) % size, (start - 1) % size]
     sigma = Subscription.build(SPACE, a1=(0, 10))
     payload = SubscribePayload(
-        subscription=sigma, subscriber=3, ttl=None, groups=((5, 6, 7),)
+        subscription=sigma,
+        subscriber=3,
+        ttl=None,
+        groups=((outside[0], inside[0]), (inside[1], outside[1], inside[2])),
     )
-    node.store.put(payload, {5, 6, 7}, now=0.0)
-    # Move keys 5 and 6 only: the entry stays with key 7.
-    moved = node.extract_entries_for_range((4, 6))
-    assert len(moved) == 1
-    assert moved[0].keys_here == (5, 6)
-    remaining = node.store.get(sigma.subscription_id)
-    assert remaining is not None and remaining.keys_here == {7}
-    # Move the rest: the entry leaves the store entirely.
-    moved = node.extract_entries_for_range((6, 7))
-    assert moved[0].keys_here == (7,)
+    entry = node.store.put(payload, None, now=0.0)
+    assert node.held_keys(entry) == inside
+    assert all(system.overlay.covers(node.id, key) for key in inside)
+
+
+def test_extract_entries_for_range_partial_and_total():
+    sim, system = build()
+    node, (start, length), size = widest(system)
+    assert length >= 3
+    k0, k1, k2 = ((start + offset) % size for offset in range(3))
+    sigma = Subscription.build(SPACE, a1=(0, 10))
+    payload = SubscribePayload(
+        subscription=sigma, subscriber=3, ttl=None, groups=((k0, k1, k2),)
+    )
+    entry = node.store.put(payload, None, now=0.0)
+    # Move k0 and k1 only: the entry ships and stays, held for k2.
+    moved = node.extract_entries_for_range(((k0 - 1) % size, k1))
+    assert moved == [entry]
+    assert node.store.get(sigma.subscription_id) is entry
+    # Move all three: no key of SK(σ) is left in the span, so it goes.
+    moved = node.extract_entries_for_range(((k0 - 1) % size, k2))
+    assert moved == [entry]
+    assert sigma.subscription_id not in node.store
+
+
+def test_extract_drops_an_entry_with_no_key_left_in_the_span():
+    # SK(σ) also names a key outside this node's span: once the key it
+    # held moves, the node has no key of σ left and drops it.
+    sim, system = build()
+    node, (start, length), size = widest(system)
+    far = (start + length) % size
+    assert not system.overlay.covers(node.id, far)
+    sigma = Subscription.build(SPACE, a1=(0, 10))
+    payload = SubscribePayload(
+        subscription=sigma, subscriber=3, ttl=None, groups=((start, far),)
+    )
+    node.store.put(payload, None, now=0.0)
+    moved = node.extract_entries_for_range(((start - 1) % size, start))
+    assert [e.subscription for e in moved] == [sigma]
     assert sigma.subscription_id not in node.store
 
 
@@ -99,7 +145,7 @@ def test_extract_entries_ignores_out_of_range():
     payload = SubscribePayload(
         subscription=sigma, subscriber=3, ttl=None, groups=((100,),)
     )
-    node.store.put(payload, {100}, now=0.0)
+    node.store.put(payload, None, now=0.0)
     assert node.extract_entries_for_range((200, 300)) == []
     assert sigma.subscription_id in node.store
 
@@ -110,28 +156,23 @@ def test_promote_replicas_skips_expired():
     node = system.node(system.overlay.node_ids()[0])
     sigma_live = Subscription.build(SPACE, a1=(0, 10))
     sigma_dead = Subscription.build(SPACE, a1=(20, 30))
-    from repro.core.payloads import StoredEntrySnapshot
-
-    node.replicas[42] = {
-        sigma_live.subscription_id: StoredEntrySnapshot(
-            payload=SubscribePayload(
-                subscription=sigma_live, subscriber=1, ttl=None, groups=((1,),)
-            ),
-            keys_here=(1,),
-            expire_at=None,
+    live = StoredSubscription(
+        payload=SubscribePayload(
+            subscription=sigma_live, subscriber=1, ttl=None, groups=((1,),)
         ),
-        sigma_dead.subscription_id: StoredEntrySnapshot(
+        expire_at=None,
+    )
+    node.replicas[42] = {
+        sigma_live.subscription_id: live,
+        sigma_dead.subscription_id: StoredSubscription(
             payload=SubscribePayload(
                 subscription=sigma_dead, subscriber=1, ttl=None, groups=((2,),)
             ),
-            keys_here=(2,),
             expire_at=50.0,  # already past at t=100
         ),
     }
     promoted = node.promote_replicas(42)
-    assert [s.payload.subscription.subscription_id for s in promoted] == [
-        sigma_live.subscription_id
-    ]
-    assert sigma_live.subscription_id in node.store
+    assert promoted == [live]
+    assert node.store.get(sigma_live.subscription_id) is live
     assert sigma_dead.subscription_id not in node.store
     assert 42 not in node.replicas

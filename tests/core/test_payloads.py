@@ -1,4 +1,4 @@
-"""Payload dataclasses: snapshots, replication chains, immutability."""
+"""Payload dataclasses: shipped records, replication chains, immutability."""
 
 import dataclasses
 
@@ -10,7 +10,7 @@ from repro.core.payloads import (
     NotifyPayload,
     ReplicaPayload,
     ReplicaRemovePayload,
-    StoredEntrySnapshot,
+    StoredSubscription,
     SubscribePayload,
 )
 from repro.core.subscriptions import Subscription
@@ -34,20 +34,21 @@ def test_payloads_are_frozen():
 
 
 def test_snapshot_is_self_contained():
+    # The stored record is what replication and state transfer ship: it
+    # names the subscriber and SK(σ) through its payload, and is frozen.
     payload = make_subscribe(ttl=30.0)
-    snapshot = StoredEntrySnapshot(
-        payload=payload, keys_here=(2, 1), expire_at=42.0
-    )
-    assert snapshot.payload.subscriber == 9
-    assert snapshot.expire_at == 42.0
-    assert snapshot.keys_here == (2, 1)
+    entry = StoredSubscription(payload=payload, expire_at=42.0)
+    assert entry.subscriber == 9
+    assert entry.expire_at == 42.0
+    assert entry.payload.groups == ((1, 2),)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.expire_at = 50.0  # type: ignore[misc]
+    assert not hasattr(entry, "__dict__")
 
 
 def test_replica_chain_decrement_semantics():
-    snapshot = StoredEntrySnapshot(
-        payload=make_subscribe(), keys_here=(1,), expire_at=None
-    )
-    first = ReplicaPayload(owner=5, entries=(snapshot,), remaining=3)
+    entry = StoredSubscription(payload=make_subscribe(), expire_at=None)
+    first = ReplicaPayload(owner=5, entries=(entry,), remaining=3)
     second = ReplicaPayload(
         owner=first.owner, entries=first.entries, remaining=first.remaining - 1
     )

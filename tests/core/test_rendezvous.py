@@ -1,4 +1,4 @@
-"""The rendezvous subscription store: idempotence, expiry, key tracking."""
+"""The rendezvous subscription store: idempotence, expiry, restore."""
 
 import random
 
@@ -37,14 +37,16 @@ def test_put_and_match():
     assert store.match(SPACE.make_event(a1=25, a2=0), now=1.0) == []
 
 
-def test_put_is_idempotent_and_merges_keys():
+def test_put_is_idempotent_and_replaces_the_record():
     store = SubscriptionStore(SPACE)
     payload = make_payload()
-    store.put(payload, {1}, now=0.0)
-    store.put(payload, {2}, now=0.0)
+    first = store.put(payload, {1}, now=0.0)
+    second = store.put(payload, {2}, now=0.0)
     assert len(store) == 1
-    entry = store.get(payload.subscription.subscription_id)
-    assert entry is not None and entry.keys_here == {1, 2}
+    assert store.get(payload.subscription.subscription_id) is second
+    assert second is not first and second == first
+    matched = store.match(SPACE.make_event(a1=15, a2=0), now=1.0)
+    assert matched == [second]
 
 
 def test_ttl_sets_expiry_and_refresh_restarts_clock():
@@ -54,7 +56,8 @@ def test_ttl_sets_expiry_and_refresh_restarts_clock():
     entry = store.get(payload.subscription.subscription_id)
     assert entry.expire_at == 10.0
     store.put(payload, {1}, now=5.0)
-    assert entry.expire_at == 15.0
+    assert entry.expire_at == 10.0  # the record is frozen; the refresh replaced it
+    assert store.get(payload.subscription.subscription_id).expire_at == 15.0
 
 
 def test_expired_entries_not_matched_and_purged():
@@ -86,32 +89,21 @@ def test_remove():
     assert sid not in store
 
 
-def test_remove_keys_partial_and_full():
-    store = SubscriptionStore(SPACE)
-    payload = make_payload()
-    store.put(payload, {1, 2, 3}, now=0.0)
-    sid = payload.subscription.subscription_id
-    store.remove_keys(sid, {1})
-    assert store.get(sid).keys_here == {2, 3}
-    store.remove_keys(sid, {2, 3})
-    assert sid not in store
-
-
-def test_remove_keys_unknown_subscription():
-    store = SubscriptionStore(SPACE)
-    assert store.remove_keys(999_999_999, {1}) is None
-
-
 def test_snapshot_restore_roundtrip_preserves_expiry():
+    # Replication and state transfer ship the stored record as it is.
     store = SubscriptionStore(SPACE)
     payload = make_payload(ttl=50.0)
     entry = store.put(payload, {4, 5}, now=10.0)
-    snapshot = entry.snapshot()
     other = SubscriptionStore(SPACE)
-    restored = other.restore(snapshot)
+    restored = other.restore(entry)
+    assert restored is entry
+    assert other.get(payload.subscription.subscription_id) is entry
     assert restored.expire_at == 60.0
-    assert restored.keys_here == {4, 5}
     assert restored.subscriber == 7
+    # Restoring over a resident record replaces it, expiry included.
+    later = store.put(payload, {4}, now=30.0)
+    assert other.restore(later).expire_at == 80.0
+    assert len(other) == 1
 
 
 def test_grid_matcher_backend():
@@ -183,7 +175,6 @@ def test_a_store_that_never_held_anything(engine):
     store = SubscriptionStore(SPACE, engine)
     assert store.match(SPACE.make_event(a1=15, a2=0), now=0.0) == []
     assert store.remove(123) is False
-    assert store.remove_keys(123, {1}) is None
     assert store.purge_expired(now=5.0) == 0
     assert store.live_count(now=5.0) == 0
     assert len(store) == 0 and store.entries() == []

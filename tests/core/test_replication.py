@@ -133,7 +133,7 @@ def test_join_pulls_state_from_successor():
     holder = holders[0]
     entry = system.node(holder).store.get(sigma.subscription_id)
     # Join a node that takes over one of the holder's stored keys.
-    stolen_key = min(entry.keys_here)
+    stolen_key = min(system.node(holder).held_keys(entry))
     new_id = stolen_key  # node id == key: it will cover that key exactly
     if system.overlay.is_alive(new_id):
         return  # unlucky layout; covered by other seeds
@@ -141,11 +141,50 @@ def test_join_pulls_state_from_successor():
     sim.run()
     assert sigma.subscription_id in system.node(new_id).store
     new_entry = system.node(new_id).store.get(sigma.subscription_id)
-    assert stolen_key in new_entry.keys_here
+    assert stolen_key in system.node(new_id).held_keys(new_entry)
     # The old holder no longer claims the stolen key.
     old_entry = system.node(holder).store.get(sigma.subscription_id)
     if old_entry is not None:
-        assert stolen_key not in old_entry.keys_here
+        assert stolen_key not in system.node(holder).held_keys(old_entry)
+
+
+def test_heir_hands_on_inherited_keys_after_a_crash():
+    # Without replication, the heir of a crashed holder matches σ on the
+    # keys it inherited.  A node that later joins inside the crashed
+    # node's old arc must still receive σ from the heir's state transfer.
+    sim, system = build_system(PubSubConfig(replication_factor=0))
+    overlay = system.overlay
+    received = []
+    system.set_global_notify_handler(lambda nid, ns: received.extend(ns))
+    sigma = full_subscription()
+    subscriber = overlay.node_ids()[60]
+    system.subscribe(subscriber, sigma)
+    sim.run()
+    keys = sorted(system.mapping.subscription_keys(sigma))
+    victim = overlay.owner_of(keys[0])
+    heir = overlay.successor_of(victim)
+    # SK(σ) spans both nodes; the subscriber is neither.
+    assert sigma.subscription_id in system.node(heir).store
+    assert subscriber not in (victim, heir)
+    old_arc = [k for k in keys if overlay.covers(victim, k)]
+    system.crash_node(victim)
+    sim.run()
+    joiner = old_arc[0]  # node id == key: it covers that key exactly
+    system.add_node(joiner)
+    sim.run()
+    assert sigma.subscription_id in system.node(joiner).store
+    # A publication whose only rendezvous key in SK(σ) is the joiner's.
+    event = next(
+        event
+        for a1 in range(1000, 30_001, 7)
+        for event in [SPACE.make_event(**{**MATCHING, "a1": a1})]
+        if system.mapping.event_keys(event) & set(keys) == {joiner}
+    )
+    system.publish(overlay.node_ids()[90], event)
+    sim.run()
+    assert [(n.subscription_id, n.matched_at) for n in received] == [
+        (sigma.subscription_id, joiner)
+    ]
 
 
 def test_unsubscribe_cleans_replicas():

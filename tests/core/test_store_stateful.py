@@ -1,10 +1,9 @@
 """Model-based (stateful) testing of the rendezvous subscription store.
 
 Hypothesis drives random interleavings of put / refresh / remove /
-remove_keys / purge / clock-advance against a simple reference model
-and checks the store agrees after every step — the kind of interleaving
-bugs (expiry vs refresh vs partial key removal) example-based tests
-miss.  A work handle is attached before the first put, as the load
+purge / clock-advance against a simple reference model and checks the
+store agrees after every step — the kind of interleaving bugs (expiry
+vs refresh vs removal) example-based tests miss.  A work handle is attached before the first put, as the load
 meter does at join, and must count every match the store's scan, its
 engine (made by the put that brings it to ``SCAN_LIMIT`` entries) and
 the covering descent perform.
@@ -39,7 +38,7 @@ class StoreMachine(RuleBasedStateMachine):
         self.work = MatchWork(0)
         self.store.attach_match_stats(self.work)
         self.now = 0.0
-        # Model: sid -> (payload, keys, expire_at or None)
+        # Model: sid -> (payload, expire_at or None)
         self.model: dict[int, tuple] = {}
         self.payloads: list = []
         self.peak = 0  # most entries the store has held
@@ -66,9 +65,7 @@ class StoreMachine(RuleBasedStateMachine):
         self.payloads.append(payload)
         self.store.put(payload, set(keys), self.now)
         expire_at = None if ttl is None else self.now + ttl
-        self.model[payload.subscription.subscription_id] = (
-            payload, set(keys), expire_at,
-        )
+        self.model[payload.subscription.subscription_id] = (payload, expire_at)
         self.peak = max(self.peak, len(self.store))
 
     @rule(
@@ -93,11 +90,7 @@ class StoreMachine(RuleBasedStateMachine):
         sid = payload.subscription.subscription_id
         self.store.put(payload, set(keys), self.now)
         expire_at = None if payload.ttl is None else self.now + payload.ttl
-        if sid in self.model:
-            _, old_keys, _ = self.model[sid]
-            self.model[sid] = (payload, old_keys | set(keys), expire_at)
-        else:
-            self.model[sid] = (payload, set(keys), expire_at)
+        self.model[sid] = (payload, expire_at)
 
     @rule(index=st.integers(0, 10**6))
     def remove_existing(self, index):
@@ -110,25 +103,6 @@ class StoreMachine(RuleBasedStateMachine):
         assert removed == (sid in self.model)
         self.model.pop(sid, None)
 
-    @rule(
-        index=st.integers(0, 10**6),
-        keys=st.sets(st.integers(0, 20), min_size=1, max_size=3),
-    )
-    def remove_keys(self, index, keys):
-        self._sync_expiry()
-        if not self.payloads:
-            return
-        payload = self.payloads[index % len(self.payloads)]
-        sid = payload.subscription.subscription_id
-        self.store.remove_keys(sid, set(keys))
-        if sid in self.model:
-            entry_payload, model_keys, expire_at = self.model[sid]
-            model_keys -= set(keys)
-            if not model_keys:
-                del self.model[sid]
-            else:
-                self.model[sid] = (entry_payload, model_keys, expire_at)
-
     @rule(delta=st.floats(0.1, 30.0))
     def advance_clock(self, delta):
         self.now += delta
@@ -140,7 +114,7 @@ class StoreMachine(RuleBasedStateMachine):
 
     def _expire_model(self):
         for sid in [
-            s for s, (_, _, exp) in self.model.items()
+            s for s, (_, exp) in self.model.items()
             if exp is not None and self.now >= exp
         ]:
             del self.model[sid]
@@ -149,7 +123,7 @@ class StoreMachine(RuleBasedStateMachine):
         return {
             sid: entry
             for sid, entry in self.model.items()
-            if entry[2] is None or self.now < entry[2]
+            if entry[1] is None or self.now < entry[1]
         }
 
     @invariant()
@@ -168,7 +142,7 @@ class StoreMachine(RuleBasedStateMachine):
             }
             expected = {
                 sid
-                for sid, (payload, _, _) in live.items()
+                for sid, (payload, _) in live.items()
                 if payload.subscription.matches(event)
             }
             assert got == expected, (value, got, expected)
@@ -185,12 +159,12 @@ class StoreMachine(RuleBasedStateMachine):
         assert self.work.verified == self.work.candidates >= self.work.matched
 
     @invariant()
-    def key_sets_agree(self):
+    def records_agree(self):
         live = self._live_model()
-        for sid, (_, keys, _) in live.items():
+        for sid, (payload, expire_at) in live.items():
             entry = self.store.get(sid)
             assert entry is not None
-            assert entry.keys_here == keys
+            assert entry.payload is payload and entry.expire_at == expire_at
 
 
 TestStoreStateful = StoreMachine.TestCase

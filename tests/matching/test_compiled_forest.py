@@ -189,7 +189,7 @@ def test_store_follows_the_reference_forest(engine_name, seed):
                 SubscribePayload(
                     subscription=subscription, subscriber=1, ttl=ttl, groups=()
                 ),
-                keys_here={0},
+                keys={0},
                 now=now,
             )
             expiry[subscription.subscription_id] = (
@@ -247,7 +247,7 @@ def test_store_follows_the_reference_forest(engine_name, seed):
 def put(store, subscription):
     store.put(
         SubscribePayload(subscription=subscription, subscriber=1, ttl=None, groups=()),
-        keys_here={0},
+        keys={0},
         now=0.0,
     )
 

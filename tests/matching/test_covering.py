@@ -12,7 +12,7 @@ covered subscriptions is invisible to delivery:
    promotion, and the counters the LoadMeter exports;
 3. a hypothesis state machine driving a covering grid store and an
    uncollapsed brute store through random install / refresh / expire /
-   unsubscribe / churn interleavings, asserting both match the exact
+   unsubscribe interleavings, asserting both match the exact
    same subscriber set at every step — while the grid store scans,
    across the install that builds its engine and forest at
    ``SCAN_LIMIT`` entries, and after it drains again.
@@ -228,17 +228,6 @@ class CoveringParityMachine(RuleBasedStateMachine):
             return
         sid = self.payloads[index % len(self.payloads)].subscription.subscription_id
         assert self.covering_store.remove(sid) == self.oracle.remove(sid)
-
-    @rule(
-        index=st.integers(0, 10**6),
-        keys=st.sets(st.integers(0, 6), min_size=1, max_size=2),
-    )
-    def churn_keys_away(self, index, keys):
-        if not self.payloads:
-            return
-        sid = self.payloads[index % len(self.payloads)].subscription.subscription_id
-        self.covering_store.remove_keys(sid, set(keys))
-        self.oracle.remove_keys(sid, set(keys))
 
     @rule(delta=st.floats(0.1, 10.0))
     def advance_clock(self, delta):

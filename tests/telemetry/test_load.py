@@ -82,8 +82,8 @@ class TestLoadMeter:
 
     def test_subscription_and_publication_key_attribution(self):
         meter = LoadMeter()
-        meter.on_store(node(1), [10, 11])
-        meter.on_store(node(2), [10])
+        meter.on_store(node(1, covered=[10, 11]), MESSAGE)
+        meter.on_store(node(2, covered=[10]), MESSAGE)
         meter.on_match(node(3, covered=[10, 12]), MESSAGE, [])
         assert meter.subscriptions_stored == {1: 1, 2: 1}
         assert meter.key_subscriptions == {10: 2, 11: 1}
@@ -114,7 +114,7 @@ class TestLoadMeter:
         meter = LoadMeter()
         send(meter, 2)
         meter.on_deliver(MESSAGE, 1, 0.0)
-        meter.on_store(node(3), [7])
+        meter.on_store(node(3, covered=[7]), MESSAGE)
         meter.on_match(node(1, covered=[7]), MESSAGE, [])
         work = meter.match_work_for(3)
         work.candidates += 5

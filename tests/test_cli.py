@@ -348,3 +348,12 @@ def test_retired_v4_records_change_no_command_output(tmp_path, capsys):
     assert "VERDICT: healthy" in out
     with_retired = EXPORT[:6] + RETIRED_V4_RECORDS + EXPORT[6:]
     assert outcome(with_retired) == plain
+
+
+def test_report_help_names_the_export_format_it_reads(capsys):
+    from repro.telemetry.export import FORMAT_VERSION
+
+    with pytest.raises(SystemExit) as done:
+        main(["report", "--help"])
+    assert done.value.code == 0
+    assert f"(format v{FORMAT_VERSION})" in capsys.readouterr().out

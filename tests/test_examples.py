@@ -27,3 +27,18 @@ def test_news_alerts_runs(capsys):
     out = capsys.readouterr().out
     assert "disjunction dedup" in out
     assert "lease lapsed" in out
+
+
+def test_churn_resilience_runs(capsys):
+    # State transfer on joins and leaves, then replica promotion after
+    # every rendezvous node crashes.
+    run_example("churn_resilience.py")
+    out = capsys.readouterr().out
+    assert "still reached the subscriber via promoted replicas" in out
+
+
+def test_self_organization_runs(capsys):
+    # Protocol-level Chord: stabilization heals the ring under churn.
+    run_example("self_organization.py")
+    out = capsys.readouterr().out
+    assert "ring healed via successor lists" in out

@@ -42,6 +42,7 @@ from repro.audit.records import (
     ProbeRecord,
     Violation,
 )
+from repro.core.mappings.base import flat_keys
 from repro.errors import ConfigurationError
 from repro.sim.process import PeriodicTimer
 
@@ -84,18 +85,20 @@ class _LedgerEntry:
     """Shadow record of one subscription's application-level lifetime."""
 
     __slots__ = (
-        "subscription", "subscriber", "t_subscribed", "expire_at",
+        "subscription", "keys", "subscriber", "t_subscribed", "expire_at",
         "t_unsubscribed",
     )
 
     def __init__(
         self,
         subscription: "Subscription",
+        keys: frozenset[int],
         subscriber: int,
         t_subscribed: float,
         expire_at: float | None,
     ) -> None:
         self.subscription = subscription
+        self.keys = keys  # SK(σ) as it was sent
         self.subscriber = subscriber
         self.t_subscribed = t_subscribed
         self.expire_at = expire_at
@@ -159,7 +162,6 @@ class Auditor:
         self._system = system
         self._sim = system.sim
         self._config = config or AuditConfig()
-        self._mapping = system.mapping
         self._mapping_name = system.mapping.name
         if self._config.delivery_deadline is not None:
             self._deadline = self._config.delivery_deadline
@@ -231,6 +233,7 @@ class Auditor:
         payload = message.payload
         self._ledger[payload.subscription.subscription_id] = _LedgerEntry(
             payload.subscription,
+            flat_keys(payload.groups),
             payload.subscriber,
             now,
             None if payload.ttl is None else now + payload.ttl,
@@ -263,7 +266,7 @@ class Auditor:
             # An empty intersection means no rendezvous node can produce
             # the notification — flag the root cause instead of the
             # (certain) downstream miss.
-            if not (keys & self._mapping.subscription_keys(entry.subscription)):
+            if not (keys & entry.keys):
                 self._record(
                     Violation(
                         MAPPING_INTERSECTION,

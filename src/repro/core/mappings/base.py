@@ -16,11 +16,26 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+from typing import Iterable
 
 from repro.core.events import Event, EventSpace
 from repro.core.subscriptions import Subscription
 from repro.errors import MappingError
 from repro.overlay.ids import KeySpace
+
+
+def flat_keys(groups: Iterable[Iterable[int]]) -> frozenset[int]:
+    """SK(σ) as a flat key set, from its groups
+    (:meth:`AKMapping.subscription_key_groups`).
+
+    Built group by group into one ``set``, then frozen, so its iteration
+    order — the order unicast sends go out in — is the same wherever SK
+    is flattened.
+    """
+    keys: set[int] = set()
+    for group in groups:
+        keys.update(group)
+    return frozenset(keys)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,10 +137,7 @@ class AKMapping(abc.ABC):
 
     def subscription_keys(self, subscription: Subscription) -> frozenset[int]:
         """SK(σ) as a flat key set (union of the groups)."""
-        keys: set[int] = set()
-        for group in self.subscription_key_groups(subscription):
-            keys.update(group)
-        return frozenset(keys)
+        return flat_keys(self.subscription_key_groups(subscription))
 
     # -- shared hash machinery ---------------------------------------------
 

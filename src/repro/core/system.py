@@ -35,7 +35,7 @@ import dataclasses
 from typing import Callable
 
 from repro.core.events import Event
-from repro.core.mappings.base import AKMapping
+from repro.core.mappings.base import AKMapping, flat_keys
 from repro.core.node import PubSubNode
 from repro.core.payloads import (
     CollectPayload,
@@ -276,7 +276,7 @@ class PubSubSystem:
             The request id grouping this operation's messages.
         """
         groups = self._mapping.subscription_key_groups(subscription)
-        keys = self._mapping.subscription_keys(subscription)
+        keys = flat_keys(groups)
         payload = SubscribePayload(
             subscription=subscription,
             subscriber=node_id,

@@ -169,18 +169,48 @@ class NeighborSide(enum.Enum):
     PREDECESSOR = "predecessor"
 
 
-class OverlayNode(Protocol):
-    """What :class:`OverlayNetwork` requires of a node implementation."""
+class OverlayNode:
+    """One overlay node: the message plumbing every overlay shares (one
+    API over every overlay, §3.1 and §4.3.1).  A node class adds only
+    its routing — ``owned_span`` (the keys it covers as ``(start,
+    length)``), ``route_unicast`` (``addressed``: this node picked the
+    key) and ``continue_mcast`` — and overrides the plumbing only for a
+    policy of its own (Chord's touch log, CAN's delivery log)."""
 
-    id: int
+    def __init__(self, node_id: int, overlay: "OverlayNetwork") -> None:
+        self.id = node_id
+        self._overlay = overlay
 
-    def receive(self, message: OverlayMessage) -> None: ...
-    def owned_span(self) -> tuple[int, int]: ...
-    def deliver(self, message: OverlayMessage) -> None: ...
-    def route_unicast(
-        self, message: OverlayMessage, addressed: bool = False
-    ) -> None: ...
-    def start_mcast(self, message: OverlayMessage) -> None: ...
+    def owned_span(self) -> tuple[int, int]:
+        raise NotImplementedError
+
+    def route_unicast(self, message: OverlayMessage, addressed: bool = False) -> None:
+        raise NotImplementedError
+
+    def continue_mcast(self, message: OverlayMessage) -> None:
+        raise NotImplementedError
+
+    def receive(self, message: OverlayMessage) -> None:
+        """Network upcall: continue routing or deliver ``message``."""
+        mode = message.mode
+        if mode is RoutingMode.MCAST:
+            self.continue_mcast(message)
+        elif mode is RoutingMode.SEQUENTIAL:
+            self._overlay.continue_sequential(self, message)
+        elif message.key is None:
+            # Direct one-hop message (neighbor sends: state transfer,
+            # replication, COLLECT aggregation) — no further routing.
+            self._overlay.do_deliver(self, message)
+        else:
+            self.route_unicast(message)
+
+    def deliver(self, message: OverlayMessage) -> None:
+        """Hand ``message`` to the application at this node."""
+        self._overlay.do_deliver(self, message)
+
+    def start_mcast(self, message: OverlayMessage) -> None:
+        """Entry point of the m-cast at the sending node."""
+        self.continue_mcast(message)
 
 
 class OverlayNetwork(abc.ABC):
@@ -190,14 +220,18 @@ class OverlayNetwork(abc.ABC):
     what every overlay shares: the table of live node objects, the
     application entry points (``send``, ``mcast``, ``sequential_cast``:
     validate, build the request envelope, hand it to the source node),
-    the conservative walk (:meth:`continue_sequential`) and the
-    maintenance totals.  A subclass (Chord, Pastry, CAN, protocol-level
-    Chord) contributes membership, the KN-mapping and an
-    :class:`OverlayNode` type that routes.
+    the conservative walk (:meth:`continue_sequential`), the coverage
+    test (:meth:`covers`, off each node's ``owned_span``), the m-cast
+    branch envelope (:meth:`_prepared`) and the maintenance totals.  A
+    subclass (Chord, Pastry, CAN, protocol-level Chord) contributes
+    membership, the KN-mapping and an :class:`OverlayNode` type that
+    routes.
 
     No node holds membership-derived state — fingers, leaf spans, prefix
     rows and CAN geometry are read off the overlay's own tables — so no
-    overlay does any routing-state maintenance to count.
+    overlay does any routing-state maintenance to count.  The one
+    exception is ``CanNode._mcast``, a CAN node's m-cast pointer table,
+    rebuilt whole when the overlay's ``zone_version`` moves.
     """
 
     def __init__(
@@ -367,13 +401,19 @@ class OverlayNetwork(abc.ABC):
         """
 
     def covers(self, node_id: int, key: int) -> bool:
-        """True if ``node_id`` is the node currently covering ``key``.
+        """True if ``node_id`` is the node currently covering ``key``:
+        the key lies in the node's ``owned_span``.
 
         A node may legitimately ask about its *own* coverage (it knows
         its portion of the key space); the pub/sub layer uses this to
         decide which rendezvous keys of a delivered message it hosts.
         """
-        return self.owner_of(key) == node_id
+        size = self._key_limit
+        # KeySpace.validate, inline, as in send.
+        if not (key.__class__ is int and 0 <= key < size):
+            self._keyspace.validate(key)
+        start, length = self.node(node_id).owned_span()
+        return (key - start) % size < length
 
     def neighbor_of(self, node_id: int, side: NeighborSide) -> int:
         """Id of the ring neighbor of ``node_id`` on the given side.

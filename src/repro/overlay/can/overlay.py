@@ -10,7 +10,7 @@ from repro.errors import ConfigurationError, OverlayError
 from repro.overlay.api import (
     OverlayMessage,
     OverlayNetwork,
-    RoutingMode,
+    OverlayNode,
     StateTransferHook,
 )
 from repro.overlay.can.morton import axis_sizes, decompose, morton_decode
@@ -20,7 +20,7 @@ from repro.overlay.network import Network
 from repro.sim.kernel import Simulator
 
 
-class CanNode:
+class CanNode(OverlayNode):
     """One CAN node: greedy unicast and key-order m-cast over its zone.
 
     A real CAN node maintains a neighbor table with each neighbor's
@@ -47,8 +47,7 @@ class CanNode:
     def __init__(
         self, node_id: int, overlay: "CanOverlay", cache_capacity: int = 128
     ) -> None:
-        self.id = node_id
-        self._overlay = overlay
+        super().__init__(node_id, overlay)
         self._cache = LocationCache(node_id, cache_capacity)
         # M-cast pointers as (zone version, zone-start distances, owners),
         # made by the first m-cast this node forwards (_mcast_table).
@@ -82,18 +81,6 @@ class CanNode:
         return self._overlay._geometry[self.id][0]
 
     # -- message handling --------------------------------------------------
-
-    def receive(self, message: OverlayMessage) -> None:
-        """Network upcall: continue routing or deliver ``message``."""
-        mode = message.mode
-        if mode is RoutingMode.MCAST:
-            self.continue_mcast(message)
-        elif mode is RoutingMode.SEQUENTIAL:
-            self._overlay.continue_sequential(self, message)
-        elif message.key is None:
-            self._overlay.do_deliver(self, message)
-        else:
-            self.route_unicast(message)
 
     def _next_hop(self, key: int) -> int | None:
         """Greedy geometric step toward ``key`` (None = deliver here).
@@ -335,9 +322,6 @@ class CanNode:
         message.hops += 1
         message.path += (me, overlay._geometry[me][0])
         overlay._network_transmit(me, next_hop, message)
-
-    def start_mcast(self, message: OverlayMessage) -> None:
-        self.continue_mcast(message)
 
     def continue_mcast(self, message: OverlayMessage) -> None:
         """One step of the paper's Fig. 4 m-cast, in key order.

@@ -8,7 +8,8 @@ converged Chord (stabilization has quiesced), which matches the paper's
 measurement setup where all joins complete before the workload starts.
 What a node does hold is (optionally) a bounded LRU *location cache* of
 other nodes it has learned about from message traffic
-(:mod:`repro.overlay.location_cache`: the touch log, its fold, the LRU).
+(:mod:`repro.overlay.location_cache`: the touch log, its fold, the LRU
+and its distance-sorted view).
 
 For a key at clockwise distance ``t``, ``j = t.bit_length() - 1`` is
 the one slot a hop reads.  The next slot starts at ``2**(j+1) > t``, so
@@ -37,27 +38,17 @@ go to the pointer past them iff it is certified for the group's nearest
 key — see ``continue_mcast`` for why per key is wrong), the slot at
 every node and the arc at the origin, the one node that reads its cache.
 
-When no certificate holds, routing is closest-preceding.  The cache is
-viewed as one array sorted by clockwise distance from this node, and
+When no certificate holds, routing is closest-preceding over the
+cache's view, its ids sorted by clockwise distance from this node:
 ``_next_hop`` binary-searches it for the rightmost entry at distance
 ``<= t``, walking left past dead entries but never below slot ``j``'s
 owner.  Only unicast hops and m-cast origins read the view — an m-cast
 forwarder routes on the ring alone, and at steady state a node takes
-some fifteen m-cast receives per unicast hop — and each layer under it
-is deferred:
-
-- **Touch log.**  ``receive`` (and ``learn``) only append to the
-  cache's log; every cached reader (``_next_hop``, ``start_mcast``,
-  ``forget``, ``cached_ids``) folds it first, through
-  :meth:`ChordNode._refresh_cache`, which journals what entered and
-  left.
-- **Journal.**  Nothing that writes the cache touches the view: writers
-  append the ids whose membership changed to a journal, and a reader
-  brings the view current before it searches
-  (:meth:`ChordNode._materialize`).  A short journal is replayed by
-  splice; one that outgrew a quarter of the view has been dropped, and
-  the read re-sorts once.  A node that never routes by cache never
-  holds a view.
+some fifteen m-cast receives per unicast hop — so ``receive`` (and
+``learn``) only append to the cache's touch log, and the cache keeps
+the view current itself, on read (the touch log's fold, its journal
+and ``materialize`` are :mod:`repro.overlay.location_cache`'s).  A node
+that never routes by cache never holds a view.
 
 Outbound fan-out reuses message envelopes: an envelope that was *not*
 delivered locally is forwarded in place (unicast, sequential, and one
@@ -72,7 +63,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Iterable
 
-from repro.overlay.api import OverlayMessage, RoutingMode
+from repro.overlay.api import OverlayMessage, OverlayNode, RoutingMode
 from repro.overlay.location_cache import FOLD_AT, LocationCache
 from repro.overlay.ring import arc_span
 
@@ -80,7 +71,7 @@ if TYPE_CHECKING:
     from repro.overlay.chord.overlay import ChordOverlay
 
 
-class ChordNode:
+class ChordNode(OverlayNode):
     """One overlay node with Chord routing state.
 
     Args:
@@ -93,93 +84,16 @@ class ChordNode:
     def __init__(
         self, node_id: int, overlay: "ChordOverlay", cache_capacity: int = 128
     ) -> None:
-        self.id = node_id
-        self._overlay = overlay
+        super().__init__(node_id, overlay)
         # Node id -> the predecessor its last touch carried (its owned
         # arc is ``(pred, id]``), None when named without one.
         self._cache = LocationCache(node_id, cache_capacity)
         self._size = overlay.keyspace.size  # ring size never changes
-        # The cache view, derived: always meant to equal the cached ids
-        # sorted by clockwise distance (unique per id, so two parallel
-        # arrays suffice for bisect).  Writers never touch the arrays;
-        # they append the ids whose membership may have changed to the
-        # journal, and _materialize replays it on the next cached read.
-        # None means the arrays are void and the next read re-sorts.
-        self._table_dists: list[int] = []
-        self._table_ids: list[int] = []
-        self._table_journal: list[int] | None = None
 
     @property
     def successor(self) -> int:
         """Id of the next live node clockwise on the ring."""
         return self._overlay.successor_of(self.id)
-
-    # -- cache view -------------------------------------------------------
-
-    def _materialize(self) -> None:
-        """Bring the cache view current with the cache.
-
-        Establishes ``view == cache`` in clockwise-distance order (the
-        cache never holds this node).  A live journal names every id
-        whose membership may have changed since the last call; each is
-        re-decided against the cache and spliced in or out (a repeated
-        or already-settled id is a no-op, so the journal needs no
-        dedup).  A dropped journal means too much changed to replay:
-        the view is re-sorted once instead.
-        """
-        me = self.id
-        size = self._size
-        cache = self._cache.entries
-        journal = self._table_journal
-        if journal is None:
-            # Reuse the cache's int objects: an id recomputed from its
-            # distance is a new int, about 1 KB more per steady-chord node.
-            by_distance = {(nid - me) % size: nid for nid in cache}
-            dists = sorted(by_distance)
-            self._table_dists = dists
-            self._table_ids = [by_distance[d] for d in dists]
-            self._table_journal = []
-            return
-        dists = self._table_dists
-        ids = self._table_ids
-        count = len(ids)
-        for node_id in journal:
-            distance = (node_id - me) % size
-            at = bisect_left(dists, distance)
-            present = at < count and ids[at] == node_id
-            if node_id in cache:
-                if not present:
-                    dists.insert(at, distance)
-                    ids.insert(at, node_id)
-                    count += 1
-            elif present:
-                del dists[at]
-                del ids[at]
-                count -= 1
-        del journal[:]
-
-    def _cap_journal(self, journal: list[int]) -> None:
-        """Void the view once ``journal`` outgrows a quarter of it.
-
-        The next cached read then re-sorts instead of replaying:
-        replaying one id costs what re-sorting ~2.5 rows does
-        (break-even near T/2.5), and cutting off earlier also bounds
-        the appends a node spends on a view it may never read again.
-
-        Why the journal stays: voiding the view (then fingers and cache
-        merged) on *every* change and re-sorting on read was measured at
-        seed 1 on an Intel Xeon host with Python 3.11.  Python calls per
-        op fell 4.3% on ``steady-chord`` (463.3 → 443.3) and 3.2% on
-        ``churn-chord`` (628.9 → 608.8), every fingerprint equal, but
-        the untraced ``steady-chord`` pass got slower: median 2.92 →
-        3.22 s, and the re-sort won 2 of 6 alternating pairs.  The
-        re-sort is one C-level ``sorted`` call doing more work than the
-        splices it replaces, so calls fall while wall time rises.
-        """
-        if len(journal) > len(self._table_ids) >> 2:
-            self._table_journal = None
-            self._table_dists = []
-            self._table_ids = []
 
     # -- location cache ---------------------------------------------------
 
@@ -193,54 +107,18 @@ class ChordNode:
             for node_id in node_ids:
                 log += (node_id, None)
             if len(log) > FOLD_AT:
-                self._refresh_cache()
-
-    def _refresh_cache(self) -> None:
-        """Fold the touch log and journal what entered or left the cache
-        (an id in both is re-decided twice: a no-op).  Every cached
-        reader folds through this, never through the cache's own read."""
-        entered, left = self._cache.fold()
-        journal = self._table_journal
-        if entered and journal is not None:
-            journal += entered
-            journal += left
-            self._cap_journal(journal)
+                cache.fold()
 
     def forget(self, node_id: int) -> None:
         """Evict a (discovered-dead) node from the location cache."""
-        if self._cache.log:
-            self._refresh_cache()
-        if self._cache.forget(node_id) and self._table_journal is not None:
-            self._table_journal.append(node_id)
+        self._cache.forget(node_id)
 
     def cached_ids(self) -> list[int]:
         """Current location-cache contents (least recent first)."""
-        if self._cache.log:
-            self._refresh_cache()
-        return list(self._cache.entries)
-
-    # -- outbound envelopes -----------------------------------------------
-
-    def _branch(
-        self,
-        message: OverlayMessage,
-        hops: int,
-        path: tuple[int, ...],
-        target_keys: frozenset[int],
-    ) -> OverlayMessage:
-        """A fresh outbound m-cast branch of ``message``."""
-        return OverlayMessage(
-            kind=message.kind,
-            payload=message.payload,
-            request_id=message.request_id,
-            origin=message.origin,
-            key=message.key,
-            target_keys=target_keys,
-            mode=message.mode,
-            hops=hops,
-            path=path,
-            trace=message.trace,
-        )
+        cache = self._cache
+        if cache.log:
+            cache.fold()
+        return list(cache.entries)
 
     # -- routing ----------------------------------------------------------
 
@@ -266,7 +144,7 @@ class ChordNode:
             else:
                 log += message.path
             if len(log) > FOLD_AT:
-                self._refresh_cache()
+                cache.fold()
         if mode is RoutingMode.MCAST:
             self.continue_mcast(message)
         elif mode is RoutingMode.SEQUENTIAL:
@@ -277,10 +155,6 @@ class ChordNode:
             self._overlay.do_deliver(self, message)
         else:
             self.route_unicast(message)
-
-    def deliver(self, message: OverlayMessage) -> None:
-        """Hand ``message`` to the application at this node."""
-        self._overlay.do_deliver(self, message)
 
     def route_unicast(self, message: OverlayMessage, addressed: bool = False) -> None:
         """Greedy Chord routing of a unicast message toward its key.
@@ -354,18 +228,17 @@ class ChordNode:
                 floor = (finger - me) % size
         cache = self._cache
         if cache.log:
-            self._refresh_cache()
-        cache = cache.entries
-        journal = self._table_journal
+            cache.fold()
+        journal = cache.journal
         if journal is None or journal:
-            self._materialize()
-        dists, ids = self._table_dists, self._table_ids
+            cache.materialize(size)
+        dists, ids, arcs = cache.dists, cache.ids, cache.entries
         members = overlay._pred
         dead: list[int] | None = None
         index = bisect_right(dists, target) - 1
         if index + 1 < len(ids):
             candidate = ids[index + 1]
-            arc = cache[candidate]
+            arc = arcs[candidate]
             if arc is not None and 0 < (key - arc) % size <= (candidate - arc) % size:
                 # The first pointer past the key is a finger instead iff
                 # slot j + 1 starts before the entry and its owner does.
@@ -390,7 +263,7 @@ class ChordNode:
             index -= 1
         if dead:
             for node_id in dead:
-                self.forget(node_id)
+                cache.forget(node_id)
         return best
 
     # -- m-cast (Fig. 4) -------------------------------------------------
@@ -401,7 +274,7 @@ class ChordNode:
         gets no ``arcs``); with nothing cached it, too, reads fingers."""
         cache = self._cache
         if cache.log:
-            self._refresh_cache()
+            cache.fold()
         self.continue_mcast(message, cache.entries or None)
 
     def continue_mcast(self, message: OverlayMessage, arcs: dict | None = None) -> None:
@@ -507,10 +380,11 @@ class ChordNode:
         while not branches:
             if arcs is not None:  # as _next_hop reads it
                 members = self._overlay._pred
-                journal = self._table_journal
+                cache = self._cache
+                journal = cache.journal
                 if journal is None or journal:
-                    self._materialize()
-                dists, ids = self._table_dists, self._table_ids
+                    cache.materialize(size)
+                dists, ids = cache.dists, cache.ids
                 cached = len(dists)
             reach = 0  # the current group ends at this distance
             pointer = -1
@@ -546,7 +420,7 @@ class ChordNode:
                         branches[owner] = position
             else:
                 break
-            self.forget(past if owner in members else owner)
+            cache.forget(past if owner in members else owner)
             branches.clear()
         # The undelivered envelope carries one branch itself; the rest
         # are fresh (or pooled) copies sharing the same path tuple.
@@ -570,5 +444,7 @@ class ChordNode:
                 branch.target_keys = branch_keys
                 reusable = None
             else:
-                branch = self._branch(message, hops, path, branch_keys)
+                branch = self._overlay._prepared(
+                    message, message.key, branch_keys, message.mode, hops, path
+                )
             transmit(me, pointer, branch)

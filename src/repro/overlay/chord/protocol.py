@@ -36,7 +36,7 @@ from repro.overlay.api import (
     NeighborSide,
     OverlayMessage,
     OverlayNetwork,
-    RoutingMode,
+    OverlayNode,
     StateTransferHook,
     next_request_id,
 )
@@ -112,12 +112,11 @@ PROTOCOL_PAYLOADS = (
 )
 
 
-class ProtocolChordNode:
+class ProtocolChordNode(OverlayNode):
     """A Chord node with *stored* (possibly stale) routing state."""
 
     def __init__(self, node_id: int, overlay: "ProtocolChordOverlay") -> None:
-        self.id = node_id
-        self._overlay = overlay
+        super().__init__(node_id, overlay)
         keyspace = overlay.keyspace
         self.successor: int = node_id
         self.predecessor: int | None = None
@@ -169,17 +168,14 @@ class ProtocolChordNode:
         # (me - pred - 1) % size + 1: the arc's length, size when pred == me.
         return (predecessor + 1) % size, (me - predecessor - 1) % size + 1
 
-    def covers(self, key: int) -> bool:
-        """True if ``key`` is in my :meth:`owned_span`."""
-        start, length = self.owned_span()
-        return (key - start) % self._overlay.keyspace.size < length
-
     # -- message handling ---------------------------------------------------
 
     def receive(self, message: OverlayMessage) -> None:
+        """Network upcall: a maintenance message is handled here, an
+        application message as on every overlay."""
         payload = message.payload
         if not isinstance(payload, PROTOCOL_PAYLOADS):
-            self._receive_application(message)
+            super().receive(message)
             return
         if isinstance(payload, FindSuccessor):
             self._handle_find_successor(payload, message)
@@ -210,26 +206,12 @@ class ProtocolChordNode:
                 f"unexpected protocol payload {type(payload).__name__}"
             )
 
-    def _receive_application(self, message: OverlayMessage) -> None:
-        if message.mode is RoutingMode.MCAST:
-            self.start_mcast(message)
-        elif message.mode is RoutingMode.SEQUENTIAL:
-            self._overlay.continue_sequential(self, message)
-        elif message.key is None:
-            self._overlay.do_deliver(self, message)
-        else:
-            self.route_unicast(message)
-
-    def deliver(self, message: OverlayMessage) -> None:
-        """Hand ``message`` to the application at this node."""
-        self._overlay.do_deliver(self, message)
-
     def route_unicast(self, message: OverlayMessage, addressed: bool = False) -> None:
         """Greedy routing of an application message over stored pointers
         (every hop alike, so ``addressed`` changes nothing)."""
         key = message.key
         assert key is not None
-        if self.covers(key):
+        if self._overlay.covers(self.id, key):
             self._overlay.do_deliver(self, message)
             return
         keyspace = self._overlay.keyspace
@@ -248,14 +230,14 @@ class ProtocolChordNode:
             return
         self._overlay.forward(self.id, next_hop, message.forwarded_copy(self.id))
 
-    def start_mcast(self, message: OverlayMessage) -> None:
+    def continue_mcast(self, message: OverlayMessage) -> None:
         """m-cast over stored fingers (strict-precedence partition).
 
         The origin and every forwarder run the same step.
         """
         keyspace = self._overlay.keyspace
         targets = message.target_keys or frozenset()
-        mine = {k for k in targets if self.covers(k)}
+        mine = {k for k in targets if self._overlay.covers(self.id, k)}
         if mine:
             self._overlay.do_deliver(self, message)
         rest = targets - mine
@@ -636,8 +618,8 @@ class ProtocolChordOverlay(OverlayNetwork):
         """Ground-truth owner (the ideal ring) — for metrics and tests.
 
         Application delivery uses each node's *believed* coverage
-        (:meth:`covers`), which can transiently disagree during
-        convergence.
+        (:meth:`covers`, off its stored predecessor), which can
+        transiently disagree during convergence.
         """
         import bisect
 
@@ -647,10 +629,6 @@ class ProtocolChordOverlay(OverlayNetwork):
         self._keyspace.validate(key)
         index = bisect.bisect_left(ids, key)
         return ids[index % len(ids)] if index < len(ids) else ids[0]
-
-    def covers(self, node_id: int, key: int) -> bool:
-        """Believed coverage per the node's stored predecessor."""
-        return self.node(node_id).covers(key)
 
     def neighbor_of(self, node_id: int, side: NeighborSide) -> int:
         node = self.node(node_id)

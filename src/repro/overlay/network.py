@@ -349,11 +349,6 @@ class ShardNetwork(Network):
         self._local = frozenset(local)
         self._outbox: dict[float, Wave] = {}
 
-    @property
-    def local_ids(self) -> frozenset[int]:
-        """The node ids whose inboxes live in this shard."""
-        return self._local
-
     def _wave_for(self, arrival: float, dst: int) -> Wave:
         """Local destinations share the instant's wave, remote ones its
         outbox wave.  Never memoized: the next send of the instant may

@@ -13,13 +13,9 @@ reads both structures off the overlay's sorted ring.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING
 
-from repro.overlay.api import OverlayMessage, RoutingMode
+from repro.overlay.api import OverlayMessage, OverlayNode
 from repro.overlay.ring import arc_span
-
-if TYPE_CHECKING:
-    from repro.overlay.pastry.overlay import PastryOverlay
 
 #: Total leaf-set size L: L/2 ring neighbors per side.
 LEAF_SET_SIZE = 8
@@ -33,27 +29,10 @@ def common_prefix_length(a: int, b: int, bits: int) -> int:
     return bits - difference.bit_length()
 
 
-class PastryNode:
+class PastryNode(OverlayNode):
     """One overlay node; its leaf set and prefix rows are the ring's."""
 
-    def __init__(self, node_id: int, overlay: "PastryOverlay") -> None:
-        self.id = node_id
-        self._overlay = overlay
-
     owned_span = arc_span  # successor convention, as Chord
-
-    # -- message handling ----------------------------------------------------
-
-    def receive(self, message: OverlayMessage) -> None:
-        """Network upcall: continue routing or deliver."""
-        if message.mode is RoutingMode.MCAST:
-            self.continue_mcast(message)
-        elif message.mode is RoutingMode.SEQUENTIAL:
-            self._overlay.continue_sequential(self, message)
-        elif message.key is None:
-            self._overlay.do_deliver(self, message)
-        else:
-            self.route_unicast(message)
 
     def _next_hop(self, key: int) -> int | None:
         """The prefix-routing next hop toward ``key`` (None = deliver here).
@@ -87,10 +66,6 @@ class PastryNode:
             return entry
         return ring[(my_index + 1) % count]
 
-    def deliver(self, message: OverlayMessage) -> None:
-        """Hand ``message`` to the application at this node."""
-        self._overlay.do_deliver(self, message)
-
     def route_unicast(self, message: OverlayMessage, addressed: bool = False) -> None:
         """Prefix-route a unicast message toward its key.
 
@@ -111,10 +86,6 @@ class PastryNode:
 
     # -- one-to-many ------------------------------------------------------------
 
-    def start_mcast(self, message: OverlayMessage) -> None:
-        """Entry point of the prefix-partitioned multicast."""
-        self.continue_mcast(message)
-
     def continue_mcast(self, message: OverlayMessage) -> None:
         """Partition the target keys by their unicast next hop.
 
@@ -124,7 +95,9 @@ class PastryNode:
         a node may receive more than one branch (see package docstring).
         """
         targets = message.target_keys or frozenset()
-        mine = {k for k in targets if self._overlay.covers(self.id, k)}
+        start, length = self.owned_span()
+        size = self._overlay._key_limit
+        mine = {k for k in targets if (k - start) % size < length}
         if mine:
             self._overlay.do_deliver(self, message)
         groups: dict[int, set[int]] = {}

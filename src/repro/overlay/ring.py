@@ -179,23 +179,6 @@ class RingOverlay(OverlayNetwork):
             index = 0
         return self._ring[index]
 
-    def covers(self, node_id: int, key: int) -> bool:
-        """``owner_of(key) == node_id``, read off ``_pred``: a member
-        covers exactly ``(predecessor, itself]``, so no bisect."""
-        # KeySpace.validate, inline, as in send.
-        if not (key.__class__ is int and 0 <= key < self._key_limit):
-            self._keyspace.validate(key)
-        members = self._pred
-        if node_id not in members:
-            if not members:
-                raise OverlayError("empty ring")
-            return False
-        predecessor = members[node_id]
-        if predecessor == node_id:  # sole node: covers the whole ring
-            return True
-        size = self._key_limit
-        return 0 < (key - predecessor) % size <= (node_id - predecessor) % size
-
     def owners_of(self, keys: Iterable[int]) -> list[int]:
         """``owner_of`` for many already-validated keys.
 

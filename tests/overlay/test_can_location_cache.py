@@ -16,8 +16,9 @@ one forward.  Pinned here:
   under warm caches all deliver every key exactly once at its owner
   (the sequential walk, one step for every overlay, on Chord and Pastry
   too);
-- scope: a hit is never the sender itself, and m-cast does not read
-  the cache — its message count is the cache-off count.
+- scope: a hit is never the sender itself, m-cast does not read the
+  cache — its message count is the cache-off count — and no CAN cache
+  builds the distance-sorted view Chord searches.
 """
 
 from __future__ import annotations
@@ -236,3 +237,25 @@ def test_mcast_does_not_read_the_cache():
         assert on == off
     after = [overlay.recorder.messages.total_sends() for _, overlay in sims]
     assert after[0] - warm == after[1] - cold
+
+
+def test_a_can_cache_never_builds_a_view():
+    """CAN asks its cache by zone (``covering``), never by distance: after
+    unicast, m-cast and sequential traffic under churn, with warm caches,
+    no node's cache holds a view."""
+    rng = random.Random(7)
+    sim, overlay = build(n=60, seed=7, cache=8)
+    for _ in range(6):
+        churn(overlay, rng, 4)
+        for how in ("unicast", "mcast", "sequential"):
+            for _ in range(20):
+                src = rng.choice(overlay.node_ids())
+                if how == "unicast":
+                    keys = {rng.choice(overlay.node_ids())}
+                else:
+                    keys = {rng.randrange(KS.size) for _ in range(4)}
+                cast(sim, overlay, how, src, keys)
+    caches = [overlay.node(node_id)._cache for node_id in overlay.node_ids()]
+    assert sum(len(cached_ids(cache)) for cache in caches) > len(caches)
+    for cache in caches:
+        assert cache.journal is None and cache.ids == cache.dists == ()

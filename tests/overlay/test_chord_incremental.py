@@ -8,8 +8,8 @@ from one node to a full key space, for a node that has routed before
 or a joiner that never has — ``compute_fingers`` and
 ``compute_finger_slots`` equal the written-out definitions, and the
 node's next hop equals the closest-preceding rule over those fingers.
-The node's own state is its cache view alone: membership changes never
-write it, and ``maintenance_totals()`` reads 0.
+The node's own state is its location cache alone: membership changes
+never write it or its view, and ``maintenance_totals()`` reads 0.
 
 (The module's name and its test ids are historical: they pinned the
 finger table's cold build and re-resolve while a node held one.)
@@ -73,11 +73,8 @@ def assert_derived_state(overlay, node):
 
 
 def assert_no_finger_state(node):
-    """A node holds its id, overlay, ring size, cache and cache view."""
-    assert set(vars(node)) == {
-        "id", "_overlay", "_size", "_cache",
-        "_table_dists", "_table_ids", "_table_journal",
-    }
+    """A node holds its id, overlay, ring size and cache."""
+    assert set(vars(node)) == {"id", "_overlay", "_size", "_cache"}
 
 
 # -- one change, then one read ----------------------------------------------
@@ -121,14 +118,14 @@ def test_join_that_moves_no_slot_writes_nothing():
     # Slot 10 (start 1124) is 2000, short of 2100: no slot certifies
     # the key, so the hop reads the cache view and the journal is live.
     assert node._next_hop(2100) == 2000
-    assert node._table_journal == []
-    view = list(node._table_ids)
+    assert node._cache.journal == []
+    view = list(node._cache.ids)
     # 4100 captures no start of node 100 (they sit at 100 + 2**i, up to
     # 4196, and (4000, 4100] holds none); 3000 captures 100 + 2048.
     for joiner in (4100, 3000):
         overlay.join(joiner)
-        assert node._table_journal == []  # live, not voided
-        assert node._table_ids == view
+        assert node._cache.journal == []  # live, not voided
+        assert node._cache.ids == view
     assert overlay.compute_finger_slots(100)[11] == 3000
 
 

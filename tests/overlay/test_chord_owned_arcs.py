@@ -191,9 +191,9 @@ def test_mcast_routes_on_fingers_alone():
     for node_id in overlay.node_ids():
         node = overlay.node(node_id)
         if node_id in origins:
-            assert node._table_journal is not None and node._table_ids
+            assert node._cache.journal is not None and node._cache.ids
         elif node_id not in senders[:2]:
-            assert node._table_journal is None and not node._table_ids
+            assert node._cache.journal is None and not node._cache.ids
             assert not node._cache.entries  # nothing folded
             touched += bool(node._cache.log)
     assert touched > 100

@@ -222,7 +222,7 @@ def test_a_walk_at_a_node_that_believes_itself_alone_is_delivered_there():
         overlay.crash(other)
     # No timeout has fired yet: its pointers still name the dead.
     assert node.predecessor != me and node.live_successor() == me
-    keys = [k for k in range(0, KS.size, 97) if not node.covers(k)][:3]
+    keys = [k for k in range(0, KS.size, 97) if not overlay.covers(me, k)][:3]
     deliveries = []
     overlay.set_deliver(lambda nid, m: deliveries.append((nid, m)))
     message = OverlayMessage(

@@ -9,9 +9,8 @@ folded when the cache is next read, or on its own once it passes
 ``FOLD_AT`` slots.  A cached read (``_next_hop``,
 ``cached_ids()``, the cache view, ``forget``) must see every
 earlier touch, so each folds first — through
-``ChordNode._refresh_cache``, which journals what entered and left,
-so the distance-sorted cache view must equal the cache after any of
-them.  (The module and the
+``LocationCache.fold``, which journals what entered and left, so the
+distance-sorted cache view must equal the cache after any of them.  (The module and the
 ``test_learn_batch_*`` names are historical: ``learn_batch`` was retired
 in PR 12; the ids stay because the tier-1 floor names them.)
 """
@@ -41,10 +40,11 @@ def build(cache: int) -> ChordOverlay:
 def cache_view(node) -> list[int]:
     """The ids a cached next-hop search sees, nearest clockwise first,
     folded and brought current as such a read brings them."""
-    if node._cache.log:
-        node._refresh_cache()
-    node._materialize()
-    return list(node._table_ids)
+    cache = node._cache
+    if cache.log:
+        cache.fold()
+    cache.materialize(KS.size)
+    return list(cache.ids)
 
 
 def receive_stamped(node, arcs) -> None:

@@ -18,9 +18,12 @@ than the capacity and self-only sequences — once on the helper, once
 with every touch arriving through ``ChordNode.receive`` and once through
 ``CanNode.receive``.  ``test_learn_batch.py`` is the older, Chord-only
 leg of the same property (merged table, ``_next_hop``, ``learn``).
-Then what the fold returns (the hand-off Chord journals) and the
-covering rule CAN routes by.  And one mechanism stays one: the helper
-knows no overlay, and no overlay keeps a fold of its own.
+Then the cache's distance-sorted view: what a fold journals for it, and
+a state machine of touches, folds past capacity, forgets and voided
+views after which every read of the view is the entries in clockwise
+order.  Then the covering rule CAN routes by.  And one mechanism stays
+one: the helper knows no overlay, and no overlay keeps a fold of its
+own.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.overlay.api import MessageKind, OverlayMessage, next_request_id
 from repro.overlay.can import CanOverlay
@@ -168,24 +174,91 @@ def test_capacity_zero_holder_logs_nothing():
         assert cache.log == [] and cached_ids(cache) == []
 
 
-# -- the fold's hand-off -------------------------------------------------------
+# -- the view -------------------------------------------------------------------
 
 
-def test_fold_returns_what_entered_and_what_left():
-    cache = LocationCache(0, 3)
+def test_fold_journals_what_entered_and_what_left():
+    cache = LocationCache(0, 8)
     cache.log += (64, 1, 128, 2, 0, 9, 64, 3)
-    entered, left = cache.fold()
-    assert (list(entered), list(left)) == ([64, 128], [])
-    cache.log += (128, 4)  # only an LRU position moves
-    entered, left = cache.fold()
-    assert (list(entered), list(left)) == ([], [])
-    cache.log += (192, 5, 256, 6, 320, 7, 384, 8)
-    entered, left = cache.fold()
-    # 192 came and went inside the one fold: it is in both.
-    assert list(entered) == [192, 256, 320, 384]
-    assert list(left) == [64, 128, 192]
-    assert cache.entries == {256: 6, 320: 7, 384: 8}
+    cache.fold()
+    assert cache.journal is None  # no view read yet: nothing to journal
+    cache.log += (192, 4, 256, 5, 320, 6, 384, 7, 448, 8, 512, 9)
+    cache.fold()
+    cache.materialize(KS.size)
+    assert cache.journal == []
+    assert cache.ids == [64, 128, 192, 256, 320, 384, 448, 512]
+    cache.log += (576, 10)  # 576 enters; 128, the least recent, leaves
+    assert cache.fold() is None
+    assert cache.journal == [576, 128]
+    cache.log += (64, 11)  # only an LRU position moves
+    cache.fold()
+    assert cache.journal == [576, 128]
+    assert cache.forget(192)
+    assert cache.journal == [576, 128, 192]
+    cache.materialize(KS.size)
+    assert cache.journal == []
+    assert cache.ids == cache.dists == [64, 256, 320, 384, 448, 512, 576]
+    # Six changes outgrow a quarter of the view: it is voided, not
+    # journaled, and the next read re-sorts.
+    cache.log += (640, 12, 704, 13, 768, 14)
+    cache.fold()
+    assert cache.journal is None and cache.ids == cache.dists == ()
     assert cache.log == []
+    cache.materialize(KS.size)
+    assert cache.ids == cache.dists == sorted(cache.entries)
+
+
+class CacheViewMachine(RuleBasedStateMachine):
+    """Touches (each a fold once the log passes ``FOLD_AT``), folds past
+    capacity, forgets and voided views in any order: the entries stay
+    the reference LRU's, a void view holds nothing, and every read of
+    the view is the entries by clockwise distance from the owner."""
+
+    @initialize(owner=st.sampled_from(IDS), capacity=st.integers(0, 12))
+    def start(self, owner, capacity):
+        self.cache = LocationCache(owner, capacity)
+        self.oracle = ReferenceLRU(owner, capacity)
+
+    @rule(ids=st.lists(st.sampled_from(IDS), min_size=1, max_size=12))
+    def touch(self, ids):
+        pairs = [(node_id, node_id - 1) for node_id in ids]
+        self.cache.log += [slot for pair in pairs for slot in pair]
+        if len(self.cache.log) > FOLD_AT:
+            self.cache.fold()
+        self.oracle.touch(pairs)
+
+    @rule()
+    def fold(self):
+        self.cache.fold()
+        assert list(self.cache.entries) == self.oracle.order
+
+    @rule(node_id=st.sampled_from(IDS))
+    def forget(self, node_id):
+        assert self.cache.forget(node_id) == (node_id in self.oracle.order)
+        self.oracle.forget(node_id)
+
+    @rule()
+    def read_view(self):
+        cache = self.cache
+        cache.fold()
+        cache.materialize(KS.size)
+        owner = cache.owner
+        expected = sorted(cache.entries, key=lambda n: (n - owner) % KS.size)
+        assert list(cache.ids) == expected
+        assert list(cache.dists) == [(n - owner) % KS.size for n in expected]
+        assert cache.journal == []
+
+    @invariant()
+    def a_void_view_holds_nothing(self):
+        cache = getattr(self, "cache", None)
+        if cache is not None and cache.journal is None:
+            assert cache.ids == cache.dists == ()
+
+
+TestCacheView = CacheViewMachine.TestCase
+TestCacheView.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
 
 
 # -- the covering rule ----------------------------------------------------------

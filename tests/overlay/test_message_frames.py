@@ -353,7 +353,7 @@ def test_chord_forwards_cost_what_they_do_without_a_cache():
                 node.continue_mcast(
                     forwarded(target_keys=frozenset(keys), mode=RoutingMode.MCAST)
                 )
-            assert node._table_journal is None  # never read
+            assert node._cache.journal is None  # never read
 
         return cast
 

@@ -27,6 +27,10 @@ test:
 # node (nodes_checked == nodes_total: CAN geometry is the overlay's own
 # table and never lags).  A Chord or Pastry node holds no routing state
 # (each hop reads the sorted ring), so their probes check none.
+# The same audited CAN run under Mapping 1 (--mapping attribute-split)
+# puts wide m-casts under the oracle: each subscription casts to many
+# keys at once, so one step splits into many groups; its report faces
+# the same last line, the every-node CAN probe check included.
 # The same audited Chord run with --cache 0 puts the empty location
 # cache under the oracle: every cache view a node reads is empty.  The
 # same audited run with --routing sequential, once per overlay, puts
@@ -51,6 +55,12 @@ verify:
 		--telemetry artifacts/sample-trace-can.jsonl > /dev/null
 	$(PYTHON) -m repro report artifacts/sample-trace-can.jsonl \
 		--json artifacts/report-can.json
+	$(PYTHON) -m repro run --overlay can --mapping attribute-split \
+		--nodes 100 --subscriptions 50 --publications 50 --audit \
+		--telemetry artifacts/sample-trace-can-attribute-split.jsonl \
+		> /dev/null
+	$(PYTHON) -m repro report artifacts/sample-trace-can-attribute-split.jsonl \
+		--json artifacts/report-can-attribute-split.json
 	$(PYTHON) -m repro run --overlay pastry --nodes 100 \
 		--subscriptions 50 --publications 50 --audit \
 		--telemetry artifacts/sample-trace-pastry.jsonl > /dev/null
@@ -71,7 +81,7 @@ verify:
 			--json artifacts/report-$$overlay-sequential.json > /dev/null \
 		|| exit 1; \
 	done
-	$(PYTHON) -c "import json; reports = {p: json.load(open(p)) for p in ('artifacts/report-chord.json', 'artifacts/report-can.json', 'artifacts/report-pastry.json', 'artifacts/report-chord-cache0.json', 'artifacts/report-chord-sequential.json', 'artifacts/report-can-sequential.json', 'artifacts/report-pastry-sequential.json')}; [exit(f'{p}: {k} not recorded') for p, r in reports.items() for k in ('audit', 'load') if r[k] is None]; [exit(f'{p}: {n} counters, one per node?') for p, r in reports.items() for n in [r['trace']['final_counters']] if n >= 100]; [exit(f'{p}: no publication audited') for p, r in reports.items() if sum(c['value'] for c in r['audit']['counters'] if c['name'] == 'audit.publications_audited') == 0]; [exit(f'{p}: a probe missed a node') for p in ('artifacts/report-can.json',) for q in reports[p]['audit']['probes'] if q['nodes_checked'] != q['nodes_total']]"
+	$(PYTHON) -c "import json; reports = {p: json.load(open(p)) for p in ('artifacts/report-chord.json', 'artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-pastry.json', 'artifacts/report-chord-cache0.json', 'artifacts/report-chord-sequential.json', 'artifacts/report-can-sequential.json', 'artifacts/report-pastry-sequential.json')}; [exit(f'{p}: {k} not recorded') for p, r in reports.items() for k in ('audit', 'load') if r[k] is None]; [exit(f'{p}: {n} counters, one per node?') for p, r in reports.items() for n in [r['trace']['final_counters']] if n >= 100]; [exit(f'{p}: no publication audited') for p, r in reports.items() if sum(c['value'] for c in r['audit']['counters'] if c['name'] == 'audit.publications_audited') == 0]; [exit(f'{p}: a probe missed a node') for p in ('artifacts/report-can.json', 'artifacts/report-can-attribute-split.json') for q in reports[p]['audit']['probes'] if q['nodes_checked'] != q['nodes_total']]"
 
 # The performance ledger (BENCHMARK.json): five seeded workloads, eight
 # end-to-end and 111 per-layer metrics, about 3 min.  ledger-smoke runs

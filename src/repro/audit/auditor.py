@@ -19,7 +19,7 @@ and observes (never steers) the run:
 
 Race tolerance: the simulated system is asynchronous, so the oracle is
 deliberately lenient at the edges — a subscription installed, expiring
-or removed within ``grace`` seconds of a publication is *indeterminate*
+or removed within :data:`GRACE` seconds of a publication is *indeterminate*
 (the subscribe/unsubscribe may still be in flight past the rendezvous)
 and never produces a violation.  A clean run must report zero
 violations; the fault-injection suite pins that each corruption class
@@ -51,6 +51,11 @@ if TYPE_CHECKING:
     from repro.core.payloads import Notification
     from repro.core.subscriptions import Subscription
 
+#: Edge tolerance in seconds: subscriptions installed, expiring or
+#: removed within this long of a publication are excluded from the
+#: oracle's expectations.
+GRACE = 2.0
+
 
 @dataclasses.dataclass(frozen=True)
 class AuditConfig:
@@ -63,22 +68,16 @@ class AuditConfig:
             expected notification must have arrived.  None auto-sizes
             from the system config: routing plus a buffering allowance
             (buffered notifications wait up to several flush periods).
-        grace: Edge tolerance in seconds — subscriptions installed,
-            expiring or removed within ``grace`` of a publication are
-            excluded from the oracle's expectations.
     """
 
     probe_period: float | None = None
     delivery_deadline: float | None = None
-    grace: float = 2.0
 
     def __post_init__(self) -> None:
         for name in ("probe_period", "delivery_deadline"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigurationError(f"{name} must be > 0, got {value}")
-        if not self.grace >= 0:
-            raise ConfigurationError(f"grace must be >= 0, got {self.grace}")
 
 
 class _LedgerEntry:
@@ -251,14 +250,13 @@ class Auditor:
             # ambiguous, so only the first publication is audited.
             self._indeterminate_counter.inc()
             return
-        grace = self._config.grace
         expected: dict[int, _LedgerEntry] = {}
         for sid, entry in self._ledger.items():
-            if entry.t_subscribed + grace > now:
+            if entry.t_subscribed + GRACE > now:
                 continue  # install may still be in flight
             if entry.t_unsubscribed is not None:
                 continue  # already removed (or removal in flight)
-            if entry.expire_at is not None and entry.expire_at <= now + grace:
+            if entry.expire_at is not None and entry.expire_at <= now + GRACE:
                 continue  # TTL edge: may expire at the rendezvous first
             if not entry.subscription.matches(event):
                 continue
@@ -351,7 +349,6 @@ class Auditor:
             return
         self._evaluated.add(event_id)
         now = self._sim.now
-        grace = self._config.grace
         overlay = self._system.overlay
         duplicates = 0
         for sid, count in pending.arrivals.items():
@@ -362,7 +359,7 @@ class Auditor:
                 continue
             if (
                 entry.t_unsubscribed is not None
-                and entry.t_unsubscribed <= pending.t + grace
+                and entry.t_unsubscribed <= pending.t + GRACE
             ):
                 continue  # unsubscribe raced the publication
             if not overlay.is_alive(entry.subscriber):

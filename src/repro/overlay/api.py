@@ -228,10 +228,9 @@ class OverlayNetwork(abc.ABC):
     routes.
 
     No node holds membership-derived state — fingers, leaf spans, prefix
-    rows and CAN geometry are read off the overlay's own tables — so no
-    overlay does any routing-state maintenance to count.  The one
-    exception is ``CanNode._mcast``, a CAN node's m-cast pointer table,
-    rebuilt whole when the overlay's ``zone_version`` moves.
+    rows, CAN geometry and CAN m-cast pointers are read off the
+    overlay's own tables — so no overlay does any routing-state
+    maintenance to count.
     """
 
     def __init__(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-from array import array
 from typing import Iterable
 
 from repro.errors import ConfigurationError, OverlayError
@@ -39,9 +38,11 @@ class CanNode(OverlayNode):
     unicast's sender, the sequential walk picking its next key) tries the
     cached owner before :meth:`_next_hop`; forwarders and m-cast do not.
 
-    The node holds no geometry of its own: its zone and the rectangles
-    of its cells are the overlay's ``_geometry`` entry, written where
-    membership changes, so they are current at every read.
+    The node holds no geometry and no pointers of its own: its zone and
+    the rectangles of its cells are the overlay's ``_geometry`` entry,
+    and its express links and m-cast pointers are slots of the overlay's
+    key→owner table, all written where membership changes, so they are
+    current at every read.
     """
 
     def __init__(
@@ -49,31 +50,6 @@ class CanNode(OverlayNode):
     ) -> None:
         super().__init__(node_id, overlay)
         self._cache = LocationCache(node_id, cache_capacity)
-        # M-cast pointers as (zone version, zone-start distances, owners),
-        # made by the first m-cast this node forwards (_mcast_table).
-        self._mcast: tuple[int, array[int], list[int]] | None = None
-
-    def _mcast_table(self) -> tuple[int, array[int], list[int]]:
-        """``(zone version, distances, owners)`` of my m-cast pointers: the
-        owner of the key just past my zone and of each express link
-        target ``id + 2^k`` but me, each at the clockwise distance of its
-        zone start from my id, sorted.  Rebuilt whole when the zone
-        version moves."""
-        overlay = self._overlay
-        me, size, starts = self.id, overlay._size, overlay._starts
-        key_owner = overlay._key_owner
-        (start, length), _ = overlay._geometry[me]
-        keys = [(start + length) % size]
-        keys += [(me + (1 << k)) % size for k in range(overlay.keyspace.bits)]
-        ranked = sorted({
-            ((starts[bisect.bisect_right(starts, key) - 1] - me) % size, owner)
-            for key in keys
-            if (owner := key_owner[key]) != me
-        })
-        # Distances as machine ints: they are the table's only new objects.
-        dists = array("q", [distance for distance, _ in ranked])
-        self._mcast = (overlay.zone_version, dists, [o for _, o in ranked])
-        return self._mcast
 
     def owned_span(self) -> tuple[int, int]:
         """My zone as ``(start, length)``: the ``length`` keys from
@@ -327,14 +303,22 @@ class CanNode(OverlayNode):
         """One step of the paper's Fig. 4 m-cast, in key order.
 
         Deliver here if any target key is mine, then hand each other key
-        to the pointer (:meth:`_mcast_table`) with the largest zone-start
-        distance not past the key's clockwise distance.  Ranges cut at
-        zone starts hold whole zones, so a node gets at most one branch
-        per m-cast; and a pointer's zone either holds the key or lies
-        strictly between me and it, so the distance falls on every hop.
-        The groups are runs of the keys sorted by distance, one bisect
-        each.  Branches leave farthest first; an envelope not delivered
-        here carries the nearest, once the others are copied from it.
+        to the pointer whose zone starts last at or before the key's
+        clockwise distance: the owner of the zone after mine or of an
+        express link ``id + 2^k`` but me.  Ranges cut at zone starts
+        hold whole zones, so a node gets at most one branch per m-cast;
+        and a pointer's zone either holds the key or lies strictly
+        between me and it, so the distance falls on every hop.
+
+        The groups are runs of the keys sorted by distance, each read
+        off the key→owner table and the geometry entries.  Link ``k``'s
+        zone starts at most ``2^k`` out and never before link
+        ``k - 1``'s, so a group whose nearest key lies at distance ``d``
+        reads links from ``d.bit_length() - 1`` on: the last whose zone
+        starts at or before ``d`` (else the zone after mine) is its
+        pointer, the next one's zone start (else the ring size) ends it.
+        Branches leave farthest first; an envelope not delivered here
+        carries the nearest, once the others are copied from it.
         """
         overlay = self._overlay
         key_owner = overlay._key_owner
@@ -346,22 +330,30 @@ class CanNode(OverlayNode):
         rest = targets - mine
         if not rest:
             return
-        table = self._mcast
-        if table is None or table[0] != overlay.zone_version:
-            table = self._mcast_table()
-        _, dists, owners = table
-        zone = overlay._geometry[me][0]
+        geometry = overlay._geometry
+        zone = geometry[me][0]
         size = overlay._size
-        npointers = len(dists)
+        after = key_owner[(zone[0] + zone[1]) % size]  # the zone after mine
         distances = sorted([(key - me) % size for key in rest])
         count = len(distances)
         branches = []  # (position of its nearest key, pointer), in key order
         reach = 0  # the current group ends at this distance
         for position, distance in enumerate(distances):
             if distance >= reach:
-                at = bisect.bisect_right(dists, distance)
-                reach = dists[at] if at < npointers else size
-                branches.append((position, owners[at - 1]))
+                pointer = after
+                reach = size
+                link = 1 << (distance.bit_length() - 1)
+                while link < size:
+                    owner = key_owner[(me + link) % size]
+                    link <<= 1
+                    if owner == me:  # a link inside my own zone
+                        continue
+                    begins = (geometry[owner][0][0] - me) % size
+                    if begins > distance:
+                        reach = begins
+                        break
+                    pointer = owner
+                branches.append((position, pointer))
         end = count
         for first, pointer in reversed(branches):
             if end - first < count:
@@ -429,7 +421,6 @@ class CanOverlay(OverlayNetwork):
             int, tuple[tuple[int, int], list[tuple[int, int, int, int]]]
         ] = {}
         self._local_filter: set[int] | None = None
-        self.zone_version = 0
         # Grid geometry tables, fixed for the life of the overlay: the
         # Morton decode of every key, the inverse (key at each grid
         # point), and the rectangle dimensions per cell size.  One
@@ -512,7 +503,7 @@ class CanOverlay(OverlayNetwork):
         """Ground-truth express links: the owner of the key at Morton
         distance ``2^k`` ahead of ``node_id``, for each ``k``.
 
-        :meth:`CanNode._next_hop` and :meth:`CanNode._mcast_table` read
+        :meth:`CanNode._next_hop` and :meth:`CanNode.continue_mcast` read
         exactly these owners off the key→owner table; this is the
         reference the tests hold them to.
         """
@@ -619,7 +610,6 @@ class CanOverlay(OverlayNetwork):
             self._assign_keys(0, self._keyspace.size, first)
             self._place(first)
             self._register(first)
-            self.zone_version += 1
             for node_id in rest:
                 self.join(node_id)
         finally:
@@ -667,7 +657,6 @@ class CanOverlay(OverlayNetwork):
         self._place(owner)
         self._place(node_id)
         self._register(node_id)
-        self.zone_version += 1
         if self._state_transfer is not None:
             left = (joiner_start - 1) % size
             right = (joiner_start + joiner_length - 1) % size
@@ -713,7 +702,6 @@ class CanOverlay(OverlayNetwork):
         self._place(heir)
         if self._nodes.pop(node_id, None) is not None:
             self._network.unregister(node_id)
-        self.zone_version += 1
 
     def _assign_keys(self, start: int, length: int, owner: int) -> None:
         """Write ``owner`` over ``[start, start + length)`` of the

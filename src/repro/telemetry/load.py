@@ -91,13 +91,9 @@ class LoadMeter:
             sample window strictly exceeds this multiple of the ring's
             median window load (see
             :class:`~repro.metrics.skew.OverloadDetector`).
-        top_k: Entities reported per scope in skew samples and records.
     """
 
-    def __init__(
-        self, overload_threshold: float = 4.0, top_k: int = TOP_K
-    ) -> None:
-        self.top_k = top_k
+    def __init__(self, overload_threshold: float = 4.0) -> None:
         # Per-node counters.  The send count is its own subscriber.
         self.forwarded = NodeSends()
         self.on_send = self.forwarded.on_send
@@ -227,8 +223,8 @@ class LoadMeter:
             (
                 now,
                 {
-                    "node": skew_summary(node_loads, self.top_k),
-                    "key": skew_summary(self.key_loads(), self.top_k),
+                    "node": skew_summary(node_loads, TOP_K),
+                    "key": skew_summary(self.key_loads(), TOP_K),
                 },
             )
         )

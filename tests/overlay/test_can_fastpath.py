@@ -260,7 +260,7 @@ def test_mcast_zone_straddling_a_link_target_gets_one_branch():
 # -- express links -----------------------------------------------------------
 
 def test_express_links_read_off_the_key_owner_table_stay_exact_under_churn():
-    """A node stores no links: ``_next_hop`` and ``_mcast_table`` read
+    """A node stores no links: ``_next_hop`` and ``continue_mcast`` read
     link ``k`` as the key→owner table's owner of the key ``id + 2^k``.
     After any run of joins, leaves and crashes those owners are the
     links ``compute_express_links`` names off the zone arrays."""

@@ -100,12 +100,10 @@ def test_untouched_zone_keeps_cells_past_512_deltas():
     none touching the node's zone: its entry is never rewritten."""
     _, overlay = build([0x100, 0x500, 0x900, 0xD00])
     entry = overlay._geometry[0x100]
-    version_before = overlay.zone_version
     # Churn entirely inside another zone, well past 512 deltas.
     for round_ in range(300):
         joiner = 0xA00 + round_
         overlay.join(joiner)
         overlay.leave(joiner)
-    assert overlay.zone_version - version_before == 600
     assert overlay._geometry[0x100] is entry
     assert entry == recompute_entry(overlay, 0x100)

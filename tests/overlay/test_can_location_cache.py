@@ -23,7 +23,6 @@ one forward.  Pinned here:
 
 from __future__ import annotations
 
-import bisect
 import random
 
 import pytest
@@ -34,6 +33,7 @@ from repro.overlay.ids import KeySpace
 from repro.overlay.pastry import PastryOverlay
 from repro.sim import Simulator
 from tests.overlay.test_can_fastpath import brute_owner, churn
+from tests.overlay.test_can_next_hop_reference import expected_branches
 from tests.overlay.test_chord_owned_arcs import cast  # overlay-agnostic
 from tests.overlay.test_location_cache import cached_ids
 
@@ -68,13 +68,12 @@ def far_pair(overlay, how="unicast"):
 
 
 def mcast_hops(overlay, source, key):
-    """Hops of a one-key m-cast: each node hands the key to its pointer
-    with the largest zone-start distance not past the key's."""
+    """Hops of a one-key m-cast: each step is the one branch the
+    brute-force partition over ``zone_table()`` and
+    ``compute_express_links`` names."""
     hops, node_id = 0, source
     while overlay.owner_of(key) != node_id:
-        _, dists, owners = overlay.node(node_id)._mcast_table()
-        distance = (key - node_id) % KS.size
-        node_id = owners[bisect.bisect_right(dists, distance) - 1]
+        ((_, node_id, _),) = expected_branches(overlay, node_id, frozenset([key]))
         hops += 1
     return hops
 

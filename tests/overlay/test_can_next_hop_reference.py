@@ -8,9 +8,12 @@ for every ownership question, ``decompose`` / ``zone_rectangle`` /
 geometry — and the two must name the same next hop for every
 (node, key) pair, on a fresh ring and after joins, leaves and crashes,
 in all four ``express_links`` × ``zone_jumps`` combinations.  The
-m-cast test pins which (pointer, key set) branches a node transmits,
+m-cast tests pin which (pointer, key set) branches a node transmits,
 and in which order, against a key-order partition built from
-``zone_table()`` and ``compute_express_links`` alone.
+``zone_table()`` and ``compute_express_links`` alone: on churned
+60-node rings, on rings of two to five nodes whose links land in the
+sender's own zone, and at one node before and after its zone is split
+and regrown.
 """
 
 import bisect
@@ -218,6 +221,57 @@ class RecordingNetwork(Network):
         super().transmit(src, dst, message)
 
 
+def expected_branches(overlay, node_id, targets):
+    """The branches ``node_id`` sends for ``targets``, by brute force over
+    the zone table and the express links."""
+    size = overlay.keyspace.size
+    reference = ReferenceRouter(overlay)
+    zone_start = {owner: start for start, owner in overlay.zone_table()}
+    mine = {k for k in targets if reference.owner_of(k) == node_id}
+    index = reference.owners.index(node_id)
+    after = reference.starts[(index + 1) % len(reference.starts)]
+    pointers = {reference.owner_of(after)}
+    pointers.update(overlay.compute_express_links(node_id))
+    pointers.discard(node_id)
+
+    def offset(key):
+        return (key - node_id) % size
+
+    branches: dict[int, set[int]] = {}
+    for key in targets - mine:
+        _, pointer = max(
+            (offset(zone_start[p]), p)
+            for p in pointers
+            if offset(zone_start[p]) <= offset(key)
+        )
+        branches.setdefault(pointer, set()).add(key)
+    order = sorted(branches, key=lambda p: offset(zone_start[p]), reverse=True)
+    return [(node_id, p, frozenset(branches[p])) for p in order]
+
+
+def mcast_overlay(bits, ids):
+    sim = Simulator()
+    network = RecordingNetwork(sim)
+    overlay = CanOverlay(sim, KeySpace(bits), network)
+    overlay.build_ring(ids)
+    return sim, network, overlay
+
+
+def branches_sent(sim, network, overlay, source, targets):
+    """The branches ``source`` sends for an m-cast of ``targets``, read
+    before any arrives (the previous cast is drained first)."""
+    sim.run()
+    del network.sent[:]
+    message = OverlayMessage(
+        kind=MessageKind.PUBLICATION,
+        payload=None,
+        request_id=next_request_id(),
+        origin=source,
+    )
+    overlay.mcast(source, targets, message)
+    return list(network.sent)
+
+
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_mcast_branches_and_their_transmit_order(seed):
     """The source of an m-cast splits the targets it does not own in key
@@ -237,30 +291,6 @@ def test_mcast_branches_and_their_transmit_order(seed):
     delivered: list[int] = []
     overlay.set_deliver(lambda node_id, message: delivered.append(node_id))
     reference = ReferenceRouter(overlay)
-    zone_start = {owner: start for start, owner in overlay.zone_table()}
-
-    def expected_branches(node_id, targets):
-        """Brute force over the zone table and the express links."""
-        mine = {k for k in targets if reference.owner_of(k) == node_id}
-        index = reference.owners.index(node_id)
-        after = reference.starts[(index + 1) % len(reference.starts)]
-        pointers = {reference.owner_of(after)}
-        pointers.update(overlay.compute_express_links(node_id))
-        pointers.discard(node_id)
-
-        def offset(key):
-            return (key - node_id) % size
-
-        branches: dict[int, set[int]] = {}
-        for key in targets - mine:
-            _, pointer = max(
-                (offset(zone_start[p]), p)
-                for p in pointers
-                if offset(zone_start[p]) <= offset(key)
-            )
-            branches.setdefault(pointer, set()).add(key)
-        order = sorted(branches, key=lambda p: offset(zone_start[p]), reverse=True)
-        return [(node_id, p, frozenset(branches[p])) for p in order]
 
     source = rng.choice(overlay.node_ids())
     targets = frozenset(rng.sample(range(size), 40))
@@ -272,7 +302,7 @@ def test_mcast_branches_and_their_transmit_order(seed):
     )
     overlay.mcast(source, targets, message)
     first_wave = list(network.sent)
-    assert first_wave == expected_branches(source, targets)
+    assert first_wave == expected_branches(overlay, source, targets)
     assert len(first_wave) > 1
 
     # Every later wave: each receiver re-partitions the key sets it was
@@ -290,8 +320,99 @@ def test_mcast_branches_and_their_transmit_order(seed):
             branch
             for dst, key_sets in inboxes.items()
             for keys in key_sets
-            for branch in expected_branches(dst, keys)
+            for branch in expected_branches(overlay, dst, keys)
         ]
         assert network.sent == expected
         wave = list(network.sent)
     assert sorted(delivered) == sorted({reference.owner_of(k) for k in targets})
+
+
+def retessellate(overlay, starts, owners):
+    """Rewrite the zones (the first at key 0), the key→owner table and
+    the geometry entries.  An owner may sit anywhere in its zone, deeper
+    than a join ever leaves it."""
+    overlay._starts, overlay._owners = starts, owners
+    ends = starts[1:] + [overlay.keyspace.size]
+    for start, end, owner in zip(starts, ends, owners):
+        overlay._assign_keys(start, end - start, owner)
+    for owner in owners:
+        overlay._place(owner)
+
+
+@pytest.mark.parametrize("bits", [4, 6])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_mcast_branches_on_tiny_rings(bits, n):
+    """Rings of a few nodes, where one zone spans more than half the key
+    space and links land in the sender's own zone: link ``j`` (the key
+    ``id + 2^j`` at or before a key at distance ``d``, ``j = d.bit_length()
+    - 1``) inside a wide zone, and link ``j + 1`` wrapping back into it
+    when the owner sits deep in a zone wider than half the ring.
+    Neither is a pointer.  Every node casts to every key and to random
+    subsets, on joined rings and on one such deep-owner tessellation."""
+    size = 1 << bits
+    overlays = []
+    for seed in range(5):
+        rng = random.Random(seed)
+        overlays.append(mcast_overlay(bits, rng.sample(range(size), n)))
+    tail = size // 4  # n - 1 zones in the last quarter; the first is deep
+    starts = [0] + [size - tail + i * tail // (n - 1) for i in range(n - 1)]
+    owners = [size * 5 // 8] + starts[1:]
+    overlays.append(mcast_overlay(bits, owners))
+    retessellate(overlays[-1][2], starts, owners)
+    near = wrapped = 0  # (sender, key) pairs whose link j / j + 1 is mine
+    rng = random.Random(bits * n)
+    for sim, network, overlay in overlays:
+        for source in overlay.node_ids():
+            for key in range(size):
+                link = 1 << ((key - source) % size).bit_length()  # 2^(j+1)
+                if overlay.owner_of(key) != source:
+                    near += overlay.owner_of((source + link // 2) % size) == source
+                    wrapped += link < size and (
+                        overlay.owner_of((source + link) % size) == source
+                    )
+            for targets in [frozenset(range(size))] + [
+                frozenset(rng.sample(range(size), rng.randint(1, size)))
+                for _ in range(4)
+            ]:
+                assert branches_sent(sim, network, overlay, source, targets) == (
+                    expected_branches(overlay, source, targets)
+                )
+    assert near > 0 and wrapped > 0
+
+
+def test_mcast_pointers_follow_a_split_and_an_absorb():
+    """One node casts to every key before and after a join splits its
+    zone, and again after it absorbs the joiner's part: every cast
+    partitions on the zones of that moment, never on ones the node saw
+    before.  Its successor is none of its express links, so once the
+    joiner is gone no pointer stands for the joiner's keys."""
+    size = 1 << 8
+    rng = random.Random(8)
+    sim, network, overlay = mcast_overlay(8, rng.sample(range(size), 12))
+    targets = frozenset(range(size))
+
+    def last_key(node):
+        start, length = overlay.zone_of(node)
+        return (start + length - 1) % size
+
+    source = next(
+        node
+        for node in overlay.node_ids()
+        if last_key(node) != node
+        and overlay.successor_of(node) not in overlay.compute_express_links(node)
+    )
+
+    def cast():
+        wave = branches_sent(sim, network, overlay, source, targets)
+        assert wave == expected_branches(overlay, source, targets)
+        return wave
+
+    zone, waves = overlay.zone_of(source), [cast()]
+    joiner = last_key(source)
+    overlay.join(joiner)  # past my id: the joiner takes the upper part
+    assert overlay.zone_of(source)[1] < zone[1]
+    waves.append(cast())
+    overlay.leave(joiner)  # I am its heir
+    assert overlay.zone_of(source) == zone
+    waves.append(cast())
+    assert waves[0] != waves[1] and waves[2] == waves[0]

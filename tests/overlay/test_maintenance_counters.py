@@ -104,15 +104,16 @@ def test_network_drop_counters_are_registry_views():
 
 
 def test_can_node_state_is_made_on_demand():
-    """A CAN node holds its id, its overlay, its location cache and its
-    m-cast pointers, and nothing else: its zone and express links are
-    read off the overlay.  The pointers are made by the first m-cast it
-    forwards; a unicast does not read them."""
+    """A CAN node holds its id, its overlay and its location cache, and
+    nothing else: its zone, express links and m-cast pointers are read
+    off the overlay, and neither a unicast nor an m-cast leaves
+    anything behind on it."""
     sim = Simulator()
     overlay = CanOverlay(sim, KS)
     overlay.build_ring(_ids(12))
     node = overlay.node(overlay.node_ids()[0])
-    assert set(vars(node)) == {"id", "_overlay", "_cache", "_mcast"}
+    state = {"id", "_overlay", "_cache"}
+    assert set(vars(node)) == state
 
     def send(source, key):
         message = OverlayMessage(
@@ -132,9 +133,7 @@ def test_can_node_state_is_made_on_demand():
 
     far = (node.id + KS.size // 2) % KS.size
     send(node.id, far)
-    assert node._mcast is None  # unicast does not read the pointers
     cast(node.id, [node.id])  # delivered where it was sent
-    assert node._mcast is None
     cast(node.id, [node.id, far])
-    assert node._mcast[0] == overlay.zone_version
+    assert set(vars(node)) == state
     assert overlay.maintenance_totals() == ZERO

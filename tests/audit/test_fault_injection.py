@@ -31,15 +31,64 @@ def vtypes(auditor) -> set[str]:
 
 def test_overlapping_can_zones_detected():
     """One member's geometry entry written over another's: two nodes
-    would route on the same zone, and the copy no longer matches the
-    zone table."""
+    would route on the same zone.  Two zones start at one key, the
+    copied zone ends at neither next start (``first``'s now ends where
+    ``second``'s begins, ``second``'s old keys are nobody's), and
+    ``second`` lies outside the zone it holds."""
+    sim, system, auditor, _ = build_audited_system(CanOverlay)
+    overlay = system.overlay
+    first, second = sorted(overlay.node_ids())[:2]
+    assert overlay.predecessor_of(second) == first
+    clean = auditor.run_probe()
+    assert clean.violations == 0
+
+    overlay._geometry[second] = overlay.zone_geometry(first)
+    record = auditor.run_probe()
+    assert record.violations == 4
+    assert [(v.vtype, v.node) for v in auditor.violations] == [
+        (CAN_TESSELLATION, -1),
+        (CAN_TESSELLATION, first),
+        (CAN_TESSELLATION, second),
+        (CAN_TESSELLATION, second),
+    ]
+
+
+def test_shortened_can_zone_detected():
+    """One member's geometry entry shortened by a key, rectangles and
+    all: the entry agrees with itself, but the zones no longer tile the
+    key space, so one key would have no owner to route to."""
+    sim, system, auditor, _ = build_audited_system(CanOverlay)
+    overlay = system.overlay
+    member = sorted(overlay.node_ids())[0]
+    start, length = overlay.zone_of(member)
+    assert (member - start) % overlay.keyspace.size < length - 1
+    clean = auditor.run_probe()
+    assert clean.violations == 0
+
+    overlay._geometry[member] = (
+        (start, length - 1),
+        [overlay.rect_of_cell(*c) for c in overlay._decompose(start, length - 1)],
+    )
+    record = auditor.run_probe()
+    assert record.violations == 1
+    assert [(v.vtype, v.node) for v in auditor.violations] == [
+        (CAN_TESSELLATION, member)
+    ]
+
+
+def test_can_rects_off_their_zone_detected():
+    """One member's rectangles swapped for another's, its zone kept:
+    the zones still tile, but the node would route on the wrong
+    rectangles."""
     sim, system, auditor, _ = build_audited_system(CanOverlay)
     overlay = system.overlay
     first, second = sorted(overlay.node_ids())[:2]
     clean = auditor.run_probe()
     assert clean.violations == 0
 
-    overlay._geometry[second] = overlay.zone_geometry(first)
+    overlay._geometry[second] = (
+        overlay.zone_of(second), overlay.zone_geometry(first)[1]
+    )
     record = auditor.run_probe()
     assert record.violations == 1
     assert [(v.vtype, v.node) for v in auditor.violations] == [
@@ -49,7 +98,7 @@ def test_overlapping_can_zones_detected():
 
 def test_corrupt_can_key_owner_slot_detected():
     """One wrong slot of the key→owner table routing reads is reported
-    with its key, against the zone arrays the auditor trusts."""
+    with its key, against the expansion of the zones."""
     sim, system, auditor, _ = build_audited_system(CanOverlay)
     overlay = system.overlay
     clean = auditor.run_probe()

@@ -263,7 +263,7 @@ def test_express_links_read_off_the_key_owner_table_stay_exact_under_churn():
     """A node stores no links: ``_next_hop`` and ``continue_mcast`` read
     link ``k`` as the key→owner table's owner of the key ``id + 2^k``.
     After any run of joins, leaves and crashes those owners are the
-    links ``compute_express_links`` names off the zone arrays."""
+    links ``compute_express_links`` names off ``zone_table()``."""
     rng = random.Random(23)
     _, overlay = build(n=48, seed=9)
     key_owner = overlay._key_owner
@@ -283,11 +283,11 @@ def test_express_links_read_off_the_key_owner_table_stay_exact_under_churn():
 # -- the defensive fallback (regression) --------------------------------------
 
 def set_zones(overlay, starts, owners):
-    """Overwrite the tessellation (first zone at key 0), table included."""
-    overlay._starts = starts
-    overlay._owners = owners
+    """Overwrite the tessellation (first zone at key 0): the key→owner
+    table and the geometry entries."""
     for start, end, owner in zip(starts, starts[1:] + [KS.size], owners):
         overlay._assign_keys(start, end - start, owner)
+        overlay._place(owner, (start, end - start))
 
 
 def test_fallback_steps_toward_key_not_successor():

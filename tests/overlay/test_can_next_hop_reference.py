@@ -331,12 +331,10 @@ def retessellate(overlay, starts, owners):
     """Rewrite the zones (the first at key 0), the key→owner table and
     the geometry entries.  An owner may sit anywhere in its zone, deeper
     than a join ever leaves it."""
-    overlay._starts, overlay._owners = starts, owners
     ends = starts[1:] + [overlay.keyspace.size]
     for start, end, owner in zip(starts, ends, owners):
         overlay._assign_keys(start, end - start, owner)
-    for owner in owners:
-        overlay._place(owner)
+        overlay._place(owner, (start, end - start))
 
 
 @pytest.mark.parametrize("bits", [4, 6])

@@ -119,13 +119,10 @@ class OverlayMessage:
     trace: int = 0
 
     def forwarded_copy(
-        self, via: int, target_keys: frozenset[int] | None = None, stamp: Any = None
+        self, via: int, target_keys: frozenset[int] | None = None
     ) -> "OverlayMessage":
-        """A copy of this message as forwarded through node ``via``.
-
-        ``m-cast`` splits the target set across fingers; each branch
-        carries its own subset, hop count and path — ``via`` alone, or
-        with the interval ``via`` owns beside it when ``stamp`` is given.
+        """A copy of this message as forwarded through node ``via``, with
+        ``target_keys`` in its own set's place when given (a branch).
 
         Ownership note: routing layers may instead forward an envelope
         *in place* (mutating ``hops``/``path``) when they hold the only
@@ -146,7 +143,7 @@ class OverlayMessage:
             target_keys=self.target_keys if target_keys is None else target_keys,
             mode=self.mode,
             hops=self.hops + 1,
-            path=self.path + ((via,) if stamp is None else (via, stamp)),
+            path=self.path + (via,),
             trace=self.trace,
         )
 
@@ -171,11 +168,14 @@ class NeighborSide(enum.Enum):
 
 class OverlayNode:
     """One overlay node: the message plumbing every overlay shares (one
-    API over every overlay, §3.1 and §4.3.1).  A node class adds only
-    its routing — ``owned_span`` (the keys it covers as ``(start,
-    length)``), ``route_unicast`` (``addressed``: this node picked the
-    key) and ``continue_mcast`` — and overrides the plumbing only for a
-    policy of its own (Chord's touch log, CAN's delivery log)."""
+    API over every overlay, §3.1 and §4.3.1) and the Fig. 4 m-cast step
+    (:meth:`continue_mcast`).  A node class adds only its routing —
+    ``owned_span`` (the keys it covers as ``(start, length)``),
+    ``route_unicast`` (``addressed``: this node picked the key) and
+    ``mcast_pointers``, its m-cast pointer rule — and overrides the
+    plumbing only for a policy of its own (Chord's touch log and origin
+    cache view, CAN's delivery log).  Pastry and protocol-level Chord
+    replace the m-cast step with their own partitions."""
 
     def __init__(self, node_id: int, overlay: "OverlayNetwork") -> None:
         self.id = node_id
@@ -187,8 +187,76 @@ class OverlayNode:
     def route_unicast(self, message: OverlayMessage, addressed: bool = False) -> None:
         raise NotImplementedError
 
-    def continue_mcast(self, message: OverlayMessage) -> None:
+    def mcast_pointers(
+        self, message: OverlayMessage, distances: list[int], count: int, arcs
+    ) -> tuple[Any, int, int, dict[int, int]]:
         raise NotImplementedError
+
+    def continue_mcast(self, message: OverlayMessage, arcs: dict | None = None) -> None:
+        """One step of the paper's Fig. 4 m-cast (§4.3.1), written once:
+        deliver what this node owns, then split the rest among its
+        pointers, one branch per pointer.
+
+        The ``count`` targets' clockwise distances from this node are
+        sorted once (one key needs no sort), and the node's rule,
+        ``mcast_pointers``, returns ``(stamp, lo, hi, {pointer: first
+        position})``.  *Owned arcs*: a span holds its node's id, so the
+        keys it owns are a prefix and a suffix of that order, the ones
+        outside ``distances[lo:hi]``.  *Grouping*: each branch is a run
+        of the rest, up to the next pointer's first position, sent whole
+        to the pointer whose span starts last at or before its nearest
+        key, as far as this node knows spans.  *At most once*: a run
+        ends at a live pointer's span start and no live node lies in
+        another's span, so one node's keys travel in one branch, and it
+        delivers once (split per key, a pointer could get an uncertified
+        key of its own again, through the pointer before it).
+        *Overshoot*: a fresh pointer's span holds the nearest key or
+        lies before it, so every hop cuts the distance; a stale one (a
+        cached arc, a join racing the message) lands keys more than half
+        the ring ahead, and the rule hands them all one step back.
+
+        Branches leave farthest first, each one hop, sharing one path
+        tuple with ``stamp`` beside this node's id.  An envelope not
+        delivered here carries the nearest, once the copies are made
+        (the tracer stamps every envelope it sees sent).  ``arcs`` is
+        the origin's cache (Chord's ``start_mcast``), None elsewhere.
+        """
+        overlay = self._overlay
+        me = self.id
+        size = overlay._key_limit
+        targets = message.target_keys
+        count = len(targets)
+        if count == 1:
+            for key in targets:
+                distances = [(key - me) % size]
+        else:
+            distances = sorted([(key - me) % size for key in targets])
+        stamp, lo, hi, branches = self.mcast_pointers(message, distances, count, arcs)
+        mine = lo or hi < count
+        if mine:
+            self.deliver(message)
+        if not branches:
+            return
+        hops = message.hops + 1
+        path = message.path + (me, stamp)
+        end = hi
+        for pointer in reversed(branches):  # each ends where the next began
+            first = branches[pointer]
+            if end - first == count:
+                keys = targets  # one branch of every key: the same set
+            else:
+                keys = frozenset([(me + d) % size for d in distances[first:end]])
+            end = first
+            if first > lo or mine:
+                branch = overlay._prepared(
+                    message, message.key, keys, message.mode, hops, path
+                )
+            else:
+                branch = message
+                branch.hops = hops
+                branch.path = path
+                branch.target_keys = keys
+            overlay._network_transmit(me, pointer, branch)
 
     def receive(self, message: OverlayMessage) -> None:
         """Network upcall: continue routing or deliver ``message``."""
@@ -221,11 +289,12 @@ class OverlayNetwork(abc.ABC):
     application entry points (``send``, ``mcast``, ``sequential_cast``:
     validate, build the request envelope, hand it to the source node),
     the conservative walk (:meth:`continue_sequential`), the coverage
-    test (:meth:`covers`, off each node's ``owned_span``), the m-cast
-    branch envelope (:meth:`_prepared`) and the maintenance totals.  A
-    subclass (Chord, Pastry, CAN, protocol-level Chord) contributes
-    membership, the KN-mapping and an :class:`OverlayNode` type that
-    routes.
+    test (:meth:`covers`, off each node's ``owned_span``), the fresh
+    envelope of a request (:meth:`_prepared`) and the maintenance
+    totals; the m-cast step is the node base's
+    (:meth:`OverlayNode.continue_mcast`).  A subclass (Chord, Pastry,
+    CAN, protocol-level Chord) contributes membership, the KN-mapping
+    and an :class:`OverlayNode` type that routes.
 
     No node holds membership-derived state — fingers, leaf spans, prefix
     rows, CAN geometry and CAN m-cast pointers are read off the

@@ -7,7 +7,7 @@ tables (:mod:`repro.overlay.can.overlay`) at the hop that needs them.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING
 
 from repro.overlay.api import OverlayMessage, OverlayNode
@@ -35,12 +35,8 @@ class CanNode(OverlayNode):
     pair the request's origin stamped, and the node addressing a key (a
     unicast's sender, the sequential walk picking its next key) tries the
     cached owner before :meth:`_next_hop`; forwarders and m-cast do not.
-
-    The node holds no geometry and no pointers of its own: its zone and
-    the rectangles of its cells are the overlay's ``_geometry`` entry,
-    and its express links and m-cast pointers are slots of the overlay's
-    key→owner table, all written where membership changes, so they are
-    current at every read.
+    Its express links and m-cast pointers are slots of the overlay's
+    key→owner table, current at every read.
     """
 
     def __init__(
@@ -268,7 +264,7 @@ class CanNode(OverlayNode):
         me_index = owners.index(self.id)
         # Index -1 is the last zone: it wraps over the keys below the
         # first start.
-        key_index = (bisect.bisect_right(starts, key) - 1) % count
+        key_index = (bisect_right(starts, key) - 1) % count
         forward = (key_index - me_index) % count
         backward = (me_index - key_index) % count
         step = 1 if forward <= backward else -1
@@ -306,46 +302,41 @@ class CanNode(OverlayNode):
         message.path += (me, overlay._geometry[me][0])
         overlay._network_transmit(me, next_hop, message)
 
-    def continue_mcast(self, message: OverlayMessage) -> None:
-        """One step of the paper's Fig. 4 m-cast, in key order.
+    def mcast_pointers(
+        self, message: OverlayMessage, distances: list[int], count: int, arcs
+    ) -> tuple[tuple[int, int], int, int, dict[int, int]]:
+        """CAN's m-cast pointer rule, in key order: the owner of the zone
+        after mine and of each express link ``id + 2^k`` but me; the
+        stamp is my zone.  Mine are the keys short of my zone's end and
+        from its start on.
 
-        Deliver here if any target key is mine, then hand each other key
-        to the pointer whose zone starts last at or before the key's
-        clockwise distance: the owner of the zone after mine or of an
-        express link ``id + 2^k`` but me.  Ranges cut at zone starts
-        hold whole zones, so a node gets at most one branch per m-cast;
-        and a pointer's zone either holds the key or lies strictly
-        between me and it, so the distance falls on every hop.
-
-        The groups are runs of the keys sorted by distance, each read
-        off the key→owner table and the geometry entries.  Link ``k``'s
-        zone starts at most ``2^k`` out and never before link
-        ``k - 1``'s, so a group whose nearest key lies at distance ``d``
-        reads links from ``d.bit_length() - 1`` on: the last whose zone
-        starts at or before ``d`` (else the zone after mine) is its
+        Link ``k``'s zone starts at most ``2^k`` out and never before
+        link ``k - 1``'s, so a group whose nearest key lies at distance
+        ``d`` reads links from ``d.bit_length() - 1`` on: the last whose
+        zone starts at or before ``d`` (else the zone after mine) is its
         pointer, the next one's zone start (else the ring size) ends it.
-        Branches leave farthest first; an envelope not delivered here
-        carries the nearest, once the others are copied from it.
         """
         overlay = self._overlay
         key_owner = overlay._key_owner
-        me = self.id
-        targets = message.target_keys or frozenset()
-        mine = {k for k in targets if key_owner[k] == me}
-        if mine:
-            self.deliver(message)
-        rest = targets - mine
-        if not rest:
-            return
         geometry = overlay._geometry
-        zone = geometry[me][0]
+        me = self.id
         size = overlay._size
-        after = key_owner[(zone[0] + zone[1]) % size]  # the zone after mine
-        distances = sorted([(key - me) % size for key in rest])
-        count = len(distances)
-        branches = []  # (position of its nearest key, pointer), in key order
+        zone = geometry[me][0]
+        start, length = zone
+        ends = (start + length - me) % size or size  # my zone's end
+        starts = (start - me) % size or size  # and its start
+        lo = 0
+        if distances[0] < ends:
+            lo = count if distances[-1] < ends else bisect_left(distances, ends)
+        hi = count
+        if distances[-1] >= starts:
+            hi = lo if distances[lo] >= starts else bisect_left(distances, starts)
+        branches: dict[int, int] = {}
+        if lo == hi:
+            return zone, lo, hi, branches
+        after = key_owner[(start + length) % size]  # the zone after mine
         reach = 0  # the current group ends at this distance
-        for position, distance in enumerate(distances):
+        for position, distance in enumerate(distances[lo:hi], lo):
             if distance >= reach:
                 pointer = after
                 reach = size
@@ -360,19 +351,5 @@ class CanNode(OverlayNode):
                         reach = begins
                         break
                     pointer = owner
-                branches.append((position, pointer))
-        end = count
-        for first, pointer in reversed(branches):
-            if end - first < count:
-                keys = frozenset([(me + d) % size for d in distances[first:end]])
-            else:
-                keys = rest  # one branch: its key set is exactly ``rest``
-            end = first
-            if first or mine:
-                branch = message.forwarded_copy(me, keys, zone)
-            else:
-                branch = message
-                branch.hops += 1
-                branch.path += (me, zone)
-                branch.target_keys = keys
-            overlay._network_transmit(me, pointer, branch)
+                branches[pointer] = position
+        return zone, lo, hi, branches

@@ -146,7 +146,7 @@ class CanOverlay(OverlayNetwork):
         """Ground-truth express links: the owner of the key at Morton
         distance ``2^k`` ahead of ``node_id``, for each ``k``.
 
-        :meth:`CanNode._next_hop` and :meth:`CanNode.continue_mcast` read
+        :meth:`CanNode._next_hop` and :meth:`CanNode.mcast_pointers` read
         exactly these owners off the key→owner table; this reference
         reads them off :meth:`zone_table` instead, and the tests hold
         the two to each other.

@@ -32,10 +32,8 @@ own:
   An arc can be stale; the receiver's ``covers`` test alone decides
   delivery, and the message it routes on carries its fresh stamp.
 
-Unicast and the sequential walk (``_next_hop``) try both; m-cast tries
-them on whole groups of keys (the keys between two consecutive pointers
-go to the pointer past them iff it is certified for the group's nearest
-key — see ``continue_mcast`` for why per key is wrong), the slot at
+Unicast and the sequential walk (``_next_hop``) try both; m-cast
+(``mcast_pointers``) tries them on whole groups of keys, the slot at
 every node and the arc at the origin, the one node that reads its cache.
 
 When no certificate holds, routing is closest-preceding over the
@@ -50,12 +48,9 @@ the view current itself, on read (the touch log's fold, its journal
 and ``materialize`` are :mod:`repro.overlay.location_cache`'s).  A node
 that never routes by cache never holds a view.
 
-Outbound fan-out reuses message envelopes: an envelope that was *not*
-delivered locally is forwarded in place (unicast, sequential, and one
-m-cast branch), extra m-cast branches are fresh envelopes, and all
-branches of one fan-out share a single path tuple.  Envelopes handed to
-the application via ``do_deliver`` are never forwarded in place — the
-application (or a test) may retain them.
+A unicast or sequential envelope that was *not* delivered locally is
+forwarded in place; one handed to the application via ``do_deliver``
+never is — the application (or a test) may retain it.
 """
 
 from __future__ import annotations
@@ -167,7 +162,7 @@ class ChordNode(OverlayNode):
         ``addressed`` marks the node that addressed the key: ``send``'s
         origin, or the walk's node that picked it.  Any other node is a
         forwarder, and one that finds the key more than half the ring
-        ahead was overshot (see ``continue_mcast``).
+        ahead was overshot (see :meth:`mcast_pointers`).
         """
         key = message.key
         assert key is not None, "unicast message without a destination key"
@@ -269,117 +264,60 @@ class ChordNode(OverlayNode):
     # -- m-cast (Fig. 4) -------------------------------------------------
 
     def start_mcast(self, message: OverlayMessage) -> None:
-        """Entry point of the m-cast algorithm at the sending node, the
-        one node of an m-cast that reads its location cache (a forwarder
-        gets no ``arcs``); with nothing cached it, too, reads fingers."""
+        """Start an m-cast here: the one node of an m-cast that hands the
+        step its cache as ``arcs`` (with nothing cached, fingers alone)."""
         cache = self._cache
         if cache.log:
             cache.fold()
         self.continue_mcast(message, cache.entries or None)
 
-    def continue_mcast(self, message: OverlayMessage, arcs: dict | None = None) -> None:
-        """One step of the recursive pointer-based multicast.
+    def mcast_pointers(
+        self, message: OverlayMessage, distances: list[int], count: int, arcs
+    ) -> tuple[int, int, int, dict[int, int]]:
+        """Chord's m-cast pointer rule, stamped with the predecessor:
+        mine are the key at distance 0 and the keys past the predecessor.
 
-        Deliver locally if any target key falls in ``(pred, self]``
-        (at most one delivery per node, per the paper's guarantee),
-        then partition the remaining keys among the pointers: the
-        fingers, or at the origin (the node :meth:`start_mcast` hands
-        its cached ``arcs``) the fingers and the cache view.  The keys between two
-        consecutive pointers form one group, and a group travels whole:
-        to the pointer past it when that pointer is certified for the
-        group's *nearest* key (see :meth:`_next_hop`; only the origin
-        has arcs to read) — it then owns every key of the group — and
-        otherwise to the pointer **strictly preceding** it.  Deciding
-        per key would be wrong: of two keys owned by the same finger,
-        the one before the slot's start is not certified, so the finger
-        would receive one key directly and the other through the
-        preceding finger's chain, and deliver twice.  For the same
-        reason a key equal to (or covered by) a pointer must travel with
-        the branch of the preceding pointer unless its whole group
-        jumps.  Every transmission lands directly on a pointer, so each
-        is one hop, and a forwarder reads the ring only: it neither folds
-        its touch log nor builds a cache view.
-
-        A group boundary is always a *live* pointer (a dead cached id
-        met at one is forgotten and the partition starts over), and no
-        live node lies inside another's arc, so the keys a node owns sit
-        between the same two boundaries and travel in one branch: one
-        delivery per node even when the arc that sent them is stale.
-
-        A stale arc, or a join racing the message, *overshoots*: the
-        receiver gets keys owned by nodes behind it.  Fresh pointers
-        never do: a certified group is delivered where it lands, and an
-        uncertified one at distance ``d``, ``2**j <= d < 2**(j+1)``,
-        goes to a pointer no nearer than slot ``j``'s owner, at ``r >=
-        2**j``, landing ``d - r < 2**j <= size / 2`` short of its key.
-        So a forwarder whose nearest remaining key is more than half the
-        ring ahead was overshot, and hands the *whole* message to its
-        predecessor: one hop per node that joined inside the arc, not a
-        trip round the ring.  (Splitting by distance there delivers
-        twice when one node's arc straddles the half-way point.)
-
-        The keys are sorted by clockwise distance once, so the groups
-        are runs of that order, each decided at its first key, at
-        distance ``d`` with ``j = d.bit_length() - 1``: slot ``j``'s
-        owner is the group's pointer when it certifies the key and
-        otherwise the finger strictly preceding it, and then slot ``j +
-        1``'s owner, the first finger past the key, ends the group (at
-        the origin, whichever of each pair the cache view holds nearer
-        the key).  Consecutive groups bound for the same pointer merge
-        into one branch.
+        A group is decided at its nearest key, at distance ``d`` with
+        ``j = d.bit_length() - 1``: its pointer is slot ``j``'s owner if
+        that certifies the key, else the finger strictly before the key,
+        and slot ``j + 1``'s owner, the first finger past the key, ends
+        it.  At the origin (``arcs``: its cache) whichever of each pair
+        the cache view holds nearer the key stands in, and the pointer
+        past the key takes the group when its stamped arc covers the key
+        (:meth:`_next_hop`); a dead cached pointer met at a boundary is
+        forgotten and the split starts over.  A forwarder reads the ring
+        alone.  Overshot: a fresh uncertified group at ``2**j <= d``
+        goes to a pointer at ``r >= 2**j``, landing ``d - r < 2**j <=
+        size / 2`` short, so a forwarder whose nearest key is farther
+        than half the ring hands them all to its predecessor.
         """
         size = self._size
         me = self.id
-        targets = message.target_keys or frozenset()
-        predecessor = self._overlay._pred[me]
-        # Inline in_open_closed(k, pred, me): runs per target key.  Most
-        # forwarders own none of their keys, so a plain loop looks for
-        # the first owned one and the set is built only then.
-        mine = None
-        if predecessor == me:  # sole node: every key is ours
-            mine = set(targets)
-        else:
-            span = (me - predecessor) % size
-            for key in targets:
-                if 0 < (key - predecessor) % size <= span:
-                    mine = {k for k in targets if 0 < (k - predecessor) % size <= span}
-                    break
-        if mine:
-            self._overlay.do_deliver(self, message)
-            rest = targets - mine
-        else:
-            rest = targets  # nothing delivered: the set is unchanged
-        if not rest:
-            return
-        ring = self._overlay._ring
+        overlay = self._overlay
+        predecessor = overlay._pred[me]
+        lo = 0 if distances[0] else 1
+        hi = count
+        far = (predecessor - me) % size  # 0 on a sole node: all is mine
+        if distances[-1] > far:  # the keys past the predecessor are mine
+            hi = lo if distances[lo] > far else bisect_right(distances, far)
+        if lo == hi:
+            return predecessor, lo, hi, {}
+        ring = overlay._ring
         nodes = len(ring)
-        # The origin (empty path) addresses the whole ring on purpose.
-        behind = size >> 1 if message.path else size
-        hops = message.hops + 1
-        path = message.path + (me, predecessor)
-        transmit = self._overlay._network_transmit
-        count = len(rest)
-        # Pointer -> index of its branch's first key in ``distances``.
-        # Pointers only move clockwise as the keys do, so each branch
-        # is one run of the sorted order.
+        behind = size >> 1 if message.path else size  # the origin: no limit
+        distance = distances[lo]
+        if distance > behind:  # overshot: all of it, one step back
+            return predecessor, lo, hi, {predecessor: lo}
+        if hi - lo == 1 and arcs is None:  # slot j, no grouping
+            start = me + (1 << (distance.bit_length() - 1))
+            pointer = ring[bisect_left(ring, start % size) % nodes]
+            return predecessor, lo, hi, {pointer: lo}
+        # Pointer -> position of its branch's first key.  Pointers only
+        # move clockwise as the keys do, so each branch is one run.
         branches: dict[int, int] = {}
-        if count == 1 and arcs is None:
-            # Single remaining key: one branch, no grouping machinery.
-            (key,) = rest
-            distance = (key - me) % size
-            if distance > behind:
-                pointer = predecessor  # overshot: one step back
-            else:  # slot j: the key's owner, or the finger before it
-                start = me + (1 << (distance.bit_length() - 1))
-                pointer = ring[bisect_left(ring, start % size) % nodes]
-            branches[pointer] = 0
-        else:
-            distances = sorted([(key - me) % size for key in rest])
-            if distances[0] > behind:
-                branches[predecessor] = 0  # overshot: all of it, one step back
         while not branches:
             if arcs is not None:  # as _next_hop reads it
-                members = self._overlay._pred
+                members = overlay._pred
                 cache = self._cache
                 journal = cache.journal
                 if journal is None or journal:
@@ -388,7 +326,7 @@ class ChordNode(OverlayNode):
                 cached = len(dists)
             reach = 0  # the current group ends at this distance
             pointer = -1
-            for position, distance in enumerate(distances):
+            for position, distance in enumerate(distances[lo:hi], lo):
                 if distance > reach:  # nearest key of the next group
                     top = 1 << distance.bit_length()
                     owner = ring[bisect_left(ring, (me + (top >> 1)) % size) % nodes]
@@ -422,29 +360,4 @@ class ChordNode(OverlayNode):
                 break
             cache.forget(past if owner in members else owner)
             branches.clear()
-        # The undelivered envelope carries one branch itself; the rest
-        # are fresh (or pooled) copies sharing the same path tuple.
-        reusable = None if mine else message
-        end = count
-        for pointer in reversed(branches):  # each run ends where the next began
-            first = branches[pointer]
-            if end - first == count:
-                # One branch means its key set is exactly ``rest`` —
-                # reuse that frozenset instead of building its equal.
-                branch_keys = rest
-            else:
-                branch_keys = frozenset(
-                    [(me + distance) % size for distance in distances[first:end]]
-                )
-            end = first
-            if reusable is not None:
-                branch = reusable
-                branch.hops = hops
-                branch.path = path
-                branch.target_keys = branch_keys
-                reusable = None
-            else:
-                branch = self._overlay._prepared(
-                    message, message.key, branch_keys, message.mode, hops, path
-                )
-            transmit(me, pointer, branch)
+        return predecessor, lo, hi, branches

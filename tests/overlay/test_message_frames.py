@@ -48,18 +48,19 @@ Above the network, the receiving end and the pub/sub layer:
   comprehensions differ).
 
 One budget above the network: what a CAN node adds to a unicast it
-merely forwards — ``receive``, ``route_unicast``, ``_next_hop`` and the
-zone jump's occasional ``bisect`` on the chain's eight.  A forwarder
-stamps its zone from a memo and never asks its location cache, so the
-count is the one taken before CAN had a location cache, 49 500, less
-the one call each forward's kernel event no longer makes and the two
-the recorder's ``on_send`` and its ``dict.get`` made.
-And what a CAN node pays to forward a 50-key m-cast once its pointer
-table is current: a fixed six, five a branch and two a copy, none a
-key (3.11; Python 3.12 inlines the comprehensions, four fewer).
-Chord's twin needs no constant: a Chord node that forwards an m-cast
-is counted against the same node built without a cache, and one that
-forwards a unicast costs no less than that node does.
+merely forwards — ``receive``, ``route_unicast`` and ``_next_hop`` on
+the chain's eight.  A forwarder reads its zone off the overlay's
+geometry entry and never asks its location cache, so the count is the
+one taken before CAN had a location cache, 49 500, less the one call
+each forward's kernel event no longer makes and the two the recorder's
+``on_send`` and its ``dict.get`` made.
+And what a node pays to forward a 50-key m-cast in two branches: the
+Fig. 4 step that Chord and CAN share, with each one's pointer rule,
+exactly (keyed on the Python minor version, whose comprehensions
+differ).  No call is made per key.  Beside Chord's exact count, a Chord
+node that forwards an m-cast is counted against the same node built
+without a cache, and one that forwards a unicast costs no less than
+that node does.
 """
 
 import cProfile
@@ -91,12 +92,17 @@ DESTINATIONS = 64
 DRAIN_EVENT = 4
 CAN_ROUTES = 500
 CAN_FORWARD_CALLS = 39_000  # for the 7 x CAN_ROUTES extra forwards below
-# One CAN m-cast forward of 50 contiguous keys split into two branches,
-# by Python minor version.  The greedy grouping this replaced counted
-# 105 on 3.11: a _next_hop per key.  While the recorder was a ``send``
-# subscriber, 3.11 read 22 and 3.12 read 18; while the node held a
-# memoized pointer table, 3.11 read 18 and 3.12 read 14.
-CAN_MCAST_FORWARD_CALLS = {(3, 11): 17, (3, 12): 13}
+# One m-cast forward of 50 contiguous keys split into two branches, by
+# Python minor version.  3.12 inlines the step's three comprehensions;
+# its entries are derived by that rule, not measured.  For CAN, the
+# greedy grouping this replaced counted 105 on 3.11: a _next_hop per
+# key.  While the recorder was a ``send`` subscriber, 3.11 read 22;
+# while the node held a memoized pointer table, 18; while CAN wrote its
+# own step, with a set comprehension for the keys it owns, a sort for a
+# single key and a ``list.append`` per group, 17.  Chord's own step read
+# 19: one frame fewer than the shared step and its rule.
+CAN_MCAST_FORWARD_CALLS = {(3, 11): 15, (3, 12): 12}
+CHORD_MCAST_FORWARD_CALLS = {(3, 11): 20, (3, 12): 17}
 DELIVERIES = 500
 # One publication delivered at a node with an empty store, from
 # ``do_deliver`` to the handler's return; 3.11 and 3.12 agree.  With
@@ -224,20 +230,14 @@ def test_can_unicast_forward_costs_what_it_did_without_a_cache():
     assert routes(far) - routes(near) <= CAN_FORWARD_CALLS + ONE_OFF
 
 
-def test_can_mcast_forward_costs_one_bit_length_per_branch():
-    """17 calls on 3.11: ``continue_mcast``, its set and list
-    comprehensions, ``sorted`` and one ``len``; per branch an
-    ``int.bit_length`` (the pointer is read off the key→owner table
-    from link ``j`` on), a ``list.append``, the key-set comprehension
-    and the network's two (``transmit``, ``list.append``); and the one
-    copy, ``forwarded_copy`` with its ``__init__`` — the envelope
-    carries the other branch.  3.12 inlines the four comprehensions."""
-    budget = minor_budget(CAN_MCAST_FORWARD_CALLS, "CAN m-cast forward")
-    overlay = CanOverlay(Simulator(), KeySpace(13))
+def mcast_forward_calls(overlay, stamp_of) -> int:
+    """Calls to forward a 50-key m-cast ``CAN_ROUTES`` times at the
+    first node of a 200-node ring, its keys contiguous from 1000 past
+    the node's span: two branches, one a copy."""
     overlay.build_ring(random.Random(7).sample(range(1 << 13), 200))
     ids = overlay.node_ids()
     node, origin = overlay.node(ids[0]), ids[100]
-    start, length = overlay.zone_of(node.id)
+    start, length = node.owned_span()
     first = start + length + 1000
     keys = frozenset((first + i) % (1 << 13) for i in range(50))
     request_id = next_request_id()
@@ -246,19 +246,48 @@ def test_can_mcast_forward_costs_one_bit_length_per_branch():
         return OverlayMessage(
             kind=MessageKind.SUBSCRIPTION, payload=None,
             request_id=request_id, origin=origin, target_keys=keys,
-            mode=RoutingMode.MCAST, hops=1, path=(origin, overlay.zone_of(origin)),
+            mode=RoutingMode.MCAST, hops=1, path=(origin, stamp_of(origin)),
         )
 
     node.continue_mcast(forwarded())  # request open
     messages = [forwarded() for _ in range(CAN_ROUTES)]
+    sends = overlay.recorder.messages.total_sends()
 
     def body() -> None:
         for message in messages:
             node.continue_mcast(message)
 
     calls = profiled_calls(body)
+    assert overlay.recorder.messages.total_sends() - sends == 2 * CAN_ROUTES
     # Exact: the one call that is not a forward is ``body`` itself.
-    assert calls == budget * CAN_ROUTES + 1, calls / CAN_ROUTES
+    return calls - 1
+
+
+def test_can_mcast_forward_costs_one_bit_length_per_branch():
+    """15 calls on 3.11: the shared step ``continue_mcast`` with its
+    ``len``, ``sorted`` and distance comprehension, and CAN's rule
+    ``mcast_pointers``; per branch an ``int.bit_length`` (the pointer is
+    read off the key→owner table from link ``j`` on), the key-set
+    comprehension and the network's two (``transmit``,
+    ``list.append``); and the one copy, ``_prepared`` with its
+    ``__init__`` — the envelope carries the other branch.  The keys the
+    node owns cost no call: none lies before its zone's end."""
+    budget = minor_budget(CAN_MCAST_FORWARD_CALLS, "CAN m-cast forward")
+    overlay = CanOverlay(Simulator(), KeySpace(13))
+    calls = mcast_forward_calls(overlay, lambda origin: overlay.zone_of(origin))
+    assert calls == budget * CAN_ROUTES, calls / CAN_ROUTES
+
+
+def test_chord_mcast_forward_costs_two_bisects_per_branch():
+    """20 calls on 3.11: CAN's fifteen, with Chord's rule in place of
+    CAN's; the rule adds ``len(ring)`` and, per branch, two
+    ``bisect_left`` on the ring: slot ``j``'s owner, which precedes the
+    group's nearest key here, and slot ``j + 1``'s, which ends the
+    group.  A forwarder reads no cache."""
+    budget = minor_budget(CHORD_MCAST_FORWARD_CALLS, "Chord m-cast forward")
+    overlay = ChordOverlay(Simulator(), KeySpace(13))
+    calls = mcast_forward_calls(overlay, lambda origin: overlay._pred[origin])
+    assert calls == budget * CAN_ROUTES, calls / CAN_ROUTES
 
 
 def test_a_delivery_reaches_its_payload_handler_in_one_dispatch():

@@ -190,3 +190,38 @@ def test_state_transfer_hook_interval_matches_new_coverage(overlay_cls):
     assert to_node == joiner
     for key in KS.keys_in_range((left + 1) % KS.size, right)[:50]:
         assert overlay.covers(joiner, key), key
+
+
+# The overlays that run the shared Fig. 4 step (``OverlayNode.continue_mcast``);
+# Chord with an empty cache splits over fingers alone, at the origin too.
+FIG4_OVERLAYS = [
+    pytest.param(ChordOverlay, {}, id="chord"),
+    pytest.param(ChordOverlay, {"cache_capacity": 0}, id="chord-cache0"),
+    pytest.param(CanOverlay, {}, id="can"),
+]
+
+
+@pytest.mark.parametrize("overlay_cls, options", FIG4_OVERLAYS)
+def test_mcast_delivers_once_at_each_owner_of_a_target_key(overlay_cls, options):
+    """An m-cast of a key range plus scattered keys delivers exactly
+    once at each node owning a target key, and at no other node: the
+    paper's at-most-once guarantee and complete coverage together."""
+    sim = Simulator()
+    overlay = overlay_cls(sim, KS, **options)
+    rng = random.Random(11)
+    overlay.build_ring(rng.sample(range(KS.size), 80))
+    ids = overlay.node_ids()
+    for src in ids:  # traffic first, so the location caches hold entries
+        overlay.send(src, rng.randrange(KS.size), message(src))
+    sim.run()
+    delivered = []
+    overlay.set_deliver(lambda nid, m: delivered.append(nid))
+    for _ in range(25):
+        first = rng.randrange(KS.size)
+        keys = {(first + i) % KS.size for i in range(rng.randrange(1, 600))}
+        keys.update(rng.sample(range(KS.size), 12))
+        src = rng.choice(ids)
+        delivered.clear()
+        overlay.mcast(src, keys, message(src, MessageKind.SUBSCRIPTION))
+        settle(sim)  # bounded: a step that re-sends keys fails, not hangs
+        assert sorted(delivered) == sorted({overlay.owner_of(k) for k in keys})

@@ -1,6 +1,15 @@
 """Unit tests for span tracing and causal-tree reconstruction."""
 
-from repro.overlay.api import MessageKind, OverlayMessage
+import random
+
+import pytest
+
+from repro.overlay.api import MessageKind, OverlayMessage, next_request_id
+from repro.overlay.can import CanOverlay
+from repro.overlay.chord import ChordOverlay
+from repro.overlay.ids import KeySpace
+from repro.overlay.network import Network
+from repro.sim import Simulator
 from repro.telemetry import Telemetry
 from repro.telemetry.export import write_jsonl
 from repro.telemetry.reader import delivery_coverage, load_jsonl, request_tree
@@ -145,3 +154,27 @@ def test_null_tracer_records_nothing():
     assert (tap.request, tap.send, tap.drop, tap.deliver) == ((), (), (), ())
     assert tracer.spans == []
     assert tracer.deliveries == []
+
+
+@pytest.mark.parametrize("overlay_cls", [ChordOverlay, CanOverlay])
+def test_mcast_branches_of_one_step_share_their_parent(overlay_cls):
+    """Every branch a node sends in one m-cast step was caused by the
+    hop that brought the message there, not by a sibling branch: the
+    tracer stamps each envelope it sees sent, so the copies are made
+    before the envelope itself leaves."""
+    sim = Simulator()
+    telemetry = Telemetry()
+    overlay = overlay_cls(sim, KeySpace(13), Network(sim, telemetry=telemetry))
+    overlay.build_ring(random.Random(3).sample(range(1 << 13), 60))
+    source = overlay.node_ids()[0]
+    message = OverlayMessage(
+        kind=PUB, payload=None, request_id=next_request_id(), origin=source
+    )
+    overlay.mcast(source, range(0, 1 << 13, 37), message)
+    sim.run()
+    spans = telemetry.tracer.spans
+    parents: dict[tuple[int, float], set[int]] = {}
+    for span in spans:
+        parents.setdefault((span.src, span.t_send), set()).add(span.parent)
+    assert len(spans) > len(parents)  # some step sent several branches
+    assert all(len(step) == 1 for step in parents.values())

@@ -37,10 +37,11 @@ test:
 # the conservative walk (one step, in the overlay base) under the
 # delivery oracle too; these four reports face the same last line,
 # the CAN one its every-node probe check included.
-# The Chord runs (with and without a cache) and the two CAN runs m-cast
-# by the one Fig. 4 step, which delivers at most once per node, so the
-# last line also fails if any of those four audited a notification
-# that reached its subscriber twice (audit.deliveries_duplicate > 0).
+# Every overlay m-casts by the one Fig. 4 step, which delivers at most
+# once per node, so the last line also fails if the Chord runs (with and
+# without a cache), the two CAN runs or the Pastry run audited a
+# notification that reached its subscriber twice
+# (audit.deliveries_duplicate > 0).
 # The churn-resilience bench (about 0.3 s of simulation) runs too, with
 # its timing off: it is the one check of delivery under crashes with and
 # without replication.
@@ -86,7 +87,7 @@ verify:
 			--json artifacts/report-$$overlay-sequential.json > /dev/null \
 		|| exit 1; \
 	done
-	$(PYTHON) -c "import json; reports = {p: json.load(open(p)) for p in ('artifacts/report-chord.json', 'artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-pastry.json', 'artifacts/report-chord-cache0.json', 'artifacts/report-chord-sequential.json', 'artifacts/report-can-sequential.json', 'artifacts/report-pastry-sequential.json')}; [exit(f'{p}: {k} not recorded') for p, r in reports.items() for k in ('audit', 'load') if r[k] is None]; [exit(f'{p}: {n} counters, one per node?') for p, r in reports.items() for n in [r['trace']['final_counters']] if n >= 100]; [exit(f'{p}: no publication audited') for p, r in reports.items() if sum(c['value'] for c in r['audit']['counters'] if c['name'] == 'audit.publications_audited') == 0]; [exit(f'{p}: a probe missed a node') for p in ('artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-can-sequential.json') for q in reports[p]['audit']['probes'] if q['nodes_checked'] != q['nodes_total']]; [exit(f'{p}: a notification delivered twice') for p in ('artifacts/report-chord.json', 'artifacts/report-chord-cache0.json', 'artifacts/report-can.json', 'artifacts/report-can-attribute-split.json') if sum(c['value'] for c in reports[p]['audit']['counters'] if c['name'] == 'audit.deliveries_duplicate') > 0]"
+	$(PYTHON) -c "import json; reports = {p: json.load(open(p)) for p in ('artifacts/report-chord.json', 'artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-pastry.json', 'artifacts/report-chord-cache0.json', 'artifacts/report-chord-sequential.json', 'artifacts/report-can-sequential.json', 'artifacts/report-pastry-sequential.json')}; [exit(f'{p}: {k} not recorded') for p, r in reports.items() for k in ('audit', 'load') if r[k] is None]; [exit(f'{p}: {n} counters, one per node?') for p, r in reports.items() for n in [r['trace']['final_counters']] if n >= 100]; [exit(f'{p}: no publication audited') for p, r in reports.items() if sum(c['value'] for c in r['audit']['counters'] if c['name'] == 'audit.publications_audited') == 0]; [exit(f'{p}: a probe missed a node') for p in ('artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-can-sequential.json') for q in reports[p]['audit']['probes'] if q['nodes_checked'] != q['nodes_total']]; [exit(f'{p}: a notification delivered twice') for p in ('artifacts/report-chord.json', 'artifacts/report-chord-cache0.json', 'artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-pastry.json') if sum(c['value'] for c in reports[p]['audit']['counters'] if c['name'] == 'audit.deliveries_duplicate') > 0]"
 
 # The performance ledger (BENCHMARK.json): five seeded workloads, eight
 # end-to-end and 111 per-layer metrics, about 3 min.  ledger-smoke runs

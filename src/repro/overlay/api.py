@@ -19,6 +19,7 @@ import abc
 import dataclasses
 import enum
 import itertools
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Any, Iterable, Protocol
 
 from repro.errors import OverlayError
@@ -95,11 +96,14 @@ class OverlayMessage:
             ``m-cast`` algorithm of Fig. 4; None for unicast.
         hops: One-hop transmissions this copy of the message has made.
         path: The hops this copy traversed, one entry appended per hop:
-            the node id (:meth:`forwarded_copy`), or, from an overlay
-            with a location cache (Chord's and CAN's routed messages),
-            the flat pair ``node id, interval`` — the arc's predecessor
-            or the zone's ``(start, length)`` the hop owned when it
-            forwarded this copy, so ``path[::2]`` are the ids.
+            the node id alone (:meth:`forwarded_copy`, and a Pastry or
+            protocol-Chord unicast hop), or the flat pair ``node id,
+            stamp``, so ``path[::2]`` are the ids.  Chord's and CAN's
+            routed hops and every overlay's m-cast hops stamp what the
+            hop owned when it forwarded this copy: a Chord hop its
+            arc's predecessor, a CAN hop its zone's ``(start,
+            length)``, and a Pastry or protocol-Chord m-cast hop its
+            ``owned_span()``, also ``(start, length)``.
         trace: Telemetry span id of the hop that produced this copy
             (the request's root span before the first transmission);
             0 when the run is not traced.  The tracer overwrites it at
@@ -118,11 +122,8 @@ class OverlayMessage:
     path: tuple[int, ...] = ()
     trace: int = 0
 
-    def forwarded_copy(
-        self, via: int, target_keys: frozenset[int] | None = None
-    ) -> "OverlayMessage":
-        """A copy of this message as forwarded through node ``via``, with
-        ``target_keys`` in its own set's place when given (a branch).
+    def forwarded_copy(self, via: int) -> "OverlayMessage":
+        """A copy of this message as forwarded through node ``via``.
 
         Ownership note: routing layers may instead forward an envelope
         *in place* (mutating ``hops``/``path``) when they hold the only
@@ -133,14 +134,14 @@ class OverlayMessage:
         retained it.
         """
         # Direct construction: dataclasses.replace pays dict-merge
-        # overhead, and this runs once per hop/branch.
+        # overhead, and this runs once per hop.
         return OverlayMessage(
             kind=self.kind,
             payload=self.payload,
             request_id=self.request_id,
             origin=self.origin,
             key=self.key,
-            target_keys=self.target_keys if target_keys is None else target_keys,
+            target_keys=self.target_keys,
             mode=self.mode,
             hops=self.hops + 1,
             path=self.path + (via,),
@@ -169,13 +170,15 @@ class NeighborSide(enum.Enum):
 class OverlayNode:
     """One overlay node: the message plumbing every overlay shares (one
     API over every overlay, §3.1 and §4.3.1) and the Fig. 4 m-cast step
-    (:meth:`continue_mcast`).  A node class adds only its routing —
-    ``owned_span`` (the keys it covers as ``(start, length)``),
-    ``route_unicast`` (``addressed``: this node picked the key) and
-    ``mcast_pointers``, its m-cast pointer rule — and overrides the
-    plumbing only for a policy of its own (Chord's touch log and origin
-    cache view, CAN's delivery log).  Pastry and protocol-level Chord
-    replace the m-cast step with their own partitions."""
+    (:meth:`continue_mcast`), the only one.  A node class adds only its
+    routing — ``owned_span`` (the keys it covers as ``(start,
+    length)``), ``route_unicast`` (``addressed``: this node picked the
+    key) and its m-cast pointers: either a pointer list (``pointers``,
+    which the textbook rule of :meth:`mcast_pointers` splits over:
+    Pastry, protocol-level Chord) or a rule of its own (Chord's and
+    CAN's ``mcast_pointers``) — and overrides the plumbing only for a
+    policy of its own (Chord's touch log and origin cache view, CAN's
+    delivery log)."""
 
     def __init__(self, node_id: int, overlay: "OverlayNetwork") -> None:
         self.id = node_id
@@ -187,10 +190,59 @@ class OverlayNode:
     def route_unicast(self, message: OverlayMessage, addressed: bool = False) -> None:
         raise NotImplementedError
 
+    def pointers(self) -> tuple[list[int], int]:
+        """The live nodes other than this one that this node's m-casts
+        may send to, in any order and possibly repeated, and how many of
+        them are *certified*: the nearest that many, clockwise, are its
+        consecutive ring successors as the ring has them, so each owns
+        the keys from the one before it up to itself."""
+        raise NotImplementedError
+
     def mcast_pointers(
         self, message: OverlayMessage, distances: list[int], count: int, arcs
     ) -> tuple[Any, int, int, dict[int, int]]:
-        raise NotImplementedError
+        """The textbook pointer rule over :meth:`pointers`, stamped with
+        :meth:`owned_span`.  Mine are the keys of my span: the key at
+        distance 0 and those past my predecessor, at ``size - length``.
+
+        A key no farther than the last certified successor goes to the
+        first of them at or past it, which owns it.  Any other key goes
+        to the farthest pointer strictly before it, or, with none before
+        it, to the nearest.  A group thus runs up to a pointer, that
+        pointer included, and the keys of one live node never straddle
+        it.  Only a certified successor is known to own the keys up to
+        it, so an uncertified pointer gets a key that lies before it
+        only when no pointer lies before the key.
+        """
+        span = self.owned_span()
+        size = self._overlay._key_limit
+        lo = 0 if distances[0] else 1
+        hi = bisect_right(distances, size - span[1])
+        branches: dict[int, int] = {}
+        if lo == hi:
+            return span, lo, hi, branches
+        me = self.id
+        ids, certified = self.pointers()
+        by_distance = {(pointer - me) % size: pointer for pointer in ids}
+        reach = sorted(by_distance)
+        last = reach[certified - 1] if certified else 0
+        links = len(reach)  # 0: no live pointer, so the rest goes nowhere
+        pointer = None
+        position = lo
+        while position < hi and links:
+            distance = distances[position]
+            at = bisect_left(reach, distance)
+            if distance > last:  # the farthest before it, else the nearest
+                if at:
+                    at -= 1
+                end = reach[at + 1] if at + 1 < links else size
+            else:  # the certified successor at or past it owns it
+                end = reach[at]
+            if by_distance[reach[at]] != pointer:
+                pointer = by_distance[reach[at]]
+                branches[pointer] = position
+            position = bisect_right(distances, end, position, hi)
+        return span, lo, hi, branches
 
     def continue_mcast(self, message: OverlayMessage, arcs: dict | None = None) -> None:
         """One step of the paper's Fig. 4 m-cast (§4.3.1), written once:
@@ -204,12 +256,13 @@ class OverlayNode:
         keys it owns are a prefix and a suffix of that order, the ones
         outside ``distances[lo:hi]``.  *Grouping*: each branch is a run
         of the rest, up to the next pointer's first position, sent whole
-        to the pointer whose span starts last at or before its nearest
-        key, as far as this node knows spans.  *At most once*: a run
-        ends at a live pointer's span start and no live node lies in
-        another's span, so one node's keys travel in one branch, and it
-        delivers once (split per key, a pointer could get an uncertified
-        key of its own again, through the pointer before it).
+        to one pointer: one that owns its nearest key, or that lies
+        before it, as far as this node knows spans.  *At most once*: a
+        run ends where one live node's span ends and the next one's
+        starts, and no live node lies in another's span, so one node's
+        keys travel in one branch, and it delivers once (split per key,
+        a pointer could get an uncertified key of its own again, through
+        the pointer before it).
         *Overshoot*: a fresh pointer's span holds the nearest key or
         lies before it, so every hop cuts the distance; a stale one (a
         cached arc, a join racing the message) lands keys more than half
@@ -220,6 +273,11 @@ class OverlayNode:
         delivered here carries the nearest, once the copies are made
         (the tracer stamps every envelope it sees sent).  ``arcs`` is
         the origin's cache (Chord's ``start_mcast``), None elsewhere.
+
+        A working rule needs far fewer hops than there are keys, but
+        one that hands back a key its node owns would circulate it
+        forever: a copy past that many hops raises
+        :class:`~repro.errors.OverlayError` naming its request.
         """
         overlay = self._overlay
         me = self.id
@@ -238,6 +296,11 @@ class OverlayNode:
         if not branches:
             return
         hops = message.hops + 1
+        if hops > size:
+            raise OverlayError(
+                f"m-cast of request {message.request_id} passed {size} hops"
+                f" at node {me}: its pointer rule hands keys back"
+            )
         path = message.path + (me, stamp)
         end = hi
         for pointer in reversed(branches):  # each ends where the next began

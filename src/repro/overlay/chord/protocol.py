@@ -134,17 +134,26 @@ class ProtocolChordNode(OverlayNode):
                 return candidate
         return self.id
 
+    def pointers(self) -> tuple[list[int], int]:
+        """Live fingers, successor and successor list.  Stored beliefs,
+        so none is certified: m-cast sends each key to the farthest
+        pointer strictly before it, as :meth:`closest_preceding` does."""
+        overlay = self._overlay
+        return [
+            candidate
+            for candidate in [*self.fingers, self.successor, *self.successor_list]
+            if candidate is not None
+            and candidate != self.id
+            and overlay.is_alive(candidate)
+        ], 0
+
     def closest_preceding(self, key: int) -> int:
         """Best known node strictly preceding ``key`` (fingers + succ)."""
         keyspace = self._overlay.keyspace
         target = keyspace.distance(self.id, key)
         best = self.id
         best_distance = 0
-        for candidate in [*self.fingers, self.successor, *self.successor_list]:
-            if candidate is None or candidate == self.id:
-                continue
-            if not self._overlay.is_alive(candidate):
-                continue
+        for candidate in self.pointers()[0]:
             distance = keyspace.distance(self.id, candidate)
             if 0 < distance < target and distance > best_distance:
                 best = candidate
@@ -229,47 +238,6 @@ class ProtocolChordNode(OverlayNode):
             self._overlay.do_deliver(self, message)
             return
         self._overlay.forward(self.id, next_hop, message.forwarded_copy(self.id))
-
-    def continue_mcast(self, message: OverlayMessage) -> None:
-        """m-cast over stored fingers (strict-precedence partition).
-
-        The origin and every forwarder run the same step.
-        """
-        keyspace = self._overlay.keyspace
-        targets = message.target_keys or frozenset()
-        mine = {k for k in targets if self._overlay.covers(self.id, k)}
-        if mine:
-            self._overlay.do_deliver(self, message)
-        rest = targets - mine
-        if not rest:
-            return
-        successor = self.live_successor()
-        pointers = sorted(
-            {
-                candidate
-                for candidate in [*self.fingers, successor, *self.successor_list]
-                if candidate is not None
-                and candidate != self.id
-                and self._overlay.is_alive(candidate)
-            },
-            key=lambda c: keyspace.distance(self.id, c),
-        )
-        if not pointers:
-            return
-        groups: dict[int, set[int]] = {}
-        for key in rest:
-            target_distance = keyspace.distance(self.id, key)
-            best = pointers[0]
-            best_distance = 0
-            for pointer in pointers:
-                distance = keyspace.distance(self.id, pointer)
-                if 0 < distance < target_distance and distance > best_distance:
-                    best = pointer
-                    best_distance = distance
-            groups.setdefault(best, set()).add(key)
-        for pointer, keys in groups.items():
-            branch = message.forwarded_copy(self.id, target_keys=frozenset(keys))
-            self._overlay.forward(self.id, pointer, branch)
 
     def _handle_find_successor(
         self, payload: FindSuccessor, message: OverlayMessage

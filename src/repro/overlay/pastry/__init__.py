@@ -12,11 +12,10 @@ The integration test suite runs the full pub/sub stack over it.
 Simplifications relative to deployed Pastry (documented in DESIGN.md):
 keys are covered by their ring *successor* (as in Chord) rather than
 the numerically closest node, so the churn/state-transfer contract is
-identical across overlays; and the one-to-many primitive partitions
-targets by next routing hop, which guarantees delivery to every
-covering node but only *at-most-once delivery per node per branch* —
-the pub/sub layer's idempotent stores and publication dedup absorb the
-(rare) duplicate branch arrivals.
+identical across overlays.  The one-to-many primitive is the shared
+Fig. 4 step over the node's leaf set and prefix rows (the textbook
+pointer rule of :class:`~repro.overlay.api.OverlayNode`), so every
+covering node receives its keys once, in one branch.
 """
 
 from repro.overlay.pastry.node import PastryNode

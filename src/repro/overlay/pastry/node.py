@@ -86,26 +86,12 @@ class PastryNode(OverlayNode):
 
     # -- one-to-many ------------------------------------------------------------
 
-    def continue_mcast(self, message: OverlayMessage) -> None:
-        """Partition the target keys by their unicast next hop.
-
-        Covered keys are delivered here (once per arrival); the rest
-        are grouped by next hop and forwarded as sub-multicasts.  Every
-        key follows exactly its unicast route, so coverage is complete;
-        a node may receive more than one branch (see package docstring).
-        """
-        targets = message.target_keys or frozenset()
-        start, length = self.owned_span()
-        size = self._overlay._key_limit
-        mine = {k for k in targets if (k - start) % size < length}
-        if mine:
-            self._overlay.do_deliver(self, message)
-        groups: dict[int, set[int]] = {}
-        for key in targets - mine:
-            next_hop = self._next_hop(key)
-            if next_hop is None:  # defensive; covered keys already removed
-                continue
-            groups.setdefault(next_hop, set()).add(key)
-        for next_hop, keys in groups.items():
-            branch = message.forwarded_copy(self.id, target_keys=frozenset(keys))
-            self._overlay._network_transmit(self.id, next_hop, branch)
+    def pointers(self) -> tuple[list[int], int]:
+        """My m-cast pointers, off the ring: the leaf set and the
+        non-empty prefix rows.  The leaf set's successor half is
+        certified."""
+        overlay = self._overlay
+        rows = overlay.compute_routing_table(self.id)
+        pointers = overlay.compute_leaf_set(self.id)
+        pointers += [row for row in rows if row is not None]
+        return pointers, min(LEAF_SET_SIZE // 2, len(overlay._ring) - 1)

@@ -4,7 +4,6 @@ from repro.overlay.api import (
     MessageKind,
     NeighborSide,
     OverlayMessage,
-    RoutingMode,
     next_request_id,
 )
 from repro.overlay.chord import ChordOverlay
@@ -39,15 +38,6 @@ def test_forwarded_copy_increments_hops_and_path():
     # Payload and identity travel unchanged.
     assert step2.payload == "data"
     assert step2.request_id == 7
-
-
-def test_forwarded_copy_can_narrow_targets():
-    message = make_message(
-        target_keys=frozenset({1, 2, 3}), mode=RoutingMode.MCAST
-    )
-    branch = message.forwarded_copy(via=5, target_keys=frozenset({2}))
-    assert branch.target_keys == frozenset({2})
-    assert message.target_keys == frozenset({1, 2, 3})  # original intact
 
 
 def test_forwarded_copy_keeps_targets_by_default():

@@ -237,3 +237,83 @@ def test_a_walk_at_a_node_that_believes_itself_alone_is_delivered_there():
     assert delivered.target_keys == frozenset(keys)
     trace = overlay.recorder.messages.traces[message.request_id]
     assert trace.deliveries == [(me, sim.now)] and trace.one_hop_messages == 0
+
+
+def one_step_branches(overlay, src, keys, monkeypatch):
+    """Pointer -> target keys of the branches one m-cast step at ``src``
+    sends (captured at the network, so nothing travels on)."""
+    sent = {}
+
+    def capture(_src, dst, message):
+        assert dst not in sent, "two branches to one pointer"
+        sent[dst] = message.target_keys
+
+    monkeypatch.setattr(overlay, "_network_transmit", capture)
+    monkeypatch.setattr(overlay.network, "transmit", capture)
+    message = OverlayMessage(
+        kind=MessageKind.SUBSCRIPTION,
+        payload=None,
+        request_id=next_request_id(),
+        origin=src,
+    )
+    overlay.mcast(src, keys, message)
+    monkeypatch.undo()
+    return sent
+
+
+def reference_branches(overlay, src, keys):
+    """Per key: the farthest live pointer (finger, successor or successor
+    list entry) strictly before it, else the nearest pointer."""
+    node = overlay.node(src)
+    pointers = sorted(
+        {
+            candidate
+            for candidate in [*node.fingers, node.live_successor(), *node.successor_list]
+            if candidate is not None
+            and candidate != src
+            and overlay.is_alive(candidate)
+        },
+        key=lambda candidate: KS.distance(src, candidate),
+    )
+    groups = {}
+    for key in keys:
+        if overlay.covers(src, key):
+            continue
+        best = pointers[0]
+        for pointer in pointers:
+            if 0 < KS.distance(src, pointer) < KS.distance(src, key):
+                best = pointer
+        groups.setdefault(best, set()).add(key)
+    return {pointer: frozenset(group) for pointer, group in groups.items()}
+
+
+@pytest.mark.parametrize("converge", [True, False], ids=["converged", "joining"])
+def test_mcast_step_sends_each_key_to_the_farthest_pointer_before_it(
+    converge, monkeypatch
+):
+    """One m-cast step over stored pointers splits the keys it does not
+    cover exactly as the per-key reference does, on a settled ring and
+    on one whose joins have not converged (fingers missing or stale)."""
+    if converge:
+        sim, overlay = build(24, seed=14)
+        overlay.run_until_converged()
+        sim.run_until(sim.now + 5 * KS.bits * overlay.fix_fingers_period)
+    else:
+        sim = Simulator()
+        overlay = ProtocolChordOverlay(sim, KS)
+        ids = random.Random(14).sample(range(KS.size), 24)
+        overlay.bootstrap(ids[0])
+        for node_id in ids[1:]:
+            overlay.join(node_id, bootstrap=ids[0])
+            sim.run_until(sim.now + 0.5)
+    assert overlay.converged() is converge
+    rng = random.Random(15)
+    splits = 0
+    for src in overlay.node_ids():
+        first = rng.randrange(KS.size)
+        keys = {(first + i) % KS.size for i in range(rng.randrange(1, 2000))}
+        keys.update(rng.sample(range(KS.size), 12))
+        expected = reference_branches(overlay, src, keys)
+        assert one_step_branches(overlay, src, keys, monkeypatch) == expected
+        splits += len(expected) > 1
+    assert splits > len(overlay.node_ids()) // 2

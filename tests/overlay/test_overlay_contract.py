@@ -1,8 +1,9 @@
 """The OverlayNetwork contract, enforced uniformly across Chord, Pastry
 and CAN — anything the pub/sub layer relies on must hold for all.
 
-The entry-point cases also run over protocol-level Chord, whose
-application sends take the same base entry points over stored pointers.
+The entry-point cases and the m-cast check also run over protocol-level
+Chord, whose application sends take the same base entry points and the
+same m-cast step over stored pointers.
 """
 
 import random
@@ -12,7 +13,7 @@ import pytest
 from repro.errors import ConfigurationError, OverlayError
 from repro.overlay.api import MessageKind, NeighborSide, OverlayMessage, next_request_id
 from repro.overlay.can import CanOverlay
-from repro.overlay.chord import ChordOverlay, ProtocolChordOverlay
+from repro.overlay.chord import ChordNode, ChordOverlay, ProtocolChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.overlay.pastry import PastryOverlay
 from repro.sim import Simulator
@@ -192,12 +193,16 @@ def test_state_transfer_hook_interval_matches_new_coverage(overlay_cls):
         assert overlay.covers(joiner, key), key
 
 
-# The overlays that run the shared Fig. 4 step (``OverlayNode.continue_mcast``);
-# Chord with an empty cache splits over fingers alone, at the origin too.
+# Every overlay runs the one Fig. 4 step (``OverlayNode.continue_mcast``).
+# Chord with an empty cache splits over fingers alone, at the origin too;
+# Pastry and protocol Chord split over a pointer list by the textbook rule
+# (protocol Chord once ``build_ring`` has let its ring converge).
 FIG4_OVERLAYS = [
     pytest.param(ChordOverlay, {}, id="chord"),
     pytest.param(ChordOverlay, {"cache_capacity": 0}, id="chord-cache0"),
     pytest.param(CanOverlay, {}, id="can"),
+    pytest.param(PastryOverlay, {}, id="pastry"),
+    pytest.param(ProtocolChordOverlay, {}, id="protocol-chord"),
 ]
 
 
@@ -213,7 +218,7 @@ def test_mcast_delivers_once_at_each_owner_of_a_target_key(overlay_cls, options)
     ids = overlay.node_ids()
     for src in ids:  # traffic first, so the location caches hold entries
         overlay.send(src, rng.randrange(KS.size), message(src))
-    sim.run()
+    settle(sim)
     delivered = []
     overlay.set_deliver(lambda nid, m: delivered.append(nid))
     for _ in range(25):
@@ -225,3 +230,22 @@ def test_mcast_delivers_once_at_each_owner_of_a_target_key(overlay_cls, options)
         overlay.mcast(src, keys, message(src, MessageKind.SUBSCRIPTION))
         settle(sim)  # bounded: a step that re-sends keys fails, not hangs
         assert sorted(delivered) == sorted({overlay.owner_of(k) for k in keys})
+
+
+def test_an_mcast_rule_that_hands_back_an_owned_key_fails_not_hangs(monkeypatch):
+    """A pointer rule that sends on keys its node owns circulates them
+    round the ring: the step bounds a copy's hops by the key count and
+    raises, naming the request, so a plain ``sim.run()`` returns."""
+
+    def hand_everything_on(self, message, distances, count, arcs):
+        return self.id, 0, count, {self.successor: 0}
+
+    monkeypatch.setattr(ChordNode, "mcast_pointers", hand_everything_on)
+    sim = Simulator()
+    overlay = ChordOverlay(sim, KeySpace(8))  # 256 hops to the bound
+    overlay.build_ring([10, 70, 130, 190])
+    src = 10
+    cast = message(src, MessageKind.SUBSCRIPTION)
+    overlay.mcast(src, [src], cast)
+    with pytest.raises(OverlayError, match=f"request {cast.request_id} passed"):
+        sim.run()

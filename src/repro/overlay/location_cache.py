@@ -75,11 +75,12 @@ class LocationCache:
         the journal outgrows a quarter of it: replaying an id costs what
         re-sorting ~2.5 rows does, and voiding bounds the appends spent
         on a view that may never be read again.  Why a journal at all:
-        voiding on *every* change cut calls per op at seed 1 (Intel
-        Xeon, Python 3.11) by 4.3% on ``steady-chord`` (463.3 → 443.3)
-        and 3.2% on ``churn-chord``, every fingerprint equal, but the
-        untraced ``steady-chord`` pass slowed, median 2.92 → 3.22 s,
-        winning 2 of 6 alternating pairs: one C-level ``sorted`` does
+        voiding on *every* change cuts calls per op at seed 1 (Intel
+        Xeon, 2 vCPUs, Python 3.11) by 5.5% on ``steady-chord`` (334.98
+        → 316.59) and 3.2% on ``churn-chord`` (332.75 → 321.97), every
+        fingerprint equal, but ``steady-chord``'s ``host.run_s`` rises,
+        median 1.41 → 1.57 s, slower in 6 of 6 alternating pairs (the
+        journal's quartile spread: 0.09 s): one C-level ``sorted`` does
         more work than the splices it replaces.
         """
         entries = self.entries

@@ -228,7 +228,7 @@ def _command_run(args: argparse.Namespace) -> int:
         discretization_width=args.discretization,
         replication_factor=args.replication,
         matcher=args.matcher,
-        covering=False if args.no_covering else None,
+        covering=not args.no_covering,
     )
     telemetry = None
     if args.telemetry or args.audit:

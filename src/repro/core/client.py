@@ -83,11 +83,6 @@ class PubSubClient:
         system.set_notify_handler(node_id, self._on_notifications)
 
     @property
-    def node_id(self) -> int:
-        """The overlay node this client is attached to."""
-        return self._node_id
-
-    @property
     def active_subscriptions(self) -> list[Subscription]:
         """Plain (non-disjunct) subscriptions currently installed."""
         return list(self._subscriptions.values())

@@ -47,11 +47,6 @@ class AttributeSplitMapping(AKMapping):
             )
         self._event_attribute = event_attribute
 
-    @property
-    def event_attribute(self) -> int:
-        """The attribute index used by EK."""
-        return self._event_attribute
-
     def subscription_key_groups(
         self, subscription: Subscription
     ) -> tuple[tuple[int, ...], ...]:

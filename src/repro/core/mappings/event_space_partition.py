@@ -63,11 +63,6 @@ class EventSpacePartitionMapping(AKMapping):
             for attribute in space.attributes
         ]
 
-    @property
-    def cells_per_dimension(self) -> int:
-        """Grid resolution G."""
-        return self._cells
-
     def _cell_of(self, attribute: int, value: int) -> int:
         return min(self._cells - 1, value // self._widths[attribute])
 

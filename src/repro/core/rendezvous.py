@@ -53,9 +53,9 @@ class SubscriptionStore:
         covering: Collapse covered subscriptions under a
             :class:`~repro.matching.covering.CoveringIndex` so the
             engine only sees the least-covered roots (see
-            :meth:`match`).  ``None`` (the default) enables covering
-            for every engine except ``"brute"``, which stays the
-            uncollapsed oracle the others are audited against.
+            :meth:`match`).  It holds for every engine except
+            ``"brute"``, which stays the uncollapsed oracle the others
+            are audited against.
 
     A store has two regimes.  Below :data:`SCAN_LIMIT` entries it keeps
     no engine and no covering index: :meth:`match` tests every entry's
@@ -80,16 +80,14 @@ class SubscriptionStore:
         self,
         space: EventSpace,
         matcher: str = "brute",
-        covering: bool | None = None,
+        covering: bool = True,
     ) -> None:
         self._entries: dict[int, StoredSubscription] = {}
         if matcher not in _ENGINES:
             raise ValueError(f"unknown matcher {matcher!r}")
         self._space = space
         self._engine = _ENGINES[matcher]
-        if covering is None:
-            covering = matcher != "brute"
-        self._collapse = covering
+        self._collapse = covering and matcher != "brute"
 
     @property
     def covering(self) -> CoveringIndex | None:

@@ -94,10 +94,9 @@ class PubSubConfig:
             scans its entries until then.
         covering: Collapse covered subscriptions at rendezvous nodes
             (:class:`~repro.matching.covering.CoveringIndex`) so the
-            matching engine only sees the least-covered roots.  None
-            (default) enables covering with every engine except
-            "brute", which stays the uncollapsed oracle; True/False
-            force it on/off regardless of engine.
+            matching engine only sees the least-covered roots.  On by
+            default; the "brute" engine never collapses, as it stays
+            the uncollapsed oracle.
     """
 
     routing: RoutingMode = RoutingMode.MCAST
@@ -108,7 +107,7 @@ class PubSubConfig:
     replication_factor: int = 0
     failure_detection_delay: float = 0.5
     matcher: str = "grid"
-    covering: bool | None = None
+    covering: bool = True
 
     def __post_init__(self) -> None:
         if self.collecting and not self.buffering:

@@ -49,10 +49,9 @@ class ExperimentConfig:
         matcher: Rendezvous matching engine ("brute", "grid", "radix",
             or "vector" — the numpy-vectorized grid engine, falling
             back to "grid" when numpy is unavailable).
-        covering: Covering-aware rendezvous stores (None = on unless
-            the matcher is "brute"; see
+        covering: Covering-aware rendezvous stores (on by default, never
+            under the "brute" matcher; see
             :class:`~repro.core.system.PubSubConfig`).
-        event_attribute: The attribute Mapping 1 hashes events by.
     """
 
     mapping: str = "selective-attribute"
@@ -72,8 +71,7 @@ class ExperimentConfig:
     discretization_width: int = 1
     replication_factor: int = 0
     matcher: str = "grid"
-    covering: bool | None = None
-    event_attribute: int = 0
+    covering: bool = True
 
     def __post_init__(self) -> None:
         if self.overlay not in ("chord", "pastry", "can"):
@@ -146,11 +144,11 @@ class ExperimentConfig:
     def build_mapping(self) -> AKMapping:
         """The configured ak-mapping (stateless, so every copy agrees on keys)."""
         space = self.workload.make_space()
-        kwargs: dict[str, object] = {
-            "discretization": Discretization.uniform(
+        return make_mapping(
+            self.mapping,
+            space,
+            KeySpace(self.key_bits),
+            discretization=Discretization.uniform(
                 space.dimensions, self.discretization_width
-            )
-        }
-        if self.mapping == "attribute-split":
-            kwargs["event_attribute"] = self.event_attribute
-        return make_mapping(self.mapping, space, KeySpace(self.key_bits), **kwargs)
+            ),
+        )

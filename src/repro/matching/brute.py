@@ -48,7 +48,3 @@ class BruteForceMatcher(Matcher):
 
     def __contains__(self, subscription_id: int) -> bool:
         return subscription_id in self._subscriptions
-
-    def subscriptions(self) -> list[Subscription]:
-        """All stored subscriptions (insertion order)."""
-        return list(self._subscriptions.values())

@@ -370,7 +370,6 @@ class OverlayNetwork(abc.ABC):
         keyspace: KeySpace,
         sim: "Simulator",
         network: "Network",
-        state_transfer: "StateTransferHook | None" = None,
     ) -> None:
         self._keyspace = keyspace
         # The exclusive upper bound of a key, for the inline key checks.
@@ -385,7 +384,7 @@ class OverlayNetwork(abc.ABC):
         self._traces = network.recorder.messages.traces
         self._tap = network.tap
         self._deliver: DeliverFn | None = None
-        self._state_transfer = state_transfer
+        self._state_transfer: StateTransferHook | None = None
         # Live node objects by id; a sharded worker holds only its own.
         self._nodes: dict[int, OverlayNode] = {}
 
@@ -393,11 +392,6 @@ class OverlayNetwork(abc.ABC):
     def keyspace(self) -> KeySpace:
         """The logical key space of this overlay."""
         return self._keyspace
-
-    @property
-    def sim(self) -> "Simulator":
-        """The simulation kernel."""
-        return self._sim
 
     @property
     def network(self) -> "Network":

@@ -10,7 +10,7 @@ import bisect
 from typing import Iterable
 
 from repro.errors import ConfigurationError, OverlayError
-from repro.overlay.api import OverlayNetwork, StateTransferHook
+from repro.overlay.api import OverlayNetwork
 from repro.overlay.can.morton import axis_sizes, decompose, morton_decode
 from repro.overlay.can.node import CanNode
 from repro.overlay.ids import KeySpace
@@ -42,13 +42,12 @@ class CanOverlay(OverlayNetwork):
         sim: Simulator,
         keyspace: KeySpace,
         network: Network | None = None,
-        state_transfer: StateTransferHook | None = None,
         *,
         express_links: bool = True,
         zone_jumps: bool = True,
         cache_capacity: int = 128,
     ) -> None:
-        super().__init__(keyspace, sim, network or Network(sim), state_transfer)
+        super().__init__(keyspace, sim, network or Network(sim))
         if cache_capacity < 0:
             raise ConfigurationError(
                 f"cache_capacity must be >= 0 (0 = off), got {cache_capacity}"

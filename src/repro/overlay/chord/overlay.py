@@ -12,7 +12,6 @@ algorithm of Fig. 4, and the whole table as ground truth for tests.
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.overlay.api import StateTransferHook
 from repro.overlay.chord.node import ChordNode
 from repro.overlay.ids import KeySpace
 from repro.overlay.network import Network
@@ -32,8 +31,6 @@ class ChordOverlay(RingOverlay):
             cache, yielding textbook ~½·log₂(n) routing; the default
             reproduces the paper's "finger caching" at ~2.5 hops for
             n = 500).
-        state_transfer: Optional application hook invoked on join/leave
-            so per-key state follows the KN-mapping (Section 4.1).
     """
 
     def __init__(
@@ -42,9 +39,8 @@ class ChordOverlay(RingOverlay):
         keyspace: KeySpace,
         network: Network | None = None,
         cache_capacity: int = 128,
-        state_transfer: StateTransferHook | None = None,
     ) -> None:
-        super().__init__(sim, keyspace, network, state_transfer)
+        super().__init__(sim, keyspace, network)
         if cache_capacity < 0:
             raise ConfigurationError(
                 f"cache_capacity must be >= 0 (0 = off), got {cache_capacity}"

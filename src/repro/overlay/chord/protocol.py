@@ -37,7 +37,6 @@ from repro.overlay.api import (
     OverlayMessage,
     OverlayNetwork,
     OverlayNode,
-    StateTransferHook,
     next_request_id,
 )
 from repro.overlay.ids import KeySpace
@@ -416,9 +415,8 @@ class ProtocolChordOverlay(OverlayNetwork):
         stabilize_period: float = 2.0,
         fix_fingers_period: float = 0.5,
         successor_list_size: int = 4,
-        state_transfer: StateTransferHook | None = None,
     ) -> None:
-        super().__init__(keyspace, sim, network or Network(sim), state_transfer)
+        super().__init__(keyspace, sim, network or Network(sim))
         self.stabilize_period = stabilize_period
         self.fix_fingers_period = fix_fingers_period
         self.successor_list_size = successor_list_size

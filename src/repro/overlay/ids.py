@@ -3,8 +3,8 @@
 Structured overlays route by *logical keys* drawn from a space ``K`` of
 ``m``-bit identifiers ordered on a circle modulo ``2**m`` (the Chord
 ring, Section 3.1.1 of the paper).  This module centralizes all modular
-arithmetic on that circle: clockwise distance, circular interval
-membership, and the SHA-1 consistent hash used to place nodes.
+arithmetic on that circle: clockwise distance and circular interval
+membership.
 
 The paper's evaluation uses ``m = 13`` (a key space of size ``2**13``).
 """
@@ -12,7 +12,6 @@ The paper's evaluation uses ``m = 13`` (a key space of size ``2**13``).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 
 from repro.errors import ConfigurationError
 
@@ -60,14 +59,6 @@ class KeySpace:
         """Reduce an arbitrary integer onto the ring (mod ``2**bits``)."""
         return value % self.size
 
-    def hash_name(self, name: str) -> int:
-        """Consistent hash of an arbitrary string onto the ring.
-
-        Uses SHA-1 as in Chord, truncated to ``bits`` bits.
-        """
-        digest = hashlib.sha1(name.encode()).digest()
-        return int.from_bytes(digest, "big") % self.size
-
     def distance(self, src: int, dst: int) -> int:
         """Clockwise distance from ``src`` to ``dst`` on the ring.
 
@@ -89,12 +80,6 @@ class KeySpace:
             return True
         return self.distance(left, key) <= self.distance(left, right) and key != left
 
-    def in_closed_open(self, key: int, left: int, right: int) -> bool:
-        """Circular membership test ``key in [left, right)``."""
-        if left == right:
-            return True
-        return self.distance(left, key) < self.distance(left, right)
-
     def in_open_open(self, key: int, left: int, right: int) -> bool:
         """Circular membership test ``key in (left, right)``.
 
@@ -104,10 +89,6 @@ class KeySpace:
         if left == right:
             return key != left
         return 0 < self.distance(left, key) < self.distance(left, right)
-
-    def in_closed_closed(self, key: int, left: int, right: int) -> bool:
-        """Circular membership test ``key in [left, right]``."""
-        return key == left or self.in_open_closed(key, left, right)
 
     def finger_start(self, node_id: int, index: int) -> int:
         """Start of the ``index``-th finger interval of ``node_id``.
@@ -121,11 +102,3 @@ class KeySpace:
                 f"finger index must be in [1, {self.bits}], got {index}"
             )
         return self.wrap(node_id + (1 << (index - 1)))
-
-    def keys_in_range(self, left: int, right: int) -> list[int]:
-        """Enumerate the keys of the circular closed interval ``[left, right]``.
-
-        Only intended for small ranges (tests, discretized mappings).
-        """
-        span = self.distance(left, right)
-        return [self.wrap(left + offset) for offset in range(span + 1)]

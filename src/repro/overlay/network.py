@@ -167,11 +167,6 @@ class Network:
         )
 
     @property
-    def sim(self) -> Simulator:
-        """The simulation kernel this network schedules on."""
-        return self._sim
-
-    @property
     def recorder(self) -> MetricsRecorder:
         """The metrics recorder charged for every transmission."""
         return self._recorder

@@ -16,7 +16,6 @@ class PastryOverlay(RingOverlay):
         sim: The simulation kernel.
         keyspace: The m-bit identifier space.
         network: Message transport (defaults to 50 ms fixed delay).
-        state_transfer: Optional Section 4.1 churn hook.
     """
 
     def _make_node(self, node_id: int) -> PastryNode:

@@ -21,7 +21,7 @@ import bisect
 from typing import Iterable
 
 from repro.errors import OverlayError
-from repro.overlay.api import OverlayNetwork, OverlayNode, StateTransferHook
+from repro.overlay.api import OverlayNetwork, OverlayNode
 from repro.overlay.ids import KeySpace
 from repro.overlay.network import Network
 from repro.sim.kernel import Simulator
@@ -49,7 +49,6 @@ class RingOverlay(OverlayNetwork):
         sim: The simulation kernel.
         keyspace: The m-bit identifier space.
         network: Message transport (defaults to 50 ms fixed delay).
-        state_transfer: Optional Section 4.1 churn hook.
     """
 
     def __init__(
@@ -57,9 +56,8 @@ class RingOverlay(OverlayNetwork):
         sim: Simulator,
         keyspace: KeySpace,
         network: Network | None = None,
-        state_transfer: StateTransferHook | None = None,
     ) -> None:
-        super().__init__(keyspace, sim, network or Network(sim), state_transfer)
+        super().__init__(keyspace, sim, network or Network(sim))
         self._ring: list[int] = []
         # Member -> its ring predecessor (a sole node is its own),
         # written wherever membership changes.  Its keys are the

@@ -60,12 +60,11 @@ class Telemetry:
     def __init__(
         self,
         enabled: bool = True,
-        registry: MetricRegistry | None = None,
         tracer: Tracer | None = None,
         load_metering: bool = True,
     ) -> None:
         self.enabled = enabled
-        self.registry = registry if registry is not None else MetricRegistry()
+        self.registry = MetricRegistry() if enabled else NullRegistry()
         self.tracer = tracer if tracer is not None else (
             Tracer() if enabled else NullTracer()
         )
@@ -115,6 +114,4 @@ class Telemetry:
 #: The disabled default of every network built without a telemetry:
 #: unregistered instruments, no tracer.  Never accumulates state, so
 #: sharing it across all of them is safe.
-NULL_TELEMETRY = Telemetry(
-    enabled=False, registry=NullRegistry(), tracer=NullTracer()
-)
+NULL_TELEMETRY = Telemetry(enabled=False)

@@ -52,8 +52,6 @@ class ZipfSampler:
         size: Domain size N.
         exponent: Skew s > 0 (s -> 0 approaches uniform).
         rng: Source of randomness for draws.
-        spread: If True (default), apply the affine rank-to-value
-            permutation; if False, rank k maps to value k-1 directly.
     """
 
     def __init__(
@@ -61,7 +59,6 @@ class ZipfSampler:
         size: int,
         exponent: float,
         rng: random.Random,
-        spread: bool = True,
     ) -> None:
         if size < 1:
             raise ConfigurationError("Zipf domain must be non-empty")
@@ -70,13 +67,9 @@ class ZipfSampler:
         self._size = size
         self._rng = rng
         self._cdf = _cdf(size, exponent)
-        if spread:
-            # Affine permutation k -> (a*k + b) mod N with gcd(a, N) = 1.
-            self._stride = self._coprime_stride(size)
-            self._offset = rng.randrange(size)
-        else:
-            self._stride = 1
-            self._offset = 0
+        # Affine permutation k -> (a*k + b) mod N with gcd(a, N) = 1.
+        self._stride = self._coprime_stride(size)
+        self._offset = rng.randrange(size)
 
     @staticmethod
     def _coprime_stride(size: int) -> int:

@@ -42,13 +42,6 @@ def test_wrap():
     assert ks.wrap(17) == 1
 
 
-def test_hash_name_deterministic_and_in_range():
-    ks = KeySpace(13)
-    assert ks.hash_name("node-1") == ks.hash_name("node-1")
-    assert ks.hash_name("node-1") != ks.hash_name("node-2")
-    assert 0 <= ks.hash_name("anything") < ks.size
-
-
 def test_distance_examples():
     ks = KeySpace(4)
     assert ks.distance(3, 5) == 2
@@ -75,12 +68,6 @@ def test_finger_start():
         ks.finger_start(0, 0)
     with pytest.raises(ConfigurationError):
         ks.finger_start(0, 6)
-
-
-def test_keys_in_range_wrapping():
-    ks = KeySpace(4)
-    assert ks.keys_in_range(14, 1) == [14, 15, 0, 1]
-    assert ks.keys_in_range(3, 3) == [3]
 
 
 # -- properties ----------------------------------------------------------
@@ -112,26 +99,6 @@ def test_open_closed_partition(key, left, right):
 def test_interval_forms_consistent(key, left, right):
     oc = KS.in_open_closed(key, left, right)
     oo = KS.in_open_open(key, left, right)
-    cc = KS.in_closed_closed(key, left, right)
-    co = KS.in_closed_open(key, left, right)
-    # Open-open is the most restrictive, closed-closed the least.
-    assert not oo or oc
-    assert not oc or cc
-    assert not oo or co
+    # Open-open is open-closed without the right endpoint.
+    assert oc == (oo or key == right)
 
-
-@given(keys, keys)
-def test_closed_closed_includes_endpoints(left, right):
-    assert KS.in_closed_closed(left, left, right)
-    assert KS.in_closed_closed(right, left, right)
-
-
-@given(keys, keys)
-def test_keys_in_range_matches_membership(left, right):
-    span = KS.distance(left, right)
-    if span > 64:
-        return  # keep enumeration small
-    enumerated = KS.keys_in_range(left, right)
-    assert len(enumerated) == span + 1
-    for key in enumerated:
-        assert KS.in_closed_closed(key, left, right)

@@ -189,7 +189,9 @@ def test_state_transfer_hook_interval_matches_new_coverage(overlay_cls):
     assert calls, "join must fire the state-transfer hook"
     from_node, to_node, (left, right) = calls[-1]
     assert to_node == joiner
-    for key in KS.keys_in_range((left + 1) % KS.size, right)[:50]:
+    span = (right - left) % KS.size or KS.size  # the whole ring if equal
+    for offset in range(1, min(span, 50) + 1):
+        key = (left + offset) % KS.size
         assert overlay.covers(joiner, key), key
 
 

@@ -45,17 +45,10 @@ def test_skew_increases_concentration():
 
 
 def test_spread_moves_hotspot_off_zero():
-    sampler = ZipfSampler(10_000, 1.2, random.Random(4), spread=True)
+    sampler = ZipfSampler(10_000, 1.2, random.Random(4))
     values = Counter(sampler.sample() for _ in range(3000))
     hottest, _ = values.most_common(1)[0]
     assert hottest != 0  # golden-ratio stride + random offset
-
-
-def test_no_spread_maps_rank_to_value_directly():
-    sampler = ZipfSampler(10_000, 1.2, random.Random(5), spread=False)
-    values = Counter(sampler.sample() for _ in range(3000))
-    hottest, _ = values.most_common(1)[0]
-    assert hottest == 0  # rank 1 -> value 0
 
 
 def test_single_value_domain():

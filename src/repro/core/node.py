@@ -86,9 +86,12 @@ class PubSubNode:
     def covered_targets(self, message: OverlayMessage) -> set[int]:
         """The rendezvous keys (of this message) that this node covers."""
         if message.target_keys is not None:
-            covers = self._system._overlay.covers
-            me = self.id
-            return {k for k in message.target_keys if covers(me, k)}
+            overlay = self._system._overlay
+            start, length = overlay.node(self.id).owned_span()
+            size = overlay._key_limit
+            return {
+                key for key in message.target_keys if (key - start) % size < length
+            }
         assert message.key is not None
         return {message.key}
 

@@ -272,6 +272,16 @@ def _command_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_input(read, path):
+    """``read(path)``, where an input file that cannot be opened or
+    decoded is a usage error, not a crash."""
+    try:
+        return read(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigurationError(f"cannot read {path}: {reason}") from None
+
+
 def _command_trace(args: argparse.Namespace) -> int:
     from repro.experiments.runner import build_system, generate_trace
     from repro.overlay.api import MessageKind
@@ -289,7 +299,7 @@ def _command_trace(args: argparse.Namespace) -> int:
         trace.save(args.out)
         print(f"wrote {len(trace)} operations to {args.out}")
         return 0
-    trace = Trace.load(args.path)
+    trace = _read_input(Trace.load, args.path)
     config = ExperimentConfig(
         mapping=args.mapping, routing=RoutingMode(args.routing),
         nodes=args.nodes, key_bits=_key_bits(args.nodes), seed=args.seed,
@@ -316,7 +326,7 @@ def _command_report(args: argparse.Namespace) -> int:
 
     from repro.telemetry import reader
 
-    dump = reader.load_jsonl(args.path)
+    dump = _read_input(reader.load_jsonl, args.path)
     report = reader.build_report(dump, top=args.top)
     print(reader.render_report(report, source=str(args.path)))
     if args.json:

@@ -12,6 +12,7 @@ or overlays for paired comparisons.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import dataclasses
 import json
 import random
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 from repro.core.events import Attribute, Event, EventSpace
 from repro.core.subscriptions import Constraint, Subscription
 from repro.core.system import PubSubSystem
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DataModelError
 from repro.workload.generator import EventGenerator, SubscriptionGenerator
 from repro.workload.spec import ChurnSpec, WorkloadSpec
 
@@ -265,51 +266,74 @@ class Trace:
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":
-        """Deserialize a trace produced by :meth:`to_json`; outside input,
-        so an unknown format version or op kind, or an op without its
-        kind's payload, raises :class:`~repro.errors.ConfigurationError`."""
-        payload = json.loads(text)
+        """Deserialize a trace produced by :meth:`to_json`.  Outside
+        input, so text that is not a JSON object, an unknown format
+        version, a missing or malformed field, an unknown op kind or an
+        op without its kind's payload raises
+        :class:`~repro.errors.ConfigurationError` naming the field or op."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"trace is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                f"a trace is a JSON object, not a {type(payload).__name__}"
+            )
         if payload.get("version") not in FORMAT_VERSIONS:
             raise ConfigurationError(
                 f"unsupported trace format version {payload.get('version')!r} "
                 f"(this build reads {FORMAT_VERSIONS})"
             )
-        space = EventSpace(
-            tuple(
-                Attribute(a["name"], a["size"], kind=a.get("kind", "int"))
-                for a in payload["space"]
+        for field in ("space", "ops"):
+            if not isinstance(payload.get(field), list):
+                raise ConfigurationError(
+                    f"trace field {field!r} is missing or not a list"
+                )
+        with _malformed("trace space"):
+            space = EventSpace(
+                tuple(
+                    Attribute(a["name"], a["size"], kind=a.get("kind", "int"))
+                    for a in payload["space"]
+                )
             )
-        )
         ops = []
         for index, record in enumerate(payload["ops"]):
-            subscription = None
-            event = None
-            if "constraints" in record:
-                subscription = Subscription(
-                    space=space,
-                    constraints=tuple(
-                        Constraint(attribute=a, low=lo, high=hi)
-                        for a, lo, hi in record["constraints"]
-                    ),
-                    subscription_id=record["sid"],
-                )
-            if "values" in record:
-                event = Event(
-                    space=space,
-                    values=tuple(record["values"]),
-                    event_id=record["eid"],
-                )
-            op = TraceOp(
-                time=record["time"],
-                kind=record["kind"],
-                node=record["node"],
-                subscription=subscription,
-                event=event,
-                ttl=record.get("ttl"),
-            )
+            with _malformed(f"trace op {index}"):
+                op = cls._op_from_dict(record, space)
             check_op(index, op)
             ops.append(op)
         return cls(space, ops)
+
+    @staticmethod
+    def _op_from_dict(record: dict, space: EventSpace) -> TraceOp:
+        subscription = None
+        event = None
+        if "constraints" in record:
+            subscription = Subscription(
+                space=space,
+                constraints=tuple(
+                    Constraint(attribute=a, low=lo, high=hi)
+                    for a, lo, hi in record["constraints"]
+                ),
+                subscription_id=record["sid"],
+            )
+        if "values" in record:
+            event = Event(
+                space=space,
+                values=tuple(record["values"]),
+                event_id=record["eid"],
+            )
+        time = record["time"]
+        if time.__class__ not in (int, float):
+            raise TypeError(f"time {time!r} is not a number")
+        return TraceOp(
+            time=time,
+            kind=record["kind"],
+            node=record["node"],
+            subscription=subscription,
+            event=event,
+            ttl=record.get("ttl"),
+        )
 
     def save(self, path: str | Path) -> None:
         """Write the trace to a JSON file."""
@@ -319,6 +343,18 @@ class Trace:
     def load(cls, path: str | Path) -> "Trace":
         """Read a trace from a JSON file."""
         return cls.from_json(Path(path).read_text())
+
+
+@contextlib.contextmanager
+def _malformed(where: str):
+    """Re-raise what a malformed field of outside input raises while it
+    is parsed as a :class:`ConfigurationError` naming ``where``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigurationError(f"{where}: missing field {exc.args[0]!r}") from None
+    except (LookupError, TypeError, ValueError, DataModelError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
 
 
 def _with_churn(

@@ -148,9 +148,16 @@ def test_missing_command_rejected():
         main([])
 
 
-def test_trace_replay_missing_file():
-    with pytest.raises(FileNotFoundError):
-        main(["trace", "replay", "/nonexistent/trace.json"])
+def test_trace_replay_missing_file(tmp_path, capsys):
+    # An input path that cannot be read is a usage error: one line, exit 2.
+    missing = str(tmp_path / "no-such-file.json")
+    for argv in (["trace", "replay", missing], ["report", missing]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot read {missing}: No such file or directory\n"
+        )
 
 
 def test_run_rejects_bad_mapping():

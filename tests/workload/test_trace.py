@@ -358,12 +358,22 @@ def edited(trace, **changes):
         ({"version": None}, "version None"),
         ({"kind": "frob"}, "op 0: unknown kind 'frob'"),
         ({"values": None}, "op 0: a 'pub' op needs its event"),
+        ({"values": [10**9, 0, 0, 0]}, "op 0: value 1000000000 outside domain"),
+        ({"time": None}, "op 0: missing field 'time'"),
+        ({"time": "soon"}, "op 0: time 'soon' is not a number"),
+        # Whole bodies rather than edits of a good trace.
+        ('{"version": 2, "space": [', "not valid JSON"),
+        ("[]", "a trace is a JSON object, not a list"),
+        ('{"version": 2}', "field 'space' is missing"),
+        ('{"version": 2, "space": [{"name": "a"}], "ops": []}',
+         "trace space: missing field 'size'"),
     ],
 )
 def test_from_json_rejects_what_it_cannot_run(changes, message):
     trace, _ = make_trace(subs=0, pubs=2)
+    body = changes if isinstance(changes, str) else edited(trace, **changes)
     with pytest.raises(ConfigurationError, match=message):
-        Trace.from_json(edited(trace, **changes))
+        Trace.from_json(body)
 
 
 def test_version_1_files_still_load():

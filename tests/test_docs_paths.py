@@ -1,4 +1,5 @@
-"""Every repository path and ``make`` target the docs name must exist.
+"""Every repository path, ``make`` target and ``repro`` name the docs
+name must exist.
 
 Covers the living documents, the Makefile's comments and the CI
 workflow.  CHANGES.md and ROADMAP.md are history — they name files that
@@ -7,6 +8,7 @@ were deleted on purpose — and are exempt.
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -38,6 +40,9 @@ PATH = re.compile(
 #: in backticks or parentheses, or after a colon (``run: make verify``).
 MAKE = re.compile(r"(?:^[\s#]*|[`(]|: )make ([a-z][a-z0-9-]*)", re.MULTILINE)
 TARGET = re.compile(r"^([a-z][a-z0-9-]*):", re.MULTILINE)
+#: A dotted ``repro.…`` name inside an inline backtick span.
+SPAN = re.compile(r"`([^`\n]+)`")
+DOTTED = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
 
 
 def text_of(doc: Path) -> str:
@@ -62,3 +67,29 @@ def test_named_paths_and_make_targets_exist(doc):
         if target not in targets
     ]
     assert not missing, f"{doc.relative_to(ROOT)} names what does not exist: {missing}"
+
+
+def resolves(name: str) -> bool:
+    """True if ``name`` is a module, or an attribute chain off the
+    longest module prefix of it."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(found, attribute):
+                return False
+            found = getattr(found, attribute)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda doc: str(doc.relative_to(ROOT)))
+def test_named_repro_names_resolve(doc):
+    names = {
+        name for span in SPAN.findall(text_of(doc)) for name in DOTTED.findall(span)
+    }
+    missing = sorted(name for name in names if not resolves(name))
+    assert not missing, f"{doc.relative_to(ROOT)} names what does not resolve: {missing}"

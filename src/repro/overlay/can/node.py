@@ -35,6 +35,10 @@ class CanNode(OverlayNode):
     pair the request's origin stamped, and the node addressing a key (a
     unicast's sender, the sequential walk picking its next key) tries the
     cached owner before :meth:`_next_hop`; forwarders and m-cast do not.
+    Logging every receive's whole path instead, as Chord does, costs more
+    than it saves: on the ledger's ``steady-can`` (seed 1) it moved
+    calls/op 293.75 → 336.47, msgs/op 19.07 → 19.50, the p99
+    notification delay 0.51 → 0.94 s and bytes/node 7 803 → 13 240.
     Its express links and m-cast pointers are slots of the overlay's
     key→owner table, current at every read.
     """

@@ -69,6 +69,12 @@ if TYPE_CHECKING:
 class ChordNode(OverlayNode):
     """One overlay node with Chord routing state.
 
+    Every receive logs the message's path into the location cache, but
+    only the origin of an m-cast reads the cache (:meth:`start_mcast`).
+    A forwarder that folded and read its own cache at every step too
+    saved few messages for many calls: on the ledger's ``steady-chord``
+    (seed 1) msgs/op went 16.00 → 15.41 and calls/op 334.98 → 484.15.
+
     Args:
         node_id: This node's position on the identifier circle.
         overlay: The owning :class:`~repro.overlay.chord.ChordOverlay`.

@@ -299,41 +299,36 @@ class Trace:
         ops = []
         for index, record in enumerate(payload["ops"]):
             with _malformed(f"trace op {index}"):
-                op = cls._op_from_dict(record, space)
+                subscription = None
+                event = None
+                if "constraints" in record:
+                    subscription = Subscription(
+                        space=space,
+                        constraints=tuple(
+                            Constraint(attribute=a, low=lo, high=hi)
+                            for a, lo, hi in record["constraints"]
+                        ),
+                        subscription_id=record["sid"],
+                    )
+                if "values" in record:
+                    event = Event(
+                        space=space,
+                        values=tuple(record["values"]),
+                        event_id=record["eid"],
+                    )
+                if record["time"].__class__ not in (int, float):
+                    raise TypeError(f"time {record['time']!r} is not a number")
+                op = TraceOp(
+                    time=record["time"],
+                    kind=record["kind"],
+                    node=record["node"],
+                    subscription=subscription,
+                    event=event,
+                    ttl=record.get("ttl"),
+                )
             check_op(index, op)
             ops.append(op)
         return cls(space, ops)
-
-    @staticmethod
-    def _op_from_dict(record: dict, space: EventSpace) -> TraceOp:
-        subscription = None
-        event = None
-        if "constraints" in record:
-            subscription = Subscription(
-                space=space,
-                constraints=tuple(
-                    Constraint(attribute=a, low=lo, high=hi)
-                    for a, lo, hi in record["constraints"]
-                ),
-                subscription_id=record["sid"],
-            )
-        if "values" in record:
-            event = Event(
-                space=space,
-                values=tuple(record["values"]),
-                event_id=record["eid"],
-            )
-        time = record["time"]
-        if time.__class__ not in (int, float):
-            raise TypeError(f"time {time!r} is not a number")
-        return TraceOp(
-            time=time,
-            kind=record["kind"],
-            node=record["node"],
-            subscription=subscription,
-            event=event,
-            ttl=record.get("ttl"),
-        )
 
     def save(self, path: str | Path) -> None:
         """Write the trace to a JSON file."""

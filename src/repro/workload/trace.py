@@ -316,15 +316,23 @@ class Trace:
                         values=tuple(record["values"]),
                         event_id=record["eid"],
                     )
-                if record["time"].__class__ not in (int, float):
-                    raise TypeError(f"time {record['time']!r} is not a number")
+                time, node, ttl = record["time"], record["node"], record.get("ttl")
+                if (
+                    time.__class__ not in (int, float)
+                    or node.__class__ is not int
+                    or ttl.__class__ not in (int, float, type(None))
+                ):
+                    raise TypeError(
+                        "time, node and ttl must be numbers (node an int, ttl "
+                        f"may be null), got {time!r}, {node!r}, {ttl!r}"
+                    )
                 op = TraceOp(
-                    time=record["time"],
+                    time=time,
                     kind=record["kind"],
-                    node=record["node"],
+                    node=node,
                     subscription=subscription,
                     event=event,
-                    ttl=record.get("ttl"),
+                    ttl=ttl,
                 )
             check_op(index, op)
             ops.append(op)

@@ -360,7 +360,8 @@ def edited(trace, **changes):
         ({"values": None}, "op 0: a 'pub' op needs its event"),
         ({"values": [10**9, 0, 0, 0]}, "op 0: value 1000000000 outside domain"),
         ({"time": None}, "op 0: missing field 'time'"),
-        ({"time": "soon"}, "op 0: time 'soon' is not a number"),
+        ({"time": "soon"}, "op 0: time, node and ttl must be numbers .* got 'soon'"),
+        ({"ttl": "soon"}, "op 0: time, node and ttl must be numbers .*, 'soon'$"),
         # Whole bodies rather than edits of a good trace.
         ('{"version": 2, "space": [', "not valid JSON"),
         ("[]", "a trace is a JSON object, not a list"),

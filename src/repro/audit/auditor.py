@@ -254,13 +254,12 @@ class Auditor:
         for sid, entry in self._ledger.items():
             if entry.t_subscribed + GRACE > now:
                 continue  # install may still be in flight
-            if entry.t_unsubscribed is not None:
-                continue  # already removed (or removal in flight)
             if entry.expire_at is not None and entry.expire_at <= now + GRACE:
                 continue  # TTL edge: may expire at the rendezvous first
             if not entry.subscription.matches(event):
                 continue
-            # The paper's §3 contract: e ∈ σ must imply EK(e) ∩ SK(σ) ≠ ∅.
+            # The paper's §3 contract: e ∈ σ must imply EK(e) ∩ SK(σ) ≠ ∅,
+            # for a removed σ too (its miss is excluded at evaluation).
             # An empty intersection means no rendezvous node can produce
             # the notification — flag the root cause instead of the
             # (certain) downstream miss.
@@ -361,7 +360,7 @@ class Auditor:
                 entry.t_unsubscribed is not None
                 and entry.t_unsubscribed <= pending.t + GRACE
             ):
-                continue  # unsubscribe raced the publication
+                continue  # removed before, or raced, the publication
             if not overlay.is_alive(entry.subscriber):
                 continue  # subscriber gone: nothing left to deliver to
             self._record(

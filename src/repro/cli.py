@@ -205,6 +205,8 @@ def _key_bits(nodes: int) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    if args.telemetry:
+        _check_writable(args.telemetry)
     workload = WorkloadSpec(
         selective_attributes=tuple(range(args.selective)),
         matching_probability=args.matching_probability,
@@ -282,6 +284,15 @@ def _read_input(read, path):
         raise ConfigurationError(f"cannot read {path}: {reason}") from None
 
 
+def _check_writable(path) -> None:
+    """Open the output ``path`` before the work that fills it, so one
+    that cannot be written is a usage error, not a crash after a run."""
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _command_trace(args: argparse.Namespace) -> int:
     from repro.experiments.runner import build_system, generate_trace
     from repro.overlay.api import MessageKind
@@ -289,6 +300,7 @@ def _command_trace(args: argparse.Namespace) -> int:
     from repro.workload.trace import Trace
 
     if args.trace_command == "generate":
+        _check_writable(args.out)
         # The op list `repro run` executes for the same flags.
         trace = generate_trace(ExperimentConfig(
             nodes=args.nodes, key_bits=_key_bits(args.nodes),
@@ -327,6 +339,9 @@ def _command_report(args: argparse.Namespace) -> int:
     from repro.telemetry import reader
 
     dump = _read_input(reader.load_jsonl, args.path)
+    for output in (args.json, args.perfetto):
+        if output:
+            _check_writable(output)
     report = reader.build_report(dump, top=args.top)
     print(reader.render_report(report, source=str(args.path)))
     if args.json:

@@ -101,24 +101,11 @@ class SubscriptionStore:
         ``stats`` is a :class:`~repro.telemetry.load.MatchWork` handle;
         the store's scan or its engine adds candidate/verify/match
         counts to it on every ``match()`` call once attached (and pays
-        a single identity check when not).  Once the store has built its
-        covering index, the covering gauges are synced into the same
-        handle on every install/remove.
+        a single identity check when not).
         """
         self._work = stats
         if self._matcher is not None:
             self._matcher.work = stats
-        if stats is not None and self._covering is not None:
-            self._sync_cover_stats()
-
-    def _sync_cover_stats(self) -> None:
-        """Mirror the covering gauges into the attached work handle."""
-        work = self._work
-        if work is not None:
-            covering = self._covering
-            work.cover_roots = covering.root_count
-            work.cover_collapsed = covering.collapsed_total
-            work.cover_promotions = covering.promotions_total
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -193,7 +180,6 @@ class SubscriptionStore:
             matcher.add(subscription)
             for demoted_id in demoted:
                 matcher.remove(demoted_id)
-        self._sync_cover_stats()
 
     def remove(self, subscription_id: int) -> bool:
         """Drop a subscription entirely; True if it was resident.
@@ -219,7 +205,6 @@ class SubscriptionStore:
                 matcher.remove(subscription_id)
                 for subscription in promoted:
                     matcher.add(subscription)
-            self._sync_cover_stats()
         return True
 
     def purge_expired(self, now: float) -> int:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import math
 from typing import Iterable, Mapping
 
 from repro.metrics.stats import summarize
@@ -96,44 +95,13 @@ class SkewSummary:
 
 
 def skew_summary(loads: Mapping[int, float], k: int = 10) -> SkewSummary:
-    """Summarize one per-entity load distribution.
-
-    Hot path: :meth:`~repro.telemetry.load.LoadMeter.sample` runs this
-    over every node on every sim-clock sample, so the Gini, percentile
-    and total all come off a *single* ascending sort (plus the bounded
-    top-k heap) instead of delegating to :func:`gini` /
-    :func:`p99_mean_ratio`, which would each re-sort.  The formulas are
-    the same ones those helpers use, and ``tests/metrics/test_skew.py``
-    pins the outputs against them.
-    """
+    """Summarize one per-entity load distribution."""
     values = sorted(map(float, loads.values()))
-    n = len(values)
-    if n == 0:
-        return SkewSummary(
-            count=0, total=0.0, gini=0.0, p99_mean_ratio=0.0,
-            top=tuple(top_k(loads, k)),
-        )
-    total = 0.0
-    weighted = 0.0
-    rank = 0
-    for value in values:
-        rank += 1
-        total += value
-        weighted += rank * value
-    g = 0.0
-    if n >= 2 and total > 0:
-        g = (2.0 * weighted) / (n * total) - (n + 1) / n
-    # summarize()'s clamped mean and nearest-rank p99, inlined.
-    mean = min(values[-1], max(values[0], total / n))
-    ratio = 0.0
-    if mean != 0:
-        p99_rank = max(0, min(n - 1, math.ceil(0.99 * n) - 1))
-        ratio = values[p99_rank] / mean
     return SkewSummary(
-        count=n,
-        total=total,
-        gini=g,
-        p99_mean_ratio=ratio,
+        count=len(values),
+        total=sum(values, 0.0),
+        gini=gini(values),
+        p99_mean_ratio=p99_mean_ratio(values),
         top=tuple(top_k(loads, k)),
     )
 
@@ -167,9 +135,12 @@ class OverloadDetector:
     Each call to :meth:`observe` closes one window: the per-node load
     *delta* since the previous observation is compared against the
     median delta across all observed nodes, and nodes strictly above
-    ``threshold`` times that median are flagged.  Nodes absent from a
-    sample contribute a zero delta (an idle node is part of the ring's
-    load distribution, not missing data).
+    ``threshold`` times that median are flagged.  A node absent from a
+    sample takes no part in that window (no delta, no share of the
+    median) and its previous load is forgotten, so if it comes back
+    its whole cumulative load is one window's delta.  The
+    :class:`~repro.telemetry.load.LoadMeter` never omits a node that
+    joined: an idle one is sampled at its unchanged load, a zero delta.
 
     Edge cases, pinned by ``tests/metrics/test_skew.py``:
 

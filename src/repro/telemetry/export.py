@@ -19,11 +19,6 @@ The file is line-per-record with a ``type`` discriminator:
   per-node/per-key load records, sim-time skew samples, and windowed
   overload-detector events (present only when load metering ran; see
   :mod:`repro.telemetry.load`).
-
-Version-4 files could also hold records of a retired sharded-run
-profiler: ``profile`` lines and ``overload`` lines with ``scope:
-"shard"``.  The reader skips both, so its output is the same with or
-without them.
 """
 
 from __future__ import annotations

@@ -7,9 +7,11 @@ it:
 - **per overlay node** — one-hop messages routed or forwarded (the
   ``send`` event, charged to the forwarding source), terminal
   application deliveries (``deliver``), subscriptions stored
-  (``store``), and matcher work (candidate set sizes, exact
+  (``store``), matcher work (candidate set sizes, exact
   verifications, matches) via the per-node :class:`MatchWork` handles
-  it hands each rendezvous store as the node comes up (``join``);
+  it hands each rendezvous store as the node comes up (``join``), and
+  the covering gauges, read off that store's own
+  :class:`~repro.matching.covering.CoveringIndex` at export;
 - **per rendezvous key** — subscriptions stored under the key and
   publication deliveries that reached a node covering it (``match``);
 - **queue pressure** — the depth of every drained ``(dst, instant)``
@@ -46,33 +48,15 @@ class MatchWork:
     store below :data:`~repro.core.rendezvous.SCAN_LIMIT` entries has
     no engine: its scan counts every resident entry as both candidate
     and verify, as the brute-force engine does.
-
-    The ``cover_*`` fields mirror the node's covering index
-    (:class:`~repro.matching.covering.CoveringIndex`): current roots
-    (the matcher-resident summaries), cumulative collapsed installs,
-    and cumulative promotions of covered leaves back to roots.  They
-    stay zero when covering is disabled and until the store builds its
-    index at ``SCAN_LIMIT`` entries.
     """
 
-    __slots__ = (
-        "node",
-        "candidates",
-        "verified",
-        "matched",
-        "cover_roots",
-        "cover_collapsed",
-        "cover_promotions",
-    )
+    __slots__ = ("node", "candidates", "verified", "matched")
 
     def __init__(self, node: int) -> None:
         self.node = node
         self.candidates = 0
         self.verified = 0
         self.matched = 0
-        self.cover_roots = 0
-        self.cover_collapsed = 0
-        self.cover_promotions = 0
 
 
 class NodeSends(dict):
@@ -102,6 +86,8 @@ class LoadMeter:
         self.bucket_drains: dict[int, int] = {}
         self.bucket_max_depth: dict[int, int] = {}
         self.match_work: dict[int, MatchWork] = {}
+        # Each node's rendezvous store, as of its latest join.
+        self.stores: dict = {}
         # Per-rendezvous-key counters.
         self.key_subscriptions: dict[int, int] = {}
         self.key_publications: dict[int, int] = {}
@@ -122,8 +108,10 @@ class LoadMeter:
             self.bucket_max_depth[dst] = depth
 
     def on_join(self, node) -> None:
-        """A pub/sub node came up: its matcher reports to our handle."""
-        node.store.attach_match_stats(self.match_work_for(node.id))
+        """A pub/sub node came up: its matcher reports to our handle,
+        and its store's covering index is read at export."""
+        store = self.stores[node.id] = node.store
+        store.attach_match_stats(self.match_work_for(node.id))
 
     def on_store(self, node, message) -> None:
         """One subscription installed at ``node``: charge the keys of
@@ -179,36 +167,6 @@ class LoadMeter:
             loads[key] = loads.get(key, 0.0) + count
         return loads
 
-    def match_work_loads(self) -> dict[int, float]:
-        """Matcher work per *active* rendezvous node.
-
-        Load unit is ``candidates + verified`` — the per-event cost the
-        matching engine actually paid.  Nodes that never matched are
-        omitted (handles exist for every node, but an all-zero entry
-        says "not a rendezvous for this workload", not "evenly
-        loaded"), so the skew of this distribution is the skew of the
-        matching work the covering index is built to shed.
-        """
-        loads: dict[int, float] = {}
-        for node, work in self.match_work.items():
-            cost = work.candidates + work.verified
-            if cost:
-                loads[node] = float(cost)
-        return loads
-
-    def covering_totals(self) -> dict[str, int]:
-        """Ring-wide covering gauges summed over the per-node handles."""
-        roots = collapsed = promotions = 0
-        for work in self.match_work.values():
-            roots += work.cover_roots
-            collapsed += work.cover_collapsed
-            promotions += work.cover_promotions
-        return {
-            "roots": roots,
-            "collapsed": collapsed,
-            "promotions": promotions,
-        }
-
     # -- sim-clock sampling --------------------------------------------------
 
     def sample(self, now: float) -> None:
@@ -233,7 +191,12 @@ class LoadMeter:
     # -- export (JSONL) ------------------------------------------------------
 
     def load_records(self) -> list[dict]:
-        """Final per-entity ``load`` records, deterministic order."""
+        """Final per-entity ``load`` records, deterministic order.
+
+        The ``cover_*`` fields read the store's covering index as it
+        stands: current roots, cumulative collapsed installs and
+        cumulative promotions, all zero while the store has no index.
+        """
         records: list[dict] = []
         for node in sorted(
             set(self.forwarded)
@@ -243,6 +206,10 @@ class LoadMeter:
             | set(self.match_work)
         ):
             work = self.match_work.get(node)
+            store = self.stores.get(node)
+            # Not truthiness: an index that holds nothing has len 0.
+            covering = None if store is None else store.covering
+            indexed = covering is not None
             records.append(
                 {
                     "type": "load",
@@ -256,9 +223,11 @@ class LoadMeter:
                     "match_candidates": work.candidates if work else 0,
                     "match_verified": work.verified if work else 0,
                     "match_matched": work.matched if work else 0,
-                    "cover_roots": work.cover_roots if work else 0,
-                    "cover_collapsed": work.cover_collapsed if work else 0,
-                    "cover_promotions": work.cover_promotions if work else 0,
+                    "cover_roots": covering.root_count if indexed else 0,
+                    "cover_collapsed": covering.collapsed_total if indexed else 0,
+                    "cover_promotions": (
+                        covering.promotions_total if indexed else 0
+                    ),
                 }
             )
         for key in sorted(set(self.key_subscriptions) | set(self.key_publications)):

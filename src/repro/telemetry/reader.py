@@ -51,9 +51,7 @@ def load_jsonl(path: str | Path) -> dict[str, list[dict]]:
 
     Raises :class:`~repro.errors.ConfigurationError` unless the first
     line is the ``meta`` record of a version-5 ``repro-telemetry``
-    file.  Records of an unknown type (the retired ``profile`` records
-    among them) and shard-scope records (the retired profiler's
-    ``overload`` events) are skipped.
+    file.  Records of an unknown type are skipped.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -71,7 +69,7 @@ def load_jsonl(path: str | Path) -> dict[str, list[dict]]:
     dump: dict[str, list[dict]] = {kind: [] for kind in RECORD_TYPES}
     for record in records[1:]:
         kept = dump.get(record.get("type"))
-        if kept is not None and record.get("scope") != "shard":
+        if kept is not None:
             kept.append(record)
     return dump
 

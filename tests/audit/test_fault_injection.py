@@ -191,3 +191,27 @@ def test_broken_mapping_intersection_detected():
     sim.run()
     auditor.finalize()
     assert MAPPING_INTERSECTION in vtypes(auditor)
+
+
+def test_broken_mapping_intersection_detected_for_a_removed_subscription():
+    """§3's intersection rule holds for every σ: a mapping that drops
+    SK(σ) from EK(e) is a defect also when σ was removed before e."""
+    sim, system, auditor, space = build_audited_system(ChordOverlay)
+    nodes = sorted(system.overlay.node_ids())
+    sigma = Subscription.build(space, a1=(0, 999))
+    system.subscribe(nodes[0], sigma)
+    sim.run()
+    sim.schedule_at(sim.now + 10.0, system.unsubscribe, nodes[0], sigma)
+    sim.run()
+
+    sk = system.mapping.subscription_keys(sigma)
+    event_keys = system.mapping.event_keys
+    system.mapping.event_keys = lambda event: event_keys(event) - sk
+    sim.schedule_at(
+        sim.now + 10.0,
+        lambda: system.publish(nodes[1], space.make_event(a1=500, a2=7)),
+    )
+    sim.run()
+    report = auditor.finalize()
+    assert report.publications_audited == 1
+    assert [v.vtype for v in report.violations] == [MAPPING_INTERSECTION]

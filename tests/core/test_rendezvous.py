@@ -119,13 +119,15 @@ def test_unknown_matcher_rejected():
 
 
 def counters(work):
+    return work.candidates, work.verified, work.matched
+
+
+def gauges(store):
+    covering = store.covering
     return (
-        work.candidates,
-        work.verified,
-        work.matched,
-        work.cover_roots,
-        work.cover_collapsed,
-        work.cover_promotions,
+        covering.root_count,
+        covering.collapsed_total,
+        covering.promotions_total,
     )
 
 
@@ -139,7 +141,7 @@ def test_stats_attached_before_the_engine_exists(engine):
     early_work, late_work = MatchWork(0), MatchWork(0)
     early.attach_match_stats(early_work)
     assert early.match(SPACE.make_event(a1=15, a2=0), now=0.0) == []
-    assert counters(early_work) == (0, 0, 0, 0, 0, 0)
+    assert counters(early_work) == (0, 0, 0)
     fillers = SCAN_LIMIT - 3
     payloads = [make_payload(0, 100), make_payload(10, 20), make_payload(15, 60)]
     payloads[1:1] = [
@@ -163,11 +165,9 @@ def test_stats_attached_before_the_engine_exists(engine):
     assert early_work.verified == early_work.candidates
     assert early_work.matched == 1 + 3 + 2
     if engine == "brute":  # the oracle runs uncollapsed
-        assert counters(early_work)[3:] == (0, 0, 0)
+        assert early.covering is None and late.covering is None
     else:
-        assert early_work.cover_roots == early.covering.root_count == 2 + fillers
-        assert early_work.cover_collapsed == 2
-        assert early_work.cover_promotions == 2
+        assert gauges(early) == gauges(late) == (2 + fillers, 2, 2)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -286,5 +286,5 @@ def test_match_equals_brute_force_across_the_scan_limit(engine):
         assert covering is None
     else:
         assert covering.collapsed_total > 0
-        assert work.cover_roots == covering.root_count
+        assert len(matcher) == covering.root_count
     assert work.matched > 0

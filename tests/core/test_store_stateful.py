@@ -151,11 +151,11 @@ class StoreMachine(RuleBasedStateMachine):
     @invariant()
     def cover_gauges_agree(self):
         # The store builds its engine and forest at SCAN_LIMIT entries
-        # and keeps them; until then the gauges stay zero.
+        # and keeps them; the engine holds exactly the forest's roots.
         covering = self.store.covering
         assert (covering is not None) == (self.peak >= SCAN_LIMIT)
-        roots = 0 if covering is None else covering.root_count
-        assert self.work.cover_roots == roots
+        if covering is not None:
+            assert covering.root_count == len(self.store._matcher)
         assert self.work.verified == self.work.candidates >= self.work.matched
 
     @invariant()

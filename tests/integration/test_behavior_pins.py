@@ -51,6 +51,7 @@ from repro.sim import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.shard import ring_node_ids, run_sharded
 from repro.telemetry import Telemetry
+from repro.telemetry.loadreport import build_load_report
 from repro.workload.spec import ChurnSpec, WorkloadSpec
 from repro.workload.trace import Trace
 
@@ -178,9 +179,11 @@ def run_scenario(scenario: Scenario, **config_changes):
     return system, telemetry.load if telemetry is not None else None
 
 
-def hottest_share(load) -> float:
-    work = load.match_work_loads()
-    return max(work.values()) / sum(work.values())
+def matching(load) -> dict:
+    """The ``matching`` section ``repro report`` builds from the meter's
+    exported ``load`` records."""
+    dump = {"load": load.load_records(), "skew": [], "overload": []}
+    return build_load_report(dump)["matching"]
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -194,10 +197,11 @@ def test_scenario_fingerprint(name):
         # are those of the uncollapsed store, and the hottest node's
         # share of matcher work falls.
         plain, plain_load = run_scenario(scenario, covering=False)
-        assert load.covering_totals()["collapsed"] > 0
-        assert plain_load.covering_totals()["collapsed"] == 0
+        covered, uncovered = matching(load), matching(plain_load)
+        assert covered["covering"]["collapsed"] > 0
+        assert uncovered["covering"]["collapsed"] == 0
         assert behavior_digest(plain.recorder) == PINS[name]["sha256"]
-        assert hottest_share(load) < hottest_share(plain_load)
+        assert covered["hottest_share"] < uncovered["hottest_share"]
 
 
 # -- the sharded kernel ------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_store_follows_the_reference_forest(engine_name, seed):
         # The engine holds the roots and nothing else.
         assert len(store._matcher) == len(reference.roots)
         assert all(r in store._matcher for r in reference.roots)
-        assert work.cover_roots == len(reference.roots)
+        assert forest.root_count == len(reference.roots)
 
     for step in range(SCAN_LIMIT + 400):
         now += rng.random()

@@ -16,8 +16,9 @@ from repro.audit import AuditConfig
 from repro.cli import main
 from repro.core.system import RoutingMode
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import build_system, generate_trace, run_experiment
 from repro.metrics.fingerprint import behavior_fingerprint
+from repro.sim.rng import RandomStreams
 from repro.telemetry import NullTracer, Telemetry
 from repro.telemetry.export import write_jsonl
 from repro.telemetry.load import LoadMeter, MatchWork
@@ -252,6 +253,40 @@ def test_last_skew_sample_counts_every_node_that_joined(tmp_path):
     final = build_load_report(dump)["nodes"]
     assert final["count"] == 100
     assert (last["count"], last["gini"]) == (final["count"], final["gini"])
+
+
+def test_exported_cover_gauges_are_each_nodes_covering_index(tmp_path):
+    # Partial Zipf subscriptions with a TTL: covered subscriptions
+    # collapse under their coverers, and coverers that expire first
+    # promote them back to roots.
+    config = ExperimentConfig(
+        nodes=32, subscriptions=2500, publications=400, seed=3,
+        workload=WorkloadSpec(
+            selective_attributes=(0,), constraint_probability=0.4,
+            subscription_ttl=400.0,
+        ),
+    )
+    telemetry = Telemetry()
+    _, system = build_system(config, RandomStreams(config.seed), telemetry)
+    generate_trace(config).replay(system)
+    path = tmp_path / "covering.jsonl"
+    write_jsonl(telemetry, path)
+    records = [r for r in load_jsonl(path)["load"] if r["scope"] == "node"]
+    assert [r["id"] for r in records] == sorted(system.overlay.node_ids())
+    for record in records:
+        covering = system.node(record["id"]).store.covering
+        gauges = (0, 0, 0) if covering is None else (
+            covering.root_count,
+            covering.collapsed_total,
+            covering.promotions_total,
+        )
+        assert (
+            record["cover_roots"],
+            record["cover_collapsed"],
+            record["cover_promotions"],
+        ) == gauges
+    assert sum(r["cover_collapsed"] for r in records) > 0
+    assert sum(r["cover_promotions"] for r in records) > 0
 
 
 # -- observers never steer the run ---------------------------------------------

@@ -160,6 +160,24 @@ def test_trace_replay_missing_file(tmp_path, capsys):
         )
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--nodes", "40", "--subscriptions", "5", "--publications", "5",
+     "--telemetry"],
+    ["trace", "generate", "--nodes", "40", "--subscriptions", "5",
+     "--publications", "5", "--out"],
+])
+def test_an_output_path_that_cannot_be_written_exits_2_before_the_run(
+    tmp_path, capsys, command
+):
+    target = str(tmp_path / "no-such-dir" / "out.json")
+    assert main(command + [target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing ran
+    assert captured.err == (
+        f"error: cannot write {target}: No such file or directory\n"
+    )
+
+
 def test_run_rejects_bad_mapping():
     with pytest.raises(SystemExit):
         main(["run", "--mapping", "no-such-mapping"])
@@ -325,14 +343,11 @@ EXPORT = [
      "median": 1.0, "ratio": 5.0, "threshold": 4.0},
 ]
 
-#: The two record kinds a retired sharded-run profiler wrote into v4;
-#: the reader still skips them.
+#: A record a retired sharded-run profiler wrote into v4: the reader
+#: skips it, as it skips every record of an unknown type.
 RETIRED_V4_RECORDS = [
     {"type": "profile", "scope": "run", "rounds": 3, "total_wall_s": 0.5,
      "dominant_shard": 1, "dominant_phase": "busy"},
-    {"type": "overload", "scope": "shard", "t": 2.0, "shard": 1,
-     "window_load": 30.0, "median": 10.0, "ratio": 3.0, "threshold": 2.0,
-     "loads": [10, 30]},
 ]
 
 
@@ -355,6 +370,19 @@ def test_retired_v4_records_change_no_command_output(tmp_path, capsys):
     assert "VERDICT: healthy" in out
     with_retired = EXPORT[:6] + RETIRED_V4_RECORDS + EXPORT[6:]
     assert outcome(with_retired) == plain
+
+
+@pytest.mark.parametrize("flag", ["--json", "--perfetto"])
+def test_a_report_output_that_cannot_be_written_exits_2(tmp_path, capsys, flag):
+    export = tmp_path / "export.jsonl"
+    export.write_text("".join(json.dumps(record) + "\n" for record in EXPORT))
+    target = str(tmp_path / "no-such-dir" / "out.json")
+    assert main(["report", str(export), flag, target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot write {target}: No such file or directory\n"
+    )
 
 
 def test_report_help_names_the_export_format_it_reads(capsys):

@@ -44,6 +44,7 @@ from repro.audit.records import (
 )
 from repro.core.mappings.base import flat_keys
 from repro.errors import ConfigurationError
+from repro.overlay.ids import KeyRuns
 from repro.sim.process import PeriodicTimer
 
 if TYPE_CHECKING:
@@ -91,7 +92,7 @@ class _LedgerEntry:
     def __init__(
         self,
         subscription: "Subscription",
-        keys: frozenset[int],
+        keys: KeyRuns,
         subscriber: int,
         t_subscribed: float,
         expire_at: float | None,
@@ -263,7 +264,7 @@ class Auditor:
             # An empty intersection means no rendezvous node can produce
             # the notification — flag the root cause instead of the
             # (certain) downstream miss.
-            if not (keys & entry.keys):
+            if entry.keys.isdisjoint(keys):
                 self._record(
                     Violation(
                         MAPPING_INTERSECTION,

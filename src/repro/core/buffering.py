@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.payloads import Notification
+from repro.overlay.ids import KeyRuns
 
 
 @dataclasses.dataclass
@@ -82,17 +83,21 @@ class NotificationBuffer:
         return batches
 
 
-def agent_key_for(groups: tuple[tuple[int, ...], ...], covered_key: int) -> int:
+def agent_key_for(groups: tuple[KeyRuns, ...], covered_key: int) -> int:
     """The collecting agent for the rendezvous group containing a key.
 
     Section 4.3.2: "the middle node of the range serves as agent for
     this subscription".  We designate the middle *key* of the group the
-    covered key belongs to; the node covering that key is the agent.
-    Falls back to the covered key itself if it appears in no group
-    (defensive: group metadata and covered keys always agree in
-    practice).
+    covered key belongs to, its ``len // 2``-th key in clockwise order;
+    the node covering that key is the agent.  Falls back to the covered
+    key itself if it appears in no group (defensive: group metadata and
+    covered keys always agree in practice).
     """
     for group in groups:
         if covered_key in group:
-            return group[len(group) // 2]
+            middle = len(group) // 2
+            for start, length in zip(group[::2], group[1::2]):
+                if middle < length:
+                    return start + middle
+                middle -= length
     return covered_key

@@ -40,6 +40,7 @@ from repro.core.events import Event
 from repro.core.mappings.base import AKMapping
 from repro.core.subscriptions import Subscription
 from repro.errors import MappingError
+from repro.overlay.ids import KeyRuns
 
 
 class SplitMode(enum.Enum):
@@ -148,7 +149,7 @@ class HotspotAdaptiveMapping(AKMapping):
 
     def subscription_key_groups(
         self, subscription: Subscription
-    ) -> tuple[tuple[int, ...], ...]:
+    ) -> tuple[KeyRuns, ...]:
         token = self._subscription_token(subscription)
         groups = []
         for group in self._base.subscription_key_groups(subscription):
@@ -163,7 +164,7 @@ class HotspotAdaptiveMapping(AKMapping):
                     expanded.append(self._pick(siblings, f"{key}:{token}"))
                 else:
                     expanded.extend(siblings)
-            groups.append(tuple(sorted(set(expanded))))
+            groups.append(KeyRuns.from_keys(expanded))
         return tuple(groups)
 
     def event_keys(self, event: Event) -> frozenset[int]:

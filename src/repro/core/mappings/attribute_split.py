@@ -22,6 +22,7 @@ from repro.core.events import Event
 from repro.core.mappings.base import AKMapping
 from repro.core.subscriptions import Subscription
 from repro.errors import MappingError
+from repro.overlay.ids import KeyRuns
 
 
 class AttributeSplitMapping(AKMapping):
@@ -49,7 +50,7 @@ class AttributeSplitMapping(AKMapping):
 
     def subscription_key_groups(
         self, subscription: Subscription
-    ) -> tuple[tuple[int, ...], ...]:
+    ) -> tuple[KeyRuns, ...]:
         bits = self._keyspace.bits
         groups = []
         for attribute in range(self._space.dimensions):

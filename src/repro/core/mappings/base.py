@@ -16,26 +16,16 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Iterable
 
 from repro.core.events import Event, EventSpace
 from repro.core.subscriptions import Subscription
 from repro.errors import MappingError
-from repro.overlay.ids import KeySpace
+from repro.overlay.ids import KeyRuns, KeySpace
 
 
-def flat_keys(groups: Iterable[Iterable[int]]) -> frozenset[int]:
-    """SK(σ) as a flat key set, from its groups
-    (:meth:`AKMapping.subscription_key_groups`).
-
-    Built group by group into one ``set``, then frozen, so its iteration
-    order — the order unicast sends go out in — is the same wherever SK
-    is flattened.
-    """
-    keys: set[int] = set()
-    for group in groups:
-        keys.update(group)
-    return frozenset(keys)
+#: SK(σ) as one key set, from its groups
+#: (:meth:`AKMapping.subscription_key_groups`): their union, as runs.
+flat_keys = KeyRuns.union
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,11 +110,11 @@ class AKMapping(abc.ABC):
     @abc.abstractmethod
     def subscription_key_groups(
         self, subscription: Subscription
-    ) -> tuple[tuple[int, ...], ...]:
+    ) -> tuple[KeyRuns, ...]:
         """SK(σ), structured into the mapping's natural key groups.
 
-        Each group is a sorted tuple of keys that form one rendezvous
-        *range* on the ring (one per hashed constraint for Mapping 1,
+        Each group is the :class:`~repro.overlay.ids.KeyRuns` of one
+        rendezvous *range* on the ring (one per hashed constraint for Mapping 1,
         a single group for Mapping 3, ...).  The grouping feeds the
         notification-collecting optimization of Section 4.3.2, which
         aggregates along a contiguous rendezvous range toward its
@@ -135,8 +125,8 @@ class AKMapping(abc.ABC):
     def event_keys(self, event: Event) -> frozenset[int]:
         """EK(e): the rendezvous keys that must match this event."""
 
-    def subscription_keys(self, subscription: Subscription) -> frozenset[int]:
-        """SK(σ) as a flat key set (union of the groups)."""
+    def subscription_keys(self, subscription: Subscription) -> KeyRuns:
+        """SK(σ) as one key set (union of the groups)."""
         return flat_keys(self.subscription_key_groups(subscription))
 
     # -- shared hash machinery ---------------------------------------------
@@ -151,31 +141,33 @@ class AKMapping(abc.ABC):
 
     def _constraint_image(
         self, attribute: int, low: int, high: int, bits: int
-    ) -> tuple[int, ...]:
-        """Hᵢ over the inclusive value range ``[low, high]``, sorted.
+    ) -> KeyRuns:
+        """Hᵢ over the inclusive value range ``[low, high]``, as runs.
 
-        Two regimes keep this O(output size):
+        Two regimes keep this O(output runs):
 
         - *sparse* (interval width spans >= 1 key): enumerate interval
           starts — consecutive starts may skip keys, which is exactly
-          the point of discretization;
+          the point of discretization, so this is mostly one run per
+          key;
         - *dense* (many values per key): the image of a contiguous
           value range under the monotone scaling hash is a contiguous
-          key range.
+          key range, one run.
         """
         width = self._discretization.widths[attribute]
         domain = self._domain_size(attribute)
         first_interval = low // width
         last_interval = high // width
         if width << bits >= domain:
-            keys = {
-                (interval * width << bits) // domain
-                for interval in range(first_interval, last_interval + 1)
-            }
-            return tuple(sorted(keys))
+            return KeyRuns.from_keys(
+                [
+                    (interval * width << bits) // domain
+                    for interval in range(first_interval, last_interval + 1)
+                ]
+            )
         first_key = (first_interval * width << bits) // domain
         last_key = (last_interval * width << bits) // domain
-        return tuple(range(first_key, last_key + 1))
+        return KeyRuns((first_key, last_key - first_key + 1))
 
     def check_intersection_rule(self, event: Event, subscription: Subscription) -> bool:
         """Verify EK(e) ∩ SK(σ) ≠ ∅ for a matching pair (testing aid)."""

@@ -26,6 +26,7 @@ from repro.core.events import Event
 from repro.core.mappings.base import AKMapping
 from repro.core.subscriptions import Subscription
 from repro.errors import MappingError
+from repro.overlay.ids import KeyRuns
 
 #: Refuse to materialize more cells than this per subscription.
 MAX_CELLS_PER_SUBSCRIPTION = 1 << 20
@@ -73,7 +74,7 @@ class EventSpacePartitionMapping(AKMapping):
 
     def subscription_key_groups(
         self, subscription: Subscription
-    ) -> tuple[tuple[int, ...], ...]:
+    ) -> tuple[KeyRuns, ...]:
         per_dimension: list[range] = []
         expected = 1
         for attribute in range(self._space.dimensions):
@@ -93,7 +94,7 @@ class EventSpacePartitionMapping(AKMapping):
         # Hashed cells are scattered on the ring: no contiguous range to
         # collect along, so each key forms its own group (the collecting
         # optimization degenerates to plain buffering, as it should).
-        return tuple((key,) for key in keys)
+        return tuple(KeyRuns((key, 1)) for key in keys)
 
     def event_keys(self, event: Event) -> frozenset[int]:
         cell = tuple(

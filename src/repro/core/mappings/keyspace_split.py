@@ -29,6 +29,7 @@ from repro.core.events import Event
 from repro.core.mappings.base import AKMapping
 from repro.core.subscriptions import Subscription
 from repro.errors import MappingError
+from repro.overlay.ids import KeyRuns
 
 #: Refuse to materialize more concatenations than this per subscription.
 MAX_PRODUCT_KEYS = 1 << 20
@@ -63,7 +64,7 @@ class KeySpaceSplitMapping(AKMapping):
 
     def subscription_key_groups(
         self, subscription: Subscription
-    ) -> tuple[tuple[int, ...], ...]:
+    ) -> tuple[KeyRuns, ...]:
         l = self._bits_per_attribute
         images = []
         expected = 1
@@ -77,10 +78,11 @@ class KeySpaceSplitMapping(AKMapping):
                     "keyspace-split; constrain more attributes or discretize"
                 )
             images.append(image)
-        keys = sorted(
-            self._concatenate(pieces) for pieces in itertools.product(*images)
+        return (
+            KeyRuns.from_keys(
+                self._concatenate(pieces) for pieces in itertools.product(*images)
+            ),
         )
-        return (tuple(keys),)
 
     def event_keys(self, event: Event) -> frozenset[int]:
         l = self._bits_per_attribute

@@ -19,6 +19,7 @@ from repro.core.events import Event
 from repro.core.mappings.base import AKMapping
 from repro.core.subscriptions import Subscription
 from repro.errors import MappingError
+from repro.overlay.ids import KeyRuns
 
 
 class SelectiveAttributeMapping(AKMapping):
@@ -39,7 +40,7 @@ class SelectiveAttributeMapping(AKMapping):
 
     def subscription_key_groups(
         self, subscription: Subscription
-    ) -> tuple[tuple[int, ...], ...]:
+    ) -> tuple[KeyRuns, ...]:
         if not subscription.constraints:
             raise MappingError(
                 "selective-attribute cannot map a subscription with no constraints"

@@ -11,10 +11,10 @@ callbacks of Section 4.1.
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import chain
 from typing import TYPE_CHECKING
 
 from repro.core.buffering import NotificationBuffer, agent_key_for
+from repro.core.mappings.base import flat_keys
 from repro.core.payloads import (
     CollectPayload,
     Notification,
@@ -29,6 +29,7 @@ from repro.core.payloads import (
 )
 from repro.core.rendezvous import SubscriptionStore
 from repro.overlay.api import NeighborSide, OverlayMessage
+from repro.overlay.ids import KeyRuns
 
 if TYPE_CHECKING:
     from repro.core.system import PubSubSystem
@@ -83,29 +84,22 @@ class PubSubNode:
 
     # -- subscriptions -------------------------------------------------------
 
-    def covered_targets(self, message: OverlayMessage) -> set[int]:
-        """The rendezvous keys (of this message) that this node covers."""
+    def covered_targets(self, message: OverlayMessage) -> KeyRuns | set[int]:
+        """The rendezvous keys (of this message) that this node covers:
+        its targets' runs within its span, or the one key it was sent."""
         if message.target_keys is not None:
             overlay = self._system._overlay
             start, length = overlay.node(self.id).owned_span()
-            size = overlay._key_limit
-            return {
-                key for key in message.target_keys if (key - start) % size < length
-            }
+            return message.target_keys.split(start, length, overlay._key_limit)[0]
         assert message.key is not None
         return {message.key}
 
-    def held_keys(self, entry: StoredSubscription) -> list[int]:
+    def held_keys(self, entry: StoredSubscription) -> KeyRuns:
         """The keys of SK(σ) in this node's span: why ``entry`` is here."""
         overlay = self._system._overlay
         start, length = overlay.node(self.id).owned_span()
-        size = overlay.keyspace.size
-        return [
-            key
-            for group in entry.payload.groups
-            for key in group
-            if (key - start) % size < length
-        ]
+        keys = flat_keys(entry.payload.groups)
+        return keys.split(start, length, overlay._key_limit)[0]
 
     def _handle_subscribe(
         self, payload: SubscribePayload, message: OverlayMessage
@@ -168,8 +162,8 @@ class PubSubNode:
             )
 
     def _agent_for(self, entry: StoredSubscription) -> int:
-        held = self.held_keys(entry)
-        return agent_key_for(entry.payload.groups, min(held) if held else self.id)
+        held = self.held_keys(entry)  # its first start is its least key
+        return agent_key_for(entry.payload.groups, held[0] if held else self.id)
 
     # -- buffering / collecting ----------------------------------------------
 
@@ -324,21 +318,22 @@ class PubSubNode:
         start, length = overlay.node(self.id).owned_span()
         size = overlay.keyspace.size
         left, right = key_range
-        # key in (left, right] <=> (key - first) % size < width, as an
-        # owned span; left == right means the whole ring.  Both tests are
-        # inline: this scan visits every stored key on every join/leave.
+        # (left, right] as a span: the width keys from first; left ==
+        # right means the whole ring.
         first, width = left + 1, (right - left - 1) % size + 1
+        whole = first % size == start and width == length  # a leave
         for entry in store.entries():
-            ships = stays = False
-            for key in chain.from_iterable(entry.payload.groups):
-                if (key - first) % size < width:
-                    ships = True
-                elif (key - start) % size < length:
-                    stays = True
-            if ships:
-                moved.append(entry)
-                if not stays:
-                    store.remove(entry.payload.subscription.subscription_id)
+            groups = entry.payload.groups
+            for group in groups:
+                if group.meets(first, width, size):
+                    break
+            else:
+                continue  # no key of SK(σ) in the range
+            moved.append(entry)
+            if whole or not flat_keys(groups).split(first, width, size)[1].meets(
+                start, length, size
+            ):
+                store.remove(entry.payload.subscription.subscription_id)
         return moved
 
 

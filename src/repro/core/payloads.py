@@ -17,6 +17,7 @@ import dataclasses
 
 from repro.core.events import Event
 from repro.core.subscriptions import Subscription
+from repro.overlay.ids import KeyRuns
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -29,15 +30,16 @@ class SubscribePayload:
             rendezvous nodes can route notifications back, Section 4.1).
         ttl: Seconds until automatic expiration at the rendezvous, or
             None for no expiry (the paper's Fig. 6 sweeps this).
-        groups: SK(σ) in the mapping's natural key groups; rendezvous
-            nodes derive the collecting agent (middle of their group)
-            from this (Section 4.3.2).
+        groups: SK(σ) in the mapping's natural key groups, each one
+            :class:`~repro.overlay.ids.KeyRuns`; rendezvous nodes derive
+            the collecting agent (middle of their group) from this
+            (Section 4.3.2).
     """
 
     subscription: Subscription
     subscriber: int
     ttl: float | None
-    groups: tuple[tuple[int, ...], ...]
+    groups: tuple[KeyRuns, ...]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

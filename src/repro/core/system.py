@@ -60,6 +60,7 @@ from repro.overlay.api import (
     RoutingMode,
     next_request_id,
 )
+from repro.overlay.ids import KeyRuns
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicTimer
 from repro.telemetry import Telemetry
@@ -338,9 +339,10 @@ class PubSubSystem:
         return message
 
     def _send_to_keys(
-        self, node_id: int, keys: frozenset[int], message: OverlayMessage
+        self, node_id: int, keys: KeyRuns | frozenset[int], message: OverlayMessage
     ) -> None:
-        """Propagate one request to its keys.
+        """Propagate one request to its keys: SK(σ) as runs, EK(e) as a
+        small frozenset.
 
         Callers fire the request's own event (``subscribe`` /
         ``unsubscribe`` / ``publish``) *before* calling this: a key this
@@ -349,7 +351,11 @@ class PubSubSystem:
         when that arrival reaches it.
         """
         routing = self._config.routing
-        if len(keys) == 1 or routing is RoutingMode.UNICAST:
+        if keys.__class__ is KeyRuns:
+            single = keys[1:3] == (1,)  # one run of one key
+        else:
+            single = len(keys) == 1
+        if single or routing is RoutingMode.UNICAST:
             # Single-key requests degenerate to plain unicast in every
             # mode; multi-key unicast is the aggressive baseline.
             for key in keys:

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+from operator import mul
 from typing import Iterable, Mapping
 
-from repro.metrics.stats import summarize
+from repro.metrics.stats import _percentile
 
 
 def gini(values: Iterable[float]) -> float:
@@ -38,14 +39,18 @@ def gini(values: Iterable[float]) -> float:
     ``G = (2 Σ i·xᵢ) / (n Σ xᵢ) - (n + 1) / n`` with 1-based ranks
     over the ascending sort.
     """
-    data = sorted(float(v) for v in values)
+    return _gini(sorted(map(float, values)))
+
+
+def _gini(data: list[float]) -> float:
+    """:func:`gini` of an ascending list of floats."""
     n = len(data)
     if n < 2:
         return 0.0
     total = sum(data)
     if total <= 0:
         return 0.0
-    weighted = sum(rank * value for rank, value in enumerate(data, start=1))
+    weighted = sum(map(mul, range(1, n + 1), data))
     return (2.0 * weighted) / (n * total) - (n + 1) / n
 
 
@@ -68,10 +73,18 @@ def p99_mean_ratio(values: Iterable[float]) -> float:
     A ratio near 1 means the tail sits at the average — an even load;
     large ratios mean a few entities run far hotter than typical.
     """
-    summary = summarize(values)
-    if summary.count == 0 or summary.mean == 0:
+    return _p99_mean_ratio(sorted(map(float, values)))
+
+
+def _p99_mean_ratio(data: list[float]) -> float:
+    """:func:`p99_mean_ratio` of an ascending list of floats: the p99
+    and the clamped mean of :func:`~repro.metrics.stats.summarize`."""
+    if not data:
         return 0.0
-    return summary.p99 / summary.mean
+    mean = min(data[-1], max(data[0], sum(data) / len(data)))
+    if mean == 0:
+        return 0.0
+    return _percentile(data, 0.99) / mean
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,13 +108,15 @@ class SkewSummary:
 
 
 def skew_summary(loads: Mapping[int, float], k: int = 10) -> SkewSummary:
-    """Summarize one per-entity load distribution."""
+    """Summarize one per-entity load distribution, off one sort of its
+    values (:class:`~repro.telemetry.load.LoadMeter` calls this once per
+    scope per sample)."""
     values = sorted(map(float, loads.values()))
     return SkewSummary(
         count=len(values),
         total=sum(values, 0.0),
-        gini=gini(values),
-        p99_mean_ratio=p99_mean_ratio(values),
+        gini=_gini(values),
+        p99_mean_ratio=_p99_mean_ratio(values),
         top=tuple(top_k(loads, k)),
     )
 
@@ -137,8 +152,8 @@ class OverloadDetector:
     median delta across all observed nodes, and nodes strictly above
     ``threshold`` times that median are flagged.  A node absent from a
     sample takes no part in that window (no delta, no share of the
-    median) and its previous load is forgotten, so if it comes back
-    its whole cumulative load is one window's delta.  The
+    median) and keeps its last cumulative load, so if it comes back it
+    is charged only what it gained since.  The
     :class:`~repro.telemetry.load.LoadMeter` never omits a node that
     joined: an idle one is sampled at its unchanged load, a zero delta.
 
@@ -170,7 +185,7 @@ class OverloadDetector:
         deltas = {
             node: load - previous.get(node, 0.0) for node, load in loads.items()
         }
-        self._previous = dict(loads)
+        previous.update(loads)
         ordered = sorted(deltas.values())
         n = len(ordered)
         mid = n // 2

@@ -19,11 +19,11 @@ import abc
 import dataclasses
 import enum
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Iterable, Protocol
 
 from repro.errors import OverlayError
-from repro.overlay.ids import KeySpace
+from repro.overlay.ids import KeyRuns, KeySpace
 
 if TYPE_CHECKING:
     from repro.metrics.recorder import MetricsRecorder
@@ -92,8 +92,10 @@ class OverlayMessage:
             the harness can compute hops **per request** as in Fig. 5.
         origin: Overlay id of the node that initiated the request.
         key: Unicast destination key (``send``); None for multicast.
-        target_keys: The piggybacked target-key set ``M.K`` used by the
-            ``m-cast`` algorithm of Fig. 4; None for unicast.
+        target_keys: The piggybacked target-key set ``M.K`` of the
+            ``m-cast`` algorithm of Fig. 4 (and of the sequential walk),
+            as :class:`~repro.overlay.ids.KeyRuns`: each copy carries
+            the runs its branch was cut to.  None for unicast.
         hops: One-hop transmissions this copy of the message has made.
         path: The hops this copy traversed, one entry appended per hop:
             the node id alone (:meth:`forwarded_copy`, and a Pastry or
@@ -116,7 +118,7 @@ class OverlayMessage:
     request_id: int
     origin: int
     key: int | None = None
-    target_keys: frozenset[int] | None = None
+    target_keys: KeyRuns | None = None
     mode: RoutingMode = RoutingMode.UNICAST
     hops: int = 0
     path: tuple[int, ...] = ()
@@ -199,11 +201,12 @@ class OverlayNode:
         raise NotImplementedError
 
     def mcast_pointers(
-        self, message: OverlayMessage, distances: list[int], count: int, arcs
+        self, message: OverlayMessage, runs: list[int], arcs
     ) -> tuple[Any, int, int, dict[int, int]]:
         """The textbook pointer rule over :meth:`pointers`, stamped with
         :meth:`owned_span`.  Mine are the keys of my span: the key at
-        distance 0 and those past my predecessor, at ``size - length``.
+        distance 0 and those past my predecessor, from ``size - length
+        + 1`` on.
 
         A key no farther than the last certified successor goes to the
         first of them at or past it, which owns it.  Any other key goes
@@ -216,11 +219,16 @@ class OverlayNode:
         """
         span = self.owned_span()
         size = self._overlay._key_limit
-        lo = 0 if distances[0] else 1
-        hi = bisect_right(distances, size - span[1])
+        hi = size - span[1] + 1
         branches: dict[int, int] = {}
-        if lo == hi:
-            return span, lo, hi, branches
+        at = 0  # the run holding the nearest key at or past ``distance``
+        distance = 1
+        while runs[at + 1] <= distance:
+            at += 2
+        if runs[at] > distance:
+            distance = runs[at]
+        if distance >= hi:
+            return span, 1, hi, branches
         me = self.id
         ids, certified = self.pointers()
         by_distance = {(pointer - me) % size: pointer for pointer in ids}
@@ -228,41 +236,49 @@ class OverlayNode:
         last = reach[certified - 1] if certified else 0
         links = len(reach)  # 0: no live pointer, so the rest goes nowhere
         pointer = None
-        position = lo
-        while position < hi and links:
-            distance = distances[position]
-            at = bisect_left(reach, distance)
+        while links:
+            link = bisect_left(reach, distance)
             if distance > last:  # the farthest before it, else the nearest
-                if at:
-                    at -= 1
-                end = reach[at + 1] if at + 1 < links else size
+                if link:
+                    link -= 1
+                end = reach[link + 1] if link + 1 < links else size
             else:  # the certified successor at or past it owns it
-                end = reach[at]
-            if by_distance[reach[at]] != pointer:
-                pointer = by_distance[reach[at]]
-                branches[pointer] = position
-            position = bisect_right(distances, end, position, hi)
-        return span, lo, hi, branches
+                end = reach[link]
+            if by_distance[reach[link]] != pointer:
+                pointer = by_distance[reach[link]]
+                branches[pointer] = distance
+            distance = end + 1  # the next group: the nearest key past end
+            while runs[at + 1] <= distance:
+                at += 2
+            if runs[at] > distance:
+                distance = runs[at]
+            if distance >= hi:
+                break
+        return span, 1, hi, branches
 
     def continue_mcast(self, message: OverlayMessage, arcs: dict | None = None) -> None:
         """One step of the paper's Fig. 4 m-cast (§4.3.1), written once:
         deliver what this node owns, then split the rest among its
         pointers, one branch per pointer.
 
-        The ``count`` targets' clockwise distances from this node are
-        sorted once (one key needs no sort), and the node's rule,
+        The targets' runs become clockwise *distance runs* from this
+        node, flat ``[start, stop, ...]`` and ascending: the runs from
+        this node's id on, then those that wrap past 0 back to it (a run
+        holding the id splits there), then a sentinel run at the ring
+        size, past every key, where every walk stops.  No key is
+        expanded: the work is O(runs + branches).  The node's rule,
         ``mcast_pointers``, returns ``(stamp, lo, hi, {pointer: first
-        position})``.  *Owned arcs*: a span holds its node's id, so the
-        keys it owns are a prefix and a suffix of that order, the ones
-        outside ``distances[lo:hi]``.  *Grouping*: each branch is a run
-        of the rest, up to the next pointer's first position, sent whole
-        to one pointer: one that owns its nearest key, or that lies
-        before it, as far as this node knows spans.  *At most once*: a
-        run ends where one live node's span ends and the next one's
-        starts, and no live node lies in another's span, so one node's
-        keys travel in one branch, and it delivers once (split per key,
-        a pointer could get an uncertified key of its own again, through
-        the pointer before it).
+        distance})``.  *Owned arcs*: a span holds its node's id, so the
+        keys it owns are those at distances below ``lo`` and from
+        ``hi`` on.  *Grouping*: each branch is the keys from its first
+        distance up to the next branch's, cut out of the runs and sent
+        whole to one pointer: one that owns its nearest key, or that
+        lies before it, as far as this node knows spans.  *At most
+        once*: a branch ends where one live node's span ends and the
+        next one's starts, and no live node lies in another's span, so
+        one node's keys travel in one branch, and it delivers once
+        (split per key, a pointer could get an uncertified key of its
+        own again, through the pointer before it).
         *Overshoot*: a fresh pointer's span holds the nearest key or
         lies before it, so every hop cuts the distance; a stale one (a
         cached arc, a join racing the message) lands keys more than half
@@ -283,14 +299,35 @@ class OverlayNode:
         me = self.id
         size = overlay._key_limit
         targets = message.target_keys
-        count = len(targets)
-        if count == 1:
-            for key in targets:
-                distances = [(key - me) % size]
-        else:
-            distances = sorted([(key - me) % size for key in targets])
-        stamp, lo, hi, branches = self.mcast_pointers(message, distances, count, arcs)
-        mine = lo or hi < count
+        if targets[2:3]:
+            runs: list[int] = []
+            behind: list[int] = []  # the runs that wrap past 0 back to me
+            for start, length in zip(targets[::2], targets[1::2]):
+                distance = start - me
+                stop = distance + length
+                if distance >= 0:
+                    runs += (distance, stop)
+                elif stop <= 0:
+                    behind += (distance + size, stop + size)
+                else:  # the run holds me
+                    behind += (distance + size, size)
+                    runs += (0, stop)
+            runs += behind
+            count = len(runs)  # the sentinel's index
+            runs += (size, size + size)
+        else:  # one run: most casts, and most branches
+            distance = targets[0] - me
+            stop = distance + targets[1]
+            count = 2
+            if distance >= 0:
+                runs = [distance, stop, size, size + size]
+            elif stop <= 0:
+                runs = [distance + size, stop + size, size, size + size]
+            else:  # the run holds me
+                runs = [0, stop, distance + size, size, size, size + size]
+                count = 4
+        stamp, lo, hi, branches = self.mcast_pointers(message, runs, arcs)
+        mine = runs[0] < lo or runs[count - 1] > hi
         if mine:
             self.deliver(message)
         if not branches:
@@ -302,15 +339,40 @@ class OverlayNode:
                 f" at node {me}: its pointer rule hands keys back"
             )
         path = message.path + (me, stamp)
+        # Not delivered here, every key is forwarded, and the nearest
+        # branch, from the first run on, carries this envelope on.
+        nearest = -1 if mine else runs[0]
         end = hi
+        at = count
         for pointer in reversed(branches):  # each ends where the next began
             first = branches[pointer]
-            if end - first == count:
+            if first == nearest and end == hi:
                 keys = targets  # one branch of every key: the same set
-            else:
-                keys = frozenset([(me + d) % size for d in distances[first:end]])
+            else:  # cut [first, end) out of the runs, walking down
+                wrapped = ahead = ()  # its keys past 0, and before it
+                while at:
+                    start = runs[at - 2]
+                    if start < end:  # else a farther branch's, or mine
+                        stop = runs[at - 1]
+                        if stop <= first:
+                            break
+                        if stop > end:
+                            stop = end
+                        low = start if start > first else first
+                        key, last = me + low, me + stop
+                        if key >= size:
+                            wrapped = (key - size, stop - low) + wrapped
+                        elif last > size:
+                            wrapped = (0, last - size) + wrapped
+                            ahead = (key, size - key) + ahead
+                        else:
+                            ahead = (key, stop - low) + ahead
+                        if start <= first:
+                            break  # a nearer branch skips or cuts the rest
+                    at -= 2
+                keys = KeyRuns(wrapped + ahead)
             end = first
-            if first > lo or mine:
+            if first != nearest:
                 branch = overlay._prepared(
                     message, message.key, keys, message.mode, hops, path
                 )
@@ -450,7 +512,7 @@ class OverlayNetwork(abc.ABC):
         self,
         message: OverlayMessage,
         key: int | None = None,
-        target_keys: frozenset[int] | None = None,
+        target_keys: KeyRuns | None = None,
         mode: RoutingMode = RoutingMode.UNICAST,
         hops: int = 0,
         path: tuple[int, ...] = (),
@@ -458,18 +520,12 @@ class OverlayNetwork(abc.ABC):
         """A fresh envelope of ``message``'s request: the application's
         message at its start, or the walk's past a delivery."""
         # Direct construction instead of dataclasses.replace: this runs
-        # once per request, and replace() walks every field.
+        # once per request and per m-cast branch copy, and replace()
+        # walks every field.  Positional, in field order: matching ten
+        # keywords cost more than the call itself (0.49 against 0.21 µs).
         return OverlayMessage(
-            kind=message.kind,
-            payload=message.payload,
-            request_id=message.request_id,
-            origin=message.origin,
-            key=key,
-            target_keys=target_keys,
-            mode=mode,
-            hops=hops,
-            path=path,
-            trace=message.trace,
+            message.kind, message.payload, message.request_id, message.origin,
+            key, target_keys, mode, hops, path, message.trace,
         )
 
     def maintenance_totals(self) -> dict[str, int]:
@@ -572,12 +628,8 @@ class OverlayNetwork(abc.ABC):
     ) -> None:
         """Deliver ``message`` once to every node covering a key in ``keys``
         (Section 4.3.1's native one-to-many primitive)."""
-        targets = frozenset(keys)
-        limit = self._key_limit
-        for key in targets:  # KeySpace.validate, inline, as in send
-            if not (key.__class__ is int and 0 <= key < limit):
-                self._keyspace.validate(key)
-        if targets:
+        targets = self._target_runs(keys)
+        if targets[:1]:  # any run
             self.node(source_id).start_mcast(
                 self._prepared(message, target_keys=targets, mode=RoutingMode.MCAST)
             )
@@ -587,18 +639,33 @@ class OverlayNetwork(abc.ABC):
     ) -> None:
         """Conservative one-to-many: walk the targets key by key
         (Section 4.3.1's unicast-based baseline)."""
-        targets = frozenset(keys)
-        limit = self._key_limit
-        for key in targets:  # KeySpace.validate, inline, as in send
-            if not (key.__class__ is int and 0 <= key < limit):
-                self._keyspace.validate(key)
-        if targets:
+        targets = self._target_runs(keys)
+        if targets[:1]:  # any run
             self.continue_sequential(
                 self.node(source_id),
                 self._prepared(
                     message, target_keys=targets, mode=RoutingMode.SEQUENTIAL
                 ),
             )
+
+    def _target_runs(self, keys: Iterable[int]) -> KeyRuns:
+        """A cast's targets as runs, validated as ``send`` validates a
+        key: SK(σ) arrives as runs, and any other collection (EK(e), a
+        small frozenset) is sorted into runs once, here."""
+        limit = self._key_limit
+        validate = self._keyspace.validate
+        if keys.__class__ is KeyRuns:
+            for start, length in zip(keys[::2], keys[1::2]):
+                stop = start + length
+                if not (start.__class__ is int and 0 <= start < stop <= limit):
+                    validate(start)
+                    validate(stop - 1)
+            return keys
+        keys = frozenset(keys)
+        for key in keys:  # KeySpace.validate, inline, as in send
+            if not (key.__class__ is int and 0 <= key < limit):
+                validate(key)
+        return KeyRuns.from_keys(keys)
 
     def continue_sequential(self, node: OverlayNode, message: OverlayMessage) -> None:
         """One step at ``node`` of the conservative walk, written once for
@@ -607,43 +674,37 @@ class OverlayNetwork(abc.ABC):
         :class:`OverlayNode`.
 
         A node that covers any remaining target delivers through its own
-        delivery step; what it covers is read once per hop, as its
-        ``owned_span``, and tested per key inline.  The walk keeps
-        chasing ``message.key`` while it is still a target, and otherwise
-        picks the nearest remaining key clockwise: a node that merely
-        forwards never re-targets, so a walk whose hops disagree with ring
-        distance (CAN's torus) cannot ping-pong between far-apart keys.
-        The leg is the node's own unicast, ``addressed`` where it picked,
-        as at a unicast's sender: such a node reads its location cache
-        (CAN) and applies no overshoot rule (Chord) — the key it picked
-        may lie far ahead on purpose.  A delivered envelope belongs to the
-        application, so only then is a fresh one made; otherwise it goes
-        on in place.
+        delivery step; what it covers is its targets' runs within its
+        ``owned_span``, read once per hop.  The walk keeps chasing
+        ``message.key`` while it is still a target, and otherwise picks
+        the nearest remaining key clockwise, the nearest run's start: a
+        node that merely forwards never re-targets, so a walk whose hops
+        disagree with ring distance (CAN's torus) cannot ping-pong
+        between far-apart keys.  The leg is the node's own unicast,
+        ``addressed`` where it picked, as at a unicast's sender: such a
+        node reads its location cache (CAN) and applies no overshoot
+        rule (Chord) — the key it picked may lie far ahead on purpose.
+        A delivered envelope belongs to the application, so only then
+        is a fresh one made; otherwise it goes on in place.
         """
-        targets = message.target_keys
         size = self._key_limit
         start, length = node.owned_span()
-        delivered = False
-        for key in targets:
-            # covers(key), inline: one call per hop, not one per key.
-            if (key - start) % size < length:
-                node.deliver(message)
-                targets = frozenset(
-                    [k for k in targets if (k - start) % size >= length]
-                )
-                if not targets:
-                    return
-                delivered = True
-                break
+        covered, targets = message.target_keys.split(start, length, size)
+        delivered = bool(covered)
+        if delivered:
+            node.deliver(message)
+            if not targets:
+                return
         key = message.key
-        addressed = key not in targets
+        addressed = key is None or key not in targets
         if addressed:
-            # min() with a key lambda is measurably slower on this path.
+            # A node's span holds its id, so no remaining run does: the
+            # nearest key of each run is its start.
             me, best = node.id, size
-            for k in targets:
-                distance = (k - me) % size
+            for first in targets[::2]:
+                distance = (first - me) % size
                 if distance < best:
-                    best, key = distance, k
+                    best, key = distance, first
         if delivered:  # route_unicast counts the hop
             message = self._prepared(
                 message, key, targets, message.mode, message.hops, message.path

@@ -7,7 +7,7 @@ tables (:mod:`repro.overlay.can.overlay`) at the hop that needs them.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import TYPE_CHECKING
 
 from repro.overlay.api import OverlayMessage, OverlayNode
@@ -307,7 +307,7 @@ class CanNode(OverlayNode):
         overlay._network_transmit(me, next_hop, message)
 
     def mcast_pointers(
-        self, message: OverlayMessage, distances: list[int], count: int, arcs
+        self, message: OverlayMessage, runs: list[int], arcs
     ) -> tuple[tuple[int, int], int, int, dict[int, int]]:
         """CAN's m-cast pointer rule, in key order: the owner of the zone
         after mine and of each express link ``id + 2^k`` but me; the
@@ -329,31 +329,36 @@ class CanNode(OverlayNode):
         start, length = zone
         ends = (start + length - me) % size or size  # my zone's end
         starts = (start - me) % size or size  # and its start
-        lo = 0
-        if distances[0] < ends:
-            lo = count if distances[-1] < ends else bisect_left(distances, ends)
-        hi = count
-        if distances[-1] >= starts:
-            hi = lo if distances[lo] >= starts else bisect_left(distances, starts)
         branches: dict[int, int] = {}
-        if lo == hi:
-            return zone, lo, hi, branches
+        at = 0  # the run holding the nearest key at or past ``distance``
+        distance = ends
+        while runs[at + 1] <= distance:
+            at += 2
+        if runs[at] > distance:
+            distance = runs[at]
+        if distance >= starts:
+            return zone, ends, starts, branches
         after = key_owner[(start + length) % size]  # the zone after mine
-        reach = 0  # the current group ends at this distance
-        for position, distance in enumerate(distances[lo:hi], lo):
-            if distance >= reach:
-                pointer = after
-                reach = size
-                link = 1 << (distance.bit_length() - 1)
-                while link < size:
-                    owner = key_owner[(me + link) % size]
-                    link <<= 1
-                    if owner == me:  # a link inside my own zone
-                        continue
-                    begins = (geometry[owner][0][0] - me) % size
-                    if begins > distance:
-                        reach = begins
-                        break
-                    pointer = owner
-                branches[pointer] = position
-        return zone, lo, hi, branches
+        while True:
+            pointer = after
+            reach = size  # the group ends short of this distance
+            link = 1 << (distance.bit_length() - 1)
+            while link < size:
+                owner = key_owner[(me + link) % size]
+                link <<= 1
+                if owner == me:  # a link inside my own zone
+                    continue
+                begins = (geometry[owner][0][0] - me) % size
+                if begins > distance:
+                    reach = begins
+                    break
+                pointer = owner
+            branches[pointer] = distance
+            distance = reach
+            while runs[at + 1] <= distance:
+                at += 2
+            if runs[at] > distance:
+                distance = runs[at]
+            if distance >= starts:
+                break
+        return zone, ends, starts, branches

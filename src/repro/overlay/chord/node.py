@@ -278,7 +278,7 @@ class ChordNode(OverlayNode):
         self.continue_mcast(message, cache.entries or None)
 
     def mcast_pointers(
-        self, message: OverlayMessage, distances: list[int], count: int, arcs
+        self, message: OverlayMessage, runs: list[int], arcs
     ) -> tuple[int, int, int, dict[int, int]]:
         """Chord's m-cast pointer rule, stamped with the predecessor:
         mine are the key at distance 0 and the keys past the predecessor.
@@ -301,27 +301,31 @@ class ChordNode(OverlayNode):
         me = self.id
         overlay = self._overlay
         predecessor = overlay._pred[me]
-        lo = 0 if distances[0] else 1
-        hi = count
-        far = (predecessor - me) % size  # 0 on a sole node: all is mine
-        if distances[-1] > far:  # the keys past the predecessor are mine
-            hi = lo if distances[lo] > far else bisect_right(distances, far)
-        if lo == hi:
-            return predecessor, lo, hi, {}
+        # Mine: distance 0, and past the predecessor (all on a sole node).
+        hi = (predecessor - me) % size + 1
+        first = 0  # the run holding the nearest key past distance 0
+        while runs[first + 1] <= 1:
+            first += 2
+        nearest = runs[first] or 1
+        if nearest >= hi:
+            return predecessor, 1, hi, {}
         ring = overlay._ring
         nodes = len(ring)
         behind = size >> 1 if message.path else size  # the origin: no limit
-        distance = distances[lo]
-        if distance > behind:  # overshot: all of it, one step back
-            return predecessor, lo, hi, {predecessor: lo}
-        if hi - lo == 1 and arcs is None:  # slot j, no grouping
-            start = me + (1 << (distance.bit_length() - 1))
+        if nearest > behind:  # overshot: all of it, one step back
+            return predecessor, 1, hi, {predecessor: nearest}
+        if arcs is None and (
+            runs[first + 1] == nearest + 1 or nearest + 1 == hi
+        ) and runs[first + 2] >= hi:
+            # One key to send: slot j, no grouping.
+            start = me + (1 << (nearest.bit_length() - 1))
             pointer = ring[bisect_left(ring, start % size) % nodes]
-            return predecessor, lo, hi, {pointer: lo}
-        # Pointer -> position of its branch's first key.  Pointers only
-        # move clockwise as the keys do, so each branch is one run.
+            return predecessor, 1, hi, {pointer: nearest}
+        # Pointer -> distance of its branch's first key.  Pointers only
+        # move clockwise as the keys do, so each branch is one run of
+        # groups.
         branches: dict[int, int] = {}
-        while not branches:
+        while True:  # again after forgetting a dead cached pointer
             if arcs is not None:  # as _next_hop reads it
                 members = overlay._pred
                 cache = self._cache
@@ -330,40 +334,44 @@ class ChordNode(OverlayNode):
                     cache.materialize(size)
                 dists, ids = cache.dists, cache.ids
                 cached = len(dists)
-            reach = 0  # the current group ends at this distance
+            at = first
+            distance = nearest  # the nearest key of the next group
             pointer = -1
-            for position, distance in enumerate(distances[lo:hi], lo):
-                if distance > reach:  # nearest key of the next group
-                    top = 1 << distance.bit_length()
-                    owner = ring[bisect_left(ring, (me + (top >> 1)) % size) % nodes]
-                    reach = (owner - me) % size
-                    if reach < distance:
-                        # Slot j's owner precedes the key, and slot j + 1's
-                        # is the first finger past it (this node: none).
-                        floor = reach
-                        past = ring[bisect_left(ring, (me + top) % size) % nodes]
-                        reach = (past - me - 1) % size + 1
-                        if arcs is not None:  # the cache's pointers too
-                            at = bisect_left(dists, distance)
-                            if at and dists[at - 1] > floor:
-                                owner = ids[at - 1]
-                            if at < cached and dists[at] < reach:
-                                past = ids[at]
-                                reach = dists[at]
-                            elif reach == size:
-                                past = owner
-                            if owner not in members or past not in members:
-                                break
-                            arc = arcs[past] if past in arcs else None
-                            if arc is not None and (
-                                0 < (me + distance - arc) % size <= (past - arc) % size
-                            ):
-                                owner = past
-                    if owner != pointer:
-                        pointer = owner
-                        branches[owner] = position
-            else:
-                break
+            while True:
+                top = 1 << distance.bit_length()
+                owner = ring[bisect_left(ring, (me + (top >> 1)) % size) % nodes]
+                reach = (owner - me) % size  # the group ends at this distance
+                if reach < distance:
+                    # Slot j's owner precedes the key, and slot j + 1's
+                    # is the first finger past it (this node: none).
+                    floor = reach
+                    past = ring[bisect_left(ring, (me + top) % size) % nodes]
+                    reach = (past - me - 1) % size + 1
+                    if arcs is not None:  # the cache's pointers too
+                        index = bisect_left(dists, distance)
+                        if index and dists[index - 1] > floor:
+                            owner = ids[index - 1]
+                        if index < cached and dists[index] < reach:
+                            past = ids[index]
+                            reach = dists[index]
+                        elif reach == size:
+                            past = owner
+                        if owner not in members or past not in members:
+                            break
+                        arc = arcs[past] if past in arcs else None
+                        if arc is not None and (
+                            0 < (me + distance - arc) % size <= (past - arc) % size
+                        ):
+                            owner = past
+                if owner != pointer:
+                    pointer = owner
+                    branches[owner] = distance
+                distance = reach + 1  # the nearest key past the group
+                while runs[at + 1] <= distance:
+                    at += 2
+                if runs[at] > distance:
+                    distance = runs[at]
+                if distance >= hi:
+                    return predecessor, 1, hi, branches
             cache.forget(past if owner in members else owner)
             branches.clear()
-        return predecessor, lo, hi, branches

@@ -4,7 +4,7 @@ Structured overlays route by *logical keys* drawn from a space ``K`` of
 ``m``-bit identifiers ordered on a circle modulo ``2**m`` (the Chord
 ring, Section 3.1.1 of the paper).  This module centralizes all modular
 arithmetic on that circle: clockwise distance and circular interval
-membership.
+membership, and :class:`KeyRuns`, the one type a set of keys travels as.
 
 The paper's evaluation uses ``m = 13`` (a key space of size ``2**13``).
 """
@@ -12,6 +12,11 @@ The paper's evaluation uses ``m = 13`` (a key space of size ``2**13``).
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
+from collections.abc import Set
+from itertools import chain
+from operator import add
+from typing import Iterable
 
 from repro.errors import ConfigurationError
 
@@ -102,3 +107,145 @@ class KeySpace:
                 f"finger index must be in [1, {self.bits}], got {index}"
             )
         return self.wrap(node_id + (1 << (index - 1)))
+
+
+class KeyRuns(tuple):
+    """A set of keys held as sorted, disjoint ``(start, length)`` runs,
+    stored flat: ``(start, length, start, length, ...)``.
+
+    Under the paper's scaling hash a value range is one contiguous key
+    range (§3), so SK(σ) is a few runs however many keys it holds.  The
+    form is canonical: runs ascend by start, none wraps past 0 (``start
+    + length <= 2**m``; a range across 0 is two runs) and no two touch,
+    so one key set has one flat tuple.
+
+    As a tuple it *is* that flat form: indexing and slicing read runs
+    (``runs[::2]`` the starts, ``runs[1::2]`` the lengths), and building
+    one from a flat tuple or list is a type call, no Python frame.  As a
+    set it counts, tests and iterates keys, ascending (clockwise from
+    0), and compares equal to the frozenset of the same keys; ``&``,
+    ``|`` and ``-`` give frozensets.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def from_keys(cls, keys: Iterable[int]) -> "KeyRuns":
+        """The runs of a key collection (duplicates allowed)."""
+        flat: list[int] = []
+        last = -2
+        for key in sorted(keys):
+            if key == last + 1:  # extends the run
+                flat[-1] += 1
+            elif key != last:  # a gap: a new run
+                flat += (key, 1)
+            last = key
+        return cls(flat)
+
+    @classmethod
+    def union(cls, groups: Iterable["KeyRuns"]) -> "KeyRuns":
+        """The union of several key sets (SK(σ) from its groups)."""
+        groups = tuple(groups)
+        if len(groups) == 1:
+            return groups[0]
+        runs = sorted(
+            pair for group in groups for pair in zip(group[::2], group[1::2])
+        )
+        flat: list[int] = []
+        stop = -2
+        for start, length in runs:
+            if start <= stop:  # overlaps or touches the run before
+                if start + length > stop:
+                    flat[-1] += start + length - stop
+                    stop = start + length
+            else:
+                flat += (start, length)
+                stop = start + length
+        return cls(flat)
+
+    def meets(self, start: int, length: int, size: int) -> bool:
+        """True if a key lies within the ``length`` keys clockwise from
+        ``start`` on a ring of ``size`` keys: a run's start lies in that
+        span, or the span's start lies in the run."""
+        for first, count in zip(self[::2], self[1::2]):
+            if (first - start) % size < length or (start - first) % size < count:
+                return True
+        return False
+
+    def split(self, start: int, length: int, size: int) -> tuple["KeyRuns", "KeyRuns"]:
+        """``(inside, outside)``: the keys within the ``length`` keys
+        clockwise from ``start`` on a ring of ``size`` keys (an owned
+        span; it may wrap past 0), and the rest."""
+        if length >= size:
+            return self, KeyRuns()
+        stop = start + length
+        if stop > size:  # wraps past 0: two pieces, ascending
+            pieces = ((0, stop - size), (start, size))
+        else:
+            pieces = ((start, stop),)
+        inside: list[int] = []
+        outside: list[int] = []
+        for first, count in zip(self[::2], self[1::2]):
+            cursor, end = first, first + count
+            for low, high in pieces:
+                if low < cursor:
+                    low = cursor
+                if high > end:
+                    high = end
+                if low < high:
+                    if cursor < low:
+                        outside += (cursor, low - cursor)
+                    inside += (low, high - low)
+                    cursor = high
+            if cursor < end:
+                outside += (cursor, end - cursor)
+        return KeyRuns(inside), KeyRuns(outside)
+
+    # -- the set view ----------------------------------------------------
+
+    def __len__(self) -> int:
+        count = 0
+        for length in self[1::2]:
+            count += length
+        return count
+
+    def __iter__(self):
+        starts = self[::2]
+        return chain.from_iterable(map(range, starts, map(add, starts, self[1::2])))
+
+    def __contains__(self, key: object) -> bool:
+        starts = self[::2]
+        at = bisect_right(starts, key)
+        return at > 0 and key < starts[at - 1] + self[2 * at - 1]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is KeyRuns:
+            return tuple.__eq__(self, other)
+        if isinstance(other, Set):
+            return len(self) == len(other) and self.__le__(other)
+        if isinstance(other, tuple):  # a flat tuple is not a key set
+            return False
+        return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))  # as the frozenset it equals
+
+    def __repr__(self) -> str:
+        return f"KeyRuns({tuple.__repr__(self)})"
+
+    @classmethod
+    def _from_iterable(cls, keys: Iterable[int]) -> frozenset[int]:
+        return frozenset(keys)
+
+    __le__, __ge__ = Set.__le__, Set.__ge__
+    __and__, __rand__ = Set.__and__, Set.__rand__
+    __or__, __ror__ = Set.__or__, Set.__ror__
+    __sub__, __rsub__ = Set.__sub__, Set.__rsub__
+    isdisjoint = Set.isdisjoint
+
+
+Set.register(KeyRuns)

@@ -12,7 +12,7 @@ from repro.core.payloads import (
     SubscribePayload,
 )
 from repro.overlay.chord import ChordOverlay
-from repro.overlay.ids import KeySpace
+from repro.overlay.ids import KeyRuns, KeySpace
 from repro.sim import Simulator
 
 KS = KeySpace(13)
@@ -94,10 +94,13 @@ def test_held_keys_are_sk_within_the_span():
         subscription=sigma,
         subscriber=3,
         ttl=None,
-        groups=((outside[0], inside[0]), (inside[1], outside[1], inside[2])),
+        groups=(
+            KeyRuns.from_keys((outside[0], inside[0])),
+            KeyRuns.from_keys((inside[1], outside[1], inside[2])),
+        ),
     )
     entry = node.store.put(payload, None, now=0.0)
-    assert node.held_keys(entry) == inside
+    assert node.held_keys(entry) == frozenset(inside)
     assert all(system.overlay.covers(node.id, key) for key in inside)
 
 
@@ -108,7 +111,10 @@ def test_extract_entries_for_range_partial_and_total():
     k0, k1, k2 = ((start + offset) % size for offset in range(3))
     sigma = Subscription.build(SPACE, a1=(0, 10))
     payload = SubscribePayload(
-        subscription=sigma, subscriber=3, ttl=None, groups=((k0, k1, k2),)
+        subscription=sigma,
+        subscriber=3,
+        ttl=None,
+        groups=(KeyRuns.from_keys((k0, k1, k2)),),
     )
     entry = node.store.put(payload, None, now=0.0)
     # Move k0 and k1 only: the entry ships and stays, held for k2.
@@ -130,7 +136,10 @@ def test_extract_drops_an_entry_with_no_key_left_in_the_span():
     assert not system.overlay.covers(node.id, far)
     sigma = Subscription.build(SPACE, a1=(0, 10))
     payload = SubscribePayload(
-        subscription=sigma, subscriber=3, ttl=None, groups=((start, far),)
+        subscription=sigma,
+        subscriber=3,
+        ttl=None,
+        groups=(KeyRuns.from_keys((start, far)),),
     )
     node.store.put(payload, None, now=0.0)
     moved = node.extract_entries_for_range(((start - 1) % size, start))
@@ -143,7 +152,7 @@ def test_extract_entries_ignores_out_of_range():
     node = system.node(system.overlay.node_ids()[0])
     sigma = Subscription.build(SPACE, a1=(0, 10))
     payload = SubscribePayload(
-        subscription=sigma, subscriber=3, ttl=None, groups=((100,),)
+        subscription=sigma, subscriber=3, ttl=None, groups=(KeyRuns((100, 1)),)
     )
     node.store.put(payload, None, now=0.0)
     assert node.extract_entries_for_range((200, 300)) == []
@@ -158,7 +167,10 @@ def test_promote_replicas_skips_expired():
     sigma_dead = Subscription.build(SPACE, a1=(20, 30))
     live = StoredSubscription(
         payload=SubscribePayload(
-            subscription=sigma_live, subscriber=1, ttl=None, groups=((1,),)
+            subscription=sigma_live,
+            subscriber=1,
+            ttl=None,
+            groups=(KeyRuns((1, 1)),),
         ),
         expire_at=None,
     )
@@ -166,7 +178,10 @@ def test_promote_replicas_skips_expired():
         sigma_live.subscription_id: live,
         sigma_dead.subscription_id: StoredSubscription(
             payload=SubscribePayload(
-                subscription=sigma_dead, subscriber=1, ttl=None, groups=((2,),)
+                subscription=sigma_dead,
+                subscriber=1,
+                ttl=None,
+                groups=(KeyRuns((2, 1)),),
             ),
             expire_at=50.0,  # already past at t=100
         ),

@@ -1,14 +1,18 @@
 """Skew analytics: known-answer distributions and detector edge cases."""
 
+import random
+
 import pytest
 
 from repro.metrics.skew import (
     OverloadDetector,
+    SkewSummary,
     gini,
     p99_mean_ratio,
     skew_summary,
     top_k,
 )
+from repro.metrics.stats import summarize
 
 
 class TestGini:
@@ -84,6 +88,32 @@ class TestSkewSummary:
         assert record["count"] == 1
         assert record["top"] == [[1, 2.0]]
 
+    def test_one_sort_equals_the_composed_statistics(self):
+        """``skew_summary`` reads the Gini coefficient and p99/mean off
+        one sorted list; each equals, to the bit, the rank formula over
+        its own sort and the ratio of ``summarize``'s p99 and mean."""
+        rng = random.Random(5)
+        for _ in range(300):
+            loads = {
+                node: rng.choice((0, rng.randrange(50), rng.random() * 1e4))
+                for node in rng.sample(range(10_000), rng.randrange(0, 80))
+            }
+            data = sorted(float(v) for v in loads.values())
+            n, total = len(data), sum(data)
+            reference_gini = 0.0
+            if n >= 2 and total > 0:
+                weighted = sum(rank * v for rank, v in enumerate(data, start=1))
+                reference_gini = (2.0 * weighted) / (n * total) - (n + 1) / n
+            stats = summarize(loads.values())
+            ratio = stats.p99 / stats.mean if stats.count and stats.mean else 0.0
+            assert skew_summary(loads, k=3) == SkewSummary(
+                count=n,
+                total=sum(data, 0.0),
+                gini=reference_gini,
+                p99_mean_ratio=ratio,
+                top=tuple(top_k(loads, 3)),
+            )
+
 
 class TestOverloadDetector:
     def test_empty_window_emits_nothing(self):
@@ -148,10 +178,15 @@ class TestOverloadDetector:
     def test_node_absent_from_sample_keeps_its_history(self):
         detector = OverloadDetector(threshold=2.0)
         detector.observe(1.0, {1: 10.0, 2: 10.0, 3: 10.0})
-        # Node 3 absent now: loads dict omits idle nodes; its previous
-        # cumulative value is simply dropped from the new window.
+        # Node 3 absent now: it takes no part in the window.
         events = detector.observe(2.0, {1: 11.0, 2: 11.0})
         assert events == []
+        # Back, it is charged 2.0 since its last sample, not its whole
+        # 12.0: against the median 1.0 that is not above 2x.
+        events = detector.observe(3.0, {1: 12.0, 2: 12.0, 3: 12.0})
+        assert events == []
+        events = detector.observe(4.0, {1: 13.0, 2: 13.0, 3: 15.5})
+        assert [(event.node, event.window_load) for event in events] == [(3, 3.5)]
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):

@@ -50,7 +50,7 @@ import pytest
 
 from repro.overlay.api import MessageKind, OverlayMessage, RoutingMode, next_request_id
 from repro.overlay.chord import ChordOverlay
-from repro.overlay.ids import KeySpace
+from repro.overlay.ids import KeyRuns, KeySpace
 from repro.sim import Simulator
 from tests.overlay.test_learn_batch import cache_view, receive_stamped
 from tests.overlay.test_location_cache import ReferenceLRU
@@ -241,7 +241,7 @@ def run_example(cache: int, seed: int, nodes: int | None = None) -> None:
                 message = OverlayMessage(
                     kind=MessageKind.PUBLICATION, payload=None,
                     request_id=next_request_id(), origin=sender,
-                    target_keys=frozenset(keys), mode=RoutingMode.MCAST, hops=1,
+                    target_keys=KeyRuns.from_keys(keys), mode=RoutingMode.MCAST, hops=1,
                     path=(sender, overlay.predecessor_of(sender)),
                 )
                 expected, forgotten = reference_mcast(
@@ -252,7 +252,7 @@ def run_example(cache: int, seed: int, nodes: int | None = None) -> None:
                 message = OverlayMessage(
                     kind=MessageKind.PUBLICATION, payload=None,
                     request_id=next_request_id(), origin=node.id,
-                    target_keys=frozenset(keys), mode=RoutingMode.MCAST,
+                    target_keys=KeyRuns.from_keys(keys), mode=RoutingMode.MCAST,
                 )
                 arcs = dict(reference.arcs) if reference.order else None
                 expected, forgotten = reference_mcast(

@@ -56,8 +56,9 @@ each forward's kernel event no longer makes and the two the recorder's
 ``on_send`` and its ``dict.get`` made.
 And what a node pays to forward a 50-key m-cast in two branches: the
 Fig. 4 step that Chord and CAN share, with each one's pointer rule,
-exactly (keyed on the Python minor version, whose comprehensions
-differ).  No call is made per key.  Beside Chord's exact count, a Chord
+exactly (keyed on the Python minor version, as a comprehension would
+differ).  The targets travel as key runs, so no call is made per key
+or per run.  Beside Chord's exact count, a Chord
 node that forwards an m-cast is counted against the same node built
 without a cache, and one that forwards a unicast costs no less than
 that node does.
@@ -77,7 +78,7 @@ from repro.core.payloads import PublishPayload
 from repro.overlay.api import MessageKind, OverlayMessage, RoutingMode, next_request_id
 from repro.overlay.can import CanOverlay
 from repro.overlay.chord import ChordOverlay
-from repro.overlay.ids import KeySpace
+from repro.overlay.ids import KeyRuns, KeySpace
 from repro.overlay.network import Network
 from repro.sim import Simulator
 from repro.telemetry import Telemetry
@@ -92,17 +93,20 @@ DESTINATIONS = 64
 DRAIN_EVENT = 4
 CAN_ROUTES = 500
 CAN_FORWARD_CALLS = 39_000  # for the 7 x CAN_ROUTES extra forwards below
-# One m-cast forward of 50 contiguous keys split into two branches, by
-# Python minor version.  3.12 inlines the step's three comprehensions;
-# its entries are derived by that rule, not measured.  For CAN, the
-# greedy grouping this replaced counted 105 on 3.11: a _next_hop per
-# key.  While the recorder was a ``send`` subscriber, 3.11 read 22;
-# while the node held a memoized pointer table, 18; while CAN wrote its
-# own step, with a set comprehension for the keys it owns, a sort for a
-# single key and a ``list.append`` per group, 17.  Chord's own step read
-# 19: one frame fewer than the shared step and its rule.
-CAN_MCAST_FORWARD_CALLS = {(3, 11): 15, (3, 12): 12}
-CHORD_MCAST_FORWARD_CALLS = {(3, 11): 20, (3, 12): 17}
+# One m-cast forward of 50 contiguous keys (one run) split into two
+# branches, by Python minor version.  The step has no comprehension, so
+# 3.12's entries equal 3.11's; they are derived by that rule, not
+# measured.  For CAN, the greedy grouping this replaced counted 105 on
+# 3.11: a _next_hop per key.  While the recorder was a ``send``
+# subscriber, 3.11 read 22; while the node held a memoized pointer
+# table, 18; while CAN wrote its own step, with a set comprehension for
+# the keys it owns, a sort for a single key and a ``list.append`` per
+# group, 17.  Chord's own step read 19: one frame fewer than the shared
+# step and its rule.  While the targets were a frozenset, the step
+# sorted a distance list comprehension and built each branch's key set
+# with another: 15 for CAN and 20 for Chord (12 and 17 on 3.12).
+CAN_MCAST_FORWARD_CALLS = {(3, 11): 10, (3, 12): 10}
+CHORD_MCAST_FORWARD_CALLS = {(3, 11): 15, (3, 12): 15}
 DELIVERIES = 500
 # One publication delivered at a node with an empty store, from
 # ``do_deliver`` to the handler's return; 3.11 and 3.12 agree.  With
@@ -239,7 +243,7 @@ def mcast_forward_calls(overlay, stamp_of) -> int:
     node, origin = overlay.node(ids[0]), ids[100]
     start, length = node.owned_span()
     first = start + length + 1000
-    keys = frozenset((first + i) % (1 << 13) for i in range(50))
+    keys = KeyRuns.from_keys((first + i) % (1 << 13) for i in range(50))
     request_id = next_request_id()
 
     def forwarded() -> OverlayMessage:
@@ -264,14 +268,15 @@ def mcast_forward_calls(overlay, stamp_of) -> int:
 
 
 def test_can_mcast_forward_costs_one_bit_length_per_branch():
-    """15 calls on 3.11: the shared step ``continue_mcast`` with its
-    ``len``, ``sorted`` and distance comprehension, and CAN's rule
+    """10 calls: the shared step ``continue_mcast`` and CAN's rule
     ``mcast_pointers``; per branch an ``int.bit_length`` (the pointer is
-    read off the key→owner table from link ``j`` on), the key-set
-    comprehension and the network's two (``transmit``,
-    ``list.append``); and the one copy, ``_prepared`` with its
-    ``__init__`` — the envelope carries the other branch.  The keys the
-    node owns cost no call: none lies before its zone's end."""
+    read off the key→owner table from link ``j`` on) and the network's
+    two (``transmit``, ``list.append``); and the one copy, ``_prepared``
+    with its ``__init__`` — the envelope carries the other branch.
+    Turning the targets (one run) into distance runs and cutting the
+    branches' runs out of them costs no call, and neither do the keys
+    the node owns: none lies before its zone's end.  Targets of several
+    runs add one ``len``."""
     budget = minor_budget(CAN_MCAST_FORWARD_CALLS, "CAN m-cast forward")
     overlay = CanOverlay(Simulator(), KeySpace(13))
     calls = mcast_forward_calls(overlay, lambda origin: overlay.zone_of(origin))
@@ -279,7 +284,7 @@ def test_can_mcast_forward_costs_one_bit_length_per_branch():
 
 
 def test_chord_mcast_forward_costs_two_bisects_per_branch():
-    """20 calls on 3.11: CAN's fifteen, with Chord's rule in place of
+    """15 calls: CAN's ten, with Chord's rule in place of
     CAN's; the rule adds ``len(ring)`` and, per branch, two
     ``bisect_left`` on the ring: slot ``j``'s owner, which precedes the
     group's nearest key here, and slot ``j + 1``'s, which ends the
@@ -381,7 +386,9 @@ def test_chord_forwards_cost_what_they_do_without_a_cache():
             for _ in range(times):
                 node._cache.log += (64, 0)  # a touch a reader would fold
                 node.continue_mcast(
-                    forwarded(target_keys=frozenset(keys), mode=RoutingMode.MCAST)
+                    forwarded(
+                        target_keys=KeyRuns.from_keys(keys), mode=RoutingMode.MCAST
+                    )
                 )
             assert node._cache.journal is None  # never read
 

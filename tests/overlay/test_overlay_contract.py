@@ -17,6 +17,7 @@ from repro.overlay.chord import ChordNode, ChordOverlay, ProtocolChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.overlay.pastry import PastryOverlay
 from repro.sim import Simulator
+from tests.overlay import per_key_mcast
 
 KS = KeySpace(13)
 OVERLAYS = [ChordOverlay, PastryOverlay, CanOverlay]
@@ -239,8 +240,8 @@ def test_an_mcast_rule_that_hands_back_an_owned_key_fails_not_hangs(monkeypatch)
     round the ring: the step bounds a copy's hops by the key count and
     raises, naming the request, so a plain ``sim.run()`` returns."""
 
-    def hand_everything_on(self, message, distances, count, arcs):
-        return self.id, 0, count, {self.successor: 0}
+    def hand_everything_on(self, message, runs, arcs):
+        return self.id, 0, self._size, {self.successor: 0}
 
     monkeypatch.setattr(ChordNode, "mcast_pointers", hand_everything_on)
     sim = Simulator()
@@ -251,3 +252,66 @@ def test_an_mcast_rule_that_hands_back_an_owned_key_fails_not_hangs(monkeypatch)
     overlay.mcast(src, [src], cast)
     with pytest.raises(OverlayError, match=f"request {cast.request_id} passed"):
         sim.run()
+
+
+def mapping_1_targets(rng, src):
+    """Keys shaped like a Mapping 1 SK(σ): 3–4 runs of up to 600 keys,
+    the first wrapping past 0, plus ``src``'s own id (distance 0)."""
+    keys = {src}
+    for index in range(rng.randrange(3, 5)):
+        length = rng.randrange(2, 600)
+        if index == 0:  # across 0
+            first = KS.size - rng.randrange(1, length)
+        else:
+            first = rng.randrange(KS.size)
+        keys.update((first + i) % KS.size for i in range(length))
+    return keys
+
+
+def mapping_1_casts(overlay_cls, options):
+    """Twelve m-casts of Mapping 1-shaped targets on a warmed 80-node
+    overlay: every one-hop send as ``(src, dst, hops, path, keys)``,
+    and each cast's deliveries beside the owners of its keys."""
+    sim = Simulator()
+    overlay = overlay_cls(sim, KS, **options)
+    rng = random.Random(13)
+    overlay.build_ring(rng.sample(range(KS.size), 80))
+    ids = overlay.node_ids()
+    for src in ids:  # traffic first, so the location caches hold entries
+        overlay.send(src, rng.randrange(KS.size), message(src))
+    settle(sim)
+    sent, delivered, casts = [], [], []
+    transmit = overlay._network_transmit
+
+    def record(src, dst, m):
+        keys = m.key if m.target_keys is None else frozenset(m.target_keys)
+        sent.append((src, dst, m.hops, m.path, keys))
+        transmit(src, dst, m)
+
+    overlay._network_transmit = record
+    overlay.set_deliver(lambda nid, m: delivered.append(nid))
+    for _ in range(12):
+        src = rng.choice(ids)
+        keys = mapping_1_targets(rng, src)
+        delivered.clear()
+        overlay.mcast(src, keys, message(src, MessageKind.SUBSCRIPTION))
+        settle(sim)
+        casts.append((sorted(delivered), sorted({overlay.owner_of(k) for k in keys})))
+    return sent, casts
+
+
+@pytest.mark.parametrize("overlay_cls, options", FIG4_OVERLAYS)
+def test_mapping_1_shaped_mcast_sends_what_the_per_key_step_sent(
+    overlay_cls, options, monkeypatch
+):
+    """Each m-cast of a few long runs, one across 0, plus the origin's
+    own key delivers exactly once at each owner of a target key; and
+    every branch — pointer, key set, hops, stamped path, in send order
+    — is the one the per-key step sent (``per_key_mcast``, the step and
+    rules before targets travelled as runs) on the same overlay."""
+    sent, casts = mapping_1_casts(overlay_cls, options)
+    for delivered, owners in casts:
+        assert delivered == owners
+    assert sum(isinstance(keys, frozenset) and len(keys) > 1 for *_, keys in sent) > 50
+    per_key_mcast.install(monkeypatch)
+    assert mapping_1_casts(overlay_cls, options) == (sent, casts)

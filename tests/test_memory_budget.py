@@ -20,6 +20,10 @@ weight back.
 - **A Chord node's first route.**  A node reads its fingers off the
   ring and holds none, so routing a key leaves only the empty journal
   of its (empty) cache view; keyed like the store.
+- **A Mapping 1 subscription's SK(σ).**  Under the scaling hash each
+  constraint's image is one contiguous key range, held as one run
+  (:class:`~repro.overlay.ids.KeyRuns`), not as its keys; keyed like
+  the store.
 - **The Zipf table.**  The paper's workload draws range centres from a
   Zipf law over a domain of a million values; the inverse-CDF table is
   one array of doubles, 8 bytes an entry, built without a list of
@@ -46,6 +50,8 @@ from repro.overlay.chord import ChordOverlay
 from repro.overlay.ids import KeySpace
 from repro.sim import Simulator
 from repro.workload import zipf
+from repro.workload.generator import SubscriptionGenerator
+from repro.workload.spec import WorkloadSpec
 
 SPACE = EventSpace.uniform(("a1", "a2", "a3", "a4"), 1_000_000)
 STORES = 200
@@ -76,6 +82,14 @@ ROUTING_NODE_BUDGET = {(3, 11): 300}
 #: node held its finger table, its first sync added 917 (2 217 with the
 #: fingers also held as a set and a per-owner slot-count dict).
 COLD_SYNC_BUDGET = {(3, 11): 64}
+
+SUBSCRIPTIONS = 200
+#: Bytes of SK(σ)'s groups per Mapping 1 subscription of the default
+#: workload (about 499 keys in 4 groups), by Python minor version.  3.11
+#: reads 454: one run per group.  With each group a tuple of its keys it
+#: read 19 754 (about 19.5 KB: the 48.7 MB of SK tuples that were live
+#: after 2 500 subscriptions on n = 500).
+SK_BUDGET = {(3, 11): 500}
 
 ZIPF_SIZE = 100_001
 ZIPF_EXPONENT = 1.6
@@ -128,6 +142,25 @@ def test_a_six_entry_store_holds_no_engine(engine):
     finally:
         tracemalloc.stop()
     assert held / STORES <= budget, held / STORES
+
+
+def test_a_mapping_1_subscriptions_sk_is_a_few_runs():
+    budget = _budget(SK_BUDGET, "SK(σ)")
+    generator = SubscriptionGenerator(WorkloadSpec(), random.Random(1))
+    mapping = make_mapping("attribute-split", generator.space, KeySpace(13))
+    subscriptions = [generator.generate() for _ in range(SUBSCRIPTIONS)]
+    mapping.subscription_key_groups(subscriptions[0])  # one-time costs
+    held = [None] * SUBSCRIPTIONS
+    tracemalloc.start()
+    try:
+        for i, subscription in enumerate(subscriptions):
+            held[i] = mapping.subscription_key_groups(subscription)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    keys = sum(len(group) for groups in held for group in groups)
+    assert keys / SUBSCRIPTIONS > 400  # the wide images this is about
+    assert size / SUBSCRIPTIONS <= budget, size / SUBSCRIPTIONS
 
 
 def _budget(budgets, what):

@@ -49,11 +49,15 @@ test:
 # (audit.deliveries_duplicate > 0).
 # The churn-resilience bench (about 0.3 s of simulation) runs too, with
 # its timing off: it is the one check of delivery under crashes with and
-# without replication.
+# without replication.  So do the event-space-partition and
+# hotspot-adaptation benches, timing off too (about a second together):
+# outside tier-1 they are the only code that reads a mapping's key sets.
 verify: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 verify:
 	$(PYTHON) -m pytest tests/ -q
-	$(PYTHON) -m pytest benchmarks/test_churn_resilience.py -q --benchmark-disable
+	$(PYTHON) -m pytest benchmarks/test_churn_resilience.py \
+		benchmarks/test_esp_baseline.py benchmarks/test_hotspot_adaptation.py \
+		-q --benchmark-disable
 	mkdir -p artifacts
 	$(PYTHON) -m repro run --nodes 100 --subscriptions 50 \
 		--publications 50 --audit \

@@ -42,7 +42,6 @@ from repro.audit.records import (
     ProbeRecord,
     Violation,
 )
-from repro.core.mappings.base import flat_keys
 from repro.errors import ConfigurationError
 from repro.overlay.ids import KeyRuns
 from repro.sim.process import PeriodicTimer
@@ -233,7 +232,7 @@ class Auditor:
         payload = message.payload
         self._ledger[payload.subscription.subscription_id] = _LedgerEntry(
             payload.subscription,
-            flat_keys(payload.groups),
+            KeyRuns.union(payload.groups),
             payload.subscriber,
             now,
             None if payload.ttl is None else now + payload.ttl,
@@ -244,7 +243,7 @@ class Auditor:
         if entry is not None and entry.t_unsubscribed is None:
             entry.t_unsubscribed = now
 
-    def on_publish(self, message, keys: frozenset[int], now: float) -> None:
+    def on_publish(self, message, keys: KeyRuns, now: float) -> None:
         event = message.payload.event
         if event.event_id in self._pending or event.event_id in self._evaluated:
             # Same event object published twice: arrivals would be

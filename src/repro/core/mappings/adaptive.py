@@ -167,16 +167,16 @@ class HotspotAdaptiveMapping(AKMapping):
             groups.append(KeyRuns.from_keys(expanded))
         return tuple(groups)
 
-    def event_keys(self, event: Event) -> frozenset[int]:
-        keys: set[int] = set()
+    def event_keys(self, event: Event) -> KeyRuns:
+        keys: list[int] = []
         for key in self._base.event_keys(event):
             entry = self._overrides.get(key)
             if entry is None:
-                keys.add(key)
+                keys.append(key)
                 continue
             mode, siblings = entry
             if mode is SplitMode.STORAGE:
-                keys.update(siblings)
+                keys.extend(siblings)
             else:
-                keys.add(self._pick(siblings, f"{key}:{event.values}"))
-        return frozenset(keys)
+                keys.append(self._pick(siblings, f"{key}:{event.values}"))
+        return KeyRuns.from_keys(keys)

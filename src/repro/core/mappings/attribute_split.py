@@ -62,9 +62,9 @@ class AttributeSplitMapping(AKMapping):
             )
         return tuple(groups)
 
-    def event_keys(self, event: Event) -> frozenset[int]:
+    def event_keys(self, event: Event) -> KeyRuns:
         bits = self._keyspace.bits
         key = self._hash_value(
             self._event_attribute, event.values[self._event_attribute], bits
         )
-        return frozenset((key,))
+        return KeyRuns((key, 1))

@@ -23,11 +23,6 @@ from repro.errors import MappingError
 from repro.overlay.ids import KeyRuns, KeySpace
 
 
-#: SK(σ) as one key set, from its groups
-#: (:meth:`AKMapping.subscription_key_groups`): their union, as runs.
-flat_keys = KeyRuns.union
-
-
 @dataclasses.dataclass(frozen=True)
 class Discretization:
     """Per-attribute interval widths for the Section 4.3.3 optimization.
@@ -122,12 +117,12 @@ class AKMapping(abc.ABC):
         """
 
     @abc.abstractmethod
-    def event_keys(self, event: Event) -> frozenset[int]:
+    def event_keys(self, event: Event) -> KeyRuns:
         """EK(e): the rendezvous keys that must match this event."""
 
     def subscription_keys(self, subscription: Subscription) -> KeyRuns:
         """SK(σ) as one key set (union of the groups)."""
-        return flat_keys(self.subscription_key_groups(subscription))
+        return KeyRuns.union(self.subscription_key_groups(subscription))
 
     # -- shared hash machinery ---------------------------------------------
 
@@ -173,4 +168,6 @@ class AKMapping(abc.ABC):
         """Verify EK(e) ∩ SK(σ) ≠ ∅ for a matching pair (testing aid)."""
         if not subscription.matches(event):
             return True
-        return bool(self.event_keys(event) & self.subscription_keys(subscription))
+        return not self.event_keys(event).isdisjoint(
+            self.subscription_keys(subscription)
+        )

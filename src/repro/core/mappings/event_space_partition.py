@@ -96,9 +96,9 @@ class EventSpacePartitionMapping(AKMapping):
         # optimization degenerates to plain buffering, as it should).
         return tuple(KeyRuns((key, 1)) for key in keys)
 
-    def event_keys(self, event: Event) -> frozenset[int]:
+    def event_keys(self, event: Event) -> KeyRuns:
         cell = tuple(
             self._cell_of(attribute, value)
             for attribute, value in enumerate(event.values)
         )
-        return frozenset((self._cell_key(cell),))
+        return KeyRuns((self._cell_key(cell), 1))

@@ -84,10 +84,10 @@ class KeySpaceSplitMapping(AKMapping):
             ),
         )
 
-    def event_keys(self, event: Event) -> frozenset[int]:
+    def event_keys(self, event: Event) -> KeyRuns:
         l = self._bits_per_attribute
         pieces = tuple(
             self._hash_value(attribute, value, l)
             for attribute, value in enumerate(event.values)
         )
-        return frozenset((self._concatenate(pieces),))
+        return KeyRuns((self._concatenate(pieces), 1))

@@ -54,10 +54,10 @@ class SelectiveAttributeMapping(AKMapping):
         )
         return (group,)
 
-    def event_keys(self, event: Event) -> frozenset[int]:
+    def event_keys(self, event: Event) -> KeyRuns:
         # _hash_value per attribute, inline over the (width, |Ωᵢ|) table.
         bits = self._keyspace.bits
-        return frozenset(
+        return KeyRuns.from_keys(
             [
                 (value // width * width << bits) // domain
                 for (width, domain), value in zip(self._scales, event.values)

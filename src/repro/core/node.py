@@ -14,7 +14,6 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.core.buffering import NotificationBuffer, agent_key_for
-from repro.core.mappings.base import flat_keys
 from repro.core.payloads import (
     CollectPayload,
     Notification,
@@ -84,7 +83,7 @@ class PubSubNode:
 
     # -- subscriptions -------------------------------------------------------
 
-    def covered_targets(self, message: OverlayMessage) -> KeyRuns | set[int]:
+    def covered_targets(self, message: OverlayMessage) -> KeyRuns:
         """The rendezvous keys (of this message) that this node covers:
         its targets' runs within its span, or the one key it was sent."""
         if message.target_keys is not None:
@@ -92,13 +91,13 @@ class PubSubNode:
             start, length = overlay.node(self.id).owned_span()
             return message.target_keys.split(start, length, overlay._key_limit)[0]
         assert message.key is not None
-        return {message.key}
+        return KeyRuns((message.key, 1))
 
     def held_keys(self, entry: StoredSubscription) -> KeyRuns:
         """The keys of SK(σ) in this node's span: why ``entry`` is here."""
         overlay = self._system._overlay
         start, length = overlay.node(self.id).owned_span()
-        keys = flat_keys(entry.payload.groups)
+        keys = KeyRuns.union(entry.payload.groups)
         return keys.split(start, length, overlay._key_limit)[0]
 
     def _handle_subscribe(
@@ -330,7 +329,7 @@ class PubSubNode:
             else:
                 continue  # no key of SK(σ) in the range
             moved.append(entry)
-            if whole or not flat_keys(groups).split(first, width, size)[1].meets(
+            if whole or not KeyRuns.union(groups).split(first, width, size)[1].meets(
                 start, length, size
             ):
                 store.remove(entry.payload.subscription.subscription_id)

@@ -8,6 +8,8 @@ expiration times (the paper's stand-in for unsubscriptions, Section
 
 from __future__ import annotations
 
+import math
+
 from repro.core.events import Event, EventSpace
 from repro.core.payloads import StoredSubscription, SubscribePayload
 from repro.core.subscriptions import Subscription
@@ -70,11 +72,10 @@ class SubscriptionStore:
     :meth:`put`.
     """
 
-    #: The matching engine and covering index, built at SCAN_LIMIT entries.
-    _matcher: Matcher | None = None
-    _covering: CoveringIndex | None = None
-    #: The attached :class:`~repro.telemetry.load.MatchWork`, if any.
-    _work = None
+    __slots__ = (
+        "_entries", "_space", "_engine", "_collapse", "_matcher", "_covering",
+        "_work", "_next_expiry",
+    )
 
     def __init__(
         self,
@@ -88,6 +89,13 @@ class SubscriptionStore:
         self._space = space
         self._engine = _ENGINES[matcher]
         self._collapse = covering and matcher != "brute"
+        # The matching engine and covering index, built at SCAN_LIMIT
+        # entries, and the attached MatchWork, if any.
+        self._matcher: Matcher | None = None
+        self._covering: CoveringIndex | None = None
+        self._work = None
+        # No resident entry expires before this time (a lower bound).
+        self._next_expiry = math.inf
 
     @property
     def covering(self) -> CoveringIndex | None:
@@ -144,6 +152,9 @@ class SubscriptionStore:
         payload = entry.payload
         sid = payload.subscription.subscription_id
         entries = self._entries
+        expire_at = entry.expire_at
+        if expire_at is not None and expire_at < self._next_expiry:
+            self._next_expiry = expire_at
         if sid in entries:
             entries[sid] = entry
         else:
@@ -209,12 +220,19 @@ class SubscriptionStore:
 
     def purge_expired(self, now: float) -> int:
         """Drop every expired entry; returns how many were removed."""
-        # Storage snapshots call this across the whole ring; at scale
-        # almost every store is empty, so the early-out is the
-        # difference between O(samples) and O(samples * nodes).
-        if not self._entries:
+        # Storage snapshots call this across the whole ring, and most
+        # stores are empty or hold nothing due yet: until the earliest
+        # expiry the bound is the whole purge, not a scan of entries.
+        if now < self._next_expiry:
             return 0
-        expired = [sid for sid, e in self._entries.items() if e.expired(now)]
+        expired = []
+        earliest = math.inf
+        for sid, entry in self._entries.items():
+            if entry.expired(now):
+                expired.append(sid)
+            elif entry.expire_at is not None and entry.expire_at < earliest:
+                earliest = entry.expire_at
+        self._next_expiry = earliest
         for sid in expired:
             self.remove(sid)
         return len(expired)

@@ -35,7 +35,7 @@ import dataclasses
 from typing import Callable
 
 from repro.core.events import Event
-from repro.core.mappings.base import AKMapping, flat_keys
+from repro.core.mappings.base import AKMapping
 from repro.core.node import PubSubNode
 from repro.core.payloads import (
     CollectPayload,
@@ -276,7 +276,7 @@ class PubSubSystem:
             The request id grouping this operation's messages.
         """
         groups = self._mapping.subscription_key_groups(subscription)
-        keys = flat_keys(groups)
+        keys = KeyRuns.union(groups)
         payload = SubscribePayload(
             subscription=subscription,
             subscriber=node_id,
@@ -339,10 +339,9 @@ class PubSubSystem:
         return message
 
     def _send_to_keys(
-        self, node_id: int, keys: KeyRuns | frozenset[int], message: OverlayMessage
+        self, node_id: int, keys: KeyRuns, message: OverlayMessage
     ) -> None:
-        """Propagate one request to its keys: SK(σ) as runs, EK(e) as a
-        small frozenset.
+        """Propagate one request to its keys, SK(σ) or EK(e) as runs.
 
         Callers fire the request's own event (``subscribe`` /
         ``unsubscribe`` / ``publish``) *before* calling this: a key this
@@ -351,13 +350,9 @@ class PubSubSystem:
         when that arrival reaches it.
         """
         routing = self._config.routing
-        if keys.__class__ is KeyRuns:
-            single = keys[1:3] == (1,)  # one run of one key
-        else:
-            single = len(keys) == 1
-        if single or routing is RoutingMode.UNICAST:
-            # Single-key requests degenerate to plain unicast in every
-            # mode; multi-key unicast is the aggressive baseline.
+        if keys[1:3] == (1,):  # one key: plain unicast in every mode
+            self._overlay.send(node_id, keys[0], message)
+        elif routing is RoutingMode.UNICAST:  # the aggressive baseline
             for key in keys:
                 self._overlay.send(node_id, key, message)
         elif routing is RoutingMode.MCAST:

@@ -650,8 +650,8 @@ class OverlayNetwork(abc.ABC):
 
     def _target_runs(self, keys: Iterable[int]) -> KeyRuns:
         """A cast's targets as runs, validated as ``send`` validates a
-        key: SK(σ) arrives as runs, and any other collection (EK(e), a
-        small frozenset) is sorted into runs once, here."""
+        key: the pub/sub layer's SK(σ) and EK(e) arrive as runs, and any
+        other key collection is sorted into runs once, here."""
         limit = self._key_limit
         validate = self._keyspace.validate
         if keys.__class__ is KeyRuns:

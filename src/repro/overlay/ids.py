@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 from bisect import bisect_right
-from collections.abc import Set
 from itertools import chain
 from operator import add
 from typing import Iterable
@@ -120,11 +119,13 @@ class KeyRuns(tuple):
     so one key set has one flat tuple.
 
     As a tuple it *is* that flat form: indexing and slicing read runs
-    (``runs[::2]`` the starts, ``runs[1::2]`` the lengths), and building
-    one from a flat tuple or list is a type call, no Python frame.  As a
-    set it counts, tests and iterates keys, ascending (clockwise from
-    0), and compares equal to the frozenset of the same keys; ``&``,
-    ``|`` and ``-`` give frozensets.
+    (``runs[::2]`` the starts, ``runs[1::2]`` the lengths), building one
+    from a flat tuple or list is a type call, no Python frame, and two
+    compare (and hash) as their flat tuples, which the canonical form
+    makes the same as comparing key sets.  As a set it counts
+    (``len``), tests (``in``) and iterates keys, ascending (clockwise
+    from 0); EK(e), SK(σ) and an m-cast's targets are all this one type,
+    so they meet run by run (:meth:`isdisjoint`, :meth:`split`).
     """
 
     __slots__ = ()
@@ -218,34 +219,19 @@ class KeyRuns(tuple):
         at = bisect_right(starts, key)
         return at > 0 and key < starts[at - 1] + self[2 * at - 1]
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is KeyRuns:
-            return tuple.__eq__(self, other)
-        if isinstance(other, Set):
-            return len(self) == len(other) and self.__le__(other)
-        if isinstance(other, tuple):  # a flat tuple is not a key set
-            return False
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self))  # as the frozenset it equals
-
     def __repr__(self) -> str:
         return f"KeyRuns({tuple.__repr__(self)})"
 
-    @classmethod
-    def _from_iterable(cls, keys: Iterable[int]) -> frozenset[int]:
-        return frozenset(keys)
-
-    __le__, __ge__ = Set.__le__, Set.__ge__
-    __and__, __rand__ = Set.__and__, Set.__rand__
-    __or__, __ror__ = Set.__or__, Set.__ror__
-    __sub__, __rsub__ = Set.__sub__, Set.__rsub__
-    isdisjoint = Set.isdisjoint
-
-
-Set.register(KeyRuns)
+    def isdisjoint(self, other: "KeyRuns") -> bool:
+        """True if no key is in both: one merge walk over the two run
+        lists, O(runs), made of indexing and comparisons alone."""
+        at = 0
+        try:
+            for start, length in zip(self[::2], self[1::2]):
+                while other[at] + other[at + 1] <= start:  # theirs ends first
+                    at += 2
+                if other[at] < start + length:  # and starts before ours ends
+                    return False
+        except IndexError:  # their runs are used up
+            pass
+        return True

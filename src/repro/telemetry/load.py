@@ -121,14 +121,18 @@ class LoadMeter:
             self.subscriptions_stored.get(node_id, 0) + 1
         )
         key_subscriptions = self.key_subscriptions
-        for key in node.covered_targets(message):
-            key_subscriptions[key] = key_subscriptions.get(key, 0) + 1
+        runs = node.covered_targets(message)
+        for start, length in zip(runs[::2], runs[1::2]):
+            for key in range(start, start + length):
+                key_subscriptions[key] = key_subscriptions.get(key, 0) + 1
 
     def on_match(self, node, message, matched) -> None:
         """One publication matched at ``node``: charge the keys it covers."""
         key_publications = self.key_publications
-        for key in node.covered_targets(message):
-            key_publications[key] = key_publications.get(key, 0) + 1
+        runs = node.covered_targets(message)
+        for start, length in zip(runs[::2], runs[1::2]):
+            for key in range(start, start + length):
+                key_publications[key] = key_publications.get(key, 0) + 1
 
     def match_work_for(self, node: int) -> MatchWork:
         """Get-or-create the matcher work handle of one node."""

@@ -32,7 +32,7 @@ event           arguments                         fired by
                                                   overlay)
 ``subscribe``   message, now                      ``PubSubSystem``
 ``unsubscribe`` message, now                      ``PubSubSystem``
-``publish``     message, keys, now                ``PubSubSystem``
+``publish``     message, keys (EK(e) runs), now   ``PubSubSystem``
 ``notify``      node_id, notifications, now       ``PubSubSystem``
                                                   (before deduplication)
 ``join``        node                              ``PubSubSystem`` (a

@@ -23,6 +23,7 @@ from repro.core.payloads import Notification, NotifyPayload
 from repro.core.subscriptions import Subscription
 from repro.overlay.can import CanOverlay
 from repro.overlay.chord import ChordOverlay
+from repro.overlay.ids import KeyRuns
 
 
 def vtypes(auditor) -> set[str]:
@@ -183,7 +184,7 @@ def test_broken_mapping_intersection_detected():
     # the mapping contract (§3) at publish time, not a downstream miss.
     sk = system.mapping.subscription_keys(sigma)
     free_key = next(k for k in range(system.overlay.keyspace.size) if k not in sk)
-    system.mapping.event_keys = lambda event: frozenset({free_key})
+    system.mapping.event_keys = lambda event: KeyRuns((free_key, 1))
     sim.schedule_at(
         sim.now + 10.0,
         lambda: system.publish(nodes[1], space.make_event(a1=500, a2=7)),
@@ -206,7 +207,9 @@ def test_broken_mapping_intersection_detected_for_a_removed_subscription():
 
     sk = system.mapping.subscription_keys(sigma)
     event_keys = system.mapping.event_keys
-    system.mapping.event_keys = lambda event: event_keys(event) - sk
+    system.mapping.event_keys = lambda event: KeyRuns.from_keys(
+        set(event_keys(event)) - set(sk)
+    )
     sim.schedule_at(
         sim.now + 10.0,
         lambda: system.publish(nodes[1], space.make_event(a1=500, a2=7)),

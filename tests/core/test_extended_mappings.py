@@ -17,7 +17,8 @@ from repro.core.mappings.base import Discretization
 from repro.core.mappings.event_space_partition import EventSpacePartitionMapping
 from repro.core.subscriptions import Constraint, Subscription
 from repro.errors import MappingError
-from repro.overlay.ids import KeySpace
+from repro.overlay.ids import KeyRuns, KeySpace
+from tests.overlay.test_key_runs import assert_canonical
 
 SPACE = EventSpace.uniform(("a1", "a2", "a3"), 1000)
 KS = KeySpace(10)
@@ -83,7 +84,7 @@ def test_esp_factory():
 def test_property_esp_intersection_rule(pair, cells):
     sigma, event = pair
     mapping = EventSpacePartitionMapping(SPACE, KS, cells_per_dimension=cells)
-    assert mapping.event_keys(event) & mapping.subscription_keys(sigma)
+    assert not mapping.event_keys(event).isdisjoint(mapping.subscription_keys(sigma))
 
 
 # -- hotspot-adaptive wrapper -------------------------------------------------
@@ -135,13 +136,13 @@ def test_matching_split_spreads_event_load():
     hot_key = next(iter(base_mapping().subscription_keys(sigma)))
     adaptive.rebalance({hot_key: 1000}, hot_fraction=1.0, mode=SplitMode.MATCHING)
     # Subscriptions go to ALL siblings under a matching split.
-    assert set(adaptive.siblings_of(hot_key)) <= adaptive.subscription_keys(sigma)
+    assert set(adaptive.siblings_of(hot_key)) <= set(adaptive.subscription_keys(sigma))
     rng = random.Random(1)
     siblings = set(adaptive.siblings_of(hot_key))
     chosen = Counter()
     for _ in range(300):
         event = SPACE.make_event(a1=0, a2=rng.randrange(1000), a3=rng.randrange(1000))
-        picked = adaptive.event_keys(event) & siblings
+        picked = set(adaptive.event_keys(event)) & siblings
         assert picked, "event lost its hot-key rendezvous"
         for key in picked:
             chosen[key] += 1
@@ -161,12 +162,12 @@ def test_storage_split_spreads_subscription_load():
         sigma = Subscription.build(
             SPACE, a1=(0, 0), a2=(rng.randrange(900), 999)
         )
-        picked = adaptive.subscription_keys(sigma) & siblings
+        picked = set(adaptive.subscription_keys(sigma)) & siblings
         assert len(picked) == 1  # each subscription stored on ONE sibling
         chosen[next(iter(picked))] += 1
         # Events must visit every sibling to find them all.
         event = SPACE.make_event(a1=0, a2=950, a3=0)
-        assert siblings <= adaptive.event_keys(event)
+        assert siblings <= set(adaptive.event_keys(event))
     assert sum(1 for k in siblings if chosen.get(k, 0) > 0) >= 3
 
 
@@ -188,9 +189,10 @@ def test_property_adaptive_preserves_intersection_rule(pair, fan_out, mode):
     sigma, event = pair
     adaptive = HotspotAdaptiveMapping(base_mapping(), fan_out=fan_out)
     # Split whatever keys this very pair uses — the adversarial case.
-    for key in adaptive.base.subscription_keys(sigma) | adaptive.base.event_keys(event):
+    base = adaptive.base
+    for key in set(base.subscription_keys(sigma)) | set(base.event_keys(event)):
         adaptive.rebalance({key: 10}, hot_fraction=1.0, mode=mode)
-    assert adaptive.event_keys(event) & adaptive.subscription_keys(sigma)
+    assert not adaptive.event_keys(event).isdisjoint(adaptive.subscription_keys(sigma))
 
 
 @settings(max_examples=80, deadline=None)
@@ -200,3 +202,36 @@ def test_property_adaptive_ek_deterministic(pair):
     adaptive = HotspotAdaptiveMapping(base_mapping())
     adaptive.rebalance({k: 5 for k in adaptive.base.event_keys(event)}, 1.0)
     assert adaptive.event_keys(event) == adaptive.event_keys(event)
+
+
+# -- every mapping: EK(e) is canonical key runs --------------------------------
+
+STATELESS = (
+    "attribute-split", "keyspace-split", "selective-attribute", "event-space-partition",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    matching_pairs(),
+    st.sampled_from(STATELESS + ("adaptive",)),
+    st.sampled_from([SplitMode.STORAGE, SplitMode.MATCHING]),
+)
+def test_every_mapping_gives_event_keys_as_canonical_runs(pair, name, mode):
+    """All five mappings return EK(e) as canonical ``KeyRuns`` (the
+    adaptive wrapper with the pair's own keys split), and the
+    intersection rule holds run-wise, through ``isdisjoint``."""
+    sigma, event = pair
+    if name == "adaptive":
+        mapping = HotspotAdaptiveMapping(base_mapping(), fan_out=3)
+        base = mapping.base
+        for key in set(base.subscription_keys(sigma)) | set(base.event_keys(event)):
+            mapping.rebalance({key: 10}, hot_fraction=1.0, mode=mode)
+    else:
+        mapping = make_mapping(name, SPACE, KS)
+    keys = mapping.event_keys(event)
+    assert keys.__class__ is KeyRuns
+    assert_canonical(keys, KS.size)
+    assert len(keys) >= 1
+    assert not keys.isdisjoint(mapping.subscription_keys(sigma))
+    assert mapping.check_intersection_rule(event, sigma)

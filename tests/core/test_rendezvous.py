@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.events import EventSpace
-from repro.core.payloads import SubscribePayload
+from repro.core.payloads import StoredSubscription, SubscribePayload
 from repro.core.rendezvous import SCAN_LIMIT, SubscriptionStore
 from repro.core.subscriptions import Subscription
 from repro.matching import BruteForceMatcher, CoveringIndex
@@ -77,6 +77,38 @@ def test_purge_expired_bulk():
     store.put(make_payload(ttl=None), {1}, now=0.0)
     assert store.purge_expired(now=3.5) == 3
     assert store.live_count(now=100.0) == 1  # only the never-expiring one
+
+
+def test_a_purge_before_the_earliest_expiry_reads_no_entry(monkeypatch):
+    """Until the earliest expiry a purge reads the store's bound alone:
+    no entry's ``expired`` is called.  A due purge scans once and moves
+    the bound on to the earliest expiry left; a restore lowers it."""
+    calls = []
+    expired = StoredSubscription.expired
+
+    def counted(entry, now):
+        calls.append(now)
+        return expired(entry, now)
+
+    monkeypatch.setattr(StoredSubscription, "expired", counted)
+    store = SubscriptionStore(SPACE)
+    for ttl in (5.0, 10.0, None):
+        store.put(make_payload(ttl=ttl), None, now=0.0)
+    assert [store.purge_expired(now) for now in (0.0, 1.0, 4.9)] == [0, 0, 0]
+    assert calls == []
+    assert store.purge_expired(5.0) == 1
+    assert calls == [5.0] * 3
+    del calls[:]
+    assert store.purge_expired(9.9) == 0 and calls == []
+    store.put(make_payload(ttl=1.0), None, now=6.0)  # due at 7.0, first
+    assert store.purge_expired(6.9) == 0 and calls == []
+    assert store.purge_expired(7.0) == 1 and len(calls) == 3
+    del calls[:]
+    assert store.purge_expired(10.0) == 1 and len(calls) == 2
+    del calls[:]
+    # Only the entry that never expires is left: no purge scans again.
+    assert store.purge_expired(1e9) == 0 and calls == []
+    assert len(store) == 1
 
 
 def test_remove():

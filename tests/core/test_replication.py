@@ -178,7 +178,7 @@ def test_heir_hands_on_inherited_keys_after_a_crash():
         event
         for a1 in range(1000, 30_001, 7)
         for event in [SPACE.make_event(**{**MATCHING, "a1": a1})]
-        if system.mapping.event_keys(event) & set(keys) == {joiner}
+        if set(system.mapping.event_keys(event)) & set(keys) == {joiner}
     )
     system.publish(overlay.node_ids()[90], event)
     sim.run()

@@ -32,7 +32,7 @@ from repro.overlay.can.morton import (
     torus_delta,
     zone_rectangle,
 )
-from repro.overlay.ids import KeySpace
+from repro.overlay.ids import KeyRuns, KeySpace
 from repro.overlay.network import Network
 from repro.sim import Simulator
 from tests.overlay.test_can_fastpath import churn
@@ -214,7 +214,7 @@ class RecordingNetwork(Network):
 
     def __init__(self, sim: Simulator) -> None:
         super().__init__(sim)
-        self.sent: list[tuple[int, int, frozenset[int]]] = []
+        self.sent: list[tuple[int, int, KeyRuns]] = []
 
     def transmit(self, src, dst, message):
         self.sent.append((src, dst, message.target_keys))
@@ -223,8 +223,9 @@ class RecordingNetwork(Network):
 
 def expected_branches(overlay, node_id, targets):
     """The branches ``node_id`` sends for ``targets``, by brute force over
-    the zone table and the express links."""
+    the zone table and the express links, each as the runs it carries."""
     size = overlay.keyspace.size
+    targets = set(targets)
     reference = ReferenceRouter(overlay)
     zone_start = {owner: start for start, owner in overlay.zone_table()}
     mine = {k for k in targets if reference.owner_of(k) == node_id}
@@ -246,7 +247,7 @@ def expected_branches(overlay, node_id, targets):
         )
         branches.setdefault(pointer, set()).add(key)
     order = sorted(branches, key=lambda p: offset(zone_start[p]), reverse=True)
-    return [(node_id, p, frozenset(branches[p])) for p in order]
+    return [(node_id, p, KeyRuns.from_keys(branches[p])) for p in order]
 
 
 def mcast_overlay(bits, ids):
@@ -312,7 +313,7 @@ def test_mcast_branches_and_their_transmit_order(seed):
     while wave:
         del network.sent[:]
         sim.run_until(sim.now + 0.05)
-        inboxes: dict[int, list[frozenset[int]]] = {}
+        inboxes: dict[int, list[KeyRuns]] = {}
         for _, dst, keys in wave:
             inboxes.setdefault(dst, []).append(keys)
         assert all(len(key_sets) == 1 for key_sets in inboxes.values())

@@ -40,6 +40,8 @@ from tests.overlay.test_chord_owned_arcs import (
 )
 from tests.overlay.test_learn_batch import RING, receive_stamped
 
+from repro.overlay.ids import KeyRuns
+
 # Seen from node 0 of the 128-node ring (every 64th id) the fingers are
 # 64, 128, 256 ... 4096.  3008 is no finger; its arc (2944, 3008] is what
 # the cases below cache at node 0, and slot 11 (start and owner 2048)
@@ -61,10 +63,10 @@ class Sends:
     def on_send(self, message, src, dst, now, arrival) -> None:
         self.log.append((src, dst, message.path, message.target_keys))
 
-    def fan_outs(self) -> dict[tuple, dict[int, frozenset[int]]]:
+    def fan_outs(self) -> dict[tuple, dict[int, KeyRuns]]:
         """``(src, path) -> {dst: keys}``: the branches of one fan-out
         share one path tuple."""
-        fans: dict[tuple, dict[int, frozenset[int]]] = defaultdict(dict)
+        fans: dict[tuple, dict[int, KeyRuns]] = defaultdict(dict)
         for src, dst, path, keys in self.log:
             assert dst not in fans[src, path]
             fans[src, path][dst] = keys
@@ -125,7 +127,7 @@ def test_crashed_cached_owner_is_forgotten_and_the_partition_restarts():
     assert OWNER not in node.cached_ids()
     # Restarted on what is left, the fingers: the whole group goes to
     # the finger before it, and nothing was ever addressed to the dead.
-    assert sends.log[0][:2] == (0, 2048) and sends.log[0][3] == frozenset(keys)
+    assert sends.log[0][:2] == (0, 2048) and sends.log[0][3] == KeyRuns.from_keys(keys)
     assert all(dst != OWNER for _, dst, _, _ in sends.log)
 
 
@@ -140,7 +142,7 @@ def test_dead_cached_id_between_two_keys_of_one_owner_delivers_once():
     overlay.crash(2976)
     deliveries = cast(sim, overlay, "mcast", 0, [2950, 3000])
     assert [(nid, m.target_keys) for nid, m in deliveries] == [
-        (OWNER, frozenset({2950, 3000}))
+        (OWNER, KeyRuns.from_keys({2950, 3000}))
     ]
     assert node.cached_ids() == [OWNER]
 
@@ -148,7 +150,7 @@ def test_dead_cached_id_between_two_keys_of_one_owner_delivers_once():
 # -- cache off, and every forwarder: the fingers-only partition -------------------
 
 
-def fingers_only_branches(overlay, node_id, keys) -> dict[int, frozenset[int]]:
+def fingers_only_branches(overlay, node_id, keys) -> dict[int, KeyRuns]:
     """What the tree before the origin read its cache sent, from ground
     truth: the keys between two consecutive fingers go to the finger
     past them when its slot certifies the nearest of them, else to the
@@ -171,7 +173,7 @@ def fingers_only_branches(overlay, node_id, keys) -> dict[int, frozenset[int]]:
                 past = [f for f in fingers if clockwise(f) >= clockwise(key)]
                 reach = clockwise(past[0]) if past else SIZE
         branches[pointer].add(key)
-    return {pointer: frozenset(group) for pointer, group in branches.items()}
+    return {pointer: KeyRuns.from_keys(group) for pointer, group in branches.items()}
 
 
 @pytest.mark.parametrize("cache", [0, 16])

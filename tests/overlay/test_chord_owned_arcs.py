@@ -25,7 +25,7 @@ import pytest
 
 from repro.overlay.api import MessageKind, OverlayMessage, next_request_id
 from repro.overlay.chord import ChordOverlay
-from repro.overlay.ids import KeySpace
+from repro.overlay.ids import KeyRuns, KeySpace
 from repro.sim import Simulator
 from tests.overlay.test_learn_batch import receive_stamped
 
@@ -150,7 +150,7 @@ def test_mcast_group_with_an_uncertified_nearest_key_travels_whole():
     sim, overlay = build(GROUP_RING, cache=0)
     deliveries = cast(sim, overlay, "mcast", 0, [900, 1100])
     assert [(nid, m.target_keys, m.path[::2]) for nid, m in deliveries] == [
-        (1500, frozenset({900, 1100}), (0, 600))
+        (1500, KeyRuns.from_keys({900, 1100}), (0, 600))
     ]
 
 
@@ -158,7 +158,7 @@ def test_mcast_group_with_a_certified_nearest_key_jumps_whole():
     sim, overlay = build(GROUP_RING, cache=0)
     deliveries = cast(sim, overlay, "mcast", 0, [1100, 1200, 1500])
     assert [(nid, m.target_keys, m.path[::2]) for nid, m in deliveries] == [
-        (1500, frozenset({1100, 1200, 1500}), (0,))
+        (1500, KeyRuns.from_keys({1100, 1200, 1500}), (0,))
     ]
 
 
@@ -170,7 +170,7 @@ def test_mcast_groups_bound_for_one_finger_share_a_branch():
     deliveries = cast(sim, overlay, "mcast", 0, keys)
     assert_exactly_once_at_owners(overlay, keys, deliveries)
     at_1500 = next(m for nid, m in deliveries if nid == 1500)
-    assert at_1500.target_keys == frozenset(keys)
+    assert at_1500.target_keys == KeyRuns.from_keys(keys)
     assert at_1500.path[::2] == (0,)
 
 

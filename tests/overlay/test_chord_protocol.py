@@ -7,7 +7,7 @@ import pytest
 from repro.errors import OverlayError
 from repro.overlay.api import MessageKind, OverlayMessage, next_request_id
 from repro.overlay.chord.protocol import ProtocolChordOverlay
-from repro.overlay.ids import KeySpace
+from repro.overlay.ids import KeyRuns, KeySpace
 from repro.sim import Simulator
 
 KS = KeySpace(13)
@@ -234,7 +234,7 @@ def test_a_walk_at_a_node_that_believes_itself_alone_is_delivered_there():
     overlay.sequential_cast(me, keys, message)
     ((at, delivered),) = deliveries
     assert at == me and delivered.hops == 0
-    assert delivered.target_keys == frozenset(keys)
+    assert delivered.target_keys == KeyRuns.from_keys(keys)
     trace = overlay.recorder.messages.traces[message.request_id]
     assert trace.deliveries == [(me, sim.now)] and trace.one_hop_messages == 0
 
@@ -284,7 +284,7 @@ def reference_branches(overlay, src, keys):
             if 0 < KS.distance(src, pointer) < KS.distance(src, key):
                 best = pointer
         groups.setdefault(best, set()).add(key)
-    return {pointer: frozenset(group) for pointer, group in groups.items()}
+    return {pointer: KeyRuns.from_keys(group) for pointer, group in groups.items()}
 
 
 @pytest.mark.parametrize("converge", [True, False], ids=["converged", "joining"])

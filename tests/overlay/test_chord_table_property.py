@@ -82,7 +82,7 @@ def reference_mcast(overlay, node, keys, arcs, forwarder):
     if not rest:
         return {}, set()
     if forwarder and distance(node, rest[0]) > SIZE // 2:
-        return {pred: frozenset(rest)}, set()  # overshot
+        return {pred: KeyRuns.from_keys(rest)}, set()  # overshot
     fingers = set(overlay.compute_fingers(me))
     forgotten: set[int] = set()
     while True:
@@ -120,14 +120,14 @@ def reference_mcast(overlay, node, keys, arcs, forwarder):
                             pointer = past
             branches.setdefault(pointer, set()).add(key)
         if dead is None:
-            return {n: frozenset(k) for n, k in branches.items()}, forgotten
+            return {n: KeyRuns.from_keys(k) for n, k in branches.items()}, forgotten
         forgotten.add(dead)
 
 
-def sent_branches(overlay, step) -> dict[int, frozenset[int]]:
+def sent_branches(overlay, step) -> dict[int, KeyRuns]:
     """Run ``step`` with the overlay's transmit recorded: destination ->
     the keys its branch carries (each destination gets one branch)."""
-    sent: list[tuple[int, frozenset[int]]] = []
+    sent: list[tuple[int, KeyRuns]] = []
     transmit = overlay._network_transmit
     overlay._network_transmit = lambda src, dst, message: sent.append(
         (dst, message.target_keys)

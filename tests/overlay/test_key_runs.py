@@ -2,10 +2,12 @@
 
 A key set travels as sorted, disjoint ``(start, length)`` runs, flat.
 Every operation the system reads it by — construction from keys and
-from ranges, ``len``, clockwise iteration, membership, equality, the
-split by an owned span (one that wraps past 0, the whole ring) and the
-m-cast step's per-branch cut — must agree with the same operation on
-the frozenset of its keys, on small rings where every key is checked.
+from ranges, ``len``, clockwise iteration, membership, the split by an
+owned span (one that wraps past 0, the whole ring), the run-wise
+``isdisjoint`` and the m-cast step's per-branch cut — must agree with
+the same operation on the frozenset of its keys, on small rings where
+every key is checked.  Two runs compare as their flat tuples, so equal
+key sets must give one flat form.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ SIZES = st.sampled_from([8, 64, 256])
 
 
 @st.composite
-def ring_and_keys(draw):
+def ring_and_keys(draw, sizes=SIZES):
     """A ring size and a key set drawn as keys, ranges (some across 0)
     or both."""
-    size = draw(SIZES)
+    size = draw(sizes)
     keys = set(draw(st.sets(st.integers(0, size - 1), max_size=12)))
     for _ in range(draw(st.integers(0, 4))):
         start = draw(st.integers(0, size - 1))
@@ -59,10 +61,9 @@ def test_runs_from_keys_are_the_key_set(drawn):
     assert len(runs) == len(keys)
     assert list(runs) == sorted(keys)  # clockwise from 0
     assert all((key in runs) == (key in keys) for key in range(-1, size + 1))
-    assert runs == keys and keys == runs
-    assert hash(runs) == hash(keys)
+    assert set(runs) == keys
     assert KeyRuns.from_keys(list(keys) + list(keys)) == runs  # duplicates
-    assert runs != keys | {size}
+    assert KeyRuns.from_keys(keys | {size}) != runs
 
 
 @settings(max_examples=200, deadline=None)
@@ -87,11 +88,11 @@ def test_runs_from_ranges_are_their_union(drawn):
         else:
             groups.append(KeyRuns((start, length)))
         keys.update((start + i) % size for i in range(length))
-        assert groups[-1] == {(start + i) % size for i in range(length)}
+        assert set(groups[-1]) == {(start + i) % size for i in range(length)}
     union = KeyRuns.union(groups)
     assert_canonical(union, size)
-    assert union == keys
-    assert tuple.__eq__(union, KeyRuns.from_keys(keys))  # one flat form
+    assert set(union) == keys
+    assert union == KeyRuns.from_keys(keys)  # one flat form
 
 
 @settings(max_examples=300, deadline=None)
@@ -105,9 +106,29 @@ def test_split_by_a_span_is_the_keys_inside_and_the_rest(drawn, data):
     inside, outside = runs.split(start, length, size)
     assert_canonical(inside, size)
     assert_canonical(outside, size)
-    assert inside == keys & span
-    assert outside == keys - span
+    assert set(inside) == keys & span
+    assert set(outside) == keys - span
     assert runs.meets(start, length, size) == bool(keys & span)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_and_keys(), st.data())
+def test_isdisjoint_walks_the_runs_as_the_key_sets_meet(drawn, data):
+    """Against a second drawn set on the same ring, against the keys
+    not in the set (disjoint, touching it at every run end, across 0
+    too) and against those plus one of its own keys (not disjoint)."""
+    size, keys = drawn
+    _, others = data.draw(ring_and_keys(st.just(size)))
+    runs, other_runs = KeyRuns.from_keys(keys), KeyRuns.from_keys(others)
+    assert runs.isdisjoint(other_runs) == keys.isdisjoint(others)
+    assert other_runs.isdisjoint(runs) == keys.isdisjoint(others)
+    rest = set(range(size)) - keys
+    assert runs.isdisjoint(KeyRuns.from_keys(rest))
+    assert KeyRuns.from_keys(rest).isdisjoint(runs)
+    if keys:
+        mixed = KeyRuns.from_keys(rest | {data.draw(st.sampled_from(sorted(keys)))})
+        assert not runs.isdisjoint(mixed)
+        assert not mixed.isdisjoint(runs)
 
 
 class CutOverlay:
@@ -177,7 +198,7 @@ def test_the_step_cuts_each_branch_out_of_the_runs(drawn, data):
     assert sent == [pointer for pointer, _ in reversed(expected)]
     for (_, runs), (_, branch) in zip(overlay.sent, reversed(expected)):
         assert_canonical(runs, size)
-        assert runs == branch
+        assert set(runs) == branch
 
 
 def test_a_run_that_ends_at_the_node_is_not_the_nodes():

@@ -18,6 +18,7 @@ from repro.core.system import RoutingMode
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, generate_trace, run_experiment
 from repro.metrics.fingerprint import behavior_fingerprint
+from repro.overlay.ids import KeyRuns
 from repro.sim.rng import RandomStreams
 from repro.telemetry import NullTracer, Telemetry
 from repro.telemetry.export import write_jsonl
@@ -56,10 +57,10 @@ def send(meter, src):
 
 
 def node(node_id, covered=()):
-    """What the meter reads of a ``PubSubNode``."""
-    return SimpleNamespace(
-        id=node_id, covered_targets=lambda message: covered
-    )
+    """What the meter reads of a ``PubSubNode``: the keys it covers, as
+    runs."""
+    runs = KeyRuns.from_keys(covered)
+    return SimpleNamespace(id=node_id, covered_targets=lambda message: runs)
 
 
 class TestLoadMeter:

@@ -37,16 +37,20 @@ test:
 # attribute-split) and Mapping 2 (--mapping keyspace-split) puts
 # SK(σ)s of several key runs each on the overlay the ledger's Chord
 # workloads use (Mapping 3's SK(σ) is one run); both reports face the
-# same last line.  The
+# same last line.  The same audited Chord run with --buffering, and
+# with --collecting under Mapping 1 (--mapping attribute-split, which
+# sends many more COLLECT hops than Mapping 3), puts Section 4.3.2's
+# notification buffers and COLLECT path under the oracle; both reports
+# face the same last line.  The
 # same audited run with --routing sequential, once per overlay, puts
 # the conservative walk (one step, in the overlay base) under the
 # delivery oracle too; these four reports face the same last line,
 # the CAN one its every-node probe check included.
 # Every overlay m-casts by the one Fig. 4 step, which delivers at most
 # once per node, so the last line also fails if the Chord runs (with and
-# without a cache, and under Mappings 1 and 2), the two CAN runs or the
-# Pastry run audited a notification that reached its subscriber twice
-# (audit.deliveries_duplicate > 0).
+# without a cache, under Mappings 1 and 2, buffered and collected), the
+# two CAN runs or the Pastry run audited a notification that reached
+# its subscriber twice (audit.deliveries_duplicate > 0).
 # The churn-resilience bench (about 0.3 s of simulation) runs too, with
 # its timing off: it is the one check of delivery under crashes with and
 # without replication.  So do the event-space-partition and
@@ -86,6 +90,16 @@ verify:
 		--telemetry artifacts/sample-trace-chord-cache0.jsonl > /dev/null
 	$(PYTHON) -m repro report artifacts/sample-trace-chord-cache0.jsonl \
 		--json artifacts/report-chord-cache0.json
+	$(PYTHON) -m repro run --buffering --nodes 100 --subscriptions 50 \
+		--publications 50 --audit \
+		--telemetry artifacts/sample-trace-chord-buffering.jsonl > /dev/null
+	$(PYTHON) -m repro report artifacts/sample-trace-chord-buffering.jsonl \
+		--json artifacts/report-chord-buffering.json > /dev/null
+	$(PYTHON) -m repro run --collecting --mapping attribute-split \
+		--nodes 100 --subscriptions 50 --publications 50 --audit \
+		--telemetry artifacts/sample-trace-chord-collecting.jsonl > /dev/null
+	$(PYTHON) -m repro report artifacts/sample-trace-chord-collecting.jsonl \
+		--json artifacts/report-chord-collecting.json > /dev/null
 	for mapping in attribute-split keyspace-split; do \
 		$(PYTHON) -m repro run --mapping $$mapping --nodes 100 \
 			--subscriptions 50 --publications 50 --audit \
@@ -106,7 +120,7 @@ verify:
 			--json artifacts/report-$$overlay-sequential.json > /dev/null \
 		|| exit 1; \
 	done
-	$(PYTHON) -c "import json; reports = {p: json.load(open(p)) for p in ('artifacts/report-chord.json', 'artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-pastry.json', 'artifacts/report-chord-cache0.json', 'artifacts/report-chord-attribute-split.json', 'artifacts/report-chord-keyspace-split.json', 'artifacts/report-chord-sequential.json', 'artifacts/report-can-sequential.json', 'artifacts/report-pastry-sequential.json')}; [exit(f'{p}: {k} not recorded') for p, r in reports.items() for k in ('audit', 'load') if r[k] is None]; [exit(f'{p}: {n} counters, one per node?') for p, r in reports.items() for n in [r['trace']['final_counters']] if n >= 100]; [exit(f'{p}: no publication audited') for p, r in reports.items() if sum(c['value'] for c in r['audit']['counters'] if c['name'] == 'audit.publications_audited') == 0]; [exit(f'{p}: a probe missed a node') for p in ('artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-can-sequential.json') for q in reports[p]['audit']['probes'] if q['nodes_checked'] != q['nodes_total']]; [exit(f'{p}: a notification delivered twice') for p in ('artifacts/report-chord.json', 'artifacts/report-chord-cache0.json', 'artifacts/report-chord-attribute-split.json', 'artifacts/report-chord-keyspace-split.json', 'artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-pastry.json') if sum(c['value'] for c in reports[p]['audit']['counters'] if c['name'] == 'audit.deliveries_duplicate') > 0]"
+	$(PYTHON) -c "import json; reports = {p: json.load(open(p)) for p in ('artifacts/report-chord.json', 'artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-pastry.json', 'artifacts/report-chord-cache0.json', 'artifacts/report-chord-attribute-split.json', 'artifacts/report-chord-keyspace-split.json', 'artifacts/report-chord-sequential.json', 'artifacts/report-can-sequential.json', 'artifacts/report-pastry-sequential.json', 'artifacts/report-chord-buffering.json', 'artifacts/report-chord-collecting.json')}; [exit(f'{p}: {k} not recorded') for p, r in reports.items() for k in ('audit', 'load') if r[k] is None]; [exit(f'{p}: {n} counters, one per node?') for p, r in reports.items() for n in [r['trace']['final_counters']] if n >= 100]; [exit(f'{p}: no publication audited') for p, r in reports.items() if sum(c['value'] for c in r['audit']['counters'] if c['name'] == 'audit.publications_audited') == 0]; [exit(f'{p}: a probe missed a node') for p in ('artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-can-sequential.json') for q in reports[p]['audit']['probes'] if q['nodes_checked'] != q['nodes_total']]; [exit(f'{p}: a notification delivered twice') for p in ('artifacts/report-chord.json', 'artifacts/report-chord-cache0.json', 'artifacts/report-chord-attribute-split.json', 'artifacts/report-chord-keyspace-split.json', 'artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-pastry.json', 'artifacts/report-chord-buffering.json', 'artifacts/report-chord-collecting.json') if sum(c['value'] for c in reports[p]['audit']['counters'] if c['name'] == 'audit.deliveries_duplicate') > 0]"
 
 # The performance ledger (BENCHMARK.json): five seeded workloads, eight
 # end-to-end and 111 per-layer metrics, about 3 min.  ledger-smoke runs

@@ -5,8 +5,9 @@ A market-data stream is the paper's motivating case for buffering:
 consecutive events exhibit temporal locality (a ticker's price moves in
 small steps), so they keep matching the same subscriptions and land on
 the same rendezvous nodes.  This example runs the same stream twice —
-once with per-match immediate notifications, once with buffering and
-collecting — and compares the notification traffic.
+once with per-match immediate notifications (``notification="direct"``),
+once with buffering and collecting (``notification="collected"``) — and
+compares the notification traffic.
 
 Run:
     python examples/stock_ticker.py
@@ -32,7 +33,7 @@ ATTR_MAX = 1_000_000
 SYMBOLS = ["ACME", "GLOBEX", "INITECH", "HOOLI", "PIEDPIPER"]
 
 
-def build_market(buffering: bool):
+def build_market(notification: str):
     sim = Simulator()
     keyspace = KeySpace(13)
     overlay = ChordOverlay(sim, keyspace, cache_capacity=0)
@@ -41,8 +42,7 @@ def build_market(buffering: bool):
     mapping = make_mapping("selective-attribute", space, keyspace)
     config = PubSubConfig(
         routing=RoutingMode.MCAST,
-        buffering=buffering,
-        collecting=buffering,
+        notification=notification,
         buffer_period=5.0,
     )
     return sim, overlay, space, PubSubSystem(sim, overlay, mapping, config)
@@ -53,8 +53,8 @@ def symbol_value(name: str) -> int:
     return hash_string_value(name, ATTR_MAX + 1)
 
 
-def run_stream(buffering: bool) -> dict:
-    sim, overlay, space, system = build_market(buffering)
+def run_stream(notification: str) -> dict:
+    sim, overlay, space, system = build_market(notification)
     nodes = overlay.node_ids()
     rng = random.Random(23)
 
@@ -109,8 +109,8 @@ def run_stream(buffering: bool) -> dict:
 
 
 def main() -> None:
-    immediate = run_stream(buffering=False)
-    buffered = run_stream(buffering=True)
+    immediate = run_stream("direct")
+    buffered = run_stream("collected")
 
     print("1000 ticks, 25 traders, 400 nodes\n")
     print(f"{'':28}{'immediate':>12}{'buffered+collect':>18}")

@@ -166,8 +166,9 @@ class Auditor:
             self._deadline = self._config.delivery_deadline
         else:
             sys_config = system.config
+            buffered = sys_config.notification != "direct"
             self._deadline = 10.0 + (
-                6.0 * sys_config.buffer_period if sys_config.buffering else 0.0
+                6.0 * sys_config.buffer_period if buffered else 0.0
             )
         kind = overlay_kind(system.overlay)
         self._overlay_kind = kind

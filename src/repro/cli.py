@@ -29,7 +29,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core import RoutingMode
+from repro.core import PubSubConfig, RoutingMode
+from repro.core.rendezvous import ENGINES
 from repro.errors import ConfigurationError
 from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
@@ -119,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--discretization", type=int, default=1,
                      help="interval width (1 = off)")
     run.add_argument("--replication", type=int, default=0)
-    run.add_argument("--matcher", choices=["grid", "radix", "brute", "vector"],
+    run.add_argument("--matcher", choices=sorted(ENGINES),
                      default="grid",
                      help="rendezvous matching engine")
     run.add_argument("--no-covering", action="store_true",
@@ -213,9 +214,11 @@ def _command_run(args: argparse.Namespace) -> int:
         subscription_ttl=args.ttl,
         temporal_locality=args.temporal_locality,
     )
+    notification = "buffered" if args.buffering else "direct"
+    if args.collecting:  # collecting is built on buffering (Section 4.3.2)
+        notification = "collected"
     config = ExperimentConfig(
         mapping=args.mapping,
-        routing=RoutingMode(args.routing),
         overlay=args.overlay,
         nodes=args.nodes,
         key_bits=_key_bits(args.nodes),
@@ -224,13 +227,15 @@ def _command_run(args: argparse.Namespace) -> int:
         subscriptions=args.subscriptions,
         publications=args.publications,
         workload=workload,
-        buffering=args.buffering or args.collecting,
-        collecting=args.collecting,
-        buffer_period=args.buffer_period,
         discretization_width=args.discretization,
-        replication_factor=args.replication,
-        matcher=args.matcher,
-        covering=not args.no_covering,
+        pubsub=PubSubConfig(
+            routing=RoutingMode(args.routing),
+            notification=notification,
+            buffer_period=args.buffer_period,
+            replication_factor=args.replication,
+            matcher=args.matcher,
+            covering=not args.no_covering,
+        ),
     )
     telemetry = None
     if args.telemetry or args.audit:
@@ -313,8 +318,9 @@ def _command_trace(args: argparse.Namespace) -> int:
         return 0
     trace = _read_input(Trace.load, args.path)
     config = ExperimentConfig(
-        mapping=args.mapping, routing=RoutingMode(args.routing),
-        nodes=args.nodes, key_bits=_key_bits(args.nodes), seed=args.seed,
+        mapping=args.mapping, nodes=args.nodes,
+        key_bits=_key_bits(args.nodes), seed=args.seed,
+        pubsub=PubSubConfig(routing=RoutingMode(args.routing)),
     )
     _, system = build_system(config, RandomStreams(config.seed))
     delivered = []

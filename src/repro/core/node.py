@@ -56,7 +56,8 @@ class PubSubNode:
             covering=system.config.covering,
         )
         # Only a buffering system flushes, collects or buffers a match.
-        self.buffer = NotificationBuffer() if system.config.buffering else None
+        buffered = system.config.notification != "direct"
+        self.buffer = NotificationBuffer() if buffered else None
 
     @property
     def replicas(self) -> dict[int, dict[int, StoredSubscription]]:
@@ -134,7 +135,7 @@ class PubSubNode:
             fn(self, message, matched)
         if not matched:
             return
-        config = self._system.config
+        collected = self._system.config.notification == "collected"
         for entry in matched:
             notification = Notification(
                 event=payload.event,
@@ -142,7 +143,7 @@ class PubSubNode:
                 matched_at=self.id,
                 published_at=payload.published_at,
             )
-            if not config.buffering:
+            if self.buffer is None:
                 # Section 4.3.2 baseline: one short message per match.
                 # The publication hop that reached this rendezvous
                 # (message.trace) becomes the notification root's
@@ -152,7 +153,7 @@ class PubSubNode:
                     parent_span=message.trace,
                 )
                 continue
-            agent = self._agent_for(entry) if config.collecting else None
+            agent = self._agent_for(entry) if collected else None
             self.buffer.add(
                 entry.subscriber,
                 entry.subscription.subscription_id,

@@ -24,7 +24,7 @@ from repro.matching import (
 )
 
 #: Engine constructors by matcher name, each called with the event space.
-_ENGINES = {
+ENGINES = {
     "brute": lambda space: BruteForceMatcher(),
     "grid": GridIndexMatcher,
     "radix": RadixBitmapMatcher,
@@ -84,10 +84,10 @@ class SubscriptionStore:
         covering: bool = True,
     ) -> None:
         self._entries: dict[int, StoredSubscription] = {}
-        if matcher not in _ENGINES:
+        if matcher not in ENGINES:
             raise ValueError(f"unknown matcher {matcher!r}")
         self._space = space
-        self._engine = _ENGINES[matcher]
+        self._engine = ENGINES[matcher]
         self._collapse = covering and matcher != "brute"
         # The matching engine and covering index, built at SCAN_LIMIT
         # entries, and the attached MatchWork, if any.

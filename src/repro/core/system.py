@@ -49,6 +49,7 @@ from repro.core.payloads import (
     SubscribePayload,
     UnsubscribePayload,
 )
+from repro.core.rendezvous import ENGINES
 from repro.core.subscriptions import Subscription
 from repro.errors import ConfigurationError
 from repro.metrics.recorder import MetricsRecorder
@@ -69,28 +70,33 @@ from repro.telemetry import Telemetry
 NotifyHandler = Callable[[int, list[Notification]], None]
 
 
-@dataclasses.dataclass
+#: Section 4.3.2's notification schemes; collecting is built on buffering.
+NOTIFICATION_SCHEMES = ("direct", "buffered", "collected")
+
+
+@dataclasses.dataclass(frozen=True)
 class PubSubConfig:
     """Behavioral switches of the CB-pub/sub layer.
 
     Attributes:
         routing: Propagation scheme for multi-key sends.
-        buffering: Enable notification buffering (Section 4.3.2).
-        collecting: Enable coordinated collecting toward range agents;
-            requires ``buffering``.
+        notification: Section 4.3.2's scheme: ``"direct"`` (a message
+            per match), ``"buffered"`` (batched per subscriber) or
+            ``"collected"`` (buffered, then collected toward agents).
         buffer_period: Seconds between buffer flushes (Fig. 9(a) sweeps
             1x, 2x and 5x the average publication period).
-        default_ttl: Default subscription expiration in seconds (None =
-            subscriptions never expire; Fig. 6 sweeps this).
+        default_ttl: Expiration in seconds of a subscription given no
+            TTL of its own (None = never expire).
         replication_factor: Number of ring successors holding a replica
             of each stored subscription (0 disables replication).
         failure_detection_delay: Seconds between a crash and replica
             promotion at the successor.
-        matcher: Matching engine at rendezvous nodes: "grid" (default;
+        matcher: Matching engine at rendezvous nodes, a key of
+            :data:`~repro.core.rendezvous.ENGINES`: "grid" (default;
             the indexed engine, O(candidates) per event), "radix" (the
             radix-block index, best when stored constraints are mostly
-            equalities), or "brute" (the O(stored) reference oracle).
-            A store builds it when it reaches
+            equalities), "vector" (numpy grid) or "brute" (the O(stored)
+            reference oracle).  A store builds it when it reaches
             :data:`~repro.core.rendezvous.SCAN_LIMIT` entries and
             scans its entries until then.
         covering: Collapse covered subscriptions at rendezvous nodes
@@ -101,8 +107,7 @@ class PubSubConfig:
     """
 
     routing: RoutingMode = RoutingMode.MCAST
-    buffering: bool = False
-    collecting: bool = False
+    notification: str = "direct"
     buffer_period: float = 5.0
     default_ttl: float | None = None
     replication_factor: int = 0
@@ -111,12 +116,18 @@ class PubSubConfig:
     covering: bool = True
 
     def __post_init__(self) -> None:
-        if self.collecting and not self.buffering:
-            raise ConfigurationError("collecting requires buffering")
+        if self.notification not in NOTIFICATION_SCHEMES:
+            raise ConfigurationError(f"unknown notification {self.notification!r}")
         if self.buffer_period <= 0:
             raise ConfigurationError("buffer_period must be positive")
+        if self.default_ttl is not None and not self.default_ttl > 0:
+            raise ConfigurationError("default_ttl must be > 0 or None")
         if self.replication_factor < 0:
             raise ConfigurationError("replication_factor must be >= 0")
+        if not self.failure_detection_delay >= 0:
+            raise ConfigurationError("failure_detection_delay must be >= 0")
+        if self.matcher not in ENGINES:
+            raise ConfigurationError(f"unknown matcher {self.matcher!r}")
 
 
 class PubSubSystem:
@@ -199,7 +210,7 @@ class PubSubSystem:
         node = self._nodes[node_id] = PubSubNode(node_id, self)
         for fn in self.tap.join:
             fn(node)
-        if self._config.buffering:
+        if node.buffer is not None:
             timer = PeriodicTimer(
                 self._sim, self._config.buffer_period, node.flush
             )

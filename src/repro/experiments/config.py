@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.mappings import AKMapping, Discretization, make_mapping
-from repro.core import PubSubConfig, RoutingMode
+from repro.core import PubSubConfig
 from repro.errors import ConfigurationError
 from repro.overlay.api import OverlayNetwork
 from repro.overlay.can import CanOverlay
@@ -24,12 +24,11 @@ from repro.workload.spec import WorkloadSpec
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """All knobs of one simulation run.
+    """All knobs of one simulation run; the pub/sub layer's live in ``pubsub``.
 
     Attributes:
         mapping: ``"attribute-split"`` / ``"keyspace-split"`` /
             ``"selective-attribute"``.
-        routing: Propagation mode for multi-key requests.
         overlay: Routing substrate (``"chord"`` / ``"pastry"`` /
             ``"can"``); all three implement the same overlay contract.
         nodes: Ring size n.
@@ -41,21 +40,15 @@ class ExperimentConfig:
         seed: Root seed; every random stream derives from it.
         subscriptions: Number of subscriptions to inject.
         publications: Number of publications to inject.
-        workload: Section 5.1 workload parameters.
-        buffering / collecting / buffer_period: Section 4.3.2 switches.
+        workload: Section 5.1 workload parameters (its TTL is stamped on
+            every generated subscription).
         discretization_width: Section 4.3.3 interval width in attribute
             value units (1 = no discretization), applied uniformly.
-        replication_factor: Successor replicas per stored subscription.
-        matcher: Rendezvous matching engine ("brute", "grid", "radix",
-            or "vector" — the numpy-vectorized grid engine, falling
-            back to "grid" when numpy is unavailable).
-        covering: Covering-aware rendezvous stores (on by default, never
-            under the "brute" matcher; see
-            :class:`~repro.core.system.PubSubConfig`).
+        pubsub: The pub/sub layer's switches, handed to
+            :class:`~repro.core.system.PubSubSystem` as is.
     """
 
     mapping: str = "selective-attribute"
-    routing: RoutingMode = RoutingMode.MCAST
     overlay: str = "chord"
     nodes: int = 500
     key_bits: int = 13
@@ -65,13 +58,8 @@ class ExperimentConfig:
     subscriptions: int = 500
     publications: int = 500
     workload: WorkloadSpec = dataclasses.field(default_factory=WorkloadSpec)
-    buffering: bool = False
-    collecting: bool = False
-    buffer_period: float = 5.0
     discretization_width: int = 1
-    replication_factor: int = 0
-    matcher: str = "grid"
-    covering: bool = True
+    pubsub: PubSubConfig = dataclasses.field(default_factory=PubSubConfig)
 
     def __post_init__(self) -> None:
         if self.overlay not in ("chord", "pastry", "can"):
@@ -113,19 +101,6 @@ class ExperimentConfig:
                 f"{total_intervals} event-space intervals for {self.nodes} "
                 "nodes (Section 4.3.3 sizing rule)"
             )
-
-    def pubsub_config(self) -> PubSubConfig:
-        """The derived CB-pub/sub layer configuration."""
-        return PubSubConfig(
-            routing=self.routing,
-            buffering=self.buffering,
-            collecting=self.collecting,
-            buffer_period=self.buffer_period,
-            default_ttl=self.workload.subscription_ttl,
-            replication_factor=self.replication_factor,
-            matcher=self.matcher,
-            covering=self.covering,
-        )
 
     def build_overlay(self, sim: Simulator, network: Network) -> OverlayNetwork:
         """The configured overlay over ``network``, its ring not yet built.

@@ -15,7 +15,7 @@ import dataclasses
 import math
 from typing import Sequence
 
-from repro.core import RoutingMode
+from repro.core import PubSubConfig, RoutingMode
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.workload.spec import WorkloadSpec
@@ -60,12 +60,12 @@ def figure5(
             result = run_experiment(
                 ExperimentConfig(
                     mapping=mapping,
-                    routing=routing,
                     nodes=nodes,
                     seed=seed,
                     subscriptions=subscriptions,
                     publications=publications,
                     workload=workload,
+                    pubsub=PubSubConfig(routing=routing),
                 )
             )
             rows.append(
@@ -114,12 +114,12 @@ def figure6(
                 result = run_experiment(
                     ExperimentConfig(
                         mapping=mapping,
-                        routing=RoutingMode.MCAST,
                         nodes=nodes,
                         seed=seed,
                         subscriptions=subscriptions,
                         publications=0,
                         workload=workload,
+                        pubsub=PubSubConfig(routing=RoutingMode.MCAST),
                     )
                 )
                 rows.append(
@@ -156,13 +156,13 @@ def figure7(
         result = run_experiment(
             ExperimentConfig(
                 mapping="selective-attribute",
-                routing=RoutingMode.UNICAST,
                 nodes=nodes,
                 seed=seed,
                 cache_capacity=cache_capacity,
                 subscriptions=50,
                 publications=publications,
                 workload=workload,
+                pubsub=PubSubConfig(routing=RoutingMode.UNICAST),
             )
         )
         rows.append(
@@ -204,12 +204,12 @@ def figure8(
                 result = run_experiment(
                     ExperimentConfig(
                         mapping=mapping,
-                        routing=RoutingMode.MCAST,
                         nodes=nodes,
                         seed=seed,
                         subscriptions=subscriptions,
                         publications=0,
                         workload=workload,
+                        pubsub=PubSubConfig(routing=RoutingMode.MCAST),
                     )
                 )
                 rows.append(
@@ -233,17 +233,16 @@ class BufferingVariant:
     """One histogram group of Fig. 9(a)."""
 
     label: str
-    buffering: bool
-    collecting: bool
+    notification: str  # a PubSubConfig notification scheme
     period_multiplier: float  # x the average publication period
 
 
 FIGURE9A_VARIANTS = (
-    BufferingVariant("no buffering, no collecting", False, False, 1.0),
-    BufferingVariant("buffering + collecting (1x)", True, True, 1.0),
-    BufferingVariant("buffering + collecting (2x)", True, True, 2.0),
-    BufferingVariant("buffering + collecting (5x)", True, True, 5.0),
-    BufferingVariant("buffering only (1x)", True, False, 1.0),
+    BufferingVariant("no buffering, no collecting", "direct", 1.0),
+    BufferingVariant("buffering + collecting (1x)", "collected", 1.0),
+    BufferingVariant("buffering + collecting (2x)", "collected", 2.0),
+    BufferingVariant("buffering + collecting (5x)", "collected", 5.0),
+    BufferingVariant("buffering only (1x)", "buffered", 1.0),
 )
 
 
@@ -280,16 +279,17 @@ def figure9a(
             result = run_experiment(
                 ExperimentConfig(
                     mapping="selective-attribute",
-                    routing=RoutingMode.MCAST,
                     nodes=nodes,
                     cache_capacity=0,
                     seed=seed,
                     subscriptions=subscriptions,
                     publications=publications,
                     workload=workload,
-                    buffering=variant.buffering,
-                    collecting=variant.collecting,
-                    buffer_period=period,
+                    pubsub=PubSubConfig(
+                        routing=RoutingMode.MCAST,
+                        notification=variant.notification,
+                        buffer_period=period,
+                    ),
                 )
             )
             rows.append(
@@ -331,13 +331,13 @@ def figure9b(
         result = run_experiment(
             ExperimentConfig(
                 mapping="selective-attribute",
-                routing=RoutingMode.UNICAST,
                 nodes=nodes,
                 seed=seed,
                 subscriptions=subscriptions,
                 publications=0,
                 workload=workload,
                 discretization_width=width,
+                pubsub=PubSubConfig(routing=RoutingMode.UNICAST),
             )
         )
         rows.append(
@@ -372,13 +372,13 @@ def baseline_routing(
         result = run_experiment(
             ExperimentConfig(
                 mapping="attribute-split",  # EK is a single key: pure unicast
-                routing=RoutingMode.UNICAST,
                 nodes=nodes,
                 seed=seed,
                 cache_capacity=capacity,
                 subscriptions=30,
                 publications=publications,
                 workload=workload,
+                pubsub=PubSubConfig(routing=RoutingMode.UNICAST),
             )
         )
         rows.append(

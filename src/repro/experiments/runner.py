@@ -89,10 +89,7 @@ def build_system(
     overlay = config.build_overlay(sim, network)
     ring_rng = streams.stream("ring")
     overlay.build_ring(ring_rng.sample(range(overlay.keyspace.size), config.nodes))
-    system = PubSubSystem(
-        sim, overlay, config.build_mapping(), config.pubsub_config()
-    )
-    return sim, system
+    return sim, PubSubSystem(sim, overlay, config.build_mapping(), config.pubsub)
 
 
 def generate_trace(config: ExperimentConfig) -> Trace:
@@ -165,7 +162,7 @@ def run_experiment(
     trace = generate_trace(config)
     sim, system = build_system(config, RandomStreams(config.seed), telemetry)
     auditor = Auditor(system, audit) if audit is not None else None
-    horizon = trace.horizon(config.buffer_period)
+    horizon = trace.horizon(config.pubsub.buffer_period)
     # Observers first, as in a shard worker: at an instant they share
     # with an op, both kernels sample before the op runs.
     traced = telemetry is not None and telemetry.enabled

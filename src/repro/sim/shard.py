@@ -152,7 +152,7 @@ class ShardWorker:
         overlay = config.build_overlay(sim, network)
         overlay.build_ring(ring_ids, local=local)
         system = PubSubSystem(
-            sim, overlay, config.build_mapping(), config.pubsub_config()
+            sim, overlay, config.build_mapping(), config.pubsub
         )
         for time in snapshots:
             sim.schedule_at(time, system.snapshot_storage)
@@ -355,7 +355,7 @@ def run_sharded(
         )
     ring_ids = ring_node_ids(config)
     locals_, shard_of = partition_ring(ring_ids, num_shards)
-    horizon = trace.horizon(config.buffer_period)
+    horizon = trace.horizon(config.pubsub.buffer_period)
     per_shard_ops: list[list[TraceOp]] = [[] for _ in range(num_shards)]
     for index, op in enumerate(trace.ops):
         if op.kind not in ("sub", "pub"):

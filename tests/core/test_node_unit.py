@@ -31,7 +31,7 @@ def build(n=20, seed=6):
 
 def test_a_node_that_only_routes_holds_no_containers():
     sim, system = build()
-    assert not system.config.buffering
+    assert system.config.notification == "direct"
     nodes = [system.node(node_id) for node_id in system.overlay.node_ids()]
     # Route one publication across the ring: under keyspace-split it
     # reaches a few rendezvous nodes, and every other node only routes.

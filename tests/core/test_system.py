@@ -12,6 +12,7 @@ from repro.core import (
     Subscription,
 )
 from repro.core.mappings import make_mapping
+from repro.core.rendezvous import ENGINES
 from repro.errors import ConfigurationError
 from repro.overlay.api import MessageKind
 from repro.overlay.chord import ChordOverlay
@@ -48,12 +49,24 @@ NON_MATCHING = dict(a1=999_000, a2=10, a3=5, a4=0)
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        PubSubConfig(collecting=True, buffering=False)
+    with pytest.raises(ConfigurationError, match="notification"):
+        PubSubConfig(notification="buffering")
     with pytest.raises(ConfigurationError):
         PubSubConfig(buffer_period=0)
     with pytest.raises(ConfigurationError):
         PubSubConfig(replication_factor=-1)
+    with pytest.raises(ConfigurationError, match="failure_detection_delay"):
+        PubSubConfig(failure_detection_delay=-1.0)
+    with pytest.raises(ConfigurationError, match="default_ttl"):
+        PubSubConfig(default_ttl=-5.0)
+    with pytest.raises(ConfigurationError, match="default_ttl"):
+        PubSubConfig(default_ttl=0.0)
+    with pytest.raises(ConfigurationError, match="matcher"):
+        PubSubConfig(matcher="nope")
+    # The edge values each check lets through.
+    PubSubConfig(failure_detection_delay=0.0, default_ttl=None)
+    for engine in ENGINES:
+        PubSubConfig(matcher=engine)
 
 
 def test_mismatched_keyspaces_rejected():
@@ -200,7 +213,7 @@ def test_request_kinds_accounted():
 
 
 def test_buffering_batches_notifications():
-    config = PubSubConfig(buffering=True, buffer_period=5.0)
+    config = PubSubConfig(notification="buffered", buffer_period=5.0)
     sim, system = build_system(config=config)
     received = []
     system.set_global_notify_handler(lambda nid, ns: received.append(list(ns)))
@@ -222,7 +235,7 @@ def test_buffering_batches_notifications():
 
 
 def test_collecting_delivers_through_agent():
-    config = PubSubConfig(buffering=True, collecting=True, buffer_period=2.0)
+    config = PubSubConfig(notification="collected", buffer_period=2.0)
     sim, system = build_system(config=config, mapping="selective-attribute")
     received = []
     system.set_global_notify_handler(lambda nid, ns: received.extend(ns))

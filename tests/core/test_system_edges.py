@@ -59,7 +59,7 @@ def test_unsubscribe_via_sequential_routing():
 
 
 def test_remove_node_stops_flush_timer():
-    config = PubSubConfig(buffering=True, buffer_period=2.0)
+    config = PubSubConfig(notification="buffered", buffer_period=2.0)
     sim, system = build(config)
     victim = system.overlay.node_ids()[5]
     node = system.node(victim)
@@ -82,7 +82,7 @@ def test_remove_node_stops_flush_timer():
 
 
 def test_flush_timer_created_for_late_joiner():
-    config = PubSubConfig(buffering=True, buffer_period=2.0)
+    config = PubSubConfig(notification="buffered", buffer_period=2.0)
     sim, system = build(config)
     new_id = next(k for k in range(KS.size) if not system.overlay.is_alive(k))
     system.add_node(new_id)
@@ -105,7 +105,7 @@ def test_flush_timer_created_for_late_joiner():
 def test_collect_direction_can_be_predecessor():
     """A batch whose agent lies counter-clockwise travels via PRED."""
     sim, system = build(
-        PubSubConfig(buffering=True, collecting=True, buffer_period=1.0)
+        PubSubConfig(notification="collected", buffer_period=1.0)
     )
     nodes = system.overlay.node_ids()
     node = system.node(nodes[10])

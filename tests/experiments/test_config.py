@@ -1,10 +1,14 @@
 """Experiment configuration validation and derivation."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.system import RoutingMode
+from repro.core.system import PubSubConfig, RoutingMode
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import build_system
+from repro.sim.rng import RandomStreams
 from repro.workload.spec import WorkloadSpec
 
 
@@ -17,20 +21,42 @@ def test_paper_defaults():
 
 
 def test_pubsub_config_derivation():
-    config = ExperimentConfig(
+    """The system a run builds holds ``config.pubsub`` as given: no
+    setting is copied in from elsewhere, the workload TTL included."""
+    pubsub = PubSubConfig(
         routing=RoutingMode.UNICAST,
-        buffering=True,
-        collecting=True,
+        notification="collected",
         buffer_period=10.0,
+        default_ttl=7.0,
         replication_factor=2,
-        workload=WorkloadSpec(subscription_ttl=99.0),
+        failure_detection_delay=0.3,
+        matcher="radix",
+        covering=False,
     )
-    derived = config.pubsub_config()
-    assert derived.routing is RoutingMode.UNICAST
-    assert derived.buffering and derived.collecting
-    assert derived.buffer_period == 10.0
-    assert derived.default_ttl == 99.0
-    assert derived.replication_factor == 2
+    config = ExperimentConfig(
+        nodes=40, workload=WorkloadSpec(subscription_ttl=99.0), pubsub=pubsub
+    )
+    _, system = build_system(config, RandomStreams(config.seed))
+    assert system.config is pubsub
+    assert system.config.failure_detection_delay == 0.3
+    assert system.config.default_ttl == 7.0
+    # Without a pubsub of its own, a run keeps the layer's defaults:
+    # the workload stamps its TTL on each generated subscription instead.
+    plain = ExperimentConfig(
+        nodes=40, workload=WorkloadSpec(subscription_ttl=99.0)
+    )
+    _, system = build_system(plain, RandomStreams(plain.seed))
+    assert system.config == PubSubConfig()
+    assert system.config.default_ttl is None
+
+
+def test_no_pubsub_setting_is_mirrored():
+    """Each pub/sub setting has one home: ``ExperimentConfig.pubsub``."""
+    mirrored = {f.name for f in dataclasses.fields(ExperimentConfig)} & {
+        f.name for f in dataclasses.fields(PubSubConfig)
+    }
+    assert mirrored == set()
+    assert not hasattr(ExperimentConfig, "pubsub_config")
 
 
 def test_too_many_nodes_rejected():

@@ -37,7 +37,7 @@ def test_figure7_includes_reference_curve():
 def test_figure9a_variant_labels_unique():
     labels = [v.label for v in figures.FIGURE9A_VARIANTS]
     assert len(set(labels)) == len(labels)
-    custom = BufferingVariant("just buffering", True, False, 3.0)
+    custom = BufferingVariant("just buffering", "buffered", 3.0)
     rows = figures.figure9a(
         matching_probabilities=(0.5,),
         subscriptions=20, publications=30, nodes=60,

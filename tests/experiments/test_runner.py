@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.system import RoutingMode
+from repro.core.system import PubSubConfig, RoutingMode
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     RunResult,
@@ -20,7 +20,6 @@ from repro.workload.spec import WorkloadSpec
 def small_config(**overrides):
     defaults = dict(
         mapping="selective-attribute",
-        routing=RoutingMode.MCAST,
         nodes=100,
         subscriptions=40,
         publications=40,
@@ -82,14 +81,16 @@ SUMMARY_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("buffering", [False, True], ids=["direct", "buffering"])
+@pytest.mark.parametrize(
+    "notification", ["direct", "buffered"], ids=["direct", "buffering"]
+)
 @pytest.mark.parametrize("routing", [RoutingMode.MCAST, RoutingMode.UNICAST])
 @pytest.mark.parametrize("overlay", ["chord", "can", "pastry"])
-def test_sharded_run_equals_serial_run(overlay, routing, buffering):
+def test_sharded_run_equals_serial_run(overlay, routing, notification):
     config = small_config(
-        overlay=overlay, routing=routing, buffering=buffering, nodes=60,
-        subscriptions=30, publications=30, seed=20260921,
-        workload=WorkloadSpec(subscription_ttl=60.0),
+        overlay=overlay, nodes=60, subscriptions=30, publications=30,
+        seed=20260921, workload=WorkloadSpec(subscription_ttl=60.0),
+        pubsub=PubSubConfig(routing=routing, notification=notification),
     )
     serial = run_experiment(config)
     assert serial.max_subscriptions_per_node > 0
@@ -111,7 +112,9 @@ def test_long_buffer_period_still_flushes_before_the_horizon():
     """The slack derives from the buffer period: a period longer than
     the 60 s floor delivers what the unbuffered run delivers."""
     direct = run_experiment(small_config(seed=3))
-    slow = run_experiment(small_config(seed=3, buffering=True, buffer_period=90.0))
+    slow = run_experiment(small_config(
+        seed=3, pubsub=PubSubConfig(notification="buffered", buffer_period=90.0)
+    ))
     assert direct.notification_delay.count > 0
     assert slow.notification_delay.count == direct.notification_delay.count
     assert slow.notification_delay.mean > direct.notification_delay.mean

@@ -212,8 +212,8 @@ def scale_smoke():
     """The n=4000 configuration and its one pre-generated trace."""
     config = ExperimentConfig(
         nodes=4000, key_bits=13, subscriptions=400, publications=4000,
-        seed=20260808, matcher="vector", discretization_width=256,
-        cache_capacity=1024,
+        seed=20260808, discretization_width=256, cache_capacity=1024,
+        pubsub=PubSubConfig(matcher="vector"),
         workload=WorkloadSpec(
             subscription_period=0.05, publication_mean_period=0.01,
             subscription_ttl=20.0,

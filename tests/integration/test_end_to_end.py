@@ -89,7 +89,7 @@ def test_mcast_strictly_cheaper_for_fanout_mappings():
 
 def test_buffered_run_delivers_everything():
     config = PubSubConfig(
-        routing=RoutingMode.MCAST, buffering=True, collecting=True,
+        routing=RoutingMode.MCAST, notification="collected",
         buffer_period=5.0,
     )
     system, trace, notifications = run_workload(

@@ -6,7 +6,6 @@ from repro.core import (
     EventSpace,
     PubSubConfig,
     PubSubSystem,
-    RoutingMode,
     Subscription,
 )
 from repro.core.mappings import make_mapping
@@ -69,7 +68,7 @@ def test_unbuffered_delay_is_hops_times_link_delay():
 def test_buffering_adds_up_to_one_period():
     unbuffered = run_one(None)
     buffered = run_one(
-        PubSubConfig(routing=RoutingMode.MCAST, buffering=True, buffer_period=10.0)
+        PubSubConfig(notification="buffered", buffer_period=10.0)
     )
     assert buffered.count == unbuffered.count
     # Expected extra delay ~ period/2 on average, bounded by the period.
@@ -79,9 +78,9 @@ def test_buffering_adds_up_to_one_period():
 
 def test_longer_period_longer_delay():
     short = run_one(
-        PubSubConfig(routing=RoutingMode.MCAST, buffering=True, buffer_period=4.0)
+        PubSubConfig(notification="buffered", buffer_period=4.0)
     )
     long = run_one(
-        PubSubConfig(routing=RoutingMode.MCAST, buffering=True, buffer_period=16.0)
+        PubSubConfig(notification="buffered", buffer_period=16.0)
     )
     assert long.mean > short.mean

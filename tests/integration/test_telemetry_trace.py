@@ -14,7 +14,7 @@ import pytest
 from repro.cli import main
 from repro.core import EventSpace, PubSubSystem, Subscription
 from repro.core.mappings import make_mapping
-from repro.core.system import RoutingMode
+from repro.core.system import PubSubConfig, RoutingMode
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.overlay.api import MessageKind
@@ -35,7 +35,7 @@ from repro.workload.spec import WorkloadSpec
 def small_config(**overrides):
     defaults = dict(
         mapping="selective-attribute",
-        routing=RoutingMode.MCAST,
+        pubsub=PubSubConfig(routing=RoutingMode.MCAST),
         nodes=80,
         subscriptions=30,
         publications=30,

@@ -60,7 +60,7 @@ def test_inline_counts_equal_a_tap_count_of_every_send(routing):
     overlay.build_ring(random.Random(3).sample(range(KS.size), 60))
     spec = WorkloadSpec()
     config = PubSubConfig(
-        routing=routing, buffering=True, collecting=True, buffer_period=2.0,
+        routing=routing, notification="collected", buffer_period=2.0,
         replication_factor=2,
     )
     system = PubSubSystem(
@@ -110,7 +110,7 @@ def test_inline_counts_equal_a_tap_count_of_every_send(routing):
 def test_merged_shard_recorders_sum_to_the_serial_counts():
     config = ExperimentConfig(
         nodes=120, subscriptions=60, publications=60, seed=20261018,
-        buffering=True, collecting=True, replication_factor=1,
+        pubsub=PubSubConfig(notification="collected", replication_factor=1),
     )
     trace = generate_trace(config)
     outcome = run_sharded(config, trace, 2, mode="inline")

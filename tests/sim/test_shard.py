@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.audit import AuditConfig, Auditor
-from repro.core.system import RoutingMode
+from repro.core.system import PubSubConfig, RoutingMode
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, generate_trace
@@ -267,7 +267,7 @@ def test_sharded_storage_snapshots_cover_all_nodes():
     overlay=st.sampled_from(["chord", "pastry", "can"]),
     shards=st.integers(min_value=2, max_value=4),
     routing=st.sampled_from(list(RoutingMode)),
-    notification=st.sampled_from(["direct", "buffering", "collecting"]),
+    notification=st.sampled_from(["direct", "buffered", "collected"]),
     replication_factor=st.integers(min_value=0, max_value=2),
 )
 def test_shard_property_small_rings(
@@ -276,10 +276,11 @@ def test_shard_property_small_rings(
     """K-shard == serial, for K=1 and K>1, on randomized small configurations."""
     config = ExperimentConfig(
         overlay=overlay, nodes=60, subscriptions=40, publications=30,
-        seed=seed, routing=routing,
-        buffering=notification != "direct",
-        collecting=notification == "collecting",
-        replication_factor=replication_factor,
+        seed=seed,
+        pubsub=PubSubConfig(
+            routing=routing, notification=notification,
+            replication_factor=replication_factor,
+        ),
     )
     trace = _make_trace(config)
     serial = _serial_digest(config, trace)

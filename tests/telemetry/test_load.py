@@ -14,7 +14,7 @@ import pytest
 
 from repro.audit import AuditConfig
 from repro.cli import main
-from repro.core.system import RoutingMode
+from repro.core.system import PubSubConfig, RoutingMode
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, generate_trace, run_experiment
 from repro.metrics.fingerprint import behavior_fingerprint
@@ -32,7 +32,7 @@ def zipf_config(**overrides):
     """A small run with skewed interest (hot rendezvous keys exist)."""
     defaults = dict(
         mapping="selective-attribute",
-        routing=RoutingMode.MCAST,
+        pubsub=PubSubConfig(routing=RoutingMode.MCAST),
         nodes=80,
         subscriptions=40,
         publications=40,

@@ -41,14 +41,21 @@ test:
 # with --collecting under Mapping 1 (--mapping attribute-split, which
 # sends many more COLLECT hops than Mapping 3), puts Section 4.3.2's
 # notification buffers and COLLECT path under the oracle; both reports
-# face the same last line.  The
+# face the same last line.  The same audited Chord run with --matcher
+# vector, on 20 nodes with 200 subscriptions so that some stores reach
+# SCAN_LIMIT entries and build their engine, is the one run of the
+# numpy engine under the oracle (numpy loads with that first engine);
+# its report faces the same last line, which also fails if its
+# covering gauges read no root (load.matching.covering.roots == 0: no
+# store built an engine).  The
 # same audited run with --routing sequential, once per overlay, puts
 # the conservative walk (one step, in the overlay base) under the
 # delivery oracle too; these four reports face the same last line,
 # the CAN one its every-node probe check included.
 # Every overlay m-casts by the one Fig. 4 step, which delivers at most
 # once per node, so the last line also fails if the Chord runs (with and
-# without a cache, under Mappings 1 and 2, buffered and collected), the
+# without a cache, under Mappings 1 and 2, buffered, collected and on
+# the vector engine), the
 # two CAN runs or the Pastry run audited a notification that reached
 # its subscriber twice (audit.deliveries_duplicate > 0).
 # The churn-resilience bench (about 0.3 s of simulation) runs too, with
@@ -100,6 +107,11 @@ verify:
 		--telemetry artifacts/sample-trace-chord-collecting.jsonl > /dev/null
 	$(PYTHON) -m repro report artifacts/sample-trace-chord-collecting.jsonl \
 		--json artifacts/report-chord-collecting.json > /dev/null
+	$(PYTHON) -m repro run --matcher vector --nodes 20 \
+		--subscriptions 200 --publications 50 --audit \
+		--telemetry artifacts/sample-trace-chord-vector.jsonl > /dev/null
+	$(PYTHON) -m repro report artifacts/sample-trace-chord-vector.jsonl \
+		--json artifacts/report-chord-vector.json > /dev/null
 	for mapping in attribute-split keyspace-split; do \
 		$(PYTHON) -m repro run --mapping $$mapping --nodes 100 \
 			--subscriptions 50 --publications 50 --audit \
@@ -120,7 +132,7 @@ verify:
 			--json artifacts/report-$$overlay-sequential.json > /dev/null \
 		|| exit 1; \
 	done
-	$(PYTHON) -c "import json; reports = {p: json.load(open(p)) for p in ('artifacts/report-chord.json', 'artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-pastry.json', 'artifacts/report-chord-cache0.json', 'artifacts/report-chord-attribute-split.json', 'artifacts/report-chord-keyspace-split.json', 'artifacts/report-chord-sequential.json', 'artifacts/report-can-sequential.json', 'artifacts/report-pastry-sequential.json', 'artifacts/report-chord-buffering.json', 'artifacts/report-chord-collecting.json')}; [exit(f'{p}: {k} not recorded') for p, r in reports.items() for k in ('audit', 'load') if r[k] is None]; [exit(f'{p}: {n} counters, one per node?') for p, r in reports.items() for n in [r['trace']['final_counters']] if n >= 100]; [exit(f'{p}: no publication audited') for p, r in reports.items() if sum(c['value'] for c in r['audit']['counters'] if c['name'] == 'audit.publications_audited') == 0]; [exit(f'{p}: a probe missed a node') for p in ('artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-can-sequential.json') for q in reports[p]['audit']['probes'] if q['nodes_checked'] != q['nodes_total']]; [exit(f'{p}: a notification delivered twice') for p in ('artifacts/report-chord.json', 'artifacts/report-chord-cache0.json', 'artifacts/report-chord-attribute-split.json', 'artifacts/report-chord-keyspace-split.json', 'artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-pastry.json', 'artifacts/report-chord-buffering.json', 'artifacts/report-chord-collecting.json') if sum(c['value'] for c in reports[p]['audit']['counters'] if c['name'] == 'audit.deliveries_duplicate') > 0]"
+	$(PYTHON) -c "import json; reports = {p: json.load(open(p)) for p in ('artifacts/report-chord.json', 'artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-pastry.json', 'artifacts/report-chord-cache0.json', 'artifacts/report-chord-attribute-split.json', 'artifacts/report-chord-keyspace-split.json', 'artifacts/report-chord-sequential.json', 'artifacts/report-can-sequential.json', 'artifacts/report-pastry-sequential.json', 'artifacts/report-chord-buffering.json', 'artifacts/report-chord-collecting.json', 'artifacts/report-chord-vector.json')}; [exit(f'{p}: {k} not recorded') for p, r in reports.items() for k in ('audit', 'load') if r[k] is None]; [exit(f'{p}: {n} counters, one per node?') for p, r in reports.items() for n in [r['trace']['final_counters']] if n >= 100]; [exit(f'{p}: no publication audited') for p, r in reports.items() if sum(c['value'] for c in r['audit']['counters'] if c['name'] == 'audit.publications_audited') == 0]; [exit(f'{p}: a probe missed a node') for p in ('artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-can-sequential.json') for q in reports[p]['audit']['probes'] if q['nodes_checked'] != q['nodes_total']]; [exit(f'{p}: a notification delivered twice') for p in ('artifacts/report-chord.json', 'artifacts/report-chord-cache0.json', 'artifacts/report-chord-attribute-split.json', 'artifacts/report-chord-keyspace-split.json', 'artifacts/report-can.json', 'artifacts/report-can-attribute-split.json', 'artifacts/report-pastry.json', 'artifacts/report-chord-buffering.json', 'artifacts/report-chord-collecting.json', 'artifacts/report-chord-vector.json') if sum(c['value'] for c in reports[p]['audit']['counters'] if c['name'] == 'audit.deliveries_duplicate') > 0]; [exit('artifacts/report-chord-vector.json: no store built an engine') for r in [reports['artifacts/report-chord-vector.json']] if r['load']['matching']['covering']['roots'] == 0]"
 
 # The performance ledger (BENCHMARK.json): five seeded workloads, eight
 # end-to-end and 111 per-layer metrics, about 3 min.  ledger-smoke runs

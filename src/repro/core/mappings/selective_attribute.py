@@ -55,11 +55,20 @@ class SelectiveAttributeMapping(AKMapping):
         return (group,)
 
     def event_keys(self, event: Event) -> KeyRuns:
-        # _hash_value per attribute, inline over the (width, |Ωᵢ|) table.
+        # _hash_value per attribute, inline over the (width, |Ωᵢ|) table,
+        # then KeyRuns.from_keys inline: every publication maps here, and
+        # d keys need no frame beyond this one and the sort.
         bits = self._keyspace.bits
-        return KeyRuns.from_keys(
-            [
-                (value // width * width << bits) // domain
-                for (width, domain), value in zip(self._scales, event.values)
-            ]
-        )
+        keys: list[int] = []
+        for (width, domain), value in zip(self._scales, event.values):
+            keys += ((value // width * width << bits) // domain,)
+        keys.sort()
+        flat: list[int] = []
+        last = -2
+        for key in keys:
+            if key == last + 1:  # extends the run
+                flat[-1] += 1
+            elif key != last:  # a gap: a new run
+                flat += (key, 1)
+            last = key
+        return KeyRuns(flat)

@@ -20,15 +20,24 @@ from repro.matching import (
     GridIndexMatcher,
     Matcher,
     RadixBitmapMatcher,
-    make_vector_matcher,
 )
+
+
+def _vector_engine(space: EventSpace) -> Matcher:
+    # numpy loads with the first vector engine a store builds, so a run
+    # whose stores never reach SCAN_LIMIT, or use another engine, never
+    # imports it.
+    from repro.matching.vector import make_vector_matcher
+
+    return make_vector_matcher(space)
+
 
 #: Engine constructors by matcher name, each called with the event space.
 ENGINES = {
     "brute": lambda space: BruteForceMatcher(),
     "grid": GridIndexMatcher,
     "radix": RadixBitmapMatcher,
-    "vector": make_vector_matcher,
+    "vector": _vector_engine,
 }
 
 #: Entries at which a store stops scanning and builds its engine and

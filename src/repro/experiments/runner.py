@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 from repro.audit import AuditConfig, Auditor, AuditReport
 from repro.core.system import PubSubSystem
@@ -158,7 +159,30 @@ def run_experiment(
     ``audit`` config also runs the invariant auditor online (structural
     probes plus the shadow-ledger delivery oracle), findings in
     ``RunResult.audit`` and the telemetry export.
+
+    The cycle collector is off while the run executes; its prior state
+    is restored afterwards, and one collection frees the run's system.
     """
+    # A run makes no cyclic garbage (tests/integration/
+    # test_acyclic_run.py holds it to that), so the cycle collector
+    # would only scan a growing heap and free nothing: it is off for the
+    # run.  The system itself is cyclic (nodes and their overlay refer
+    # to each other), so one collection after the run frees it.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(config, telemetry, audit)
+    finally:
+        if collecting:
+            gc.enable()
+        gc.collect()
+
+
+def _run(
+    config: ExperimentConfig,
+    telemetry: Telemetry | None,
+    audit: AuditConfig | None,
+) -> RunResult:
     trace = generate_trace(config)
     sim, system = build_system(config, RandomStreams(config.seed), telemetry)
     auditor = Auditor(system, audit) if audit is not None else None

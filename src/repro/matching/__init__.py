@@ -22,6 +22,10 @@ limit builds one of four interchangeable engines:
   engine with numpy-vectorized candidate verification over flat bound
   matrices (optional; falls back to the scalar grid engine via
   :func:`~repro.matching.vector.make_vector_matcher` without numpy).
+  Its module, and with it numpy, is imported only when first named:
+  the first store that builds a ``"vector"`` engine, or a lookup of
+  ``HAVE_NUMPY``, ``VectorizedGridMatcher`` or ``make_vector_matcher``
+  on this package.  A run on any other engine never loads numpy.
 
 All expose add/remove/match over :class:`repro.core.Subscription` and
 return matches in subscription-id order; brute force remains the
@@ -47,11 +51,10 @@ from repro.matching.brute import BruteForceMatcher
 from repro.matching.covering import CoveringIndex
 from repro.matching.index import GridIndexMatcher
 from repro.matching.radix import RadixBitmapMatcher
-from repro.matching.vector import (
-    HAVE_NUMPY,
-    VectorizedGridMatcher,
-    make_vector_matcher,
-)
+
+#: Names this package re-exports from ``repro.matching.vector``, which
+#: imports numpy: resolved on first use (PEP 562), not at import.
+_VECTOR_NAMES = ("HAVE_NUMPY", "VectorizedGridMatcher", "make_vector_matcher")
 
 __all__ = [
     "HAVE_NUMPY",
@@ -63,3 +66,11 @@ __all__ = [
     "VectorizedGridMatcher",
     "make_vector_matcher",
 ]
+
+
+def __getattr__(name: str):
+    if name in _VECTOR_NAMES:
+        from repro.matching import vector
+
+        return getattr(vector, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,10 @@ the grid engine and the brute-force oracle.
 numpy is optional everywhere in this repository: the module imports
 with ``numpy = None`` when it is absent, and
 :func:`make_vector_matcher` silently falls back to the scalar grid
-engine so ``matcher="vector"`` configurations stay runnable.
+engine so ``matcher="vector"`` configurations stay runnable.  Only this
+module imports numpy, and nothing imports this module until a store
+builds its first ``"vector"`` engine (or code names one of its exports
+on :mod:`repro.matching`), so a run on another engine never loads it.
 """
 
 from __future__ import annotations

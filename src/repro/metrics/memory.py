@@ -11,8 +11,8 @@ a lifetime upper bound, signalled by :func:`reset_peak_rss` returning
 False.
 
 ``tracemalloc`` is deliberately not used here: it only sees Python
-allocations (missing numpy buffers and interpreter overhead) and slows
-the measured run down.
+allocations (missing interpreter overhead, and numpy's buffers where a
+``"vector"`` engine has loaded numpy) and slows the measured run down.
 """
 
 from __future__ import annotations

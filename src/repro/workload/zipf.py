@@ -4,8 +4,12 @@ Selective subscription ranges center on Zipf-distributed values
 (Section 5.1): a few hot values attract most subscriptions, modelling
 skewed popularity (stock tickers, event types).  The sampler draws rank
 ``k`` from ``P(k) ∝ 1/k^s`` over ``k = 1..N`` by inverse-CDF on a
-precomputed cumulative table; tables are cached per ``(N, s)`` since the
-harness builds many generators with the paper's fixed parameters.
+precomputed cumulative table.  A table lives as long as a sampler
+holds it: the samplers of one generator (one per selective attribute,
+same ``(N, s)``) share one table built once, and once they are gone
+nothing holds it, so a run does not carry the table (8 MB at
+``N = 1 000 001``) past the generation of its trace.  A sweep that
+builds generators one after another rebuilds it for each.
 
 The table is one ``array('d')``, 8 bytes an entry where a list of boxed
 floats costs about 32, fed by generators that compute the list version's
@@ -17,11 +21,15 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
+import weakref
 from array import array
 
 from repro.errors import ConfigurationError
 
-_CDF_CACHE: dict[tuple[int, float], array] = {}
+#: The live tables by ``(N, s)``; an entry goes with its last sampler.
+_CDF_CACHE: weakref.WeakValueDictionary[tuple[int, float], array] = (
+    weakref.WeakValueDictionary()
+)
 
 
 def _cdf(size: int, exponent: float) -> array:

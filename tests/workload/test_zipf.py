@@ -1,8 +1,10 @@
 """The Zipf sampler used for selective range centers."""
 
 import bisect
+import gc
 import itertools
 import random
+import weakref
 from array import array
 from collections import Counter
 
@@ -10,6 +12,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.workload import zipf
+from repro.workload.generator import SubscriptionGenerator
+from repro.workload.spec import WorkloadSpec
 from repro.workload.zipf import ZipfSampler
 
 
@@ -89,3 +93,34 @@ def test_flat_table_equals_the_list_table(size, exponent):
     assert drawn == [
         bisect.bisect_left(reference, rng.random()) + 1 for _ in range(2000)
     ]
+
+
+def test_a_generators_samplers_share_one_table_that_goes_with_them():
+    # An exponent no other test uses, so no other sampler holds the table.
+    spec = WorkloadSpec(
+        attr_max=20_000, selective_attributes=(0, 2), zipf_exponent=1.2345
+    )
+    key = (spec.domain_size, spec.zipf_exponent)
+    generator = SubscriptionGenerator(spec, random.Random(8))
+    first, second = (generator._zipf[a]._cdf for a in (0, 2))
+    assert first is second  # built once, for both selective attributes
+    assert zipf._CDF_CACHE[key] is first
+    table = weakref.ref(first)
+    del generator, first, second
+    gc.collect()
+    assert table() is None
+    assert key not in zipf._CDF_CACHE
+
+
+# The first draws at seed 7 over the paper's |Ω| = 1 000 001: how the
+# table is built or how long it is held must not move them.
+FIRST_DRAWS = {
+    1.6: [782234, 339563, 339563, 901864, 339563, 575630, 498598, 339563],
+    0.8: [152750, 80967, 519897, 398735, 275666, 775143, 789581, 404186],
+}
+
+
+@pytest.mark.parametrize("exponent", sorted(FIRST_DRAWS))
+def test_first_draws_over_the_paper_domain_are_pinned(exponent):
+    sampler = ZipfSampler(1_000_001, exponent, random.Random(7))
+    assert [sampler.sample() for _ in range(8)] == FIRST_DRAWS[exponent]
